@@ -1,101 +1,46 @@
-// Multi-node modad: -role=coordinator runs the placement/arbitration brain
-// with no simulation of its own, -role=worker runs the usual simulation and
-// loop stack but spawns only what the coordinator assigns. Both roles reuse
-// the single-process building blocks — the bus bridge, the control service,
-// the tsdb service — so the operator-facing wire surface is unchanged.
+// Multi-node modad: the coordinator and worker roles, built from the same
+// helpers as the single-process daemon so the operator surface is unchanged.
 package main
 
 import (
 	"fmt"
-	"io"
-	"math/rand"
 	"os"
-	"os/signal"
 	"sync/atomic"
-	"syscall"
 	"time"
 
-	"autoloop/internal/app"
 	"autoloop/internal/bus"
 	"autoloop/internal/cases"
 	"autoloop/internal/cluster"
-	"autoloop/internal/control"
-	"autoloop/internal/facility"
-	"autoloop/internal/fleet"
 	"autoloop/internal/gateway"
-	"autoloop/internal/hw"
-	"autoloop/internal/knowledge"
-	"autoloop/internal/pfs"
-	"autoloop/internal/sched"
-	"autoloop/internal/sim"
-	"autoloop/internal/telemetry"
-	"autoloop/internal/tsdb"
 	"autoloop/internal/wal"
 )
-
-// clusterConfig carries the parsed flag values into the coordinator and
-// worker entry points.
-type clusterConfig struct {
-	Role       string
-	Addr       string // operator-facing TCP bridge (coordinator)
-	HTTPAddr   string
-	ReadTokens []string
-	OpTokens   []string
-	Speed      int
-	Duration   time.Duration
-	SpecsPath  string
-	WALDir     string
-	Fsync      string
-
-	Join        string // worker: coordinator cluster address
-	ClusterAddr string // coordinator: address workers join
-	Node        string // worker: unique node name
-	Lease       time.Duration
-	Grace       time.Duration // suspect window past the lease before failover
-	Heartbeat   time.Duration
-	ArbWindow   time.Duration
-}
 
 // runCoordinator is the cluster brain: it owns the placement ring, the lease
 // table, the cross-node arbiter, and the scatter-gather layer; it runs no
 // simulation. Operators connect to -addr (or the HTTP gateway) and see the
 // usual control.v1 and tsdb.query surface; workers join on -cluster-addr.
-func runCoordinator(cfg clusterConfig) error {
-	specsJSON := []byte(defaultSpecs)
-	if cfg.SpecsPath != "" {
-		data, err := os.ReadFile(cfg.SpecsPath)
-		if err != nil {
-			return err
-		}
-		specsJSON = data
-	}
-	specs, err := control.ParseSpecs(specsJSON)
+func runCoordinator() error {
+	fleet, err := loadFleet(*specsPath)
 	if err != nil {
 		return err
 	}
-
 	b := bus.New()
 
 	// The placement ledger: every spec admission, assignment, ack, and lease
 	// expiry is journaled, so a restarted coordinator rebuilds its table and
 	// reconciles against worker re-Hellos instead of re-spawning the fleet.
-	var w *wal.WAL
-	if cfg.WALDir != "" {
-		pol, err := wal.ParseSyncPolicy(cfg.Fsync)
-		if err != nil {
-			return err
-		}
-		if w, err = wal.Open(cfg.WALDir, wal.Options{Sync: pol}); err != nil {
-			return err
-		}
+	w, err := openWAL(*walDir, *fsyncMode)
+	if err != nil {
+		return err
+	}
+	if w != nil {
 		defer w.Close()
 	}
-
 	coord := cluster.NewCoordinator(b, cluster.Options{
 		Source:    "coordinator",
-		Lease:     cfg.Lease,
-		Grace:     cfg.Grace,
-		ArbWindow: cfg.ArbWindow,
+		Lease:     *leaseTTL,
+		Grace:     *leaseGrace,
+		ArbWindow: *arbWindow,
 		Registry:  cases.NewRegistry(),
 		Ledger:    w,
 	})
@@ -103,41 +48,27 @@ func runCoordinator(cfg clusterConfig) error {
 
 	recovered := 0
 	if w != nil {
-		r, err := w.Replay(1)
+		recovered, err = replayWAL(w, 1, func(rec wal.Record) error {
+			if rec.Kind != wal.KindClusterEvent {
+				return nil
+			}
+			return coord.ApplyWAL(rec.Payload)
+		})
 		if err != nil {
 			return err
 		}
-		for {
-			rec, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				r.Close()
-				return fmt.Errorf("ledger replay: %w", err)
-			}
-			if rec.Kind != wal.KindClusterEvent {
-				continue
-			}
-			if err := coord.ApplyWAL(rec.Payload); err != nil {
-				r.Close()
-				return fmt.Errorf("ledger replay seq %d: %w", rec.Seq, err)
-			}
-			recovered++
-		}
-		r.Close()
 		coord.RestoreDone()
 		if recovered > 0 {
 			fmt.Printf("modad: coordinator recovered %d ledger records (%d specs) from %s\n",
-				recovered, coord.Stats().Specs, cfg.WALDir)
+				recovered, coord.Stats().Specs, *walDir)
 		}
 	}
 
 	// A fresh coordinator admits the configured specs; a recovered one
 	// already holds its table (re-admitting would be rejected as duplicates).
 	if recovered == 0 {
-		for _, spec := range specs {
-			if _, err := coord.AddSpec(spec); err != nil {
+		for _, l := range fleet {
+			if _, err := coord.AddSpec(l.LoopSpec); err != nil {
 				return err
 			}
 		}
@@ -145,51 +76,25 @@ func runCoordinator(cfg clusterConfig) error {
 
 	// Two bridge servers on one bus: workers join the cluster address (and
 	// receive only coordinator-to-worker topics); operators get everything.
-	csrv, err := bus.NewServer(cfg.ClusterAddr, cluster.CoordExportPattern, b)
+	csrv, err := bus.NewServer(*clusterAddr, cluster.CoordExportPattern, b)
 	if err != nil {
 		return err
 	}
 	defer csrv.Close()
-	srv, err := bus.NewServer(cfg.Addr, "*", b)
+	srv, err := bus.NewServer(*addr, "*", b)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
 	fmt.Printf("modad: coordinator serving operators on %s, cluster on %s (%d specs pending placement)\n",
 		srv.Addr(), csrv.Addr(), coord.Stats().Specs)
-
-	if cfg.HTTPAddr != "" {
-		gw := gateway.New(gateway.Options{
-			Cluster: coord, Bus: b, WAL: w, WireServer: srv,
-			ReadTokens:     cfg.ReadTokens,
-			OperatorTokens: cfg.OpTokens,
-		})
-		if err := gw.Serve(cfg.HTTPAddr); err != nil {
-			return err
-		}
-		defer gw.Close()
-		fmt.Printf("modad: http gateway on http://%s (/v1/query, /v1/control/<op>, /v1/stream, /metrics)\n", gw.Addr())
+	closeHTTP, err := serveHTTP(gateway.Options{Cluster: coord, Bus: b, WAL: w, WireServer: srv})
+	if err != nil {
+		return err
 	}
+	defer closeHTTP()
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-	start := time.Now()
-	tick := time.NewTicker(250 * time.Millisecond)
-	defer tick.Stop()
-loop:
-	for {
-		select {
-		case <-tick.C:
-			if cfg.Duration > 0 && time.Since(start) >= cfg.Duration {
-				break loop
-			}
-			coord.Tick(time.Now())
-		case sig := <-sigs:
-			fmt.Printf("modad: %v: shutting down\n", sig)
-			break loop
-		}
-	}
+	drive(*duration, func(time.Duration) { coord.Tick(time.Now()) })
 
 	if w != nil {
 		if err := w.Close(); err != nil {
@@ -203,87 +108,28 @@ loop:
 	return nil
 }
 
-// runWorker is one simulation slice of the facility: the same engine,
-// telemetry, TSDB, and control stack the single-process daemon runs — but
-// no specs of its own. It joins the coordinator, renews its lease, and
-// spawns whatever the coordinator assigns.
-func runWorker(cfg clusterConfig) error {
-	if cfg.Join == "" {
+// runWorker is one simulation slice of the facility: the same assembled
+// stack the single-process daemon runs — but no specs of its own. It joins
+// the coordinator, renews its lease, and spawns whatever the coordinator
+// assigns. Its own steady workload keeps its telemetry slice alive, so
+// scattered queries return per-worker series.
+func runWorker() error {
+	if *join == "" {
 		return fmt.Errorf("-role=worker needs -join=<coordinator cluster address>")
 	}
-	id := cfg.Node
+	id := *node
 	if id == "" {
 		host, _ := os.Hostname()
 		id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-
-	engine := sim.NewEngine(1)
-	db := tsdb.New(2 * time.Hour)
-	b := bus.New()
-	for _, rule := range []tsdb.RollupRule{
-		{Metric: "node.temp.celsius", Step: 5 * time.Minute, Agg: tsdb.AggMean, Retention: 24 * time.Hour},
-		{Metric: "facility.pue", Step: 5 * time.Minute, Agg: tsdb.AggMean, Retention: 24 * time.Hour},
-		{Metric: "pfs.ost.lat_ms", Step: 5 * time.Minute, Agg: tsdb.AggP95, Retention: 24 * time.Hour},
-	} {
-		if err := db.AddRollup(rule); err != nil {
-			return err
-		}
+	rt, svc, err := boot(id, 0, nil)
+	if err != nil {
+		return err
 	}
-	svc := tsdb.NewService(db).Attach(b, id)
 	defer svc.Close()
-
-	ccfg := hw.DefaultConfig()
-	ccfg.Nodes = 16
-	cl := hw.New(engine, ccfg)
-	plant := facility.New(engine, facility.DefaultConfig(), cl)
-	fs := pfs.New(engine, pfs.Config{OSTs: 8, OSTBandwidthMBps: 300, DefaultStripeCount: 4})
-	scheduler := sched.New(engine, cl.UpNodes(), sched.DefaultExtensionPolicy())
-	runtime := app.NewRuntime(engine, db, fs, cl)
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
-
-	reg := telemetry.NewRegistry()
-	reg.Register(cl.Collector())
-	reg.Register(plant.Collector())
-	reg.Register(fs.Collector())
-	reg.Register(scheduler.Collector())
-	pipe := telemetry.NewPipeline(reg, db).PublishTo(b, id)
-	q, _ := pipe.Querier()
-
-	env := &control.Env{
-		Querier:   q,
-		Plant:     plant,
-		Scheduler: scheduler,
-		Apps:      runtime,
-		Cluster:   cl,
-		FS:        fs,
-		Knowledge: knowledge.NewBase(),
-		Clock:     sim.VirtualClock{Engine: engine},
-		Rng:       rand.New(rand.NewSource(1)),
-		Bus:       b,
-	}
-	coord := fleet.New(0).PublishTo(b, id)
-	ctl := control.NewService(cases.NewRegistry(), env, coord, time.Minute).Attach(b, id)
-	defer ctl.Close()
-	pipe.Drive(ctl, 2)
-	engine.Every(engine.Now()+30*time.Second, 30*time.Second, func() bool {
-		pipe.Sample(engine.Now())
-		return true
-	})
-
-	// The worker's own synthetic workload keeps its telemetry slice alive,
-	// so scattered queries return per-worker series.
-	for i := 0; i < 6; i++ {
-		name := fmt.Sprintf("steady%02d", i)
-		runtime.RegisterSpec(name, app.Spec{
-			Name: name, TotalIters: 1 << 20,
-			IterTime: sim.LogNormal{MeanV: time.Minute, CV: 0.2},
-			IOEvery:  7, IOSizeMB: 256, StripeCount: 4,
-		})
-		if _, err := scheduler.Submit(name, "ops", 2, 1000*time.Hour, 0); err != nil {
-			return err
-		}
-	}
+	defer rt.Ctl.Close()
+	db, coord := rt.DB, rt.Ctl.Coordinator()
+	logf := func(format string, args ...any) { fmt.Printf("modad: "+format+"\n", args...) }
 
 	// The bridge link is maintained by a Reconnector: a dropped link is
 	// redialed under capped exponential backoff with full jitter (a fleet of
@@ -294,55 +140,35 @@ func runWorker(cfg clusterConfig) error {
 	// unreachable the loops keep ticking under local fail-open arbitration,
 	// and on rejoin the agent re-Hellos and backfills its buffered digests.
 	var agentRef atomic.Pointer[cluster.Agent]
-	rc, err := bus.NewReconnector(cfg.Join, cluster.WorkerExportPattern, b, bus.ReconnectOptions{
+	rc, err := bus.NewReconnector(*join, cluster.WorkerExportPattern, rt.Bus, bus.ReconnectOptions{
 		OnState: func(up bool) {
 			if a := agentRef.Load(); a != nil {
 				a.SetLinkState(up)
 			}
 		},
-		Logf: func(format string, args ...any) { fmt.Printf("modad: "+format+"\n", args...) },
+		Logf: logf,
 	})
 	if err != nil {
-		return fmt.Errorf("join %s: %w", cfg.Join, err)
+		return fmt.Errorf("join %s: %w", *join, err)
 	}
 	defer rc.Close()
 
-	agent, err := cluster.NewAgent(b, ctl, svc, cluster.AgentOptions{
+	agent, err := cluster.NewAgent(rt.Bus, rt.Ctl, svc, cluster.AgentOptions{
 		ID:        id,
-		Heartbeat: cfg.Heartbeat,
+		Heartbeat: *heartbeat,
 		Stats: func() (int, uint64, int) {
 			return db.NumSeries(), db.Appended(), coord.Metrics().Rounds
 		},
-		Logf: func(format string, args ...any) { fmt.Printf("modad: "+format+"\n", args...) },
+		Logf: logf,
 	})
 	if err != nil {
 		return err
 	}
 	defer agent.Close()
 	agentRef.Store(agent)
-	fmt.Printf("modad: worker %s joined coordinator at %s (speed %dx)\n", id, cfg.Join, cfg.Speed)
+	fmt.Printf("modad: worker %s joined coordinator at %s (speed %dx)\n", id, *join, *speed)
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-	vbase := engine.Now()
-	start := time.Now()
-	tick := time.NewTicker(250 * time.Millisecond)
-	defer tick.Stop()
-loop:
-	for {
-		select {
-		case <-tick.C:
-			wall := time.Since(start)
-			if cfg.Duration > 0 && wall >= cfg.Duration {
-				break loop
-			}
-			engine.RunUntil(vbase + time.Duration(int64(wall)*int64(cfg.Speed)))
-		case sig := <-sigs:
-			fmt.Printf("modad: %v: shutting down\n", sig)
-			break loop
-		}
-	}
+	drive(*duration, advance(rt))
 
 	agent.Close()
 	cm := coord.Metrics()

@@ -1,61 +1,51 @@
 // Command modad is a small MODA telemetry daemon: it runs a simulated HPC
-// system in real time (wall clock, scaled), samples all sensor domains into
-// a TSDB, and serves the telemetry stream, loop audit events, and the
+// system in real time (wall clock, scaled by -speed: 60 means one wall
+// second carries one virtual minute), samples all sensor domains into a
+// TSDB, and serves the telemetry stream, loop audit events, and the
 // control.v1 runtime API over TCP as newline-delimited JSON envelopes — the
 // interoperability surface the paper's question (ii) asks for. A client can
-// connect with `nc`, watch the same envelopes an autonomy loop consumes,
-// and manage the fleet: list loops, spawn new ones from JSON specs, pause
-// and resume them, change operating modes, and approve or deny pending
-// human-in-the-loop actions.
-//
-// Usage:
+// connect with `nc`, watch the envelopes an autonomy loop consumes, and
+// manage the fleet (list, spawn, pause, resume, set-mode, approve, deny).
 //
 //	modad -addr 127.0.0.1:7675 -speed 60 -duration 2m [-specs file.json]
 //	      [-wal-dir dir] [-fsync batch|always|none] [-snapshot-every 10m]
 //	      [-http 127.0.0.1:7676] [-http-read-token t1,t2] [-http-op-token t3]
 //
+// The facility the daemon simulates is the scenario.Daemon preset, built by
+// scenario.AssembleOn exactly as a scenario run builds its own; -specs
+// replaces the preset's loop fleet (power + ost) and nothing else.
+//
 // Scenario batch mode runs a declarative chaos scenario instead of serving:
+// it assembles the stack the file describes (see internal/scenario), runs it
+// to the horizon on virtual time, prints the deterministic score table, and
+// exits.
 //
 //	modagen scenario -preset midsize -seed 1 > midsize.json
 //	modad -scenario midsize.json
-//
-// The scenario file describes the synthetic facility, workload mix, loop
-// fleet, and fault-injection schedule (see internal/scenario); modad
-// assembles the stack, runs it to the horizon on virtual time, prints the
-// deterministic score table (detection, MTTR, false-positive rate, action
-// efficiency), and exits.
 //
 // Multi-node mode splits the same daemon across processes:
 //
 //	modad -role=coordinator -addr :7675 -cluster-addr :7677 [-wal-dir dir]
 //	modad -role=worker -join 127.0.0.1:7677 -node w1
 //
-// The coordinator places loop specs across the joined workers by consistent
-// hashing, tracks worker leases (failing loops over on expiry), arbitrates
-// contradicting actions across nodes, and answers operator list/query
-// requests by scatter-gathering the workers — the operator surface (TCP and
-// HTTP alike) is identical to a single process. Workers run the simulation
-// and loop stack, but spawn only what the coordinator assigns.
+// The coordinator places loop specs on the joined workers by consistent
+// hashing, fails loops over when a worker's lease expires, arbitrates
+// contradicting actions across nodes, and answers operators by scatter-
+// gathering the workers; workers simulate, and spawn only what they are
+// assigned. The operator surface is identical to a single process.
 //
-// With -http the same query and control vocabulary is also served over
-// HTTP: POST/GET /v1/query, POST /v1/control/<op>, live server-sent events
-// on GET /v1/stream, and Prometheus-style counters on /metrics. Bearer
-// tokens split read-only from operator access; with no tokens the gateway
-// is open, like the TCP bridge.
+// With -http the same vocabulary is served over HTTP: /v1/query,
+// /v1/control/<op>, server-sent events on /v1/stream, and Prometheus-style
+// counters on /metrics. Bearer tokens split read-only from operator access;
+// with no tokens the gateway is open, like the TCP bridge.
 //
-// speed compresses virtual time: 60 means one wall second carries one
-// virtual minute. The fleet is built through the control registry from JSON
-// loop specs; -specs replaces the built-in pair (power + ost).
-//
-// With -wal-dir the daemon is durable: every accepted TSDB append, every
-// knowledge-base mutation, and the loop/fleet/control bus traffic are
-// journaled to a segmented write-ahead log, and the whole daemon state
-// (TSDB, knowledge, control plane) is snapshotted periodically. On restart
-// with the same -wal-dir, the daemon restores the newest snapshot, replays
-// the WAL tail, re-spawns its fleet in the recorded lifecycle states, and
-// resumes — including the pending human-approval queue. SIGINT/SIGTERM
-// triggers a graceful shutdown: a final snapshot is written while the fleet
-// is still live, the loops drain, and the log is fsynced and closed.
+// With -wal-dir the daemon is durable: TSDB appends, knowledge-base
+// mutations, and the loop/fleet/control bus traffic are journaled to a
+// write-ahead log, and the whole daemon state is snapshotted periodically.
+// A restart on the same directory restores the newest snapshot, replays the
+// WAL tail, re-spawns the fleet in its recorded lifecycle states (pending
+// approvals included), and resumes the virtual clock where it stood.
+// SIGINT/SIGTERM shuts down gracefully: final snapshot, drain, fsync.
 package main
 
 import (
@@ -64,7 +54,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strings"
@@ -72,32 +61,38 @@ import (
 	"syscall"
 	"time"
 
-	"autoloop/internal/app"
 	"autoloop/internal/bus"
 	"autoloop/internal/cases"
 	"autoloop/internal/cluster"
 	"autoloop/internal/control"
-	"autoloop/internal/facility"
-	"autoloop/internal/fleet"
 	"autoloop/internal/gateway"
-	"autoloop/internal/hw"
-	"autoloop/internal/knowledge"
-	"autoloop/internal/pfs"
 	"autoloop/internal/scenario"
-	"autoloop/internal/sched"
 	"autoloop/internal/sim"
-	"autoloop/internal/telemetry"
 	"autoloop/internal/tsdb"
 	"autoloop/internal/wal"
 )
 
-// defaultSpecs is the fleet modad deploys when no -specs file is given:
-// the facility cooling loop and the OST-avoidance loop, both autonomous,
-// at the control round cadence.
-const defaultSpecs = `[
-  {"case": "power", "period": "1m"},
-  {"case": "ost", "period": "1m"}
-]`
+var (
+	addr         = flag.String("addr", "127.0.0.1:7675", "TCP address to serve envelopes on")
+	httpAddr     = flag.String("http", "", "HTTP gateway address (empty = no HTTP; e.g. 127.0.0.1:7676)")
+	httpReadTok  = flag.String("http-read-token", "", "comma-separated read-only bearer tokens for the HTTP gateway")
+	httpOpTok    = flag.String("http-op-token", "", "comma-separated operator bearer tokens for the HTTP gateway (no tokens at all = open access)")
+	speed        = flag.Int("speed", 60, "virtual seconds per wall second")
+	duration     = flag.Duration("duration", 2*time.Minute, "wall-clock run time (0 = forever)")
+	specsPath    = flag.String("specs", "", "JSON loop-spec file replacing the built-in fleet")
+	scenarioPath = flag.String("scenario", "", "scenario file: assemble the described facility, run it to its horizon on virtual time, print the score table, and exit (batch mode; see modagen scenario)")
+	walDir       = flag.String("wal-dir", "", "write-ahead-log directory (empty = no durability)")
+	fsyncMode    = flag.String("fsync", "batch", "WAL fsync policy: batch, always, or none")
+	snapEvery    = flag.Duration("snapshot-every", 10*time.Minute, "virtual time between snapshots")
+	role         = flag.String("role", "single", "process role: single (everything in one binary), coordinator, or worker")
+	join         = flag.String("join", "", "worker: coordinator cluster address to join (required with -role=worker)")
+	clusterAddr  = flag.String("cluster-addr", "127.0.0.1:7677", "coordinator: TCP address workers join")
+	node         = flag.String("node", "", "worker: unique node name (default <hostname>-<pid>)")
+	leaseTTL     = flag.Duration("lease", cluster.DefaultLeaseTTL, "coordinator: worker lease TTL before a worker turns suspect")
+	leaseGrace   = flag.Duration("lease-grace", 0, "coordinator: suspect window past the lease before failover (0 = one extra lease, negative = none)")
+	heartbeat    = flag.Duration("heartbeat", cluster.DefaultHeartbeat, "worker: lease-renewal period")
+	arbWindow    = flag.Duration("arb-window", cluster.DefaultArbWindow, "coordinator: cross-node arbitration grant window")
+)
 
 // daemonSnapshot is the combined snapshot payload stored under the "modad"
 // snapshot name: the WAL sequence it covers, the virtual time it was taken
@@ -128,199 +123,264 @@ func main() {
 	}
 }
 
-// runScenario is the -scenario batch path: the full stack assembled from
-// one declarative document, run to its horizon, scored, and printed.
-func runScenario(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	spec, err := scenario.Decode(data)
-	if err != nil {
-		return err
-	}
-	rep, err := scenario.Run(spec, cases.NewRegistry())
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Table())
-	return nil
-}
-
 func run() error {
-	addr := flag.String("addr", "127.0.0.1:7675", "TCP address to serve envelopes on")
-	httpAddr := flag.String("http", "", "HTTP gateway address (empty = no HTTP; e.g. 127.0.0.1:7676)")
-	httpReadTok := flag.String("http-read-token", "", "comma-separated read-only bearer tokens for the HTTP gateway")
-	httpOpTok := flag.String("http-op-token", "", "comma-separated operator bearer tokens for the HTTP gateway (no tokens at all = open access)")
-	speed := flag.Int("speed", 60, "virtual seconds per wall second")
-	duration := flag.Duration("duration", 2*time.Minute, "wall-clock run time (0 = forever)")
-	specsPath := flag.String("specs", "", "JSON loop-spec file replacing the built-in fleet")
-	scenarioPath := flag.String("scenario", "", "scenario file: assemble the described facility, run it to its horizon on virtual time, print the score table, and exit (batch mode; see modagen scenario)")
-	walDir := flag.String("wal-dir", "", "write-ahead-log directory (empty = no durability)")
-	fsyncMode := flag.String("fsync", "batch", "WAL fsync policy: batch, always, or none")
-	snapEvery := flag.Duration("snapshot-every", 10*time.Minute, "virtual time between snapshots")
-	role := flag.String("role", "single", "process role: single (everything in one binary), coordinator, or worker")
-	join := flag.String("join", "", "worker: coordinator cluster address to join (required with -role=worker)")
-	clusterAddr := flag.String("cluster-addr", "127.0.0.1:7677", "coordinator: TCP address workers join")
-	node := flag.String("node", "", "worker: unique node name (default <hostname>-<pid>)")
-	leaseTTL := flag.Duration("lease", cluster.DefaultLeaseTTL, "coordinator: worker lease TTL before a worker turns suspect")
-	leaseGrace := flag.Duration("lease-grace", 0, "coordinator: suspect window past the lease before failover (0 = one extra lease, negative = none)")
-	heartbeat := flag.Duration("heartbeat", cluster.DefaultHeartbeat, "worker: lease-renewal period")
-	arbWindow := flag.Duration("arb-window", cluster.DefaultArbWindow, "coordinator: cross-node arbitration grant window")
 	flag.Parse()
 
-	// Scenario batch mode: no serving surface, no durability, no wall clock —
-	// decode, assemble, run to the horizon, print the deterministic score
-	// table, exit.
+	// Scenario batch mode: no serving surface, no durability, no wall clock.
 	if *scenarioPath != "" {
-		if *role != "single" {
-			return fmt.Errorf("-scenario is a batch mode, incompatible with -role=%s", *role)
+		if *role != "single" || *walDir != "" {
+			return fmt.Errorf("-scenario is a batch mode, incompatible with -role=%s and -wal-dir", *role)
 		}
-		if *walDir != "" {
-			return fmt.Errorf("-scenario is a batch mode, incompatible with -wal-dir")
-		}
-		return runScenario(*scenarioPath)
-	}
-
-	// Coordinator and worker roles branch off here; the single-process path
-	// below is untouched by clustering, so dev-mode behavior (and its fixed
-	// -seed experiment output) stays byte-identical.
-	if *role != "single" {
-		cfg := clusterConfig{
-			Role: *role, Addr: *addr, HTTPAddr: *httpAddr,
-			ReadTokens: splitTokens(*httpReadTok), OpTokens: splitTokens(*httpOpTok),
-			Speed: *speed, Duration: *duration, SpecsPath: *specsPath,
-			WALDir: *walDir, Fsync: *fsyncMode,
-			Join: *join, ClusterAddr: *clusterAddr, Node: *node,
-			Lease: *leaseTTL, Grace: *leaseGrace, Heartbeat: *heartbeat, ArbWindow: *arbWindow,
-		}
-		switch *role {
-		case "coordinator":
-			return runCoordinator(cfg)
-		case "worker":
-			return runWorker(cfg)
-		default:
-			return fmt.Errorf("unknown -role %q (want single, coordinator, or worker)", *role)
-		}
-	}
-
-	specsJSON := []byte(defaultSpecs)
-	if *specsPath != "" {
-		data, err := os.ReadFile(*specsPath)
+		data, err := os.ReadFile(*scenarioPath)
 		if err != nil {
 			return err
 		}
-		specsJSON = data
+		spec, err := scenario.Decode(data)
+		if err != nil {
+			return err
+		}
+		rep, err := scenario.Run(spec, cases.NewRegistry())
+		if err != nil {
+			return err
+		}
+		fmt.Print(rep.Table())
+		return nil
 	}
-	specs, err := control.ParseSpecs(specsJSON)
+	roles := map[string]func() error{"single": runSingle, "coordinator": runCoordinator, "worker": runWorker}
+	if runRole, ok := roles[*role]; ok {
+		return runRole()
+	}
+	return fmt.Errorf("unknown -role %q (want single, coordinator, or worker)", *role)
+}
+
+// loadFleet reads the loop fleet to deploy: the -specs file, or the daemon
+// preset's built-in pair. A served fleet is not scored.
+func loadFleet(path string) ([]scenario.Loop, error) {
+	if path == "" {
+		return scenario.Daemon(1).Loops, nil
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	// Durability, part 1: open the log (repairing any torn tail left by a
-	// crash) and read the newest valid snapshot BEFORE the simulation is
-	// built, because the virtual clock must resume from the snapshot's time
-	// — every subsystem constructed below schedules against it.
-	var w *wal.WAL
-	var snap *daemonSnapshot
-	if *walDir != "" {
-		pol, err := wal.ParseSyncPolicy(*fsyncMode)
-		if err != nil {
-			return err
-		}
-		if w, err = wal.Open(*walDir, wal.Options{Sync: pol}); err != nil {
-			return err
-		}
-		defer w.Close()
-		payload, _, ok, err := wal.LatestSnapshot(*walDir, "modad")
-		if err != nil {
-			return err
-		}
-		if ok {
-			snap = &daemonSnapshot{}
-			if err := json.Unmarshal(payload, snap); err != nil {
-				return fmt.Errorf("decode snapshot: %w", err)
-			}
-		}
+	specs, err := control.ParseSpecs(data)
+	if err != nil {
+		return nil, err
 	}
+	return scenario.Unscored(specs...), nil
+}
 
+// openWAL opens the write-ahead log under dir, repairing any torn tail a
+// crash left; an empty dir means no durability and a nil log.
+func openWAL(dir, fsync string) (*wal.WAL, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	pol, err := wal.ParseSyncPolicy(fsync)
+	if err != nil {
+		return nil, err
+	}
+	return wal.Open(dir, wal.Options{Sync: pol})
+}
+
+// replayWAL feeds every record from seq from on to apply and returns how
+// many it applied. Mid-log damage and apply failures abort the replay.
+func replayWAL(w *wal.WAL, from uint64, apply func(wal.Record) error) (int, error) {
+	r, err := w.Replay(from)
+	if err != nil {
+		return 0, err
+	}
+	defer r.Close()
+	n := 0
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, fmt.Errorf("wal replay: %w", err)
+		}
+		if err := apply(rec); err != nil {
+			return n, fmt.Errorf("wal replay seq %d: %w", rec.Seq, err)
+		}
+		n++
+	}
+}
+
+// boot assembles the daemon preset, deploying fleet, on an engine whose
+// clock starts at now and a store with the daemon's retention and rollups,
+// then attaches the bus adapters, all tagged with id: per-point telemetry
+// fan-out, fleet round summaries, control.v1, and the "tsdb.query" service.
+func boot(id string, now time.Duration, fleet []scenario.Loop) (*scenario.Runtime, *tsdb.Service, error) {
 	engine := sim.NewEngine(1)
-	if snap != nil && snap.Now > 0 {
-		engine.RunUntil(snap.Now) // nothing scheduled yet: jumps the clock
-	}
-	db := tsdb.New(2 * time.Hour)
-	b := bus.New()
+	engine.RunUntil(now) // nothing scheduled yet: jumps the clock
 
 	// Continuous rollups: coarse aggregates are maintained at append time
 	// and stay queryable for a day, long past the 2h raw retention. Rules
 	// are registered before any restore so recovered series re-attach them.
+	db := tsdb.New(2 * time.Hour)
 	for _, rule := range []tsdb.RollupRule{
 		{Metric: "node.temp.celsius", Step: 5 * time.Minute, Agg: tsdb.AggMean, Retention: 24 * time.Hour},
 		{Metric: "facility.pue", Step: 5 * time.Minute, Agg: tsdb.AggMean, Retention: 24 * time.Hour},
 		{Metric: "pfs.ost.lat_ms", Step: 5 * time.Minute, Agg: tsdb.AggP95, Retention: 24 * time.Hour},
 	} {
 		if err := db.AddRollup(rule); err != nil {
-			return err
+			return nil, nil, err
 		}
 	}
 
-	// The query endpoint: clients publish tsdb.QueryRequest payloads on
-	// "tsdb.query" (one JSON line over the TCP bridge) and receive
-	// "tsdb.result" envelopes — raw ranges, instant lookups, or registered
-	// rollups via step_ms/agg.
-	svc := tsdb.NewService(db).Attach(b, "modad")
-	defer svc.Close()
-
-	ccfg := hw.DefaultConfig()
-	ccfg.Nodes = 16
-	cl := hw.New(engine, ccfg)
-	plant := facility.New(engine, facility.DefaultConfig(), cl)
-	fs := pfs.New(engine, pfs.Config{OSTs: 8, OSTBandwidthMBps: 300, DefaultStripeCount: 4})
-	scheduler := sched.New(engine, cl.UpNodes(), sched.DefaultExtensionPolicy())
-	runtime := app.NewRuntime(engine, db, fs, cl)
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
-
-	reg := telemetry.NewRegistry()
-	reg.Register(cl.Collector())
-	reg.Register(plant.Collector())
-	reg.Register(fs.Collector())
-	reg.Register(scheduler.Collector())
-
-	// One batched pipeline stores every gathered point and fans the batch
-	// out on the bus — a single ingest pass and a single PublishBatch per
-	// sampling round, with each point on "telemetry.<name>".
-	pipe := telemetry.NewPipeline(reg, db).PublishTo(b, "modad")
-	q, _ := pipe.Querier() // the pipeline's sink is the TSDB
-
-	// The response side is spec-driven: a control service owns the fleet
-	// coordinator and spawns every loop from its JSON spec through the case
-	// registry; the same service answers control.v1 requests from the wire
-	// and runs the pending-approval queue for human-in-the-loop actions.
-	kb := knowledge.NewBase()
-	env := &control.Env{
-		Querier:   q,
-		Plant:     plant,
-		Scheduler: scheduler,
-		Apps:      runtime,
-		Cluster:   cl,
-		FS:        fs,
-		Knowledge: kb,
-		Clock:     sim.VirtualClock{Engine: engine},
-		Rng:       rand.New(rand.NewSource(1)),
-		Bus:       b,
+	doc := scenario.Daemon(1)
+	doc.Loops = fleet
+	rt, err := scenario.AssembleOn(engine, db, doc, cases.NewRegistry())
+	if err != nil {
+		return nil, nil, err
 	}
-	coord := fleet.New(0).PublishTo(b, "modad")
-	ctl := control.NewService(cases.NewRegistry(), env, coord, time.Minute).Attach(b, "modad")
+	rt.Pipe.PublishTo(rt.Bus, id)
+	rt.Ctl.Coordinator().PublishTo(rt.Bus, id)
+	rt.Ctl.Attach(rt.Bus, id)
+	return rt, tsdb.NewService(db).Attach(rt.Bus, id), nil
+}
+
+// advance returns the drive step for a simulating role: run the engine up
+// to the scaled wall time, then surface sink errors, at most once a second
+// — a TSDB that rejects points (clock skew, invalid values) must show while
+// the daemon runs, not be swallowed into the pipeline's sticky error.
+func advance(rt *scenario.Runtime) func(wall time.Duration) {
+	vbase := rt.Engine.Now()
+	var seenErrs uint64
+	var lastLog time.Time
+	return func(wall time.Duration) {
+		rt.Engine.RunUntil(vbase + time.Duration(int64(wall)*int64(*speed)))
+		if _, _, errs := rt.Pipe.Stats(); errs > seenErrs && time.Since(lastLog) >= time.Second {
+			seenErrs, lastLog = errs, time.Now()
+			fmt.Fprintf(os.Stderr, "modad: telemetry ingest: %d points rejected so far (latest: %v)\n", errs, rt.Pipe.Err())
+		}
+	}
+}
+
+// serveHTTP starts the HTTP gateway over opt when -http is set, with the
+// flags' bearer tokens; the returned closer is a no-op without a gateway.
+func serveHTTP(opt gateway.Options) (func(), error) {
+	if *httpAddr == "" {
+		return func() {}, nil
+	}
+	opt.ReadTokens = splitTokens(*httpReadTok)
+	opt.OperatorTokens = splitTokens(*httpOpTok)
+	gw := gateway.New(opt)
+	if err := gw.Serve(*httpAddr); err != nil {
+		return nil, err
+	}
+	fmt.Printf("modad: http gateway on http://%s (/v1/query, /v1/control/<op>, /v1/stream, /metrics)\n", gw.Addr())
+	return func() { gw.Close() }, nil
+}
+
+// drive calls step every 250ms of wall time, passing the time since it
+// started, until duration lapses (0 = never) or SIGINT/SIGTERM arrives.
+func drive(duration time.Duration, step func(wall time.Duration)) {
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+	start := time.Now()
+	tick := time.NewTicker(250 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		select {
+		case <-tick.C:
+			wall := time.Since(start)
+			if duration > 0 && wall >= duration {
+				return
+			}
+			step(wall)
+		case sig := <-sigs:
+			fmt.Printf("modad: %v: shutting down\n", sig)
+			return
+		}
+	}
+}
+
+// journalBus records the loop/fleet/control traffic on b as an audit trail
+// in w. It is best-effort, with a shed-then-halt policy on storage faults:
+// a retryable fault (a full disk, a short write, a backlogged group commit
+// — wal.Retryable) sheds the envelope and keeps going, since the WAL
+// retries its buffered tail on the next append; a fatal fault (a failed
+// fsync: the kernel may have dropped dirty pages and will not say so twice)
+// halts journaling for good — logging one line, not a corrupt trail. Loop
+// state and telemetry journaling are unaffected; their appends surface
+// errors on their own paths.
+func journalBus(b *bus.Bus, w *wal.WAL) {
+	var lastJournalErr atomic.Int64 // unix nanos of the last logged failure
+	var journalHalted atomic.Bool
+	b.Journal(func(env bus.Envelope) {
+		if journalHalted.Load() || !journaledTopic(env.Topic) {
+			return
+		}
+		line, err := bus.Encode(env)
+		if err == nil {
+			_, err = w.Append(wal.KindBusEnvelope, line)
+		}
+		if err != nil {
+			if !wal.Retryable(err) {
+				journalHalted.Store(true)
+				fmt.Fprintf(os.Stderr, "modad: bus journal halted on fatal WAL fault: %v\n", err)
+				return
+			}
+			// Rate-limited to 1/s: a broken audit trail must surface
+			// while the daemon runs, not via the sticky error at Close.
+			if now := time.Now().UnixNano(); now-lastJournalErr.Load() >= int64(time.Second) {
+				lastJournalErr.Store(now)
+				fmt.Fprintf(os.Stderr, "modad: bus journal shed %s: %v\n", env.Topic, err)
+			}
+		}
+	})
+}
+
+// runSingle is the whole daemon in one process: the assembled facility, the
+// TCP bridge, the optional HTTP gateway, and — with -wal-dir — journaling,
+// periodic snapshots and crash recovery.
+func runSingle() error {
+	fleet, err := loadFleet(*specsPath)
+	if err != nil {
+		return err
+	}
+
+	// Durability, part 1: open the log and read the newest valid snapshot
+	// BEFORE the simulation is built, because the virtual clock must resume
+	// from the snapshot's time — every subsystem schedules against it. A
+	// recovered control plane re-spawns its fleet from the snapshot; a fresh
+	// one deploys the configured specs.
+	w, err := openWAL(*walDir, *fsyncMode)
+	if err != nil {
+		return err
+	}
+	var snap daemonSnapshot
+	restored := false
+	if w != nil {
+		defer w.Close()
+		payload, _, ok, err := wal.LatestSnapshot(*walDir, "modad")
+		if err != nil {
+			return err
+		}
+		if ok {
+			if err := json.Unmarshal(payload, &snap); err != nil {
+				return fmt.Errorf("decode snapshot: %w", err)
+			}
+			restored, fleet = true, nil
+		}
+	}
+
+	rt, svc, err := boot("modad", snap.Now, fleet)
+	if err != nil {
+		return err
+	}
+	defer svc.Close()
+	engine, db, kb, ctl := rt.Engine, rt.DB, rt.Knowledge, rt.Ctl
 	defer ctl.Close()
 
 	// Durability, part 2: restore each subsystem from the snapshot, replay
 	// the WAL tail on top, and only then attach the journals — replayed
 	// records must never be re-journaled.
-	recovered := false
 	if w != nil {
-		replayFrom := uint64(1)
-		if snap != nil {
+		if restored {
 			if err := db.RestoreSnapshot(snap.TSDB); err != nil {
 				return err
 			}
@@ -330,114 +390,27 @@ func run() error {
 			if err := ctl.Restore(snap.Control); err != nil {
 				return err
 			}
-			replayFrom = snap.Seq + 1
-			recovered = true
 		}
-		replayed := 0
-		r, err := w.Replay(replayFrom)
+		replayed, err := replayWAL(w, snap.Seq+1, func(rec wal.Record) error {
+			switch rec.Kind {
+			case wal.KindTSDBAppend:
+				return db.ApplyWAL(rec.Payload)
+			case wal.KindKnowledgeOp:
+				return kb.ApplyWAL(rec.Seq, rec.Payload)
+			}
+			return nil // bus envelopes are an audit trail, never re-published
+		})
 		if err != nil {
 			return err
 		}
-		for {
-			rec, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				r.Close()
-				return fmt.Errorf("wal replay: %w", err)
-			}
-			switch rec.Kind {
-			case wal.KindTSDBAppend:
-				err = db.ApplyWAL(rec.Payload)
-			case wal.KindKnowledgeOp:
-				err = kb.ApplyWAL(rec.Seq, rec.Payload)
-			case wal.KindBusEnvelope:
-				// Audit trail only: recorded traffic is not re-published.
-			}
-			if err != nil {
-				r.Close()
-				return fmt.Errorf("wal replay seq %d: %w", rec.Seq, err)
-			}
-			replayed++
-		}
-		r.Close()
-		if recovered || replayed > 0 {
+		if restored || replayed > 0 {
 			fmt.Printf("modad: recovered from %s: snapshot @ seq %d + %d replayed records (%d series, %d samples)\n",
-				*walDir, replayFrom-1, replayed, db.NumSeries(), db.Appended())
+				*walDir, snap.Seq, replayed, db.NumSeries(), db.Appended())
 		}
-
 		db.Journal(w)
 		kb.Journal(w)
-		// The bus audit trail is best-effort, with a shed-then-halt policy on
-		// storage faults: a retryable fault (a full disk, a short write, a
-		// backlogged group commit — wal.Retryable) sheds the envelope and
-		// keeps going, since the WAL retries its buffered tail on the next
-		// append; a fatal fault (a failed fsync: the kernel may have dropped
-		// dirty pages and will not say so twice) halts journaling for good —
-		// logging one line, not a corrupt trail. Loop state and telemetry
-		// journaling are unaffected; their appends surface errors on their
-		// own paths.
-		var lastJournalErr atomic.Int64 // unix nanos of the last logged failure
-		var journalHalted atomic.Bool
-		b.Journal(func(env bus.Envelope) {
-			if journalHalted.Load() || !journaledTopic(env.Topic) {
-				return
-			}
-			line, err := bus.Encode(env)
-			if err == nil {
-				_, err = w.Append(wal.KindBusEnvelope, line)
-			}
-			if err != nil {
-				if !wal.Retryable(err) {
-					journalHalted.Store(true)
-					fmt.Fprintf(os.Stderr, "modad: bus journal halted on fatal WAL fault: %v\n", err)
-					return
-				}
-				// Rate-limited to 1/s: a broken audit trail must surface
-				// while the daemon runs, not via the sticky error at Close.
-				if now := time.Now().UnixNano(); now-lastJournalErr.Load() >= int64(time.Second) {
-					lastJournalErr.Store(now)
-					fmt.Fprintf(os.Stderr, "modad: bus journal shed %s: %v\n", env.Topic, err)
-				}
-			}
-		})
+		journalBus(rt.Bus, w)
 	}
-
-	// A recovered control plane re-spawned its fleet from the snapshot; a
-	// fresh one deploys the configured specs.
-	if !recovered {
-		for _, spec := range specs {
-			if _, err := ctl.Spawn(spec); err != nil {
-				return err
-			}
-		}
-	}
-	// One control round every 2nd sample = every virtual minute. Loop
-	// lifecycle envelopes ("loop.<name>.*"), coordinator round summaries
-	// ("fleet.round", "fleet.conflict"), and control.v1 traffic travel the
-	// same bus as the telemetry.
-	pipe.Drive(ctl, 2)
-
-	// Every takes an absolute start time: offset by Now so the schedule
-	// works from a recovered clock as well as from zero. Sink errors are
-	// checked after each round — a TSDB that rejects points (clock skew,
-	// invalid values) must surface while the daemon runs, not be swallowed
-	// into the pipeline's sticky error.
-	var lastIngestLog atomic.Int64 // unix nanos of the last logged failure
-	var seenIngestErrs uint64
-	engine.Every(engine.Now()+30*time.Second, 30*time.Second, func() bool {
-		pipe.Sample(engine.Now())
-		if _, _, errs := pipe.Stats(); errs > seenIngestErrs {
-			seenIngestErrs = errs
-			if now := time.Now().UnixNano(); now-lastIngestLog.Load() >= int64(time.Second) {
-				lastIngestLog.Store(now)
-				fmt.Fprintf(os.Stderr, "modad: telemetry ingest: %d points rejected so far (latest: %v)\n",
-					errs, pipe.Err())
-			}
-		}
-		return true
-	})
 
 	// snapshot writes one combined snapshot covering everything the log
 	// holds up to now, then compacts the segments it supersedes. Sync comes
@@ -485,66 +458,23 @@ func run() error {
 		})
 	}
 
-	// A rolling synthetic workload keeps the signals alive.
-	for i := 0; i < 6; i++ {
-		name := fmt.Sprintf("steady%02d", i)
-		runtime.RegisterSpec(name, app.Spec{
-			Name: name, TotalIters: 1 << 20,
-			IterTime: sim.LogNormal{MeanV: time.Minute, CV: 0.2},
-			IOEvery:  7, IOSizeMB: 256, StripeCount: 4,
-		})
-		if _, err := scheduler.Submit(name, "ops", 2, 1000*time.Hour, 0); err != nil {
-			return err
-		}
-	}
-
-	srv, err := bus.NewServer(*addr, "*", b)
+	srv, err := bus.NewServer(*addr, "*", rt.Bus)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
+	coord := ctl.Coordinator()
 	fmt.Printf("modad: serving telemetry, loop, fleet, and control.v1 envelopes on %s (speed %dx, %d loops)\n",
 		srv.Addr(), *speed, coord.Len())
-
-	// The HTTP gateway serves the same query and control vocabulary over
-	// /v1, plus SSE subscriptions and Prometheus-style self-telemetry.
-	if *httpAddr != "" {
-		gw := gateway.New(gateway.Options{
-			Store: db, Control: ctl, Bus: b,
-			Pipeline: pipe, WAL: w, WireServer: srv,
-			ReadTokens:     splitTokens(*httpReadTok),
-			OperatorTokens: splitTokens(*httpOpTok),
-		})
-		if err := gw.Serve(*httpAddr); err != nil {
-			return err
-		}
-		defer gw.Close()
-		fmt.Printf("modad: http gateway on http://%s (/v1/query, /v1/control/<op>, /v1/stream, /metrics)\n", gw.Addr())
+	closeHTTP, err := serveHTTP(gateway.Options{
+		Store: db, Control: ctl, Bus: rt.Bus, Pipeline: rt.Pipe, WAL: w, WireServer: srv,
+	})
+	if err != nil {
+		return err
 	}
+	defer closeHTTP()
 
-	// Drive the simulation against the wall clock; SIGINT/SIGTERM begins a
-	// graceful shutdown.
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigs)
-	vbase := engine.Now()
-	start := time.Now()
-	tick := time.NewTicker(250 * time.Millisecond)
-	defer tick.Stop()
-loop:
-	for {
-		select {
-		case <-tick.C:
-			wall := time.Since(start)
-			if *duration > 0 && wall >= *duration {
-				break loop
-			}
-			engine.RunUntil(vbase + time.Duration(int64(wall)*int64(*speed)))
-		case sig := <-sigs:
-			fmt.Printf("modad: %v: shutting down\n", sig)
-			break loop
-		}
-	}
+	drive(*duration, advance(rt))
 
 	// Shutdown: snapshot FIRST, while the fleet still holds its live
 	// lifecycle states — a restart with the same -wal-dir resumes exactly
@@ -553,9 +483,9 @@ loop:
 	if err := snapshot(); err != nil {
 		fmt.Fprintln(os.Stderr, "modad: final snapshot:", err)
 	}
-	for _, st := range ctl.Handle(control.Request{Op: control.OpList}).Loops {
-		if st.Name == st.Group && (st.State == "created" || st.State == "running") {
-			ctl.Handle(control.Request{Op: control.OpDrain, Loop: st.Name})
+	for _, ls := range ctl.Handle(control.Request{Op: control.OpList}).Loops {
+		if ls.Name == ls.Group && (ls.State == "created" || ls.State == "running") {
+			ctl.Handle(control.Request{Op: control.OpDrain, Loop: ls.Name})
 		}
 	}
 	ctl.Tick(engine.Now() + time.Minute) // one settling round completes the drains
@@ -571,7 +501,7 @@ loop:
 			m.Appends, m.Bytes, m.Syncs, m.Rotations)
 	}
 	cm := coord.Metrics()
-	_, _, sinkErrs := pipe.Stats()
+	_, _, sinkErrs := rt.Pipe.Stats()
 	fmt.Printf("modad: done; %d series, %d samples stored (%d ingest errors); fleet ran %d rounds (%d actions, %d arbitrated)\n",
 		db.NumSeries(), db.Appended(), sinkErrs, cm.Rounds, cm.Planned, cm.Arbitrated)
 	return nil

@@ -12,74 +12,44 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net"
 	"time"
 
-	"autoloop/internal/app"
 	"autoloop/internal/bus"
 	"autoloop/internal/cases"
 	"autoloop/internal/control"
-	"autoloop/internal/facility"
-	"autoloop/internal/fleet"
-	"autoloop/internal/hw"
-	"autoloop/internal/knowledge"
-	"autoloop/internal/pfs"
-	"autoloop/internal/sched"
+	"autoloop/internal/scenario"
 	"autoloop/internal/sim"
-	"autoloop/internal/telemetry"
-	"autoloop/internal/tsdb"
 )
 
 func main() {
-	// --- the managed system and its monitoring plane ---
-	engine := sim.NewEngine(11)
-	db := tsdb.New(0)
-	ccfg := hw.DefaultConfig()
-	ccfg.Nodes = 16
-	cl := hw.New(engine, ccfg)
-	plant := facility.New(engine, facility.DefaultConfig(), cl)
-	fs := pfs.New(engine, pfs.Config{OSTs: 4, OSTBandwidthMBps: 300, DefaultStripeCount: 2})
-	scheduler := sched.New(engine, cl.UpNodes(), sched.DefaultExtensionPolicy())
-	runtime := app.NewRuntime(engine, db, fs, cl)
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
-
-	reg := telemetry.NewRegistry()
-	reg.Register(cl.Collector())
-	reg.Register(plant.Collector())
-	reg.Register(fs.Collector())
-	reg.Register(scheduler.Collector())
-	b := bus.New()
-	pipe := telemetry.NewPipeline(reg, db).PublishTo(b, "control-example")
-
-	// --- the control plane: registry + env + service on the bus ---
-	env := &control.Env{
-		Querier: db, Plant: plant, Scheduler: scheduler, Apps: runtime,
-		Cluster: cl, FS: fs, Knowledge: knowledge.NewBase(),
-		Clock: sim.VirtualClock{Engine: engine}, Rng: rand.New(rand.NewSource(11)), Bus: b,
+	// --- the managed system, its monitoring plane and its fleet: one
+	// scenario document, the loops as declarative specs inside it ---
+	minute := control.Duration(time.Minute)
+	doc := &scenario.Spec{
+		Name:     "control-example",
+		Seed:     11,
+		Horizon:  control.Duration(24 * time.Hour),
+		Facility: scenario.Facility{Nodes: 16, Plant: true, OSTs: 4, OSTBandwidthMBps: 300, StripeCount: 2},
+		Loops: scenario.Unscored(
+			control.LoopSpec{Case: "power", Period: minute},
+			control.LoopSpec{Case: "ost", Period: minute, Config: json.RawMessage(`{"Threshold": 5}`)},
+		),
 	}
-	coord := fleet.New(0)
-	ctl := control.NewService(cases.NewRegistry(), env, coord, time.Minute).Attach(b, "control-example")
-	defer ctl.Close()
-
-	// --- spawn the fleet from declarative JSON specs ---
-	specs, err := control.ParseSpecs([]byte(`[
-		{"case": "power", "period": "1m"},
-		{"case": "ost", "period": "1m", "config": {"Threshold": 5}}
-	]`))
+	rt, err := scenario.Assemble(doc, cases.NewRegistry())
 	check(err)
-	for _, spec := range specs {
-		sp, err := ctl.Spawn(spec)
-		check(err)
-		fmt.Printf("spawned %-5s from spec (mode %s, period %s)\n", sp.Spec.Case, sp.Spec.Mode, sp.Spec.Period)
+	engine, b := rt.Engine, rt.Bus
+
+	// --- the control plane goes on the bus: the service answers control.v1
+	// requests there, next to the telemetry fan-out ---
+	rt.Pipe.PublishTo(b, "control-example")
+	rt.Ctl.Attach(b, "control-example")
+	defer rt.Ctl.Close()
+	for _, st := range rt.Ctl.Handle(control.Request{Op: control.OpList}).Loops {
+		fmt.Printf("spawned %-5s from spec (mode %s, period %s)\n", st.Case, st.Mode, st.Period)
 	}
-	pipe.Drive(ctl, 2) // a control round every 2nd sample = every minute
-	engine.Every(30*time.Second, 30*time.Second, func() bool {
-		pipe.Sample(engine.Now())
-		return true
-	})
 
 	// --- the wire: TCP bridge + an operator terminal ---
 	srv, err := bus.NewServer("127.0.0.1:0", "control.*", b)

@@ -1,118 +1,68 @@
 // Holistic: the paper's Fig. 1 end to end.
 //
 // Sensors from all four domains — building infrastructure (cooling plant),
-// system hardware (nodes), system software (parallel filesystem, scheduler),
-// and applications — feed one monitoring plane; operational data analytics
-// watch the combined stream and diagnose an injected fault in each domain.
+// system hardware (nodes), system software (parallel filesystem), and
+// applications — feed one monitoring plane; operational data analytics
+// watch the combined stream and diagnose an injected fault in each domain,
+// while a two-loop fleet responds. The whole run is one scenario document:
+// facility, workload, fleet and fault schedule, assembled by
+// scenario.Assemble like every other full stack in the repo.
 //
 // Run: go run ./examples/holistic
 package main
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 	"time"
 
 	"autoloop/internal/analytics"
-	"autoloop/internal/app"
-	"autoloop/internal/bus"
 	"autoloop/internal/cases"
 	"autoloop/internal/control"
-	"autoloop/internal/facility"
-	"autoloop/internal/fleet"
-	"autoloop/internal/hw"
-	"autoloop/internal/knowledge"
-	"autoloop/internal/pfs"
-	"autoloop/internal/sched"
-	"autoloop/internal/sim"
+	"autoloop/internal/scenario"
 	"autoloop/internal/telemetry"
-	"autoloop/internal/tsdb"
-	"autoloop/internal/viz"
 )
 
+const horizon = 4 * time.Hour
+
 func main() {
-	engine := sim.NewEngine(7)
-	db := tsdb.New(0)
-
-	// --- the managed system, one component per Fig. 1 box ---
-	ccfg := hw.DefaultConfig()
-	ccfg.Nodes = 16
-	cl := hw.New(engine, ccfg)                                                               // system hardware
-	plant := facility.New(engine, facility.DefaultConfig(), cl)                              // building infrastructure
-	fs := pfs.New(engine, pfs.Config{OSTs: 8, OSTBandwidthMBps: 300, DefaultStripeCount: 4}) // system software
-	scheduler := sched.New(engine, cl.UpNodes(), sched.DefaultExtensionPolicy())
-	runtime := app.NewRuntime(engine, db, fs, cl) // applications
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
-
-	// --- holistic monitoring: every domain registers its sensors ---
-	reg := telemetry.NewRegistry()
-	reg.Register(cl.Collector())
-	reg.Register(plant.Collector())
-	reg.Register(fs.Collector())
-	reg.Register(scheduler.Collector())
-	pipe := telemetry.NewPipeline(reg, db)
-
-	// --- autonomous response: a spec-driven fleet under one coordinator ---
-	// The loops are declared as JSON specs and spawned through the control
-	// registry into a deployment environment; the monitoring pipeline
-	// drives the control service (a round every 2nd sample = every
-	// minute): the power loop manages cooling energy under the thermal
-	// limit, the OST loop steers applications off degraded storage, and
-	// the coordinator's arbiter would resolve any same-subject conflict
-	// between them by priority.
-	b := bus.New()
-	env := &control.Env{
-		Querier: db, Plant: plant, Scheduler: scheduler, Apps: runtime,
-		Cluster: cl, FS: fs, Knowledge: knowledge.NewBase(),
-		Clock: sim.VirtualClock{Engine: engine}, Rng: rand.New(rand.NewSource(7)), Bus: b,
+	ost3 := 3
+	minute := control.Duration(time.Minute)
+	doc := &scenario.Spec{
+		Name:    "holistic",
+		Seed:    7,
+		Horizon: control.Duration(horizon),
+		// One component per Fig. 1 box: nodes, cooling plant, filesystem.
+		Facility: scenario.Facility{Nodes: 16, Plant: true, OSTs: 8, OSTBandwidthMBps: 300, StripeCount: 4},
+		Workload: &scenario.Workload{
+			Jobs: 5, ArrivalMean: control.Duration(time.Second),
+			Classes: []scenario.JobClass{{
+				Name: "steady", Tenant: "ops", ItersMin: 300, ItersMax: 300,
+				IterMean: minute, IterCV: 0.1, NodesMin: 2, NodesMax: 2,
+				IOEvery: 5, IOSizeMB: 200, StripeCount: 4, WalltimeFactor: 1.6,
+			}},
+		},
+		// Autonomous response: the power loop manages cooling energy under
+		// the thermal limit, the OST loop steers applications off degraded
+		// storage; the coordinator's arbiter would resolve any same-subject
+		// conflict between them by priority.
+		Loops: []scenario.Loop{
+			{LoopSpec: control.LoopSpec{Case: "power", Period: minute}},
+			{LoopSpec: control.LoopSpec{Case: "ost", Period: minute}},
+		},
+		// One fault per domain; the facility one is set by hand below.
+		Injections: []scenario.Injection{
+			{Kind: scenario.KindThermalCascade, At: control.Duration(time.Hour), Node: "n000", Count: 1, Severity: 6, Duration: control.Duration(3 * time.Hour)},
+			{Kind: scenario.KindDiskFailures, At: control.Duration(90 * time.Minute), OST: &ost3, Count: 1, Severity: 0.1, Duration: control.Duration(150 * time.Minute)},
+			{Kind: scenario.KindMisconfigSweep, At: control.Duration(2 * time.Hour), Count: 1, Duration: control.Duration(2 * time.Hour)},
+		},
 	}
-	coord := fleet.New(0).PublishTo(b, "holistic")
-	ctl := control.NewService(cases.NewRegistry(), env, coord, time.Minute).Attach(b, "holistic")
-	specs, err := control.ParseSpecs([]byte(`[
-		{"case": "power", "period": "1m"},
-		{"case": "ost", "period": "1m"}
-	]`))
+	rt, err := scenario.Assemble(doc, cases.NewRegistry())
 	if err != nil {
 		panic(err)
 	}
-	for _, spec := range specs {
-		if _, err := ctl.Spawn(spec); err != nil {
-			panic(err)
-		}
-	}
-	pipe.Drive(ctl, 2)
-
-	engine.Every(30*time.Second, 30*time.Second, func() bool {
-		pipe.Sample(engine.Now())
-		return engine.Now() < 4*time.Hour
-	})
-
-	// --- workload ---
-	for i := 0; i < 5; i++ {
-		name := fmt.Sprintf("steady%d", i)
-		runtime.RegisterSpec(name, app.Spec{
-			Name: name, TotalIters: 300, IterTime: sim.LogNormal{MeanV: time.Minute, CV: 0.1},
-			IOEvery: 5, IOSizeMB: 200, StripeCount: 4,
-		})
-		if _, err := scheduler.Submit(name, "ops", 2, 8*time.Hour, 0); err != nil {
-			panic(err)
-		}
-	}
-
-	// --- injected faults, one per domain ---
-	engine.At(30*time.Minute, func() { plant.SetSupplySetpointC(14) })   // facility: cooling waste
-	engine.At(1*time.Hour, func() { _ = cl.SetThermalFault("n000", 6) }) // hardware: fan failure
-	engine.At(90*time.Minute, func() { _ = fs.SetOSTHealth(3, 0.1) })    // storage: slow OST
-	runtime.RegisterSpec("storm", app.Spec{                              // application: thread oversubscription
-		Name: "storm", TotalIters: 200, IterTime: sim.Constant{V: time.Minute},
-		Misconfig: app.MisconfigThreads,
-	})
-	engine.At(2*time.Hour, func() {
-		if _, err := scheduler.Submit("storm", "bob", 1, 6*time.Hour, 0); err != nil {
-			panic(err)
-		}
-	})
+	engine, db := rt.Engine, rt.DB
+	engine.At(30*time.Minute, func() { rt.Plant.SetSupplySetpointC(14) }) // facility: cooling waste
 
 	// --- operational data analytics over the combined stream ---
 	pueDetector := analytics.NewCUSUM(10, 0.005, 0.05)
@@ -152,40 +102,55 @@ func main() {
 		if pue, ok := db.LatestValue("facility.pue", telemetry.Labels{"plant": "p0"}); ok && pueDetector.Step(pue) {
 			mark(found, "facility: PUE drift", now)
 		}
-		return now < 4*time.Hour
+		return now < horizon
 	})
 
-	engine.RunUntil(4 * time.Hour)
+	rep, err := rt.Run()
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Println("holistic MODA run complete")
 	fmt.Printf("  %d series, %d samples across 4 domains\n", db.NumSeries(), db.Appended())
 	fmt.Println("  diagnoses:")
-	for what, when := range found {
-		fmt.Printf("   %-42s at %v\n", what, when)
+	for _, what := range []string{"facility: PUE drift", "hardware: node temperature outlier",
+		"storage: OST latency outlier", "application: context-switch storm"} {
+		if when, ok := found[what]; ok {
+			fmt.Printf("   %-42s at %v\n", what, when)
+		}
 	}
-	cm := coord.Metrics()
+	cm := rt.Ctl.Coordinator().Metrics()
 	fmt.Printf("  fleet: %d rounds, %d actions planned, %d conflicts arbitrated\n",
 		cm.Rounds, cm.Planned, cm.Arbitrated)
 	// The control plane reports the same fleet as LoopStatus rows — the
 	// in-process form of a control.v1 list request.
-	if r := ctl.Handle(control.Request{Op: control.OpList}); r.OK {
+	if r := rt.Ctl.Handle(control.Request{Op: control.OpList}); r.OK {
 		for _, st := range r.Loops {
 			fmt.Printf("   %-11s %-10s %-10s executed=%d honored=%d\n",
 				st.Case, st.Name, st.State, st.Metrics.Executed, st.Metrics.Honored)
 		}
 	}
+	fmt.Println("\n  the fleet's response, scored against the fault schedule:")
+	fmt.Print(rep.Table())
 
-	// The Fig. 1 "Visualize" box: sparkline each domain's headline signal.
-	fmt.Println("\n  visualize (4h of operation, one anomaly per domain):")
+	// The Fig. 1 "Visualize" box: each domain's headline signal.
+	fmt.Println("\n  headline signals (4h of operation, one anomaly per domain):")
 	show := func(name string, matcher telemetry.Labels) {
-		if s, ok := db.QueryOne(name, matcher, 0, engine.Now()); ok {
-			fmt.Println("   " + viz.SparkSeries(s, 48))
+		s, ok := db.QueryOne(name, matcher, 0, engine.Now())
+		if !ok || len(s.Samples) == 0 {
+			return
 		}
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, p := range s.Samples {
+			lo, hi = math.Min(lo, p.Value), math.Max(hi, p.Value)
+		}
+		fmt.Printf("   %-20s %4d samples, first %.4g, last %.4g, range [%.4g, %.4g]\n",
+			name, len(s.Samples), s.Samples[0].Value, s.Samples[len(s.Samples)-1].Value, lo, hi)
 	}
 	show("facility.pue", telemetry.Labels{"plant": "p0"})
 	show("node.temp.celsius", telemetry.Labels{"node": "n000"})
 	show("pfs.ost.lat_ms", telemetry.Labels{"ost": "ost03"})
-	show("app.ctx_switch_rate", telemetry.Labels{"app": "storm"})
+	show("app.ctx_switch_rate", telemetry.Labels{"app": "sweep-2h0m0s-00"})
 }
 
 func mark(found map[string]time.Duration, what string, now time.Duration) {

@@ -11,19 +11,21 @@ import (
 	"time"
 
 	"autoloop/internal/app"
+	"autoloop/internal/cases"
 	"autoloop/internal/cases/maintcase"
 	"autoloop/internal/cases/misconfcase"
 	"autoloop/internal/cases/ostcase"
 	"autoloop/internal/cases/powercase"
 	"autoloop/internal/cases/schedcase"
+	"autoloop/internal/control"
 	"autoloop/internal/core"
 	"autoloop/internal/facility"
 	"autoloop/internal/hw"
 	"autoloop/internal/knowledge"
 	"autoloop/internal/pfs"
+	"autoloop/internal/scenario"
 	"autoloop/internal/sched"
 	"autoloop/internal/sim"
-	"autoloop/internal/telemetry"
 	"autoloop/internal/tsdb"
 )
 
@@ -39,36 +41,21 @@ type world struct {
 	kb        *knowledge.Base
 }
 
+// newWorld assembles the daemon preset's facility bare — no background
+// workload, no fleet — through the one full-stack assembler; each test
+// attaches its own loops and jobs.
 func newWorld(t *testing.T, seed int64) *world {
 	t.Helper()
-	engine := sim.NewEngine(seed)
-	db := tsdb.New(0)
-	ccfg := hw.DefaultConfig()
-	ccfg.Nodes = 16
-	ccfg.SensorNoise = 0.01
-	cl := hw.New(engine, ccfg)
-	plant := facility.New(engine, facility.DefaultConfig(), cl)
-	plant.BindAmbient(cl)
-	fs := pfs.New(engine, pfs.Config{OSTs: 8, OSTBandwidthMBps: 300, DefaultStripeCount: 4})
-	scheduler := sched.New(engine, cl.UpNodes(),
-		sched.ExtensionPolicy{MaxPerJob: 3, MaxTotalPerJob: 6 * time.Hour, BackfillGuard: true})
-	runtime := app.NewRuntime(engine, db, fs, cl)
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
-
-	reg := telemetry.NewRegistry()
-	reg.Register(cl.Collector())
-	reg.Register(plant.Collector())
-	reg.Register(fs.Collector())
-	reg.Register(scheduler.Collector())
-	pipe := telemetry.NewPipeline(reg, db)
-	engine.Every(30*time.Second, 30*time.Second, func() bool {
-		pipe.Sample(engine.Now())
-		return engine.Now() < 24*time.Hour
-	})
+	doc := scenario.Daemon(seed)
+	doc.Horizon = control.Duration(24 * time.Hour)
+	doc.Workload, doc.Loops = nil, nil
+	rt, err := scenario.Assemble(doc, cases.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &world{
-		engine: engine, db: db, cl: cl, plant: plant, fs: fs,
-		scheduler: scheduler, runtime: runtime, kb: knowledge.NewBase(),
+		engine: rt.Engine, db: rt.DB, cl: rt.Cluster, plant: rt.Plant, fs: rt.FS,
+		scheduler: rt.Scheduler, runtime: rt.Apps, kb: rt.Knowledge,
 	}
 }
 

@@ -12,17 +12,17 @@ import (
 // on the same shared subject (a facility plant setpoint, a parallel-fs
 // stripe policy). Worker rounds are not synchronized across processes, so
 // instead of a round barrier the arbiter keeps a subject-grant table: when a
-// digest's action is granted, the (worker, loop, kind, rank, priority) grant
-// holds the subject for a wall-clock window, and a later conflicting action
-// — different kind, from a different worker — is denied unless it outranks
-// the holder (kind rank first, then priority, mirroring fleet.Arbiter). A
-// same-worker action is never denied here: the worker's own fleet arbiter
-// already resolved local conflicts.
+// digest's action is granted, the (worker, loop, kind, priority) grant
+// holds the subject for a wall-clock window, and a later action from a
+// different worker that the fleet.Policy says contradicts it is denied
+// unless, by the same Policy, it beats the holder. A same-worker action is
+// never denied here: the worker's own fleet arbiter already resolved local
+// conflicts.
 type Arbiter struct {
-	mu       sync.Mutex
-	window   time.Duration
-	kindRank map[string]int
-	grants   map[string]grant // by subject
+	mu     sync.Mutex
+	window time.Duration
+	policy fleet.Policy
+	grants map[string]grant // by subject
 
 	denied uint64
 }
@@ -31,7 +31,6 @@ type grant struct {
 	worker   string
 	loop     string
 	kind     string
-	rank     int
 	priority int
 	until    time.Time
 }
@@ -45,14 +44,14 @@ func NewArbiter(window time.Duration) *Arbiter {
 	if window <= 0 {
 		window = DefaultArbWindow
 	}
-	return &Arbiter{window: window, kindRank: make(map[string]int), grants: make(map[string]grant)}
+	return &Arbiter{window: window, grants: make(map[string]grant)}
 }
 
-// RankKind declares that actions of this kind dominate lower-ranked kinds on
-// the same subject regardless of priority, mirroring fleet.Arbiter.RankKind.
-func (a *Arbiter) RankKind(kind string, rank int) *Arbiter {
+// SetPolicy replaces the arbitration policy (the zero fleet.Policy until
+// then). Returns a for chaining.
+func (a *Arbiter) SetPolicy(p fleet.Policy) *Arbiter {
 	a.mu.Lock()
-	a.kindRank[kind] = rank
+	a.policy = p
 	a.mu.Unlock()
 	return a
 }
@@ -84,23 +83,19 @@ func (a *Arbiter) Decide(d Digest, now time.Time) Verdict {
 		if held && now.After(g.until) {
 			held = false
 		}
-		rank := a.kindRank[act.Kind]
-		// A conflict needs a different worker and a contradicting kind —
-		// two workers granting the same kind on a subject is redundancy,
-		// not contradiction, matching fleet.DefaultConflictPolicy.
-		if held && g.worker != d.Worker && g.kind != act.Kind {
-			if rank < g.rank || (rank == g.rank && act.Priority <= g.priority) {
-				v.Deny[i] = true
-				v.Reasons[i] = fmt.Sprintf(
-					"subject %s held by %s/%s/%s (kind rank %d vs %d, priority %d vs %d)",
-					act.Subject, g.worker, g.loop, g.kind, rank, g.rank, act.Priority, g.priority)
-				a.denied++
-				continue
-			}
+		if held && g.worker != d.Worker && a.policy.Conflicts(act.Kind, g.kind) &&
+			!a.policy.Beats(act.Kind, act.Priority, g.kind, g.priority) {
+			v.Deny[i] = true
+			v.Reasons[i] = fmt.Sprintf(
+				"subject %s held by %s/%s/%s (kind rank %d vs %d, priority %d vs %d)",
+				act.Subject, g.worker, g.loop, g.kind,
+				a.policy.Rank(act.Kind), a.policy.Rank(g.kind), act.Priority, g.priority)
+			a.denied++
+			continue
 		}
 		a.grants[act.Subject] = grant{
 			worker: d.Worker, loop: act.Loop, kind: act.Kind,
-			rank: rank, priority: act.Priority, until: now.Add(a.window),
+			priority: act.Priority, until: now.Add(a.window),
 		}
 	}
 	return v

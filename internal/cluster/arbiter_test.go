@@ -81,7 +81,7 @@ func TestArbiterSameWorkerAndSameKindAllowed(t *testing.T) {
 }
 
 func TestArbiterKindRankBeatsPriority(t *testing.T) {
-	a := NewArbiter(2*time.Second).RankKind("emergency.cap", 10)
+	a := NewArbiter(2 * time.Second).SetPolicy(fleet.Policy{}.RankKind("emergency.cap", 10))
 	now := time.Unix(0, 0)
 	a.Decide(digest("w1", 1, fleet.ActionDigest{
 		Loop: "opt", Kind: "raise.power", Subject: "plant", Priority: 100,

@@ -15,47 +15,62 @@ type ConflictRecord struct {
 	Losers  []string `json:"losers"` // "loop/kind" each
 }
 
+// Policy is the arbitration policy, shared by this package's round-barrier
+// arbiter and the cluster's grant-window arbiter: which same-subject actions
+// contradict, and which of two contradicting actions wins. Two actions
+// contradict when their kinds differ — two loops independently planning the
+// same kind of action on a subject is redundancy, not contradiction. The
+// winner is the higher kind rank, then the higher loop priority; a tie goes
+// to the incumbent. A Policy is immutable (RankKind returns a new one), so
+// it may be shared across goroutines; the zero value ranks every kind 0.
+type Policy struct {
+	rank map[string]int
+}
+
+// RankKind returns the policy with actions of this kind dominating
+// lower-ranked kinds on the same subject regardless of loop priority — e.g.
+// ranking "cap" above "boost" lets a power-cap loop's cap beat a scheduler
+// loop's boost even when the scheduler loop registered with higher
+// priority. Unranked kinds rank 0; higher ranks win.
+func (p Policy) RankKind(kind string, rank int) Policy {
+	ranks := make(map[string]int, len(p.rank)+1)
+	for k, r := range p.rank {
+		ranks[k] = r
+	}
+	ranks[kind] = rank
+	return Policy{rank: ranks}
+}
+
+// Rank returns a kind's rank (0 when unranked).
+func (p Policy) Rank(kind string) int { return p.rank[kind] }
+
+// Conflicts reports whether two same-subject actions from different sources
+// contradict.
+func (p Policy) Conflicts(kindA, kindB string) bool { return kindA != kindB }
+
+// Beats reports whether challenger A wins over incumbent B.
+func (p Policy) Beats(kindA string, prioA int, kindB string, prioB int) bool {
+	if ra, rb := p.rank[kindA], p.rank[kindB]; ra != rb {
+		return ra > rb
+	}
+	return prioA > prioB
+}
+
 // Arbiter resolves cross-loop conflicts among the actions planned in one
 // round. Two actions conflict when they come from different loops, target the
-// same subject, and the conflict policy says they contradict (by default,
-// when their kinds differ — two loops independently planning the same kind of
-// action on a subject is redundancy, not contradiction). Within a conflicting
-// subject group one winner is chosen by kind rank first, then loop priority,
-// then registration order; every action conflicting with the winner loses and
-// is marked arbitrated on its loop.
+// same subject, and the Policy says they contradict. Within a conflicting
+// subject group the Policy picks one winner, registration order breaking
+// ties; every action conflicting with the winner loses and is marked
+// arbitrated on its loop.
 type Arbiter struct {
-	kindRank  map[string]int
-	conflicts func(a, b core.Action) bool
+	policy Policy
 }
 
-// NewArbiter returns an arbiter with no kind ranks and the default conflict
-// policy.
-func NewArbiter() *Arbiter {
-	return &Arbiter{kindRank: make(map[string]int), conflicts: DefaultConflictPolicy}
-}
+// NewArbiter returns an arbiter with the zero Policy.
+func NewArbiter() *Arbiter { return &Arbiter{} }
 
-// DefaultConflictPolicy reports a contradiction when two same-subject actions
-// from different loops carry different kinds.
-func DefaultConflictPolicy(a, b core.Action) bool { return a.Kind != b.Kind }
-
-// RankKind declares that actions of this kind dominate lower-ranked kinds on
-// the same subject regardless of loop priority — e.g. ranking "cap" above
-// "boost" lets a power-cap loop's cap beat a scheduler loop's boost even when
-// the scheduler loop registered with higher priority. Unranked kinds rank 0;
-// higher ranks win.
-func (a *Arbiter) RankKind(kind string, rank int) *Arbiter {
-	a.kindRank[kind] = rank
-	return a
-}
-
-// SetConflictPolicy replaces the conflict predicate. The policy is consulted
-// only for same-subject actions from different loops.
-func (a *Arbiter) SetConflictPolicy(f func(x, y core.Action) bool) {
-	if f == nil {
-		panic("fleet: SetConflictPolicy with nil policy")
-	}
-	a.conflicts = f
-}
+// SetPolicy replaces the arbitration policy; call it between rounds.
+func (a *Arbiter) SetPolicy(p Policy) { a.policy = p }
 
 // candidate is one planned action located in the round's plan set.
 type candidate struct {
@@ -100,7 +115,7 @@ func (a *Arbiter) resolve(members []member, plans []*core.PlannedTick) []Conflic
 		}
 		var losers []string
 		for _, cand := range group {
-			if cand.mi == win.mi || !a.conflicts(cand.act, win.act) {
+			if cand.mi == win.mi || !a.policy.Conflicts(cand.act.Kind, win.act.Kind) {
 				continue
 			}
 			loserLoop := members[cand.mi].loop
@@ -108,7 +123,7 @@ func (a *Arbiter) resolve(members []member, plans []*core.PlannedTick) []Conflic
 			plans[cand.mi].Arbitrate(cand.ai, fmt.Sprintf(
 				"lost %s to %s/%s (kind rank %d vs %d, priority %d vs %d)",
 				subject, winnerLoop.Name, win.act.Kind,
-				a.kindRank[cand.act.Kind], a.kindRank[win.act.Kind],
+				a.policy.Rank(cand.act.Kind), a.policy.Rank(win.act.Kind),
 				members[cand.mi].priority, members[win.mi].priority))
 			losers = append(losers, loserLoop.Name+"/"+cand.act.Kind)
 		}
@@ -123,13 +138,8 @@ func (a *Arbiter) resolve(members []member, plans []*core.PlannedTick) []Conflic
 	return records
 }
 
-// beats reports whether candidate x wins over the current winner y: higher
-// kind rank first, then higher loop priority; ties keep y (earlier
-// registration, then earlier plan position, wins).
+// beats reports whether candidate x wins over the current winner y; ties
+// keep y (earlier registration, then earlier plan position, wins).
 func (a *Arbiter) beats(members []member, x, y candidate) bool {
-	rx, ry := a.kindRank[x.act.Kind], a.kindRank[y.act.Kind]
-	if rx != ry {
-		return rx > ry
-	}
-	return members[x.mi].priority > members[y.mi].priority
+	return a.policy.Beats(x.act.Kind, members[x.mi].priority, y.act.Kind, members[y.mi].priority)
 }

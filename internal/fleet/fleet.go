@@ -138,7 +138,7 @@ func (c *Coordinator) SetExternalArbiter(f func(now time.Duration, digests []Act
 }
 
 // Add registers a loop with an arbitration priority: on a cross-loop conflict
-// the higher priority wins (after any kind ranks — see Arbiter.RankKind),
+// the higher priority wins (after any kind ranks — see Policy.RankKind),
 // with registration order breaking ties. Registration order also fixes the
 // deterministic execute order. Loop names must be unique within a fleet so
 // conflict records are unambiguous.

@@ -76,7 +76,7 @@ func TestKindRankBeatsLoopPriority(t *testing.T) {
 	boost := newStaticLoop("sched-boost", core.Action{Kind: "boost", Subject: "n001", Amount: 50})
 
 	c := New(2)
-	c.Arbiter().RankKind("cap", 1)
+	c.Arbiter().SetPolicy(Policy{}.RankKind("cap", 1))
 	c.Add(boost.loop, 100) // higher loop priority, but "boost" is unranked
 	c.Add(capLoop.loop, 1)
 	c.Tick(time.Minute)
@@ -201,7 +201,7 @@ func fleetScript(t *testing.T, workers int) string {
 	})
 
 	c := New(workers).PublishTo(b, "script")
-	c.Arbiter().RankKind("cap", 1)
+	c.Arbiter().SetPolicy(Policy{}.RankKind("cap", 1))
 	const loops = 24
 	for i := 0; i < loops; i++ {
 		i := i

@@ -72,9 +72,9 @@ type window struct {
 }
 
 // arm schedules one injection on the engine and records its ground-truth
-// window. Assemble calls it with the clock still at zero.
+// window.
 func (rt *Runtime) arm(inj Injection) error {
-	at := inj.At.D()
+	at := rt.start + inj.At.D()
 	var w *window
 	var err error
 	switch inj.Kind {

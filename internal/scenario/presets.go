@@ -96,3 +96,49 @@ func Stress10k(seed int64) *Spec {
 		},
 	}
 }
+
+// Unscored wraps plain control-plane specs as fleet members that opt out of
+// scoring (domain "none"): a deployment that is served, not scored, keeps no
+// event history.
+func Unscored(specs ...control.LoopSpec) []Loop {
+	out := make([]Loop, len(specs))
+	for i, s := range specs {
+		out[i] = Loop{LoopSpec: s, Domain: "none"}
+	}
+	return out
+}
+
+// Daemon is the facility modad serves: one rack behind a cooling plant, a
+// small filesystem, a steady workload that keeps every signal alive, and
+// the cooling + OST-avoidance loop pair at the control-round cadence. It
+// carries no fault schedule and its horizon is a century, so a daemon
+// driven by the wall clock never reaches it.
+func Daemon(seed int64) *Spec {
+	return &Spec{
+		Name:    "daemon",
+		Seed:    seed,
+		Horizon: dur(100 * 365 * 24 * time.Hour),
+		Facility: Facility{
+			Nodes:            16,
+			Plant:            true,
+			OSTs:             8,
+			OSTBandwidthMBps: 300,
+			StripeCount:      4,
+		},
+		Workload: &Workload{
+			Jobs:        6,
+			ArrivalMean: dur(time.Second),
+			Classes: []JobClass{{
+				Name: "steady", Tenant: "ops",
+				ItersMin: 1 << 20, ItersMax: 1 << 20,
+				IterMean: dur(time.Minute), IterCV: 0.2,
+				NodesMin: 2, NodesMax: 2,
+				IOEvery: 7, IOSizeMB: 256, StripeCount: 4,
+			}},
+		},
+		Loops: Unscored(
+			control.LoopSpec{Case: "power", Period: dur(time.Minute)},
+			control.LoopSpec{Case: "ost", Period: dur(time.Minute)},
+		),
+	}
+}

@@ -81,6 +81,7 @@ type Runtime struct {
 	Knowledge *knowledge.Base
 
 	spec    *Spec
+	start   time.Duration // engine time at assembly; the schedule is relative to it
 	horizon time.Duration
 	sample  time.Duration
 	windows []*window
@@ -93,6 +94,15 @@ type Runtime struct {
 // through reg (the CaseFactory path — the same registry the control plane
 // uses). The returned runtime is armed but not yet run.
 func Assemble(spec *Spec, reg *control.Registry) (*Runtime, error) {
+	return AssembleOn(sim.NewEngine(spec.Seed), tsdb.New(0), spec, reg)
+}
+
+// AssembleOn is Assemble over an engine and a store the caller owns: a
+// daemon resuming from a snapshot hands in an engine whose clock already
+// stands at the snapshot's time and a store with its retention and rollup
+// rules set. The sampling cadence, maintenance calendar, workload and fault
+// schedule are all laid out relative to engine.Now().
+func AssembleOn(engine *sim.Engine, db *tsdb.DB, spec *Spec, reg *control.Registry) (*Runtime, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -117,15 +127,17 @@ func Assemble(spec *Spec, reg *control.Registry) (*Runtime, error) {
 		everyN = 1
 	}
 
+	start := engine.Now()
 	rt := &Runtime{
+		Engine:  engine,
+		DB:      db,
+		Bus:     bus.New(),
 		spec:    spec,
+		start:   start,
 		horizon: horizon,
 		sample:  sample,
 		injRng:  rand.New(rand.NewSource(spec.Seed ^ 0x5bd1e995)),
 	}
-	rt.Engine = sim.NewEngine(spec.Seed)
-	rt.DB = tsdb.New(0)
-	rt.Bus = bus.New()
 
 	// Hardware plane.
 	hcfg := hw.DefaultConfig()
@@ -213,14 +225,14 @@ func Assemble(spec *Spec, reg *control.Registry) (*Runtime, error) {
 	rt.Pipe.Drive(rt.Ctl, everyN)
 
 	// Monitoring cadence.
-	rt.Engine.Every(sample, sample, func() bool {
+	rt.Engine.Every(start+sample, sample, func() bool {
 		rt.Pipe.Sample(rt.Engine.Now())
-		return rt.Engine.Now() < horizon
+		return rt.Engine.Now() < start+horizon
 	})
 
 	// Maintenance calendar.
 	for _, w := range spec.Maintenance {
-		if err := rt.Scheduler.AddMaintenance(w.At.D(), w.At.D()+w.Duration.D()); err != nil {
+		if err := rt.Scheduler.AddMaintenance(start+w.At.D(), start+w.At.D()+w.Duration.D()); err != nil {
 			return nil, fmt.Errorf("scenario: maintenance: %w", err)
 		}
 	}
@@ -229,7 +241,7 @@ func Assemble(spec *Spec, reg *control.Registry) (*Runtime, error) {
 	for _, j := range generateJobs(spec, horizon) {
 		j := j
 		rt.Apps.RegisterSpec(j.name, j.spec)
-		rt.Engine.At(j.submitAt, func() {
+		rt.Engine.At(start+j.submitAt, func() {
 			_, _ = rt.Scheduler.Submit(j.name, j.tenant, j.nodes, j.walltime, 0)
 		})
 	}
@@ -274,7 +286,7 @@ func (rt *Runtime) Run() (*Report, error) {
 		return nil, fmt.Errorf("scenario: runtime already ran")
 	}
 	rt.ran = true
-	rt.Engine.RunUntil(rt.horizon)
+	rt.Engine.RunUntil(rt.start + rt.horizon)
 	if err := rt.Pipe.Err(); err != nil {
 		return nil, fmt.Errorf("scenario: telemetry ingest: %w", err)
 	}

@@ -4,9 +4,14 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
+	"autoloop/internal/bus"
 	"autoloop/internal/cases"
+	"autoloop/internal/core"
 	"autoloop/internal/scenario"
+	"autoloop/internal/sim"
+	"autoloop/internal/tsdb"
 )
 
 // TestScenarioDeterministic is the contract the EXP-S* tables rest on: the
@@ -182,4 +187,68 @@ func TestRuntimeRunsOnce(t *testing.T) {
 	if _, err := rt.Run(); err == nil {
 		t.Fatal("second Run succeeded")
 	}
+}
+
+// TestAssembleOnShiftsSchedule: handed an engine whose clock already stands
+// at three hours, AssembleOn lays the same run out three hours later — same
+// scores, same telemetry volume, every window shifted by the offset.
+func TestAssembleOnShiftsSchedule(t *testing.T) {
+	const offset = 3 * time.Hour
+	base, err := scenario.Run(scenario.Small(42), cases.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := sim.NewEngine(42)
+	engine.RunUntil(offset) // nothing scheduled: jumps the clock
+	rt, err := scenario.AssembleOn(engine, tsdb.New(0), scenario.Small(42), cases.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shifted, err := rt.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if engine.Now() != offset+base.Horizon {
+		t.Errorf("run ended at %v, want %v", engine.Now(), offset+base.Horizon)
+	}
+	if shifted.Scores != base.Scores || shifted.Points != base.Points {
+		t.Errorf("shifted run scored differently:\n%s\nvs\n%s", shifted.Table(), base.Table())
+	}
+	for i, inj := range shifted.Injections {
+		if want := base.Injections[i].At + offset; inj.At != want {
+			t.Errorf("injection %d at %v, want %v", i, inj.At, want)
+		}
+	}
+}
+
+// TestDaemonSetpointReachesAmbient guards the coupling the hand-wired daemon
+// had lost: in the Daemon preset the plant is bound to the cluster, so a
+// lower-setpoint the power loop executes cools the air the nodes breathe.
+func TestDaemonSetpointReachesAmbient(t *testing.T) {
+	rt, err := scenario.Assemble(scenario.Daemon(1), cases.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lowered := 0
+	rt.Bus.Subscribe("loop.power-case.execute", func(env bus.Envelope) {
+		if r, ok := env.Payload.(core.ActionResult); ok && r.Honored && r.Action.Kind == "lower-setpoint" {
+			lowered++
+		}
+	})
+	rt.Engine.At(10*time.Minute, func() {
+		if err := rt.Cluster.SetThermalFault("n000", 8); err != nil {
+			t.Error(err)
+		}
+	})
+	for rt.Engine.Now() < 2*time.Hour {
+		before, seen := rt.Cluster.Ambient(), lowered
+		rt.Engine.RunUntil(rt.Engine.Now() + time.Minute)
+		if lowered > seen {
+			if after := rt.Cluster.Ambient(); after >= before {
+				t.Fatalf("lower-setpoint executed at %v but ambient went %v -> %v", rt.Engine.Now(), before, after)
+			}
+			return
+		}
+	}
+	t.Fatal("power loop never lowered the setpoint under a thermal fault")
 }

@@ -37,19 +37,27 @@ type scorer struct {
 func newScorer(b *bus.Bus) *scorer {
 	s := &scorer{bindings: make(map[string]*binding)}
 	b.Subscribe("loop.*", func(env bus.Envelope) {
-		i := strings.LastIndexByte(env.Topic, '.')
-		if i < 0 {
+		var ev loopEvent
+		switch env.Topic[strings.LastIndexByte(env.Topic, '.')+1:] {
+		case "finding":
+			f, ok := env.Payload.(core.Finding)
+			if !ok {
+				return
+			}
+			ev = loopEvent{t: env.Time, loop: env.Source, kind: f.Kind}
+		case "execute":
+			r, ok := env.Payload.(core.ActionResult)
+			if !ok || !r.Honored {
+				return
+			}
+			ev = loopEvent{t: env.Time, loop: env.Source, kind: r.Action.Kind, execute: true}
+		default:
 			return
 		}
-		switch env.Topic[i+1:] {
-		case "finding":
-			if f, ok := env.Payload.(core.Finding); ok {
-				s.events = append(s.events, loopEvent{t: env.Time, loop: env.Source, kind: f.Kind})
-			}
-		case "execute":
-			if r, ok := env.Payload.(core.ActionResult); ok && r.Honored {
-				s.events = append(s.events, loopEvent{t: env.Time, loop: env.Source, kind: r.Action.Kind, execute: true})
-			}
+		// Only scored loops are recorded: an unscored deployment (a daemon's
+		// fleet, loops spawned later over the wire) keeps no event history.
+		if bound := s.bindings[ev.loop]; bound != nil && bound.domain != "" {
+			s.events = append(s.events, ev)
 		}
 	})
 	return s
@@ -161,10 +169,7 @@ func (rt *Runtime) score() *Report {
 
 	// Global rates over scored events.
 	for _, ev := range s.events {
-		b := s.bindings[ev.loop]
-		if b == nil || b.domain == "" {
-			continue
-		}
+		b := s.bindings[ev.loop] // recorded events are all bound
 		if ev.execute {
 			if b.actions != nil && !b.actions[ev.kind] {
 				continue
@@ -193,7 +198,7 @@ func (rt *Runtime) score() *Report {
 		}
 		for _, ev := range s.events {
 			b := s.bindings[ev.loop]
-			if b == nil || b.domain != w.domain {
+			if b.domain != w.domain {
 				continue
 			}
 			if ev.t < w.at || ev.t > w.end+grace {

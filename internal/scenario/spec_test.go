@@ -89,7 +89,7 @@ func TestDecodeRejects(t *testing.T) {
 }
 
 func TestSpecRoundTrip(t *testing.T) {
-	for _, spec := range []*Spec{Small(3), Midsize(4), Stress10k(5)} {
+	for _, spec := range []*Spec{Small(3), Midsize(4), Stress10k(5), Daemon(6)} {
 		data, err := json.MarshalIndent(spec, "", "  ")
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", spec.Name, err)
