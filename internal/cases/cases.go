@@ -37,13 +37,13 @@ func NewRegistry() *control.Registry {
 
 // ScenarioTemplates returns every case's scenario-engine entry in
 // documentation order: the building blocks for composing a scenario fleet.
+// A factory whose name scenario.TemplateFor does not know yields an empty
+// template, which TestScenarioTemplatesMatchFactories rejects.
 func ScenarioTemplates() []scenario.Loop {
-	return []scenario.Loop{
-		schedcase.ScenarioTemplate(),
-		maintcase.ScenarioTemplate(),
-		ioqoscase.ScenarioTemplate(),
-		ostcase.ScenarioTemplate(),
-		misconfcase.ScenarioTemplate(),
-		powercase.ScenarioTemplate(),
+	factories := Factories()
+	out := make([]scenario.Loop, len(factories))
+	for i, f := range factories {
+		out[i], _ = scenario.TemplateFor(f.Name)
 	}
+	return out
 }

@@ -120,8 +120,8 @@ func (s *scatter) Fan(workers []string, build func(worker, id string) Fanout) []
 
 // MergeQuery merges per-worker tsdb responses into one: series concatenate
 // (each worker owns its own slice of the facility, so series never need
-// deduplication) and sort by metric, then label fingerprint, for a
-// deterministic wire order. Workers that timed out or errored do not void
+// deduplication) and sort by metric, then label key — the order a single
+// store's bus response has. Workers that timed out or errored do not void
 // the answer — the merge is typed partial: Partial is set, Failed
 // attributes each missing slice to its worker, and Err keeps the flat
 // human-readable join for older callers.
@@ -144,35 +144,10 @@ func MergeQuery(id string, replies []FanReply) tsdb.QueryResponse {
 			out.Series = append(out.Series, r.Query.Series...)
 		}
 	}
-	sort.Slice(out.Series, func(i, j int) bool {
-		a, b := &out.Series[i], &out.Series[j]
-		if a.Metric != b.Metric {
-			return a.Metric < b.Metric
-		}
-		return labelFingerprint(a.Labels) < labelFingerprint(b.Labels)
-	})
+	tsdb.SortSeries(out.Series)
 	out.Err = strings.Join(errs, "; ")
 	out.Partial = len(out.Failed) > 0 && len(out.Failed) < len(replies)
 	return out
-}
-
-func labelFingerprint(labels map[string]string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(labels[k])
-		sb.WriteByte(',')
-	}
-	return sb.String()
 }
 
 // mergeControlLists merges per-worker control replies for the list and

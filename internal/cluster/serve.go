@@ -258,17 +258,14 @@ func (c *Coordinator) Verdict(approve bool, v control.Verdict) control.Reply {
 // alive worker and merging the per-worker responses: each worker stores the
 // series its own simulation slice emits, so the union is the facility view.
 func (c *Coordinator) handleQuery(env bus.Envelope) {
-	req, err := tsdb.DecodeRequest(env.Payload)
-	publish := func(resp tsdb.QueryResponse) {
-		c.b.Publish(bus.Envelope{
-			Topic: tsdb.ResultTopic, Time: env.Time, Source: c.opts.Source, Payload: resp,
-		})
+	var req tsdb.QueryRequest
+	var resp tsdb.QueryResponse
+	if err := bus.DecodePayload(env, &req); err != nil {
+		resp = tsdb.QueryResponse{ID: req.ID, Err: "tsdb: decode query request: " + err.Error()}
+	} else {
+		resp = c.Answer(req)
 	}
-	if err != nil {
-		publish(tsdb.QueryResponse{Err: err.Error()})
-		return
-	}
-	publish(c.Answer(req))
+	c.b.Publish(bus.Envelope{Topic: tsdb.ResultTopic, Time: env.Time, Source: c.opts.Source, Payload: resp})
 }
 
 // Answer scatter-gathers one already-decoded query across the alive workers

@@ -3,6 +3,7 @@ package gateway
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -11,30 +12,30 @@ import (
 )
 
 // encoder builds one /v1/query response body directly in a reusable byte
-// buffer. The range hot path appends samples from inside the store's
-// QueryVisit callback, so the response is encoded straight off the live
-// shard windows — no intermediate []WireSeries (or any per-series copy) is
-// materialized. The JSON shape matches tsdb.QueryResponse exactly, so bus
-// and HTTP clients parse one vocabulary.
+// buffer: it is the gateway's sink for tsdb.Execute. For a range request
+// emit runs inside the store's QueryVisit callback, so the response is
+// encoded straight off the live shard windows — no intermediate
+// []WireSeries (or any per-series copy) is materialized. The JSON shape
+// matches tsdb.QueryResponse exactly, so bus and HTTP clients parse one
+// vocabulary.
 //
 // Encoders are pooled; with warm buffers an encode performs no allocations
 // (gated by TestGatewayEncodeAllocs).
 type encoder struct {
 	buf    []byte
-	keys   []string          // label-key sort scratch
-	pts    []telemetry.Point // LatestInto scratch
-	series int               // series emitted so far
+	keys   []string // label-name sort scratch
+	series int      // series emitted so far
 
-	// metric and visitor serve the QueryVisit hot path: the visitor closure
-	// is built once per pooled encoder (not per request), so a warm encode
-	// allocates nothing at all.
-	metric  string
-	visitor telemetry.SeriesVisitor
+	// metric and emit are the tsdb.Execute sink: emit is built once per
+	// pooled encoder (not per request), so a warm encode allocates nothing
+	// at all.
+	metric string
+	emit   telemetry.SeriesVisitor
 }
 
 var encoderPool = sync.Pool{New: func() interface{} {
 	e := new(encoder)
-	e.visitor = func(labels telemetry.Labels, samples []telemetry.Sample) {
+	e.emit = func(labels telemetry.Labels, samples []telemetry.Sample) {
 		e.beginSeries(e.metric, labels)
 		for i, s := range samples {
 			e.sample(i, s.Time, s.Value)
@@ -51,12 +52,8 @@ func getEncoder() *encoder {
 	return e
 }
 
-// release drops references that could pin store memory and pools e.
+// release pools e.
 func (e *encoder) release() {
-	for i := range e.pts {
-		e.pts[i] = telemetry.Point{}
-	}
-	e.pts = e.pts[:0]
 	e.keys = e.keys[:0]
 	encoderPool.Put(e)
 }
@@ -90,18 +87,7 @@ func (e *encoder) beginSeries(metric string, labels telemetry.Labels) {
 		for k := range labels {
 			e.keys = append(e.keys, k)
 		}
-		// Insertion sort: label sets are tiny and the scratch is reused, so
-		// this stays allocation-free (sort.Strings would not allocate either,
-		// but the interface conversion in sort.Sort escapes).
-		for i := 1; i < len(e.keys); i++ {
-			k := e.keys[i]
-			j := i - 1
-			for j >= 0 && e.keys[j] > k {
-				e.keys[j+1] = e.keys[j]
-				j--
-			}
-			e.keys[j+1] = k
-		}
+		slices.Sort(e.keys)
 		for i, k := range e.keys {
 			if i > 0 {
 				e.buf = append(e.buf, ',')

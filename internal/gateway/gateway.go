@@ -49,12 +49,9 @@ import (
 // small; loop specs are the largest legitimate payload).
 const maxBodyBytes = 1 << 20
 
-// Store is the query surface the gateway serves: the zero-copy half of the
-// telemetry querier plus rollup reads. *tsdb.DB implements it.
-type Store interface {
-	telemetry.Querier
-	QueryRollup(metric string, matcher telemetry.Labels, step time.Duration, agg tsdb.Agg, from, to time.Duration) ([]telemetry.Series, bool)
-}
+// Store is the query surface the gateway serves — the store interface
+// tsdb.Execute reads. *tsdb.DB implements it.
+type Store = tsdb.Store
 
 // Role is an authenticated caller's capability level.
 type Role int

@@ -7,17 +7,18 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"time"
 
 	"autoloop/internal/telemetry"
 	"autoloop/internal/tsdb"
 )
 
 // handleQuery answers the query plane. POST carries a tsdb.QueryRequest
-// JSON body (the exact vocabulary of the "tsdb.query" bus topic, decoded
-// through the same tsdb.DecodeRequestJSON path); GET maps query parameters
-// onto the same fields (metric, from_ms, to_ms, step_ms, agg, latest, and
-// match.<key>=<value> label matchers) for curl-ability.
+// JSON body (the exact vocabulary of the "tsdb.query" bus topic); GET maps
+// query parameters onto the same fields (metric, from_ms, to_ms, step_ms,
+// agg, latest, and match.<key>=<value> label matchers) for curl-ability.
+// The handler only decodes: what the request means, and whether it is
+// valid, is tsdb.Execute's to say — here through encodeQuery, on a
+// coordinator through every worker's service.
 //
 // The response body is a tsdb.QueryResponse-shaped JSON object. Unlike the
 // bus service, the request's id is not echoed: HTTP responses correlate by
@@ -42,16 +43,6 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		g.httpError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if req.Metric == "" {
-		g.httpError(w, http.StatusBadRequest, "missing metric")
-		return
-	}
-	if req.StepMS > 0 && !req.Latest {
-		if _, ok := tsdb.ParseAgg(req.Agg); !ok {
-			g.httpError(w, http.StatusBadRequest, "unknown agg %q", req.Agg)
-			return
-		}
 	}
 
 	// A coordinator has no local store: scatter-gather across the workers
@@ -93,9 +84,8 @@ func queryKey(req *tsdb.QueryRequest) string {
 	b.WriteString(strconv.FormatInt(req.StepMS, 10))
 	b.WriteByte(0)
 	b.WriteString(req.Agg)
-	if req.Latest {
-		b.WriteString("\x00latest")
-	}
+	b.WriteByte(0)
+	b.WriteString(strconv.FormatBool(req.Latest))
 	return b.String()
 }
 
@@ -136,46 +126,18 @@ func queryFromParams(q url.Values) (tsdb.QueryRequest, error) {
 	return req, nil
 }
 
-// encodeQuery runs one query against the store, encoding the response into
-// a pooled buffer. The range path streams through QueryVisit — samples are
-// appended to the body from inside the visit callback, so no intermediate
-// series slices exist. Latest uses the fill-buffer LatestInto; rollups use
-// the materializing QueryRollup (rollup windows are coarse and small).
+// encodeQuery runs one request through tsdb.Execute with a pooled encoder
+// as the sink: every series is appended to the response body from inside
+// the emit callback — for a range request that is the store's QueryVisit
+// callback, so no intermediate series slices exist. A request the executor
+// rejects returns its error and no encoder.
 func (g *Gateway) encodeQuery(req *tsdb.QueryRequest) (*encoder, error) {
-	from := time.Duration(req.FromMS) * time.Millisecond
-	to := time.Duration(req.ToMS) * time.Millisecond
 	e := getEncoder()
 	e.begin("")
-	switch {
-	case req.Latest:
-		e.pts = g.opts.Store.LatestInto(e.pts[:0], req.Metric, req.Match)
-		for _, p := range e.pts {
-			e.beginSeries(p.Name, p.Labels)
-			e.sample(0, p.Time, p.Value)
-			e.endSeries()
-		}
-	case req.StepMS > 0:
-		agg, ok := tsdb.ParseAgg(req.Agg)
-		if !ok {
-			e.release()
-			return nil, fmt.Errorf("unknown agg %q", req.Agg)
-		}
-		step := time.Duration(req.StepMS) * time.Millisecond
-		ss, ok := g.opts.Store.QueryRollup(req.Metric, req.Match, step, agg, from, to)
-		if !ok {
-			e.release()
-			return nil, fmt.Errorf("no rollup %s/%v/%s registered", req.Metric, step, req.Agg)
-		}
-		for _, s := range ss {
-			e.beginSeries(s.Name, s.Labels)
-			for i, smp := range s.Samples {
-				e.sample(i, smp.Time, smp.Value)
-			}
-			e.endSeries()
-		}
-	default:
-		e.metric = req.Metric
-		g.opts.Store.QueryVisit(req.Metric, req.Match, from, to, e.visitor)
+	e.metric = req.Metric
+	if err := tsdb.Execute(g.opts.Store, req, e.emit); err != nil {
+		e.release()
+		return nil, err
 	}
 	e.end()
 	return e, nil

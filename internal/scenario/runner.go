@@ -23,8 +23,7 @@ import (
 // injection domain each case answers for and which finding/action kinds
 // count. Maintenance and scheduler are optimizer/stewardship loops with no
 // injection domain — they run but are not scored. A scenario's Loop entry
-// overrides any of it; new cases register their own defaults through their
-// ScenarioTemplate.
+// overrides any of it; a new case adds its defaults here.
 var caseDefaults = map[string]Loop{
 	"power": {
 		Domain:   DomainHardware,
@@ -52,8 +51,8 @@ var caseDefaults = map[string]Loop{
 
 // TemplateFor returns the scenario template for one of the built-in cases:
 // a Loop spec carrying the case name and its default scoring attribution.
-// Case packages re-export it as their ScenarioTemplate so new cases land as
-// scenario + CaseFactory pairs.
+// cases.ScenarioTemplates maps every registered factory through it, so new
+// cases land as scenario + CaseFactory pairs.
 func TemplateFor(caseName string) (Loop, bool) {
 	d, ok := caseDefaults[caseName]
 	if !ok {

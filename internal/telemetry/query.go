@@ -16,12 +16,13 @@ type SeriesVisitor func(labels Labels, samples []Sample)
 // the same calls (paper question (ii)); *tsdb.DB is the in-tree
 // implementation.
 //
-// The surface comes in two halves. Query/QueryOne/Latest materialize
-// independent copies — convenient for one-shot reporting, but they allocate
-// per call. The visitor/fill-buffer half (QueryVisit, WindowInto, LatestInto)
-// streams the same data into a callback or a caller-owned buffer with zero
-// steady-state allocations; tick-time readers (detector polls, Monitor
-// phases) should use it.
+// Query/QueryOne/Latest materialize independent copies — convenient for
+// one-shot reporting, but they allocate per call. QueryVisit, WindowInto and
+// LatestInto hand out the same data through a callback or a caller-owned
+// buffer with zero steady-state allocations; tick-time readers (detector
+// polls, Monitor phases) use them, and so does the one executor of the wire
+// query vocabulary (tsdb.Execute), which every transport — bus service, HTTP
+// gateway, cluster scatter-gather — answers through.
 type Querier interface {
 	// Query returns every series of name whose labels match the matcher,
 	// restricted to samples in [from, to], sorted by label key.

@@ -2,7 +2,9 @@ package tsdb
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"autoloop/internal/bus"
@@ -68,6 +70,82 @@ type SourceError struct {
 	Err    string `json:"err"`
 }
 
+// Store is the read surface a QueryRequest executes against: the
+// visitor/fill-buffer calls of the telemetry querier plus rollup reads.
+// *DB implements it.
+type Store interface {
+	telemetry.Querier
+	QueryRollup(metric string, matcher telemetry.Labels, step time.Duration, agg Agg, from, to time.Duration) ([]telemetry.Series, bool)
+}
+
+// latestScratch is Execute's pooled state for latest requests: the
+// LatestInto buffer and the one-sample window each point is emitted as.
+type latestScratch struct {
+	pts []telemetry.Point
+	one [1]telemetry.Sample
+}
+
+var latestPool = sync.Pool{New: func() interface{} { return new(latestScratch) }}
+
+// Execute is the one interpreter of the QueryRequest vocabulary; the bus
+// service, the HTTP gateway and (through each worker's service) the cluster
+// coordinator are sinks over it. It validates req, reads st — latest beats
+// step beats range — and calls emit once per series of req.Metric. A
+// request is rejected before anything is emitted.
+//
+// emit runs under the contract of telemetry.SeriesVisitor: labels and
+// samples may alias store memory and are valid only during the call. Latest
+// and rollup series arrive in label-key order; range series arrive in store
+// order, straight off QueryVisit, so a sink that promises an order sorts
+// what it kept.
+func Execute(st Store, req *QueryRequest, emit telemetry.SeriesVisitor) error {
+	if req.Metric == "" {
+		return errors.New("missing metric")
+	}
+	from := time.Duration(req.FromMS) * time.Millisecond
+	to := time.Duration(req.ToMS) * time.Millisecond
+	switch {
+	case req.Latest:
+		sc := latestPool.Get().(*latestScratch)
+		sc.pts = st.LatestInto(sc.pts[:0], req.Metric, req.Match)
+		for _, p := range sc.pts {
+			sc.one[0] = telemetry.Sample{Time: p.Time, Value: p.Value}
+			emit(p.Labels, sc.one[:])
+		}
+		clear(sc.pts) // the scratch must not pin store labels
+		latestPool.Put(sc)
+	case req.StepMS > 0:
+		agg, ok := ParseAgg(req.Agg)
+		if !ok {
+			return fmt.Errorf("unknown agg %q", req.Agg)
+		}
+		step := time.Duration(req.StepMS) * time.Millisecond
+		ss, ok := st.QueryRollup(req.Metric, req.Match, step, agg, from, to)
+		if !ok {
+			return fmt.Errorf("no rollup %s/%v/%s registered", req.Metric, step, req.Agg)
+		}
+		for _, s := range ss {
+			emit(s.Labels, s.Samples)
+		}
+	default:
+		st.QueryVisit(req.Metric, req.Match, from, to, emit)
+	}
+	return nil
+}
+
+// SortSeries orders response series by metric, then label key — the order
+// bus and coordinator responses promise — computing each key once.
+func SortSeries(ss []WireSeries) {
+	items := make([]keyed[WireSeries], len(ss))
+	for i, s := range ss {
+		items[i] = keyed[WireSeries]{s.Metric + "\x00" + s.Labels.Key(), s}
+	}
+	sortByKey(items)
+	for i := range items {
+		ss[i] = items[i].v
+	}
+}
+
 // Service answers QueryRequest envelopes published on a bus from a DB —
 // the query endpoint cmd/modad exposes next to its envelope stream.
 type Service struct {
@@ -92,13 +170,13 @@ func (s *Service) Attach(b *bus.Bus, source string) *Service {
 	}
 	s.source = source
 	s.cancel = b.Subscribe(QueryTopic, func(env bus.Envelope) {
+		var req QueryRequest
 		var resp QueryResponse
-		req, err := DecodeRequest(env.Payload)
-		if err != nil {
+		if err := bus.DecodePayload(env, &req); err != nil {
 			// An unreadable request must say so — answering "missing
 			// metric" for a malformed payload sends the client debugging
 			// the wrong field.
-			resp = QueryResponse{ID: req.ID, Err: err.Error()}
+			resp = QueryResponse{ID: req.ID, Err: "tsdb: decode query request: " + err.Error()}
 		} else {
 			resp = s.Answer(req)
 		}
@@ -115,28 +193,8 @@ func (s *Service) Close() {
 	}
 }
 
-// DecodeRequest tolerates both in-process payloads (a QueryRequest value)
-// and wire payloads (the JSON-decoded map a TCP client's line arrives as) by
-// round-tripping unknown shapes through JSON. A malformed payload returns a
-// decode error instead of a zero request, so callers can distinguish "the
-// request was unreadable" from "the request was missing a field".
-func DecodeRequest(payload interface{}) (QueryRequest, error) {
-	switch v := payload.(type) {
-	case QueryRequest:
-		return v, nil
-	case *QueryRequest:
-		return *v, nil
-	default:
-		data, err := json.Marshal(payload)
-		if err != nil {
-			return QueryRequest{}, fmt.Errorf("tsdb: decode query request: %w", err)
-		}
-		return DecodeRequestJSON(data)
-	}
-}
-
-// DecodeRequestJSON decodes one JSON-encoded QueryRequest — the wire decode
-// path shared by the bus service and the HTTP gateway's /v1/query.
+// DecodeRequestJSON decodes one JSON-encoded QueryRequest, the HTTP
+// gateway's POST body.
 func DecodeRequestJSON(data []byte) (QueryRequest, error) {
 	var req QueryRequest
 	if err := json.Unmarshal(data, &req); err != nil {
@@ -145,49 +203,22 @@ func DecodeRequestJSON(data []byte) (QueryRequest, error) {
 	return req, nil
 }
 
-// Answer executes one request against the DB.
+// Answer executes one request against the DB and materializes the response:
+// every series is an independent copy (labels cloned, samples converted
+// once), sorted by label key.
 func (s *Service) Answer(req QueryRequest) QueryResponse {
 	resp := QueryResponse{ID: req.ID}
-	if req.Metric == "" {
-		resp.Err = "missing metric"
-		return resp
-	}
-	from := time.Duration(req.FromMS) * time.Millisecond
-	to := time.Duration(req.ToMS) * time.Millisecond
-	switch {
-	case req.Latest:
-		for _, p := range s.db.Latest(req.Metric, req.Match) {
-			resp.Series = append(resp.Series, WireSeries{
-				Metric: p.Name, Labels: p.Labels,
-				Samples: []WireSample{{TimeMS: p.Time.Milliseconds(), Value: p.Value}},
-			})
-		}
-	case req.StepMS > 0:
-		agg, ok := ParseAgg(req.Agg)
-		if !ok {
-			resp.Err = fmt.Sprintf("unknown agg %q", req.Agg)
-			return resp
-		}
-		ss, ok := s.db.QueryRollup(req.Metric, req.Match, time.Duration(req.StepMS)*time.Millisecond, agg, from, to)
-		if !ok {
-			resp.Err = fmt.Sprintf("no rollup %s/%v/%s registered", req.Metric, time.Duration(req.StepMS)*time.Millisecond, req.Agg)
-			return resp
-		}
-		resp.Series = wireSeries(ss)
-	default:
-		resp.Series = wireSeries(s.db.Query(req.Metric, req.Match, from, to))
-	}
-	return resp
-}
-
-func wireSeries(ss []telemetry.Series) []WireSeries {
-	out := make([]WireSeries, 0, len(ss))
-	for _, s := range ss {
-		ws := WireSeries{Metric: s.Name, Labels: s.Labels, Samples: make([]WireSample, len(s.Samples))}
-		for i, smp := range s.Samples {
+	err := Execute(s.db, &req, func(labels telemetry.Labels, samples []telemetry.Sample) {
+		ws := WireSeries{Metric: req.Metric, Labels: labels.Clone(), Samples: make([]WireSample, len(samples))}
+		for i, smp := range samples {
 			ws.Samples[i] = WireSample{TimeMS: smp.Time.Milliseconds(), Value: smp.Value}
 		}
-		out = append(out, ws)
+		resp.Series = append(resp.Series, ws)
+	})
+	if err != nil {
+		resp.Err = err.Error()
+		return resp
 	}
-	return out
+	SortSeries(resp.Series)
+	return resp
 }

@@ -132,17 +132,3 @@ func TestServiceMalformedWirePayload(t *testing.T) {
 		t.Fatalf("Err = %q still reports the misleading missing-metric text", resp.Err)
 	}
 }
-
-// TestDecodeRequestPassthrough pins the in-process fast paths.
-func TestDecodeRequestPassthrough(t *testing.T) {
-	want := QueryRequest{ID: "x", Metric: "cpu"}
-	if got, err := DecodeRequest(want); err != nil || got.ID != "x" || got.Metric != "cpu" {
-		t.Fatalf("value passthrough = %+v, %v", got, err)
-	}
-	if got, err := DecodeRequest(&want); err != nil || got.ID != "x" || got.Metric != "cpu" {
-		t.Fatalf("pointer passthrough = %+v, %v", got, err)
-	}
-	if _, err := DecodeRequestJSON([]byte(`{"metric":`)); err == nil {
-		t.Fatal("truncated JSON decoded without error")
-	}
-}

@@ -3,7 +3,6 @@ package tsdb
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"autoloop/internal/telemetry"
@@ -56,6 +55,7 @@ type dbSnap struct {
 // which recovery's skip-behind-tail replay is designed for.
 func (db *DB) Snapshot() ([]byte, error) {
 	var snap dbSnap
+	var items []keyed[seriesSnap]
 	for i := range db.shards {
 		sh := &db.shards[i]
 		sh.mu.RLock()
@@ -81,18 +81,16 @@ func (db *DB) Snapshot() ([]byte, error) {
 					}
 					ss.Rollups = append(ss.Rollups, rs)
 				}
-				snap.Series = append(snap.Series, ss)
+				items = append(items, keyed[seriesSnap]{name + "\x00" + s.key, ss})
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(snap.Series, func(a, b int) bool {
-		sa, sb := &snap.Series[a], &snap.Series[b]
-		if sa.Name != sb.Name {
-			return sa.Name < sb.Name
-		}
-		return sa.Labels.Key() < sb.Labels.Key()
-	})
+	sortByKey(items)
+	snap.Series = make([]seriesSnap, len(items))
+	for i := range items {
+		snap.Series[i] = items[i].v
+	}
 	return json.Marshal(&snap)
 }
 

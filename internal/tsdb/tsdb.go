@@ -102,8 +102,10 @@ func (db *DB) appendLocked(sh *shard, p *telemetry.Point, h uint64) error {
 	if p.Name == "" {
 		return fmt.Errorf("tsdb: append with empty metric name")
 	}
-	if math.IsNaN(p.Value) {
-		return fmt.Errorf("tsdb: append NaN for %s%s", p.Name, p.Labels)
+	if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
+		// Neither has a JSON form: one stored ±Inf would fail every later
+		// Snapshot and the wire marshal of any response carrying it.
+		return fmt.Errorf("tsdb: append non-finite value %v for %s%s", p.Value, p.Name, p.Labels)
 	}
 	s := sh.lookup(h, p)
 	if s == nil {
@@ -296,23 +298,19 @@ func (db *DB) forEachMatch(name string, matcher telemetry.Labels, visit func(*me
 // so every query path is deterministic regardless of shard and map
 // iteration order.
 func (db *DB) collectSeries(name string, matcher telemetry.Labels, fn func(*memSeries) (samples []telemetry.Sample, keep bool)) []telemetry.Series {
-	type item struct {
-		key string
-		s   telemetry.Series
-	}
-	var items []item
+	var items []keyed[telemetry.Series]
 	db.forEachMatch(name, matcher, func(s *memSeries) {
 		if samples, keep := fn(s); keep {
-			items = append(items, item{s.key, telemetry.Series{Name: name, Labels: s.labels.Clone(), Samples: samples}})
+			items = append(items, keyed[telemetry.Series]{s.key, telemetry.Series{Name: name, Labels: s.labels.Clone(), Samples: samples}})
 		}
 	})
 	if len(items) == 0 {
 		return nil
 	}
-	sort.Slice(items, func(a, b int) bool { return items[a].key < items[b].key })
+	sortByKey(items)
 	out := make([]telemetry.Series, len(items))
 	for i := range items {
-		out[i] = items[i].s
+		out[i] = items[i].v
 	}
 	return out
 }
@@ -346,29 +344,13 @@ func (db *DB) QueryOne(name string, matcher telemetry.Labels, from, to time.Dura
 	return ss[0], true
 }
 
-// Latest returns the most recent sample of every matching series, reading
-// each series' tail directly — no sample window is copied or scanned.
+// Latest returns the most recent sample of every matching series in
+// label-key order: LatestInto with the labels cloned, so the points share no
+// storage with the database.
 func (db *DB) Latest(name string, matcher telemetry.Labels) []telemetry.Point {
-	type item struct {
-		key string
-		p   telemetry.Point
-	}
-	var items []item
-	db.forEachMatch(name, matcher, func(s *memSeries) {
-		live := s.live()
-		if len(live) == 0 {
-			return
-		}
-		last := live[len(live)-1]
-		items = append(items, item{s.key, telemetry.Point{Name: name, Labels: s.labels.Clone(), Time: last.Time, Value: last.Value}})
-	})
-	if len(items) == 0 {
-		return nil
-	}
-	sort.Slice(items, func(a, b int) bool { return items[a].key < items[b].key })
-	out := make([]telemetry.Point, len(items))
-	for i := range items {
-		out[i] = items[i].p
+	out := db.LatestInto(nil, name, matcher)
+	for i := range out {
+		out[i].Labels = out[i].Labels.Clone()
 	}
 	return out
 }

@@ -73,6 +73,31 @@ func TestAppendRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestAppendRejectsInfinity: ±Inf has no JSON form, so one stored infinity
+// used to fail every later Snapshot. Both append paths must reject it and
+// leave the store snapshottable.
+func TestAppendRejectsInfinity(t *testing.T) {
+	db := New(0)
+	if err := db.Append(pt("m", nil, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{math.Inf(1), math.Inf(-1)} {
+		if err := db.Append(pt("m", nil, time.Second, v)); err == nil {
+			t.Errorf("Append accepted %v", v)
+		}
+		batch := []telemetry.Point{pt("m", nil, 2*time.Second, 2), pt("m", telemetry.Labels{"k": "v"}, 0, v)}
+		if err := db.AppendBatch(batch); err == nil {
+			t.Errorf("AppendBatch accepted %v", v)
+		}
+	}
+	if got := db.Appended(); got != 2 {
+		t.Errorf("Appended = %d, want 2 (the finite points only)", got)
+	}
+	if _, err := db.Snapshot(); err != nil {
+		t.Fatalf("Snapshot after rejected infinities: %v", err)
+	}
+}
+
 func TestQueryMatcherSelectsSeries(t *testing.T) {
 	db := New(0)
 	for _, node := range []string{"n1", "n2", "n3"} {

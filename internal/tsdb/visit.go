@@ -1,39 +1,41 @@
 package tsdb
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"autoloop/internal/telemetry"
 )
 
-// This file is the zero-copy half of the query surface: QueryVisit streams
-// samples to a callback while the owning shard's read lock is held, and
-// WindowInto/LatestInto fill caller-owned buffers with no per-call
-// allocations. The materializing forms (Query, Latest) stay available for
-// one-shot reporting; tick-time readers use these.
+// This file is the store's read side below Query/QueryRollup: the one
+// ordering helper every label-key-ordered result goes through, and the
+// visitor/fill-buffer calls (QueryVisit, WindowInto, LatestInto) that hand
+// out samples without materializing series.
 
-// valueChunk records where one series' values landed in the output buffer,
-// so WindowInto can restore label-key order after visiting in shard order.
-type valueChunk struct {
-	key    string
-	off, n int
-}
-
-// latestItem is one series' tail sample plus its ordering key.
-type latestItem struct {
+// keyed pairs one matching series' contribution to a result with the
+// series' label key. Matches are visited in shard and map order; every call
+// that promises label-key order collects keyed entries and runs them
+// through sortByKey.
+type keyed[T any] struct {
 	key string
-	p   telemetry.Point
+	v   T
 }
+
+func sortByKey[T any](items []keyed[T]) {
+	slices.SortFunc(items, func(a, b keyed[T]) int { return strings.Compare(a.key, b.key) })
+}
+
+// span is where one series' values landed in WindowInto's output buffer.
+type span struct{ off, n int }
 
 // visitScratch is the pooled per-call ordering state of WindowInto and
-// LatestInto. Matching-series counts are small (a fleet of nodes or OSTs,
-// not the whole database), so ordering uses an insertion sort over the
-// scratch rather than allocation-heavy sort.Slice closures.
+// LatestInto.
 type visitScratch struct {
-	chunks []valueChunk
-	vals   []float64
-	items  []latestItem
+	spans []keyed[span]
+	vals  []float64
+	pts   []keyed[telemetry.Point]
 }
 
 var visitPool = sync.Pool{New: func() interface{} { return new(visitScratch) }}
@@ -62,7 +64,7 @@ func (db *DB) QueryVisit(name string, matcher telemetry.Labels, from, to time.Du
 // shard's read lock; once buf has capacity the call performs no allocations.
 func (db *DB) WindowInto(buf []float64, name string, matcher telemetry.Labels, from, to time.Duration) []float64 {
 	sc := visitPool.Get().(*visitScratch)
-	sc.chunks = sc.chunks[:0]
+	sc.spans = sc.spans[:0]
 	start := len(buf)
 	sorted := true
 	db.forEachMatch(name, matcher, func(s *memSeries) {
@@ -75,34 +77,23 @@ func (db *DB) WindowInto(buf []float64, name string, matcher telemetry.Labels, f
 		for _, smp := range live[lo:hi] {
 			buf = append(buf, smp.Value)
 		}
-		if len(sc.chunks) > 0 && s.key < sc.chunks[len(sc.chunks)-1].key {
+		if len(sc.spans) > 0 && s.key < sc.spans[len(sc.spans)-1].key {
 			sorted = false
 		}
-		sc.chunks = append(sc.chunks, valueChunk{key: s.key, off: off, n: hi - lo})
+		sc.spans = append(sc.spans, keyed[span]{s.key, span{off: off, n: hi - lo}})
 	})
 	if !sorted {
-		// Restore label-key order: stage the appended region, reorder the
-		// chunk index, and copy the chunks back in key order.
+		// Restore label-key order: stage the appended region, order the
+		// span index, and copy the spans back in key order.
 		sc.vals = append(sc.vals[:0], buf[start:]...)
-		ch := sc.chunks
-		for i := 1; i < len(ch); i++ {
-			c := ch[i]
-			j := i - 1
-			for j >= 0 && ch[j].key > c.key {
-				ch[j+1] = ch[j]
-				j--
-			}
-			ch[j+1] = c
-		}
+		sortByKey(sc.spans)
 		out := buf[:start]
-		for _, c := range ch {
-			out = append(out, sc.vals[c.off-start:c.off-start+c.n]...)
+		for _, c := range sc.spans {
+			out = append(out, sc.vals[c.v.off-start:c.v.off-start+c.v.n]...)
 		}
 		buf = out
 	}
-	for i := range sc.chunks {
-		sc.chunks[i] = valueChunk{}
-	}
+	clear(sc.spans) // the scratch must not pin series keys of a dead DB
 	visitPool.Put(sc)
 	return buf
 }
@@ -114,36 +105,22 @@ func (db *DB) WindowInto(buf []float64, name string, matcher telemetry.Labels, f
 // with a warm buffer, unlike Latest's per-point clones.
 func (db *DB) LatestInto(buf []telemetry.Point, name string, matcher telemetry.Labels) []telemetry.Point {
 	sc := visitPool.Get().(*visitScratch)
-	sc.items = sc.items[:0]
+	sc.pts = sc.pts[:0]
 	db.forEachMatch(name, matcher, func(s *memSeries) {
 		live := s.live()
 		if len(live) == 0 {
 			return
 		}
 		last := live[len(live)-1]
-		sc.items = append(sc.items, latestItem{
-			key: s.key,
-			p:   telemetry.Point{Name: name, Labels: s.labels, Time: last.Time, Value: last.Value},
+		sc.pts = append(sc.pts, keyed[telemetry.Point]{
+			s.key, telemetry.Point{Name: name, Labels: s.labels, Time: last.Time, Value: last.Value},
 		})
 	})
-	its := sc.items
-	for i := 1; i < len(its); i++ {
-		it := its[i]
-		j := i - 1
-		for j >= 0 && its[j].key > it.key {
-			its[j+1] = its[j]
-			j--
-		}
-		its[j+1] = it
+	sortByKey(sc.pts)
+	for i := range sc.pts {
+		buf = append(buf, sc.pts[i].v)
 	}
-	for i := range its {
-		buf = append(buf, its[i].p)
-	}
-	// Drop label/key references before pooling so the scratch does not pin
-	// series metadata of a dead DB.
-	for i := range its {
-		its[i] = latestItem{}
-	}
+	clear(sc.pts) // the scratch must not pin series labels of a dead DB
 	visitPool.Put(sc)
 	return buf
 }

@@ -36,84 +36,127 @@ func fillRandom(t *testing.T, db *DB, rng *rand.Rand) {
 	}
 }
 
+// fillFleet seeds db with one metric ("m0") of n series, two samples each, appended in a stride permutation of the node index — the
+// shape of stress10k's per-node metrics, in non-key order.
+func fillFleet(t *testing.T, db *DB, n int) {
+	t.Helper()
+	const stride = 7919 // prime, so i*stride%n visits every index once for n not a multiple of it
+	for i := 0; i < n; i++ {
+		node := i * stride % n
+		labels := telemetry.Labels{"node": fmt.Sprintf("n%05d", node), "rack": fmt.Sprintf("r%d", node%3)}
+		for k := 0; k < 2; k++ {
+			if err := db.Append(telemetry.Point{
+				Name: "m0", Labels: labels, Time: time.Duration(k) * time.Second, Value: float64(node + k),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// fleetSize is the series count stress10k runs the ordering helper at.
+const fleetSize = 10240
+
 // TestWindowIntoMatchesQuery checks, over randomized stores, matchers, and
-// ranges, that WindowInto appends exactly the concatenation of Query's
-// series values in label-key order, and QueryVisit visits exactly Query's
-// series set.
+// ranges, and over one fleet-sized store, that WindowInto appends exactly
+// the concatenation of Query's series values in label-key order, and
+// QueryVisit visits exactly Query's series set.
 func TestWindowIntoMatchesQuery(t *testing.T) {
+	compare := func(label string, db *DB, name string, matcher telemetry.Labels, from, to time.Duration) {
+		var want []float64
+		ss := db.Query(name, matcher, from, to)
+		for _, s := range ss {
+			want = append(want, s.Values()...)
+		}
+		got := db.WindowInto(nil, name, matcher, from, to)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s %s%v [%v,%v]: WindowInto=%v want %v", label, name, matcher, from, to, got, want)
+		}
+		// Appending must preserve the prefix.
+		prefix := []float64{1, 2, 3}
+		got2 := db.WindowInto(prefix, name, matcher, from, to)
+		if fmt.Sprint(got2[:3]) != fmt.Sprint(prefix) || fmt.Sprint(got2[3:]) != fmt.Sprint(want) {
+			t.Fatalf("%s: WindowInto with prefix = %v", label, got2)
+		}
+
+		// QueryVisit covers the same series set with the same samples.
+		visited := map[string][]telemetry.Sample{}
+		db.QueryVisit(name, matcher, from, to, func(labels telemetry.Labels, samples []telemetry.Sample) {
+			cp := make([]telemetry.Sample, len(samples))
+			copy(cp, samples)
+			visited[labels.Key()] = cp
+		})
+		if len(visited) != len(ss) {
+			t.Fatalf("%s: QueryVisit visited %d series, Query returned %d", label, len(visited), len(ss))
+		}
+		for _, s := range ss {
+			if fmt.Sprint(visited[s.Labels.Key()]) != fmt.Sprint(s.Samples) {
+				t.Fatalf("%s: QueryVisit samples for %v = %v, want %v",
+					label, s.Labels, visited[s.Labels.Key()], s.Samples)
+			}
+		}
+	}
+
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		db := New(0)
 		fillRandom(t, db, rng)
 		matchers := []telemetry.Labels{nil, {"rack": "r1"}, {"node": "n002"}, {"nope": "x"}}
 		for m := 0; m < 4; m++ {
-			name := fmt.Sprintf("m%d", m)
 			matcher := matchers[rng.Intn(len(matchers))]
 			from := time.Duration(rng.Intn(30)) * time.Second
 			to := from + time.Duration(rng.Intn(30))*time.Second
-
-			var want []float64
-			ss := db.Query(name, matcher, from, to)
-			for _, s := range ss {
-				want = append(want, s.Values()...)
-			}
-			got := db.WindowInto(nil, name, matcher, from, to)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("trial %d %s%v [%v,%v]: WindowInto=%v want %v", trial, name, matcher, from, to, got, want)
-			}
-			// Appending must preserve the prefix.
-			prefix := []float64{1, 2, 3}
-			got2 := db.WindowInto(prefix, name, matcher, from, to)
-			if fmt.Sprint(got2[:3]) != fmt.Sprint(prefix) || fmt.Sprint(got2[3:]) != fmt.Sprint(want) {
-				t.Fatalf("trial %d: WindowInto with prefix = %v", trial, got2)
-			}
-
-			// QueryVisit covers the same series set with the same samples.
-			visited := map[string][]telemetry.Sample{}
-			db.QueryVisit(name, matcher, from, to, func(labels telemetry.Labels, samples []telemetry.Sample) {
-				cp := make([]telemetry.Sample, len(samples))
-				copy(cp, samples)
-				visited[labels.Key()] = cp
-			})
-			if len(visited) != len(ss) {
-				t.Fatalf("trial %d: QueryVisit visited %d series, Query returned %d", trial, len(visited), len(ss))
-			}
-			for _, s := range ss {
-				if fmt.Sprint(visited[s.Labels.Key()]) != fmt.Sprint(s.Samples) {
-					t.Fatalf("trial %d: QueryVisit samples for %v = %v, want %v",
-						trial, s.Labels, visited[s.Labels.Key()], s.Samples)
-				}
-			}
+			compare(fmt.Sprintf("trial %d", trial), db, fmt.Sprintf("m%d", m), matcher, from, to)
 		}
 	}
+
+	db := New(0)
+	fillFleet(t, db, fleetSize)
+	if got := len(db.WindowInto(nil, "m0", nil, 0, time.Hour)); got != 2*fleetSize {
+		t.Fatalf("fleet: WindowInto returned %d values, want %d", got, 2*fleetSize)
+	}
+	compare("fleet", db, "m0", nil, 0, time.Hour)
+	compare("fleet rack", db, "m0", telemetry.Labels{"rack": "r1"}, time.Second, time.Second)
 }
 
 // TestLatestIntoMatchesLatest checks LatestInto against Latest on randomized
-// stores: same points, same label-key order, prefix preserved.
+// stores and on one fleet-sized store: same points, same label-key order,
+// prefix preserved.
 func TestLatestIntoMatchesLatest(t *testing.T) {
+	compare := func(label string, db *DB, name string, matcher telemetry.Labels) int {
+		want := db.Latest(name, matcher)
+		got := db.LatestInto(nil, name, matcher)
+		if len(got) != len(want) {
+			t.Fatalf("%s: LatestInto %d points, Latest %d", label, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Name != want[i].Name || got[i].Time != want[i].Time || got[i].Value != want[i].Value ||
+				got[i].Labels.Key() != want[i].Labels.Key() {
+				t.Fatalf("%s point %d: %+v want %+v", label, i, got[i], want[i])
+			}
+		}
+		if !sort.SliceIsSorted(got, func(a, b int) bool { return got[a].Labels.Key() < got[b].Labels.Key() }) {
+			t.Fatalf("%s: LatestInto not in label-key order", label)
+		}
+		return len(got)
+	}
+
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		db := New(0)
 		fillRandom(t, db, rng)
 		for m := 0; m < 4; m++ {
-			name := fmt.Sprintf("m%d", m)
 			matcher := []telemetry.Labels{nil, {"rack": "r0"}}[rng.Intn(2)]
-			want := db.Latest(name, matcher)
-			got := db.LatestInto(nil, name, matcher)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: LatestInto %d points, Latest %d", trial, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Name != want[i].Name || got[i].Time != want[i].Time || got[i].Value != want[i].Value ||
-					got[i].Labels.Key() != want[i].Labels.Key() {
-					t.Fatalf("trial %d point %d: %+v want %+v", trial, i, got[i], want[i])
-				}
-			}
-			if !sort.SliceIsSorted(got, func(a, b int) bool { return got[a].Labels.Key() < got[b].Labels.Key() }) {
-				t.Fatalf("trial %d: LatestInto not in label-key order", trial)
-			}
+			compare(fmt.Sprintf("trial %d", trial), db, fmt.Sprintf("m%d", m), matcher)
 		}
 	}
+
+	db := New(0)
+	fillFleet(t, db, fleetSize)
+	if n := compare("fleet", db, "m0", nil); n != fleetSize {
+		t.Fatalf("fleet: LatestInto returned %d points, want %d", n, fleetSize)
+	}
+	compare("fleet rack", db, "m0", telemetry.Labels{"rack": "r0"})
 }
 
 // TestVisitSurfaceAllocs is the steady-state allocation gate for the
