@@ -133,8 +133,11 @@ func (p *Plant) PUE(now time.Duration) float64 {
 
 // Collector exposes the facility sensor domain: facility.outside.celsius,
 // facility.supply.setpoint, facility.cooling.watts, facility.it.watts,
-// facility.pue.
+// facility.pue. Every round hands out the same label map (read-only for
+// consumers) and the same five series refs.
 func (p *Plant) Collector() telemetry.Collector {
+	labels := telemetry.Labels{"plant": "p0"}
+	refs := new([5]telemetry.Ref)
 	return telemetry.CollectorFunc(func(now time.Duration) []telemetry.Point {
 		noise := func() float64 {
 			if p.cfg.SensorNoise <= 0 {
@@ -142,16 +145,15 @@ func (p *Plant) Collector() telemetry.Collector {
 			}
 			return 1 + p.engine.Rand().NormFloat64()*p.cfg.SensorNoise
 		}
-		labels := telemetry.Labels{"plant": "p0"}
 		pue := p.PUE(now)
 		pts := []telemetry.Point{
-			{Name: "facility.outside.celsius", Labels: labels, Time: now, Value: p.OutsideC(now) * noise()},
-			{Name: "facility.supply.setpoint", Labels: labels, Time: now, Value: p.supply},
-			{Name: "facility.cooling.watts", Labels: labels, Time: now, Value: p.CoolingPowerW(now) * noise()},
-			{Name: "facility.it.watts", Labels: labels, Time: now, Value: p.load.TotalPowerW() * noise()},
+			{Name: "facility.outside.celsius", Labels: labels, Time: now, Value: p.OutsideC(now) * noise(), Ref: &refs[0]},
+			{Name: "facility.supply.setpoint", Labels: labels, Time: now, Value: p.supply, Ref: &refs[1]},
+			{Name: "facility.cooling.watts", Labels: labels, Time: now, Value: p.CoolingPowerW(now) * noise(), Ref: &refs[2]},
+			{Name: "facility.it.watts", Labels: labels, Time: now, Value: p.load.TotalPowerW() * noise(), Ref: &refs[3]},
 		}
 		if !math.IsInf(pue, 1) {
-			pts = append(pts, telemetry.Point{Name: "facility.pue", Labels: labels, Time: now, Value: pue})
+			pts = append(pts, telemetry.Point{Name: "facility.pue", Labels: labels, Time: now, Value: pue, Ref: &refs[4]})
 		}
 		return pts
 	})

@@ -310,28 +310,44 @@ func (c *Cluster) TotalPowerW() float64 {
 
 // Collector returns a telemetry collector emitting, per up node:
 // node.cpu.util, node.power.watts, node.temp.celsius, node.mem.used_gb,
-// node.cores.used — the "System Hardware" sensor domain of Fig. 1.
+// node.cores.used — the "System Hardware" sensor domain of Fig. 1. Every
+// round hands out the same label map (read-only for consumers) and series
+// refs per node; they are built when a node is first collected, not here, so
+// assembling a 10k-node facility does not pay for 10k maps up front.
 func (c *Cluster) Collector() telemetry.Collector {
+	// nodeSensors is one node's static sensor identity: the label map its
+	// five metrics share and one series ref per metric.
+	type nodeSensors struct {
+		labels telemetry.Labels
+		refs   [5]telemetry.Ref
+	}
+	var sensors []nodeSensors
 	return telemetry.CollectorFunc(func(now time.Duration) []telemetry.Point {
+		if sensors == nil {
+			sensors = make([]nodeSensors, len(c.nodes))
+		}
+		noise := func() float64 {
+			if c.cfg.SensorNoise <= 0 {
+				return 1
+			}
+			return 1 + c.engine.Rand().NormFloat64()*c.cfg.SensorNoise
+		}
 		pts := make([]telemetry.Point, 0, len(c.nodes)*5)
-		for _, n := range c.nodes {
+		for i, n := range c.nodes {
 			if n.State == NodeDown {
 				continue
 			}
 			c.advanceThermal(n)
-			labels := telemetry.Labels{"node": n.ID, "rack": n.Rack}
-			noise := func() float64 {
-				if c.cfg.SensorNoise <= 0 {
-					return 1
-				}
-				return 1 + c.engine.Rand().NormFloat64()*c.cfg.SensorNoise
+			m := &sensors[i]
+			if m.labels == nil {
+				m.labels = telemetry.Labels{"node": n.ID, "rack": n.Rack}
 			}
 			pts = append(pts,
-				telemetry.Point{Name: "node.cpu.util", Labels: labels, Time: now, Value: clamp01(n.util * noise())},
-				telemetry.Point{Name: "node.power.watts", Labels: labels, Time: now, Value: n.PowerW(c.cfg) * noise()},
-				telemetry.Point{Name: "node.temp.celsius", Labels: labels, Time: now, Value: n.tempC * n.sensorMult * noise()},
-				telemetry.Point{Name: "node.mem.used_gb", Labels: labels, Time: now, Value: n.MemUsedGB},
-				telemetry.Point{Name: "node.cores.used", Labels: labels, Time: now, Value: float64(n.CoresUsed)},
+				telemetry.Point{Name: "node.cpu.util", Labels: m.labels, Time: now, Value: clamp01(n.util * noise()), Ref: &m.refs[0]},
+				telemetry.Point{Name: "node.power.watts", Labels: m.labels, Time: now, Value: n.PowerW(c.cfg) * noise(), Ref: &m.refs[1]},
+				telemetry.Point{Name: "node.temp.celsius", Labels: m.labels, Time: now, Value: n.tempC * n.sensorMult * noise(), Ref: &m.refs[2]},
+				telemetry.Point{Name: "node.mem.used_gb", Labels: m.labels, Time: now, Value: n.MemUsedGB, Ref: &m.refs[3]},
+				telemetry.Point{Name: "node.cores.used", Labels: m.labels, Time: now, Value: float64(n.CoresUsed), Ref: &m.refs[4]},
 			)
 		}
 		return pts

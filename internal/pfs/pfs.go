@@ -330,15 +330,26 @@ func (fs *FS) QueueLen(id int) int {
 // pfs.ost.mbps (window throughput), pfs.ost.queue, pfs.ost.busy_frac,
 // pfs.ost.lat_ms (mean window write latency). Per tenant with traffic:
 // pfs.tenant.mbps, pfs.tenant.lat_ms. Window counters reset on collection,
-// so the collector must be sampled on a fixed cadence.
+// so the collector must be sampled on a fixed cadence. Every round hands out
+// the same label map (read-only for consumers) and series refs per OST;
+// tenants come and go, so their points carry fresh labels and no ref.
 func (fs *FS) Collector() telemetry.Collector {
+	// ostSensors is one OST's static sensor identity.
+	type ostSensors struct {
+		labels telemetry.Labels
+		refs   [4]telemetry.Ref
+	}
+	sensors := make([]ostSensors, len(fs.osts))
+	for i, o := range fs.osts {
+		sensors[i].labels = telemetry.Labels{"ost": fmt.Sprintf("ost%02d", o.id)}
+	}
 	return telemetry.CollectorFunc(func(now time.Duration) []telemetry.Point {
 		interval := now - fs.lastCollect
 		fs.lastCollect = now
 		secs := interval.Seconds()
 		var pts []telemetry.Point
-		for _, o := range fs.osts {
-			labels := telemetry.Labels{"ost": fmt.Sprintf("ost%02d", o.id)}
+		for i, o := range fs.osts {
+			m := &sensors[i]
 			mbps, busy := 0.0, 0.0
 			if secs > 0 {
 				mbps = o.windowBytesMB / secs
@@ -352,10 +363,10 @@ func (fs *FS) Collector() telemetry.Collector {
 				latMS = o.windowLatSum.Seconds() * 1000 / float64(o.windowLatCount)
 			}
 			pts = append(pts,
-				telemetry.Point{Name: "pfs.ost.mbps", Labels: labels, Time: now, Value: mbps},
-				telemetry.Point{Name: "pfs.ost.queue", Labels: labels, Time: now, Value: float64(o.queueLen)},
-				telemetry.Point{Name: "pfs.ost.busy_frac", Labels: labels, Time: now, Value: busy},
-				telemetry.Point{Name: "pfs.ost.lat_ms", Labels: labels, Time: now, Value: latMS},
+				telemetry.Point{Name: "pfs.ost.mbps", Labels: m.labels, Time: now, Value: mbps, Ref: &m.refs[0]},
+				telemetry.Point{Name: "pfs.ost.queue", Labels: m.labels, Time: now, Value: float64(o.queueLen), Ref: &m.refs[1]},
+				telemetry.Point{Name: "pfs.ost.busy_frac", Labels: m.labels, Time: now, Value: busy, Ref: &m.refs[2]},
+				telemetry.Point{Name: "pfs.ost.lat_ms", Labels: m.labels, Time: now, Value: latMS, Ref: &m.refs[3]},
 			)
 			o.windowBytesMB, o.windowBusy, o.windowLatSum, o.windowLatCount = 0, 0, 0, 0
 		}

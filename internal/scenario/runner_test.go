@@ -11,6 +11,7 @@ import (
 	"autoloop/internal/core"
 	"autoloop/internal/scenario"
 	"autoloop/internal/sim"
+	"autoloop/internal/telemetry"
 	"autoloop/internal/tsdb"
 )
 
@@ -251,4 +252,66 @@ func TestDaemonSetpointReachesAmbient(t *testing.T) {
 		}
 	}
 	t.Fatal("power loop never lowered the setpoint under a thermal fault")
+}
+
+// refAudit is a sink in front of the store that holds the collectors to the
+// owner's half of the telemetry.Ref contract: a Ref rides one (name, labels)
+// identity for life.
+type refAudit struct {
+	t      *testing.T
+	inner  telemetry.Sink
+	owner  map[*telemetry.Ref]string
+	static int // points of the static sensor domains seen
+}
+
+func (a *refAudit) AppendBatch(pts []telemetry.Point) error {
+	for _, p := range pts {
+		static := strings.HasPrefix(p.Name, "node.") || strings.HasPrefix(p.Name, "pfs.ost.") || strings.HasPrefix(p.Name, "facility.")
+		if static {
+			a.static++
+		}
+		if static != (p.Ref != nil) {
+			a.t.Errorf("%s%s: ref = %v, want one exactly on the static sensor domains", p.Name, p.Labels, p.Ref)
+			continue
+		}
+		if p.Ref == nil {
+			continue
+		}
+		id := p.Name + p.Labels.String()
+		if was, ok := a.owner[p.Ref]; ok && was != id {
+			a.t.Errorf("one ref rode %s and then %s", was, id)
+		}
+		a.owner[p.Ref] = id
+	}
+	return a.inner.AppendBatch(pts)
+}
+
+// TestCollectorRefsOneIdentityEach runs the Small scenario with an auditing
+// sink between the pipeline and the store: every hardware, OST and plant
+// point carries a Ref, tenant points carry none, no Ref ever changes
+// identity over the run (nodes fail and return, faults flap), and the store
+// ends with exactly one series per Ref.
+func TestCollectorRefsOneIdentityEach(t *testing.T) {
+	rt, err := scenario.Assemble(scenario.Small(42), cases.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit := &refAudit{t: t, inner: rt.DB, owner: make(map[*telemetry.Ref]string)}
+	reg := telemetry.NewRegistryOf(rt.Cluster.Collector(), rt.Plant.Collector(), rt.FS.Collector())
+	rt.Pipe = telemetry.NewPipeline(reg, audit).Drive(rt.Ctl, 2)
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if audit.static == 0 || len(audit.owner) == 0 {
+		t.Fatalf("audited %d static points over %d refs", audit.static, len(audit.owner))
+	}
+	series := 0
+	for _, name := range rt.DB.MetricNames() {
+		if strings.HasPrefix(name, "node.") || strings.HasPrefix(name, "pfs.ost.") || strings.HasPrefix(name, "facility.") {
+			series += len(rt.DB.LatestInto(nil, name, nil))
+		}
+	}
+	if series != len(audit.owner) {
+		t.Errorf("store holds %d static series for %d refs", series, len(audit.owner))
+	}
 }

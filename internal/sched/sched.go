@@ -552,8 +552,11 @@ func (s *Scheduler) RequestExtension(jobID int, extra time.Duration) ExtensionRe
 }
 
 // Collector exposes the scheduler sensor domain: sched.queue.len,
-// sched.jobs.running, sched.nodes.busy, sched.util.
+// sched.jobs.running, sched.nodes.busy, sched.util. Every round hands out the
+// same label map (read-only for consumers) and the same four series refs.
 func (s *Scheduler) Collector() telemetry.Collector {
+	labels := telemetry.Labels{"sched": "main"}
+	refs := new([4]telemetry.Ref)
 	return telemetry.CollectorFunc(func(now time.Duration) []telemetry.Point {
 		busy := len(s.nodes) - s.freeCount()
 		running := 0
@@ -562,12 +565,11 @@ func (s *Scheduler) Collector() telemetry.Collector {
 				running++
 			}
 		}
-		labels := telemetry.Labels{"sched": "main"}
 		return []telemetry.Point{
-			{Name: "sched.queue.len", Labels: labels, Time: now, Value: float64(len(s.pending))},
-			{Name: "sched.jobs.running", Labels: labels, Time: now, Value: float64(running)},
-			{Name: "sched.nodes.busy", Labels: labels, Time: now, Value: float64(busy)},
-			{Name: "sched.util", Labels: labels, Time: now, Value: float64(busy) / float64(len(s.nodes))},
+			{Name: "sched.queue.len", Labels: labels, Time: now, Value: float64(len(s.pending)), Ref: &refs[0]},
+			{Name: "sched.jobs.running", Labels: labels, Time: now, Value: float64(running), Ref: &refs[1]},
+			{Name: "sched.nodes.busy", Labels: labels, Time: now, Value: float64(busy), Ref: &refs[2]},
+			{Name: "sched.util", Labels: labels, Time: now, Value: float64(busy) / float64(len(s.nodes)), Ref: &refs[3]},
 		}
 	})
 }

@@ -369,10 +369,18 @@ func TestCollector(t *testing.T) {
 	r := newRig(t, 4)
 	r.submit(t, "a", 2, time.Hour, 0)
 	r.submit(t, "b", 4, time.Hour, 0)
-	pts := r.s.Collector().Collect(r.e.Now())
+	col := r.s.Collector()
+	pts := col.Collect(r.e.Now())
 	vals := map[string]float64{}
-	for _, p := range pts {
+	for i, p := range pts {
 		vals[p.Name] = p.Value
+		// The four gauges are static series: each keeps its own ref.
+		if again := col.Collect(r.e.Now())[i]; p.Ref == nil || again.Ref != p.Ref || again.Name != p.Name {
+			t.Errorf("%s: ref %p, then %s with ref %p", p.Name, p.Ref, again.Name, again.Ref)
+		}
+		if i > 0 && p.Ref == pts[i-1].Ref {
+			t.Errorf("%s shares a ref with %s", p.Name, pts[i-1].Name)
+		}
 	}
 	if vals["sched.queue.len"] != 1 {
 		t.Errorf("queue.len = %v", vals["sched.queue.len"])

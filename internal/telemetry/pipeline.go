@@ -20,7 +20,10 @@ type Sink interface {
 // WirePoint is the envelope payload for telemetry points: stable lowercase
 // JSON keys for wire clients (matching Envelope's own topic/time/source
 // fields), and a typed value for in-process subscribers. The sample time is
-// carried by the envelope's Time field, not duplicated here.
+// carried by the envelope's Time field, not duplicated here. Labels is the
+// gathered point's map, not a copy, and collectors with static label sets
+// hand out one long-lived map round after round: subscribers must treat it
+// as read-only.
 type WirePoint struct {
 	Name   string  `json:"name"`
 	Labels Labels  `json:"labels,omitempty"`
@@ -46,6 +49,9 @@ type Pipeline struct {
 
 	pts  []Point
 	envs []bus.Envelope
+	// topics memoizes TopicPrefix+name per metric name: a few dozen strings
+	// for the life of the pipeline instead of one allocation per point.
+	topics map[string]string
 
 	samples uint64
 	points  uint64
@@ -81,6 +87,7 @@ func NewPipeline(reg *Registry, sink Sink) *Pipeline {
 func (p *Pipeline) PublishTo(b *bus.Bus, source string) *Pipeline {
 	p.bus = b
 	p.source = source
+	p.topics = make(map[string]string)
 	return p
 }
 
@@ -115,8 +122,13 @@ func (p *Pipeline) Sample(now time.Duration) int {
 	if p.bus != nil && len(p.pts) > 0 {
 		p.envs = p.envs[:0]
 		for _, pt := range p.pts {
+			topic, ok := p.topics[pt.Name]
+			if !ok {
+				topic = TopicPrefix + pt.Name
+				p.topics[pt.Name] = topic
+			}
 			p.envs = append(p.envs, bus.Envelope{
-				Topic: TopicPrefix + pt.Name, Time: now, Source: p.source,
+				Topic: topic, Time: now, Source: p.source,
 				Payload: WirePoint{Name: pt.Name, Labels: pt.Labels, Value: pt.Value},
 			})
 		}

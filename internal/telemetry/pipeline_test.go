@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"autoloop/internal/bus"
 )
@@ -69,6 +70,14 @@ func TestPipelinePublishesBatchedEnvelopes(t *testing.T) {
 	}
 	if pub, del := b.Stats(); pub != 3 || del != 4 {
 		t.Errorf("bus stats = %d, %d; want 3, 4", pub, del)
+	}
+	// A metric's topic string is built once and reused round after round.
+	var topics []string
+	b.Subscribe("telemetry.m2", func(e bus.Envelope) { topics = append(topics, e.Topic) })
+	p.Sample(2 * time.Second)
+	p.Sample(3 * time.Second)
+	if len(topics) != 2 || topics[0] != "telemetry.m2" || unsafe.StringData(topics[0]) != unsafe.StringData(topics[1]) {
+		t.Errorf("topics = %q, want one memoized telemetry.m2 twice", topics)
 	}
 }
 

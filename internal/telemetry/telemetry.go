@@ -9,12 +9,37 @@
 // what makes loop components interchangeable (paper question (ii)): any
 // Monitor implementation produces Points, any Analyze implementation
 // consumes series of them.
+//
+// # Series refs
+//
+// Most sensors are static: a node emits the same five (name, labels)
+// identities every round, and a store that re-derives the series from the
+// label map on every point spends more on identification than on storage. A
+// Ref is the optional fix, the in-process form of the fixed sensor id DCDB
+// and LDMS register once: one small memo per (Name, Labels) that its owner —
+// the collector — allocates once, keeps for as long as it emits that
+// identity, and attaches to each Point of it. A sink may leave its resolved
+// handle for the series in the memo on first sight and pick it up on every
+// later round.
+//
+// The contract is validate, don't trust. The owner attaches a Ref only to
+// points of the one identity it was allocated for. A sink uses a memo only
+// after checking that it left it there itself and that the memoized series
+// still carries the point's name and label count, and otherwise resolves the
+// point from Name and Labels as if it had no Ref — so one batch fed to two
+// stores, replayed, or sent to a store created after a crash lands where its
+// Name and Labels say. (Two label sets of equal size under one name are only
+// told apart by comparing them, which is the per-point cost a Ref removes;
+// keeping those apart is the owner's half of the contract.) A Point without a
+// Ref behaves exactly as before, and nothing but Sink implementations ever
+// reads one.
 package telemetry
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -71,12 +96,33 @@ func (l Labels) Matches(matcher Labels) bool {
 // String implements fmt.Stringer.
 func (l Labels) String() string { return "{" + l.Key() + "}" }
 
+// Ref is an optional per-series memo: see the package comment for who owns
+// it and what a sink may assume. The zero value is an empty memo, ready to
+// use; a Ref must not be copied once a Point carries its address. A resolved
+// memo keeps the sink's series reachable for as long as the Ref lives.
+type Ref struct {
+	memo atomic.Value
+}
+
+// Memo returns what the last SetMemo left, or nil. The value may come from a
+// different sink than the caller: type-assert it and check ownership.
+func (r *Ref) Memo() any { return r.memo.Load() }
+
+// SetMemo leaves a sink's handle for the Ref's series. Sinks sharing a Ref
+// race benignly — the last writer wins and the others re-resolve — but, as
+// with atomic.Value, every memo stored in one Ref must have the same
+// concrete type.
+func (r *Ref) SetMemo(m any) { r.memo.Store(m) }
+
 // Point is a single observation of a metric.
 type Point struct {
 	Name   string
 	Labels Labels
 	Time   time.Duration // virtual time since the simulation epoch
 	Value  float64
+	// Ref, when non-nil, is the emitting collector's memo for this point's
+	// (Name, Labels); sinks use it to skip re-identifying the series.
+	Ref *Ref
 }
 
 // String implements fmt.Stringer.

@@ -132,3 +132,29 @@ func TestPointString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// TestRefSurvivesGather: the zero Ref is an empty memo, a memo left in it is
+// read back, and the pipeline's gather copy hands the sink the collector's
+// own Ref, not a copy of it.
+func TestRefSurvivesGather(t *testing.T) {
+	var ref Ref
+	if ref.Memo() != nil {
+		t.Fatalf("zero Ref holds %v", ref.Memo())
+	}
+	reg := NewRegistryOf(CollectorFunc(func(now time.Duration) []Point {
+		return []Point{{Name: "a", Time: now, Value: 1, Ref: &ref}}
+	}))
+	buf := make([]Point, 0, 4)
+	for round := 1; round <= 2; round++ {
+		buf = reg.GatherInto(time.Duration(round)*time.Second, buf[:0])
+		if len(buf) != 1 || buf[0].Ref != &ref {
+			t.Fatalf("round %d gathered %v with ref %p, want %p", round, buf, buf[0].Ref, &ref)
+		}
+		if round == 1 {
+			buf[0].Ref.SetMemo(&buf)
+		}
+	}
+	if got, _ := ref.Memo().(*[]Point); got != &buf {
+		t.Errorf("Memo = %v, want the handle the sink left", ref.Memo())
+	}
+}

@@ -1,11 +1,23 @@
 package tsdb
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"autoloop/internal/telemetry"
 )
+
+// countingJournal is a Journaler that keeps nothing but the payload size, so
+// a gate on the store's side of journaling does not measure a WAL's segment
+// rotation.
+type countingJournal struct{ records, bytes uint64 }
+
+func (j *countingJournal) Append(_ uint8, payload []byte) (uint64, error) {
+	j.records++
+	j.bytes += uint64(len(payload))
+	return j.records, nil
+}
 
 func TestAppendBatchMatchesPerPointAppend(t *testing.T) {
 	batched := New(0)
@@ -63,5 +75,47 @@ func TestAppendBatchFirstErrorAttemptsAll(t *testing.T) {
 	}
 	if err := db.AppendBatch(nil); err != nil {
 		t.Errorf("empty batch: %v", err)
+	}
+}
+
+// TestAppendBatchWarmRefAllocs gates the batch hot path the collectors'
+// refs open: once every Ref of a round is resolved and the sample windows
+// have reached their retained size, a round allocates nothing — journaled
+// (the encoder copies the interned label bytes) or not.
+func TestAppendBatchWarmRefAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate skipped under the race detector")
+	}
+	for _, journaled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wal=%v", journaled), func(t *testing.T) {
+			db := New(time.Minute)
+			var j countingJournal
+			if journaled {
+				db.Journal(&j)
+			}
+			const nodes, metrics = 32, 5
+			refs := make([]telemetry.Ref, nodes*metrics)
+			pts := refRound(refs, nodes, metrics, 0)
+			round := 0
+			appendRound := func() {
+				round++
+				retime(pts, round)
+				if err := db.AppendBatch(pts); err != nil {
+					t.Fatalf("AppendBatch: %v", err)
+				}
+			}
+			for i := 0; i < 1024; i++ {
+				appendRound()
+			}
+			if allocs := testing.AllocsPerRun(200, appendRound); allocs != 0 {
+				t.Fatalf("warm-ref AppendBatch allocates %.1f/op, want 0", allocs)
+			}
+			if got := db.NumSeries(); got != nodes*metrics {
+				t.Fatalf("NumSeries = %d, want %d", got, nodes*metrics)
+			}
+			if journaled && j.bytes == 0 {
+				t.Fatal("journaled run emitted no records")
+			}
+		})
 	}
 }

@@ -108,8 +108,16 @@ func BenchmarkQueryMatcherLinear(b *testing.B) {
 // BenchmarkShardedAppend measures parallel appenders over a high-cardinality
 // store: 10k background series plus 1k private series per appender
 // goroutine, so writers land on different lock stripes and throughput scales
-// with GOMAXPROCS.
-func BenchmarkShardedAppend(b *testing.B) {
+// with GOMAXPROCS. Every point is resolved from its name and labels.
+func BenchmarkShardedAppend(b *testing.B) { benchShardedAppend(b, false) }
+
+// BenchmarkShardedAppendWarmRefs is the same workload with each private
+// series' points carrying a telemetry.Ref, as the static collectors' do: the
+// first lap resolves the memos, every later append skips the identity hash
+// and the label comparison.
+func BenchmarkShardedAppendWarmRefs(b *testing.B) { benchShardedAppend(b, true) }
+
+func benchShardedAppend(b *testing.B, withRefs bool) {
 	db := New(time.Hour)
 	for n := 0; n < 10240; n++ {
 		labels := telemetry.Labels{"node": fmt.Sprintf("bg%05d", n)}
@@ -126,6 +134,7 @@ func BenchmarkShardedAppend(b *testing.B) {
 		for i := range labels {
 			labels[i] = telemetry.Labels{"node": fmt.Sprintf("g%03d.n%04d", g, i)}
 		}
+		refs := make([]telemetry.Ref, len(labels))
 		j := 0
 		for pb.Next() {
 			p := telemetry.Point{
@@ -133,6 +142,9 @@ func BenchmarkShardedAppend(b *testing.B) {
 				Labels: labels[j%1024],
 				Time:   time.Duration(1+j/1024) * time.Second,
 				Value:  float64(j),
+			}
+			if withRefs {
+				p.Ref = &refs[j%1024]
 			}
 			if err := db.Append(p); err != nil {
 				b.Fatal(err)

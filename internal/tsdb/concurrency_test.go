@@ -76,3 +76,69 @@ func TestConcurrentAppendQueryRollup(t *testing.T) {
 		t.Errorf("late rollup has %d series (ok=%v), want %d", len(ss), ok, writers)
 	}
 }
+
+// refRound builds one sampling round over nodes×metrics static series the
+// way a collector with a per-entity memo does: one label map per node, one
+// Ref per series (refs[n*metrics+m]), shared by every round built from the
+// same refs.
+func refRound(refs []telemetry.Ref, nodes, metrics int, at time.Duration) []telemetry.Point {
+	pts := make([]telemetry.Point, 0, nodes*metrics)
+	for n := 0; n < nodes; n++ {
+		labels := telemetry.Labels{"node": fmt.Sprintf("n%03d", n), "rack": fmt.Sprintf("r%02d", n/8)}
+		for m := 0; m < metrics; m++ {
+			pts = append(pts, telemetry.Point{
+				Name: fmt.Sprintf("node.metric%d", m), Labels: labels,
+				Time: at, Value: float64(n*metrics + m), Ref: &refs[n*metrics+m],
+			})
+		}
+	}
+	return pts
+}
+
+// TestConcurrentAppendBatchSharedRefs has several goroutines append their
+// own batches, all carrying the same Refs, into two stores at once: the
+// memos are resolved, stolen by the other store and re-resolved while other
+// goroutines read them. Every goroutine appends every round, so a slower one
+// is rejected as out of order or overwrites an equal value; what must hold
+// is that each store ends with every series holding every round exactly
+// once. Run under -race it guards the memo's lock-free read.
+func TestConcurrentAppendBatchSharedRefs(t *testing.T) {
+	const nodes, metrics, rounds, workers = 24, 5, 40, 4
+	refs := make([]telemetry.Ref, nodes*metrics)
+	dbs := []*DB{New(0), New(0)}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				pts := refRound(refs, nodes, metrics, time.Duration(r)*time.Second)
+				// Errors are out-of-order rejections of a lagging worker.
+				_ = dbs[(w+r)%2].AppendBatch(pts)
+				_ = dbs[(w+r+1)%2].AppendBatch(pts)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, db := range dbs {
+		if got := db.NumSeries(); got != nodes*metrics {
+			t.Errorf("db %d: NumSeries = %d, want %d", i, got, nodes*metrics)
+		}
+		if got := db.Appended(); got != nodes*metrics*rounds {
+			t.Errorf("db %d: Appended = %d, want %d", i, got, nodes*metrics*rounds)
+		}
+		for m := 0; m < metrics; m++ {
+			for _, s := range db.Query(fmt.Sprintf("node.metric%d", m), nil, 0, time.Hour) {
+				if len(s.Samples) != rounds {
+					t.Fatalf("db %d: %s%s has %d samples, want %d", i, s.Name, s.Labels, len(s.Samples), rounds)
+				}
+				for r, smp := range s.Samples {
+					if smp.Time != time.Duration(r)*time.Second || smp.Value != s.Samples[0].Value {
+						t.Fatalf("db %d: %s%s sample %d = %v", i, s.Name, s.Labels, r, smp)
+					}
+				}
+			}
+		}
+	}
+}

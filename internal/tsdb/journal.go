@@ -45,27 +45,36 @@ type encBuf struct{ b []byte }
 
 var encScratch = sync.Pool{New: func() interface{} { return new(encBuf) }}
 
-// appendPointEnc appends one point's binary journal encoding to buf:
+// appendPointEnc appends the binary journal encoding of p, a point accepted
+// into series s, to buf:
 //
 //	uvarint len(name), name,
 //	uvarint len(labels), then per label uvarint len(k), k, uvarint len(v), v,
 //	varint time (ns), 8B little-endian IEEE-754 value.
 //
-// Label order is the map's iteration order — the decoder rebuilds a map, so
-// the order carries no meaning and sorting would cost the hot path an
-// allocation.
-func appendPointEnc(buf []byte, p *telemetry.Point) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(p.Name)))
-	buf = append(buf, p.Name...)
-	buf = binary.AppendUvarint(buf, uint64(len(p.Labels)))
-	for k, v := range p.Labels {
+// The label part is the series' interned encoding, built once per distinct
+// label set (appendLabelsEnc), so the hot path copies bytes instead of
+// iterating a map.
+func appendPointEnc(buf []byte, s *memSeries, p *telemetry.Point) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(s.name)))
+	buf = append(buf, s.name...)
+	buf = append(buf, s.enc...)
+	buf = binary.AppendVarint(buf, int64(p.Time))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Value))
+	return buf
+}
+
+// appendLabelsEnc appends the label part of appendPointEnc's format. Label
+// order is the map's iteration order — the decoder rebuilds a map, so the
+// order carries no meaning.
+func appendLabelsEnc(buf []byte, labels telemetry.Labels) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(labels)))
+	for k, v := range labels {
 		buf = binary.AppendUvarint(buf, uint64(len(k)))
 		buf = append(buf, k...)
 		buf = binary.AppendUvarint(buf, uint64(len(v)))
 		buf = append(buf, v...)
 	}
-	buf = binary.AppendVarint(buf, int64(p.Time))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Value))
 	return buf
 }
 
@@ -86,7 +95,9 @@ func decodePointEnc(buf []byte) (telemetry.Point, []byte, error) {
 		return p, nil, err
 	}
 	nl, sz := binary.Uvarint(buf)
-	if sz <= 0 {
+	// A label is at least two length bytes: a larger count is a corrupt
+	// record, and must not size the map below.
+	if sz <= 0 || nl > uint64(len(buf)-sz)/2 {
 		return p, nil, fmt.Errorf("tsdb: journal decode: truncated label count")
 	}
 	buf = buf[sz:]
@@ -116,12 +127,12 @@ func decodePointEnc(buf []byte) (telemetry.Point, []byte, error) {
 	return p, buf[8:], nil
 }
 
-// journalLocked encodes and emits one accepted point. The caller holds the
-// owning shard's write lock; wal.Append nests its own mutex inside the shard
-// lock (never the reverse), so the order is deadlock-free.
-func (db *DB) journalLocked(p *telemetry.Point) error {
+// journalLocked encodes and emits one point accepted into s. The caller holds
+// the owning shard's write lock; wal.Append nests its own mutex inside the
+// shard lock (never the reverse), so the order is deadlock-free.
+func (db *DB) journalLocked(s *memSeries, p *telemetry.Point) error {
 	eb := encScratch.Get().(*encBuf)
-	eb.b = appendPointEnc(eb.b[:0], p)
+	eb.b = appendPointEnc(eb.b[:0], s, p)
 	_, err := db.journal.Append(wal.KindTSDBAppend, eb.b)
 	encScratch.Put(eb)
 	return err
@@ -156,12 +167,14 @@ func (db *DB) ApplyWAL(payload []byte) error {
 // replayLocked applies one journaled point under the shard lock, skipping
 // points the snapshot this replay tails already covers.
 func (db *DB) replayLocked(sh *shard, p *telemetry.Point, h uint64) error {
-	if s := sh.lookup(h, p); s != nil {
+	s := sh.lookup(h, p)
+	if s != nil {
 		if n := len(s.samples); n > 0 && p.Time < s.samples[n-1].Time {
 			return nil // already reflected by the snapshot
 		}
 	}
-	return db.appendLocked(sh, p, h)
+	_, err := db.appendLocked(sh, s, p, h)
+	return err
 }
 
 // ReplaySource is the record iterator RestoreFrom consumes; *wal.Reader

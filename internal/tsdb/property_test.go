@@ -187,9 +187,62 @@ func workloadMatcher(rng *rand.Rand) telemetry.Labels {
 	}
 }
 
+// refPool plays the collectors' side of the telemetry.Ref contract for the
+// randomized workload: one Ref per (name, labels), handed out again every
+// time the identity recurs — and, playing a buggy owner, now and then a Ref
+// that belongs to another identity.
+type refPool struct {
+	byID map[string]*pooledRef
+	all  []*pooledRef
+}
+
+// refShape is what a store can check a memo against without comparing label
+// sets: the metric name and the label count.
+type refShape struct {
+	name    string
+	nlabels int
+}
+
+type pooledRef struct {
+	ref telemetry.Ref
+	// shapes is every shape this Ref has ridden on, its own included.
+	shapes map[refShape]bool
+}
+
+// attach gives about half of the points a Ref. One in twenty of those is
+// re-pointed: it rides another identity's Ref, which the store must notice.
+// Only Refs that never carried the point's name and label count are
+// candidates — two equal-sized label sets under one name are the owner's
+// half of the contract (see package telemetry), not something a store can
+// tell apart.
+func (rp *refPool) attach(rng *rand.Rand, p *telemetry.Point) {
+	if rng.Intn(2) == 0 {
+		return
+	}
+	shape := refShape{p.Name, len(p.Labels)}
+	id := p.Name + "\x00" + p.Labels.Key()
+	pr := rp.byID[id]
+	if pr == nil {
+		pr = &pooledRef{shapes: map[refShape]bool{shape: true}}
+		rp.byID[id] = pr
+		rp.all = append(rp.all, pr)
+	}
+	if rng.Intn(20) == 0 {
+		if o := rp.all[rng.Intn(len(rp.all))]; !o.shapes[shape] {
+			o.shapes[shape] = true
+			pr = o
+		}
+	}
+	p.Ref = &pr.ref
+}
+
 // TestShardedMatchesReference runs randomized append/query/retention/rollup
 // workloads against the sharded DB and the single-map reference and demands
-// identical results throughout.
+// identical results throughout. Half the points carry series refs that are
+// reused across rounds and sometimes re-pointed; a second sharded DB (twin)
+// is fed the same points with the same refs a few operations late, so each
+// store runs on its own warm memos for a while and then finds the other's,
+// which it must not follow.
 func TestShardedMatchesReference(t *testing.T) {
 	retentions := []time.Duration{0, 0, 45 * time.Second, 3 * time.Minute}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -198,7 +251,9 @@ func TestShardedMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			retention := retentions[rng.Intn(len(retentions))]
 			db := New(retention)
+			twin := New(retention)
 			ref := newRefDB(retention)
+			refs := &refPool{byID: make(map[string]*pooledRef)}
 
 			// Rules whose equivalence depends on seeing every raw sample are
 			// registered before ingestion; a mean rule is added mid-workload
@@ -211,14 +266,42 @@ func TestShardedMatchesReference(t *testing.T) {
 				if err := db.AddRollup(r); err != nil {
 					t.Fatal(err)
 				}
+				if err := twin.AddRollup(r); err != nil {
+					t.Fatal(err)
+				}
 				ref.rules = append(ref.rules, r)
 			}
 			lateRule := RollupRule{Metric: "m0", Step: 3 * time.Second, Agg: AggMean}
+
+			// The twin's backlog: appends the other two stores have seen.
+			type lateOp struct {
+				pts     []telemetry.Point
+				batch   bool
+				wantErr bool
+			}
+			var late []lateOp
+			catchUp := func(op int) {
+				for _, lo := range late {
+					var gotErr bool
+					if lo.batch {
+						gotErr = twin.AppendBatch(lo.pts) != nil
+					} else {
+						gotErr = twin.Append(lo.pts[0]) != nil
+					}
+					if gotErr != lo.wantErr {
+						t.Fatalf("op %d: twin append error = %v, ref %v for %v", op, gotErr, lo.wantErr, lo.pts)
+					}
+				}
+				late = late[:0]
+			}
 
 			var now time.Duration
 			names := []string{"m0", "m1", "m2"}
 			const ops = 3000
 			for op := 0; op < ops; op++ {
+				if rng.Intn(8) == 0 {
+					catchUp(op)
+				}
 				if retention == 0 && op == ops/2 {
 					if err := db.AddRollup(lateRule); err != nil {
 						t.Fatal(err)
@@ -239,11 +322,13 @@ func TestShardedMatchesReference(t *testing.T) {
 					if rng.Intn(50) == 0 {
 						p.Value = math.NaN()
 					}
+					refs.attach(rng, &p)
 					gotErr := db.Append(p) != nil
 					wantErr := ref.append(p) != nil
 					if gotErr != wantErr {
 						t.Fatalf("op %d: append error mismatch: sharded=%v ref=%v for %v", op, gotErr, wantErr, p)
 					}
+					late = append(late, lateOp{pts: []telemetry.Point{p}, wantErr: wantErr})
 					now += time.Duration(rng.Intn(3)) * time.Second
 				case r < 70: // batch append
 					n := 1 + rng.Intn(12)
@@ -255,6 +340,7 @@ func TestShardedMatchesReference(t *testing.T) {
 							Time:   now,
 							Value:  float64(rng.Intn(1000)) / 10,
 						}
+						refs.attach(rng, &pts[i])
 						now += time.Duration(rng.Intn(2)) * time.Second
 					}
 					gotErr := db.AppendBatch(pts) != nil
@@ -267,6 +353,7 @@ func TestShardedMatchesReference(t *testing.T) {
 					if gotErr != wantErr {
 						t.Fatalf("op %d: batch error mismatch", op)
 					}
+					late = append(late, lateOp{pts: pts, batch: true, wantErr: wantErr})
 				case r < 85: // range query
 					name := names[rng.Intn(len(names))]
 					matcher := workloadMatcher(rng)
@@ -303,12 +390,19 @@ func TestShardedMatchesReference(t *testing.T) {
 			}
 
 			// Final sweep: every metric's full window, plus every rollup.
+			catchUp(ops)
 			for _, name := range names {
 				got := db.Query(name, nil, 0, now+time.Hour)
 				want := ref.query(name, nil, 0, now+time.Hour)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("final query %s mismatch:\n got %v\nwant %v", name, got, want)
 				}
+				if got := twin.Query(name, nil, 0, now+time.Hour); !reflect.DeepEqual(got, want) {
+					t.Fatalf("final query %s mismatch on the twin:\n got %v\nwant %v", name, got, want)
+				}
+			}
+			if got, want := twin.Appended(), ref.appended; got != want {
+				t.Fatalf("twin Appended = %d, want %d", got, want)
 			}
 			for _, rule := range ref.rules {
 				got, ok := db.QueryRollup(rule.Metric, nil, rule.Step, rule.Agg, 0, now+time.Hour)

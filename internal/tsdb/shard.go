@@ -22,16 +22,29 @@ const numShards = 64
 // the key without allocating a concatenated string.
 type labelPair struct{ k, v string }
 
+// labelSet is one distinct label set's canonical form, interned per DB
+// (DB.intern) and shared, immutable, by every series carrying it — a node's
+// five metrics hold one map, not five clones.
+type labelSet struct {
+	labels telemetry.Labels
+	// key is labels.Key(), computed once; query paths sort results by it
+	// without re-canonicalizing the label map.
+	key string
+	// enc is the label part of a point's journal encoding (appendLabelsEnc),
+	// so a journaled append copies bytes instead of iterating the map.
+	enc string
+}
+
 // memSeries stores one (name, labels) identity's samples in time order.
 // Retention drops samples by advancing head; the dead prefix is compacted
 // only once it outgrows the live part, so expiry is O(1) amortized instead
 // of copying the whole window on every append.
 type memSeries struct {
-	name   string
-	labels telemetry.Labels
-	// key is labels.Key(), computed once at creation; query paths sort
-	// results by it without re-canonicalizing the label map.
-	key     string
+	name string
+	*labelSet
+	// sh is the owning shard, fixed at creation: a series memoized in a
+	// telemetry.Ref names its lock stripe and its DB without being hashed.
+	sh      *shard
 	samples []telemetry.Sample
 	head    int // index of the first live sample
 	// rollups holds the continuous-rollup states attached to this series,
@@ -66,9 +79,12 @@ func rangeBounds(live []telemetry.Sample, from, to time.Duration) (lo, hi int) {
 }
 
 // shard is one lock stripe: a name-indexed series map plus the shard's slice
-// of the inverted label index. All fields are guarded by mu.
+// of the inverted label index. db and idx are set once by New; every other
+// field is guarded by mu.
 type shard struct {
-	mu sync.RWMutex
+	db  *DB
+	idx int // position in db.shards
+	mu  sync.RWMutex
 	// byName maps metric name -> label key -> series.
 	byName map[string]map[string]*memSeries
 	// postings maps k=v -> every series (any metric) carrying that label,
@@ -85,7 +101,7 @@ type shard struct {
 	// cache line. Padding rounds the struct to two cache lines so
 	// neighbouring shards in the DB's array never share one.
 	appended uint64
-	_        [9]uint64
+	_        [7]uint64
 }
 
 // lookup resolves a point to its existing series via the identity hash,
@@ -139,18 +155,18 @@ func (sh *shard) candidates(name string, matcher telemetry.Labels) (fams map[str
 }
 
 // create inserts a new series for p's identity, registering it in the hash
-// map, the inverted index, and on matching rollup rules. Callers must hold
-// the write lock and must have checked lookup first; rules must be loaded
-// while the lock is held, so a series racing AddRollup either attaches the
-// new rule at birth or exists by the time the backfill locks this shard —
-// never neither.
-func (sh *shard) create(p *telemetry.Point, h uint64, rules []RollupRule, onCreate func(name string)) *memSeries {
+// map, the inverted index, the DB's name and label-set tables, and on
+// matching rollup rules. Callers must hold the write lock and must have
+// checked lookup first; rules must be loaded while the lock is held, so a
+// series racing AddRollup either attaches the new rule at birth or exists by
+// the time the backfill locks this shard — never neither.
+func (sh *shard) create(p *telemetry.Point, h uint64, rules []RollupRule) *memSeries {
 	fams := sh.byName[p.Name]
 	if fams == nil {
 		fams = make(map[string]*memSeries)
 		sh.byName[p.Name] = fams
 	}
-	s := &memSeries{name: p.Name, labels: p.Labels.Clone(), key: p.Labels.Key()}
+	s := &memSeries{name: p.Name, labelSet: sh.db.intern(p.Name, p.Labels), sh: sh}
 	fams[s.key] = s
 	sh.byHash[h] = append(sh.byHash[h], s)
 	for k, v := range s.labels {
@@ -161,9 +177,6 @@ func (sh *shard) create(p *telemetry.Point, h uint64, rules []RollupRule, onCrea
 		if rules[i].Metric == p.Name {
 			s.rollups = append(s.rollups, newSeriesRollup(rules[i]))
 		}
-	}
-	if onCreate != nil {
-		onCreate(p.Name)
 	}
 	return s
 }

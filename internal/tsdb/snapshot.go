@@ -121,7 +121,7 @@ func (db *DB) RestoreSnapshot(data []byte) error {
 		}
 		// Create without attaching rules: rollup states come from the
 		// snapshot, not from fresh (empty) rule instances.
-		s := sh.create(&p, h, nil, db.noteName)
+		s := sh.create(&p, h, nil)
 		s.samples = ss.Samples
 		for _, rs := range ss.Rollups {
 			s.rollups = append(s.rollups, &seriesRollup{

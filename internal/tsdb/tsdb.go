@@ -43,10 +43,12 @@ type DB struct {
 	rules    atomic.Pointer[[]RollupRule]
 	rollupMu sync.Mutex
 
-	// nameMu guards names, the set of metric names ever appended; series
-	// creation is rare, so a single small mutex does not stripe.
-	nameMu sync.Mutex
-	names  map[string]struct{}
+	// nameMu guards names, the set of metric names ever appended, and
+	// labelSets, the interned label sets by canonical key; series creation
+	// is rare, so a single small mutex does not stripe.
+	nameMu    sync.Mutex
+	names     map[string]struct{}
+	labelSets map[string]*labelSet
 
 	// journal, when non-nil, receives every accepted append as a WAL record
 	// emitted under the owning shard's lock (see journal.go). Set via
@@ -57,8 +59,9 @@ type DB struct {
 // New returns an empty database that retains samples for the given duration;
 // retention <= 0 keeps all samples forever.
 func New(retention time.Duration) *DB {
-	db := &DB{retention: retention, names: make(map[string]struct{})}
+	db := &DB{retention: retention, names: make(map[string]struct{}), labelSets: make(map[string]*labelSet)}
 	for i := range db.shards {
+		db.shards[i].db, db.shards[i].idx = db, i
 		db.shards[i].byName = make(map[string]map[string]*memSeries)
 		db.shards[i].postings = make(map[labelPair][]*memSeries)
 		db.shards[i].byHash = make(map[uint64][]*memSeries)
@@ -73,57 +76,100 @@ func (db *DB) loadRules() []RollupRule {
 	return nil
 }
 
-// noteName records a metric name on first series creation.
-func (db *DB) noteName(name string) {
+// intern records a new series' metric name and returns the canonical form of
+// its label set, shared with every other series of this DB carrying an equal
+// one. The empty set's canonical map is nil, whichever of nil and Labels{}
+// its first series arrived with.
+func (db *DB) intern(name string, labels telemetry.Labels) *labelSet {
+	key := labels.Key()
 	db.nameMu.Lock()
+	defer db.nameMu.Unlock()
 	db.names[name] = struct{}{}
-	db.nameMu.Unlock()
+	ls := db.labelSets[key]
+	if ls == nil {
+		ls = &labelSet{key: key, enc: string(appendLabelsEnc(nil, labels))}
+		if len(labels) > 0 {
+			ls.labels = labels.Clone()
+		}
+		db.labelSets[key] = ls
+	}
+	return ls
+}
+
+// memoized returns the series p's Ref remembers from an earlier append — or
+// nil when p carries no Ref, the memo is empty or was left by another DB, or
+// the Ref now rides on a point of another name or label count, in which case
+// the caller resolves p by its identity hash as if it had no Ref. Everything
+// read here is immutable after the series' creation, so no lock is needed.
+func (db *DB) memoized(p *telemetry.Point) *memSeries {
+	if p.Ref == nil {
+		return nil
+	}
+	s, _ := p.Ref.Memo().(*memSeries)
+	if s == nil || s.sh.db != db || s.name != p.Name || len(s.labels) != len(p.Labels) {
+		return nil
+	}
+	return s
 }
 
 // Append inserts a point. Out-of-order points (earlier than the series tail)
 // are rejected with an error; equal timestamps overwrite the tail value so
 // that idempotent re-collection is harmless.
 func (db *DB) Append(p telemetry.Point) error {
-	h := identityOf(&p)
-	sh := &db.shards[shardIndex(h)]
+	s := db.memoized(&p)
+	var h uint64
+	var sh *shard
+	if s != nil {
+		sh = s.sh
+	} else {
+		h = identityOf(&p)
+		sh = &db.shards[shardIndex(h)]
+	}
 	sh.mu.Lock()
-	err := db.appendLocked(sh, &p, h)
+	s, err := db.appendLocked(sh, s, &p, h)
 	if err == nil && db.journal != nil {
 		// Journal while still holding the shard lock so the per-series
 		// record order in the log equals the apply order.
-		err = db.journalLocked(&p)
+		err = db.journalLocked(s, &p)
 	}
 	sh.mu.Unlock()
 	return err
 }
 
-// appendLocked is one point's append under the owning shard's write lock.
-func (db *DB) appendLocked(sh *shard, p *telemetry.Point, h uint64) error {
+// appendLocked is one point's append under the owning shard's write lock. s
+// is the series the point's Ref memoized, or nil to resolve it — and create
+// it on first sight — through the identity hash h, leaving the result in the
+// point's Ref when it has one. It returns the series appended to.
+func (db *DB) appendLocked(sh *shard, s *memSeries, p *telemetry.Point, h uint64) (*memSeries, error) {
 	if p.Name == "" {
-		return fmt.Errorf("tsdb: append with empty metric name")
+		return nil, fmt.Errorf("tsdb: append with empty metric name")
 	}
 	if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
 		// Neither has a JSON form: one stored ±Inf would fail every later
 		// Snapshot and the wire marshal of any response carrying it.
-		return fmt.Errorf("tsdb: append non-finite value %v for %s%s", p.Value, p.Name, p.Labels)
+		return nil, fmt.Errorf("tsdb: append non-finite value %v for %s%s", p.Value, p.Name, p.Labels)
 	}
-	s := sh.lookup(h, p)
 	if s == nil {
-		// Rules are loaded under the shard lock (an atomic pointer read):
-		// see shard.create for the AddRollup race reasoning.
-		s = sh.create(p, h, db.loadRules(), db.noteName)
+		if s = sh.lookup(h, p); s == nil {
+			// Rules are loaded under the shard lock (an atomic pointer
+			// read): see shard.create for the AddRollup race reasoning.
+			s = sh.create(p, h, db.loadRules())
+		}
+		if p.Ref != nil {
+			p.Ref.SetMemo(s)
+		}
 	}
 	if n := len(s.samples); n > 0 {
 		last := s.samples[n-1].Time
 		if p.Time < last {
-			return fmt.Errorf("tsdb: out-of-order append for %s%s: %v < %v", p.Name, p.Labels, p.Time, last)
+			return nil, fmt.Errorf("tsdb: out-of-order append for %s%s: %v < %v", p.Name, p.Labels, p.Time, last)
 		}
 		if p.Time == last {
 			s.samples[n-1].Value = p.Value
 			for _, sr := range s.rollups {
 				sr.observe(p.Time, p.Value, true)
 			}
-			return nil
+			return s, nil
 		}
 	}
 	s.samples = append(s.samples, telemetry.Sample{Time: p.Time, Value: p.Value})
@@ -134,12 +180,15 @@ func (db *DB) appendLocked(sh *shard, p *telemetry.Point, h uint64) error {
 	if db.retention > 0 {
 		s.truncateBefore(p.Time - db.retention)
 	}
-	return nil
+	return s, nil
 }
 
-// batchBuffers is the pooled scratch AppendBatch groups a batch with: the
-// per-point identity hashes and the counting-sorted point order.
+// batchBuffers is the pooled scratch AppendBatch groups a batch with: per
+// point, the memoized series (nil without a usable Ref) and the identity
+// hash — for a memoized point just its shard index, all grouping needs — and
+// the counting-sorted point order.
 type batchBuffers struct {
+	ss    []*memSeries
 	hs    []uint64
 	order []int32
 }
@@ -157,14 +206,20 @@ func (db *DB) AppendBatch(pts []telemetry.Point) error {
 	}
 	scratch := batchScratch.Get().(*batchBuffers)
 	if cap(scratch.hs) < len(pts) {
+		scratch.ss = make([]*memSeries, len(pts))
 		scratch.hs = make([]uint64, len(pts))
 		scratch.order = make([]int32, len(pts))
 	}
+	ss := scratch.ss[:len(pts)]
 	hs := scratch.hs[:len(pts)]
 	order := scratch.order[:len(pts)]
 	var counts [numShards]int32
 	for i := range pts {
-		hs[i] = identityOf(&pts[i])
+		if ss[i] = db.memoized(&pts[i]); ss[i] != nil {
+			hs[i] = uint64(ss[i].sh.idx)
+		} else {
+			hs[i] = identityOf(&pts[i])
+		}
 		counts[shardIndex(hs[i])]++
 	}
 	// counts -> start offsets; filling order in point order keeps each
@@ -198,12 +253,12 @@ func (db *DB) AppendBatch(pts []telemetry.Point) error {
 			eb.b = eb.b[:0]
 		}
 		for _, i := range order[offsets[si] : offsets[si]+counts[si]] {
-			if err := db.appendLocked(sh, &pts[i], hs[i]); err != nil {
+			if s, err := db.appendLocked(sh, ss[i], &pts[i], hs[i]); err != nil {
 				if i < firstAt {
 					first, firstAt = err, i
 				}
 			} else if eb != nil {
-				eb.b = appendPointEnc(eb.b, &pts[i])
+				eb.b = appendPointEnc(eb.b, s, &pts[i])
 			}
 		}
 		// One WAL record per touched shard, emitted before the shard
@@ -218,6 +273,7 @@ func (db *DB) AppendBatch(pts []telemetry.Point) error {
 	if eb != nil {
 		encScratch.Put(eb)
 	}
+	clear(ss) // the scratch must not pin series of a dead DB
 	batchScratch.Put(scratch)
 	if first == nil {
 		first = jerr
