@@ -253,7 +253,7 @@ func advance(rt *scenario.Runtime) func(wall time.Duration) {
 		rt.Engine.RunUntil(vbase + time.Duration(int64(wall)*int64(*speed)))
 		if _, _, errs := rt.Pipe.Stats(); errs > seenErrs && time.Since(lastLog) >= time.Second {
 			seenErrs, lastLog = errs, time.Now()
-			fmt.Fprintf(os.Stderr, "modad: telemetry ingest: %d points rejected so far (latest: %v)\n", errs, rt.Pipe.Err())
+			fmt.Fprintf(os.Stderr, "modad: telemetry ingest: %d sampling rounds returned an error so far (latest: %v)\n", errs, rt.Pipe.Err())
 		}
 	}
 }
@@ -502,7 +502,7 @@ func runSingle() error {
 	}
 	cm := coord.Metrics()
 	_, _, sinkErrs := rt.Pipe.Stats()
-	fmt.Printf("modad: done; %d series, %d samples stored (%d ingest errors); fleet ran %d rounds (%d actions, %d arbitrated)\n",
+	fmt.Printf("modad: done; %d series, %d samples stored (%d sampling rounds with an ingest error); fleet ran %d rounds (%d actions, %d arbitrated)\n",
 		db.NumSeries(), db.Appended(), sinkErrs, cm.Rounds, cm.Planned, cm.Arbitrated)
 	return nil
 }

@@ -51,17 +51,7 @@ func (c *Coordinator) Handle(req control.Request) control.Reply {
 			r.Error = "coordinator has no case registry"
 			return r
 		}
-		for _, name := range c.opts.Registry.Names() {
-			f, _ := c.opts.Registry.Lookup(name)
-			reqs := make([]string, 0, len(f.Requires))
-			for _, cap := range f.Requires {
-				reqs = append(reqs, string(cap))
-			}
-			r.Cases = append(r.Cases, control.CaseInfo{
-				Case: f.Name, Doc: f.Doc, Requires: reqs,
-				Defaults: f.DefaultsJSON(), Priority: f.Priority, Period: f.Period,
-			})
-		}
+		r.Cases = c.opts.Registry.CaseInfos()
 		r.OK = true
 		return r
 

@@ -197,6 +197,24 @@ func (r *Registry) Names() []string {
 	return out
 }
 
+// CaseInfos describes every registered factory in name order: the cases op's
+// reply, whichever endpoint answers it.
+func (r *Registry) CaseInfos() []CaseInfo {
+	var out []CaseInfo
+	for _, name := range r.Names() {
+		f, _ := r.Lookup(name)
+		reqs := make([]string, 0, len(f.Requires))
+		for _, c := range f.Requires {
+			reqs = append(reqs, string(c))
+		}
+		out = append(out, CaseInfo{
+			Case: f.Name, Doc: f.Doc, Requires: reqs,
+			Defaults: f.DefaultsJSON(), Priority: f.Priority, Period: f.Period,
+		})
+	}
+	return out
+}
+
 // Spawned is the result of instantiating a LoopSpec: the built loops (the
 // primary first), the resolved priority and period, and the normalized spec
 // (name, mode, priority, and period filled in) the control API reports

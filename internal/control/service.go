@@ -447,17 +447,7 @@ func (s *Service) Handle(req Request) Reply {
 		r.Spec = &spec
 		r.OK = true
 	case OpCases:
-		for _, name := range s.reg.Names() {
-			f, _ := s.reg.Lookup(name)
-			reqs := make([]string, 0, len(f.Requires))
-			for _, c := range f.Requires {
-				reqs = append(reqs, string(c))
-			}
-			r.Cases = append(r.Cases, CaseInfo{
-				Case: f.Name, Doc: f.Doc, Requires: reqs,
-				Defaults: f.DefaultsJSON(), Priority: f.Priority, Period: f.Period,
-			})
-		}
+		r.Cases = s.reg.CaseInfos()
 		r.OK = true
 	case OpSpawn:
 		if req.Spec == nil {

@@ -14,7 +14,7 @@ import (
 // encoder builds one /v1/query response body directly in a reusable byte
 // buffer: it is the gateway's sink for tsdb.Execute. For a range request
 // emit runs inside the store's QueryVisit callback, so the response is
-// encoded straight off the live shard windows — no intermediate
+// encoded straight off the live sample windows — no intermediate
 // []WireSeries (or any per-series copy) is materialized. The JSON shape
 // matches tsdb.QueryResponse exactly, so bus and HTTP clients parse one
 // vocabulary.

@@ -72,9 +72,9 @@ func Midsize(seed int64) *Spec {
 	}
 }
 
-// Stress10k is the scale preset: a 10k-node facility feeding the sharded
-// TSDB at better than 10k series, with the fleet and three concurrent
-// faults, inside a tight horizon so it doubles as a benchmark row.
+// Stress10k is the scale preset: a 10k-node facility feeding the TSDB at
+// better than 10k series, with the fleet and three concurrent faults, inside
+// a tight horizon so it doubles as a benchmark row.
 func Stress10k(seed int64) *Spec {
 	return &Spec{
 		Name:        "stress-10k",

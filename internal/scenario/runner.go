@@ -64,7 +64,7 @@ func TemplateFor(caseName string) (Loop, bool) {
 
 // Runtime is one assembled scenario: the full single-process stack — sim
 // engine, hardware, facility, filesystem, scheduler, applications,
-// telemetry pipeline, sharded TSDB, and the loop fleet spawned through the
+// telemetry pipeline, TSDB, and the loop fleet spawned through the
 // control registry — plus the armed fault schedule and the scorer.
 type Runtime struct {
 	Engine    *sim.Engine
@@ -182,7 +182,7 @@ func AssembleOn(engine *sim.Engine, db *tsdb.DB, spec *Spec, reg *control.Regist
 	rt.Scheduler.SetHooks(rt.Apps.Start, rt.Apps.Kill)
 	rt.Knowledge = knowledge.NewBase()
 
-	// Telemetry plane: every substrate collector into the sharded TSDB.
+	// Telemetry plane: every substrate collector into the TSDB.
 	treg := telemetry.NewRegistry()
 	treg.Register(rt.Cluster.Collector())
 	if rt.Plant != nil {

@@ -144,16 +144,8 @@ func (p *Pipeline) Sample(now time.Duration) int {
 	return len(p.pts)
 }
 
-// Querier exposes the pipeline's sink as a query surface when it has one
-// (the sink is a Store, e.g. *tsdb.DB), so loop constructors can take their
-// Knowledge raw-data plane from the same pipeline that feeds it. ok is false
-// for write-only sinks.
-func (p *Pipeline) Querier() (Querier, bool) {
-	q, ok := p.sink.(Querier)
-	return q, ok
-}
-
-// Stats reports sampling rounds, total points gathered, and sink errors.
+// Stats reports sampling rounds, total points gathered, and the rounds whose
+// sink returned an error (a round counts once however many points failed).
 func (p *Pipeline) Stats() (samples, points, errs uint64) {
 	return p.samples, p.points, p.errs
 }

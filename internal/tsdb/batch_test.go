@@ -2,6 +2,8 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,6 +77,77 @@ func TestAppendBatchFirstErrorAttemptsAll(t *testing.T) {
 	}
 	if err := db.AppendBatch(nil); err != nil {
 		t.Errorf("empty batch: %v", err)
+	}
+}
+
+// TestAppendBatchChunks pins the chunked batch path: a journaled batch of
+// 3×batchChunk+7 points with a rejected point in the second chunk and one
+// in the last yields one record per chunk which, concatenated, decode to
+// exactly the accepted points in batch order; the error returned is the
+// earlier rejection's; and replaying the records rebuilds the store.
+func TestAppendBatchChunks(t *testing.T) {
+	const n = 3*batchChunk + 7
+	rule := RollupRule{Metric: "chunk.m0", Step: 10 * time.Second, Agg: AggMean}
+	db := New(0)
+	if err := db.AddRollup(rule); err != nil {
+		t.Fatal(err)
+	}
+	var j recordingJournal
+	db.Journal(&j)
+	pts := make([]telemetry.Point, n)
+	for i := range pts {
+		// 96 series, each advancing one second per visit.
+		pts[i] = telemetry.Point{
+			Name:   fmt.Sprintf("chunk.m%d", i%3),
+			Labels: telemetry.Labels{"node": fmt.Sprintf("n%02d", i%32)},
+			Time:   time.Duration(i/96) * time.Second, Value: float64(i),
+		}
+	}
+	nanAt, emptyAt := batchChunk+5, 3*batchChunk+2
+	pts[nanAt].Value = math.NaN()
+	pts[emptyAt].Name = ""
+	err := db.AppendBatch(pts)
+	if err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("AppendBatch error = %v, want the NaN rejection at index %d", err, nanAt)
+	}
+	if got, want := len(j.payloads), (n+batchChunk-1)/batchChunk; got != want {
+		t.Fatalf("%d journal records, want %d", got, want)
+	}
+	i := 0
+	for r, rec := range j.payloads {
+		for len(rec) > 0 {
+			var got telemetry.Point
+			var derr error
+			if got, rec, derr = decodePointEnc(rec); derr != nil {
+				t.Fatalf("record %d: %v", r, derr)
+			}
+			if i == nanAt || i == emptyAt {
+				i++ // rejected points never reach the journal
+			}
+			if i >= n {
+				t.Fatalf("record %d carries more points than the batch accepted", r)
+			}
+			want := pts[i]
+			if got.Name != want.Name || got.Labels.Key() != want.Labels.Key() || got.Time != want.Time || got.Value != want.Value {
+				t.Fatalf("journaled point %d = %v, want %v", i, got, want)
+			}
+			i++
+		}
+	}
+	if i != n {
+		t.Fatalf("journal holds points up to batch index %d, want all %d", i, n)
+	}
+	replayed := New(0)
+	if err := replayed.AddRollup(rule); err != nil {
+		t.Fatal(err)
+	}
+	for r, rec := range j.payloads {
+		if err := replayed.ApplyWAL(rec); err != nil {
+			t.Fatalf("ApplyWAL record %d: %v", r, err)
+		}
+	}
+	if a, b := dumpDB(t, db), dumpDB(t, replayed); string(a) != string(b) {
+		t.Fatalf("replayed chunks diverge:\n live: %s\n walr: %s", a, b)
 	}
 }
 

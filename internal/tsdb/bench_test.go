@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -53,7 +52,7 @@ func BenchmarkTelemetryIngest(b *testing.B) {
 }
 
 // highCardSetup ingests a 10k-series fleet (one metric, node+rack labels,
-// 8 samples each) into both the sharded DB and the linear-scan reference.
+// 8 samples each) into both the DB and the linear-scan reference.
 func highCardSetup(b *testing.B, series int) (*DB, *refDB, telemetry.Labels) {
 	b.Helper()
 	db := New(0)
@@ -78,7 +77,7 @@ func highCardSetup(b *testing.B, series int) (*DB, *refDB, telemetry.Labels) {
 }
 
 // BenchmarkQueryMatcher measures a label-matcher query at 10k-series
-// cardinality on the sharded, label-indexed store: the matcher resolves
+// cardinality on the label-indexed store: the matcher resolves
 // through rack=r003's posting lists instead of scanning every series of the
 // metric. Compare against BenchmarkQueryMatcherLinear.
 func BenchmarkQueryMatcher(b *testing.B) {
@@ -92,8 +91,8 @@ func BenchmarkQueryMatcher(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryMatcherLinear is the pre-sharding baseline: the same query
-// answered by a linear scan over all 10k series of the metric.
+// BenchmarkQueryMatcherLinear is the same query answered by the reference
+// model's linear scan over all 10k series of the metric.
 func BenchmarkQueryMatcherLinear(b *testing.B) {
 	_, ref, matcher := highCardSetup(b, 10000)
 	b.ReportAllocs()
@@ -105,23 +104,25 @@ func BenchmarkQueryMatcherLinear(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedAppend measures parallel appenders over a high-cardinality
+// BenchmarkParallelAppend measures parallel appenders over a high-cardinality
 // store: 10k background series plus 1k private series per appender
-// goroutine, so writers land on different lock stripes and throughput scales
-// with GOMAXPROCS. Every point is resolved from its name and labels.
-func BenchmarkShardedAppend(b *testing.B) { benchShardedAppend(b, false) }
+// goroutine. The appenders serialize on the store's one lock, so this is the
+// per-point cost of Append under contention — a shape no deployment has
+// (one pipeline appends per DB). Every point is resolved from its name and
+// labels.
+func BenchmarkParallelAppend(b *testing.B) { benchParallelAppend(b, false) }
 
-// BenchmarkShardedAppendWarmRefs is the same workload with each private
+// BenchmarkParallelAppendWarmRefs is the same workload with each private
 // series' points carrying a telemetry.Ref, as the static collectors' do: the
 // first lap resolves the memos, every later append skips the identity hash
 // and the label comparison.
-func BenchmarkShardedAppendWarmRefs(b *testing.B) { benchShardedAppend(b, true) }
+func BenchmarkParallelAppendWarmRefs(b *testing.B) { benchParallelAppend(b, true) }
 
-func benchShardedAppend(b *testing.B, withRefs bool) {
+func benchParallelAppend(b *testing.B, withRefs bool) {
 	db := New(time.Hour)
 	for n := 0; n < 10240; n++ {
 		labels := telemetry.Labels{"node": fmt.Sprintf("bg%05d", n)}
-		if err := db.Append(telemetry.Point{Name: "shard.load", Labels: labels, Value: 1}); err != nil {
+		if err := db.Append(telemetry.Point{Name: "par.load", Labels: labels, Value: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -138,7 +139,7 @@ func benchShardedAppend(b *testing.B, withRefs bool) {
 		j := 0
 		for pb.Next() {
 			p := telemetry.Point{
-				Name:   "shard.load",
+				Name:   "par.load",
 				Labels: labels[j%1024],
 				Time:   time.Duration(1+j/1024) * time.Second,
 				Value:  float64(j),
@@ -147,47 +148,6 @@ func benchShardedAppend(b *testing.B, withRefs bool) {
 				p.Ref = &refs[j%1024]
 			}
 			if err := db.Append(p); err != nil {
-				b.Fatal(err)
-			}
-			j++
-		}
-	})
-}
-
-// BenchmarkShardedAppendSingleLock serializes the same parallel workload
-// through one global mutex — the pre-sharding locking discipline — so the
-// delta to BenchmarkShardedAppend is what the lock stripes buy under
-// parallel ingest.
-func BenchmarkShardedAppendSingleLock(b *testing.B) {
-	db := New(time.Hour)
-	for n := 0; n < 10240; n++ {
-		labels := telemetry.Labels{"node": fmt.Sprintf("bg%05d", n)}
-		if err := db.Append(telemetry.Point{Name: "shard.load", Labels: labels, Value: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var mu sync.Mutex
-	var gid atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		g := gid.Add(1)
-		labels := make([]telemetry.Labels, 1024)
-		for i := range labels {
-			labels[i] = telemetry.Labels{"node": fmt.Sprintf("g%03d.n%04d", g, i)}
-		}
-		j := 0
-		for pb.Next() {
-			p := telemetry.Point{
-				Name:   "shard.load",
-				Labels: labels[j%1024],
-				Time:   time.Duration(1+j/1024) * time.Second,
-				Value:  float64(j),
-			}
-			mu.Lock()
-			err := db.Append(p)
-			mu.Unlock()
-			if err != nil {
 				b.Fatal(err)
 			}
 			j++

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -9,9 +10,9 @@ import (
 	"autoloop/internal/telemetry"
 )
 
-// TestConcurrentAppendQueryRollup hammers the sharded store from parallel
+// TestConcurrentAppendQueryRollup hammers the store from parallel
 // appenders, queriers, and a mid-flight rollup registration; run under
-// -race in CI it guards the lock-striping discipline.
+// -race in CI it guards the locking discipline.
 func TestConcurrentAppendQueryRollup(t *testing.T) {
 	db := New(time.Hour)
 	if err := db.AddRollup(RollupRule{Metric: "c.load", Step: 4 * time.Second, Agg: AggMean}); err != nil {
@@ -74,6 +75,135 @@ func TestConcurrentAppendQueryRollup(t *testing.T) {
 	ss, ok := db.QueryRollup("c.load", nil, 8*time.Second, AggMax, 0, time.Hour)
 	if !ok || len(ss) != writers {
 		t.Errorf("late rollup has %d series (ok=%v), want %d", len(ss), ok, writers)
+	}
+}
+
+// ordered reports whether samples are strictly time-ordered.
+func ordered(samples []telemetry.Sample) bool {
+	for i := 1; i < len(samples); i++ {
+		if samples[i].Time <= samples[i-1].Time {
+			return false
+		}
+	}
+	return true
+}
+
+// TestConcurrentBatchWriterReaders is the deployment shape: one AppendBatch
+// writer of multi-chunk rounds beside readers on every read path that takes
+// the lock on its own — LatestInto, QueryVisit, QueryRollup, Snapshot — and
+// a rollup registered mid-flight. Readers run between the writer's chunks,
+// so what they must see is each series time-ordered and never running
+// backwards; the final store must equal one built serially. Run under -race
+// it guards the single lock.
+func TestConcurrentBatchWriterReaders(t *testing.T) {
+	const nodes, metrics, rounds = 500, 5, 20 // 2500 points a round: three chunks
+	early := RollupRule{Metric: "node.metric0", Step: 4 * time.Second, Agg: AggMean}
+	late := RollupRule{Metric: "node.metric1", Step: 8 * time.Second, Agg: AggMax}
+	db := New(0)
+	if err := db.AddRollup(early); err != nil {
+		t.Fatal(err)
+	}
+	refs := make([]telemetry.Ref, nodes*metrics)
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		for r := 0; r < rounds; r++ {
+			if err := db.AppendBatch(refRound(refs, nodes, metrics, time.Duration(r)*time.Second)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	// until runs read again and again while the writer runs, and once more
+	// after it has finished.
+	var wg sync.WaitGroup
+	until := func(read func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for done := false; !done; {
+				select {
+				case <-written:
+					done = true
+				default:
+				}
+				read()
+			}
+		}()
+	}
+	rack := telemetry.Labels{"rack": "r03"}
+	until(func() {
+		db.QueryVisit("node.metric2", rack, 0, time.Hour, func(l telemetry.Labels, samples []telemetry.Sample) {
+			if !ordered(samples) {
+				t.Errorf("QueryVisit: node.metric2%s out of order", l)
+			}
+		})
+	})
+	var buf []telemetry.Point
+	newest := map[string]time.Duration{}
+	until(func() {
+		buf = db.LatestInto(buf[:0], "node.metric3", rack)
+		for _, p := range buf {
+			if node := p.Labels["node"]; p.Time < newest[node] {
+				t.Errorf("LatestInto: node.metric3{node=%s} ran backwards: %v after %v", node, p.Time, newest[node])
+			} else {
+				newest[node] = p.Time
+			}
+		}
+	})
+	until(func() {
+		ss, ok := db.QueryRollup(early.Metric, rack, early.Step, early.Agg, 0, time.Hour)
+		if !ok {
+			t.Error("QueryRollup: registered rule not found")
+		}
+		for _, s := range ss {
+			if !ordered(s.Samples) {
+				t.Errorf("QueryRollup: %s%s out of order", s.Name, s.Labels)
+			}
+		}
+	})
+	until(func() {
+		data, err := db.Snapshot()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var snap dbSnap
+		if err := json.Unmarshal(data, &snap); err != nil {
+			t.Error(err)
+			return
+		}
+		var total uint64
+		for _, s := range snap.Series {
+			if !ordered(s.Samples) {
+				t.Errorf("Snapshot: %s%s out of order", s.Name, s.Labels)
+			}
+			total += uint64(len(s.Samples))
+		}
+		// One hold of the lock: the counter and the samples are one cut.
+		if total != snap.Appended {
+			t.Errorf("Snapshot: %d samples beside Appended = %d", total, snap.Appended)
+		}
+	})
+	if err := db.AddRollup(late); err != nil {
+		t.Fatal(err)
+	}
+	<-written
+	wg.Wait()
+
+	serial := New(0)
+	for _, rule := range []RollupRule{early, late} {
+		if err := serial.AddRollup(rule); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		if err := serial.AppendBatch(refRound(make([]telemetry.Ref, nodes*metrics), nodes, metrics, time.Duration(r)*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := dumpDB(t, db), dumpDB(t, serial); string(a) != string(b) {
+		t.Fatal("store written beside readers differs from one built serially")
 	}
 }
 

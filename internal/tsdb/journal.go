@@ -14,11 +14,11 @@ import (
 
 // Write-ahead journaling. When a Journaler is attached, every accepted
 // append (including an equal-timestamp overwrite, which mutates the tail) is
-// encoded and emitted as a wal.KindTSDBAppend record while the owning
-// shard's write lock is still held, so the per-series record order in the
-// log is exactly the apply order even under concurrent appenders. Rejected
-// points (empty name, NaN, out-of-order) never reach the journal: the log
-// holds only mutations, and replaying it cannot fail validation.
+// encoded and emitted as a wal.KindTSDBAppend record while the store's write
+// lock is still held, so the record order in the log is exactly the apply
+// order even under concurrent appenders. Rejected points (empty name, NaN,
+// out-of-order) never reach the journal: the log holds only mutations, and
+// replaying it cannot fail validation.
 //
 // Recovery is the inverse: RestoreSnapshot rebuilds the store from the
 // newest snapshot, then RestoreFrom (or ApplyWAL per record) replays the WAL
@@ -128,8 +128,8 @@ func decodePointEnc(buf []byte) (telemetry.Point, []byte, error) {
 }
 
 // journalLocked encodes and emits one point accepted into s. The caller holds
-// the owning shard's write lock; wal.Append nests its own mutex inside the
-// shard lock (never the reverse), so the order is deadlock-free.
+// the write lock; wal.Append nests its own mutex inside it (never the
+// reverse), so the order is deadlock-free.
 func (db *DB) journalLocked(s *memSeries, p *telemetry.Point) error {
 	eb := encScratch.Get().(*encBuf)
 	eb.b = appendPointEnc(eb.b[:0], s, p)
@@ -146,35 +146,25 @@ func (db *DB) journalLocked(s *memSeries, p *telemetry.Point) error {
 // reflects, and per-series log order equals apply order, which makes
 // re-application a no-op.
 func (db *DB) ApplyWAL(payload []byte) error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for len(payload) > 0 {
 		p, rest, err := decodePointEnc(payload)
 		if err != nil {
 			return err
 		}
-		h := identityOf(&p)
-		sh := &db.shards[shardIndex(h)]
-		sh.mu.Lock()
-		err = db.replayLocked(sh, &p, h)
-		sh.mu.Unlock()
-		if err != nil {
+		payload = rest
+		s := db.lookup(identityOf(&p), &p)
+		if s != nil {
+			if n := len(s.samples); n > 0 && p.Time < s.samples[n-1].Time {
+				continue // already reflected by the snapshot
+			}
+		}
+		if _, err := db.appendLocked(s, &p); err != nil {
 			return err
 		}
-		payload = rest
 	}
 	return nil
-}
-
-// replayLocked applies one journaled point under the shard lock, skipping
-// points the snapshot this replay tails already covers.
-func (db *DB) replayLocked(sh *shard, p *telemetry.Point, h uint64) error {
-	s := sh.lookup(h, p)
-	if s != nil {
-		if n := len(s.samples); n > 0 && p.Time < s.samples[n-1].Time {
-			return nil // already reflected by the snapshot
-		}
-	}
-	_, err := db.appendLocked(sh, s, p, h)
-	return err
 }
 
 // ReplaySource is the record iterator RestoreFrom consumes; *wal.Reader

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -104,8 +105,8 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalBatchPath journals through AppendBatch (one WAL record per
-// touched shard) with a failing point mixed in, and checks replay parity.
+// TestJournalBatchPath journals through AppendBatch with a failing point
+// mixed in, and checks replay parity.
 func TestJournalBatchPath(t *testing.T) {
 	w, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncNone})
 	if err != nil {
@@ -288,6 +289,61 @@ func TestSnapshotThenTailReplay(t *testing.T) {
 		t.Fatalf("overlap replay diverges: %v vs %v", got, wantQ)
 	}
 	w.Close()
+}
+
+// TestRecoverParentFormat recovers testdata/parent_wal — WAL segments plus a
+// "modad" snapshot — and requires the dumpDB bytes the writer recorded. The
+// directory was written by the store as of commit 000a4f6 (64 lock stripes,
+// one record per touched stripe): four nodes × three metrics plus facility.pue
+// appended by AppendBatch with Refs for 24 one-minute rounds under a 10 m
+// retention and a 5 m mean rollup, the snapshot cut one round after the
+// sequence it claims (so the tail overlaps it), one rejected out-of-order
+// point and one equal-timestamp overwrite in the tail. It pins the journal
+// and snapshot formats: a change to either must keep reading this.
+func TestRecoverParentFormat(t *testing.T) {
+	dir := t.TempDir() // wal.Open truncates and rotates in place
+	if err := os.CopyFS(dir, os.DirFS("testdata/parent_wal")); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/parent_wal.want.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	payload, _, ok, err := wal.LatestSnapshot(dir, "modad")
+	if err != nil || !ok {
+		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
+	}
+	var snap struct {
+		Seq  uint64          `json:"seq"`
+		TSDB json.RawMessage `json:"tsdb"`
+	}
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		t.Fatalf("decode snapshot: %v", err)
+	}
+	db := New(10 * time.Minute)
+	if err := db.AddRollup(RollupRule{Metric: "node.temp.celsius", Step: 5 * time.Minute, Agg: AggMean, Retention: 24 * time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RestoreSnapshot(snap.TSDB); err != nil {
+		t.Fatalf("RestoreSnapshot: %v", err)
+	}
+	w, err := wal.Open(dir, wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer w.Close()
+	r, err := w.Replay(snap.Seq + 1)
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	defer r.Close()
+	if err := db.RestoreFrom(r); err != nil {
+		t.Fatalf("RestoreFrom: %v", err)
+	}
+	if got := dumpDB(t, db); string(got) != string(want) {
+		t.Fatalf("recovered store diverges from the writer's:\n want: %s\n got:  %s", want, got)
+	}
 }
 
 // TestJournaledAppendAllocs gates the journaled append hot path: attaching a

@@ -13,9 +13,8 @@ import (
 )
 
 // refDB is the trivial single-map, linear-scan reference implementation of
-// the store's visible semantics — the pre-sharding design kept as an oracle.
-// The property test below drives it in lockstep with the sharded DB and
-// demands identical answers; it is the tsdb analogue of the bus package's
+// the store's visible semantics, kept as an oracle. The property test below
+// drives it in lockstep with the indexed DB and demands identical answers; it is the tsdb analogue of the bus package's
 // FuzzTopicMatch-vs-naive-matcher check.
 type refDB struct {
 	byName    map[string]map[string]*refSeries
@@ -237,12 +236,13 @@ func (rp *refPool) attach(rng *rand.Rand, p *telemetry.Point) {
 }
 
 // TestShardedMatchesReference runs randomized append/query/retention/rollup
-// workloads against the sharded DB and the single-map reference and demands
-// identical results throughout. Half the points carry series refs that are
-// reused across rounds and sometimes re-pointed; a second sharded DB (twin)
-// is fed the same points with the same refs a few operations late, so each
-// store runs on its own warm memos for a while and then finds the other's,
-// which it must not follow.
+// workloads against the indexed DB and the single-map reference and demands
+// identical results throughout. (The name dates from the lock-striped store;
+// the suite's floor list pins it and its subtests by id.) Half the points
+// carry series refs that are reused across rounds and sometimes re-pointed; a
+// second DB (twin) is fed the same points with the same refs a few
+// operations late, so each store runs on its own warm memos for a while and
+// then finds the other's, which it must not follow.
 func TestShardedMatchesReference(t *testing.T) {
 	retentions := []time.Duration{0, 0, 45 * time.Second, 3 * time.Minute}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -326,7 +326,7 @@ func TestShardedMatchesReference(t *testing.T) {
 					gotErr := db.Append(p) != nil
 					wantErr := ref.append(p) != nil
 					if gotErr != wantErr {
-						t.Fatalf("op %d: append error mismatch: sharded=%v ref=%v for %v", op, gotErr, wantErr, p)
+						t.Fatalf("op %d: append error mismatch: db=%v ref=%v for %v", op, gotErr, wantErr, p)
 					}
 					late = append(late, lateOp{pts: []telemetry.Point{p}, wantErr: wantErr})
 					now += time.Duration(rng.Intn(3)) * time.Second
@@ -407,7 +407,7 @@ func TestShardedMatchesReference(t *testing.T) {
 			for _, rule := range ref.rules {
 				got, ok := db.QueryRollup(rule.Metric, nil, rule.Step, rule.Agg, 0, now+time.Hour)
 				if !ok {
-					t.Fatalf("rollup %v not registered on sharded DB", rule)
+					t.Fatalf("rollup %v not registered on the DB", rule)
 				}
 				want := ref.queryRollup(rule.Metric, nil, rule.Step, rule.Agg, 0, now+time.Hour)
 				if !reflect.DeepEqual(got, want) {

@@ -128,58 +128,53 @@ func (db *DB) AddRollup(rule RollupRule) error {
 	if rule.Step <= 0 {
 		return fmt.Errorf("tsdb: rollup rule for %s with non-positive step %v", rule.Metric, rule.Step)
 	}
-	db.rollupMu.Lock()
-	old := db.loadRules()
-	for _, have := range old {
-		if have.same(rule) {
-			db.rollupMu.Unlock()
-			return fmt.Errorf("tsdb: duplicate rollup rule %v", rule)
-		}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.hasRule(rule) {
+		return fmt.Errorf("tsdb: duplicate rollup rule %v", rule)
 	}
-	rules := make([]RollupRule, len(old), len(old)+1)
-	copy(rules, old)
-	rules = append(rules, rule)
-	db.rules.Store(&rules)
-	db.rollupMu.Unlock()
-
-	// Backfill outside the registration lock: appenders racing this loop
-	// either created their series after rules.Store (rule attached at birth,
-	// skipped here) or appended raw samples that the replay below includes.
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.Lock()
-		for _, s := range sh.byName[rule.Metric] {
-			if s.hasRollup(rule) {
-				continue
-			}
-			sr := newSeriesRollup(rule)
-			for _, smp := range s.live() {
-				sr.observe(smp.Time, smp.Value, false)
-			}
-			s.rollups = append(s.rollups, sr)
-		}
-		sh.mu.Unlock()
+	db.rules = append(db.rules, rule)
+	// Registration and backfill are one critical section: a series either
+	// exists by now and is backfilled here, or is created later and attaches
+	// the rule at birth — never neither, never both.
+	for _, s := range db.byName[rule.Metric] {
+		s.backfillRollup(rule)
 	}
 	return nil
 }
 
-// hasRollup reports whether the series already tracks rule. Callers must
-// hold the shard lock.
-func (s *memSeries) hasRollup(rule RollupRule) bool {
-	for _, sr := range s.rollups {
-		if sr.rule.same(rule) {
+// hasRule reports whether a rule with rule's (metric, step, agg) is
+// registered. Callers must hold at least the read lock.
+func (db *DB) hasRule(rule RollupRule) bool {
+	for _, have := range db.rules {
+		if have.same(rule) {
 			return true
 		}
 	}
 	return false
 }
 
+// backfillRollup attaches rule to the series, fed with its retained raw
+// samples, unless the series already tracks it. Callers must hold the write
+// lock.
+func (s *memSeries) backfillRollup(rule RollupRule) {
+	for _, sr := range s.rollups {
+		if sr.rule.same(rule) {
+			return
+		}
+	}
+	sr := newSeriesRollup(rule)
+	for _, smp := range s.live() {
+		sr.observe(smp.Time, smp.Value, false)
+	}
+	s.rollups = append(s.rollups, sr)
+}
+
 // Rollups returns the registered rules in registration order.
 func (db *DB) Rollups() []RollupRule {
-	rules := db.loadRules()
-	out := make([]RollupRule, len(rules))
-	copy(out, rules)
-	return out
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return append([]RollupRule(nil), db.rules...)
 }
 
 // QueryRollup returns, for every series of metric matching the matcher, the
@@ -189,13 +184,11 @@ func (db *DB) Rollups() []RollupRule {
 // own retention, the window may reach far beyond the raw samples' lifetime.
 func (db *DB) QueryRollup(metric string, matcher telemetry.Labels, step time.Duration, agg Agg, from, to time.Duration) (out []telemetry.Series, ok bool) {
 	rule := RollupRule{Metric: metric, Step: step, Agg: agg}
-	found := false
-	for _, have := range db.loadRules() {
-		if have.same(rule) {
-			found = true
-			break
-		}
-	}
+	// Rules are never removed, so the answer still holds when collectSeries
+	// takes the lock again.
+	db.mu.RLock()
+	found := db.hasRule(rule)
+	db.mu.RUnlock()
 	if !found {
 		return nil, false
 	}

@@ -3,19 +3,10 @@ package tsdb
 import (
 	"hash/maphash"
 	"sort"
-	"sync"
 	"time"
 
 	"autoloop/internal/telemetry"
 )
-
-// numShards is the lock-stripe width of the store. Series are distributed
-// across shards by an order-independent hash of their (name, labels)
-// identity, so concurrent appenders touching different series contend on
-// different locks. A power of two keeps shard selection a mask; 64 stripes
-// keep the collision probability low even for wide parallel ingest while
-// full-database queries still only take 64 brief read locks.
-const numShards = 64
 
 // labelPair is the inverted-index key for one label: every series carrying
 // k=v appears on the posting list of {k, v}. A struct key lets lookups build
@@ -42,9 +33,9 @@ type labelSet struct {
 type memSeries struct {
 	name string
 	*labelSet
-	// sh is the owning shard, fixed at creation: a series memoized in a
-	// telemetry.Ref names its lock stripe and its DB without being hashed.
-	sh      *shard
+	// db is the owning store, fixed at creation: a series memoized in a
+	// telemetry.Ref is only honoured by the DB that left it there.
+	db      *DB
 	samples []telemetry.Sample
 	head    int // index of the first live sample
 	// rollups holds the continuous-rollup states attached to this series,
@@ -78,37 +69,11 @@ func rangeBounds(live []telemetry.Sample, from, to time.Duration) (lo, hi int) {
 	return lo, hi
 }
 
-// shard is one lock stripe: a name-indexed series map plus the shard's slice
-// of the inverted label index. db and idx are set once by New; every other
-// field is guarded by mu.
-type shard struct {
-	db  *DB
-	idx int // position in db.shards
-	mu  sync.RWMutex
-	// byName maps metric name -> label key -> series.
-	byName map[string]map[string]*memSeries
-	// postings maps k=v -> every series (any metric) carrying that label,
-	// in creation order. Posting lists only grow: series are never deleted,
-	// retention drops samples, not identities.
-	postings map[labelPair][]*memSeries
-	// byHash maps the series identity hash to its (rarely >1) collision
-	// bucket. The append hot path resolves a point to its series through
-	// this map without materializing the canonical label-key string, so
-	// steady-state ingestion does not allocate.
-	byHash map[uint64][]*memSeries
-	// appended counts samples stored via this shard; kept under mu instead
-	// of a DB-global atomic so parallel appenders do not bounce one counter
-	// cache line. Padding rounds the struct to two cache lines so
-	// neighbouring shards in the DB's array never share one.
-	appended uint64
-	_        [7]uint64
-}
-
 // lookup resolves a point to its existing series via the identity hash,
 // verifying name and labels against hash collisions. Callers must hold at
 // least the read lock.
-func (sh *shard) lookup(h uint64, p *telemetry.Point) *memSeries {
-	for _, s := range sh.byHash[h] {
+func (db *DB) lookup(h uint64, p *telemetry.Point) *memSeries {
+	for _, s := range db.byHash[h] {
 		if s.name == p.Name && labelsEqual(s.labels, p.Labels) {
 			return s
 		}
@@ -129,20 +94,20 @@ func labelsEqual(a, b telemetry.Labels) bool {
 	return true
 }
 
-// candidates returns the cheapest superset of series in this shard that can
-// match (name, matcher): the name family map, or the shortest matcher
-// posting list if one is shorter. Callers must hold at least the read lock
-// and must verify each candidate with s.name == name && s.labels.Matches.
-// The bool result is false when the index proves no series can match.
-func (sh *shard) candidates(name string, matcher telemetry.Labels) (fams map[string]*memSeries, list []*memSeries, ok bool) {
-	fams = sh.byName[name]
+// candidates returns the cheapest superset of series that can match (name,
+// matcher): the name family map, or the shortest matcher posting list if one
+// is shorter. Callers must hold at least the read lock and must verify each
+// candidate with s.name == name && s.labels.Matches. The bool result is
+// false when the index proves no series can match.
+func (db *DB) candidates(name string, matcher telemetry.Labels) (fams map[string]*memSeries, list []*memSeries, ok bool) {
+	fams = db.byName[name]
 	if len(fams) == 0 {
 		return nil, nil, false
 	}
 	for k, v := range matcher {
-		pl, have := sh.postings[labelPair{k, v}]
+		pl, have := db.postings[labelPair{k, v}]
 		if !have {
-			return nil, nil, false // no series anywhere in the shard has k=v
+			return nil, nil, false // no series of any metric has k=v
 		}
 		if list == nil || len(pl) < len(list) {
 			list = pl
@@ -154,24 +119,22 @@ func (sh *shard) candidates(name string, matcher telemetry.Labels) (fams map[str
 	return fams, nil, true
 }
 
-// create inserts a new series for p's identity, registering it in the hash
-// map, the inverted index, the DB's name and label-set tables, and on
-// matching rollup rules. Callers must hold the write lock and must have
-// checked lookup first; rules must be loaded while the lock is held, so a
-// series racing AddRollup either attaches the new rule at birth or exists by
-// the time the backfill locks this shard — never neither.
-func (sh *shard) create(p *telemetry.Point, h uint64, rules []RollupRule) *memSeries {
-	fams := sh.byName[p.Name]
+// create inserts a new series for p's identity, registering it in the name
+// and hash maps and the inverted index, interning its label set, and
+// attaching the given rollup rules that match its metric. Callers must hold
+// the write lock and must have checked lookup first.
+func (db *DB) create(p *telemetry.Point, h uint64, rules []RollupRule) *memSeries {
+	fams := db.byName[p.Name]
 	if fams == nil {
 		fams = make(map[string]*memSeries)
-		sh.byName[p.Name] = fams
+		db.byName[p.Name] = fams
 	}
-	s := &memSeries{name: p.Name, labelSet: sh.db.intern(p.Name, p.Labels), sh: sh}
+	s := &memSeries{name: p.Name, labelSet: db.intern(p.Labels), db: db}
 	fams[s.key] = s
-	sh.byHash[h] = append(sh.byHash[h], s)
+	db.byHash[h] = append(db.byHash[h], s)
 	for k, v := range s.labels {
 		pair := labelPair{k, v}
-		sh.postings[pair] = append(sh.postings[pair], s)
+		db.postings[pair] = append(db.postings[pair], s)
 	}
 	for i := range rules {
 		if rules[i].Metric == p.Name {
@@ -181,8 +144,25 @@ func (sh *shard) create(p *telemetry.Point, h uint64, rules []RollupRule) *memSe
 	return s
 }
 
-// hashSeed keys the identity hash for this process. Placement only needs to
-// be stable within one DB's lifetime, never across processes.
+// intern returns the canonical form of a new series' label set, shared with
+// every other series of this DB carrying an equal one. The empty set's
+// canonical map is nil, whichever of nil and Labels{} its first series
+// arrived with. Callers must hold the write lock.
+func (db *DB) intern(labels telemetry.Labels) *labelSet {
+	key := labels.Key()
+	ls := db.labelSets[key]
+	if ls == nil {
+		ls = &labelSet{key: key, enc: string(appendLabelsEnc(nil, labels))}
+		if len(labels) > 0 {
+			ls.labels = labels.Clone()
+		}
+		db.labelSets[key] = ls
+	}
+	return ls
+}
+
+// hashSeed keys the identity hash for this process. The hash only indexes
+// byHash, so it needs to be stable within one process, never across them.
 var hashSeed = maphash.MakeSeed()
 
 // identityOf hashes a point's series identity using the runtime's hardware-
@@ -199,17 +179,14 @@ func identityOf(p *telemetry.Point) uint64 {
 	return mix(h ^ lh)
 }
 
-// shardIndex maps an identity hash to its lock stripe.
-func shardIndex(h uint64) int { return int(h & (numShards - 1)) }
-
 // pairHash hashes one label pair asymmetrically so swapping key and value
 // changes the result.
 func pairHash(k, v string) uint64 {
 	return mix(maphash.String(hashSeed, k)) ^ maphash.String(hashSeed, v)
 }
 
-// mix is a 64-bit finalizer (splitmix64's) spreading entropy into the low
-// bits shardIndex masks out.
+// mix is a 64-bit finalizer (splitmix64's): it keeps the XOR of a key's and
+// a value's hash from cancelling when the two strings are equal or swapped.
 func mix(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9

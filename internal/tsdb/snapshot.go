@@ -16,11 +16,9 @@ import (
 // an old rollup bucket are long expired, so re-observing raw samples could
 // never reconstruct it.
 //
-// Shard placement is NOT serialized: the identity hash is seeded per process,
-// so a restored series may land on a different shard than it occupied in the
-// previous run. That is invisible to callers — every query path sorts its
-// results by series label key. The Appended counter is carried as a single
-// total and credited to shard 0 on restore.
+// Index placement is NOT serialized: the identity hash is seeded per process
+// and the indexes are rebuilt on restore. That is invisible to callers —
+// every query path sorts its results by series label key.
 
 // seriesSnap is one series' serialized state.
 type seriesSnap struct {
@@ -49,43 +47,42 @@ type dbSnap struct {
 
 // Snapshot serializes the database: every series' live samples and complete
 // rollup states, plus the appended counter. Series are sorted by (name,
-// label key) so the bytes are deterministic for a given logical state. Each
-// shard is read-locked briefly in turn; taken under live ingestion the
-// snapshot is a consistent-per-series (not globally instantaneous) cut,
-// which recovery's skip-behind-tail replay is designed for.
+// label key) so the bytes are deterministic for a given logical state. The
+// state is copied out under one hold of the read lock — between two chunks
+// of a batch when taken under live ingestion — and marshalled after it is
+// released. The WAL position a caller pairs the snapshot with is read
+// separately, so the log tail it replays may overlap the snapshot, which
+// recovery's skip-behind-tail replay is designed for.
 func (db *DB) Snapshot() ([]byte, error) {
 	var snap dbSnap
 	var items []keyed[seriesSnap]
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		snap.Appended += sh.appended
-		for name, fams := range sh.byName {
-			for _, s := range fams {
-				ss := seriesSnap{Name: name, Labels: s.labels.Clone()}
-				if live := s.live(); len(live) > 0 {
-					ss.Samples = append([]telemetry.Sample(nil), live...)
-				}
-				for _, sr := range s.rollups {
-					rs := rollupSnap{
-						Step:      sr.rule.Step,
-						Agg:       sr.rule.Agg,
-						Retention: sr.rule.Retention,
-						Bucket:    sr.bucket,
-					}
-					if len(sr.values) > 0 {
-						rs.Values = append([]float64(nil), sr.values...)
-					}
-					if live := sr.live(); len(live) > 0 {
-						rs.Samples = append([]telemetry.Sample(nil), live...)
-					}
-					ss.Rollups = append(ss.Rollups, rs)
-				}
-				items = append(items, keyed[seriesSnap]{name + "\x00" + s.key, ss})
+	db.mu.RLock()
+	snap.Appended = db.appended
+	for name, fams := range db.byName {
+		for _, s := range fams {
+			ss := seriesSnap{Name: name, Labels: s.labels.Clone()}
+			if live := s.live(); len(live) > 0 {
+				ss.Samples = append([]telemetry.Sample(nil), live...)
 			}
+			for _, sr := range s.rollups {
+				rs := rollupSnap{
+					Step:      sr.rule.Step,
+					Agg:       sr.rule.Agg,
+					Retention: sr.rule.Retention,
+					Bucket:    sr.bucket,
+				}
+				if len(sr.values) > 0 {
+					rs.Values = append([]float64(nil), sr.values...)
+				}
+				if live := sr.live(); len(live) > 0 {
+					rs.Samples = append([]telemetry.Sample(nil), live...)
+				}
+				ss.Rollups = append(ss.Rollups, rs)
+			}
+			items = append(items, keyed[seriesSnap]{name + "\x00" + s.key, ss})
 		}
-		sh.mu.RUnlock()
 	}
+	db.mu.RUnlock()
 	sortByKey(items)
 	snap.Series = make([]seriesSnap, len(items))
 	for i := range items {
@@ -105,7 +102,8 @@ func (db *DB) RestoreSnapshot(data []byte) error {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("tsdb: restore snapshot: %w", err)
 	}
-	rules := db.loadRules()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for si := range snap.Series {
 		ss := &snap.Series[si]
 		if ss.Name == "" {
@@ -113,15 +111,12 @@ func (db *DB) RestoreSnapshot(data []byte) error {
 		}
 		p := telemetry.Point{Name: ss.Name, Labels: ss.Labels}
 		h := identityOf(&p)
-		sh := &db.shards[shardIndex(h)]
-		sh.mu.Lock()
-		if sh.lookup(h, &p) != nil {
-			sh.mu.Unlock()
+		if db.lookup(h, &p) != nil {
 			return fmt.Errorf("tsdb: restore snapshot: duplicate series %s%s", ss.Name, ss.Labels)
 		}
 		// Create without attaching rules: rollup states come from the
 		// snapshot, not from fresh (empty) rule instances.
-		s := sh.create(&p, h, nil)
+		s := db.create(&p, h, nil)
 		s.samples = ss.Samples
 		for _, rs := range ss.Rollups {
 			s.rollups = append(s.rollups, &seriesRollup{
@@ -132,21 +127,12 @@ func (db *DB) RestoreSnapshot(data []byte) error {
 			})
 		}
 		// Backfill registered rules the snapshot predates.
-		for i := range rules {
-			if rules[i].Metric != ss.Name || s.hasRollup(rules[i]) {
-				continue
+		for _, rule := range db.rules {
+			if rule.Metric == ss.Name {
+				s.backfillRollup(rule)
 			}
-			sr := newSeriesRollup(rules[i])
-			for _, smp := range s.live() {
-				sr.observe(smp.Time, smp.Value, false)
-			}
-			s.rollups = append(s.rollups, sr)
 		}
-		sh.mu.Unlock()
 	}
-	sh0 := &db.shards[0]
-	sh0.mu.Lock()
-	sh0.appended += snap.Appended
-	sh0.mu.Unlock()
+	db.appended += snap.Appended
 	return nil
 }

@@ -8,11 +8,17 @@
 // components written against it would port to a real deployment by swapping
 // this package behind the same calls.
 //
-// Internally the store is sharded: series are distributed over lock stripes
-// by an identity hash, each shard carries an inverted label index
-// (key=value -> posting list) so matcher queries intersect postings instead
-// of scanning every series of a metric, and range bounds inside a series are
-// binary-searched. Registered RollupRules are maintained incrementally at
+// Internally the store is one set of indexes behind one RWMutex: a name ->
+// label key -> series map, an inverted label index (key=value -> posting
+// list) so matcher queries intersect postings instead of scanning every
+// series of a metric, and an identity-hash map the append path resolves a
+// point through without building its label key; range bounds inside a series
+// are binary-searched. A read takes the lock once; AppendBatch takes it once
+// per batchChunk points, so readers interleave with a large sampling round
+// instead of waiting it out. Concurrent appenders to one DB serialize: every
+// deployment shape has one appender per DB (the telemetry pipeline's
+// sampling round) and scales ingest out by process, each cluster worker
+// owning its own DB. Registered RollupRules are maintained incrementally at
 // append time and queried with QueryRollup, staying available beyond the raw
 // samples' retention.
 package tsdb
@@ -22,78 +28,57 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"autoloop/internal/telemetry"
 	"autoloop/internal/wal"
 )
 
-// DB is an in-memory sharded time-series database. It is safe for concurrent
-// use; under the simulator all access is single-threaded, but cmd/modad
-// serves network queries from multiple goroutines and fleet benchmarks
-// append from parallel workers.
+// DB is an in-memory time-series database, safe for concurrent use: the
+// pipeline's sampling round appends while loop Monitor phases, the bus query
+// service, the HTTP gateway and the snapshotter read. mu guards every field
+// below it; appends, AddRollup and RestoreSnapshot take it for writing, every
+// read for reading. No call holds it across another call into the DB, and a
+// QueryVisit callback must not call back in (see telemetry.SeriesVisitor).
 type DB struct {
-	shards    [numShards]shard
 	retention time.Duration // 0 means keep everything
 
-	// rules is the registered rollup-rule set, swapped atomically so the
-	// append hot path reads it with a single pointer load. rollupMu
-	// serializes writers (AddRollup).
-	rules    atomic.Pointer[[]RollupRule]
-	rollupMu sync.Mutex
-
-	// nameMu guards names, the set of metric names ever appended, and
-	// labelSets, the interned label sets by canonical key; series creation
-	// is rare, so a single small mutex does not stripe.
-	nameMu    sync.Mutex
-	names     map[string]struct{}
-	labelSets map[string]*labelSet
-
 	// journal, when non-nil, receives every accepted append as a WAL record
-	// emitted under the owning shard's lock (see journal.go). Set via
-	// Journal before ingestion starts; read on the hot path unsynchronized.
+	// emitted before mu is released (see journal.go). Set via Journal before
+	// ingestion starts; read on the hot path unsynchronized.
 	journal Journaler
+
+	mu sync.RWMutex
+	// byName maps metric name -> label key -> series. Series are never
+	// deleted (retention drops samples, not identities), so its keys are
+	// every metric name ever appended.
+	byName map[string]map[string]*memSeries
+	// postings maps k=v -> every series (any metric) carrying that label,
+	// in creation order. Posting lists only grow.
+	postings map[labelPair][]*memSeries
+	// byHash maps the series identity hash to its (rarely >1) collision
+	// bucket. The append hot path resolves a point to its series through
+	// this map without materializing the canonical label-key string, so
+	// steady-state ingestion does not allocate.
+	byHash map[uint64][]*memSeries
+	// labelSets interns label sets by canonical key.
+	labelSets map[string]*labelSet
+	// rules is the registered rollup-rule set, in registration order.
+	rules []RollupRule
+	// appended counts samples stored (tail overwrites excluded).
+	appended uint64
 }
 
 // New returns an empty database that retains samples for the given duration;
 // retention <= 0 keeps all samples forever.
 func New(retention time.Duration) *DB {
-	db := &DB{retention: retention, names: make(map[string]struct{}), labelSets: make(map[string]*labelSet)}
-	for i := range db.shards {
-		db.shards[i].db, db.shards[i].idx = db, i
-		db.shards[i].byName = make(map[string]map[string]*memSeries)
-		db.shards[i].postings = make(map[labelPair][]*memSeries)
-		db.shards[i].byHash = make(map[uint64][]*memSeries)
+	return &DB{
+		retention: retention,
+		byName:    make(map[string]map[string]*memSeries),
+		postings:  make(map[labelPair][]*memSeries),
+		byHash:    make(map[uint64][]*memSeries),
+		labelSets: make(map[string]*labelSet),
 	}
-	return db
-}
-
-func (db *DB) loadRules() []RollupRule {
-	if p := db.rules.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// intern records a new series' metric name and returns the canonical form of
-// its label set, shared with every other series of this DB carrying an equal
-// one. The empty set's canonical map is nil, whichever of nil and Labels{}
-// its first series arrived with.
-func (db *DB) intern(name string, labels telemetry.Labels) *labelSet {
-	key := labels.Key()
-	db.nameMu.Lock()
-	defer db.nameMu.Unlock()
-	db.names[name] = struct{}{}
-	ls := db.labelSets[key]
-	if ls == nil {
-		ls = &labelSet{key: key, enc: string(appendLabelsEnc(nil, labels))}
-		if len(labels) > 0 {
-			ls.labels = labels.Clone()
-		}
-		db.labelSets[key] = ls
-	}
-	return ls
 }
 
 // memoized returns the series p's Ref remembers from an earlier append — or
@@ -106,7 +91,7 @@ func (db *DB) memoized(p *telemetry.Point) *memSeries {
 		return nil
 	}
 	s, _ := p.Ref.Memo().(*memSeries)
-	if s == nil || s.sh.db != db || s.name != p.Name || len(s.labels) != len(p.Labels) {
+	if s == nil || s.db != db || s.name != p.Name || len(s.labels) != len(p.Labels) {
 		return nil
 	}
 	return s
@@ -116,31 +101,22 @@ func (db *DB) memoized(p *telemetry.Point) *memSeries {
 // are rejected with an error; equal timestamps overwrite the tail value so
 // that idempotent re-collection is harmless.
 func (db *DB) Append(p telemetry.Point) error {
-	s := db.memoized(&p)
-	var h uint64
-	var sh *shard
-	if s != nil {
-		sh = s.sh
-	} else {
-		h = identityOf(&p)
-		sh = &db.shards[shardIndex(h)]
-	}
-	sh.mu.Lock()
-	s, err := db.appendLocked(sh, s, &p, h)
+	db.mu.Lock()
+	s, err := db.appendLocked(db.memoized(&p), &p)
 	if err == nil && db.journal != nil {
-		// Journal while still holding the shard lock so the per-series
-		// record order in the log equals the apply order.
+		// Journal while still holding the lock so the per-series record
+		// order in the log equals the apply order.
 		err = db.journalLocked(s, &p)
 	}
-	sh.mu.Unlock()
+	db.mu.Unlock()
 	return err
 }
 
-// appendLocked is one point's append under the owning shard's write lock. s
-// is the series the point's Ref memoized, or nil to resolve it — and create
-// it on first sight — through the identity hash h, leaving the result in the
-// point's Ref when it has one. It returns the series appended to.
-func (db *DB) appendLocked(sh *shard, s *memSeries, p *telemetry.Point, h uint64) (*memSeries, error) {
+// appendLocked is one point's append under the write lock. s is the series
+// the point's Ref memoized, or nil to resolve it — and create it on first
+// sight — through its identity hash, leaving the result in the point's Ref
+// when it has one. It returns the series appended to.
+func (db *DB) appendLocked(s *memSeries, p *telemetry.Point) (*memSeries, error) {
 	if p.Name == "" {
 		return nil, fmt.Errorf("tsdb: append with empty metric name")
 	}
@@ -150,10 +126,9 @@ func (db *DB) appendLocked(sh *shard, s *memSeries, p *telemetry.Point, h uint64
 		return nil, fmt.Errorf("tsdb: append non-finite value %v for %s%s", p.Value, p.Name, p.Labels)
 	}
 	if s == nil {
-		if s = sh.lookup(h, p); s == nil {
-			// Rules are loaded under the shard lock (an atomic pointer
-			// read): see shard.create for the AddRollup race reasoning.
-			s = sh.create(p, h, db.loadRules())
+		h := identityOf(p)
+		if s = db.lookup(h, p); s == nil {
+			s = db.create(p, h, db.rules)
 		}
 		if p.Ref != nil {
 			p.Ref.SetMemo(s)
@@ -176,105 +151,57 @@ func (db *DB) appendLocked(sh *shard, s *memSeries, p *telemetry.Point, h uint64
 	for _, sr := range s.rollups {
 		sr.observe(p.Time, p.Value, false)
 	}
-	sh.appended++ // under sh.mu, so no shared cache line bounces per append
+	db.appended++
 	if db.retention > 0 {
 		s.truncateBefore(p.Time - db.retention)
 	}
 	return s, nil
 }
 
-// batchBuffers is the pooled scratch AppendBatch groups a batch with: per
-// point, the memoized series (nil without a usable Ref) and the identity
-// hash — for a memoized point just its shard index, all grouping needs — and
-// the counting-sorted point order.
-type batchBuffers struct {
-	ss    []*memSeries
-	hs    []uint64
-	order []int32
-}
+// batchChunk is how many points AppendBatch applies per hold of the write
+// lock, and so per journal record. At ~0.1 µs a point (journaled) it keeps a
+// reader from waiting more than ~0.1 ms behind the one writer — a 51k-point
+// stress10k round applied under one hold would be ~5 ms, a whole query
+// latency — and caps a journal record at ~55 KB instead of 2.7 MB, while the
+// lock and the record header are still paid only once per thousand points.
+const batchChunk = 1024
 
-var batchScratch = sync.Pool{New: func() interface{} { return new(batchBuffers) }}
-
-// AppendBatch inserts every point in one grouped pass: a counting sort by
-// shard visits each point exactly once, then each touched shard is locked
-// exactly once and its points appended in original batch order. The
-// earliest-indexed error is returned (but all points are attempted). It
-// implements telemetry.Sink.
+// AppendBatch inserts every point in batch order, batchChunk points per hold
+// of the write lock. The earliest-indexed error is returned (but all points
+// are attempted). It implements telemetry.Sink.
 func (db *DB) AppendBatch(pts []telemetry.Point) error {
-	if len(pts) == 0 {
-		return nil
-	}
-	scratch := batchScratch.Get().(*batchBuffers)
-	if cap(scratch.hs) < len(pts) {
-		scratch.ss = make([]*memSeries, len(pts))
-		scratch.hs = make([]uint64, len(pts))
-		scratch.order = make([]int32, len(pts))
-	}
-	ss := scratch.ss[:len(pts)]
-	hs := scratch.hs[:len(pts)]
-	order := scratch.order[:len(pts)]
-	var counts [numShards]int32
-	for i := range pts {
-		if ss[i] = db.memoized(&pts[i]); ss[i] != nil {
-			hs[i] = uint64(ss[i].sh.idx)
-		} else {
-			hs[i] = identityOf(&pts[i])
-		}
-		counts[shardIndex(hs[i])]++
-	}
-	// counts -> start offsets; filling order in point order keeps each
-	// shard's slice sorted by original batch index.
-	var offsets [numShards]int32
-	var sum int32
-	for si := range counts {
-		offsets[si] = sum
-		sum += counts[si]
-	}
-	fill := offsets
-	for i := range pts {
-		si := shardIndex(hs[i])
-		order[fill[si]] = int32(i)
-		fill[si]++
-	}
-	var first error
-	firstAt := int32(len(pts))
-	var jerr error
+	var first, jerr error
 	var eb *encBuf
 	if db.journal != nil {
 		eb = encScratch.Get().(*encBuf)
+		defer encScratch.Put(eb)
 	}
-	for si := 0; si < numShards; si++ {
-		if counts[si] == 0 {
-			continue
-		}
-		sh := &db.shards[si]
-		sh.mu.Lock()
+	for len(pts) > 0 {
+		chunk := pts[:min(len(pts), batchChunk)]
+		pts = pts[len(chunk):]
+		db.mu.Lock()
 		if eb != nil {
 			eb.b = eb.b[:0]
 		}
-		for _, i := range order[offsets[si] : offsets[si]+counts[si]] {
-			if s, err := db.appendLocked(sh, ss[i], &pts[i], hs[i]); err != nil {
-				if i < firstAt {
-					first, firstAt = err, i
+		for i := range chunk {
+			p := &chunk[i]
+			if s, err := db.appendLocked(db.memoized(p), p); err != nil {
+				if first == nil {
+					first = err
 				}
 			} else if eb != nil {
-				eb.b = appendPointEnc(eb.b, s, &pts[i])
+				eb.b = appendPointEnc(eb.b, s, p)
 			}
 		}
-		// One WAL record per touched shard, emitted before the shard
-		// unlocks so per-series log order equals apply order.
+		// One WAL record per chunk, emitted before the lock is released so
+		// per-series log order equals apply order.
 		if eb != nil && len(eb.b) > 0 {
 			if _, err := db.journal.Append(wal.KindTSDBAppend, eb.b); err != nil && jerr == nil {
 				jerr = err
 			}
 		}
-		sh.mu.Unlock()
+		db.mu.Unlock()
 	}
-	if eb != nil {
-		encScratch.Put(eb)
-	}
-	clear(ss) // the scratch must not pin series of a dead DB
-	batchScratch.Put(scratch)
 	if first == nil {
 		first = jerr
 	}
@@ -284,75 +211,64 @@ func (db *DB) AppendBatch(pts []telemetry.Point) error {
 // Appended reports the total number of samples stored since creation
 // (overwrites of an existing tail timestamp do not count).
 func (db *DB) Appended() uint64 {
-	var n uint64
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		n += sh.appended
-		sh.mu.RUnlock()
-	}
-	return n
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.appended
 }
 
 // NumSeries reports the current series cardinality.
 func (db *DB) NumSeries() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	n := 0
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for _, fams := range sh.byName {
-			n += len(fams)
-		}
-		sh.mu.RUnlock()
+	for _, fams := range db.byName {
+		n += len(fams)
 	}
 	return n
 }
 
 // MetricNames returns all metric names in sorted order.
 func (db *DB) MetricNames() []string {
-	db.nameMu.Lock()
-	names := make([]string, 0, len(db.names))
-	for n := range db.names {
+	db.mu.RLock()
+	names := make([]string, 0, len(db.byName))
+	for n := range db.byName {
 		names = append(names, n)
 	}
-	db.nameMu.Unlock()
+	db.mu.RUnlock()
 	sort.Strings(names)
 	return names
 }
 
-// forEachMatch invokes visit under each shard's read lock for every series
-// matching (name, matcher), resolving candidates through the inverted label
-// index. Visit order is unspecified (shard then map order); callers that
-// return data must sort by series label key for determinism.
+// forEachMatch invokes visit under the read lock for every series matching
+// (name, matcher), resolving candidates through the inverted label index.
+// Visit order is unspecified (map or posting order); callers that return
+// data must sort by series label key for determinism.
 func (db *DB) forEachMatch(name string, matcher telemetry.Labels, visit func(*memSeries)) {
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		fams, list, ok := sh.candidates(name, matcher)
-		if ok {
-			if fams != nil {
-				for _, s := range fams {
-					if s.labels.Matches(matcher) {
-						visit(s)
-					}
-				}
-			} else {
-				for _, s := range list {
-					if s.name == name && s.labels.Matches(matcher) {
-						visit(s)
-					}
-				}
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	fams, list, ok := db.candidates(name, matcher)
+	if !ok {
+		return
+	}
+	if fams != nil {
+		for _, s := range fams {
+			if s.labels.Matches(matcher) {
+				visit(s)
 			}
 		}
-		sh.mu.RUnlock()
+		return
+	}
+	for _, s := range list {
+		if s.name == name && s.labels.Matches(matcher) {
+			visit(s)
+		}
 	}
 }
 
-// collectSeries visits every series matching (name, matcher) under its
-// shard's read lock. fn returns the samples to keep (copied out under the
-// lock) or keep=false to drop the series. Results are sorted by label key,
-// so every query path is deterministic regardless of shard and map
-// iteration order.
+// collectSeries visits every series matching (name, matcher) under the read
+// lock. fn returns the samples to keep (copied out under the lock) or
+// keep=false to drop the series. Results are sorted by label key, so every
+// query path is deterministic regardless of map iteration order.
 func (db *DB) collectSeries(name string, matcher telemetry.Labels, fn func(*memSeries) (samples []telemetry.Sample, keep bool)) []telemetry.Series {
 	var items []keyed[telemetry.Series]
 	db.forEachMatch(name, matcher, func(s *memSeries) {

@@ -15,7 +15,7 @@ import (
 // out samples without materializing series.
 
 // keyed pairs one matching series' contribution to a result with the
-// series' label key. Matches are visited in shard and map order; every call
+// series' label key. Matches are visited in map or posting order; every call
 // that promises label-key order collects keyed entries and runs them
 // through sortByKey.
 type keyed[T any] struct {
@@ -43,9 +43,10 @@ var visitPool = sync.Pool{New: func() interface{} { return new(visitScratch) }}
 // QueryVisit implements telemetry.Querier: it calls visit for every series
 // matching (name, matcher) that has at least one sample in [from, to],
 // passing the live sample window without copying it. The callback runs under
-// the owning shard's read lock: the samples and labels alias store memory,
-// are valid only during the call, and must not be retained or mutated. Visit
-// order is unspecified.
+// the store's read lock: the samples and labels alias store memory, are
+// valid only during the call, and must not be retained or mutated; and it
+// must not call back into the DB (see telemetry.SeriesVisitor). Visit order
+// is unspecified.
 func (db *DB) QueryVisit(name string, matcher telemetry.Labels, from, to time.Duration, visit telemetry.SeriesVisitor) {
 	db.forEachMatch(name, matcher, func(s *memSeries) {
 		live := s.live()
@@ -60,8 +61,8 @@ func (db *DB) QueryVisit(name string, matcher telemetry.Labels, from, to time.Du
 // WindowInto implements telemetry.Querier: it appends the values of every
 // matching series in [from, to] to buf, concatenated in label-key order (the
 // same values, in the same order, that concatenating Query results would
-// yield), and returns the extended buffer. Values are copied out under each
-// shard's read lock; once buf has capacity the call performs no allocations.
+// yield), and returns the extended buffer. Values are copied out under the
+// read lock; once buf has capacity the call performs no allocations.
 func (db *DB) WindowInto(buf []float64, name string, matcher telemetry.Labels, from, to time.Duration) []float64 {
 	sc := visitPool.Get().(*visitScratch)
 	sc.spans = sc.spans[:0]

@@ -10,8 +10,8 @@ import (
 	"autoloop/internal/telemetry"
 )
 
-// fillRandom seeds db (and returns the points) with a randomized multi-shard
-// layout: several metrics, fleet-style label sets, random sample counts.
+// fillRandom seeds db with a randomized layout: several metrics, fleet-style
+// label sets, random sample counts.
 func fillRandom(t *testing.T, db *DB, rng *rand.Rand) {
 	t.Helper()
 	for m := 0; m < 4; m++ {

@@ -35,7 +35,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // to keep the namespace collision-free. New subsystems claim a new constant.
 const (
 	// KindTSDBAppend carries one or more binary-encoded telemetry points
-	// accepted by a tsdb shard (see tsdb's journal encoding).
+	// accepted by the tsdb (see tsdb's journal encoding).
 	KindTSDBAppend uint8 = 0x10
 	// KindBusEnvelope carries one JSON-encoded bus envelope (topic, time,
 	// source, payload, deadline) recorded by the bus journal hook.
