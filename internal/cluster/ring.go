@@ -100,8 +100,7 @@ func (r *Ring) Members() []string {
 
 // Owner returns the member owning key, or "" on an empty ring. Loop groups
 // hash by group name; a worker's telemetry series follow its loops (each
-// worker stores what its slice of the facility emits), so group ownership is
-// series ownership.
+// worker stores what its slice of the facility emits).
 func (r *Ring) Owner(key string) string {
 	if len(r.points) == 0 {
 		return ""

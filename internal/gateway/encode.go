@@ -15,9 +15,9 @@ import (
 // buffer: it is the gateway's sink for tsdb.Execute. For a range request
 // emit runs inside the store's QueryVisit callback, so the response is
 // encoded straight off the live sample windows — no intermediate
-// []WireSeries (or any per-series copy) is materialized. The JSON shape
-// matches tsdb.QueryResponse exactly, so bus and HTTP clients parse one
-// vocabulary.
+// []WireSeries (or any per-series copy) is materialized — in the label-key
+// order Execute emits. The JSON shape and series order match
+// tsdb.QueryResponse exactly, so bus and HTTP clients parse one vocabulary.
 //
 // Encoders are pooled; with warm buffers an encode performs no allocations
 // (gated by TestGatewayEncodeAllocs).

@@ -104,8 +104,8 @@ type Scheduler struct {
 	free  map[string]bool
 
 	pending []*Job
-	jobs    map[int]*Job
-	nextID  int
+	// jobs holds every job ever submitted in ID order: jobs[i].ID == i+1.
+	jobs []*Job
 
 	startFn StartFn
 	killFn  KillFn
@@ -124,7 +124,6 @@ func New(engine *sim.Engine, nodes []string, policy ExtensionPolicy) *Scheduler 
 		policy: policy,
 		nodes:  append([]string(nil), nodes...),
 		free:   make(map[string]bool, len(nodes)),
-		jobs:   make(map[int]*Job),
 	}
 	sort.Strings(s.nodes)
 	for _, n := range s.nodes {
@@ -151,28 +150,19 @@ func (s *Scheduler) NumNodes() int { return len(s.nodes) }
 
 // Job returns the job with the given ID.
 func (s *Scheduler) Job(id int) (*Job, bool) {
-	j, ok := s.jobs[id]
-	return j, ok
+	if id < 1 || id > len(s.jobs) {
+		return nil, false
+	}
+	return s.jobs[id-1], true
 }
 
 // Jobs returns all jobs ever submitted, in ID order.
-func (s *Scheduler) Jobs() []*Job {
-	ids := make([]int, 0, len(s.jobs))
-	for id := range s.jobs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, s.jobs[id])
-	}
-	return out
-}
+func (s *Scheduler) Jobs() []*Job { return append([]*Job(nil), s.jobs...) }
 
 // Running returns the currently running jobs in ID order.
 func (s *Scheduler) Running() []*Job {
 	var out []*Job
-	for _, j := range s.Jobs() {
+	for _, j := range s.jobs {
 		if j.State == JobRunning {
 			out = append(out, j)
 		}
@@ -195,9 +185,8 @@ func (s *Scheduler) Submit(name, user string, nodes int, walltime time.Duration,
 	if walltime <= 0 {
 		return nil, fmt.Errorf("sched: job %q has non-positive walltime", name)
 	}
-	s.nextID++
 	j := &Job{
-		ID:         s.nextID,
+		ID:         len(s.jobs) + 1,
 		Name:       name,
 		User:       user,
 		Nodes:      nodes,
@@ -206,7 +195,7 @@ func (s *Scheduler) Submit(name, user string, nodes int, walltime time.Duration,
 		State:      JobPending,
 		ResubmitOf: resubmitOf,
 	}
-	s.jobs[j.ID] = j
+	s.jobs = append(s.jobs, j)
 	s.pending = append(s.pending, j)
 	s.stats.Submitted++
 	s.schedule()
@@ -216,7 +205,7 @@ func (s *Scheduler) Submit(name, user string, nodes int, walltime time.Duration,
 // JobFinished is called by the application framework when a job's work
 // completes before its deadline.
 func (s *Scheduler) JobFinished(jobID int) {
-	j, ok := s.jobs[jobID]
+	j, ok := s.Job(jobID)
 	if !ok || j.State != JobRunning {
 		return
 	}
@@ -231,7 +220,7 @@ func (s *Scheduler) JobFinished(jobID int) {
 // Requeue gracefully preempts a running job back into the pending queue (the
 // maintenance loop checkpoints the application first, then requeues).
 func (s *Scheduler) Requeue(jobID int) error {
-	j, ok := s.jobs[jobID]
+	j, ok := s.Job(jobID)
 	if !ok {
 		return fmt.Errorf("sched: unknown job %d", jobID)
 	}
@@ -424,7 +413,7 @@ func (s *Scheduler) headReservation(head *Job) (shadow time.Duration, extra int)
 		nodes int
 	}
 	var rels []rel
-	for _, j := range s.Jobs() {
+	for _, j := range s.jobs {
 		if j.State == JobRunning {
 			rels = append(rels, rel{j.Deadline, j.Nodes})
 		}
@@ -486,7 +475,7 @@ func (s *Scheduler) schedule() {
 // requested".
 func (s *Scheduler) RequestExtension(jobID int, extra time.Duration) ExtensionResult {
 	s.stats.ExtensionRequests++
-	j, ok := s.jobs[jobID]
+	j, ok := s.Job(jobID)
 	if !ok || j.State != JobRunning {
 		s.stats.ExtensionsDenied++
 		return ExtensionResult{Reason: "job not running"}

@@ -409,6 +409,38 @@ func TestJobAccessors(t *testing.T) {
 	if len(r.s.Running()) != 1 {
 		t.Error("Running should have 1 job")
 	}
+	// IDs index the job table from 1: a resubmission gets the next one, and
+	// nothing outside 1..len resolves.
+	again, err := r.s.Submit("a", "u", 1, time.Hour, j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ID != j.ID+1 || again.ResubmitOf != j.ID {
+		t.Errorf("resubmission = job %d of %d, want job %d of %d", again.ID, again.ResubmitOf, j.ID+1, j.ID)
+	}
+	if got, ok := r.s.Job(again.ID); !ok || got != again {
+		t.Errorf("Job(%d) = %v, %v, want the resubmission", again.ID, got, ok)
+	}
+	for _, id := range []int{0, -1, again.ID + 1} {
+		if got, ok := r.s.Job(id); ok || got != nil {
+			t.Errorf("Job(%d) = %v, %v, want no job", id, got, ok)
+		}
+	}
+	// Jobs hands out a copy: a caller reordering it leaves the table alone.
+	all := r.s.Jobs()
+	if len(all) != 2 || all[0] != j || all[1] != again {
+		t.Fatalf("Jobs = %v, want both jobs in ID order", all)
+	}
+	all[0], all[1] = all[1], nil
+	if got := r.s.Jobs(); got[0] != j || got[1] != again {
+		t.Errorf("Jobs after mutating an earlier result = %v", got)
+	}
+	if got, _ := r.s.Job(j.ID); got != j {
+		t.Errorf("Job(%d) after mutating Jobs' result = %v", j.ID, got)
+	}
+	if len(r.s.Running()) != 2 {
+		t.Error("Running should have both jobs")
+	}
 	if r.s.NumNodes() != 2 {
 		t.Error("NumNodes")
 	}

@@ -2,12 +2,13 @@ package telemetry
 
 import "time"
 
-// SeriesVisitor receives one matching series during QueryVisit. The samples
-// slice aliases store memory and is valid only for the duration of the call;
-// labels alias the store's canonical label set and must not be mutated. Copy
-// anything that must outlive the visit. The store holds its read lock while
-// visiting, so a visitor must not call back into the store: a nested read
-// lock behind a waiting writer deadlocks.
+// SeriesVisitor receives one matching series during QueryVisit; series
+// arrive in label-key order (ascending Labels.Key()), as on every Querier
+// read. The samples slice aliases store memory and is valid only for the
+// duration of the call; labels alias the store's canonical label set and must
+// not be mutated. Copy anything that must outlive the visit. The store holds
+// its read lock while visiting, so a visitor must not call back into the
+// store: a nested read lock behind a waiting writer deadlocks.
 type SeriesVisitor func(labels Labels, samples []Sample)
 
 // Querier is the read surface of the telemetry store: everything a loop's
@@ -30,8 +31,7 @@ type Querier interface {
 	LatestValue(name string, matcher Labels) (float64, bool)
 	// QueryVisit calls visit once per series of name whose labels match the
 	// matcher and that has at least one sample in [from, to], without
-	// materializing copies. Visit order is unspecified; callers that need
-	// deterministic concatenation use WindowInto.
+	// materializing copies, in label-key order.
 	QueryVisit(name string, matcher Labels, from, to time.Duration, visit SeriesVisitor)
 	// WindowInto appends the values of every matching series in [from, to]
 	// to buf, concatenated in label-key order, and returns the extended

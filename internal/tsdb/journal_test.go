@@ -299,7 +299,8 @@ func TestSnapshotThenTailReplay(t *testing.T) {
 // retention and a 5 m mean rollup, the snapshot cut one round after the
 // sequence it claims (so the tail overlaps it), one rejected out-of-order
 // point and one equal-timestamp overwrite in the tail. It pins the journal
-// and snapshot formats: a change to either must keep reading this.
+// and snapshot formats: a change to either must keep reading this, and a
+// Snapshot of the restored store must return the parent's payload.
 func TestRecoverParentFormat(t *testing.T) {
 	dir := t.TempDir() // wal.Open truncates and rotates in place
 	if err := os.CopyFS(dir, os.DirFS("testdata/parent_wal")); err != nil {
@@ -327,6 +328,11 @@ func TestRecoverParentFormat(t *testing.T) {
 	}
 	if err := db.RestoreSnapshot(snap.TSDB); err != nil {
 		t.Fatalf("RestoreSnapshot: %v", err)
+	}
+	// The parent listed a snapshot's series by sorting on name+NUL+key; the
+	// ordered families must list them the same way, byte for byte.
+	if again, err := db.Snapshot(); err != nil || string(again) != string(snap.TSDB) {
+		t.Fatalf("Snapshot of the restored store (err=%v) differs from the parent-written payload:\n want: %s\n got:  %s", err, snap.TSDB, again)
 	}
 	w, err := wal.Open(dir, wal.Options{Sync: wal.SyncNone})
 	if err != nil {

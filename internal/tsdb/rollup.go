@@ -137,7 +137,7 @@ func (db *DB) AddRollup(rule RollupRule) error {
 	// Registration and backfill are one critical section: a series either
 	// exists by now and is backfilled here, or is created later and attaches
 	// the rule at birth — never neither, never both.
-	for _, s := range db.byName[rule.Metric] {
+	for _, s := range db.candidates(rule.Metric, nil) {
 		s.backfillRollup(rule)
 	}
 	return nil
@@ -179,7 +179,7 @@ func (db *DB) Rollups() []RollupRule {
 
 // QueryRollup returns, for every series of metric matching the matcher, the
 // continuously maintained rollup samples of the registered (metric, step,
-// agg) rule restricted to [from, to]. Series are sorted by label key, and
+// agg) rule restricted to [from, to]. Series are in label-key order, and
 // ok is false when no such rule is registered. Because rollups have their
 // own retention, the window may reach far beyond the raw samples' lifetime.
 func (db *DB) QueryRollup(metric string, matcher telemetry.Labels, step time.Duration, agg Agg, from, to time.Duration) (out []telemetry.Series, ok bool) {

@@ -2,15 +2,17 @@ package tsdb
 
 import (
 	"hash/maphash"
+	"slices"
 	"sort"
 	"time"
 
 	"autoloop/internal/telemetry"
 )
 
-// labelPair is the inverted-index key for one label: every series carrying
-// k=v appears on the posting list of {k, v}. A struct key lets lookups build
-// the key without allocating a concatenated string.
+// labelPair is the inverted-index key for one label: every series of a
+// metric carrying k=v appears on its family's posting list of {k, v}. A
+// struct key lets lookups build the key without allocating a concatenated
+// string.
 type labelPair struct{ k, v string }
 
 // labelSet is one distinct label set's canonical form, interned per DB
@@ -18,8 +20,7 @@ type labelPair struct{ k, v string }
 // five metrics hold one map, not five clones.
 type labelSet struct {
 	labels telemetry.Labels
-	// key is labels.Key(), computed once; query paths sort results by it
-	// without re-canonicalizing the label map.
+	// key is labels.Key(), computed once: the order of a family's series.
 	key string
 	// enc is the label part of a point's journal encoding (appendLabelsEnc),
 	// so a journaled append copies bytes instead of iterating the map.
@@ -94,47 +95,63 @@ func labelsEqual(a, b telemetry.Labels) bool {
 	return true
 }
 
-// candidates returns the cheapest superset of series that can match (name,
-// matcher): the name family map, or the shortest matcher posting list if one
-// is shorter. Callers must hold at least the read lock and must verify each
-// candidate with s.name == name && s.labels.Matches. The bool result is
-// false when the index proves no series can match.
-func (db *DB) candidates(name string, matcher telemetry.Labels) (fams map[string]*memSeries, list []*memSeries, ok bool) {
-	fams = db.byName[name]
-	if len(fams) == 0 {
-		return nil, nil, false
+// family is one metric's series index. series and every posting list are
+// kept in labelSet.key order — the order every read promises — by create, so
+// no read ever sorts.
+type family struct {
+	series []*memSeries
+	// postings maps k=v -> the family's series carrying that label. Posting
+	// lists only grow.
+	postings map[labelPair][]*memSeries
+}
+
+// candidates returns, in label-key order, the shortest indexed list holding
+// every series that can match (name, matcher): the metric's family, or the
+// shortest of the matcher's posting lists within it (empty when the index
+// proves nothing matches). Callers must hold at least the read lock and
+// verify each candidate with s.labels.Matches.
+func (db *DB) candidates(name string, matcher telemetry.Labels) []*memSeries {
+	fam := db.byName[name]
+	if fam == nil {
+		return nil
 	}
+	list := fam.series
 	for k, v := range matcher {
-		pl, have := db.postings[labelPair{k, v}]
-		if !have {
-			return nil, nil, false // no series of any metric has k=v
-		}
-		if list == nil || len(pl) < len(list) {
+		if pl := fam.postings[labelPair{k, v}]; len(pl) < len(list) {
 			list = pl
 		}
 	}
-	if list != nil && len(list) < len(fams) {
-		return nil, list, true
-	}
-	return fams, nil, true
+	return list
 }
 
-// create inserts a new series for p's identity, registering it in the name
-// and hash maps and the inverted index, interning its label set, and
-// attaching the given rollup rules that match its metric. Callers must hold
-// the write lock and must have checked lookup first.
+// insertByKey inserts s into a key-ordered list at its key's position: an
+// append when the key is the largest so far, which is what a collector
+// emitting its sensors in key order hits on every first sight.
+func insertByKey(list []*memSeries, s *memSeries) []*memSeries {
+	i := len(list)
+	if i > 0 && list[i-1].key > s.key {
+		i = sort.Search(i, func(i int) bool { return list[i].key > s.key })
+	}
+	return slices.Insert(list, i, s)
+}
+
+// create inserts a new series for p's identity, registering it in the hash
+// map and at its key's place in its metric's family and posting lists,
+// interning its label set, and attaching the given rollup rules that match
+// its metric. Callers must hold the write lock and must have checked lookup
+// first.
 func (db *DB) create(p *telemetry.Point, h uint64, rules []RollupRule) *memSeries {
-	fams := db.byName[p.Name]
-	if fams == nil {
-		fams = make(map[string]*memSeries)
-		db.byName[p.Name] = fams
+	fam := db.byName[p.Name]
+	if fam == nil {
+		fam = &family{postings: make(map[labelPair][]*memSeries)}
+		db.byName[p.Name] = fam
 	}
 	s := &memSeries{name: p.Name, labelSet: db.intern(p.Labels), db: db}
-	fams[s.key] = s
+	fam.series = insertByKey(fam.series, s)
 	db.byHash[h] = append(db.byHash[h], s)
 	for k, v := range s.labels {
 		pair := labelPair{k, v}
-		db.postings[pair] = append(db.postings[pair], s)
+		fam.postings[pair] = insertByKey(fam.postings[pair], s)
 	}
 	for i := range rules {
 		if rules[i].Metric == p.Name {

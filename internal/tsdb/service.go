@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -94,10 +96,9 @@ var latestPool = sync.Pool{New: func() interface{} { return new(latestScratch) }
 // request is rejected before anything is emitted.
 //
 // emit runs under the contract of telemetry.SeriesVisitor: labels and
-// samples may alias store memory and are valid only during the call. Latest
-// and rollup series arrive in label-key order; range series arrive in store
-// order, straight off QueryVisit, so a sink that promises an order sorts
-// what it kept.
+// samples may alias store memory and are valid only during the call. Series
+// arrive in label-key order on all three branches — the order of every
+// Store read — so a sink's response is ordered as it is written.
 func Execute(st Store, req *QueryRequest, emit telemetry.SeriesVisitor) error {
 	if req.Metric == "" {
 		return errors.New("missing metric")
@@ -134,15 +135,20 @@ func Execute(st Store, req *QueryRequest, emit telemetry.SeriesVisitor) error {
 }
 
 // SortSeries orders response series by metric, then label key — the order
-// bus and coordinator responses promise — computing each key once.
+// one store's answer already has and a coordinator's merge of several must
+// restore — computing each key once.
 func SortSeries(ss []WireSeries) {
-	items := make([]keyed[WireSeries], len(ss))
-	for i, s := range ss {
-		items[i] = keyed[WireSeries]{s.Metric + "\x00" + s.Labels.Key(), s}
+	type entry struct {
+		key string
+		s   WireSeries
 	}
-	sortByKey(items)
+	items := make([]entry, len(ss))
+	for i, s := range ss {
+		items[i] = entry{s.Metric + "\x00" + s.Labels.Key(), s}
+	}
+	slices.SortFunc(items, func(a, b entry) int { return strings.Compare(a.key, b.key) })
 	for i := range items {
-		ss[i] = items[i].v
+		ss[i] = items[i].s
 	}
 }
 
@@ -205,7 +211,7 @@ func DecodeRequestJSON(data []byte) (QueryRequest, error) {
 
 // Answer executes one request against the DB and materializes the response:
 // every series is an independent copy (labels cloned, samples converted
-// once), sorted by label key.
+// once), in the label-key order Execute emits.
 func (s *Service) Answer(req QueryRequest) QueryResponse {
 	resp := QueryResponse{ID: req.ID}
 	err := Execute(s.db, &req, func(labels telemetry.Labels, samples []telemetry.Sample) {
@@ -219,6 +225,5 @@ func (s *Service) Answer(req QueryRequest) QueryResponse {
 		resp.Err = err.Error()
 		return resp
 	}
-	SortSeries(resp.Series)
 	return resp
 }

@@ -18,7 +18,8 @@ import (
 //
 // Index placement is NOT serialized: the identity hash is seeded per process
 // and the indexes are rebuilt on restore. That is invisible to callers —
-// every query path sorts its results by series label key.
+// create files each restored series at its label key's place, the order
+// every read walks.
 
 // seriesSnap is one series' serialized state.
 type seriesSnap struct {
@@ -46,20 +47,20 @@ type dbSnap struct {
 }
 
 // Snapshot serializes the database: every series' live samples and complete
-// rollup states, plus the appended counter. Series are sorted by (name,
-// label key) so the bytes are deterministic for a given logical state. The
-// state is copied out under one hold of the read lock — between two chunks
-// of a batch when taken under live ingestion — and marshalled after it is
-// released. The WAL position a caller pairs the snapshot with is read
-// separately, so the log tail it replays may overlap the snapshot, which
-// recovery's skip-behind-tail replay is designed for.
+// rollup states, plus the appended counter. Series are listed by sorted
+// metric name, then in their family's label-key order, so the bytes are
+// deterministic for a given logical state. The state is copied out under one
+// hold of the read lock — between two chunks of a batch when taken under
+// live ingestion — and marshalled after it is released. The WAL position a
+// caller pairs the snapshot with is read separately, so the log tail it
+// replays may overlap the snapshot, which recovery's skip-behind-tail replay
+// is designed for.
 func (db *DB) Snapshot() ([]byte, error) {
 	var snap dbSnap
-	var items []keyed[seriesSnap]
 	db.mu.RLock()
 	snap.Appended = db.appended
-	for name, fams := range db.byName {
-		for _, s := range fams {
+	for _, name := range db.sortedNames() {
+		for _, s := range db.byName[name].series {
 			ss := seriesSnap{Name: name, Labels: s.labels.Clone()}
 			if live := s.live(); len(live) > 0 {
 				ss.Samples = append([]telemetry.Sample(nil), live...)
@@ -79,15 +80,10 @@ func (db *DB) Snapshot() ([]byte, error) {
 				}
 				ss.Rollups = append(ss.Rollups, rs)
 			}
-			items = append(items, keyed[seriesSnap]{name + "\x00" + s.key, ss})
+			snap.Series = append(snap.Series, ss)
 		}
 	}
 	db.mu.RUnlock()
-	sortByKey(items)
-	snap.Series = make([]seriesSnap, len(items))
-	for i := range items {
-		snap.Series[i] = items[i].v
-	}
 	return json.Marshal(&snap)
 }
 

@@ -9,18 +9,20 @@
 // this package behind the same calls.
 //
 // Internally the store is one set of indexes behind one RWMutex: a name ->
-// label key -> series map, an inverted label index (key=value -> posting
-// list) so matcher queries intersect postings instead of scanning every
-// series of a metric, and an identity-hash map the append path resolves a
-// point through without building its label key; range bounds inside a series
-// are binary-searched. A read takes the lock once; AppendBatch takes it once
-// per batchChunk points, so readers interleave with a large sampling round
-// instead of waiting it out. Concurrent appenders to one DB serialize: every
-// deployment shape has one appender per DB (the telemetry pipeline's
-// sampling round) and scales ingest out by process, each cluster worker
-// owning its own DB. Registered RollupRules are maintained incrementally at
-// append time and queried with QueryRollup, staying available beyond the raw
-// samples' retention.
+// family map, each family holding its metric's series — and, per label pair,
+// the posting list of those carrying it — in label-key order, so a matcher
+// query walks the shortest posting list instead of every series of the
+// metric and every read visits in the order it promises without sorting;
+// and an identity-hash map the append path resolves a point through without
+// building its label key. A series takes its place in that order once, when
+// it is created; range bounds inside a series are binary-searched. A read
+// takes the lock once; AppendBatch takes it once per batchChunk points, so
+// readers interleave with a large sampling round instead of waiting it out.
+// Concurrent appenders to one DB serialize: every deployment shape has one
+// appender per DB (the telemetry pipeline's sampling round) and scales
+// ingest out by process, each cluster worker owning its own DB. Registered
+// RollupRules are maintained incrementally at append time and queried with
+// QueryRollup, staying available beyond the raw samples' retention.
 package tsdb
 
 import (
@@ -49,13 +51,10 @@ type DB struct {
 	journal Journaler
 
 	mu sync.RWMutex
-	// byName maps metric name -> label key -> series. Series are never
-	// deleted (retention drops samples, not identities), so its keys are
-	// every metric name ever appended.
-	byName map[string]map[string]*memSeries
-	// postings maps k=v -> every series (any metric) carrying that label,
-	// in creation order. Posting lists only grow.
-	postings map[labelPair][]*memSeries
+	// byName maps metric name -> the metric's key-ordered series index.
+	// Series are never deleted (retention drops samples, not identities),
+	// so its keys are every metric name ever appended.
+	byName map[string]*family
 	// byHash maps the series identity hash to its (rarely >1) collision
 	// bucket. The append hot path resolves a point to its series through
 	// this map without materializing the canonical label-key string, so
@@ -74,8 +73,7 @@ type DB struct {
 func New(retention time.Duration) *DB {
 	return &DB{
 		retention: retention,
-		byName:    make(map[string]map[string]*memSeries),
-		postings:  make(map[labelPair][]*memSeries),
+		byName:    make(map[string]*family),
 		byHash:    make(map[uint64][]*memSeries),
 		labelSets: make(map[string]*labelSet),
 	}
@@ -221,8 +219,8 @@ func (db *DB) NumSeries() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	n := 0
-	for _, fams := range db.byName {
-		n += len(fams)
+	for _, fam := range db.byName {
+		n += len(fam.series)
 	}
 	return n
 }
@@ -230,69 +228,52 @@ func (db *DB) NumSeries() int {
 // MetricNames returns all metric names in sorted order.
 func (db *DB) MetricNames() []string {
 	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.sortedNames()
+}
+
+// sortedNames is MetricNames under a lock the caller already holds.
+func (db *DB) sortedNames() []string {
 	names := make([]string, 0, len(db.byName))
 	for n := range db.byName {
 		names = append(names, n)
 	}
-	db.mu.RUnlock()
 	sort.Strings(names)
 	return names
 }
 
 // forEachMatch invokes visit under the read lock for every series matching
-// (name, matcher), resolving candidates through the inverted label index.
-// Visit order is unspecified (map or posting order); callers that return
-// data must sort by series label key for determinism.
+// (name, matcher), in label-key order: the order of the family or posting
+// list candidates picks. It is the store's one read primitive.
 func (db *DB) forEachMatch(name string, matcher telemetry.Labels, visit func(*memSeries)) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	fams, list, ok := db.candidates(name, matcher)
-	if !ok {
-		return
-	}
-	if fams != nil {
-		for _, s := range fams {
-			if s.labels.Matches(matcher) {
-				visit(s)
-			}
-		}
-		return
-	}
-	for _, s := range list {
-		if s.name == name && s.labels.Matches(matcher) {
+	for _, s := range db.candidates(name, matcher) {
+		if s.labels.Matches(matcher) {
 			visit(s)
 		}
 	}
 }
 
 // collectSeries visits every series matching (name, matcher) under the read
-// lock. fn returns the samples to keep (copied out under the lock) or
-// keep=false to drop the series. Results are sorted by label key, so every
-// query path is deterministic regardless of map iteration order.
+// lock, in label-key order. fn returns the samples to keep (copied out under
+// the lock) or keep=false to drop the series.
 func (db *DB) collectSeries(name string, matcher telemetry.Labels, fn func(*memSeries) (samples []telemetry.Sample, keep bool)) []telemetry.Series {
-	var items []keyed[telemetry.Series]
+	var out []telemetry.Series
 	db.forEachMatch(name, matcher, func(s *memSeries) {
 		if samples, keep := fn(s); keep {
-			items = append(items, keyed[telemetry.Series]{s.key, telemetry.Series{Name: name, Labels: s.labels.Clone(), Samples: samples}})
+			out = append(out, telemetry.Series{Name: name, Labels: s.labels.Clone(), Samples: samples})
 		}
 	})
-	if len(items) == 0 {
-		return nil
-	}
-	sortByKey(items)
-	out := make([]telemetry.Series, len(items))
-	for i := range items {
-		out[i] = items[i].v
-	}
 	return out
 }
 
 // Query returns, for the metric name, every series whose labels match the
 // matcher, restricted to samples in [from, to]. Label matchers resolve
-// through the inverted index (postings intersection) instead of scanning
+// through the metric's shortest matching posting list instead of scanning
 // every series of the metric, and the time range is binary-searched inside
-// each series. Series are returned sorted by label key so that results are
-// deterministic. The returned series share no storage with the database.
+// each series. Series are returned in label-key order. The returned series
+// share no storage with the database.
 func (db *DB) Query(name string, matcher telemetry.Labels, from, to time.Duration) []telemetry.Series {
 	return db.collectSeries(name, matcher, func(s *memSeries) ([]telemetry.Sample, bool) {
 		live := s.live()
@@ -330,19 +311,16 @@ func (db *DB) Latest(name string, matcher telemetry.Labels) []telemetry.Point {
 // LatestValue returns the newest value of the last matching series in label
 // key order (the single series' value when exactly one matches), or
 // ok=false when none matches. Unlike Latest it allocates nothing: the
-// matching series' tails are read in place.
+// candidates are walked from the end and the first match's tail is read in
+// place.
 func (db *DB) LatestValue(name string, matcher telemetry.Labels) (float64, bool) {
-	var bestKey string
-	var val float64
-	found := false
-	db.forEachMatch(name, matcher, func(s *memSeries) {
-		live := s.live()
-		if len(live) == 0 {
-			return
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	list := db.candidates(name, matcher)
+	for i := len(list) - 1; i >= 0; i-- {
+		if live := list[i].live(); len(live) > 0 && list[i].labels.Matches(matcher) {
+			return live[len(live)-1].Value, true
 		}
-		if !found || s.key > bestKey {
-			bestKey, val, found = s.key, live[len(live)-1].Value, true
-		}
-	})
-	return val, found
+	}
+	return 0, false
 }

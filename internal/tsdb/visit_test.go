@@ -177,7 +177,7 @@ func TestVisitSurfaceAllocs(t *testing.T) {
 	}
 	var vals []float64
 	var pts []telemetry.Point
-	// Warm the buffers and the pooled scratch once.
+	// Warm the buffers once.
 	vals = db.WindowInto(vals[:0], "lat", nil, 0, time.Hour)
 	pts = db.LatestInto(pts[:0], "lat", nil)
 
