@@ -7,14 +7,11 @@ import (
 
 // Detector is a streaming anomaly detector over a univariate series.
 //
-// Every windowed detector here steps in amortized O(1)-ish time with zero
-// steady-state allocations: detector stepping is the inner loop of every
-// autonomy loop's Analyze phase, so at fleet scale (thousands of loops per
-// monitoring tick) a per-observation rescan or sort would dominate tick
-// latency. Decision semantics are identical to the naive rescan reference
-// (compare-before-insert, degenerate zero-spread paths, MinN gating): the
-// rolling state falls back to an exact recompute wherever floating-point
-// drift could change a decision.
+// The windowed detectors (ZScore, MAD) rescan their window on every step,
+// O(window) with no allocation, so a decision is reproducible from the
+// window alone. The loop cases judge fleets cross-sectionally with
+// MADOutliers and slow drifts with CUSUM; ZScore and MAD run in the bench
+// harness's detector probe at window 32.
 type Detector interface {
 	// Step feeds one observation and reports whether it is anomalous.
 	Step(v float64) bool
@@ -24,12 +21,10 @@ type Detector interface {
 
 // ZScore flags observations more than Threshold standard deviations from the
 // mean of a sliding window. It needs MinN observations before it fires.
+// Construct it with NewZScore.
 //
-// The window mean and variance are maintained as rolling sums over a ring
-// buffer — O(1) per observation instead of rescanning the window — with an
-// exact recompute every Window steps (and whenever the rolling variance
-// cancels to zero or the window holds non-finite values) for numerical
-// safety.
+// Each step takes the two-pass mean and sample standard deviation of the
+// window in arrival order.
 type ZScore struct {
 	Window    int
 	Threshold float64
@@ -37,36 +32,6 @@ type ZScore struct {
 
 	ring    []float64
 	head, n int
-	// sum and sumsq accumulate (v - pivot) and (v - pivot)², centered so
-	// that cancellation scales with the window's spread rather than with its
-	// absolute level (progress counters sit at 1e6 with unit noise; raw
-	// sums of squares would drown the variance in rounding error). The pivot
-	// re-anchors to a current window value at every periodic recompute.
-	sum, sumsq float64
-	pivot      float64
-	// peak is the largest sumsq since the last recompute: rolling error is
-	// bounded by ~Window*eps*peak, so after a large-magnitude burst leaves
-	// the window, stats divert to the exact path until a recompute
-	// re-anchors (small contributions absorbed into a huge sumsq and then
-	// "uncovered" by cancellation are pure noise).
-	peak float64
-	// nonFinite counts NaN/±Inf values in the window: they poison rolling
-	// sums beyond eviction, so stats are computed exactly while any are
-	// present and the sums are rebuilt when the last one leaves.
-	nonFinite int
-	// constRun is the length of the trailing run of identical observations;
-	// constRun >= n means the window is constant, the one case where the
-	// reference's s==0 degenerate path can fire and rolling cancellation
-	// cannot be trusted.
-	constRun int
-	lastV    float64
-	// toRecompute counts down to the periodic exact rebuild of the sums.
-	toRecompute int
-	// Cached exact stats for a constant window, keyed by (value, length), so
-	// long constant stretches stay O(1) per step.
-	constN              int
-	constOf             float64
-	constMean, constStd float64
 }
 
 // NewZScore returns a z-score detector (window, threshold sigma, minimum
@@ -84,13 +49,6 @@ func NewZScore(window int, threshold float64, minN int) *ZScore {
 // Step implements Detector: v is compared against the window *before* v is
 // added, so a level shift fires on its first sample.
 func (z *ZScore) Step(v float64) bool {
-	if z.ring == nil {
-		w := z.Window
-		if w < 2 {
-			w = 2
-		}
-		z.ring = make([]float64, w)
-	}
 	fire := false
 	if z.n >= z.MinN {
 		m, s := z.stats()
@@ -100,156 +58,69 @@ func (z *ZScore) Step(v float64) bool {
 			fire = math.Abs(v-m)/s > z.Threshold
 		}
 	}
-	z.push(v)
+	z.ring[z.head] = v
+	z.head, z.n = advance(len(z.ring), z.head, z.n)
 	return fire
 }
 
-// ulpEps is the double-precision unit roundoff, the scale of both the
-// rolling sums' drift and the naive reference's own two-pass noise.
-const ulpEps = 2.3e-16
-
-// stats returns the current window mean and sample standard deviation.
+// stats returns the window's mean and sample standard deviation.
 func (z *ZScore) stats() (m, s float64) {
-	if z.nonFinite > 0 {
-		return z.exactStats()
-	}
-	if z.constRun >= z.n {
-		// Constant window: take (and cache) the exact path so the reference's
-		// s==0 decision branch is reproduced bit for bit.
-		if z.constN == z.n && z.constOf == z.lastV {
-			return z.constMean, z.constStd
-		}
-		m, s = z.exactStats()
-		z.constN, z.constOf, z.constMean, z.constStd = z.n, z.lastV, m, s
-		return m, s
-	}
-	fn := float64(z.n)
-	m = z.pivot + z.sum/fn
-	ss := z.sumsq - z.sum*z.sum/fn
-	// Degenerate-window guards: fall back to the exact two-pass whenever the
-	// rolling sums (cancelled to or below their own drift scale) or the
-	// reference arithmetic (spread at the rounding noise of the mean's
-	// magnitude, where a rescan's answer is itself noise) cannot be trusted.
-	// Both floors are far below any statistically meaningful spread, so real
-	// signals stay on the O(1) path.
-	naiveFloor := fn * ulpEps * m
-	drift := float64(len(z.ring)) * ulpEps * z.peak * 1e4
-	if ss <= 0 || ss <= drift || ss <= fn*naiveFloor*naiveFloor*100 {
-		return z.exactStats()
-	}
-	return m, math.Sqrt(ss / (fn - 1))
-}
-
-// exactStats is the reference two-pass mean/stddev over the window in
-// arrival order — identical arithmetic to the naive rescan.
-func (z *ZScore) exactStats() (m, s float64) {
-	w := len(z.ring)
+	runs := arrival(z.ring, z.head, z.n)
 	sum := 0.0
-	for i := 0; i < z.n; i++ {
-		sum += z.ring[(z.head+i)%w]
+	for _, run := range runs {
+		for _, v := range run {
+			sum += v
+		}
 	}
 	m = sum / float64(z.n)
 	if z.n < 2 {
 		return m, 0
 	}
 	ss := 0.0
-	for i := 0; i < z.n; i++ {
-		d := z.ring[(z.head+i)%w] - m
-		ss += d * d
+	for _, run := range runs {
+		for _, v := range run {
+			d := v - m
+			ss += d * d
+		}
 	}
 	return m, math.Sqrt(ss / float64(z.n-1))
 }
 
-// push slides the window over v, maintaining the centered rolling sums.
-func (z *ZScore) push(v float64) {
-	w := len(z.ring)
-	if z.n == w {
-		old := z.ring[z.head]
-		z.head++
-		if z.head == w {
-			z.head = 0
-		}
-		z.n--
-		a := old - z.pivot
-		z.sum -= a
-		z.sumsq -= a * a
-		if isNonFinite(old) {
-			if z.nonFinite--; z.nonFinite == 0 {
-				z.recompute()
-			}
-		}
-	}
-	pos := z.head + z.n
-	if pos >= w {
-		pos -= w
-	}
-	z.ring[pos] = v
-	if z.n == 0 {
-		z.pivot = v
-		if isNonFinite(v) {
-			z.pivot = 0
-		}
-	}
-	z.n++
-	a := v - z.pivot
-	z.sum += a
-	z.sumsq += a * a
-	if z.sumsq > z.peak {
-		z.peak = z.sumsq
-	}
-	if isNonFinite(v) {
-		z.nonFinite++
-	}
-	if z.constRun > 0 && v == z.lastV {
-		z.constRun++
-	} else {
-		z.constRun = 1
-	}
-	z.lastV = v
-	if z.toRecompute--; z.toRecompute <= 0 {
-		if z.nonFinite == 0 {
-			z.recompute()
-		}
-		z.toRecompute = w
-	}
-}
-
-// recompute re-anchors the pivot to a current window value and rebuilds the
-// rolling sums exactly from the ring, bounding drift to one window's worth
-// of updates.
-func (z *ZScore) recompute() {
-	w := len(z.ring)
-	if z.n > 0 {
-		z.pivot = z.ring[z.head]
-	}
-	z.sum, z.sumsq = 0, 0
-	for i := 0; i < z.n; i++ {
-		a := z.ring[(z.head+i)%w] - z.pivot
-		z.sum += a
-		z.sumsq += a * a
-	}
-	z.peak = z.sumsq
-}
-
 // Reset implements Detector, retaining the window's capacity.
-func (z *ZScore) Reset() {
-	z.head, z.n, z.sum, z.sumsq, z.peak = 0, 0, 0, 0, 0
-	z.nonFinite, z.constRun, z.toRecompute, z.constN = 0, 0, 0, 0
+func (z *ZScore) Reset() { z.head, z.n = 0, 0 }
+
+// advance moves a ring window of capacity w past the value just written at
+// head: head is the next slot to write, which once the window is full is
+// also its oldest value, and n counts values up to w.
+func advance(w, head, n int) (int, int) {
+	if head++; head == w {
+		head = 0
+	}
+	if n < w {
+		n++
+	}
+	return head, n
+}
+
+// arrival returns the n values of a ring window in arrival order as two
+// runs: ring[:n] until the window fills, then ring[head:] and ring[:head].
+func arrival(ring []float64, head, n int) [2][]float64 {
+	return [2][]float64{ring[head:n], ring[:head]}
 }
 
 // MAD flags observations whose distance from the window median exceeds
 // Threshold x MAD (median absolute deviation), the robust detector used for
-// fleet outliers (one slow OST among sixteen).
+// fleet outliers (one slow OST among sixteen). Construct it with NewMAD.
 //
-// The window is kept in a sorted sliding structure, so each step reads the
-// median directly and selects the deviation median by a bounded merge walk —
-// no per-observation sorting or allocation.
+// Each step quickselects the median and MAD of the window (medianMAD, the
+// form MADOutliers uses).
 type MAD struct {
 	Window    int
 	Threshold float64
 	MinN      int
 
-	win sortedWindow
+	ring    []float64
+	head, n int
 }
 
 // NewMAD returns a MAD detector.
@@ -260,23 +131,15 @@ func NewMAD(window int, threshold float64, minN int) *MAD {
 	if minN < 3 {
 		minN = 3
 	}
-	m := &MAD{Window: window, Threshold: threshold, MinN: minN}
-	m.win.init(window)
-	return m
+	return &MAD{Window: window, Threshold: threshold, MinN: minN, ring: make([]float64, window)}
 }
 
 // Step implements Detector (comparison precedes insertion, as in ZScore).
 func (m *MAD) Step(v float64) bool {
-	if m.win.ring == nil {
-		w := m.Window
-		if w < 3 {
-			w = 3
-		}
-		m.win.init(w)
-	}
 	fire := false
-	if m.win.n >= m.MinN {
-		med, mad := m.win.medianMAD()
+	if m.n >= m.MinN {
+		// Order statistics do not depend on arrival order: read the ring as is.
+		med, mad := medianMAD(m.ring[:m.n])
 		if mad == 0 {
 			fire = v != med
 		} else {
@@ -284,12 +147,13 @@ func (m *MAD) Step(v float64) bool {
 			fire = math.Abs(v-med)/(1.4826*mad) > m.Threshold
 		}
 	}
-	m.win.push(v)
+	m.ring[m.head] = v
+	m.head, m.n = advance(len(m.ring), m.head, m.n)
 	return fire
 }
 
 // Reset implements Detector, retaining the window's capacity.
-func (m *MAD) Reset() { m.win.reset() }
+func (m *MAD) Reset() { m.head, m.n = 0, 0 }
 
 // MADOutliers returns the indices of fleet members whose value deviates from
 // the fleet median by more than threshold x scaled MAD — the cross-sectional
@@ -366,44 +230,6 @@ func (c *CUSUM) Step(v float64) bool {
 // Reset implements Detector.
 func (c *CUSUM) Reset() { c.ref, c.n, c.pos, c.neg = 0, 0, 0, 0 }
 
-// Threshold is the trivial detector: fire when the value crosses a fixed
-// bound (above when High, below otherwise).
-type Threshold struct {
-	Bound float64
-	High  bool
-}
-
-// Step implements Detector.
-func (t *Threshold) Step(v float64) bool {
-	if t.High {
-		return v > t.Bound
-	}
-	return v < t.Bound
-}
-
-// Reset implements Detector.
-func (t *Threshold) Reset() {}
-
-func meanOf(vals []float64) float64 {
-	s := 0.0
-	for _, v := range vals {
-		s += v
-	}
-	return s / float64(len(vals))
-}
-
-func stddevOf(vals []float64, mean float64) float64 {
-	if len(vals) < 2 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range vals {
-		d := v - mean
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(vals)-1))
-}
-
 // selScratch pools the partition buffer behind medianMAD, so the per-tick
 // cross-sectional outlier scans (one per fleet per loop) allocate nothing in
 // steady state.
@@ -432,24 +258,16 @@ func medianMAD(vals []float64) (median, mad float64) {
 	return median, mad
 }
 
-func quantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+// fltLess orders float64s exactly as sort.Float64s does: NaNs first, then
+// ascending, so selected order statistics are those a sort would place.
+func fltLess(x, y float64) bool {
+	return x < y || (math.IsNaN(x) && !math.IsNaN(y))
 }
 
-// quantileSelect is quantileSorted without the sort: it partitions a around
-// the needed order statistics in place (sort.Float64s ordering, NaNs first)
-// and interpolates exactly as quantileSorted would.
+// quantileSelect returns the q-quantile of a, interpolated linearly between
+// the two nearest order statistics as it would be over sort.Float64s(a), but
+// without the sort: it partitions a around the needed order statistics in
+// place.
 func quantileSelect(a []float64, q float64) float64 {
 	n := len(a)
 	if n == 0 {
@@ -476,7 +294,7 @@ func quantileSelect(a []float64, q float64) float64 {
 
 // selectKth partitions a in place so that a[k] is the k-th order statistic in
 // fltLess order, everything before it orders no higher, and everything after
-// it no lower. Iterative Hoare quickselect with a median-of-three pivot.
+// it no lower. Iterative Hoare quickselect, splitting on the median of three.
 func selectKth(a []float64, k int) float64 {
 	lo, hi := 0, len(a)-1
 	for lo < hi {
@@ -490,20 +308,20 @@ func selectKth(a []float64, k int) float64 {
 		if fltLess(a[hi], a[mid]) {
 			a[hi], a[mid] = a[mid], a[hi]
 		}
-		pivot := a[mid]
-		// Hoare partition; a[lo] <= pivot <= a[hi] act as sentinels, so the
+		split := a[mid]
+		// Hoare partition; a[lo] <= split <= a[hi] act as sentinels, so the
 		// inner scans cannot leave the range.
 		i, j := lo-1, hi+1
 		for {
 			for {
 				i++
-				if !fltLess(a[i], pivot) {
+				if !fltLess(a[i], split) {
 					break
 				}
 			}
 			for {
 				j--
-				if !fltLess(pivot, a[j]) {
+				if !fltLess(split, a[j]) {
 					break
 				}
 			}

@@ -145,15 +145,3 @@ func TestCUSUMResetAndPanic(t *testing.T) {
 	}()
 	NewCUSUM(0, 1, 1)
 }
-
-func TestThresholdDetector(t *testing.T) {
-	hi := &Threshold{Bound: 10, High: true}
-	if hi.Step(9) || !hi.Step(11) {
-		t.Error("high threshold")
-	}
-	lo := &Threshold{Bound: 10, High: false}
-	if lo.Step(11) || !lo.Step(9) {
-		t.Error("low threshold")
-	}
-	hi.Reset() // no-op, must not panic
-}

@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-// BenchmarkDetectorStep measures one detector observation for the streaming
-// engine against the retained naive (rescan/re-sort per step) reference, at
-// a small and a large window. The incremental rows are the gated numbers;
-// the naive rows document the gap the engine buys (O(W)–O(W log W) per step
-// plus allocations vs amortized O(1) and none).
+// BenchmarkDetectorStep measures one detector observation (one Observe plus
+// Fit for OLS) at a small and a large window: each is an O(window) rescan of
+// its ring with no allocation. The cross-sectional MADOutliers scan is
+// measured against the sort-based reference it replaced.
 func BenchmarkDetectorStep(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	data := make([]float64, 1<<16)
@@ -18,44 +17,22 @@ func BenchmarkDetectorStep(b *testing.B) {
 		data[i] = 100 + rng.NormFloat64()*5
 	}
 	for _, w := range []int{64, 1024} {
-		b.Run(fmt.Sprintf("zscore/w=%d/incremental", w), func(b *testing.B) {
+		b.Run(fmt.Sprintf("zscore/w=%d", w), func(b *testing.B) {
 			d := NewZScore(w, 3, 5)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				d.Step(data[i&(len(data)-1)])
 			}
 		})
-		b.Run(fmt.Sprintf("zscore/w=%d/naive", w), func(b *testing.B) {
-			d := &naiveZScore{Window: w, Threshold: 3, MinN: 5}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d.Step(data[i&(len(data)-1)])
-			}
-		})
-		b.Run(fmt.Sprintf("mad/w=%d/incremental", w), func(b *testing.B) {
+		b.Run(fmt.Sprintf("mad/w=%d", w), func(b *testing.B) {
 			d := NewMAD(w, 4, 5)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				d.Step(data[i&(len(data)-1)])
 			}
 		})
-		b.Run(fmt.Sprintf("mad/w=%d/naive", w), func(b *testing.B) {
-			d := &naiveMAD{Window: w, Threshold: 4, MinN: 5}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d.Step(data[i&(len(data)-1)])
-			}
-		})
-		b.Run(fmt.Sprintf("ols/w=%d/incremental", w), func(b *testing.B) {
+		b.Run(fmt.Sprintf("ols/w=%d", w), func(b *testing.B) {
 			d := NewWindowOLS(w)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				d.Observe(float64(i), data[i&(len(data)-1)])
-				d.Fit()
-			}
-		})
-		b.Run(fmt.Sprintf("ols/w=%d/naive", w), func(b *testing.B) {
-			d := &naiveWindowOLS{Window: w}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				d.Observe(float64(i), data[i&(len(data)-1)])

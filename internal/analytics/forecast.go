@@ -8,6 +8,12 @@
 // complex optimizations for real-time decisions must be made" and calls for
 // efficient, interpretable models; these are closed-form streaming estimators
 // with O(1) or O(window) state whose outputs carry explicit uncertainty.
+//
+// Each windowed estimator (ZScore, MAD, WindowOLS) has one implementation: a
+// ring of the last window observations, rescanned in O(window) on every step
+// or fit with no allocation, by exactly the arithmetic of the naive reference
+// its property tests and FuzzDetectorsMatchReference compare against. Every
+// caller in the tree uses a window of 30 to 60.
 package analytics
 
 import (
@@ -44,48 +50,6 @@ type Forecaster interface {
 	// Reset clears all state.
 	Reset()
 }
-
-// EWMA is an exponentially weighted moving average forecaster: it predicts a
-// flat continuation of the smoothed level. Alpha in (0, 1] is the smoothing
-// weight of the newest observation.
-type EWMA struct {
-	Alpha float64
-
-	level  float64
-	n      int
-	resVar float64 // EW variance of one-step residuals
-}
-
-// NewEWMA returns an EWMA forecaster with the given alpha.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("analytics: EWMA alpha %v out of (0,1]", alpha))
-	}
-	return &EWMA{Alpha: alpha}
-}
-
-// Observe implements Forecaster.
-func (e *EWMA) Observe(t, v float64) {
-	_ = t
-	if e.n == 0 {
-		e.level = v
-		e.n = 1
-		return
-	}
-	res := v - e.level
-	e.resVar = (1-e.Alpha)*e.resVar + e.Alpha*res*res
-	e.level += e.Alpha * res
-	e.n++
-}
-
-// Predict implements Forecaster.
-func (e *EWMA) Predict(horizon float64) Forecast {
-	_ = horizon
-	return Forecast{Value: e.level, Stddev: math.Sqrt(e.resVar), N: e.n}
-}
-
-// Reset implements Forecaster.
-func (e *EWMA) Reset() { *e = EWMA{Alpha: e.Alpha} }
 
 // Holt is double exponential smoothing (level + trend), the workhorse for
 // progress-rate series that drift. Alpha smooths the level, Beta the trend.
@@ -143,42 +107,17 @@ func (h *Holt) Level() float64 { return h.level }
 
 // WindowOLS fits ordinary least squares over a sliding window of the last
 // Window observations, predicting by extrapolating the fitted line. It is
-// the estimator the Scheduler case uses on progress markers: slope = progress
-// rate, with a residual-based predictive interval.
+// the estimator the Scheduler case uses on progress markers (through
+// TTCEstimator, 30 markers per job): slope = progress rate, with a
+// residual-based predictive interval. Construct it with NewWindowOLS.
 //
-// Observations live in fixed ring buffers (no backing-array churn) and the
-// fit's moments are maintained as rolling sums, so Observe is O(1) and Fit
-// is O(1) instead of three passes over the window. The sums are rebuilt
-// exactly from the rings every Window observations, and the fit falls back
-// to the exact three-pass reference whenever the window is degenerate
-// (constant timestamps, cancelled spread, non-finite values), so decision
-// behavior matches the naive form.
+// Observations live in two fixed rings; a fit is three passes over the
+// window in arrival order (means, centered moments, residuals).
 type WindowOLS struct {
 	Window int
 
 	ts, vs  []float64
 	head, n int
-	// Rolling moments of (t - kt) and (v - kv), centered on pivots so that
-	// cancellation scales with the window's spread rather than its absolute
-	// offset (timestamps sit at 1e5 seconds with a few hundred seconds of
-	// window span; raw Σt² would lose five digits to cancellation). The
-	// pivots re-anchor to current window values at every periodic recompute.
-	st, sv, stt, stv, svv float64
-	kt, kv                float64
-	// peakTT/peakVV are the largest second moments since the last recompute:
-	// rolling error is bounded by ~Window*eps*peak, so once a large-magnitude
-	// burst leaves the window the fit diverts to the exact path until a
-	// recompute re-anchors.
-	peakTT, peakVV float64
-	// nonFinite counts NaN/±Inf observations (either coordinate) in the
-	// window: they poison rolling sums beyond eviction, so fits go through
-	// the exact path while any are present.
-	nonFinite int
-	// tRun is the trailing run of identical timestamps; tRun >= n means the
-	// time spread may be exactly zero, which only the exact path decides.
-	tRun        int
-	lastT       float64
-	toRecompute int
 }
 
 // NewWindowOLS returns a sliding-window OLS forecaster.
@@ -194,98 +133,8 @@ func (w *WindowOLS) Len() int { return w.n }
 
 // Observe implements Forecaster.
 func (w *WindowOLS) Observe(t, v float64) {
-	if w.ts == nil {
-		win := w.Window
-		if win < 2 {
-			win = 2
-		}
-		w.ts = make([]float64, win)
-		w.vs = make([]float64, win)
-	}
-	win := len(w.ts)
-	if w.n == win {
-		ot, ov := w.ts[w.head], w.vs[w.head]
-		w.head++
-		if w.head == win {
-			w.head = 0
-		}
-		w.n--
-		a, b := ot-w.kt, ov-w.kv
-		w.st -= a
-		w.sv -= b
-		w.stt -= a * a
-		w.stv -= a * b
-		w.svv -= b * b
-		if isNonFinite(ot) || isNonFinite(ov) {
-			if w.nonFinite--; w.nonFinite == 0 {
-				w.recompute()
-			}
-		}
-	}
-	pos := w.head + w.n
-	if pos >= win {
-		pos -= win
-	}
-	w.ts[pos] = t
-	w.vs[pos] = v
-	if w.n == 0 {
-		w.kt, w.kv = t, v
-		if isNonFinite(t) {
-			w.kt = 0
-		}
-		if isNonFinite(v) {
-			w.kv = 0
-		}
-	}
-	w.n++
-	a, b := t-w.kt, v-w.kv
-	w.st += a
-	w.sv += b
-	w.stt += a * a
-	w.stv += a * b
-	w.svv += b * b
-	if w.stt > w.peakTT {
-		w.peakTT = w.stt
-	}
-	if w.svv > w.peakVV {
-		w.peakVV = w.svv
-	}
-	if isNonFinite(t) || isNonFinite(v) {
-		w.nonFinite++
-	}
-	if w.tRun > 0 && t == w.lastT {
-		w.tRun++
-	} else {
-		w.tRun = 1
-	}
-	w.lastT = t
-	if w.toRecompute--; w.toRecompute <= 0 {
-		if w.nonFinite == 0 {
-			w.recompute()
-		}
-		w.toRecompute = win
-	}
-}
-
-// recompute re-anchors the pivots to current window values and rebuilds the
-// rolling moments exactly from the rings, bounding drift to one window's
-// worth of updates.
-func (w *WindowOLS) recompute() {
-	win := len(w.ts)
-	if w.n > 0 {
-		w.kt, w.kv = w.ts[w.head], w.vs[w.head]
-	}
-	w.st, w.sv, w.stt, w.stv, w.svv = 0, 0, 0, 0, 0
-	for i := 0; i < w.n; i++ {
-		idx := (w.head + i) % win
-		a, b := w.ts[idx]-w.kt, w.vs[idx]-w.kv
-		w.st += a
-		w.sv += b
-		w.stt += a * a
-		w.stv += a * b
-		w.svv += b * b
-	}
-	w.peakTT, w.peakVV = w.stt, w.svv
+	w.ts[w.head], w.vs[w.head] = t, v
+	w.head, w.n = advance(len(w.ts), w.head, w.n)
 }
 
 // Fit returns the current intercept, slope, and residual stddev; ok is false
@@ -295,70 +144,29 @@ func (w *WindowOLS) Fit() (intercept, slope, resStd float64, ok bool) {
 	return intercept, slope, resStd, ok
 }
 
-// fit is Fit plus the centered time spread Sxx (the slope's standard-error
-// denominator), computed from the rolling moments on the fast path.
+// fit is Fit plus the centered time spread Sxx, the slope's standard-error
+// denominator.
 func (w *WindowOLS) fit() (intercept, slope, resStd, sxx float64, ok bool) {
 	n := w.n
 	if n < 2 {
 		return 0, 0, 0, 0, false
 	}
-	if w.nonFinite > 0 || w.tRun >= n {
-		return w.fitExact()
-	}
-	fn := float64(n)
-	// Centered first moments: ma/mb are the means of (t-kt)/(v-kv).
-	ma, mb := w.st/fn, w.sv/fn
-	mt, mv := w.kt+ma, w.kv+mb
-	sxx = w.stt - fn*ma*ma
-	// Degenerate-spread guards, mirroring ZScore's: when the centered sums
-	// cancel to their own drift scale, or the spread sits at the rounding
-	// noise of the timestamps' magnitude (where the reference's answer is
-	// itself noise), only the exact pass is meaningful.
-	wf := float64(len(w.ts))
-	tFloor := fn * ulpEps * mt
-	if sxx <= 0 || sxx <= wf*ulpEps*w.peakTT*1e4 || sxx <= fn*tFloor*tFloor*100 {
-		return w.fitExact()
-	}
-	syy := w.svv - fn*mb*mb
-	if syy <= wf*ulpEps*w.peakVV*1e4 {
-		return w.fitExact()
-	}
-	sxy := w.stv - fn*ma*mb
-	slope = sxy / sxx
-	intercept = mv - slope*mt
-	sse := syy - slope*sxy
-	// Residual floor: below the larger of the reference's two-pass noise and
-	// the rolling sums' cancellation scale, an O(1) SSE is indistinguishable
-	// from zero — let the exact pass produce the reference's answer.
-	vFloor := fn * ulpEps * (math.Abs(mv) + math.Abs(slope*mt))
-	rollFloor := wf * ulpEps * (w.peakVV + slope*slope*w.peakTT)
-	if sse <= 0 || sse <= fn*vFloor*vFloor*100 || sse <= rollFloor*256 {
-		return w.fitExact()
-	}
-	dof := n - 2
-	if dof < 1 {
-		dof = 1
-	}
-	return intercept, slope, math.Sqrt(sse / float64(dof)), sxx, true
-}
-
-// fitExact is the reference three-pass fit over the window in arrival order.
-func (w *WindowOLS) fitExact() (intercept, slope, resStd, sxx float64, ok bool) {
-	n := w.n
-	win := len(w.ts)
+	ts, vs := arrival(w.ts, w.head, n), arrival(w.vs, w.head, n)
 	var st, sv float64
-	for i := 0; i < n; i++ {
-		idx := (w.head + i) % win
-		st += w.ts[idx]
-		sv += w.vs[idx]
+	for r, run := range ts {
+		for i, t := range run {
+			st += t
+			sv += vs[r][i]
+		}
 	}
 	mt, mv := st/float64(n), sv/float64(n)
 	var stt, stv float64
-	for i := 0; i < n; i++ {
-		idx := (w.head + i) % win
-		dt := w.ts[idx] - mt
-		stt += dt * dt
-		stv += dt * (w.vs[idx] - mv)
+	for r, run := range ts {
+		for i, t := range run {
+			dt := t - mt
+			stt += dt * dt
+			stv += dt * (vs[r][i] - mv)
+		}
 	}
 	if stt == 0 {
 		return 0, 0, 0, 0, false
@@ -366,10 +174,11 @@ func (w *WindowOLS) fitExact() (intercept, slope, resStd, sxx float64, ok bool) 
 	slope = stv / stt
 	intercept = mv - slope*mt
 	var sse float64
-	for i := 0; i < n; i++ {
-		idx := (w.head + i) % win
-		r := w.vs[idx] - (intercept + slope*w.ts[idx])
-		sse += r * r
+	for r, run := range ts {
+		for i, t := range run {
+			res := vs[r][i] - (intercept + slope*t)
+			sse += res * res
+		}
 	}
 	dof := n - 2
 	if dof < 1 {
@@ -381,21 +190,16 @@ func (w *WindowOLS) fitExact() (intercept, slope, resStd, sxx float64, ok bool) 
 // Predict implements Forecaster.
 func (w *WindowOLS) Predict(horizon float64) Forecast {
 	n := w.n
-	intercept, slope, resStd, _, ok := w.fit()
+	intercept, slope, resStd, ok := w.Fit()
 	if !ok {
 		return Forecast{N: n, Value: math.NaN()}
 	}
-	last := w.ts[(w.head+n-1)%len(w.ts)]
+	last := w.ts[(w.head+len(w.ts)-1)%len(w.ts)]
 	return Forecast{Value: intercept + slope*(last+horizon), Stddev: resStd, N: n}
 }
 
 // Reset implements Forecaster, retaining the window's capacity.
-func (w *WindowOLS) Reset() {
-	w.head, w.n = 0, 0
-	w.st, w.sv, w.stt, w.stv, w.svv = 0, 0, 0, 0, 0
-	w.peakTT, w.peakVV = 0, 0
-	w.nonFinite, w.tRun, w.toRecompute = 0, 0, 0
-}
+func (w *WindowOLS) Reset() { w.head, w.n = 0, 0 }
 
 // Slope returns the fitted slope (zero when underdetermined).
 func (w *WindowOLS) Slope() float64 {

@@ -7,45 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestEWMAConvergesToLevel(t *testing.T) {
-	e := NewEWMA(0.3)
-	for i := 0; i < 100; i++ {
-		e.Observe(float64(i), 10)
-	}
-	f := e.Predict(5)
-	if !f.OK() {
-		t.Fatal("forecast should be OK")
-	}
-	if math.Abs(f.Value-10) > 1e-9 {
-		t.Errorf("level = %v, want 10", f.Value)
-	}
-	if f.Stddev > 1e-9 {
-		t.Errorf("stddev = %v, want ~0 on constant series", f.Stddev)
-	}
-}
-
-func TestEWMATracksShift(t *testing.T) {
-	e := NewEWMA(0.5)
-	for i := 0; i < 20; i++ {
-		e.Observe(float64(i), 10)
-	}
-	for i := 20; i < 40; i++ {
-		e.Observe(float64(i), 20)
-	}
-	if f := e.Predict(0); math.Abs(f.Value-20) > 0.1 {
-		t.Errorf("level = %v, want ~20 after shift", f.Value)
-	}
-}
-
-func TestEWMAInvalidAlphaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewEWMA(0)
-}
-
 func TestHoltLearnsTrend(t *testing.T) {
 	h := NewHolt(0.5, 0.3)
 	// Perfect line: v = 2t + 3.

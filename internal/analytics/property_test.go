@@ -1,6 +1,7 @@
 package analytics
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,8 +11,8 @@ import (
 // genStream builds an adversarial detector input: gaussian regimes, exact
 // constant runs (including values like 0.1 whose repeated sums round), level
 // shifts, near-constant ulp jitter, NaN and ±Inf bursts, and ramps — the
-// segments where incremental state could drift away from the rescan
-// reference if the degenerate paths were not exact.
+// segments where any arithmetic other than the rescan reference's would
+// decide differently.
 func genStream(rng *rand.Rand, n int) []float64 {
 	out := make([]float64, 0, n)
 	consts := []float64{0, 1, 0.1, -3.7, 1e9, 5}
@@ -61,9 +62,9 @@ func genStream(rng *rand.Rand, n int) []float64 {
 	return out[:n]
 }
 
-// TestZScoreMatchesReference feeds identical adversarial streams through the
-// incremental ZScore and the retained rescan reference, requiring the same
-// decision at every step.
+// TestZScoreMatchesReference feeds identical adversarial streams through
+// ZScore and the retained rescan reference, requiring the same decision at
+// every step.
 func TestZScoreMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 30; trial++ {
@@ -87,9 +88,8 @@ func TestZScoreMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMADMatchesReference is the same equivalence gate for the sorted-window
-// MAD detector, whose order statistics must match the sort-based form bit
-// for bit.
+// TestMADMatchesReference is the same equivalence gate for the MAD detector,
+// whose quickselected order statistics must match the sort-based form.
 func TestMADMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 30; trial++ {
@@ -113,9 +113,9 @@ func TestMADMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMADDuplicateHeavyStreams stresses the sorted window's insert/remove
-// and the deviation merge with massive ties: values drawn from a handful of
-// integers, where every quantile interpolates between duplicates.
+// TestMADDuplicateHeavyStreams stresses the MAD detector's selection with
+// massive ties: values drawn from a handful of integers, where every quantile
+// interpolates between duplicates.
 func TestMADDuplicateHeavyStreams(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	vals := []float64{1, 2, 2, 3, 5}
@@ -176,19 +176,13 @@ func TestMADOutliersMatchesReference(t *testing.T) {
 	}
 }
 
-// TestWindowOLSMatchesReference compares the rolling-sums OLS against the
-// rescan reference. Fits on well-posed windows must agree to floating-point
-// noise; degenerate windows (constant time, too few points, non-finite
-// values) must agree exactly on the ok flag, and non-finite windows must
-// take the bit-exact reference path.
+// TestWindowOLSMatchesReference compares the ring-buffer OLS against the
+// reslicing reference on adversarial streams (NaN bursts, ±Inf spikes,
+// constant runs, stalled clocks): both run the same three passes in arrival
+// order, so every fit — ok flag, intercept, slope and residual stddev — must
+// agree bit for bit.
 func TestWindowOLSMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
-	within := func(a, b, tol float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return math.IsNaN(a) == math.IsNaN(b)
-		}
-		return math.Abs(a-b) <= tol
-	}
 	for trial := 0; trial < 20; trial++ {
 		window := 2 + rng.Intn(60)
 		inc := NewWindowOLS(window)
@@ -196,47 +190,11 @@ func TestWindowOLSMatchesReference(t *testing.T) {
 		tt := 1e5 * rng.Float64() // realistic epoch-offset timestamps
 		vals := genStream(rng, 3000)
 		for i, v := range vals {
-			// Mostly advancing time; occasional repeats and stalls exercise
-			// the constant-timestamp degenerate path.
-			switch rng.Intn(10) {
-			case 0: // stall: same timestamp
-			case 1:
-				tt += 30
-			default:
-				tt += rng.Float64() * 60
-			}
-			if math.IsInf(v, 0) {
-				v = rng.NormFloat64() // Inf*Inf overflows both forms differently; NaNs still covered
-			}
+			tt = nextTime(rng, tt)
 			inc.Observe(tt, v)
 			ref.Observe(tt, v)
-			gi, gs, gr, gok := inc.Fit()
-			wi, ws, wr, wok := ref.Fit()
-			if gok != wok {
-				t.Fatalf("trial %d step %d: ok=%v reference ok=%v", trial, i, gok, wok)
-			}
-			if !gok {
-				continue
-			}
-			// Scale-aware tolerances: a slope near zero is only determined
-			// to (value spread / time spread) resolution, an intercept to
-			// |mt| times that, and a residual near the fit's noise floor to
-			// a fraction of itself — exactly the floating-point resolution
-			// the three-pass reference itself carries.
-			tMin, tMax, vAbs, mt := ref.ts[0], ref.ts[0], 0.0, 0.0
-			for k, tv := range ref.ts {
-				tMin = math.Min(tMin, tv)
-				tMax = math.Max(tMax, tv)
-				vAbs = math.Max(vAbs, math.Abs(ref.vs[k]))
-				mt += tv
-			}
-			mt /= float64(len(ref.ts))
-			slopeScale := math.Abs(ws) + (vAbs+1)/math.Max(tMax-tMin, 1) + 1e-12
-			if !within(gs, ws, 1e-6*slopeScale) ||
-				!within(gi, wi, 1e-6*(math.Abs(wi)+math.Abs(mt)*slopeScale+vAbs+1)) ||
-				!within(gr, wr, 0.01*wr+1e-9*(vAbs+1)) {
-				t.Fatalf("trial %d step %d: fit (%v,%v,%v) vs reference (%v,%v,%v)",
-					trial, i, gi, gs, gr, wi, ws, wr)
+			if msg := sameFit(inc, ref); msg != "" {
+				t.Fatalf("trial %d step %d: %s", trial, i, msg)
 			}
 			if rng.Intn(499) == 0 {
 				inc.Reset()
@@ -244,6 +202,91 @@ func TestWindowOLSMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// nextTime advances an OLS test clock: mostly forward, with occasional stalls
+// (repeated timestamps) that exercise the constant-time degenerate path.
+func nextTime(rng *rand.Rand, t float64) float64 {
+	switch rng.Intn(10) {
+	case 0: // stall: same timestamp
+		return t
+	case 1:
+		return t + 30
+	default:
+		return t + rng.Float64()*60
+	}
+}
+
+// sameFit returns "" when the two windows' fits agree bit for bit (NaN equals
+// NaN), and both fits otherwise.
+func sameFit(got *WindowOLS, want *naiveWindowOLS) string {
+	gi, gs, gr, gok := got.Fit()
+	wi, ws, wr, wok := want.Fit()
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	if gok != wok || !same(gi, wi) || !same(gs, ws) || !same(gr, wr) {
+		return fmt.Sprintf("fit (%v, %v, %v, %v), reference (%v, %v, %v, %v)", gi, gs, gr, gok, wi, ws, wr, wok)
+	}
+	return ""
+}
+
+// FuzzDetectorsMatchReference drives ZScore, MAD and WindowOLS and their
+// naive references with one stream. The first three bytes pick the window,
+// MinN and threshold; every following 16 bytes are one observation, a
+// little-endian float64 timestamp (for WindowOLS) and value, so the stream
+// can hold anything a float64 can: NaN payloads, ±0, ±Inf, subnormals. At
+// every step the detectors' decisions must equal the references' and the
+// fits must agree bit for bit.
+func FuzzDetectorsMatchReference(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := []byte{byte(rng.Intn(32)), byte(rng.Intn(36)), byte(rng.Intn(256))}
+		tt := 1e5 * rng.Float64()
+		for _, v := range genStream(rng, 64) {
+			tt = nextTime(rng, tt)
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(tt))
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
+		}
+		f.Add(data)
+	}
+	// Values genStream never draws: signed zeros, subnormals, NaN payloads.
+	edge := []byte{4, 3, 64}
+	for i, v := range []float64{0, math.Copysign(0, -1), 0, 5e-324, -5e-324, math.Float64frombits(0x7ff8000000000001),
+		math.Float64frombits(0xfff4000000000000), 0, math.Copysign(0, -1), math.SmallestNonzeroFloat64 * 3, 1, math.MaxFloat64} {
+		edge = binary.LittleEndian.AppendUint64(edge, math.Float64bits(float64(i/2)))
+		edge = binary.LittleEndian.AppendUint64(edge, math.Float64bits(v))
+	}
+	f.Add(edge)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		window, minN, thr := 2+int(data[0]%32), int(data[1]%36), float64(data[2])/32
+		z := NewZScore(window, thr, minN)
+		zRef := &naiveZScore{Window: window, Threshold: thr, MinN: z.MinN}
+		madWindow := max(window, 3)
+		m := NewMAD(madWindow, thr, minN)
+		mRef := &naiveMAD{Window: madWindow, Threshold: thr, MinN: m.MinN}
+		ols := NewWindowOLS(window)
+		olsRef := &naiveWindowOLS{Window: window}
+		for i, rec := 0, data[3:]; len(rec) >= 16; i, rec = i+1, rec[16:] {
+			tt := math.Float64frombits(binary.LittleEndian.Uint64(rec))
+			v := math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
+			if got, want := z.Step(v), zRef.Step(v); got != want {
+				t.Fatalf("step %d (v=%v): zscore=%v reference=%v", i, v, got, want)
+			}
+			if got, want := m.Step(v), mRef.Step(v); got != want {
+				t.Fatalf("step %d (v=%v): mad=%v reference=%v", i, v, got, want)
+			}
+			ols.Observe(tt, v)
+			olsRef.Observe(tt, v)
+			if msg := sameFit(ols, olsRef); msg != "" {
+				t.Fatalf("step %d (t=%v v=%v): %s", i, tt, v, msg)
+			}
+		}
+	})
 }
 
 // TestWindowOLSConstantTimeDegenerate pins the degenerate contract directly:

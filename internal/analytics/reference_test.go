@@ -5,11 +5,46 @@ import (
 	"sort"
 )
 
-// This file retains the pre-streaming (naive) detector implementations
-// verbatim: every Step rescans — and for MAD re-sorts — its whole window.
-// They are the ground truth for the equivalence property tests and the
-// baseline side of BenchmarkDetectorStep; the shipping detectors must match
-// their decisions exactly on any input stream.
+// This file retains the naive detector implementations verbatim: every Step
+// reslices and rescans — and for MAD re-sorts — its window. They are the
+// ground truth for the equivalence property tests and
+// FuzzDetectorsMatchReference; the shipping detectors must match their
+// decisions (and WindowOLS its fits, bit for bit) on any input stream.
+
+func meanOf(vals []float64) float64 {
+	s := 0.0
+	for _, v := range vals {
+		s += v
+	}
+	return s / float64(len(vals))
+}
+
+func stddevOf(vals []float64, mean float64) float64 {
+	if len(vals) < 2 {
+		return 0
+	}
+	s := 0.0
+	for _, v := range vals {
+		d := v - mean
+		s += d * d
+	}
+	return math.Sqrt(s / float64(len(vals)-1))
+}
+
+func quantileSorted(sorted []float64, q float64) float64 {
+	n := len(sorted)
+	if n == 0 {
+		return math.NaN()
+	}
+	pos := q * float64(n-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
 
 // naiveZScore is the reference rescan z-score detector.
 type naiveZScore struct {

@@ -283,17 +283,3 @@ func (h *Hierarchical) Tick(now time.Duration) {
 func (h *Hierarchical) RunEvery(clock sim.Clock, period time.Duration, stop func() bool) {
 	sim.TickEvery(clock, period, stop, h.Tick)
 }
-
-// PatternName identifies a Fig. 2 design pattern in experiment tables.
-type PatternName string
-
-// The four design patterns.
-const (
-	PatternClassical    PatternName = "classical"
-	PatternMasterWorker PatternName = "master-worker"
-	PatternCoordinated  PatternName = "coordinated"
-	PatternHierarchical PatternName = "hierarchical"
-)
-
-// String implements fmt.Stringer.
-func (p PatternName) String() string { return string(p) }

@@ -221,9 +221,3 @@ func TestHierarchicalNilParentPanics(t *testing.T) {
 	}()
 	NewHierarchical("h", nil, nil, 1)
 }
-
-func TestPatternNames(t *testing.T) {
-	if PatternClassical.String() != "classical" || PatternHierarchical.String() != "hierarchical" {
-		t.Error("pattern names")
-	}
-}
