@@ -1,7 +1,7 @@
-// Benchmarks: one per reproduced table/figure (DESIGN.md §3). Each benchmark
-// executes the corresponding experiment end to end on its quick scenario, so
-// `go test -bench=.` regenerates every row of EXPERIMENTS.md; per-op time is
-// the cost of one full scenario simulation.
+// BenchmarkExperiments runs every registered experiment (the reproduced
+// tables pinned in internal/experiments/testdata/*.golden, printed by
+// cmd/modaloop) end to end on its quick scenario, one sub-benchmark per ID;
+// per-op time is the cost of one full scenario simulation.
 package autoloop_test
 
 import (
@@ -10,45 +10,18 @@ import (
 	"autoloop"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		res, err := autoloop.RunExperiment(id, 1, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Rows) == 0 {
-			b.Fatalf("%s produced no rows", id)
-		}
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range autoloop.ExperimentIDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := autoloop.RunExperiment(id, 1, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Rows) == 0 {
+					b.Fatalf("%s produced no rows", id)
+				}
+			}
+		})
 	}
 }
-
-// Fig. 1 — holistic monitoring and ODA across the four domains.
-func BenchmarkExpF1Holistic(b *testing.B) { benchExperiment(b, "EXP-F1") }
-
-// Fig. 2 — pattern scalability, stability, robustness.
-func BenchmarkExpF2Scalability(b *testing.B) { benchExperiment(b, "EXP-F2a") }
-func BenchmarkExpF2Stability(b *testing.B)   { benchExperiment(b, "EXP-F2b") }
-func BenchmarkExpF2Robustness(b *testing.B)  { benchExperiment(b, "EXP-F2c") }
-
-// Fig. 3 — the Scheduler use case and its trust metrics.
-func BenchmarkExpF3Scheduler(b *testing.B) { benchExperiment(b, "EXP-F3") }
-func BenchmarkExpF3bTrust(b *testing.B)    { benchExperiment(b, "EXP-F3b") }
-
-// §III — the remaining four use cases.
-func BenchmarkExpU1Maintenance(b *testing.B) { benchExperiment(b, "EXP-U1") }
-func BenchmarkExpU2IOQoS(b *testing.B)       { benchExperiment(b, "EXP-U2") }
-func BenchmarkExpU3OST(b *testing.B)         { benchExperiment(b, "EXP-U3") }
-func BenchmarkExpU4Misconfig(b *testing.B)   { benchExperiment(b, "EXP-U4") }
-
-// §III–IV ablations.
-func BenchmarkExpA1Knowledge(b *testing.B)  { benchExperiment(b, "EXP-A1") }
-func BenchmarkExpA2Confidence(b *testing.B) { benchExperiment(b, "EXP-A2") }
-func BenchmarkExpA3HumanLoop(b *testing.B)  { benchExperiment(b, "EXP-A3") }
-func BenchmarkExpA4Continual(b *testing.B)  { benchExperiment(b, "EXP-A4") }
-
-// §IV extension: the power/energy control loop.
-func BenchmarkExpX1Power(b *testing.B) { benchExperiment(b, "EXP-X1") }
-
-// Fleet extension: concurrent loops with cross-loop conflict arbitration.
-func BenchmarkExpC1Fleet(b *testing.B) { benchExperiment(b, "EXP-C1") }

@@ -137,8 +137,7 @@ func progressCmd(args []string) {
 		nodes[i] = fmt.Sprintf("n%03d", i)
 	}
 	scheduler := sched.New(engine, nodes, sched.DefaultExtensionPolicy())
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
+	runtime.Serve(scheduler)
 	for i := range traces {
 		if _, err := scheduler.Submit(traces[i].App, "gen", 1, 1000*time.Hour, 0); err != nil {
 			fmt.Fprintln(os.Stderr, "modagen:", err)

@@ -29,8 +29,7 @@ func main() {
 	scheduler := sched.New(engine, []string{"n00", "n01", "n02", "n03"},
 		sched.ExtensionPolicy{MaxPerJob: 3, MaxTotalPerJob: 4 * time.Hour, BackfillGuard: true})
 	runtime := app.NewRuntime(engine, db, nil, nil)
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
+	runtime.Serve(scheduler)
 
 	// 2. The managed application: 100 one-minute iterations (about 100
 	//    minutes of real work), but its user requested only 60 minutes.

@@ -175,9 +175,7 @@ type Runtime struct {
 	// job name (the "input deck" identity).
 	ckpts map[string]int
 
-	// OnComplete, if set, is invoked after a job's work finishes (before the
-	// scheduler is notified).
-	OnComplete func(*Instance)
+	sched *sched.Scheduler // set by Serve; told of every finished job
 }
 
 // NewRuntime builds a runtime. db is required; fs and cl may be nil when the
@@ -195,6 +193,14 @@ func NewRuntime(engine *sim.Engine, db *tsdb.DB, fs *pfs.FS, cl *hw.Cluster) *Ru
 		instances: make(map[int]*Instance),
 		ckpts:     make(map[string]int),
 	}
+}
+
+// Serve joins the runtime to s: s starts and kills its jobs through the
+// runtime, and the runtime reports each job whose work finishes back to s.
+// Call it before the first Submit.
+func (r *Runtime) Serve(s *sched.Scheduler) {
+	r.sched = s
+	s.SetHooks(r.Start, r.Kill)
 }
 
 // RegisterSpec associates a job name with an application spec; Start looks
@@ -380,9 +386,7 @@ func (i *Instance) checkpoint() {
 	})
 }
 
-// complete finishes the job's work and notifies the runtime's completion
-// hook; the scheduler is notified by the caller holding the hook (the
-// harness wires OnComplete to sched.JobFinished).
+// complete finishes the job's work and tells the served scheduler.
 func (i *Instance) complete() {
 	if !i.running {
 		return
@@ -395,8 +399,8 @@ func (i *Instance) complete() {
 		i.rt.fs.Close(i.file)
 	}
 	delete(i.rt.ckpts, i.Job.Name) // completed: no restart needed
-	if i.rt.OnComplete != nil {
-		i.rt.OnComplete(i)
+	if i.rt.sched != nil {
+		i.rt.sched.JobFinished(i.Job.ID)
 	}
 }
 

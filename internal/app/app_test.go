@@ -34,8 +34,7 @@ func newRig(t *testing.T) *rig {
 	cl := hw.New(e, ccfg)
 	s := sched.New(e, cl.UpNodes(), sched.DefaultExtensionPolicy())
 	rt := NewRuntime(e, db, fs, cl)
-	rt.OnComplete = func(inst *Instance) { s.JobFinished(inst.Job.ID) }
-	s.SetHooks(rt.Start, rt.Kill)
+	rt.Serve(s)
 	return &rig{e: e, db: db, fs: fs, cl: cl, s: s, rt: rt}
 }
 

@@ -27,8 +27,7 @@ func newRig(t *testing.T) *rig {
 	db := tsdb.New(0)
 	s := sched.New(e, []string{"n00", "n01"}, sched.DefaultExtensionPolicy())
 	rt := app.NewRuntime(e, db, nil, nil)
-	rt.OnComplete = func(inst *app.Instance) { s.JobFinished(inst.Job.ID) }
-	s.SetHooks(rt.Start, rt.Kill)
+	rt.Serve(s)
 	ctl := New(DefaultConfig(), db, s, rt)
 	return &rig{e: e, db: db, s: s, rt: rt, ctl: ctl}
 }

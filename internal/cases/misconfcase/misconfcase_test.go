@@ -33,8 +33,7 @@ func newRig(t *testing.T, fix bool) *rig {
 	cl := hw.New(e, ccfg)
 	s := sched.New(e, cl.UpNodes(), sched.DefaultExtensionPolicy())
 	rt := app.NewRuntime(e, db, nil, cl)
-	rt.OnComplete = func(inst *app.Instance) { s.JobFinished(inst.Job.ID) }
-	s.SetHooks(rt.Start, rt.Kill)
+	rt.Serve(s)
 	cfg := DefaultConfig()
 	cfg.FixOnTheFly = fix
 	return &rig{e: e, db: db, cl: cl, s: s, rt: rt, ctl: New(cfg, db, s, rt, cl)}

@@ -29,8 +29,7 @@ func newRig(t *testing.T, osts int) *rig {
 	fs := pfs.New(e, pfs.Config{OSTs: osts, OSTBandwidthMBps: 200, DefaultStripeCount: 4})
 	s := sched.New(e, []string{"n00", "n01", "n02", "n03"}, sched.DefaultExtensionPolicy())
 	rt := app.NewRuntime(e, db, fs, nil)
-	rt.OnComplete = func(inst *app.Instance) { s.JobFinished(inst.Job.ID) }
-	s.SetHooks(rt.Start, rt.Kill)
+	rt.Serve(s)
 	// Sample filesystem telemetry every 30s so the loop has data.
 	pipe := telemetry.NewPipeline(telemetry.NewRegistryOf(fs.Collector()), db)
 	e.Every(30*time.Second, 30*time.Second, func() bool {

@@ -34,10 +34,7 @@ func newRig(t *testing.T, cfg Config, policy sched.ExtensionPolicy) *rig {
 	rt := app.NewRuntime(e, db, nil, nil)
 	kb := knowledge.NewBase()
 	ctl := New(cfg, db, s, rt, kb, sim.VirtualClock{Engine: e})
-	rt.OnComplete = func(inst *app.Instance) {
-		s.JobFinished(inst.Job.ID)
-	}
-	s.SetHooks(rt.Start, rt.Kill)
+	rt.Serve(s)
 	loop := ctl.Loop()
 	loop.Audit = core.NewAuditLog(1000)
 	r := &rig{e: e, db: db, s: s, rt: rt, kb: kb, ctl: ctl, loop: loop}
@@ -238,7 +235,7 @@ func TestRestartResetsEstimator(t *testing.T) {
 }
 
 // TestProportionalBufferReducesExtensionCount documents the design choice
-// DESIGN.md calls out: on a decelerating application, fixed-size buffers
+// behind Controller.buffer: on a decelerating application, fixed-size buffers
 // nibble at the deadline and burn the scheduler's count cap, while the
 // proportional margin requests fewer, larger extensions.
 func TestProportionalBufferReducesExtensionCount(t *testing.T) {

@@ -14,14 +14,13 @@ import (
 // instead of a round barrier the arbiter keeps a subject-grant table: when a
 // digest's action is granted, the (worker, loop, kind, priority) grant
 // holds the subject for a wall-clock window, and a later action from a
-// different worker that the fleet.Policy says contradicts it is denied
-// unless, by the same Policy, it beats the holder. A same-worker action is
-// never denied here: the worker's own fleet arbiter already resolved local
+// different worker that yields to the holder by fleet.Yields — the rule
+// every worker's own fleet applies — is denied. A same-worker action is
+// never denied here: the worker's own fleet already resolved local
 // conflicts.
 type Arbiter struct {
 	mu     sync.Mutex
 	window time.Duration
-	policy fleet.Policy
 	grants map[string]grant // by subject
 
 	denied uint64
@@ -45,15 +44,6 @@ func NewArbiter(window time.Duration) *Arbiter {
 		window = DefaultArbWindow
 	}
 	return &Arbiter{window: window, grants: make(map[string]grant)}
-}
-
-// SetPolicy replaces the arbitration policy (the zero fleet.Policy until
-// then). Returns a for chaining.
-func (a *Arbiter) SetPolicy(p fleet.Policy) *Arbiter {
-	a.mu.Lock()
-	a.policy = p
-	a.mu.Unlock()
-	return a
 }
 
 // Denied reports how many digest actions have been denied so far.
@@ -83,13 +73,11 @@ func (a *Arbiter) Decide(d Digest, now time.Time) Verdict {
 		if held && now.After(g.until) {
 			held = false
 		}
-		if held && g.worker != d.Worker && a.policy.Conflicts(act.Kind, g.kind) &&
-			!a.policy.Beats(act.Kind, act.Priority, g.kind, g.priority) {
+		if held && g.worker != d.Worker && fleet.Yields(act.Kind, act.Priority, g.kind, g.priority) {
 			v.Deny[i] = true
 			v.Reasons[i] = fmt.Sprintf(
-				"subject %s held by %s/%s/%s (kind rank %d vs %d, priority %d vs %d)",
-				act.Subject, g.worker, g.loop, g.kind,
-				a.policy.Rank(act.Kind), a.policy.Rank(g.kind), act.Priority, g.priority)
+				"subject %s held by %s/%s/%s (priority %d vs %d)",
+				act.Subject, g.worker, g.loop, g.kind, act.Priority, g.priority)
 			a.denied++
 			continue
 		}

@@ -80,27 +80,6 @@ func TestArbiterSameWorkerAndSameKindAllowed(t *testing.T) {
 	}
 }
 
-func TestArbiterKindRankBeatsPriority(t *testing.T) {
-	a := NewArbiter(2 * time.Second).SetPolicy(fleet.Policy{}.RankKind("emergency.cap", 10))
-	now := time.Unix(0, 0)
-	a.Decide(digest("w1", 1, fleet.ActionDigest{
-		Loop: "opt", Kind: "raise.power", Subject: "plant", Priority: 100,
-	}), now)
-	v := a.Decide(digest("w2", 1, fleet.ActionDigest{
-		Loop: "safety", Kind: "emergency.cap", Subject: "plant", Priority: 1,
-	}), now)
-	if v.Deny[0] {
-		t.Fatal("ranked kind lost to an unranked high-priority action")
-	}
-	// And the reverse contradiction is now denied.
-	v = a.Decide(digest("w1", 2, fleet.ActionDigest{
-		Loop: "opt", Kind: "raise.power", Subject: "plant", Priority: 100,
-	}), now.Add(time.Second))
-	if !v.Deny[0] {
-		t.Fatal("unranked action beat a held ranked grant")
-	}
-}
-
 func TestArbiterForgetDropsDeadWorkersGrants(t *testing.T) {
 	a := NewArbiter(time.Hour) // a window long enough to otherwise block
 	now := time.Unix(0, 0)

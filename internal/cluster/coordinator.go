@@ -164,7 +164,7 @@ func (c *Coordinator) Close() {
 	c.cancels = nil
 }
 
-// Arbiter exposes the cross-node arbiter for kind-rank configuration.
+// Arbiter exposes the cross-node arbiter and its grant table.
 func (c *Coordinator) Arbiter() *Arbiter { return c.arb }
 
 // Directory exposes the member directory (lease table).

@@ -36,8 +36,7 @@ func testEnv(t testing.TB, seed int64) (*control.Env, *sim.Engine, *telemetry.Pi
 	fs := pfs.New(engine, pfs.Config{OSTs: 4, OSTBandwidthMBps: 200, DefaultStripeCount: 2})
 	scheduler := sched.New(engine, cl.UpNodes(), sched.DefaultExtensionPolicy())
 	runtime := app.NewRuntime(engine, db, fs, cl)
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
+	runtime.Serve(scheduler)
 	reg := telemetry.NewRegistry()
 	reg.Register(cl.Collector())
 	reg.Register(plant.Collector())

@@ -12,19 +12,11 @@ import (
 	"autoloop/internal/sim"
 )
 
-func init() {
-	register("EXP-A1", "Knowledge ablation: historical run data and learned corrections (§III Analyze)", runA1)
-	register("EXP-A2", "Confidence gating: action threshold sweep (§IV)", runA2)
-	register("EXP-A3", "Human-in/on/off-the-loop response latency and outcomes (§IV)", runA3)
-	register("EXP-A4", "Continual vs static models under workload drift (§IV lifelong AI)", runA4)
-}
-
 // runA1 ablates the K of MAPE-K in the Scheduler case: no knowledge, cold
 // knowledge (learned within the run), and warm knowledge (pre-trained on a
 // prior campaign of the same applications).
 func runA1(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-A1",
 		Title: "Scheduler loop with Knowledge off / cold / warm",
 		Claim: "Analyze the progress relative to representative historical application run times; " +
 			"prior Knowledge (running time, progress rate) informs the Plan",
@@ -68,7 +60,6 @@ func runA1(opt Options) *Result {
 // sloppy early extensions (over-extension), too high starves the loop.
 func runA2(opt Options) *Result {
 	res := &Result{
-		ID:      "EXP-A2",
 		Title:   "Confidence gate threshold sweep on the Scheduler loop",
 		Claim:   "confidence measures are required as we move beyond human-in-the-loop decision-making",
 		Columns: []string{"gate", "completed-all", "killed", "extensions", "vetoed", "overext-nodeh"},
@@ -100,7 +91,6 @@ func runA2(opt Options) *Result {
 // in the loop limits the speed of response".
 func runA3(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-A3",
 		Title: "Operating-mode comparison on the Scheduler loop",
 		Claim: "having a human in the loop limits the speed of response and consequently the " +
 			"opportunities for feedback-driven improvements; human-on-the-loop continues without waiting",
@@ -154,7 +144,6 @@ func runA3(opt Options) *Result {
 // requires continual/lifelong AI".
 func runA4(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-A4",
 		Title: "Static vs continual forecasting across a workload regime shift",
 		Claim: "simply applying present AI tools will not suffice: models must evolve with the " +
 			"environment at small overhead (continual/lifelong learning)",

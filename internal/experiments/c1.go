@@ -8,15 +8,8 @@ import (
 	"autoloop/internal/core"
 	"autoloop/internal/facility"
 	"autoloop/internal/fleet"
-	"autoloop/internal/hw"
-	"autoloop/internal/sim"
-	"autoloop/internal/telemetry"
 	"autoloop/internal/tsdb"
 )
-
-func init() {
-	register("EXP-C1", "Concurrent fleet coordination with cross-loop conflict arbitration", runC1)
-}
 
 // c1Loops builds the two deliberately contradictory facility loops of the
 // scenario: a thermal guard that lowers the supply setpoint whenever the
@@ -100,7 +93,6 @@ func c1Loops(db *tsdb.DB, plant *facility.Plant, tempLimit float64, moved *int) 
 // bus's "loop.<name>.arbitrated" topic.
 func runC1(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-C1",
 		Title: "Two contradictory facility loops on one plant: sequential vs fleet-arbitrated",
 		Claim: "autonomy loops will operate simultaneously at the level of the facility, the system, " +
 			"and jobs — concurrent loops must not issue contradictory actions on a shared subject",
@@ -114,42 +106,13 @@ func runC1(opt Options) *Result {
 	const tempLimit = 70.0
 
 	for _, arbitrated := range []bool{false, true} {
-		engine := sim.NewEngine(opt.Seed)
-		db := tsdb.New(0)
+		w := newPlantWorld(opt, horizon, tempLimit)
 		b := bus.New()
-		ccfg := hw.DefaultConfig()
-		ccfg.Nodes = 32
-		ccfg.SensorNoise = 0.01
-		cl := hw.New(engine, ccfg)
-		plant := facility.New(engine, facility.DefaultConfig(), cl)
-		plant.BindAmbient(cl)
-		reg := telemetry.NewRegistry()
-		reg.Register(cl.Collector())
-		reg.Register(plant.Collector())
-
-		// Diurnal load, as in EXP-X1: half the fleet busy at night, nearly
-		// all of it by the end of the horizon.
-		engine.Every(time.Minute, time.Minute, func() bool {
-			frac := 0.5 + 0.45*engine.Now().Hours()/horizon.Hours()
-			nodes := cl.UpNodes()
-			busy := int(frac * float64(len(nodes)))
-			for i, n := range nodes {
-				if i < busy {
-					cl.SetUtil(n, 0.9)
-				} else {
-					cl.SetUtil(n, 0.05)
-				}
-			}
-			return engine.Now() < horizon
-		})
-
 		moved := 0
-		guard, saver := c1Loops(db, plant, tempLimit, &moved)
+		guard, saver := c1Loops(w.db, w.plant, tempLimit, &moved)
 		guard.Bus = b
 		saver.Bus = b
 
-		hottest, breaches := 0.0, 0
-		pipe := telemetry.NewPipeline(reg, db)
 		var arbitratedLost int
 		b.Subscribe("loop.energy-saver.arbitrated", func(bus.Envelope) { arbitratedLost++ })
 
@@ -160,25 +123,13 @@ func runC1(opt Options) *Result {
 			coord = fleet.New(0).PublishTo(b, "exp-c1")
 			coord.Add(guard, 20)
 			coord.Add(saver, 5)
-			pipe.Drive(coord, 10) // loops tick every 10th sample = every 5 minutes
+			w.pipe.Drive(coord, 10) // loops tick every 10th sample = every 5 minutes
 		} else {
 			// Sequential status quo: both loops tick back to back and both
 			// actions execute, contradictions and all.
-			pipe.Drive(tickPair{saver, guard}, 10)
+			w.pipe.Drive(tickPair{saver, guard}, 10)
 		}
-		engine.Every(30*time.Second, 30*time.Second, func() bool {
-			pipe.Sample(engine.Now())
-			for _, p := range db.Latest("node.temp.celsius", nil) {
-				if p.Value > hottest {
-					hottest = p.Value
-				}
-				if p.Value > tempLimit {
-					breaches++
-				}
-			}
-			return engine.Now() < horizon
-		})
-		engine.RunUntil(horizon)
+		w.engine.RunUntil(horizon)
 
 		mode := "sequential-unarbitrated"
 		conflicts, lost := "-", "-"
@@ -188,9 +139,9 @@ func runC1(opt Options) *Result {
 			conflicts = fmt.Sprintf("%d", m.Conflicts)
 			lost = fmt.Sprintf("%d (%d on bus)", saver.Metrics().ArbitratedActions, arbitratedLost)
 		}
-		res.AddRow(mode, moved, conflicts, lost, breaches,
-			fmt.Sprintf("%.1f°C", plant.SupplySetpointC()),
-			fmt.Sprintf("%.1f°C", hottest))
+		res.AddRow(mode, moved, conflicts, lost, w.breaches,
+			fmt.Sprintf("%.1f°C", w.plant.SupplySetpointC()),
+			fmt.Sprintf("%.1f°C", w.hottest))
 	}
 	res.AddNote("both loops tick every 5m on the telemetry cadence; the guard defends %.0f°C, the saver pushes toward 27°C", tempLimit)
 	res.AddNote("unarbitrated, every hot round actuates twice (raise then lower); arbitrated, the saver's raise loses the round and is published on loop.energy-saver.arbitrated")

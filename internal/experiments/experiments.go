@@ -1,13 +1,13 @@
 // Package experiments contains one runnable experiment per figure and per
-// qualitative claim of the paper, as indexed in DESIGN.md §3. Each runner
-// assembles the simulated substrates and autonomy loops, executes a
-// deterministic scenario, and returns a Result whose table is the
-// reproduction artifact recorded in EXPERIMENTS.md.
+// qualitative claim of the paper, indexed by the registry below and run with
+// cmd/modaloop. Each runner assembles the simulated substrates and autonomy
+// loops, executes a deterministic scenario, and returns a Result whose table
+// is the reproduction artifact; the seed-1 tables are pinned byte for byte
+// in testdata/*.golden.
 package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -125,51 +125,64 @@ type Options struct {
 	Quick bool
 }
 
-// Runner executes one experiment.
-type Runner func(opt Options) *Result
-
-// registry maps experiment IDs to runners, populated by init() in each
-// experiment file.
-var registry = map[string]entry{}
-
-type entry struct {
-	runner Runner
-	title  string
-}
-
-func register(id, title string, r Runner) {
-	if _, dup := registry[id]; dup {
-		panic("experiments: duplicate id " + id)
-	}
-	registry[id] = entry{runner: r, title: title}
+// registry lists every experiment in ID order.
+var registry = []struct {
+	id, title string
+	run       func(Options) *Result
+}{
+	{"EXP-A1", "Knowledge ablation: historical run data and learned corrections (§III Analyze)", runA1},
+	{"EXP-A2", "Confidence gating: action threshold sweep (§IV)", runA2},
+	{"EXP-A3", "Human-in/on/off-the-loop response latency and outcomes (§IV)", runA3},
+	{"EXP-A4", "Continual vs static models under workload drift (§IV lifelong AI)", runA4},
+	{"EXP-C1", "Concurrent fleet coordination with cross-loop conflict arbitration", runC1},
+	{"EXP-F1", "Holistic monitoring and ODA across all four domains (Fig. 1)", runF1},
+	{"EXP-F2a", "MAPE-K pattern scalability: decision latency vs managed-system count (Fig. 2)", runF2a},
+	{"EXP-F2b", "MAPE-K pattern stability: decentralized planning on a shared resource (Fig. 2)", runF2b},
+	{"EXP-F2c", "MAPE-K pattern robustness: control coverage under controller failures (Fig. 2)", runF2c},
+	{"EXP-F3", "Scheduler use case: walltime-extension autonomy loop vs baselines (Fig. 3)", runF3},
+	{"EXP-F3b", "Scheduler-case trust metrics: extension accuracy, guardrails, backfill impact (§III(iv))", runF3b},
+	{"EXP-S1", "Scenario engine: chaos-diverse facility runs scored for MTTR, FP rate, and efficiency (§V at scale)", runS1},
+	{"EXP-U1", "Maintenance use case: checkpoint-before-maintenance vs kill (§III case 1)", runU1},
+	{"EXP-U2", "I/O QoS use case: adaptive hierarchical QoS vs static vs none (§III case 2)", runU2},
+	{"EXP-U3", "OST use case: avoid a degraded OST by close/reopen (§III case 3)", runU3},
+	{"EXP-U4", "Misconfiguration use case: detection and response quality (§III case 4)", runU4},
+	{"EXP-X1", "Power/energy control loop with confidence gating (§IV extension)", runX1},
 }
 
 // IDs returns all registered experiment IDs in order.
 func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
-	sort.Strings(ids)
 	return ids
 }
 
 // Title returns an experiment's one-line description.
 func Title(id string) (string, bool) {
-	e, ok := registry[id]
-	return e.title, ok
+	for _, e := range registry {
+		if e.id == id {
+			return e.title, true
+		}
+	}
+	return "", false
 }
 
-// Run executes the experiment with the given options.
+// Run executes the experiment with the given options; the result carries
+// the experiment's ID.
 func Run(id string, opt Options) (*Result, error) {
-	e, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
+	for _, e := range registry {
+		if e.id != id {
+			continue
+		}
+		if opt.Seed == 0 {
+			opt.Seed = 1
+		}
+		res := e.run(opt)
+		res.ID = e.id
+		return res, nil
 	}
-	if opt.Seed == 0 {
-		opt.Seed = 1
-	}
-	return e.runner(opt), nil
+	return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 }
 
 // RunAll executes every experiment in ID order.

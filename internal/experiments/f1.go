@@ -15,10 +15,6 @@ import (
 	"autoloop/internal/tsdb"
 )
 
-func init() {
-	register("EXP-F1", "Holistic monitoring and ODA across all four domains (Fig. 1)", runF1)
-}
-
 // runF1 exercises the full Fig. 1 pipeline: sensors from building
 // infrastructure, system hardware, system software, and applications flow
 // through one monitoring plane into the TSDB; ODA detectors then diagnose an
@@ -26,7 +22,6 @@ func init() {
 // domain plus pipeline statistics.
 func runF1(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-F1",
 		Title: "Holistic MODA pipeline: one anomaly per Fig. 1 domain",
 		Claim: "holistic monitoring spans facility, hardware, software, and applications; " +
 			"ODA diagnoses across all of them from one data plane",
@@ -46,8 +41,7 @@ func runF1(opt Options) *Result {
 	fs := pfs.New(engine, pfs.Config{OSTs: 8, OSTBandwidthMBps: 300, DefaultStripeCount: 4})
 	scheduler := sched.New(engine, cl.UpNodes(), sched.DefaultExtensionPolicy())
 	runtime := app.NewRuntime(engine, db, fs, cl)
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
+	runtime.Serve(scheduler)
 
 	// The monitoring plane: every domain registers its collector; one
 	// sampling cadence feeds the TSDB.

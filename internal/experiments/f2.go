@@ -11,12 +11,6 @@ import (
 	"autoloop/internal/tsdb"
 )
 
-func init() {
-	register("EXP-F2a", "MAPE-K pattern scalability: decision latency vs managed-system count (Fig. 2)", runF2a)
-	register("EXP-F2b", "MAPE-K pattern stability: decentralized planning on a shared resource (Fig. 2)", runF2b)
-	register("EXP-F2c", "MAPE-K pattern robustness: control coverage under controller failures (Fig. 2)", runF2c)
-}
-
 // ---- shared managed subsystem for the pattern experiments ----
 
 // subsystem is a minimal managed system: a work queue that grows at a fixed
@@ -89,7 +83,6 @@ func drainPlanner() core.Planner {
 // (groups), on a slower cadence.
 func runF2a(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-F2a",
 		Title: "Decision latency vs managed-system count N",
 		Claim: "centralized Plan \"suffers from limited scalability\"; hierarchical control aims " +
 			"\"to improve scalability without compromising stability\"",
@@ -99,7 +92,10 @@ func runF2a(opt Options) *Result {
 	if opt.Quick {
 		sizes = []int{4, 16, 64}
 	}
-	const unit = 500 * time.Microsecond // plan cost per considered pair/input
+	const (
+		unit   = 500 * time.Microsecond // plan cost per considered pair/input
+		window = 120 * time.Second
+	)
 	planCost := func(n int) time.Duration { return time.Duration(n*n) * unit }
 
 	for _, n := range sizes {
@@ -112,7 +108,7 @@ func runF2a(opt Options) *Result {
 			mw := core.NewMasterWorker("mw", drainAnalyzer(5), drainPlanner(), workers)
 			mw.Clock = sim.VirtualClock{Engine: engine}
 			mw.PlanCost = planCost
-			runPatternWindow(engine, subs, func(now time.Duration) { mw.Tick(now) })
+			runPatternWindow(engine, subs, window, mw.Tick)
 			latencies["master-worker"] = meanLatency(mw.Metrics())
 		}
 
@@ -120,15 +116,10 @@ func runF2a(opt Options) *Result {
 		{
 			engine := sim.NewEngine(opt.Seed)
 			subs, _ := makeSubsystems(n)
-			loops := make([]*core.Loop, n)
-			for i, s := range subs {
-				l := core.NewLoop("c"+s.name, s.monitor(), drainAnalyzer(5), drainPlanner(), s.executor())
-				loops[i] = l
-			}
-			coord := core.NewCoordinated("coord", loops)
+			loops := localLoops(subs)
 			// Local plan cost is constant: model it as a fixed execution delay
 			// by measuring it directly in the metrics (zero modeled delay).
-			runPatternWindow(engine, subs, func(now time.Duration) { coord.Tick(now) })
+			runPatternWindow(engine, subs, window, core.NewCoordinated("coord", loops).Tick)
 			var total core.Metrics
 			for _, l := range loops {
 				m := l.Metrics()
@@ -143,30 +134,12 @@ func runF2a(opt Options) *Result {
 		{
 			engine := sim.NewEngine(opt.Seed)
 			subs, workers := makeSubsystems(n)
-			groups := int(math.Sqrt(float64(n)))
-			if groups < 1 {
-				groups = 1
-			}
-			per := (n + groups - 1) / groups
-			var masters []*core.MasterWorker
-			for g := 0; g < groups; g++ {
-				lo, hi := g*per, (g+1)*per
-				if hi > n {
-					hi = n
-				}
-				if lo >= hi {
-					break
-				}
-				mw := core.NewMasterWorker(fmt.Sprintf("g%d", g), drainAnalyzer(5), drainPlanner(), workers[lo:hi])
+			masters := groupMasters(workers, int(math.Sqrt(float64(n))))
+			for _, mw := range masters {
 				mw.Clock = sim.VirtualClock{Engine: engine}
 				mw.PlanCost = planCost // quadratic, but only over group size
-				masters = append(masters, mw)
 			}
-			runPatternWindow(engine, subs, func(now time.Duration) {
-				for _, mw := range masters {
-					mw.Tick(now)
-				}
-			})
+			runPatternWindow(engine, subs, window, tickAll(masters))
 			var total core.Metrics
 			for _, mw := range masters {
 				m := mw.Metrics()
@@ -198,10 +171,44 @@ func makeSubsystems(n int) ([]*subsystem, []*core.Worker) {
 	return subs, workers
 }
 
+// localLoops gives each subsystem its own full MAPE-K loop (the coordinated
+// pattern's members).
+func localLoops(subs []*subsystem) []*core.Loop {
+	loops := make([]*core.Loop, len(subs))
+	for i, s := range subs {
+		loops[i] = core.NewLoop(s.name, s.monitor(), drainAnalyzer(5), drainPlanner(), s.executor())
+	}
+	return loops
+}
+
+// groupMasters splits workers into at most groups contiguous groups of
+// ceil(len/groups) and gives each its own master (the hierarchical pattern's
+// group level).
+func groupMasters(workers []*core.Worker, groups int) []*core.MasterWorker {
+	if groups < 1 {
+		groups = 1
+	}
+	per := (len(workers) + groups - 1) / groups
+	var masters []*core.MasterWorker
+	for g := 0; g*per < len(workers); g++ {
+		group := workers[g*per : min((g+1)*per, len(workers))]
+		masters = append(masters, core.NewMasterWorker(fmt.Sprintf("g%d", g), drainAnalyzer(5), drainPlanner(), group))
+	}
+	return masters
+}
+
+// tickAll ticks every master in order.
+func tickAll(masters []*core.MasterWorker) func(now time.Duration) {
+	return func(now time.Duration) {
+		for _, mw := range masters {
+			mw.Tick(now)
+		}
+	}
+}
+
 // runPatternWindow advances subsystems and ticks the controller once per
-// second of virtual time for a fixed window.
-func runPatternWindow(engine *sim.Engine, subs []*subsystem, tick func(now time.Duration)) {
-	const window = 120 * time.Second
+// second of virtual time until window.
+func runPatternWindow(engine *sim.Engine, subs []*subsystem, window time.Duration, tick func(now time.Duration)) {
 	engine.Every(time.Second, time.Second, func() bool {
 		for _, s := range subs {
 			s.step()
@@ -252,7 +259,6 @@ func (r *sharedResource) latency() float64 {
 // the paper warns about.
 func runF2b(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-F2b",
 		Title: "Aggregate-load oscillation on a shared resource, 16 local loops",
 		Claim: "fully decentralized Plan \"may suffer from instability and side-effects due to " +
 			"indirect interactions\"; coordination restores stability",
@@ -385,7 +391,6 @@ func oscillationIndex(vs []float64) float64 {
 // the fraction of subsystems still receiving actions afterward.
 func runF2c(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-F2c",
 		Title: "Control coverage after controller failures, 16 subsystems",
 		Claim: "distributed autonomy is \"useful for robust and resilient operations\"; " +
 			"operations \"must persist through component and subsystem failures\"",
@@ -398,85 +403,45 @@ func runF2c(opt Options) *Result {
 	}
 	half := window / 2
 
+	// Each scenario wires one pattern over the subsystems and returns its
+	// tick and the failure to inject.
 	type scenario struct {
-		name    string
-		failure string
-		run     func() ([]*subsystem, func(now time.Duration), func())
+		name, failure string
+		build         func(subs []*subsystem, workers []*core.Worker) (tick func(time.Duration), fail func())
 	}
 	scenarios := []scenario{
-		{
-			name: "master-worker", failure: "master dies",
-			run: func() ([]*subsystem, func(time.Duration), func()) {
-				subs, workers := makeSubsystems(n)
-				mw := core.NewMasterWorker("mw", drainAnalyzer(5), drainPlanner(), workers)
-				return subs, mw.Tick, func() { mw.SetEnabled(false) }
-			},
-		},
-		{
-			name: "coordinated", failure: "25% of loops die",
-			run: func() ([]*subsystem, func(time.Duration), func()) {
-				subs, _ := makeSubsystems(n)
-				loops := make([]*core.Loop, n)
-				for i, s := range subs {
-					loops[i] = core.NewLoop(s.name, s.monitor(), drainAnalyzer(5), drainPlanner(), s.executor())
+		{"master-worker", "master dies", func(_ []*subsystem, workers []*core.Worker) (func(time.Duration), func()) {
+			mw := core.NewMasterWorker("mw", drainAnalyzer(5), drainPlanner(), workers)
+			return mw.Tick, func() { mw.SetEnabled(false) }
+		}},
+		{"coordinated", "25% of loops die", func(subs []*subsystem, _ []*core.Worker) (func(time.Duration), func()) {
+			loops := localLoops(subs)
+			return core.NewCoordinated("coord", loops).Tick, func() {
+				for _, l := range loops[:n/4] {
+					l.SetEnabled(false)
 				}
-				coord := core.NewCoordinated("coord", loops)
-				return subs, coord.Tick, func() {
-					for i := 0; i < n/4; i++ {
-						loops[i].SetEnabled(false)
-					}
-				}
-			},
-		},
-		{
-			name: "hierarchical", failure: "parent dies",
-			run: func() ([]*subsystem, func(time.Duration), func()) {
-				subs, workers := makeSubsystems(n)
-				groups := 4
-				per := n / groups
-				var masters []*core.MasterWorker
-				for g := 0; g < groups; g++ {
-					mw := core.NewMasterWorker(fmt.Sprintf("g%d", g), drainAnalyzer(5), drainPlanner(), workers[g*per:(g+1)*per])
-					masters = append(masters, mw)
-				}
-				// The "parent" retunes group thresholds; its death leaves the
-				// group masters running with stale setpoints.
-				parentAlive := true
-				tick := func(now time.Duration) {
-					for _, mw := range masters {
-						mw.Tick(now)
-					}
-					_ = parentAlive
-				}
-				return subs, tick, func() { parentAlive = false }
-			},
-		},
-		{
-			name: "hierarchical", failure: "1 of 4 group masters dies",
-			run: func() ([]*subsystem, func(time.Duration), func()) {
-				subs, workers := makeSubsystems(n)
-				groups := 4
-				per := n / groups
-				var masters []*core.MasterWorker
-				for g := 0; g < groups; g++ {
-					mw := core.NewMasterWorker(fmt.Sprintf("g%d", g), drainAnalyzer(5), drainPlanner(), workers[g*per:(g+1)*per])
-					masters = append(masters, mw)
-				}
-				tick := func(now time.Duration) {
-					for _, mw := range masters {
-						mw.Tick(now)
-					}
-				}
-				return subs, tick, func() { masters[0].SetEnabled(false) }
-			},
-		},
+			}
+		}},
+		// This model's parent holds no state the group masters depend on, so
+		// its death changes nothing and the row equals the no-failure
+		// baseline.
+		{"hierarchical", "parent dies", func(_ []*subsystem, workers []*core.Worker) (func(time.Duration), func()) {
+			return tickAll(groupMasters(workers, 4)), func() {}
+		}},
+		{"hierarchical", "1 of 4 group masters dies", func(_ []*subsystem, workers []*core.Worker) (func(time.Duration), func()) {
+			masters := groupMasters(workers, 4)
+			return tickAll(masters), func() { masters[0].SetEnabled(false) }
+		}},
 	}
 
 	for _, sc := range scenarios {
 		engine := sim.NewEngine(opt.Seed)
-		subs, tick, fail := sc.run()
+		subs, workers := makeSubsystems(n)
+		tick, fail := sc.build(subs, workers)
 		// Snapshot per-subsystem action counts at the failure instant so
-		// coverage can be attributed to each half of the window.
+		// coverage can be attributed to each half of the window. Registered
+		// before the pattern's ticks, the failure lands ahead of the tick at
+		// the same instant.
 		atHalf := make([]int, len(subs))
 		engine.At(half, func() {
 			fail()
@@ -484,14 +449,7 @@ func runF2c(opt Options) *Result {
 				atHalf[i] = s.actions
 			}
 		})
-		engine.Every(time.Second, time.Second, func() bool {
-			for _, s := range subs {
-				s.step()
-			}
-			tick(engine.Now())
-			return engine.Now() < window
-		})
-		engine.Run()
+		runPatternWindow(engine, subs, window, tick)
 		before, after := 0, 0
 		maxBacklog := 0.0
 		for i, s := range subs {

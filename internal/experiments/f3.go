@@ -7,18 +7,12 @@ import (
 	"autoloop/internal/sched"
 )
 
-func init() {
-	register("EXP-F3", "Scheduler use case: walltime-extension autonomy loop vs baselines (Fig. 3)", runF3)
-	register("EXP-F3b", "Scheduler-case trust metrics: extension accuracy, guardrails, backfill impact (§III(iv))", runF3b)
-}
-
 // runF3 reproduces the paper's flagship case. The paper's incentive
 // statement — "increase in completed and decrease in resubmitted jobs" plus
 // reduced wasted allocation — is measured against three baselines: users as
 // they are (no loop), users padding 2x, and oracle users.
 func runF3(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-F3",
 		Title: "Walltime-extension autonomy loop vs baselines",
 		Claim: "adopting the loop increases completed jobs and decreases resubmitted jobs (§III(v)) " +
 			"without unbounded impact on other users",
@@ -63,7 +57,6 @@ func runF3(opt Options) *Result {
 // the time extension with the actual application run time").
 func runF3b(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-F3b",
 		Title: "Extension guardrails, accuracy, and backfill impact",
 		Claim: "validation via extension-vs-actual comparison; controls limit extensions per job; " +
 			"overestimation shows up as untaken backfill opportunities",

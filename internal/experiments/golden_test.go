@@ -52,3 +52,29 @@ func TestGoldenTables(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenFilesMatchRegistry requires testdata to hold exactly one quick
+// and one full golden per registered experiment, so a renamed or deleted
+// experiment cannot leave a stale table behind.
+func TestGoldenFilesMatchRegistry(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[string]bool{}
+	for _, p := range paths {
+		have[filepath.Base(p)] = true
+	}
+	for _, id := range IDs() {
+		for _, mode := range []string{"quick", "full"} {
+			name := id + "." + mode + ".golden"
+			if !have[name] {
+				t.Errorf("registered %s has no testdata/%s", id, name)
+			}
+			delete(have, name)
+		}
+	}
+	for name := range have {
+		t.Errorf("testdata/%s names no registered experiment and mode", name)
+	}
+}

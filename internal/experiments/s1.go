@@ -7,10 +7,6 @@ import (
 	"autoloop/internal/scenario"
 )
 
-func init() {
-	register("EXP-S1", "Scenario engine: chaos-diverse facility runs scored for MTTR, FP rate, and efficiency (§V at scale)", runS1)
-}
-
 // runS1 drives the declarative scenario engine: each row is one scenario
 // document run to its horizon against the full loop fleet, scored on the
 // ground-truth fault schedule. Quick mode runs the small preset only; the
@@ -18,7 +14,6 @@ func init() {
 // the library, including the phantom sensor flap.
 func runS1(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-S1",
 		Title: "Declarative scenarios: fleet response under a chaos-diverse fault schedule",
 		Claim: "operational data analytics ... feedback and response at facility scale (§V); " +
 			"the fleet must detect and repair injected faults without chasing phantoms",

@@ -11,15 +11,10 @@ import (
 	"autoloop/internal/tsdb"
 )
 
-func init() {
-	register("EXP-U1", "Maintenance use case: checkpoint-before-maintenance vs kill (§III case 1)", runU1)
-}
-
 // runU1 runs a fleet of long jobs into a maintenance window with and without
 // the maintenance autonomy loop, comparing preserved work and completion.
 func runU1(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-U1",
 		Title: "Maintenance window at t=6h: loop vs baseline",
 		Claim: "responses to system maintenance events ensure continuity of running jobs " +
 			"(via the same checkpoint interaction as the Scheduler case)",
@@ -39,8 +34,7 @@ func runU1(opt Options) *Result {
 		}
 		scheduler := sched.New(engine, nodes, sched.DefaultExtensionPolicy())
 		runtime := app.NewRuntime(engine, db, nil, nil)
-		runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-		scheduler.SetHooks(runtime.Start, runtime.Kill)
+		runtime.Serve(scheduler)
 		var ctl *maintcase.Controller
 		if withLoop {
 			ctl = maintcase.New(maintcase.DefaultConfig(), db, scheduler, runtime)

@@ -12,16 +12,11 @@ import (
 	"autoloop/internal/tsdb"
 )
 
-func init() {
-	register("EXP-U2", "I/O QoS use case: adaptive hierarchical QoS vs static vs none (§III case 2)", runU2)
-}
-
 // runU2 reproduces the I/O QoS scenario: a deadline-dependent workflow
 // shares the filesystem with a saturating best-effort tenant, under three
 // QoS regimes.
 func runU2(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-U2",
 		Title: "Deadline tenant vs saturating interferer on a shared PFS",
 		Claim: "adapt QoS parameters ... to decrease interference, reduce tail latency, and provide " +
 			"more consistent results for deadline dependent workflows",

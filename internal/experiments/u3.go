@@ -14,15 +14,10 @@ import (
 	"autoloop/internal/tsdb"
 )
 
-func init() {
-	register("EXP-U3", "OST use case: avoid a degraded OST by close/reopen (§III case 3)", runU3)
-}
-
 // runU3 degrades one OST under an I/O-heavy workload and compares
 // application I/O latency and runtime with and without the avoidance loop.
 func runU3(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-U3",
 		Title: "One of 16 OSTs degrades 20x at t=10m under striped writers",
 		Claim: "close files using a poorly performing OST and reopen them using different OSTs",
 		Columns: []string{"mode", "response-at", "io-p50-after-ms", "io-p99-after-ms",
@@ -46,8 +41,7 @@ func runU3(opt Options) *Result {
 		}
 		scheduler := sched.New(engine, nodes, sched.DefaultExtensionPolicy())
 		runtime := app.NewRuntime(engine, db, fs, nil)
-		runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-		scheduler.SetHooks(runtime.Start, runtime.Kill)
+		runtime.Serve(scheduler)
 		pipe := telemetry.NewPipeline(telemetry.NewRegistryOf(fs.Collector()), db)
 		engine.Every(30*time.Second, 30*time.Second, func() bool {
 			pipe.Sample(engine.Now())

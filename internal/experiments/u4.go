@@ -13,16 +13,11 @@ import (
 	"autoloop/internal/tsdb"
 )
 
-func init() {
-	register("EXP-U4", "Misconfiguration use case: detection and response quality (§III case 4)", runU4)
-}
-
 // runU4 launches a workload with known injected misconfigurations and
 // measures per-type precision, recall, time-to-detect, and the core-hours
 // recovered by fixing on the fly.
 func runU4(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-U4",
 		Title: "Injected misconfigurations: detection and response",
 		Claim: "detect thread/core mismatch, underutilization, and wrong library paths; inform the " +
 			"user or correct on the fly",
@@ -41,8 +36,7 @@ func runU4(opt Options) *Result {
 	cl := hw.New(engine, ccfg)
 	scheduler := sched.New(engine, cl.UpNodes(), sched.DefaultExtensionPolicy())
 	runtime := app.NewRuntime(engine, db, nil, cl)
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
+	runtime.Serve(scheduler)
 	ctl := misconfcase.New(misconfcase.DefaultConfig(), db, scheduler, runtime, cl)
 	done := false
 	ctl.Loop().RunEvery(sim.VirtualClock{Engine: engine}, time.Minute, func() bool { return done })

@@ -191,8 +191,7 @@ func runSchedScenario(sc schedScenario) schedOutcome {
 	}
 	scheduler := sched.New(engine, nodes, sc.Policy)
 	runtime := app.NewRuntime(engine, db, nil, nil)
-	runtime.OnComplete = func(inst *app.Instance) { scheduler.JobFinished(inst.Job.ID) }
-	scheduler.SetHooks(runtime.Start, runtime.Kill)
+	runtime.Serve(scheduler)
 
 	specs := generateJobs(sc)
 	// terminalItems counts workload items that reached a final fate

@@ -14,8 +14,64 @@ import (
 	"autoloop/internal/tsdb"
 )
 
-func init() {
-	register("EXP-X1", "Power/energy control loop with confidence gating (§IV extension)", runX1)
+// plantWorld is the facility EXP-X1 and EXP-C1 share: 32 nodes cooled by one
+// plant whose supply setpoint reaches the node inlets, under a diurnal load,
+// sampled every 30 s into the TSDB. The sampler also tracks the hottest node
+// seen, the node samples above the temperature limit, and the cooling energy.
+type plantWorld struct {
+	engine *sim.Engine
+	db     *tsdb.DB
+	plant  *facility.Plant
+	pipe   *telemetry.Pipeline
+
+	hottest   float64
+	breaches  int
+	coolingWh float64
+}
+
+// newPlantWorld builds the world and schedules its load and sampler until
+// horizon. The load is registered before the sampler: the engine runs
+// same-time events in insertion order, so this order is part of both tables.
+func newPlantWorld(opt Options, horizon time.Duration, tempLimit float64) *plantWorld {
+	engine := sim.NewEngine(opt.Seed)
+	ccfg := hw.DefaultConfig()
+	ccfg.Nodes = 32
+	ccfg.SensorNoise = 0.01
+	cl := hw.New(engine, ccfg)
+	plant := facility.New(engine, facility.DefaultConfig(), cl)
+	plant.BindAmbient(cl)
+	w := &plantWorld{engine: engine, db: tsdb.New(0), plant: plant}
+	w.pipe = telemetry.NewPipeline(telemetry.NewRegistryOf(cl.Collector(), plant.Collector()), w.db)
+
+	// Diurnal load: half the fleet busy at night, nearly all of it by the end
+	// of the horizon.
+	engine.Every(time.Minute, time.Minute, func() bool {
+		frac := 0.5 + 0.45*engine.Now().Hours()/horizon.Hours()
+		nodes := cl.UpNodes()
+		busy := int(frac * float64(len(nodes)))
+		for i, n := range nodes {
+			if i < busy {
+				cl.SetUtil(n, 0.9)
+			} else {
+				cl.SetUtil(n, 0.05)
+			}
+		}
+		return engine.Now() < horizon
+	})
+	engine.Every(30*time.Second, 30*time.Second, func() bool {
+		w.pipe.Sample(engine.Now())
+		w.coolingWh += plant.CoolingPowerW(engine.Now()) * 30 / 3600
+		for _, p := range w.db.Latest("node.temp.celsius", nil) {
+			if p.Value > w.hottest {
+				w.hottest = p.Value
+			}
+			if p.Value > tempLimit {
+				w.breaches++
+			}
+		}
+		return engine.Now() < horizon
+	})
+	return w
 }
 
 // runX1 exercises the facility-domain energy loop the paper's §IV gestures
@@ -24,7 +80,6 @@ func init() {
 // by confidence; never exceed the component temperature limit.
 func runX1(opt Options) *Result {
 	res := &Result{
-		ID:    "EXP-X1",
 		Title: "Cooling-energy optimization under a hard thermal limit",
 		Claim: "confidence measures are required ... particularly for safe operations of power and " +
 			"energy controls (§IV); the loop must save energy without thermal violations",
@@ -49,54 +104,10 @@ func runX1(opt Options) *Result {
 	}
 	var staticKWh float64
 	for _, v := range variants {
-		engine := sim.NewEngine(opt.Seed)
-		db := tsdb.New(0)
-		ccfg := hw.DefaultConfig()
-		ccfg.Nodes = 32
-		ccfg.SensorNoise = 0.01
-		cl := hw.New(engine, ccfg)
-		plant := facility.New(engine, facility.DefaultConfig(), cl)
-		plant.BindAmbient(cl)
-		reg := telemetry.NewRegistry()
-		reg.Register(cl.Collector())
-		reg.Register(plant.Collector())
-
-		// Diurnal load: half the fleet busy at night, all of it by midday.
-		engine.Every(time.Minute, time.Minute, func() bool {
-			frac := 0.5 + 0.45*engine.Now().Hours()/horizon.Hours()
-			nodes := cl.UpNodes()
-			busy := int(frac * float64(len(nodes)))
-			for i, n := range nodes {
-				if i < busy {
-					cl.SetUtil(n, 0.9)
-				} else {
-					cl.SetUtil(n, 0.05)
-				}
-			}
-			return engine.Now() < horizon
-		})
-
-		var coolingWh float64
-		hottest := 0.0
-		violations := 0
-		pipe := telemetry.NewPipeline(reg, db)
-		engine.Every(30*time.Second, 30*time.Second, func() bool {
-			pipe.Sample(engine.Now())
-			coolingWh += plant.CoolingPowerW(engine.Now()) * 30 / 3600
-			for _, p := range db.Latest("node.temp.celsius", nil) {
-				if p.Value > hottest {
-					hottest = p.Value
-				}
-				if p.Value > tempLimit {
-					violations++
-				}
-			}
-			return engine.Now() < horizon
-		})
-
+		w := newPlantWorld(opt, horizon, tempLimit)
 		cfg := powercase.DefaultConfig()
 		cfg.TempLimitC = tempLimit
-		ctl := powercase.New(cfg, db, plant)
+		ctl := powercase.New(cfg, w.db, w.plant)
 		if v.enabled {
 			loop := ctl.Loop()
 			if v.gate > 0 {
@@ -107,12 +118,12 @@ func runX1(opt Options) *Result {
 			// scenario is ready to take more facility-domain loops.
 			coord := fleet.New(0)
 			coord.Add(loop, powercase.FleetPriority)
-			coord.RunEvery(sim.VirtualClock{Engine: engine}, 5*time.Minute,
-				func() bool { return engine.Now() >= horizon })
+			coord.RunEvery(sim.VirtualClock{Engine: w.engine}, 5*time.Minute,
+				func() bool { return w.engine.Now() >= horizon })
 		}
-		engine.RunUntil(horizon)
+		w.engine.RunUntil(horizon)
 
-		kwh := coolingWh / 1000
+		kwh := w.coolingWh / 1000
 		if v.name == "static-setpoint" {
 			staticKWh = kwh
 		}
@@ -121,11 +132,11 @@ func runX1(opt Options) *Result {
 			saved = pct(staticKWh-kwh, staticKWh)
 		}
 		res.AddRow(v.name,
-			fmt.Sprintf("%.1f°C", plant.SupplySetpointC()),
+			fmt.Sprintf("%.1f°C", w.plant.SupplySetpointC()),
 			fmt.Sprintf("%.1f", kwh),
 			saved,
-			fmt.Sprintf("%.1f°C", hottest),
-			violations,
+			fmt.Sprintf("%.1f°C", w.hottest),
+			w.breaches,
 			fmt.Sprintf("%d/%d", ctl.Raises, ctl.Lowers),
 		)
 	}

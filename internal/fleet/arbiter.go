@@ -15,62 +15,16 @@ type ConflictRecord struct {
 	Losers  []string `json:"losers"` // "loop/kind" each
 }
 
-// Policy is the arbitration policy, shared by this package's round-barrier
-// arbiter and the cluster's grant-window arbiter: which same-subject actions
-// contradict, and which of two contradicting actions wins. Two actions
-// contradict when their kinds differ — two loops independently planning the
-// same kind of action on a subject is redundancy, not contradiction. The
-// winner is the higher kind rank, then the higher loop priority; a tie goes
-// to the incumbent. A Policy is immutable (RankKind returns a new one), so
-// it may be shared across goroutines; the zero value ranks every kind 0.
-type Policy struct {
-	rank map[string]int
+// Yields reports whether an action of kind at priority prio yields its
+// subject to a holder's action of holderKind at holderPrio. It is the one
+// arbitration rule, shared by this package's round-barrier arbitration and
+// the cluster's grant-window arbiter: two same-subject actions contradict
+// when their kinds differ — two loops independently planning the same kind
+// of action on a subject is redundancy, not contradiction — and of two
+// contradicting actions the higher priority wins, a tie going to the holder.
+func Yields(kind string, prio int, holderKind string, holderPrio int) bool {
+	return kind != holderKind && prio <= holderPrio
 }
-
-// RankKind returns the policy with actions of this kind dominating
-// lower-ranked kinds on the same subject regardless of loop priority — e.g.
-// ranking "cap" above "boost" lets a power-cap loop's cap beat a scheduler
-// loop's boost even when the scheduler loop registered with higher
-// priority. Unranked kinds rank 0; higher ranks win.
-func (p Policy) RankKind(kind string, rank int) Policy {
-	ranks := make(map[string]int, len(p.rank)+1)
-	for k, r := range p.rank {
-		ranks[k] = r
-	}
-	ranks[kind] = rank
-	return Policy{rank: ranks}
-}
-
-// Rank returns a kind's rank (0 when unranked).
-func (p Policy) Rank(kind string) int { return p.rank[kind] }
-
-// Conflicts reports whether two same-subject actions from different sources
-// contradict.
-func (p Policy) Conflicts(kindA, kindB string) bool { return kindA != kindB }
-
-// Beats reports whether challenger A wins over incumbent B.
-func (p Policy) Beats(kindA string, prioA int, kindB string, prioB int) bool {
-	if ra, rb := p.rank[kindA], p.rank[kindB]; ra != rb {
-		return ra > rb
-	}
-	return prioA > prioB
-}
-
-// Arbiter resolves cross-loop conflicts among the actions planned in one
-// round. Two actions conflict when they come from different loops, target the
-// same subject, and the Policy says they contradict. Within a conflicting
-// subject group the Policy picks one winner, registration order breaking
-// ties; every action conflicting with the winner loses and is marked
-// arbitrated on its loop.
-type Arbiter struct {
-	policy Policy
-}
-
-// NewArbiter returns an arbiter with the zero Policy.
-func NewArbiter() *Arbiter { return &Arbiter{} }
-
-// SetPolicy replaces the arbitration policy; call it between rounds.
-func (a *Arbiter) SetPolicy(p Policy) { a.policy = p }
 
 // candidate is one planned action located in the round's plan set.
 type candidate struct {
@@ -78,11 +32,14 @@ type candidate struct {
 	act    core.Action
 }
 
-// resolve arbitrates one round: it groups the planned actions by subject,
-// picks a winner per contested group, marks every conflicting loser on its
-// PlannedTick, and returns the conflict records in deterministic
+// arbitrate resolves cross-loop conflicts among the actions planned in one
+// round. A subject is contested when two or more loops plan actions on it;
+// its winner is the highest-priority action, ties keeping the earlier one
+// (registration order, then plan position), and every other loop's action
+// that Yields to the winner loses and is marked arbitrated on its
+// PlannedTick. The conflict records come back in deterministic
 // (first-subject-appearance) order.
-func (a *Arbiter) resolve(members []member, plans []*core.PlannedTick) []ConflictRecord {
+func arbitrate(members []member, plans []*core.PlannedTick) []ConflictRecord {
 	var order []string
 	bySubject := make(map[string][]candidate)
 	multiLoop := make(map[string]bool)
@@ -109,37 +66,28 @@ func (a *Arbiter) resolve(members []member, plans []*core.PlannedTick) []Conflic
 		group := bySubject[subject]
 		win := group[0]
 		for _, cand := range group[1:] {
-			if a.beats(members, cand, win) {
+			if members[cand.mi].priority > members[win.mi].priority {
 				win = cand
 			}
 		}
+		winLoop, winPrio := members[win.mi].loop, members[win.mi].priority
 		var losers []string
 		for _, cand := range group {
-			if cand.mi == win.mi || !a.policy.Conflicts(cand.act.Kind, win.act.Kind) {
+			prio := members[cand.mi].priority
+			if cand.mi == win.mi || !Yields(cand.act.Kind, prio, win.act.Kind, winPrio) {
 				continue
 			}
-			loserLoop := members[cand.mi].loop
-			winnerLoop := members[win.mi].loop
 			plans[cand.mi].Arbitrate(cand.ai, fmt.Sprintf(
-				"lost %s to %s/%s (kind rank %d vs %d, priority %d vs %d)",
-				subject, winnerLoop.Name, win.act.Kind,
-				a.policy.Rank(cand.act.Kind), a.policy.Rank(win.act.Kind),
-				members[cand.mi].priority, members[win.mi].priority))
-			losers = append(losers, loserLoop.Name+"/"+cand.act.Kind)
+				"lost %s to %s/%s (priority %d vs %d)", subject, winLoop.Name, win.act.Kind, prio, winPrio))
+			losers = append(losers, members[cand.mi].loop.Name+"/"+cand.act.Kind)
 		}
 		if len(losers) > 0 {
 			records = append(records, ConflictRecord{
 				Subject: subject,
-				Winner:  members[win.mi].loop.Name + "/" + win.act.Kind,
+				Winner:  winLoop.Name + "/" + win.act.Kind,
 				Losers:  losers,
 			})
 		}
 	}
 	return records
-}
-
-// beats reports whether candidate x wins over the current winner y; ties
-// keep y (earlier registration, then earlier plan position, wins).
-func (a *Arbiter) beats(members []member, x, y candidate) bool {
-	return a.policy.Beats(x.act.Kind, members[x.mi].priority, y.act.Kind, members[y.mi].priority)
 }

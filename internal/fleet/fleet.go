@@ -5,8 +5,9 @@
 //
 // A Coordinator owns a set of core.Loops and ticks them in rounds: the plan
 // half of every loop (Monitor/Analyze/Plan) fans out over a worker pool, a
-// round barrier waits for all of them, a per-subject Arbiter resolves
-// cross-loop conflicts among the planned actions, and the execute halves run
+// round barrier waits for all of them, per-subject arbitration (the Yields
+// rule) resolves cross-loop conflicts among the planned actions, and the
+// execute halves run
 // serially in registration order. Because the plan half touches only
 // loop-local state (audit entries and bus events are buffered inside the
 // PlannedTick) and everything order-sensitive happens after the barrier, a
@@ -82,7 +83,6 @@ type member struct {
 // called from one goroutine (under the simulator, the engine thread).
 type Coordinator struct {
 	workers int
-	arbiter *Arbiter
 	bus     *bus.Bus
 	source  string
 
@@ -109,11 +109,8 @@ func New(workers int) *Coordinator {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Coordinator{workers: workers, arbiter: NewArbiter(), names: make(map[string]bool)}
+	return &Coordinator{workers: workers, names: make(map[string]bool)}
 }
-
-// Arbiter exposes the conflict arbiter for rule configuration.
-func (c *Coordinator) Arbiter() *Arbiter { return c.arbiter }
 
 // PublishTo arranges for every round to publish its ConflictRecords and
 // RoundSummary on b as one batch. source tags the envelopes. Returns c for
@@ -138,8 +135,8 @@ func (c *Coordinator) SetExternalArbiter(f func(now time.Duration, digests []Act
 }
 
 // Add registers a loop with an arbitration priority: on a cross-loop conflict
-// the higher priority wins (after any kind ranks — see Policy.RankKind),
-// with registration order breaking ties. Registration order also fixes the
+// the higher priority wins (see Yields), with registration order breaking
+// ties. Registration order also fixes the
 // deterministic execute order. Loop names must be unique within a fleet so
 // conflict records are unambiguous.
 func (c *Coordinator) Add(l *core.Loop, priority int) {
@@ -210,7 +207,7 @@ func (c *Coordinator) Tick(now time.Duration) {
 	c.planRound(now, plans)
 
 	// Round barrier passed: everything below is serial and deterministic.
-	conflicts := c.arbiter.resolve(c.members, plans)
+	conflicts := arbitrate(c.members, plans)
 	planned, arbitrated := 0, 0
 	for _, pt := range plans {
 		planned += len(pt.Actions())

@@ -71,22 +71,6 @@ func TestPriorityArbitration(t *testing.T) {
 	}
 }
 
-func TestKindRankBeatsLoopPriority(t *testing.T) {
-	capLoop := newStaticLoop("power-cap", core.Action{Kind: "cap", Subject: "n001", Amount: 100})
-	boost := newStaticLoop("sched-boost", core.Action{Kind: "boost", Subject: "n001", Amount: 50})
-
-	c := New(2)
-	c.Arbiter().SetPolicy(Policy{}.RankKind("cap", 1))
-	c.Add(boost.loop, 100) // higher loop priority, but "boost" is unranked
-	c.Add(capLoop.loop, 1)
-	c.Tick(time.Minute)
-
-	if len(capLoop.executed) != 1 || len(boost.executed) != 0 {
-		t.Fatalf("cap executed %d, boost executed %d; cap's kind rank must beat boost's priority",
-			len(capLoop.executed), len(boost.executed))
-	}
-}
-
 func TestSameKindDoesNotConflict(t *testing.T) {
 	a := newStaticLoop("a", core.Action{Kind: "checkpoint", Subject: "job7"})
 	b := newStaticLoop("b", core.Action{Kind: "checkpoint", Subject: "job7"})
@@ -201,7 +185,6 @@ func fleetScript(t *testing.T, workers int) string {
 	})
 
 	c := New(workers).PublishTo(b, "script")
-	c.Arbiter().SetPolicy(Policy{}.RankKind("cap", 1))
 	const loops = 24
 	for i := 0; i < loops; i++ {
 		i := i

@@ -178,8 +178,7 @@ func AssembleOn(engine *sim.Engine, db *tsdb.DB, spec *Spec, reg *control.Regist
 	policy := sched.ExtensionPolicy{MaxPerJob: 3, MaxTotalPerJob: 6 * time.Hour, BackfillGuard: true}
 	rt.Scheduler = sched.New(rt.Engine, rt.Cluster.UpNodes(), policy)
 	rt.Apps = app.NewRuntime(rt.Engine, rt.DB, rt.FS, rt.Cluster)
-	rt.Apps.OnComplete = func(inst *app.Instance) { rt.Scheduler.JobFinished(inst.Job.ID) }
-	rt.Scheduler.SetHooks(rt.Apps.Start, rt.Apps.Kill)
+	rt.Apps.Serve(rt.Scheduler)
 	rt.Knowledge = knowledge.NewBase()
 
 	// Telemetry plane: every substrate collector into the TSDB.
