@@ -134,11 +134,11 @@ func runWorker() error {
 	// The bridge link is maintained by a Reconnector: a dropped link is
 	// redialed under capped exponential backoff with full jitter (a fleet of
 	// workers redialing a restarted coordinator spreads out instead of
-	// arriving in lockstep), behind a circuit breaker that slows probing to
-	// its cooldown once the coordinator has been dead for a while. Link
-	// transitions feed the agent's degraded mode: while the coordinator is
-	// unreachable the loops keep ticking under local fail-open arbitration,
-	// and on rejoin the agent re-Hellos and backfills its buffered digests.
+	// arriving in lockstep), capped at one dial per 15s while the
+	// coordinator stays dead. Link transitions feed the agent's degraded
+	// mode: while the coordinator is unreachable the loops keep ticking
+	// under local fail-open arbitration, and on rejoin the agent re-Hellos
+	// and backfills its buffered digests.
 	var agentRef atomic.Pointer[cluster.Agent]
 	rc, err := bus.NewReconnector(*join, cluster.WorkerExportPattern, rt.Bus, bus.ReconnectOptions{
 		OnState: func(up bool) {

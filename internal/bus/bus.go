@@ -14,6 +14,9 @@
 // "prefix.*" subscriptions in a segment trie, so Publish costs O(topic depth)
 // regardless of how many subscriptions exist. Stats are atomic counters, so
 // the whole dispatch path takes a single read-lock.
+//
+// A Reconnector keeps a bridged Client alive across outages, redialing on
+// one capped, full-jitter backoff schedule (reconnect.go).
 package bus
 
 import (

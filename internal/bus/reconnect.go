@@ -1,40 +1,50 @@
 package bus
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"autoloop/internal/chaos"
 )
 
-// ReconnectOptions tunes a Reconnector. The zero value gives the default
-// full-jitter backoff (50ms..15s) and a 5-failure/10s-cooldown breaker.
+// The redial schedule: first retry within 50ms, ceiling 15s — fast enough
+// that a worker rejoins promptly after a blip, slow enough that a dead
+// coordinator is probed at most once per 15s.
+const (
+	backoffBase = 50 * time.Millisecond
+	backoffCap  = 15 * time.Second
+)
+
+// backoff is capped exponential backoff with full jitter: after the
+// attempt'th consecutive failed dial of one outage (counting from 0) it
+// draws a delay uniformly from [0, min(backoffCap, backoffBase<<attempt)).
+// Full jitter desynchronizes a fleet of reconnecting workers — after a
+// coordinator restart the redial storm spreads across the whole window
+// instead of arriving in lockstep waves.
+func backoff(attempt int) time.Duration {
+	ceil := backoffCap
+	if attempt < 30 && backoffBase<<attempt < backoffCap {
+		ceil = backoffBase << attempt
+	}
+	return time.Duration(rand.Int63n(int64(ceil)))
+}
+
+// ReconnectOptions tunes a Reconnector; the zero value is ready to use.
 type ReconnectOptions struct {
-	// Backoff is the redial schedule; nil gets the chaos package defaults
-	// seeded from the wall clock.
-	Backoff *chaos.Backoff
-	// Breaker gates redials once the peer looks dead; nil gets defaults.
-	// Set to a Breaker with Threshold<0 semantics is not supported — pass
-	// a generous Threshold instead.
-	Breaker *chaos.Breaker
 	// OnState, when non-nil, is called with true after each successful
 	// (re)connect and false when an established link drops — the hook a
 	// worker uses to enter and leave degraded mode. It is called from the
 	// reconnector's goroutine; keep it brief.
 	OnState func(up bool)
-	// Logf, when non-nil, receives one line per state change and redial
-	// failure.
+	// Logf, when non-nil, receives one line per dropped and re-established
+	// link.
 	Logf func(format string, args ...any)
 }
 
 // Reconnector maintains a bridged Client to one Server across failures:
-// when the link drops it redials under capped exponential backoff with
-// full jitter, behind a circuit breaker that slows probing to the breaker
-// cooldown once the peer has been dead for a while. This replaces the
-// fixed-interval redial throttle the worker loop started with — a fleet of
-// workers redialing a restarted coordinator now spreads over the jitter
-// window instead of arriving in lockstep.
+// when the link drops it redials at once and then under backoff until a
+// dial lands. A fleet of workers redialing a restarted coordinator spreads
+// over the jitter window instead of arriving in lockstep.
 type Reconnector struct {
 	addr    string
 	pattern string
@@ -56,12 +66,6 @@ type Reconnector struct {
 // callers keep their fail-fast startup — and then maintains the link until
 // Close.
 func NewReconnector(addr, exportPattern string, b *Bus, opts ReconnectOptions) (*Reconnector, error) {
-	if opts.Backoff == nil {
-		opts.Backoff = chaos.NewBackoff(0, 0, time.Now().UnixNano())
-	}
-	if opts.Breaker == nil {
-		opts.Breaker = &chaos.Breaker{}
-	}
 	r := &Reconnector{addr: addr, pattern: exportPattern, bus: b, opts: opts, stop: make(chan struct{})}
 	r.dials.Add(1)
 	c, err := Dial(addr, exportPattern, b)
@@ -69,7 +73,6 @@ func NewReconnector(addr, exportPattern string, b *Bus, opts ReconnectOptions) (
 		r.failures.Add(1)
 		return nil, err
 	}
-	opts.Breaker.Success()
 	r.client = c
 	if opts.OnState != nil {
 		opts.OnState(true)
@@ -152,34 +155,26 @@ func (r *Reconnector) run(c *Client) {
 	}
 }
 
-// redial loops under backoff+breaker until a dial lands or Close wins.
+// redial dials, and after each failure sleeps a backoff draw, until a dial
+// lands or Close wins. The attempt count starts over with every outage.
 func (r *Reconnector) redial() *Client {
-	bo, brk := r.opts.Backoff, r.opts.Breaker
-	for {
-		if brk.Allow() {
-			r.dials.Add(1)
-			c, err := Dial(r.addr, r.pattern, r.bus)
-			if err == nil {
-				bo.Reset()
-				brk.Success()
-				r.mu.Lock()
-				if r.closed {
-					r.mu.Unlock()
-					c.Close()
-					return nil
-				}
-				r.client = c
+	for attempt := 0; ; attempt++ {
+		r.dials.Add(1)
+		c, err := Dial(r.addr, r.pattern, r.bus)
+		if err == nil {
+			r.mu.Lock()
+			if r.closed {
 				r.mu.Unlock()
-				r.logf("bus: link to %s re-established after %d attempts", r.addr, r.failures.Load())
-				return c
+				c.Close()
+				return nil
 			}
-			r.failures.Add(1)
-			brk.Failure()
-			if brk.State() == "open" {
-				r.logf("bus: breaker open for %s after repeated dial failures", r.addr)
-			}
+			r.client = c
+			r.mu.Unlock()
+			r.logf("bus: link to %s re-established after %d attempts", r.addr, r.failures.Load())
+			return c
 		}
-		t := time.NewTimer(bo.Next())
+		r.failures.Add(1)
+		t := time.NewTimer(backoff(attempt))
 		select {
 		case <-r.stop:
 			t.Stop()

@@ -5,14 +5,11 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"autoloop/internal/chaos"
 )
 
 // TestReconnectorSurvivesServerRestart drops the server out from under a
 // Reconnector and verifies the link heals on the same address, with the
-// down/up transitions reported in order and the backoff schedule reset by
-// the success.
+// down/up transitions reported in order.
 func TestReconnectorSurvivesServerRestart(t *testing.T) {
 	serverBus := New()
 	srv, err := NewServer("127.0.0.1:0", "*", serverBus)
@@ -23,14 +20,8 @@ func TestReconnectorSurvivesServerRestart(t *testing.T) {
 
 	var mu sync.Mutex
 	var states []bool
-	bo := chaos.NewBackoff(5*time.Millisecond, 50*time.Millisecond, 1)
 	clientBus := New()
 	rc, err := NewReconnector(addr, "*", clientBus, ReconnectOptions{
-		Backoff: bo,
-		// The fast test backoff burns through the default breaker's
-		// threshold within the outage; keep the breaker out of this
-		// test's way (it has its own below).
-		Breaker: &chaos.Breaker{Threshold: 1 << 20},
 		OnState: func(up bool) {
 			mu.Lock()
 			states = append(states, up)
@@ -74,9 +65,6 @@ func TestReconnectorSurvivesServerRestart(t *testing.T) {
 	if failures == 0 || dials < failures+2 {
 		t.Fatalf("dials=%d failures=%d: want failed redials during the outage and 2 successes", dials, failures)
 	}
-	if bo.Attempt() != 0 {
-		t.Fatalf("backoff attempt = %d after success, want reset to 0", bo.Attempt())
-	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(states) < 3 || !states[0] || states[1] || !states[len(states)-1] {
@@ -84,37 +72,29 @@ func TestReconnectorSurvivesServerRestart(t *testing.T) {
 	}
 }
 
-// TestReconnectorBreakerSlowsDeadPeer checks the breaker trips after the
-// threshold and refuses dials during its cooldown.
-func TestReconnectorBreakerSlowsDeadPeer(t *testing.T) {
-	serverBus := New()
-	srv, err := NewServer("127.0.0.1:0", "*", serverBus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr()
-	brk := &chaos.Breaker{Threshold: 3, Cooldown: time.Hour}
-	rc, err := NewReconnector(addr, "*", New(), ReconnectOptions{
-		Backoff: chaos.NewBackoff(time.Millisecond, 2*time.Millisecond, 1),
-		Breaker: brk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	srv.Close() // peer dies for good
-
-	deadline := time.Now().Add(5 * time.Second)
-	for brk.State() != "open" {
-		if time.Now().After(deadline) {
-			t.Fatalf("breaker state = %s, never tripped", brk.State())
+// TestReconnectorBackoffCapAndGrowth checks the redial schedule's full-jitter
+// window: it doubles from backoffBase per failed attempt, then holds at
+// backoffCap, and every draw lies inside it.
+func TestReconnectorBackoffCapAndGrowth(t *testing.T) {
+	for _, c := range []struct {
+		attempt int
+		ceilMS  time.Duration
+	}{
+		{0, 50}, {1, 100}, {2, 200}, {3, 400}, {4, 800}, {5, 1600}, {6, 3200},
+		{7, 6400}, {8, 12800}, {9, 15000}, {10, 15000}, {63, 15000}, {1 << 20, 15000},
+	} {
+		attempt, ceil := c.attempt, c.ceilMS*time.Millisecond
+		var hi time.Duration
+		for i := 0; i < 200; i++ {
+			d := backoff(attempt)
+			if d < 0 || d >= ceil {
+				t.Fatalf("attempt %d: delay %v outside [0, %v)", attempt, d, ceil)
+			}
+			hi = max(hi, d)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	_, failuresAtTrip, _ := rc.Stats()
-	time.Sleep(50 * time.Millisecond) // many backoff periods inside the cooldown
-	_, failuresLater, _ := rc.Stats()
-	if failuresLater > failuresAtTrip+1 {
-		t.Fatalf("breaker open but dials kept flowing: %d -> %d", failuresAtTrip, failuresLater)
+		// 200 uniform draws all in the lower half: p = 2^-200.
+		if hi < ceil/2 {
+			t.Fatalf("attempt %d: 200 draws all below %v, want the window to reach %v", attempt, ceil/2, ceil)
+		}
 	}
 }

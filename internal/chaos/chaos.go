@@ -1,10 +1,17 @@
+// Package chaos is the deterministic fault-injection layer under the
+// daemon's resilience tests. It wraps the real transports and storage the
+// system already uses: a frame-aware TCP proxy that drops, duplicates and
+// partitions newline-delimited bus frames on a seeded schedule and resets a
+// stream mid-flight; and a wal.FS implementation simulating short writes,
+// fsync failures and ENOSPC. Everything is seed- or countdown-driven, so a
+// chaos schedule replays identically, and disarmable at run time (one
+// atomic load per frame when disarmed). Only tests import it.
 package chaos
 
 import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Faults is one armed fault profile. The zero value injects nothing; each
@@ -12,21 +19,11 @@ import (
 // the injector's seeded source, so a given (seed, schedule) replays
 // identically.
 type Faults struct {
-	// Latency delays every frame/op by this much; Jitter adds a further
-	// uniform draw from [0, Jitter).
-	Latency time.Duration
-	Jitter  time.Duration
-	// BandwidthBps caps throughput: each frame is additionally delayed by
-	// size/BandwidthBps seconds (0 = unlimited).
-	BandwidthBps int64
-
-	// DropRate / DupRate / ReorderRate are per-frame probabilities used by
-	// the frame-aware Proxy: dropped frames vanish (the transport ACKed
-	// them — no retransmit), duplicated frames arrive twice, reordered
-	// frames swap with their successor.
-	DropRate    float64
-	DupRate     float64
-	ReorderRate float64
+	// DropRate / DupRate are per-frame probabilities: dropped frames vanish
+	// (the transport ACKed them — no retransmit), duplicated frames arrive
+	// twice.
+	DropRate float64
+	DupRate  float64
 
 	// PartitionToTarget drops every frame flowing dialer→target;
 	// PartitionFromTarget drops target→dialer. Both together are a full
@@ -36,29 +33,22 @@ type Faults struct {
 	PartitionFromTarget bool
 
 	// ResetAfter forcibly closes the connection after this many more
-	// frames/ops in either direction (0 = never) — the mid-stream RST.
+	// frames in either direction (0 = never) — the mid-stream RST.
 	ResetAfter int
 }
 
 // verdict is the injector's per-frame decision.
 type verdict struct {
-	delay time.Duration
 	drop  bool
 	dup   bool
-	swap  bool
 	reset bool
 }
 
-// Injector owns one seeded fault schedule. It is shared by the Conn,
-// Listener, and Proxy wrappers; Arm/Disarm may be called at any time from
-// any goroutine (a test driving phases of a chaos schedule). When
-// disarmed, wrappers pay one atomic load per operation and nothing else.
+// Injector owns one seeded fault schedule for a Proxy. Arm/Disarm may be
+// called at any time from any goroutine (a test driving phases of a chaos
+// schedule).
 type Injector struct {
 	armed atomic.Bool
-
-	// Sleep is the delay hook (default time.Sleep); virtual-clock tests
-	// may replace it before the injector is shared.
-	Sleep func(time.Duration)
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -67,14 +57,13 @@ type Injector struct {
 
 	dropped   atomic.Uint64
 	duplicate atomic.Uint64
-	reordered atomic.Uint64
 	resets    atomic.Uint64
 }
 
 // NewInjector returns a disarmed Injector whose random draws come from the
 // given seed.
 func NewInjector(seed int64) *Injector {
-	return &Injector{rng: rand.New(rand.NewSource(seed)), Sleep: time.Sleep}
+	return &Injector{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Arm installs a fault profile, resetting the ResetAfter countdown.
@@ -86,51 +75,37 @@ func (i *Injector) Arm(f Faults) {
 	i.armed.Store(true)
 }
 
-// Disarm stops injecting; in-flight delays finish, new operations pass
-// through untouched.
+// Disarm stops injecting; new frames pass through untouched.
 func (i *Injector) Disarm() { i.armed.Store(false) }
 
 // Armed reports whether a fault profile is active.
 func (i *Injector) Armed() bool { return i.armed.Load() }
 
-// Counters returns how many frames were dropped, duplicated, reordered,
-// and how many resets were injected since the injector was created.
-func (i *Injector) Counters() (dropped, duplicated, reordered, resets uint64) {
-	return i.dropped.Load(), i.duplicate.Load(), i.reordered.Load(), i.resets.Load()
+// Counters returns how many frames were dropped and duplicated, and how
+// many resets were injected, since the injector was created.
+func (i *Injector) Counters() (dropped, duplicated, resets uint64) {
+	return i.dropped.Load(), i.duplicate.Load(), i.resets.Load()
 }
 
-// frameVerdict decides the fate of one frame of size bytes flowing toward
-// (toTarget=true) or from the proxied target. Caller must have checked
-// Armed.
-func (i *Injector) frameVerdict(toTarget bool, size int) verdict {
+// frameVerdict decides the fate of one frame flowing toward (toTarget=true)
+// or from the proxied target. Caller must have checked Armed.
+func (i *Injector) frameVerdict(toTarget bool) verdict {
 	i.mu.Lock()
 	f := i.faults
 	i.frames++
-	reset := f.ResetAfter > 0 && i.frames >= f.ResetAfter
 	var v verdict
-	v.delay = f.Latency
-	if f.Jitter > 0 {
-		v.delay += time.Duration(i.rng.Int63n(int64(f.Jitter)))
-	}
-	if f.BandwidthBps > 0 {
-		v.delay += time.Duration(int64(size) * int64(time.Second) / f.BandwidthBps)
-	}
 	switch {
-	case reset:
+	case f.ResetAfter > 0 && i.frames >= f.ResetAfter:
 		v.reset = true
+		// One reset per arming: the countdown does not re-fire for the
+		// next connection unless the schedule re-arms.
+		i.faults.ResetAfter = 0
 	case (toTarget && f.PartitionToTarget) || (!toTarget && f.PartitionFromTarget):
 		v.drop = true
 	case f.DropRate > 0 && i.rng.Float64() < f.DropRate:
 		v.drop = true
 	case f.DupRate > 0 && i.rng.Float64() < f.DupRate:
 		v.dup = true
-	case f.ReorderRate > 0 && i.rng.Float64() < f.ReorderRate:
-		v.swap = true
-	}
-	if reset {
-		// One reset per arming: the countdown does not re-fire for the
-		// next connection unless the schedule re-arms.
-		i.faults.ResetAfter = 0
 	}
 	i.mu.Unlock()
 
@@ -141,42 +116,6 @@ func (i *Injector) frameVerdict(toTarget bool, size int) verdict {
 		i.dropped.Add(1)
 	case v.dup:
 		i.duplicate.Add(1)
-	case v.swap:
-		i.reordered.Add(1)
 	}
 	return v
-}
-
-// opDelay is the byte-stream variant used by Conn: shaping only (latency,
-// jitter, bandwidth), plus the reset countdown.
-func (i *Injector) opDelay(size int) (delay time.Duration, reset bool) {
-	i.mu.Lock()
-	f := i.faults
-	i.frames++
-	reset = f.ResetAfter > 0 && i.frames >= f.ResetAfter
-	if reset {
-		i.faults.ResetAfter = 0
-	}
-	delay = f.Latency
-	if f.Jitter > 0 {
-		delay += time.Duration(i.rng.Int63n(int64(f.Jitter)))
-	}
-	if f.BandwidthBps > 0 {
-		delay += time.Duration(int64(size) * int64(time.Second) / f.BandwidthBps)
-	}
-	i.mu.Unlock()
-	if reset {
-		i.resets.Add(1)
-	}
-	return delay, reset
-}
-
-// partitioned reports the armed partition state for a direction.
-func (i *Injector) partitioned(toTarget bool) bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if toTarget {
-		return i.faults.PartitionToTarget
-	}
-	return i.faults.PartitionFromTarget
 }

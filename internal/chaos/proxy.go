@@ -14,10 +14,10 @@ const maxFrameBytes = 1 << 20
 // bus TCP bridge writes exactly one envelope per line, so frame = line).
 // A test points a worker at the proxy instead of the coordinator; the
 // proxy relays every line through the injector, which may drop, duplicate,
-// reorder, delay, partition per direction, or reset mid-stream. Dropped
-// frames are gone for good — the underlying TCP stream ACKed them, so this
-// models loss above the transport, the kind heartbeats, digests, and
-// assigns must survive by re-sending.
+// partition per direction, or reset mid-stream. Dropped frames are gone for
+// good — the underlying TCP stream ACKed them, so this models loss above
+// the transport, the kind heartbeats, digests, and assigns must survive by
+// re-sending.
 //
 // The proxy keeps accepting after an injected reset: a reconnecting dialer
 // gets a fresh relayed session, which is exactly the redial path under
@@ -110,15 +110,13 @@ func (p *Proxy) untrack(c net.Conn) {
 }
 
 // relay pumps newline-delimited frames src→dst, consulting the injector
-// per frame. A held frame (reorder) is emitted after its successor, or
-// flushed at stream end.
+// per frame.
 func (p *Proxy) relay(src, dst net.Conn, toTarget bool, kill func()) {
 	defer p.wg.Done()
 	defer p.untrack(src)
 	defer kill()
 	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 64<<10), maxFrameBytes+16)
-	var held []byte // frame awaiting its successor after a reorder verdict
 	emit := func(line []byte) bool {
 		buf := make([]byte, 0, len(line)+1)
 		buf = append(buf, line...)
@@ -128,47 +126,18 @@ func (p *Proxy) relay(src, dst net.Conn, toTarget bool, kill func()) {
 	}
 	for sc.Scan() {
 		line := sc.Bytes()
-		if !p.inj.Armed() {
-			if held != nil {
-				if !emit(held) {
-					return
-				}
-				held = nil
-			}
-			if !emit(line) {
-				return
-			}
-			continue
-		}
-		v := p.inj.frameVerdict(toTarget, len(line)+1)
-		if v.delay > 0 {
-			p.inj.Sleep(v.delay)
+		var v verdict
+		if p.inj.Armed() {
+			v = p.inj.frameVerdict(toTarget)
 		}
 		switch {
 		case v.reset:
 			return // kill() closes both sides mid-stream
 		case v.drop:
 			continue
-		case v.swap && held == nil:
-			held = append([]byte(nil), line...)
-			continue
 		}
-		if !emit(line) {
+		if !emit(line) || (v.dup && !emit(line)) {
 			return
 		}
-		if v.dup {
-			if !emit(line) {
-				return
-			}
-		}
-		if held != nil {
-			if !emit(held) {
-				return
-			}
-			held = nil
-		}
-	}
-	if held != nil {
-		emit(held)
 	}
 }

@@ -124,7 +124,7 @@ func TestChaosCluster(t *testing.T) {
 	if s := tc.coord.Stats(); s.Failovers != 0 {
 		t.Fatalf("lossy link caused %d failovers, want 0", s.Failovers)
 	}
-	if dropped, _, _, _ := injs["w2"].Counters(); dropped == 0 {
+	if dropped, _, _ := injs["w2"].Counters(); dropped == 0 {
 		t.Fatal("loss phase dropped no frames — the schedule never fired")
 	}
 	injs["w2"].Disarm()

@@ -279,29 +279,6 @@ func (c *Coordinator) AddSpec(spec control.LoopSpec) (control.PlacementInfo, err
 	return info, nil
 }
 
-// RemoveSpec drops a group from the table, revoking it from its worker.
-func (c *Coordinator) RemoveSpec(group string) bool {
-	c.mu.Lock()
-	p := c.specs[group]
-	if p == nil {
-		c.mu.Unlock()
-		return false
-	}
-	delete(c.specs, group)
-	for loop, g := range c.byLoop {
-		if g == group {
-			delete(c.byLoop, loop)
-		}
-	}
-	worker, alive := p.worker, p.worker != "" && c.dir.IsAlive(p.worker)
-	c.ledger(ledgerEvent{Op: "unspec", Group: group})
-	c.mu.Unlock()
-	if alive {
-		c.publish(TopicRevoke, Revoke{Worker: worker, ID: c.newID("rev"), Group: group})
-	}
-	return true
-}
-
 func placementInfo(p *placement) control.PlacementInfo {
 	return control.PlacementInfo{Group: p.group, Case: p.spec.Case, Worker: p.worker, State: p.state}
 }

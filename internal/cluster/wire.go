@@ -33,7 +33,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"autoloop/internal/bus"
 	"autoloop/internal/control"
 	"autoloop/internal/fleet"
 	"autoloop/internal/tsdb"
@@ -172,52 +171,6 @@ type FanReply struct {
 	Control *control.Reply      `json:"control,omitempty"`
 	Query   *tsdb.QueryResponse `json:"query,omitempty"`
 	Err     string              `json:"err,omitempty"`
-}
-
-// DecodeEnvelope decodes one cluster wire envelope into its typed payload
-// (one of the structs above, returned as interface{}), dispatching on the
-// topic. Envelopes on non-cluster topics return (nil, nil); malformed
-// payloads return an error, never a panic — the fuzz target for the cluster
-// vocabulary drives this entry point.
-func DecodeEnvelope(env bus.Envelope) (interface{}, error) {
-	decode := func(out interface{}) (interface{}, error) {
-		if err := bus.DecodePayload(env, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	switch env.Topic {
-	case TopicHello:
-		return decode(&Hello{})
-	case TopicHeartbeat:
-		return decode(&Heartbeat{})
-	case TopicAck:
-		return decode(&Ack{})
-	case TopicDigest:
-		return decode(&Digest{})
-	case TopicReply:
-		return decode(&FanReply{})
-	case TopicAssign:
-		return decode(&Assign{})
-	case TopicRevoke:
-		return decode(&Revoke{})
-	case TopicVerdict:
-		return decode(&Verdict{})
-	case TopicFanout:
-		return decode(&Fanout{})
-	}
-	return nil, nil
-}
-
-// DecodeLine decodes one raw wire line (as read off the TCP bridge) into its
-// envelope and typed cluster payload. It is DecodeEnvelope over bus.Decode.
-func DecodeLine(line []byte) (bus.Envelope, interface{}, error) {
-	env, err := bus.Decode(line)
-	if err != nil {
-		return bus.Envelope{}, nil, err
-	}
-	payload, err := DecodeEnvelope(env)
-	return env, payload, err
 }
 
 // mustJSON marshals v for ledger records; cluster wire types always marshal.

@@ -2,14 +2,15 @@ package cluster
 
 import (
 	"testing"
+	"time"
 
 	"autoloop/internal/bus"
 	"autoloop/internal/control"
 	"autoloop/internal/fleet"
 )
 
-// seedEnvelopes is one well-formed envelope per cluster topic — the decode
-// test matrix and the fuzz seed corpus.
+// seedEnvelopes is one well-formed envelope per cluster topic — the fuzz
+// seed corpus.
 func seedEnvelopes(t testing.TB) [][]byte {
 	envs := []bus.Envelope{
 		{Topic: TopicHello, Source: "w1", Payload: Hello{Worker: "w1", Groups: []string{"power"}}},
@@ -35,88 +36,39 @@ func seedEnvelopes(t testing.TB) [][]byte {
 	return lines
 }
 
-// TestDecodeLineRoundTrip decodes every topic's seed envelope and checks the
-// payload type dispatch.
-func TestDecodeLineRoundTrip(t *testing.T) {
-	wantTypes := []interface{}{
-		&Hello{}, &Heartbeat{}, &Ack{}, &Digest{}, &FanReply{},
-		&Assign{}, &Revoke{}, &Verdict{}, &Fanout{},
-	}
-	for i, line := range seedEnvelopes(t) {
-		env, payload, err := DecodeLine(line)
-		if err != nil {
-			t.Fatalf("DecodeLine(#%d): %v", i, err)
-		}
-		if payload == nil {
-			t.Fatalf("DecodeLine(#%d) on topic %s returned no payload", i, env.Topic)
-		}
-		got, want := payload, wantTypes[i]
-		if gt, wt := typeName(got), typeName(want); gt != wt {
-			t.Fatalf("DecodeLine(#%d) type = %s, want %s", i, gt, wt)
-		}
-	}
-	// Round-trip one payload's content.
-	line, _ := bus.Encode(bus.Envelope{Topic: TopicHello, Payload: Hello{Worker: "w9", Groups: []string{"a", "b"}}})
-	_, payload, err := DecodeLine(line)
-	if err != nil {
-		t.Fatalf("DecodeLine: %v", err)
-	}
-	h := payload.(*Hello)
-	if h.Worker != "w9" || len(h.Groups) != 2 {
-		t.Fatalf("Hello round trip = %+v", h)
-	}
-}
-
-func typeName(v interface{}) string {
-	switch v.(type) {
-	case *Hello:
-		return "Hello"
-	case *Heartbeat:
-		return "Heartbeat"
-	case *Ack:
-		return "Ack"
-	case *Digest:
-		return "Digest"
-	case *FanReply:
-		return "FanReply"
-	case *Assign:
-		return "Assign"
-	case *Revoke:
-		return "Revoke"
-	case *Verdict:
-		return "Verdict"
-	case *Fanout:
-		return "Fanout"
-	}
-	return "?"
-}
-
-// TestDecodeEnvelopeForeignTopic checks non-cluster topics pass through as
-// (nil, nil) — the bridge carries plenty of other control.v1 traffic.
-func TestDecodeEnvelopeForeignTopic(t *testing.T) {
-	payload, err := DecodeEnvelope(bus.Envelope{Topic: "control.v1.req", Payload: map[string]interface{}{"op": "list"}})
-	if err != nil || payload != nil {
-		t.Fatalf("foreign topic = (%v, %v), want (nil, nil)", payload, err)
-	}
-}
-
-// FuzzClusterDecode fuzzes the cluster wire decoder with raw bridge lines:
-// whatever arrives off the TCP socket, DecodeLine must return an error or a
-// payload, never panic. Seeds cover every topic plus malformed shapes.
+// FuzzClusterDecode feeds raw bridge lines down the path the product runs:
+// bus.Decode, then a publish onto a bus with a Coordinator attached (its
+// hello, heartbeat, ack, digest and reply handlers, and the control.v1 and
+// tsdb.query handlers it serves operators), then a Tick. Whatever arrives
+// off the TCP socket must be rejected or handled, never panic. Seeds cover
+// every cluster topic, a spawn, a query, and malformed shapes.
 func FuzzClusterDecode(f *testing.F) {
 	for _, line := range seedEnvelopes(f) {
 		f.Add(line)
 	}
+	f.Add([]byte(`{"topic":"control.v1.req","payload":{"id":"r1","op":"spawn","spec":{"case":"power","name":"p2","mode":"autonomous"}}}`))
+	f.Add([]byte(`{"topic":"tsdb.query","payload":{"id":"q1","metric":"node.cpu.util","latest":true}}`))
 	f.Add([]byte(`{"topic":"control.v1.cluster.w.hello","payload":42}`))
 	f.Add([]byte(`{"topic":"control.v1.cluster.c.assign","payload":{"spec":{"case":[]}}}`))
 	f.Add([]byte(`{"topic":"control.v1.cluster.w.digest","payload":{"actions":[{"priority":"high"}]}}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, line []byte) {
-		env, payload, err := DecodeLine(line)
-		if err == nil && env.Topic == "" {
+		env, err := bus.Decode(line)
+		if err != nil {
+			return
+		}
+		if env.Topic == "" {
 			t.Fatal("decoded an envelope without a topic")
 		}
-		_ = payload
+		b := bus.New()
+		c := NewCoordinator(b, Options{})
+		defer c.Close()
+		b.Publish(env)
+		c.Tick(time.Now())
+		// One envelope admits at most one worker and one spec.
+		if s := c.Stats(); s.Members > 1 || s.Specs > 1 {
+			t.Fatalf("one envelope produced %d members, %d specs", s.Members, s.Specs)
+		}
 	})
 }

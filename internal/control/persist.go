@@ -39,15 +39,13 @@ type GroupSnap struct {
 }
 
 // PendingSnap is one queued approval, including its timeout policy so a
-// contingency or simulated-operator deadline survives the restart.
+// contingency deadline survives the restart.
 type PendingSnap struct {
 	Seq           uint64     `json:"seq"`
 	Loop          string     `json:"loop"`
 	Decided       Duration   `json:"decided"`
 	Action        WireAction `json:"action"`
 	ContingencyAt Duration   `json:"contingency_at,omitempty"`
-	AutoAt        Duration   `json:"auto_at,omitempty"`
-	AutoDrop      bool       `json:"auto_drop,omitempty"`
 }
 
 // ServiceSnap is the whole control plane's serialized state.
@@ -88,7 +86,6 @@ func (s *Service) Snapshot() ([]byte, error) {
 		snap.Pending = append(snap.Pending, PendingSnap{
 			Seq: e.seq, Loop: e.d.Loop.Name, Decided: Duration(e.d.Decided),
 			Action: wireAction(e.d.Action), ContingencyAt: Duration(e.contingencyAt),
-			AutoAt: Duration(e.autoAt), AutoDrop: e.autoDrop,
 		})
 	}
 	s.qmu.Unlock()
@@ -196,8 +193,6 @@ func (s *Service) Restore(data []byte) error {
 				Gen: loop.Generation(),
 			},
 			contingencyAt: ps.ContingencyAt.D(),
-			autoAt:        ps.AutoAt.D(),
-			autoDrop:      ps.AutoDrop,
 		}
 		e.info = PendingInfo{
 			Seq: e.seq, Loop: ps.Loop, Decided: ps.Decided,

@@ -1,6 +1,7 @@
 package control_test
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 	"time"
@@ -138,5 +139,53 @@ func TestControlRestorePendingStaleOnPausedLoop(t *testing.T) {
 	}
 	if pr = call(t, b2, control.Request{ID: "5", Op: control.OpPending}); len(pr.Pending) != 0 {
 		t.Fatalf("stale entry still queued: %+v", pr.Pending)
+	}
+}
+
+// TestControlRestoreIgnoresRetiredPendingFields restores a snapshot written
+// by a release whose pending entries still carried a simulated operator's
+// "auto_at"/"auto_drop" deadlines: the fields are ignored, the entry stays
+// queued for a real verdict, and the re-snapshot drops them.
+func TestControlRestoreIgnoresRetiredPendingFields(t *testing.T) {
+	svc1, b1, _ := persistService(t)
+	if r := call(t, b1, control.Request{ID: "1", Op: control.OpSpawn,
+		Spec: &control.LoopSpec{Case: "script", Name: "alpha", Mode: "human-in-the-loop"}}); !r.OK {
+		t.Fatalf("spawn: %+v", r)
+	}
+	svc1.Tick(1 * time.Minute)
+	snap, err := svc1.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(snap, &doc); err != nil {
+		t.Fatal(err)
+	}
+	pending := doc["pending"].([]any)[0].(map[string]any)
+	pending["auto_at"] = float64(90 * time.Second)
+	pending["auto_drop"] = true
+	old, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	svc2, b2, s2 := persistService(t)
+	if err := svc2.Restore(old); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if again, err := svc2.Snapshot(); err != nil || string(again) != string(snap) {
+		t.Fatalf("re-Snapshot = %s, %v; want %s", again, err, snap)
+	}
+	seq := uint64(pending["seq"].(float64))
+	svc2.Tick(2 * time.Minute)
+	pr := call(t, b2, control.Request{ID: "2", Op: control.OpPending})
+	if !pr.OK || len(pr.Pending) == 0 || pr.Pending[0].Seq != seq {
+		t.Fatalf("restored entry %d not queued after a round: %+v", seq, pr)
+	}
+	b2.Publish(bus.Envelope{Topic: control.TopicApprove, Time: 3 * time.Minute,
+		Payload: control.Verdict{ID: "3", Seq: seq}})
+	svc2.Tick(3 * time.Minute)
+	if len(s2.executed) != 1 {
+		t.Fatalf("executed = %d after approving the restored entry, want 1", len(s2.executed))
 	}
 }

@@ -46,12 +46,6 @@ type Service struct {
 	order    []uint64
 	verdicts []queuedVerdict
 
-	// human, when set, is the simulated-operator fallback driver: it
-	// samples availability and latency for each queued action exactly like
-	// core's HumanModel path and resolves the queue when no real operator
-	// answers first.
-	human *core.HumanModel
-
 	bus     *bus.Bus
 	cancels []func()
 }
@@ -78,11 +72,6 @@ type pendingEntry struct {
 	// contingencyAt, when positive, executes the action at that virtual
 	// time (the loop's ContingencyAfter policy).
 	contingencyAt time.Duration
-	// autoAt, when positive, is when the simulated operator approves.
-	autoAt time.Duration
-	// autoDrop drops the action at the next round (simulated operator
-	// absent, no contingency).
-	autoDrop bool
 }
 
 type queuedVerdict struct {
@@ -106,15 +95,6 @@ func NewService(reg *Registry, env *Env, coord *fleet.Coordinator, base time.Dur
 		byLoop:  make(map[string]*managedGroup),
 		pending: make(map[uint64]*pendingEntry),
 	}
-}
-
-// SimulateHuman enables the simulated-operator fallback driver: queued
-// approvals are settled by h's availability/latency model (using the
-// environment's Rng and the round clock) unless a real operator answers
-// first.
-func (s *Service) SimulateHuman(h core.HumanModel) *Service {
-	s.human = &h
-	return s
 }
 
 // Coordinator exposes the fleet coordinator (arbitration rules, metrics).
@@ -232,9 +212,9 @@ func (s *Service) pruneStopped() {
 	}
 }
 
-// settleQueue applies operator verdicts, approval timeouts, the simulated
-// operator, and staleness sweeps to the pending queue. Caller holds mu;
-// the returned resolutions are published after the round releases it.
+// settleQueue applies operator verdicts, approval timeouts, and staleness
+// sweeps to the pending queue. Caller holds mu; the returned resolutions
+// are published after the round releases it.
 func (s *Service) settleQueue(now time.Duration) []Resolution {
 	s.qmu.Lock()
 	verdicts := s.verdicts
@@ -266,7 +246,7 @@ func (s *Service) settleQueue(now time.Duration) []Resolution {
 		}
 	}
 
-	// Timeouts, the simulated operator, and staleness — in queue order.
+	// Timeouts and staleness — in queue order.
 	s.qmu.Lock()
 	snapshot := make([]*pendingEntry, 0, len(s.order))
 	for _, seq := range s.order {
@@ -275,25 +255,10 @@ func (s *Service) settleQueue(now time.Duration) []Resolution {
 		}
 	}
 	s.qmu.Unlock()
-	drop := func(e *pendingEntry, reason string) {
-		e.d.Drop(now, reason) // counts DroppedActions, like the core fallback
-		outcome := OutcomeDropped
-		if e.d.Stale() {
-			outcome = OutcomeStale
-		}
-		out = append(out, Resolution{
-			Seq: e.seq, Loop: e.d.Loop.Name, Outcome: outcome, Executed: false, Reason: reason,
-		})
-		s.dropPending(e.seq)
-	}
 	for _, e := range snapshot {
 		switch {
 		case e.d.Stale():
 			settle(e, false, OutcomeStale, "invalidated by lifecycle")
-		case e.autoDrop:
-			drop(e, "human absent, no contingency")
-		case e.autoAt > 0 && now >= e.autoAt:
-			settle(e, true, OutcomeApproved, "simulated operator")
 		case e.contingencyAt > 0 && now >= e.contingencyAt:
 			settle(e, true, OutcomeContingency, "approval window elapsed")
 		}
@@ -320,21 +285,13 @@ func (s *Service) dropPending(seq uint64) {
 }
 
 // Defer implements core.ApprovalSink: a human-in-the-loop action lands in
-// the pending queue, its timeout policy is fixed from the loop's HumanModel
-// (and the simulated operator, when enabled), and the queue entry is
-// announced on control.v1.pending.
+// the pending queue, its timeout policy is fixed from the loop's HumanModel,
+// and the queue entry is announced on control.v1.pending.
 func (s *Service) Defer(d core.DeferredAction) {
 	now := d.Decided
 	e := &pendingEntry{d: d}
 	if after := d.Loop.Human.ContingencyAfter; after > 0 {
 		e.contingencyAt = now + after
-	}
-	if s.human != nil && s.env.Rng != nil {
-		if s.env.Rng.Float64() < s.human.Availability {
-			e.autoAt = now + s.human.Latency.Sample(s.env.Rng)
-		} else if e.contingencyAt == 0 {
-			e.autoDrop = true
-		}
 	}
 	s.qmu.Lock()
 	s.seq++

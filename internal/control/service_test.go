@@ -290,34 +290,6 @@ func TestApprovalLoopCrossCheckRejectedInAck(t *testing.T) {
 	}
 }
 
-func TestSimulatedHumanAbsentCountsDropped(t *testing.T) {
-	svc, b, s, _, resolutions := scriptServiceWithHuman(t, &control.HumanSpec{
-		Availability: 0.5, MedianLatency: control.Duration(time.Minute),
-	})
-	// An always-absent simulated operator with no contingency: every
-	// deferred action is dropped, and the loop's counters must say
-	// dropped — not denied — matching the core HumanModel fallback.
-	svc.SimulateHuman(core.HumanModel{Availability: 0, Latency: sim.Constant{V: time.Minute}})
-	svc.Tick(1 * time.Minute)
-	svc.Tick(2 * time.Minute)
-	if len(s.executed) != 0 {
-		t.Fatal("dropped action executed")
-	}
-	var dropped bool
-	for _, r := range *resolutions {
-		if r.Outcome == control.OutcomeDropped {
-			dropped = true
-		}
-	}
-	if !dropped {
-		t.Fatalf("resolutions = %+v, want a dropped outcome", *resolutions)
-	}
-	r := call(t, b, control.Request{ID: "g", Op: control.OpGet, Loop: "script"})
-	if m := r.Loop.Metrics; m.Dropped == 0 || m.Denied != 0 {
-		t.Fatalf("metrics = %+v, want dropped counted and denied zero", m)
-	}
-}
-
 func TestApprovalStaleAfterPause(t *testing.T) {
 	svc, b, s, pendings, resolutions := approvalSetup(t)
 	svc.Tick(1 * time.Minute)
@@ -396,31 +368,6 @@ func scriptServiceWithHuman(t *testing.T, h *control.HumanSpec) (*control.Servic
 		t.Fatalf("spawn: %+v", r)
 	}
 	return svc, b, s, &pendings, &resolutions
-}
-
-func TestSimulatedHumanDriver(t *testing.T) {
-	svc, _, s, _, resolutions := scriptServiceWithHuman(t, nil)
-	// An always-available simulated operator with a 3-minute constant
-	// latency resolves the queue without any wire verdict.
-	svc.SimulateHuman(core.HumanModel{Availability: 1, Latency: sim.Constant{V: 3 * time.Minute}})
-	svc.Tick(1 * time.Minute) // defers, schedules auto-approval at 4m
-	svc.Tick(2 * time.Minute)
-	if len(s.executed) != 0 {
-		t.Fatal("simulated operator answered early")
-	}
-	svc.Tick(4 * time.Minute)
-	if len(s.executed) != 1 {
-		t.Fatalf("executed = %d, want the simulated approval", len(s.executed))
-	}
-	var approved bool
-	for _, r := range *resolutions {
-		if r.Outcome == control.OutcomeApproved && r.Reason == "simulated operator" {
-			approved = true
-		}
-	}
-	if !approved {
-		t.Fatalf("resolutions = %+v", *resolutions)
-	}
 }
 
 // TestControlSessionOverTCP is the acceptance round trip: a raw TCP client

@@ -58,9 +58,6 @@ func (s LifecycleState) String() string {
 // NewLoop + Tick working without an explicit Start.
 func (s LifecycleState) Tickable() bool { return s == StateCreated || s == StateRunning }
 
-// Terminal reports whether the state admits no further transitions.
-func (s LifecycleState) Terminal() bool { return s == StateStopped }
-
 // ParseLifecycleState parses the String form back into a state.
 func ParseLifecycleState(text string) (LifecycleState, error) {
 	for _, s := range []LifecycleState{StateCreated, StateRunning, StatePaused, StateDraining, StateStopped} {
@@ -221,25 +218,6 @@ func (d DeferredAction) Resolve(now time.Duration, approve bool, reason string) 
 	}
 	l.execute(d.Decided, now, d.Action)
 	return true
-}
-
-// Drop abandons a deferred action without an operator verdict — the
-// approval surface closed on it (simulated human absent, no contingency).
-// It mirrors the HumanModel fallback's accounting: the action counts as
-// dropped, not denied.
-func (d DeferredAction) Drop(now time.Duration, reason string) {
-	l := d.Loop
-	if d.Stale() {
-		l.metrics.StaleDeferred++
-		l.audit(now, "stale", "%s(%s): deferred action invalidated by lifecycle",
-			d.Action.Kind, d.Action.Subject)
-		return
-	}
-	l.metrics.DroppedActions++
-	if reason == "" {
-		reason = "approval surface closed"
-	}
-	l.audit(now, "drop", "%s(%s): %s", d.Action.Kind, d.Action.Subject, reason)
 }
 
 // ApprovalSink receives human-in-the-loop actions instead of the loop's

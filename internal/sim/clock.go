@@ -39,16 +39,3 @@ func TickEvery(clock Clock, period time.Duration, stop func() bool, tick func(no
 	}
 	clock.AfterFunc(period, run)
 }
-
-// WallClock implements Clock against real time, measured from the moment the
-// WallClock was created. It is used by cmd/modad to run loops in real time.
-type WallClock struct{ start time.Time }
-
-// NewWallClock returns a WallClock whose epoch is the current instant.
-func NewWallClock() *WallClock { return &WallClock{start: time.Now()} }
-
-// Now implements Clock.
-func (c *WallClock) Now() time.Duration { return time.Since(c.start) }
-
-// AfterFunc implements Clock.
-func (c *WallClock) AfterFunc(d time.Duration, fn func()) { time.AfterFunc(d, fn) }

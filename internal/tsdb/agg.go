@@ -8,7 +8,7 @@ import (
 	"autoloop/internal/telemetry"
 )
 
-// Agg selects an aggregation function for Downsample and Reduce.
+// Agg selects an aggregation function for Downsample and ReduceAcross.
 type Agg int
 
 // Supported aggregations.
@@ -184,11 +184,6 @@ func Downsample(s telemetry.Series, step time.Duration, agg Agg) telemetry.Serie
 	}
 	flush(bucketIdx)
 	return out
-}
-
-// Reduce collapses all samples of s in [from, to] to a single value.
-func Reduce(s telemetry.Series, agg Agg) float64 {
-	return agg.apply(s.Values())
 }
 
 // ReduceAcross applies agg to the latest value of each series, answering
