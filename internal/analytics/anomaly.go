@@ -15,8 +15,6 @@ import (
 type Detector interface {
 	// Step feeds one observation and reports whether it is anomalous.
 	Step(v float64) bool
-	// Reset clears all state.
-	Reset()
 }
 
 // ZScore flags observations more than Threshold standard deviations from the
@@ -86,9 +84,6 @@ func (z *ZScore) stats() (m, s float64) {
 	return m, math.Sqrt(ss / float64(z.n-1))
 }
 
-// Reset implements Detector, retaining the window's capacity.
-func (z *ZScore) Reset() { z.head, z.n = 0, 0 }
-
 // advance moves a ring window of capacity w past the value just written at
 // head: head is the next slot to write, which once the window is full is
 // also its oldest value, and n counts values up to w.
@@ -151,9 +146,6 @@ func (m *MAD) Step(v float64) bool {
 	m.head, m.n = advance(len(m.ring), m.head, m.n)
 	return fire
 }
-
-// Reset implements Detector, retaining the window's capacity.
-func (m *MAD) Reset() { m.head, m.n = 0, 0 }
 
 // MADOutliers returns the indices of fleet members whose value deviates from
 // the fleet median by more than threshold x scaled MAD — the cross-sectional
@@ -226,9 +218,6 @@ func (c *CUSUM) Step(v float64) bool {
 	c.neg = math.Max(0, c.neg+c.ref-v-c.K)
 	return c.pos > c.H || c.neg > c.H
 }
-
-// Reset implements Detector.
-func (c *CUSUM) Reset() { c.ref, c.n, c.pos, c.neg = 0, 0, 0, 0 }
 
 // selScratch pools the partition buffer behind medianMAD, so the per-tick
 // cross-sectional outlier scans (one per fleet per loop) allocate nothing in

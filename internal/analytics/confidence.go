@@ -48,12 +48,6 @@ func (c *ConfidenceTracker) Resolve(predicted, actual float64) {
 	c.n++
 }
 
-// N returns how many predictions have been resolved.
-func (c *ConfidenceTracker) N() int { return c.n }
-
-// MAPE returns the current smoothed relative error.
-func (c *ConfidenceTracker) MAPE() float64 { return c.mape }
-
 // Confidence returns the current confidence in [0,1]. With no resolved
 // predictions it returns 0.5 — the neutral prior under which conservative
 // loops stay in advisory mode.
@@ -63,6 +57,3 @@ func (c *ConfidenceTracker) Confidence() float64 {
 	}
 	return 1 / (1 + c.mape/c.HalfErr)
 }
-
-// Reset clears all state.
-func (c *ConfidenceTracker) Reset() { c.mape, c.n = 0, 0 }

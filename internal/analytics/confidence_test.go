@@ -21,8 +21,8 @@ func TestConfidenceRisesWithAccuracy(t *testing.T) {
 	if got := c.Confidence(); got < 0.9 {
 		t.Errorf("confidence = %v, want > 0.9 for 1%% errors", got)
 	}
-	if c.N() != 20 {
-		t.Errorf("N = %d", c.N())
+	if c.n != 20 {
+		t.Errorf("n = %d", c.n)
 	}
 }
 
@@ -34,8 +34,8 @@ func TestConfidenceFallsWithError(t *testing.T) {
 	if got := c.Confidence(); got > 0.25 {
 		t.Errorf("confidence = %v, want low for 100%% errors", got)
 	}
-	if math.Abs(c.MAPE()-1.0) > 0.01 {
-		t.Errorf("MAPE = %v, want ~1.0", c.MAPE())
+	if math.Abs(c.mape-1.0) > 0.01 {
+		t.Errorf("MAPE = %v, want ~1.0", c.mape)
 	}
 }
 
@@ -58,10 +58,6 @@ func TestConfidenceRecovers(t *testing.T) {
 	}
 	if got := c.Confidence(); got <= low {
 		t.Errorf("confidence should recover: %v -> %v", low, got)
-	}
-	c.Reset()
-	if c.N() != 0 || c.Confidence() != 0.5 {
-		t.Error("Reset")
 	}
 }
 

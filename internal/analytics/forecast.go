@@ -34,12 +34,6 @@ type Forecast struct {
 // OK reports whether the forecast is backed by enough data to act on.
 func (f Forecast) OK() bool { return f.N >= 2 && !math.IsNaN(f.Value) }
 
-// Interval returns the forecast's symmetric confidence interval at z standard
-// deviations (z=1.96 for ~95%).
-func (f Forecast) Interval(z float64) (lo, hi float64) {
-	return f.Value - z*f.Stddev, f.Value + z*f.Stddev
-}
-
 // Forecaster consumes a time series one observation at a time and predicts
 // the value horizon seconds ahead.
 type Forecaster interface {
@@ -47,8 +41,6 @@ type Forecaster interface {
 	Observe(t, v float64)
 	// Predict forecasts the value at time t+horizon given the data so far.
 	Predict(horizon float64) Forecast
-	// Reset clears all state.
-	Reset()
 }
 
 // Holt is double exponential smoothing (level + trend), the workhorse for
@@ -95,15 +87,6 @@ func (h *Holt) Observe(t, v float64) {
 func (h *Holt) Predict(horizon float64) Forecast {
 	return Forecast{Value: h.level + h.trend*horizon, Stddev: math.Sqrt(h.resVar), N: h.n}
 }
-
-// Reset implements Forecaster.
-func (h *Holt) Reset() { *h = Holt{Alpha: h.Alpha, Beta: h.Beta} }
-
-// Trend returns the current per-second trend estimate.
-func (h *Holt) Trend() float64 { return h.trend }
-
-// Level returns the current level estimate.
-func (h *Holt) Level() float64 { return h.level }
 
 // WindowOLS fits ordinary least squares over a sliding window of the last
 // Window observations, predicting by extrapolating the fitted line. It is
@@ -196,16 +179,4 @@ func (w *WindowOLS) Predict(horizon float64) Forecast {
 	}
 	last := w.ts[(w.head+len(w.ts)-1)%len(w.ts)]
 	return Forecast{Value: intercept + slope*(last+horizon), Stddev: resStd, N: n}
-}
-
-// Reset implements Forecaster, retaining the window's capacity.
-func (w *WindowOLS) Reset() { w.head, w.n = 0, 0 }
-
-// Slope returns the fitted slope (zero when underdetermined).
-func (w *WindowOLS) Slope() float64 {
-	_, slope, _, ok := w.Fit()
-	if !ok {
-		return 0
-	}
-	return slope
 }

@@ -19,8 +19,8 @@ func TestHoltLearnsTrend(t *testing.T) {
 	if math.Abs(f.Value-want) > 1.0 {
 		t.Errorf("forecast = %v, want ~%v", f.Value, want)
 	}
-	if math.Abs(h.Trend()-2) > 0.05 {
-		t.Errorf("trend = %v, want ~2", h.Trend())
+	if math.Abs(h.trend-2) > 0.05 {
+		t.Errorf("trend = %v, want ~2", h.trend)
 	}
 }
 
@@ -33,19 +33,6 @@ func TestHoltIrregularSampling(t *testing.T) {
 	f := h.Predict(10)
 	if math.Abs(f.Value-5*40) > 8 {
 		t.Errorf("forecast = %v, want ~200", f.Value)
-	}
-}
-
-func TestHoltReset(t *testing.T) {
-	h := NewHolt(0.5, 0.3)
-	h.Observe(0, 5)
-	h.Observe(1, 10)
-	h.Reset()
-	if h.Level() != 0 || h.Trend() != 0 {
-		t.Error("Reset did not clear state")
-	}
-	if h.Predict(1).OK() {
-		t.Error("forecast after reset should not be OK")
 	}
 }
 
@@ -79,7 +66,7 @@ func TestWindowOLSSlidesWindow(t *testing.T) {
 	for i := 10; i < 15; i++ {
 		w.Observe(float64(i), float64(i)*10-90)
 	}
-	if s := w.Slope(); math.Abs(s-10) > 1e-6 {
+	if _, s, _, _ := w.Fit(); math.Abs(s-10) > 1e-6 {
 		t.Errorf("slope = %v, want 10 after window slides", s)
 	}
 }
@@ -94,9 +81,6 @@ func TestWindowOLSDegenerate(t *testing.T) {
 	if _, _, _, ok := w.Fit(); ok {
 		t.Error("degenerate fit should fail")
 	}
-	if w.Slope() != 0 {
-		t.Error("degenerate slope should be 0")
-	}
 	if f := w.Predict(1); !math.IsNaN(f.Value) {
 		t.Error("degenerate predict should be NaN")
 	}
@@ -109,14 +93,6 @@ func TestWindowOLSPanicsOnTinyWindow(t *testing.T) {
 		}
 	}()
 	NewWindowOLS(1)
-}
-
-func TestForecastInterval(t *testing.T) {
-	f := Forecast{Value: 100, Stddev: 10, N: 5}
-	lo, hi := f.Interval(1.96)
-	if lo != 100-19.6 || hi != 100+19.6 {
-		t.Errorf("interval = [%v, %v]", lo, hi)
-	}
 }
 
 // Property: on noiseless linear data, OLS slope recovery is exact for any

@@ -81,8 +81,8 @@ func TestZScoreMatchesReference(t *testing.T) {
 					trial, window, minN, thr, i, v, got, want)
 			}
 			if rng.Intn(997) == 0 {
-				inc.Reset()
-				ref.Reset()
+				inc = NewZScore(window, thr, minN)
+				ref = &naiveZScore{Window: window, Threshold: thr, MinN: inc.MinN}
 			}
 		}
 	}
@@ -106,8 +106,8 @@ func TestMADMatchesReference(t *testing.T) {
 					trial, window, minN, thr, i, v, got, want)
 			}
 			if rng.Intn(997) == 0 {
-				inc.Reset()
-				ref.Reset()
+				inc = NewMAD(window, thr, minN)
+				ref = &naiveMAD{Window: window, Threshold: thr, MinN: inc.MinN}
 			}
 		}
 	}
@@ -197,8 +197,8 @@ func TestWindowOLSMatchesReference(t *testing.T) {
 				t.Fatalf("trial %d step %d: %s", trial, i, msg)
 			}
 			if rng.Intn(499) == 0 {
-				inc.Reset()
-				ref.ts, ref.vs = nil, nil
+				inc = NewWindowOLS(window)
+				ref = &naiveWindowOLS{Window: window}
 			}
 		}
 	}

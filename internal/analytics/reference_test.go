@@ -73,8 +73,6 @@ func (z *naiveZScore) Step(v float64) bool {
 	return math.Abs(v-m)/s > z.Threshold
 }
 
-func (z *naiveZScore) Reset() { z.vals = nil }
-
 // naiveMAD is the reference sort-per-step MAD detector.
 type naiveMAD struct {
 	Window    int
@@ -100,8 +98,6 @@ func (m *naiveMAD) Step(v float64) bool {
 	}
 	return math.Abs(v-med)/(1.4826*mad) > m.Threshold
 }
-
-func (m *naiveMAD) Reset() { m.vals = nil }
 
 // naiveMedianMAD is the sort-based median/MAD the quickselect form replaced.
 func naiveMedianMAD(vals []float64) (median, mad float64) {

@@ -1,67 +1,9 @@
 package analytics
 
-import (
-	"math"
-	"sort"
-)
-
 // Signature is a behavioral fingerprint of an application run: a named
 // vector of characteristics (mean iteration time, I/O fraction, utilization,
 // ...). The paper's Analyze phase requires "a strategy ... to map the
 // application to a set of measurements of behavioral characteristics to
-// enable comparison against past and future runs"; signatures plus
-// nearest-neighbor lookup are that strategy, shared by the Scheduler, I/O
-// QoS, OST, and Misconfiguration cases.
+// enable comparison against past and future runs"; the Scheduler case
+// records one per completed run in the knowledge base.
 type Signature map[string]float64
-
-// Distance returns the normalized Euclidean distance between two signatures
-// over their shared keys, where each dimension is scaled by the magnitude of
-// the larger operand so heterogeneous units compare fairly. Disjoint
-// signatures are maximally distant (+Inf).
-func (s Signature) Distance(o Signature) float64 {
-	shared := 0
-	sum := 0.0
-	for k, a := range s {
-		b, ok := o[k]
-		if !ok {
-			continue
-		}
-		shared++
-		scale := math.Max(math.Abs(a), math.Abs(b))
-		if scale == 0 {
-			continue // both zero: identical in this dimension
-		}
-		// Divide before subtracting so extreme magnitudes cannot overflow.
-		d := a/scale - b/scale
-		sum += d * d
-	}
-	if shared == 0 {
-		return math.Inf(1)
-	}
-	return math.Sqrt(sum / float64(shared))
-}
-
-// Neighbor is one nearest-neighbor result.
-type Neighbor struct {
-	Index    int
-	Distance float64
-}
-
-// NearestNeighbors returns the k candidates closest to query, ascending by
-// distance (ties broken by index for determinism).
-func NearestNeighbors(query Signature, candidates []Signature, k int) []Neighbor {
-	ns := make([]Neighbor, 0, len(candidates))
-	for i, c := range candidates {
-		ns = append(ns, Neighbor{Index: i, Distance: query.Distance(c)})
-	}
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Distance != ns[j].Distance {
-			return ns[i].Distance < ns[j].Distance
-		}
-		return ns[i].Index < ns[j].Index
-	})
-	if k > len(ns) {
-		k = len(ns)
-	}
-	return ns[:k]
-}

@@ -46,18 +46,12 @@ func (e *TTCEstimator) SetTotal(total float64) {
 	e.haveTotal = true
 }
 
-// Total returns the declared total work.
-func (e *TTCEstimator) Total() (float64, bool) { return e.total, e.haveTotal }
-
 // Observe feeds one progress marker: at time t (seconds), done units of work
 // were complete.
 func (e *TTCEstimator) Observe(t, done float64) {
 	e.ols.Observe(t, done)
 	e.lastT, e.lastV = t, done
 }
-
-// Reset clears the observation window (used at restarts).
-func (e *TTCEstimator) Reset() { e.ols.Reset() }
 
 // Estimate returns the time-to-completion estimate at z standard deviations
 // of rate uncertainty (1.96 for ~95%). It degrades gracefully: without a

@@ -115,13 +115,6 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// IdealRuntime returns the expected compute-only runtime absent drift,
-// phases, misconfiguration, I/O, and checkpoints — what a well-informed user
-// would base a walltime request on.
-func (s Spec) IdealRuntime() time.Duration {
-	return time.Duration(s.TotalIters) * s.IterTime.Mean()
-}
-
 // Instance is one execution of an application under a job.
 type Instance struct {
 	Job  *sched.Job
@@ -148,15 +141,8 @@ type Instance struct {
 // Iter returns completed iterations.
 func (i *Instance) Iter() int { return i.iter }
 
-// Running reports whether the instance is currently executing.
-func (i *Instance) Running() bool { return i.running }
-
 // CheckpointIter returns the last checkpointed iteration.
 func (i *Instance) CheckpointIter() int { return i.ckptIter }
-
-// LostIters returns the work (iterations) that would be lost if the job died
-// now: completed minus checkpointed.
-func (i *Instance) LostIters() int { return i.iter - i.ckptIter }
 
 // File returns the instance's current output file (nil before start).
 func (i *Instance) File() *pfs.File { return i.file }

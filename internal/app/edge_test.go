@@ -35,7 +35,7 @@ func TestKillDuringIOPhaseCancelsCompletion(t *testing.T) {
 		t.Fatal("requeue should create a fresh instance")
 	}
 	r.e.RunUntil(4 * time.Minute)
-	if inst.Running() {
+	if inst.running {
 		t.Error("old instance still running after requeue")
 	}
 	r.e.RunUntil(3 * time.Hour)

@@ -22,7 +22,6 @@ package bus
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,8 +76,6 @@ type Bus struct {
 	// loose holds wildcard patterns whose prefix is not segment-aligned
 	// ("loo*"); they are rare and matched linearly.
 	loose []*subscription
-	// patternCount refcounts live patterns for Topics().
-	patternCount map[string]int
 
 	published atomic.Uint64
 	delivered atomic.Uint64
@@ -93,10 +90,7 @@ type Bus struct {
 
 // New returns an empty bus.
 func New() *Bus {
-	return &Bus{
-		exact:        make(map[string][]*subscription),
-		patternCount: make(map[string]int),
-	}
+	return &Bus{exact: make(map[string][]*subscription)}
 }
 
 // Subscribe registers h for every envelope whose topic matches pattern.
@@ -111,12 +105,10 @@ func (b *Bus) Subscribe(pattern string, h Handler) (cancel func()) {
 	defer b.mu.Unlock()
 	if b.exact == nil { // keep the zero value usable, like New()
 		b.exact = make(map[string][]*subscription)
-		b.patternCount = make(map[string]int)
 	}
 	b.nextID++
 	s := &subscription{id: b.nextID, pattern: pattern, h: h}
 	b.insertLocked(s)
-	b.patternCount[pattern]++
 	done := false
 	return func() {
 		b.mu.Lock()
@@ -126,9 +118,6 @@ func (b *Bus) Subscribe(pattern string, h Handler) (cancel func()) {
 		}
 		done = true
 		b.removeLocked(s)
-		if b.patternCount[pattern]--; b.patternCount[pattern] <= 0 {
-			delete(b.patternCount, pattern)
-		}
 	}
 }
 
@@ -402,19 +391,6 @@ func (b *Bus) Stats() (published, delivered uint64) {
 // ExpiredDropped reports how many envelopes were dropped at publish time
 // because their deadline had already passed.
 func (b *Bus) ExpiredDropped() uint64 { return b.expired.Load() }
-
-// Topics returns the sorted set of currently subscribed patterns, for
-// diagnostics.
-func (b *Bus) Topics() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]string, 0, len(b.patternCount))
-	for p := range b.patternCount {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Encode marshals env to a single-line JSON wire form terminated by '\n'.
 func Encode(env Envelope) ([]byte, error) {

@@ -69,16 +69,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestTopicsSorted(t *testing.T) {
-	b := New()
-	b.Subscribe("z", func(Envelope) {})
-	b.Subscribe("a", func(Envelope) {})
-	tp := b.Topics()
-	if len(tp) != 2 || tp[0] != "a" || tp[1] != "z" {
-		t.Errorf("Topics = %v", tp)
-	}
-}
-
 func TestPublishEmptyTopicPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

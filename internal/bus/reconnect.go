@@ -82,15 +82,6 @@ func NewReconnector(addr, exportPattern string, b *Bus, opts ReconnectOptions) (
 	return r, nil
 }
 
-// Client returns the current client (nil between connections). The client
-// may die at any moment; callers publish through the bus, not the client,
-// so this is only for introspection.
-func (r *Reconnector) Client() *Client {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.client
-}
-
 // Stats reports dial attempts, failed attempts, and dropped links.
 func (r *Reconnector) Stats() (dials, failures, drops uint64) {
 	return r.dials.Load(), r.failures.Load(), r.drops.Load()

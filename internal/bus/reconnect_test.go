@@ -50,8 +50,13 @@ func TestReconnectorSurvivesServerRestart(t *testing.T) {
 	}
 	defer srv2.Close()
 
+	linked := func() bool {
+		rc.mu.Lock()
+		defer rc.mu.Unlock()
+		return rc.client != nil
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for rc.Client() == nil {
+	for !linked() {
 		if time.Now().After(deadline) {
 			t.Fatal("reconnector never healed the link")
 		}

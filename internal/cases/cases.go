@@ -11,7 +11,6 @@ import (
 	"autoloop/internal/cases/powercase"
 	"autoloop/internal/cases/schedcase"
 	"autoloop/internal/control"
-	"autoloop/internal/scenario"
 )
 
 // Factories returns the six case factories in documentation order.
@@ -33,17 +32,4 @@ func NewRegistry() *control.Registry {
 		r.MustRegister(f)
 	}
 	return r
-}
-
-// ScenarioTemplates returns every case's scenario-engine entry in
-// documentation order: the building blocks for composing a scenario fleet.
-// A factory whose name scenario.TemplateFor does not know yields an empty
-// template, which TestScenarioTemplatesMatchFactories rejects.
-func ScenarioTemplates() []scenario.Loop {
-	factories := Factories()
-	out := make([]scenario.Loop, len(factories))
-	for i, f := range factories {
-		out[i], _ = scenario.TemplateFor(f.Name)
-	}
-	return out
 }

@@ -6,37 +6,33 @@ import (
 	"autoloop/internal/scenario"
 )
 
-// TestScenarioTemplatesMatchFactories enforces the contribution rule: every
-// registered case ships a scenario template, and every template names a
-// spawnable case.
-func TestScenarioTemplatesMatchFactories(t *testing.T) {
-	factories := Factories()
-	templates := ScenarioTemplates()
-	if len(templates) != len(factories) {
-		t.Fatalf("%d factories but %d scenario templates", len(factories), len(templates))
-	}
-	byCase := make(map[string]scenario.Loop, len(templates))
-	for _, tpl := range templates {
-		if tpl.Case == "" {
-			t.Fatalf("template with empty case name: %+v", tpl)
-		}
-		if _, dup := byCase[tpl.Case]; dup {
-			t.Fatalf("duplicate scenario template for case %q", tpl.Case)
-		}
-		byCase[tpl.Case] = tpl
-	}
-	for _, f := range factories {
-		tpl, ok := byCase[f.Name]
+// templates maps every registered case through scenario.TemplateFor, in
+// registry order.
+func templates(t *testing.T) []scenario.Loop {
+	t.Helper()
+	infos := NewRegistry().CaseInfos()
+	out := make([]scenario.Loop, len(infos))
+	for i, info := range infos {
+		tpl, ok := scenario.TemplateFor(info.Case)
 		if !ok {
-			t.Fatalf("case %q has no scenario template", f.Name)
+			t.Fatalf("case %q has no scenario template", info.Case)
 		}
+		out[i] = tpl
+	}
+	return out
+}
+
+// TestScenarioTemplatesMatchFactories enforces the contribution rule: every
+// registered case ships a scenario template naming it.
+func TestScenarioTemplatesMatchFactories(t *testing.T) {
+	for _, tpl := range templates(t) {
 		// A responder template must carry a full attribution triple; an
 		// optimizer template (no domain) must not claim findings or actions.
 		if tpl.Domain != "" && (len(tpl.Findings) == 0 || len(tpl.Actions) == 0) {
-			t.Fatalf("case %q template has domain %q but no attribution: %+v", f.Name, tpl.Domain, tpl)
+			t.Fatalf("case %q template has domain %q but no attribution: %+v", tpl.Case, tpl.Domain, tpl)
 		}
 		if tpl.Domain == "" && (len(tpl.Findings) != 0 || len(tpl.Actions) != 0) {
-			t.Fatalf("case %q template has attribution but no domain: %+v", f.Name, tpl)
+			t.Fatalf("case %q template has attribution but no domain: %+v", tpl.Case, tpl)
 		}
 	}
 }
@@ -44,7 +40,7 @@ func TestScenarioTemplatesMatchFactories(t *testing.T) {
 // TestTemplatesSpawn spawns every template against a registry-compatible
 // spec to catch template/factory drift.
 func TestTemplatesSpawn(t *testing.T) {
-	for _, tpl := range ScenarioTemplates() {
+	for _, tpl := range templates(t) {
 		if err := tpl.LoopSpec.Validate(); err != nil {
 			t.Fatalf("template %q does not validate: %v", tpl.Case, err)
 		}

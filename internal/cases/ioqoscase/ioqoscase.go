@@ -114,9 +114,6 @@ func (c *Controller) setAlloc(tenant string, mbps float64) {
 	c.kb.SetFact(factKey(tenant), mbps)
 }
 
-// Alloc returns a tenant's current allocation setpoint.
-func (c *Controller) Alloc(tenant string) float64 { return c.alloc[tenant] }
-
 // Hierarchy assembles the full pattern: one fast child loop per tenant plus
 // the slow campaign parent, with the parent ticking once per parentEvery
 // child ticks.

@@ -76,7 +76,7 @@ func (r *rig) victim(lats *[]float64) {
 
 func TestInitialAllocationsByPriority(t *testing.T) {
 	r := newRig(t)
-	d, b := r.ctl.Alloc("deadline"), r.ctl.Alloc("batch")
+	d, b := r.ctl.alloc["deadline"], r.ctl.alloc["batch"]
 	if d != 1500 || b != 500 {
 		t.Errorf("allocations = %v/%v, want 1500/500 (3:1 priority over 2000)", d, b)
 	}
@@ -107,10 +107,10 @@ func TestParentThrottlesBestEffortUnderViolation(t *testing.T) {
 	if r.ctl.Violations == 0 {
 		t.Fatal("no violations observed; interference model broken")
 	}
-	if got := r.ctl.Alloc("batch"); got >= 500 {
+	if got := r.ctl.alloc["batch"]; got >= 500 {
 		t.Errorf("batch allocation = %v, want throttled below initial 500", got)
 	}
-	if got := r.ctl.Alloc("deadline"); got != 1500 {
+	if got := r.ctl.alloc["deadline"]; got != 1500 {
 		t.Errorf("deadline allocation = %v, want untouched 1500", got)
 	}
 }
@@ -123,12 +123,12 @@ func TestRecoveryAfterBurstEnds(t *testing.T) {
 	r.interferer(10 * time.Minute)
 	r.victim(&lats)
 	r.e.RunUntil(12 * time.Minute)
-	throttled := r.ctl.Alloc("batch")
+	throttled := r.ctl.alloc["batch"]
 	if throttled >= 500 {
 		t.Fatalf("batch not throttled during burst: %v", throttled)
 	}
 	r.e.RunUntil(45 * time.Minute)
-	recovered := r.ctl.Alloc("batch")
+	recovered := r.ctl.alloc["batch"]
 	if recovered <= throttled {
 		t.Errorf("batch allocation did not recover: %v -> %v", throttled, recovered)
 	}

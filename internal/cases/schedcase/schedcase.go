@@ -458,9 +458,6 @@ func (c *Controller) signature(j *sched.Job) analytics.Signature {
 	return sig
 }
 
-// Pending reports how many extension predictions await resolution (tests).
-func (c *Controller) Pending() int { return len(c.pending) }
-
 func roundUp(d, gran time.Duration) time.Duration {
 	if gran <= 0 {
 		return d

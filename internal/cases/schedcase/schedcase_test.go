@@ -183,8 +183,8 @@ func TestAssessResolvesPredictions(t *testing.T) {
 	if j.State != sched.JobCompleted {
 		t.Fatalf("state = %v", j.State)
 	}
-	if r.ctl.Pending() != 0 {
-		t.Errorf("unresolved predictions: %d", r.ctl.Pending())
+	if len(r.ctl.pending) != 0 {
+		t.Errorf("unresolved predictions: %d", len(r.ctl.pending))
 	}
 	eff := r.kb.Assess("scheduler-case")
 	if eff.Plans == 0 || eff.Resolved != eff.Plans {

@@ -38,11 +38,6 @@ type FS struct {
 
 	mu sync.Mutex
 	f  FSFaults
-
-	writeFaults  atomic.Uint64
-	shortWrites  atomic.Uint64
-	fsyncFaults  atomic.Uint64
-	createFaults atomic.Uint64
 }
 
 // NewFS returns a disarmed fault-injecting filesystem.
@@ -59,11 +54,6 @@ func (fs *FS) Arm(f FSFaults) {
 // Disarm stops injecting; unconsumed countdowns are kept for a later
 // re-Arm decision but inert.
 func (fs *FS) Disarm() { fs.armed.Store(false) }
-
-// Counters reports how many faults of each class were injected.
-func (fs *FS) Counters() (writes, shorts, fsyncs, creates uint64) {
-	return fs.writeFaults.Load(), fs.shortWrites.Load(), fs.fsyncFaults.Load(), fs.createFaults.Load()
-}
 
 // take consumes one unit of the selected countdown, reporting whether the
 // fault fires.
@@ -87,7 +77,6 @@ func (fs *FS) MkdirAll(dir string, perm os.FileMode) error { return os.MkdirAll(
 // reach it.
 func (fs *FS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
 	if flag&os.O_CREATE != 0 && fs.take(&fs.f.FailCreates) {
-		fs.createFaults.Add(1)
 		return nil, &os.PathError{Op: "open", Path: name, Err: syscall.ENOSPC}
 	}
 	f, err := os.OpenFile(name, flag, perm)
@@ -126,11 +115,9 @@ type file struct {
 // written, io.ErrShortWrite returned) before delegating.
 func (f *file) Write(p []byte) (int, error) {
 	if f.fs.take(&f.fs.f.FailWrites) {
-		f.fs.writeFaults.Add(1)
 		return 0, &os.PathError{Op: "write", Path: f.Name(), Err: syscall.ENOSPC}
 	}
 	if f.fs.take(&f.fs.f.ShortWrites) {
-		f.fs.shortWrites.Add(1)
 		n, err := f.File.Write(p[:len(p)/2])
 		if err != nil {
 			return n, err
@@ -143,7 +130,6 @@ func (f *file) Write(p []byte) (int, error) {
 // Sync injects EIO, the canonical failed-fsync errno.
 func (f *file) Sync() error {
 	if f.fs.take(&f.fs.f.FailFsyncs) {
-		f.fs.fsyncFaults.Add(1)
 		return &os.PathError{Op: "fsync", Path: f.Name(), Err: syscall.EIO}
 	}
 	return f.File.Sync()

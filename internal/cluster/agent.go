@@ -173,15 +173,6 @@ func (a *Agent) Close() {
 	})
 }
 
-// Degraded reports whether the agent is in degraded standalone mode:
-// partitioned from the coordinator, ticking its loops under local fail-open
-// arbitration, journaling digests for backfill on rejoin.
-func (a *Agent) Degraded() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.degraded
-}
-
 // Metrics returns a snapshot of the agent's resilience counters.
 func (a *Agent) Metrics() AgentMetrics {
 	a.mu.Lock()

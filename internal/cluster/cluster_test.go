@@ -326,6 +326,30 @@ func TestClusterPlacementAndScatter(t *testing.T) {
 		t.Fatal("no merged query response")
 	}
 
+	// A request no store could answer is rejected before the fan-out, with
+	// the text a single store's service gives.
+	fanouts := tc.coord.Stats().Fanouts
+	for _, bad := range []struct {
+		req  tsdb.QueryRequest
+		want string
+	}{
+		{tsdb.QueryRequest{ID: "q2"}, "missing metric"},
+		{tsdb.QueryRequest{ID: "q3", Metric: "node.temp", StepMS: 5000, Agg: "bogus"}, `unknown agg "bogus"`},
+	} {
+		tc.b.Publish(bus.Envelope{Topic: tsdb.QueryTopic, Payload: bad.req})
+		select {
+		case resp := <-results:
+			if resp.ID != bad.req.ID || resp.Err != bad.want || len(resp.Failed) != 0 {
+				t.Fatalf("bad query %s answered %+v, want err %q from the coordinator", bad.req.ID, resp, bad.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no answer to bad query %s", bad.req.ID)
+		}
+	}
+	if got := tc.coord.Stats().Fanouts; got != fanouts {
+		t.Fatalf("bad queries fanned out: fanouts %d -> %d", fanouts, got)
+	}
+
 	// remove: routed to the owner and dropped from the placement table.
 	r = tc.coord.Handle(control.Request{Op: control.OpRemove, Loop: "g0"})
 	if !r.OK {
@@ -542,8 +566,7 @@ func TestClusterCrossNodeArbitration(t *testing.T) {
 
 	// Outside the window the raiser is free again.
 	time.Sleep(50 * time.Millisecond) // let nothing linger on the wire
-	a := tc.coord.Arbiter()
-	a.Forget(capOwner)
+	tc.coord.arb.Forget(capOwner)
 	workers[raiseOwner].tick()
 	if got := workers[raiseOwner].executedActions(); len(got) != 1 {
 		t.Fatalf("raiser still suppressed after the grant was dropped: %+v", got)

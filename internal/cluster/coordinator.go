@@ -164,9 +164,6 @@ func (c *Coordinator) Close() {
 	c.cancels = nil
 }
 
-// Arbiter exposes the cross-node arbiter and its grant table.
-func (c *Coordinator) Arbiter() *Arbiter { return c.arb }
-
 // Directory exposes the member directory (lease table).
 func (c *Coordinator) Directory() *Directory { return c.dir }
 
@@ -229,20 +226,6 @@ func (c *Coordinator) Members() []control.MemberInfo {
 			LastBeatMS: v.sinceBeat.Milliseconds(),
 		})
 	}
-	return out
-}
-
-// Placements reports the placement table sorted by group.
-func (c *Coordinator) Placements() []control.PlacementInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]control.PlacementInfo, 0, len(c.specs))
-	for _, p := range c.specs {
-		out = append(out, control.PlacementInfo{
-			Group: p.group, Case: p.spec.Case, Worker: p.worker, State: p.state,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Group < out[j].Group })
 	return out
 }
 

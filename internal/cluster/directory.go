@@ -59,12 +59,6 @@ func NewDirectory(ttl, grace time.Duration) *Directory {
 	return &Directory{ttl: ttl, grace: grace, members: make(map[string]*memberEntry)}
 }
 
-// TTL returns the lease window.
-func (d *Directory) TTL() time.Duration { return d.ttl }
-
-// Grace returns the suspect window appended to the lease.
-func (d *Directory) Grace() time.Duration { return d.grace }
-
 // Hello registers (or revives) a member and reports whether it was not
 // previously alive — i.e. whether the caller should add it to the ring.
 func (d *Directory) Hello(id string, now time.Time) bool {

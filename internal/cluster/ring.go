@@ -85,19 +85,6 @@ func (r *Ring) Remove(member string) {
 	r.points = keep
 }
 
-// Len reports the member count.
-func (r *Ring) Len() int { return len(r.members) }
-
-// Members returns the members in sorted order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Owner returns the member owning key, or "" on an empty ring. Loop groups
 // hash by group name; a worker's telemetry series follow its loops (each
 // worker stores what its slice of the facility emits).

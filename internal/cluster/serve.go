@@ -261,7 +261,14 @@ func (c *Coordinator) handleQuery(env bus.Envelope) {
 // Answer scatter-gathers one already-decoded query across the alive workers
 // and returns the merged facility-wide response. Exported for the HTTP
 // gateway's /v1/query path, which has no local store on a coordinator.
+//
+// A request tsdb.QueryRequest.Validate rejects is answered before any
+// fan-out, with Err set and no Failed sources — the answer a single store
+// gives — so it never reaches a worker.
 func (c *Coordinator) Answer(req tsdb.QueryRequest) tsdb.QueryResponse {
+	if err := req.Validate(); err != nil {
+		return tsdb.QueryResponse{ID: req.ID, Err: err.Error()}
+	}
 	workers := c.dir.Alive()
 	if len(workers) == 0 {
 		return tsdb.QueryResponse{ID: req.ID}

@@ -27,7 +27,6 @@ type AuditLog struct {
 	mu      sync.Mutex
 	cap     int
 	entries []AuditEntry
-	dropped int
 }
 
 // NewAuditLog returns an audit log retaining up to capacity entries
@@ -47,7 +46,6 @@ func (l *AuditLog) Append(e AuditEntry) {
 	if len(l.entries) > l.cap {
 		over := len(l.entries) - l.cap
 		l.entries = append(l.entries[:0], l.entries[over:]...)
-		l.dropped += over
 	}
 }
 
@@ -61,20 +59,6 @@ func (l *AuditLog) Entries() []AuditEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]AuditEntry(nil), l.entries...)
-}
-
-// Len returns the number of retained entries.
-func (l *AuditLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
-}
-
-// Dropped returns how many entries were evicted.
-func (l *AuditLog) Dropped() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }
 
 // Filter returns retained entries matching the loop and phase (empty strings

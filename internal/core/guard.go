@@ -12,14 +12,6 @@ type Guardrail interface {
 	Check(now time.Duration, loop string, action Action) error
 }
 
-// GuardrailFunc adapts a function to Guardrail.
-type GuardrailFunc func(now time.Duration, loop string, action Action) error
-
-// Check implements Guardrail.
-func (f GuardrailFunc) Check(now time.Duration, loop string, action Action) error {
-	return f(now, loop, action)
-}
-
 // ConfidenceGate vetoes actions whose confidence falls below Min — §IV's
 // "confidence measures are required as we move beyond human-in-the-loop
 // decision-making".

@@ -158,10 +158,6 @@ func (l *Loop) FinishDrain() {
 // Stop is idempotent and valid from every state.
 func (l *Loop) Stop() error { return l.transition(StateStopped, true) }
 
-// Enabled reports whether the loop is active — lifecycle-state shorthand
-// retained for the robustness experiments and the decentralization patterns.
-func (l *Loop) Enabled() bool { return l.State().Tickable() }
-
 // SetEnabled maps the legacy enable/disable toggle onto the lifecycle:
 // disabling pauses the loop (failure injection for the robustness
 // experiments; a paused loop's Tick is a no-op), enabling resumes it.

@@ -10,7 +10,7 @@ func TestLifecycleTransitions(t *testing.T) {
 	if l.State() != StateCreated {
 		t.Fatalf("new loop state = %s, want created", l.State())
 	}
-	if !l.Enabled() {
+	if !l.State().Tickable() {
 		t.Fatal("created loop must be tickable")
 	}
 	if err := l.Start(); err != nil {
@@ -105,13 +105,13 @@ func TestSetEnabledCompat(t *testing.T) {
 	l, rec := newTestLoop(0.9)
 	l.Tick(time.Second)
 	l.SetEnabled(false)
-	if l.Enabled() || l.State() != StatePaused {
-		t.Fatalf("SetEnabled(false): enabled=%v state=%s", l.Enabled(), l.State())
+	if l.State().Tickable() || l.State() != StatePaused {
+		t.Fatalf("SetEnabled(false): enabled=%v state=%s", l.State().Tickable(), l.State())
 	}
 	l.Tick(2 * time.Second)
 	l.SetEnabled(true)
-	if !l.Enabled() || l.State() != StateRunning {
-		t.Fatalf("SetEnabled(true): enabled=%v state=%s", l.Enabled(), l.State())
+	if !l.State().Tickable() || l.State() != StateRunning {
+		t.Fatalf("SetEnabled(true): enabled=%v state=%s", l.State().Tickable(), l.State())
 	}
 	l.Tick(3 * time.Second)
 	if len(rec.executed) != 2 {
@@ -148,7 +148,7 @@ func TestLifecycleFastPathAllocs(t *testing.T) {
 	l, _ := newTestLoop(0.9)
 	l.Tick(time.Second)
 	var ok bool
-	if n := testing.AllocsPerRun(1000, func() { ok = l.Enabled() }); n != 0 {
+	if n := testing.AllocsPerRun(1000, func() { ok = l.State().Tickable() }); n != 0 {
 		t.Errorf("running-state check allocates %v/op, want 0", n)
 	}
 	_ = ok
@@ -166,7 +166,7 @@ func BenchmarkLifecycleCheck(b *testing.B) {
 	b.Run("running-state", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if !l.Enabled() {
+			if !l.State().Tickable() {
 				b.Fatal("loop not running")
 			}
 		}

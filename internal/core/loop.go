@@ -233,9 +233,6 @@ func (pt *PlannedTick) Actions() []Action {
 	return pt.plan.Actions
 }
 
-// Time returns the virtual time the plan half ran at.
-func (pt *PlannedTick) Time() time.Duration { return pt.now }
-
 // Arbitrated reports whether action i has already been marked lost to a
 // cross-loop conflict, so layered arbiters (a fleet's local arbiter, then a
 // cluster coordinator's cross-node arbiter) do not re-litigate losers.

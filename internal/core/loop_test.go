@@ -75,7 +75,7 @@ func TestLoopDisabledDoesNothing(t *testing.T) {
 	if len(rec.executed) != 0 || l.Metrics().Ticks != 0 {
 		t.Error("disabled loop acted")
 	}
-	if l.Enabled() {
+	if l.State().Tickable() {
 		t.Error("Enabled should be false")
 	}
 }

@@ -32,12 +32,6 @@ func NewWorker(name string, m Monitor, e Executor) *Worker {
 	return &Worker{Name: name, M: m, E: e, enabled: true}
 }
 
-// Enabled reports whether the worker is alive.
-func (w *Worker) Enabled() bool { return w.enabled }
-
-// SetEnabled toggles the worker (failure injection).
-func (w *Worker) SetEnabled(on bool) { w.enabled = on }
-
 // MasterWorker is the master-worker pattern: decentralized Monitor and
 // Execute, centralized Analyze and Plan. The centralized Plan "can achieve
 // global objectives and guarantees but suffers from limited scalability" —
@@ -68,9 +62,6 @@ func NewMasterWorker(name string, a Analyzer, p Planner, workers []*Worker) *Mas
 	}
 	return &MasterWorker{Name: name, Workers: workers, A: a, P: p, enabled: true}
 }
-
-// Enabled reports whether the master is alive.
-func (m *MasterWorker) Enabled() bool { return m.enabled }
 
 // SetEnabled toggles the master: with the master down, *no* control happens
 // anywhere — the pattern's single point of failure.
@@ -147,11 +138,6 @@ func (m *MasterWorker) Tick(now time.Duration) {
 	dispatch(now)
 }
 
-// RunEvery schedules the master on clock every period.
-func (m *MasterWorker) RunEvery(clock sim.Clock, period time.Duration, stop func() bool) {
-	sim.TickEvery(clock, period, stop, m.Tick)
-}
-
 // IntentBoard is the peer-coordination medium of the fully decentralized
 // pattern: each loop posts its latest intended action; peer planners consult
 // the board to avoid the destructive synchronization ("instability and
@@ -174,14 +160,6 @@ func (b *IntentBoard) Post(now time.Duration, loop string, a Action) {
 	defer b.mu.Unlock()
 	b.intents[loop] = a
 	b.stamps[loop] = now
-}
-
-// Clear removes loop's intent.
-func (b *IntentBoard) Clear(loop string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.intents, loop)
-	delete(b.stamps, loop)
 }
 
 // Peers returns the intents of every loop except self, in name order.
@@ -233,11 +211,6 @@ func (c *Coordinated) Tick(now time.Duration) {
 	for _, l := range c.Loops {
 		l.Tick(now)
 	}
-}
-
-// RunEvery schedules all member loops on one cadence.
-func (c *Coordinated) RunEvery(clock sim.Clock, period time.Duration, stop func() bool) {
-	sim.TickEvery(clock, period, stop, c.Tick)
 }
 
 // Hierarchical is the hierarchical control pattern: fast child loops manage

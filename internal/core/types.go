@@ -152,11 +152,3 @@ func (f AssessorFunc) Assess(now time.Duration, plan Plan, outcome Outcome) { f(
 type Notifier interface {
 	Notify(now time.Duration, loop string, action Action, result *ActionResult)
 }
-
-// NotifierFunc adapts a function to Notifier.
-type NotifierFunc func(now time.Duration, loop string, action Action, result *ActionResult)
-
-// Notify implements Notifier.
-func (f NotifierFunc) Notify(now time.Duration, loop string, action Action, result *ActionResult) {
-	f(now, loop, action, result)
-}

@@ -75,7 +75,7 @@ func BenchmarkSSEFanout(b *testing.B) {
 		for i := 0; i < clients; i++ {
 			sub := h.Subscribe([]string{"loop.*"}, 0, 256)
 			go func() {
-				for range sub.Events() {
+				for range sub.out {
 				}
 			}()
 		}

@@ -18,7 +18,7 @@ import (
 // agg, latest, and match.<key>=<value> label matchers) for curl-ability.
 // The handler only decodes: what the request means, and whether it is
 // valid, is tsdb.Execute's to say — here through encodeQuery, on a
-// coordinator through every worker's service.
+// coordinator through QueryRequest.Validate and every worker's service.
 //
 // The response body is a tsdb.QueryResponse-shaped JSON object. Unlike the
 // bus service, the request's id is not echoed: HTTP responses correlate by
@@ -47,9 +47,15 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// A coordinator has no local store: scatter-gather across the workers
 	// and return the merged facility view. Partial coverage stays 200 with
-	// the gap named in err, matching the bus-topic query surface.
+	// the gap named in err, matching the bus-topic query surface. An error
+	// no worker is blamed for is the request's own, rejected before the
+	// fan-out: it gets the 400 a single store answers.
 	if g.opts.Store == nil {
 		resp := g.opts.Cluster.Answer(req)
+		if resp.Err != "" && len(resp.Failed) == 0 {
+			g.httpError(w, http.StatusBadRequest, "%s", resp.Err)
+			return
+		}
 		resp.ID = "" // HTTP correlates by the exchange itself
 		g.writeJSON(w, http.StatusOK, resp)
 		return

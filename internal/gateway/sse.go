@@ -42,10 +42,6 @@ type Subscriber struct {
 // outbox was full.
 func (s *Subscriber) Dropped() uint64 { return s.dropped.Load() }
 
-// Events returns the subscriber's outbox; the channel is closed when the
-// subscriber is removed (Unsubscribe or hub Close).
-func (s *Subscriber) Events() <-chan []byte { return s.out }
-
 // hubPattern is the hub's per-pattern state: the bus subscription feeding
 // it and the subscribers registered for the pattern.
 type hubPattern struct {

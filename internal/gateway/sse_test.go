@@ -22,7 +22,7 @@ func publish(b *bus.Bus, topic string, payload interface{}) {
 func recvFrame(t *testing.T, sub *Subscriber) string {
 	t.Helper()
 	select {
-	case frame, ok := <-sub.Events():
+	case frame, ok := <-sub.out:
 		if !ok {
 			t.Fatal("outbox closed")
 		}
@@ -76,14 +76,14 @@ func TestHubReplay(t *testing.T) {
 		}
 	}
 	select {
-	case frame := <-sub.Events():
+	case frame := <-sub.out:
 		t.Fatalf("unexpected extra frame %q", string(frame))
 	default:
 	}
 	// Replay filters by pattern: a subscriber of another topic gets nothing.
 	other := h.Subscribe([]string{"fleet.*"}, 1, 16)
 	select {
-	case frame := <-other.Events():
+	case frame := <-other.out:
 		t.Fatalf("pattern-mismatched replay frame %q", string(frame))
 	default:
 	}
@@ -120,9 +120,9 @@ func TestHubSlowSubscriberDropsNeverBlocks(t *testing.T) {
 		t.Fatalf("first retained frame = %q", f)
 	}
 	h.Unsubscribe(sub)
-	if _, ok := <-sub.Events(); ok {
+	if _, ok := <-sub.out; ok {
 		// one more buffered frame is fine; the channel must be closed after
-		if _, ok := <-sub.Events(); ok {
+		if _, ok := <-sub.out; ok {
 			t.Fatal("outbox not closed after Unsubscribe")
 		}
 	}
@@ -286,7 +286,7 @@ func TestHubManyIdleSubscribers(t *testing.T) {
 	go func() {
 		defer got.Done()
 		for n := 0; n < 200; {
-			if _, ok := <-active.Events(); !ok {
+			if _, ok := <-active.out; !ok {
 				return
 			}
 			n++
@@ -316,7 +316,7 @@ func TestHubManyIdleSubscribers(t *testing.T) {
 	h.Close()
 	for i, sub := range subs {
 		for {
-			if _, ok := <-sub.Events(); !ok {
+			if _, ok := <-sub.out; !ok {
 				break
 			}
 			_ = i

@@ -106,7 +106,9 @@ func inLabelKeyOrder(resp tsdb.QueryResponse) bool {
 // Answer, a store-backed gateway by GET and by POST, and a gateway fronting a
 // coordinator whose two workers each hold half the series. All four reach
 // tsdb.Execute, so all four must return the same series and the same error
-// text, in label-key order on every request shape.
+// text, in label-key order on every request shape. A request
+// QueryRequest.Validate rejects gets byte-identical 400 bodies from the
+// coordinator and the single store.
 func TestQueryTransportsAgree(t *testing.T) {
 	// Created out of key order, so a store that visited in creation order
 	// would show.
@@ -166,8 +168,10 @@ func TestQueryTransportsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			viaGET := decodeReply(t, serve(local, "GET", getTarget(tc.req), "", ""))
-			viaPOST := decodeReply(t, serve(local, "POST", "/v1/query", "", string(body)))
-			viaCoord := decodeReply(t, serve(front, "POST", "/v1/query", "", string(body)))
+			localPOST := serve(local, "POST", "/v1/query", "", string(body))
+			viaPOST := decodeReply(t, localPOST)
+			coordPOST := serve(front, "POST", "/v1/query", "", string(body))
+			viaCoord := decodeReply(t, coordPOST)
 
 			if viaBus.Err != tc.wantErr || len(viaBus.Series) != tc.series {
 				t.Fatalf("bus: err %q with %d series, want %q with %d", viaBus.Err, len(viaBus.Series), tc.wantErr, tc.series)
@@ -186,19 +190,27 @@ func TestQueryTransportsAgree(t *testing.T) {
 					t.Errorf("%s err = %q, want %q", name, got.Err, tc.wantErr)
 				}
 			}
-			// The coordinator does not interpret the request: each worker's
-			// executor rejects it, and the merge attributes the same text to
-			// every worker.
-			var failed []tsdb.SourceError
-			var flat []string
-			if tc.wantErr != "" {
-				for _, w := range []string{"w1", "w2"} {
-					failed = append(failed, tsdb.SourceError{Source: w, Err: tc.wantErr})
-					flat = append(flat, w+": "+tc.wantErr)
+			if rejected := tc.req.Validate() != nil; rejected {
+				// Rejected before the fan-out, as a single store rejects it.
+				if coordPOST.Code != localPOST.Code || coordPOST.Body.String() != localPOST.Body.String() {
+					t.Errorf("coordinator answered %d %q, single store %d %q",
+						coordPOST.Code, coordPOST.Body.String(), localPOST.Code, localPOST.Body.String())
 				}
-			}
-			if !reflect.DeepEqual(viaCoord.Failed, failed) || viaCoord.Err != strings.Join(flat, "; ") {
-				t.Errorf("coordinator err = %q failed = %+v, want every worker reporting %q", viaCoord.Err, viaCoord.Failed, tc.wantErr)
+			} else {
+				// An error that depends on the store ("no rollup registered")
+				// is each worker's: the merge attributes the same text to
+				// every worker.
+				var failed []tsdb.SourceError
+				var flat []string
+				if tc.wantErr != "" {
+					for _, w := range []string{"w1", "w2"} {
+						failed = append(failed, tsdb.SourceError{Source: w, Err: tc.wantErr})
+						flat = append(flat, w+": "+tc.wantErr)
+					}
+				}
+				if !reflect.DeepEqual(viaCoord.Failed, failed) || viaCoord.Err != strings.Join(flat, "; ") {
+					t.Errorf("coordinator err = %q failed = %+v, want every worker reporting %q", viaCoord.Err, viaCoord.Failed, tc.wantErr)
+				}
 			}
 
 			for name, got := range map[string]tsdb.QueryResponse{"bus": viaBus, "GET": viaGET, "POST": viaPOST, "coordinator": viaCoord} {

@@ -134,9 +134,6 @@ func New(engine *sim.Engine, cfg Config) *Cluster {
 	return c
 }
 
-// Config returns the cluster's hardware configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Nodes returns the node fleet in ID order. Callers must not mutate state
 // except through the cluster's methods.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
@@ -157,58 +154,6 @@ func (c *Cluster) UpNodes() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// SetState transitions a node's operational state; unknown IDs are an error.
-func (c *Cluster) SetState(id string, s NodeState) error {
-	n, ok := c.byID[id]
-	if !ok {
-		return fmt.Errorf("cluster: unknown node %q", id)
-	}
-	n.State = s
-	if s == NodeDown {
-		n.CoresUsed = 0
-		n.MemUsedGB = 0
-		n.util = 0
-	}
-	return nil
-}
-
-// Allocate reserves cores and memory on a node for a job, returning an error
-// if the node lacks capacity or is not up.
-func (c *Cluster) Allocate(id string, cores int, memGB float64) error {
-	n, ok := c.byID[id]
-	if !ok {
-		return fmt.Errorf("cluster: unknown node %q", id)
-	}
-	if n.State != NodeUp {
-		return fmt.Errorf("cluster: node %s is %s", id, n.State)
-	}
-	if n.CoresUsed+cores > n.Cores {
-		return fmt.Errorf("cluster: node %s has %d free cores, need %d", id, n.Cores-n.CoresUsed, cores)
-	}
-	if n.MemUsedGB+memGB > n.MemGB {
-		return fmt.Errorf("cluster: node %s has %.0fGB free, need %.0fGB", id, n.MemGB-n.MemUsedGB, memGB)
-	}
-	n.CoresUsed += cores
-	n.MemUsedGB += memGB
-	return nil
-}
-
-// Release returns cores and memory allocated by Allocate.
-func (c *Cluster) Release(id string, cores int, memGB float64) {
-	n, ok := c.byID[id]
-	if !ok {
-		return
-	}
-	n.CoresUsed -= cores
-	if n.CoresUsed < 0 {
-		n.CoresUsed = 0
-	}
-	n.MemUsedGB -= memGB
-	if n.MemUsedGB < 0 {
-		n.MemUsedGB = 0
-	}
 }
 
 // SetUtil sets a node's instantaneous CPU utilization (clamped to [0,1]),

@@ -43,83 +43,19 @@ func TestNewZeroNodesPanics(t *testing.T) {
 	New(sim.NewEngine(1), Config{})
 }
 
-func TestAllocateReleaseAccounting(t *testing.T) {
-	_, c := newTestCluster(t)
-	if err := c.Allocate("n000", 32, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Allocate("n000", 32, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Allocate("n000", 1, 0); err == nil {
-		t.Error("expected core exhaustion error")
-	}
-	c.Release("n000", 32, 100)
-	if err := c.Allocate("n000", 16, 50); err != nil {
-		t.Errorf("after release: %v", err)
-	}
-	n, _ := c.Node("n000")
-	if n.CoresUsed != 48 {
-		t.Errorf("CoresUsed = %d, want 48", n.CoresUsed)
-	}
-}
-
-func TestAllocateMemoryLimit(t *testing.T) {
-	_, c := newTestCluster(t)
-	if err := c.Allocate("n000", 1, 300); err == nil {
-		t.Error("expected memory exhaustion error (node has 256GB)")
-	}
-}
-
-func TestAllocateUnknownAndDownNodes(t *testing.T) {
-	_, c := newTestCluster(t)
-	if err := c.Allocate("nope", 1, 1); err == nil {
-		t.Error("expected error for unknown node")
-	}
-	if err := c.SetState("n001", NodeDown); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Allocate("n001", 1, 1); err == nil {
-		t.Error("expected error for down node")
-	}
-	if err := c.SetState("nope", NodeUp); err == nil {
-		t.Error("expected error for unknown node state change")
-	}
-}
-
-func TestReleaseClampsAtZero(t *testing.T) {
-	_, c := newTestCluster(t)
-	c.Release("n000", 100, 100)
-	n, _ := c.Node("n000")
-	if n.CoresUsed != 0 || n.MemUsedGB != 0 {
-		t.Errorf("release went negative: %d cores, %.0f GB", n.CoresUsed, n.MemUsedGB)
-	}
-}
-
 func TestUpNodesExcludesDownAndDrain(t *testing.T) {
 	_, c := newTestCluster(t)
-	_ = c.SetState("n001", NodeDown)
-	_ = c.SetState("n002", NodeDrain)
+	c.byID["n001"].State = NodeDown
+	c.byID["n002"].State = NodeDrain
 	up := c.UpNodes()
 	if len(up) != 2 || up[0] != "n000" || up[1] != "n003" {
 		t.Errorf("UpNodes = %v", up)
 	}
 }
 
-func TestDownNodeClearsUsage(t *testing.T) {
-	_, c := newTestCluster(t)
-	_ = c.Allocate("n000", 8, 10)
-	c.SetUtil("n000", 0.5)
-	_ = c.SetState("n000", NodeDown)
-	n, _ := c.Node("n000")
-	if n.CoresUsed != 0 || n.util != 0 {
-		t.Error("down node retained usage")
-	}
-}
-
 func TestPowerModel(t *testing.T) {
 	e, c := newTestCluster(t)
-	cfg := c.Config()
+	cfg := c.cfg
 	n, _ := c.Node("n000")
 	if got := n.PowerW(cfg); got != cfg.IdlePowerW {
 		t.Errorf("idle power = %v, want %v", got, cfg.IdlePowerW)
@@ -138,7 +74,7 @@ func TestPowerModel(t *testing.T) {
 
 func TestThermalApproachesSteadyState(t *testing.T) {
 	e, c := newTestCluster(t)
-	cfg := c.Config()
+	cfg := c.cfg
 	c.SetUtil("n000", 1.0)
 	// Sample repeatedly so the thermal state advances with the clock.
 	col := c.Collector()
@@ -161,7 +97,7 @@ func TestThermalApproachesSteadyState(t *testing.T) {
 
 func TestCollectorEmitsPerUpNode(t *testing.T) {
 	e, c := newTestCluster(t)
-	_ = c.SetState("n001", NodeDown)
+	c.byID["n001"].State = NodeDown
 	pts := c.Collector().Collect(e.Now())
 	if len(pts) != 3*5 {
 		t.Fatalf("got %d points, want 15 (3 up nodes x 5 metrics)", len(pts))

@@ -53,10 +53,8 @@ func TestBaseConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			app := apps[r%len(apps)]
 			for i := 0; i < rounds; i++ {
-				_ = b.Runs()
 				_ = b.RunsFor(app)
 				_, _ = b.TypicalRuntime(app)
-				_ = b.SimilarRuns(analytics.Signature{"iter_ms": float64(i)}, 3)
 				_ = b.Plans()
 				_ = b.Assess("")
 				_ = b.Correction(app)
@@ -72,7 +70,7 @@ func TestBaseConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := len(b.Runs()); got != writers*rounds {
+	if got := len(b.runs); got != writers*rounds {
 		t.Errorf("runs = %d, want %d", got, writers*rounds)
 	}
 	if got := len(b.Plans()); got != writers*rounds {

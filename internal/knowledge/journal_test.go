@@ -116,7 +116,7 @@ func TestKnowledgeSnapshotTailReplay(t *testing.T) {
 	if a, b := dumpBase(live), dumpBase(rec); a != b {
 		t.Fatalf("snapshot+tail replay diverges:\n live: %s\n rec:  %s", a, b)
 	}
-	if got, want := len(rec.Runs()), len(live.Runs()); got != want {
+	if got, want := len(rec.runs), len(live.runs); got != want {
 		t.Fatalf("run count %d, want %d (double-applied overlap?)", got, want)
 	}
 	if !reflect.DeepEqual(rec.Plans(), live.Plans()) {

@@ -99,13 +99,6 @@ func (b *Base) AddRun(r RunRecord) {
 	b.journalLocked(&walOp{Op: "run", Run: &r})
 }
 
-// Runs returns all run records (copy).
-func (b *Base) Runs() []RunRecord {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return append([]RunRecord(nil), b.runs...)
-}
-
 // RunsFor returns the run records of one application (copy).
 func (b *Base) RunsFor(app string) []RunRecord {
 	b.mu.RLock()
@@ -136,28 +129,6 @@ func (b *Base) TypicalRuntime(app string) (time.Duration, bool) {
 	}
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	return durs[len(durs)/2], true
-}
-
-// SimilarRuns returns up to k completed runs most similar to the query
-// signature, across all applications — the paper's "inferred from similar
-// jobs with different input decks".
-func (b *Base) SimilarRuns(query analytics.Signature, k int) []RunRecord {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var candidates []analytics.Signature
-	var idx []int
-	for i, r := range b.runs {
-		if r.Completed && len(r.Signature) > 0 {
-			candidates = append(candidates, r.Signature)
-			idx = append(idx, i)
-		}
-	}
-	ns := analytics.NearestNeighbors(query, candidates, k)
-	out := make([]RunRecord, 0, len(ns))
-	for _, n := range ns {
-		out = append(out, b.runs[idx[n.Index]])
-	}
-	return out
 }
 
 // RecordPlan appends an executed plan and returns its index for resolution.

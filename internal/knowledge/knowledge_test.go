@@ -34,20 +34,8 @@ func TestRunsFor(t *testing.T) {
 	if got := len(b.RunsFor("a")); got != 2 {
 		t.Errorf("RunsFor(a) = %d", got)
 	}
-	if got := len(b.Runs()); got != 3 {
-		t.Errorf("Runs = %d", got)
-	}
-}
-
-func TestSimilarRuns(t *testing.T) {
-	b := NewBase()
-	b.AddRun(RunRecord{App: "x", Completed: true, Signature: analytics.Signature{"iter_ms": 100, "util": 0.9}})
-	b.AddRun(RunRecord{App: "y", Completed: true, Signature: analytics.Signature{"iter_ms": 500, "util": 0.3}})
-	b.AddRun(RunRecord{App: "z", Completed: false, Signature: analytics.Signature{"iter_ms": 100, "util": 0.9}}) // incomplete: excluded
-	b.AddRun(RunRecord{App: "w", Completed: true})                                                               // no signature: excluded
-	got := b.SimilarRuns(analytics.Signature{"iter_ms": 102, "util": 0.89}, 1)
-	if len(got) != 1 || got[0].App != "x" {
-		t.Errorf("SimilarRuns = %+v", got)
+	if got := len(b.runs); got != 3 {
+		t.Errorf("runs = %d", got)
 	}
 }
 
@@ -159,7 +147,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := b2.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if len(b2.Runs()) != 1 || b2.Runs()[0].App != "a" {
+	if len(b2.runs) != 1 || b2.runs[0].App != "a" {
 		t.Error("runs lost in round trip")
 	}
 	if len(b2.Plans()) != 1 || !b2.Plans()[0].Resolved {
@@ -192,9 +180,9 @@ func TestLoadEmptyMapsInitialized(t *testing.T) {
 func TestRunsReturnsCopy(t *testing.T) {
 	b := NewBase()
 	b.AddRun(RunRecord{App: "a"})
-	runs := b.Runs()
+	runs := b.RunsFor("a")
 	runs[0].App = "mutated"
-	if b.Runs()[0].App != "a" {
-		t.Error("Runs leaked internal storage")
+	if b.runs[0].App != "a" {
+		t.Error("RunsFor leaked internal storage")
 	}
 }

@@ -49,8 +49,6 @@ type ost struct {
 	windowBusy     time.Duration
 	windowLatSum   time.Duration
 	windowLatCount int
-
-	totalBytesMB float64
 }
 
 // File is an open striped file; its layout is fixed at open time.
@@ -160,14 +158,6 @@ func (fs *FS) SetOSTHealth(id int, health float64) error {
 	}
 	fs.osts[id].health = health
 	return nil
-}
-
-// OSTHealth returns OST id's current health factor.
-func (fs *FS) OSTHealth(id int) float64 {
-	if id < 0 || id >= len(fs.osts) {
-		return 0
-	}
-	return fs.osts[id].health
 }
 
 // SetQoS installs or updates tenant's token bucket (rate MB/s, burst MB).
@@ -292,7 +282,6 @@ func (fs *FS) dispatch(f *File, sizeMB float64, start time.Duration, done func(t
 			o := fs.osts[id]
 			o.queueLen--
 			o.windowBytesMB += chunk
-			o.totalBytesMB += chunk
 			lat := fs.engine.Now() - start
 			o.windowLatSum += lat
 			o.windowLatCount++
@@ -308,22 +297,6 @@ func (fs *FS) dispatch(f *File, sizeMB float64, start time.Duration, done func(t
 			}
 		})
 	}
-}
-
-// TotalBytesMB reports cumulative MB written to OST id.
-func (fs *FS) TotalBytesMB(id int) float64 {
-	if id < 0 || id >= len(fs.osts) {
-		return 0
-	}
-	return fs.osts[id].totalBytesMB
-}
-
-// QueueLen reports the current number of in-flight chunks on OST id.
-func (fs *FS) QueueLen(id int) int {
-	if id < 0 || id >= len(fs.osts) {
-		return 0
-	}
-	return fs.osts[id].queueLen
 }
 
 // Collector exposes the filesystem sensor domain. Per OST:

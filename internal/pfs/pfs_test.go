@@ -43,7 +43,7 @@ func TestStripingSplitsLoad(t *testing.T) {
 		t.Errorf("latency = %v, want 250ms", lat)
 	}
 	for _, id := range f.OSTs() {
-		if got := fs.TotalBytesMB(id); got != 25 {
+		if got := fs.osts[id].windowBytesMB; got != 25 {
 			t.Errorf("OST %d bytes = %v, want 25", id, got)
 		}
 	}
@@ -77,8 +77,8 @@ func TestDegradedOSTSlowsStripedWrite(t *testing.T) {
 	if lat != 2500*time.Millisecond {
 		t.Errorf("latency = %v, want 2.5s", lat)
 	}
-	if fs.OSTHealth(2) != 0.1 {
-		t.Errorf("health = %v", fs.OSTHealth(2))
+	if h := fs.osts[2].health; h != 0.1 {
+		t.Errorf("health = %v", h)
 	}
 }
 
@@ -88,15 +88,12 @@ func TestSetOSTHealthValidation(t *testing.T) {
 		t.Error("expected error for unknown OST")
 	}
 	_ = fs.SetOSTHealth(0, -1)
-	if h := fs.OSTHealth(0); h != 0.01 {
+	if h := fs.osts[0].health; h != 0.01 {
 		t.Errorf("negative health clamped to %v, want 0.01", h)
 	}
 	_ = fs.SetOSTHealth(0, 5)
-	if h := fs.OSTHealth(0); h != 1 {
+	if h := fs.osts[0].health; h != 1 {
 		t.Errorf("excess health clamped to %v, want 1", h)
-	}
-	if fs.OSTHealth(-1) != 0 {
-		t.Error("out-of-range health should be 0")
 	}
 }
 
@@ -261,15 +258,12 @@ func TestQueueLen(t *testing.T) {
 	f := fs.Open("a", 1, nil)
 	fs.Write(f, 100, nil)
 	fs.Write(f, 100, nil)
-	if got := fs.QueueLen(0); got != 2 {
-		t.Errorf("QueueLen = %d, want 2", got)
+	if got := fs.osts[0].queueLen; got != 2 {
+		t.Errorf("queueLen = %d, want 2", got)
 	}
 	e.Run()
-	if got := fs.QueueLen(0); got != 0 {
-		t.Errorf("QueueLen after drain = %d, want 0", got)
-	}
-	if fs.QueueLen(99) != 0 {
-		t.Error("unknown OST QueueLen should be 0")
+	if got := fs.osts[0].queueLen; got != 0 {
+		t.Errorf("queueLen after drain = %d, want 0", got)
 	}
 }
 

@@ -51,8 +51,8 @@ var caseDefaults = map[string]Loop{
 
 // TemplateFor returns the scenario template for one of the built-in cases:
 // a Loop spec carrying the case name and its default scoring attribution.
-// cases.ScenarioTemplates maps every registered factory through it, so new
-// cases land as scenario + CaseFactory pairs.
+// TestScenarioTemplatesMatchFactories (internal/cases) maps every registered
+// case through it, so new cases land as scenario + CaseFactory pairs.
 func TemplateFor(caseName string) (Loop, bool) {
 	d, ok := caseDefaults[caseName]
 	if !ok {

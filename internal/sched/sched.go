@@ -142,12 +142,6 @@ func (s *Scheduler) SetHooks(start StartFn, kill KillFn) {
 // Policy returns the active extension policy.
 func (s *Scheduler) Policy() ExtensionPolicy { return s.policy }
 
-// SetPolicy replaces the extension policy (experiments sweep it).
-func (s *Scheduler) SetPolicy(p ExtensionPolicy) { s.policy = p }
-
-// NumNodes returns the size of the managed node pool.
-func (s *Scheduler) NumNodes() int { return len(s.nodes) }
-
 // Job returns the job with the given ID.
 func (s *Scheduler) Job(id int) (*Job, bool) {
 	if id < 1 || id > len(s.jobs) {

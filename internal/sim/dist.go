@@ -25,20 +25,6 @@ func (c Constant) Sample(*rand.Rand) time.Duration { return c.V }
 // Mean implements Dist.
 func (c Constant) Mean() time.Duration { return c.V }
 
-// Uniform samples uniformly from [Low, High].
-type Uniform struct{ Low, High time.Duration }
-
-// Sample implements Dist.
-func (u Uniform) Sample(rng *rand.Rand) time.Duration {
-	if u.High <= u.Low {
-		return u.Low
-	}
-	return u.Low + time.Duration(rng.Int63n(int64(u.High-u.Low)+1))
-}
-
-// Mean implements Dist.
-func (u Uniform) Mean() time.Duration { return (u.Low + u.High) / 2 }
-
 // Exponential samples an exponential distribution with the given mean,
 // suitable for Poisson arrival processes.
 type Exponential struct{ MeanV time.Duration }
@@ -50,24 +36,6 @@ func (e Exponential) Sample(rng *rand.Rand) time.Duration {
 
 // Mean implements Dist.
 func (e Exponential) Mean() time.Duration { return e.MeanV }
-
-// Normal samples a normal distribution truncated at zero.
-type Normal struct {
-	MeanV  time.Duration
-	Stddev time.Duration
-}
-
-// Sample implements Dist.
-func (n Normal) Sample(rng *rand.Rand) time.Duration {
-	v := rng.NormFloat64()*float64(n.Stddev) + float64(n.MeanV)
-	if v < 0 {
-		v = 0
-	}
-	return time.Duration(v)
-}
-
-// Mean implements Dist.
-func (n Normal) Mean() time.Duration { return n.MeanV }
 
 // LogNormal samples a log-normal distribution parameterized by the desired
 // mean and coefficient of variation of the resulting values. Log-normal
@@ -91,13 +59,3 @@ func (l LogNormal) Sample(rng *rand.Rand) time.Duration {
 
 // Mean implements Dist.
 func (l LogNormal) Mean() time.Duration { return l.MeanV }
-
-// Seconds is a convenience for building durations from float seconds, used
-// heavily by experiment configuration.
-func Seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-
-// Hours is a convenience for building durations from float hours.
-func Hours(h float64) time.Duration { return time.Duration(h * float64(time.Hour)) }
-
-// Minutes is a convenience for building durations from float minutes.
-func Minutes(m float64) time.Duration { return time.Duration(m * float64(time.Minute)) }

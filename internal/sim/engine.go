@@ -56,7 +56,6 @@ type Engine struct {
 	pending eventHeap
 	seq     uint64
 	rng     *rand.Rand
-	stopped bool
 
 	// Executed counts events that have run, for diagnostics and tests.
 	executed uint64
@@ -77,9 +76,6 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Executed reports how many events have run so far.
 func (e *Engine) Executed() uint64 { return e.executed }
-
-// Pending reports how many events are currently scheduled.
-func (e *Engine) Pending() int { return len(e.pending) }
 
 // At schedules fn to run at absolute virtual time at. Scheduling in the past
 // (before Now) panics: it would silently reorder history.
@@ -111,9 +107,6 @@ func (e *Engine) Every(start, period time.Duration, fn func() bool) {
 	}
 	var tick func()
 	tick = func() {
-		if e.stopped {
-			return
-		}
 		if fn() {
 			e.At(e.now+period, tick)
 		}
@@ -121,14 +114,10 @@ func (e *Engine) Every(start, period time.Duration, fn func() bool) {
 	e.At(start, tick)
 }
 
-// Stop halts the run loop after the current event completes and discards any
-// remaining schedule on the next Run call.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Step executes the single next event, advancing virtual time to it. It
-// returns false when no events remain or the engine is stopped.
+// returns false when no events remain.
 func (e *Engine) Step() bool {
-	if e.stopped || len(e.pending) == 0 {
+	if len(e.pending) == 0 {
 		return false
 	}
 	ev := heap.Pop(&e.pending).(*event)
@@ -138,7 +127,7 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the schedule is empty or Stop is called.
+// Run executes events until the schedule is empty.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -147,10 +136,10 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= deadline and then advances the
 // clock to deadline. Events scheduled beyond the deadline remain pending.
 func (e *Engine) RunUntil(deadline time.Duration) {
-	for !e.stopped && len(e.pending) > 0 && e.pending[0].at <= deadline {
+	for len(e.pending) > 0 && e.pending[0].at <= deadline {
 		e.Step()
 	}
-	if !e.stopped && e.now < deadline {
+	if e.now < deadline {
 		e.now = deadline
 	}
 }

@@ -23,6 +23,7 @@ type SeriesVisitor func(labels Labels, samples []Sample)
 // phases) use them, and so does the one executor of the wire query
 // vocabulary (tsdb.Execute), which every transport — bus service, HTTP
 // gateway, cluster scatter-gather — answers through. *tsdb.DB also has
+// WindowInto, a zero-copy window read outside this interface, and
 // Query/QueryOne/Latest, which materialize independent copies for one-shot
 // reporting.
 type Querier interface {
@@ -33,10 +34,6 @@ type Querier interface {
 	// matcher and that has at least one sample in [from, to], without
 	// materializing copies, in label-key order.
 	QueryVisit(name string, matcher Labels, from, to time.Duration, visit SeriesVisitor)
-	// WindowInto appends the values of every matching series in [from, to]
-	// to buf, concatenated in label-key order, and returns the extended
-	// buffer. With a warm buffer it performs no allocations.
-	WindowInto(buf []float64, name string, matcher Labels, from, to time.Duration) []float64
 	// LatestInto appends the newest point of every matching series to buf in
 	// label-key order and returns the extended buffer. The appended points'
 	// Labels alias the store's canonical (immutable) label sets instead of

@@ -206,13 +206,9 @@ func (r *Registry) Register(c Collector) {
 // Size reports the number of registered collectors.
 func (r *Registry) Size() int { return len(r.collectors) }
 
-// Gather collects from every registered collector in registration order.
-func (r *Registry) Gather(now time.Duration) []Point {
-	return r.GatherInto(now, nil)
-}
-
-// GatherInto is Gather appending into buf, so steady-state sampling loops
-// can reuse one buffer across rounds instead of reallocating per sample.
+// GatherInto collects from every registered collector in registration
+// order, appending into buf, so steady-state sampling loops can reuse one
+// buffer across rounds instead of reallocating per sample.
 func (r *Registry) GatherInto(now time.Duration, buf []Point) []Point {
 	for _, c := range r.collectors {
 		buf = append(buf, c.Collect(now)...)

@@ -102,7 +102,7 @@ func TestRegistryGather(t *testing.T) {
 	r.Register(CollectorFunc(func(now time.Duration) []Point {
 		return []Point{{Name: "b", Time: now, Value: 2}}
 	}))
-	pts := r.Gather(5 * time.Second)
+	pts := r.GatherInto(5*time.Second, nil)
 	if len(pts) != 2 {
 		t.Fatalf("Gather returned %d points, want 2", len(pts))
 	}

@@ -3,12 +3,12 @@ package tsdb
 import (
 	"math"
 	"sort"
-	"time"
 
 	"autoloop/internal/telemetry"
 )
 
-// Agg selects an aggregation function for Downsample and ReduceAcross.
+// Agg selects the aggregation a rollup rule or a step query applies to each
+// bucket.
 type Agg int
 
 // Supported aggregations.
@@ -154,48 +154,6 @@ func Percentile(values []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Downsample buckets s into fixed windows of width step aligned to the epoch
-// and reduces each non-empty bucket with agg. Bucket timestamps are the
-// bucket end, so downsampled points never claim knowledge of the future.
-func Downsample(s telemetry.Series, step time.Duration, agg Agg) telemetry.Series {
-	if step <= 0 || len(s.Samples) == 0 {
-		return s
-	}
-	out := telemetry.Series{Name: s.Name, Labels: s.Labels}
-	var bucket []float64
-	bucketIdx := int64(-1)
-	flush := func(idx int64) {
-		if len(bucket) == 0 {
-			return
-		}
-		end := time.Duration(idx+1) * step
-		out.Samples = append(out.Samples, telemetry.Sample{Time: end, Value: agg.apply(bucket)})
-		bucket = bucket[:0]
-	}
-	for _, smp := range s.Samples {
-		idx := int64(smp.Time / step)
-		if idx != bucketIdx {
-			flush(bucketIdx)
-			bucketIdx = idx
-		}
-		bucket = append(bucket, smp.Value)
-	}
-	flush(bucketIdx)
-	return out
-}
-
-// ReduceAcross applies agg to the latest value of each series, answering
-// fleet-level questions like "p99 of per-OST latencies right now".
-func ReduceAcross(series []telemetry.Series, agg Agg) float64 {
-	var values []float64
-	for i := range series {
-		if last, ok := series[i].Last(); ok {
-			values = append(values, last.Value)
-		}
-	}
-	return agg.apply(values)
 }
 
 // Rate estimates the per-second rate of change of a monotonically increasing

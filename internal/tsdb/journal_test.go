@@ -26,7 +26,7 @@ func dumpDB(t *testing.T, db *DB) []byte {
 	d := dump{Appended: db.Appended(), Series: map[string][]telemetry.Series{}, Rollups: map[string][]telemetry.Series{}}
 	for _, name := range db.MetricNames() {
 		d.Series[name] = db.Query(name, nil, 0, 1<<62)
-		for _, rule := range db.Rollups() {
+		for _, rule := range db.rules {
 			if rule.Metric != name {
 				continue
 			}

@@ -27,7 +27,7 @@ type refSeries struct {
 	name   string
 	labels telemetry.Labels
 	// samples is the retained window; all keeps the full history so rollup
-	// answers can be recomputed offline with Downsample.
+	// answers can be recomputed offline with downsample.
 	samples []telemetry.Sample
 	all     []telemetry.Sample
 }
@@ -136,7 +136,7 @@ func (db *refDB) sorted(name string) []*refSeries {
 	return out
 }
 
-// queryRollup recomputes the rollup offline: Downsample over the full
+// queryRollup recomputes the rollup offline: downsample over the full
 // (untruncated) history of each matching series — valid because the
 // workload registers retention-affected rules before ingestion starts, so
 // the continuous engine saw every sample too.
@@ -146,7 +146,7 @@ func (db *refDB) queryRollup(name string, matcher telemetry.Labels, step time.Du
 		if !s.labels.Matches(matcher) {
 			continue
 		}
-		full := Downsample(telemetry.Series{Name: name, Labels: s.labels.Clone(), Samples: s.all}, step, agg)
+		full := downsample(telemetry.Series{Name: name, Labels: s.labels.Clone(), Samples: s.all}, step, agg)
 		var cp []telemetry.Sample
 		for _, smp := range full.Samples {
 			if smp.Time >= from && smp.Time <= to {
@@ -235,15 +235,14 @@ func (rp *refPool) attach(rng *rand.Rand, p *telemetry.Point) {
 	p.Ref = &pr.ref
 }
 
-// TestShardedMatchesReference runs randomized append/query/retention/rollup
+// TestStoreMatchesReference runs randomized append/query/retention/rollup
 // workloads against the indexed DB and the single-map reference and demands
-// identical results throughout. (The name dates from the lock-striped store;
-// the suite's floor list pins it and its subtests by id.) Half the points
-// carry series refs that are reused across rounds and sometimes re-pointed; a
-// second DB (twin) is fed the same points with the same refs a few
-// operations late, so each store runs on its own warm memos for a while and
-// then finds the other's, which it must not follow.
-func TestShardedMatchesReference(t *testing.T) {
+// identical results throughout. Half the points carry series refs that are
+// reused across rounds and sometimes re-pointed; a second DB (twin) is fed
+// the same points with the same refs a few operations late, so each store
+// runs on its own warm memos for a while and then finds the other's, which
+// it must not follow.
+func TestStoreMatchesReference(t *testing.T) {
 	retentions := []time.Duration{0, 0, 45 * time.Second, 3 * time.Minute}
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed

@@ -36,7 +36,8 @@ func (r RollupRule) same(o RollupRule) bool {
 // seriesRollup is the per-series state of one rule: the flushed buckets plus
 // the open bucket's raw values. Buckets are flushed when an append crosses a
 // step boundary, stamped with the bucket end (never claiming knowledge of
-// the future), exactly mirroring Downsample's offline semantics.
+// the future), exactly as the offline downsample reference in the tests
+// buckets.
 type seriesRollup struct {
 	rule    RollupRule
 	bucket  int64     // open bucket index, meaningful when len(values) > 0
@@ -98,8 +99,8 @@ func (sr *seriesRollup) truncateBefore(cutoff time.Duration) {
 
 // window returns the rollup samples in [from, to], including the open
 // bucket's partial aggregate when its end falls inside the range — the same
-// convention Downsample uses for a trailing partial bucket. The result is
-// freshly allocated.
+// convention the downsample reference uses for a trailing partial bucket.
+// The result is freshly allocated.
 func (sr *seriesRollup) window(from, to time.Duration) []telemetry.Sample {
 	live := sr.live()
 	lo, hi := rangeBounds(live, from, to)
@@ -168,13 +169,6 @@ func (s *memSeries) backfillRollup(rule RollupRule) {
 		sr.observe(smp.Time, smp.Value, false)
 	}
 	s.rollups = append(s.rollups, sr)
-}
-
-// Rollups returns the registered rules in registration order.
-func (db *DB) Rollups() []RollupRule {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return append([]RollupRule(nil), db.rules...)
 }
 
 // QueryRollup returns, for every series of metric matching the matcher, the

@@ -24,13 +24,13 @@ func TestRollupMatchesDownsample(t *testing.T) {
 		t.Fatalf("QueryRollup = %v, %v", got, ok)
 	}
 	raw, _ := db.QueryOne("m", nil, 0, time.Hour)
-	want := Downsample(raw, 5*time.Second, AggMean)
+	want := downsample(raw, 5*time.Second, AggMean)
 	if len(got[0].Samples) != len(want.Samples) {
-		t.Fatalf("rollup has %d buckets, Downsample %d", len(got[0].Samples), len(want.Samples))
+		t.Fatalf("rollup has %d buckets, downsample %d", len(got[0].Samples), len(want.Samples))
 	}
 	for i := range want.Samples {
 		if got[0].Samples[i] != want.Samples[i] {
-			t.Errorf("bucket %d: rollup %v, Downsample %v", i, got[0].Samples[i], want.Samples[i])
+			t.Errorf("bucket %d: rollup %v, downsample %v", i, got[0].Samples[i], want.Samples[i])
 		}
 	}
 }
@@ -121,8 +121,8 @@ func TestAddRollupValidation(t *testing.T) {
 	if err := db.AddRollup(rule); err == nil {
 		t.Error("want error for duplicate rule")
 	}
-	if got := len(db.Rollups()); got != 1 {
-		t.Errorf("Rollups() = %d rules, want 1", got)
+	if got := len(db.rules); got != 1 {
+		t.Errorf("rules = %d, want 1", got)
 	}
 	if _, ok := db.QueryRollup("m", nil, 2*time.Second, AggMean, 0, time.Hour); ok {
 		t.Error("unregistered (metric, step, agg) must report ok=false")
@@ -139,4 +139,36 @@ func TestParseAgg(t *testing.T) {
 	if _, ok := ParseAgg("nope"); ok {
 		t.Error("ParseAgg should reject unknown names")
 	}
+}
+
+// downsample is the offline reference the continuous rollups are checked
+// against: it buckets s into fixed windows of width step aligned to the
+// epoch and reduces each non-empty bucket with agg. Bucket timestamps are
+// the bucket end, so downsampled points never claim knowledge of the
+// future.
+func downsample(s telemetry.Series, step time.Duration, agg Agg) telemetry.Series {
+	if step <= 0 || len(s.Samples) == 0 {
+		return s
+	}
+	out := telemetry.Series{Name: s.Name, Labels: s.Labels}
+	var bucket []float64
+	bucketIdx := int64(-1)
+	flush := func(idx int64) {
+		if len(bucket) == 0 {
+			return
+		}
+		end := time.Duration(idx+1) * step
+		out.Samples = append(out.Samples, telemetry.Sample{Time: end, Value: agg.apply(bucket)})
+		bucket = bucket[:0]
+	}
+	for _, smp := range s.Samples {
+		idx := int64(smp.Time / step)
+		if idx != bucketIdx {
+			flush(bucketIdx)
+			bucketIdx = idx
+		}
+		bucket = append(bucket, smp.Value)
+	}
+	flush(bucketIdx)
+	return out
 }

@@ -89,6 +89,22 @@ type latestScratch struct {
 
 var latestPool = sync.Pool{New: func() interface{} { return new(latestScratch) }}
 
+// Validate rejects what no store could answer: a missing metric, and on a
+// step request (StepMS > 0, not Latest) an aggregation ParseAgg does not
+// know. Execute runs it first; a cluster coordinator runs it before fanning
+// a request out, so both answer a bad request with the same text.
+func (r *QueryRequest) Validate() error {
+	if r.Metric == "" {
+		return errors.New("missing metric")
+	}
+	if !r.Latest && r.StepMS > 0 {
+		if _, ok := ParseAgg(r.Agg); !ok {
+			return fmt.Errorf("unknown agg %q", r.Agg)
+		}
+	}
+	return nil
+}
+
 // Execute is the one interpreter of the QueryRequest vocabulary; the bus
 // service, the HTTP gateway and (through each worker's service) the cluster
 // coordinator are sinks over it. It validates req, reads st — latest beats
@@ -100,8 +116,8 @@ var latestPool = sync.Pool{New: func() interface{} { return new(latestScratch) }
 // arrive in label-key order on all three branches — the order of every
 // Store read — so a sink's response is ordered as it is written.
 func Execute(st Store, req *QueryRequest, emit telemetry.SeriesVisitor) error {
-	if req.Metric == "" {
-		return errors.New("missing metric")
+	if err := req.Validate(); err != nil {
+		return err
 	}
 	from := time.Duration(req.FromMS) * time.Millisecond
 	to := time.Duration(req.ToMS) * time.Millisecond
@@ -116,10 +132,7 @@ func Execute(st Store, req *QueryRequest, emit telemetry.SeriesVisitor) error {
 		clear(sc.pts) // the scratch must not pin store labels
 		latestPool.Put(sc)
 	case req.StepMS > 0:
-		agg, ok := ParseAgg(req.Agg)
-		if !ok {
-			return fmt.Errorf("unknown agg %q", req.Agg)
-		}
+		agg, _ := ParseAgg(req.Agg) // Validate accepted it
 		step := time.Duration(req.StepMS) * time.Millisecond
 		ss, ok := st.QueryRollup(req.Metric, req.Match, step, agg, from, to)
 		if !ok {

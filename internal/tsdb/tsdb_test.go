@@ -182,7 +182,7 @@ func TestDownsample(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Samples = append(s.Samples, telemetry.Sample{Time: time.Duration(i) * time.Second, Value: float64(i)})
 	}
-	d := Downsample(s, 5*time.Second, AggMean)
+	d := downsample(s, 5*time.Second, AggMean)
 	if len(d.Samples) != 2 {
 		t.Fatalf("downsampled to %d buckets, want 2", len(d.Samples))
 	}
@@ -281,20 +281,6 @@ func TestRate(t *testing.T) {
 	same := telemetry.Series{Samples: []telemetry.Sample{{Time: 5, Value: 1}, {Time: 5, Value: 2}}}
 	if got := Rate(same); got != 0 {
 		t.Errorf("zero-dt Rate = %v, want 0", got)
-	}
-}
-
-func TestReduceAcross(t *testing.T) {
-	series := []telemetry.Series{
-		{Samples: []telemetry.Sample{{Time: 1, Value: 10}}},
-		{Samples: []telemetry.Sample{{Time: 1, Value: 20}}},
-		{}, // empty series contributes nothing
-	}
-	if got := ReduceAcross(series, AggMax); got != 20 {
-		t.Errorf("ReduceAcross max = %v, want 20", got)
-	}
-	if got := ReduceAcross(series, AggCount); got != 2 {
-		t.Errorf("ReduceAcross count = %v, want 2", got)
 	}
 }
 

@@ -29,7 +29,7 @@ func (db *DB) QueryVisit(name string, matcher telemetry.Labels, from, to time.Du
 	})
 }
 
-// WindowInto implements telemetry.Querier: it appends the values of every
+// WindowInto appends the values of every
 // matching series in [from, to] to buf, concatenated in label-key order (the
 // same values, in the same order, that concatenating Query results would
 // yield), and returns the extended buffer. Values are copied out under the

@@ -614,25 +614,11 @@ func (w *WAL) LastSeq() uint64 {
 	return w.nextSeq - 1
 }
 
-// Dir returns the directory the log lives in.
-func (w *WAL) Dir() string { return w.dir }
-
 // Metrics returns a snapshot of the WAL's counters.
 func (w *WAL) Metrics() Metrics {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.metrics
-}
-
-// Segments returns the current segment file names in sequence order.
-func (w *WAL) Segments() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]string, len(w.segments))
-	for i, s := range w.segments {
-		out[i] = s.name
-	}
-	return out
 }
 
 // Replay returns a reader over every record with sequence >= from, flushing
