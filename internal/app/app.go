@@ -14,6 +14,7 @@ package app
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"autoloop/internal/hw"
@@ -127,6 +128,9 @@ type Instance struct {
 	inIO    bool
 
 	file *pfs.File
+	// labels is the instance's telemetry identity ({job, app, user}), built
+	// once at Start and carried by every point it emits.
+	labels telemetry.Labels
 
 	ckptIter    int  // last checkpointed iteration (persisted across restarts)
 	fixedConfig bool // misconfiguration corrected on the fly
@@ -212,6 +216,7 @@ func (r *Runtime) Start(j *sched.Job) {
 		Job:       j,
 		Spec:      spec,
 		rt:        r,
+		labels:    telemetry.Labels{"job": strconv.Itoa(j.ID), "app": spec.Name, "user": j.User},
 		iter:      r.ckpts[j.Name], // resume from checkpoint if any
 		ckptIter:  r.ckpts[j.Name],
 		running:   true,
@@ -453,14 +458,13 @@ func (i *Instance) FixMisconfig() error {
 // Fixed reports whether a misconfiguration was corrected on the fly.
 func (i *Instance) Fixed() bool { return i.fixedConfig }
 
-// labels returns the instance's telemetry identity.
-func (i *Instance) labels() telemetry.Labels {
-	return telemetry.Labels{"job": fmt.Sprintf("%d", i.Job.ID), "app": i.Spec.Name, "user": i.Job.User}
-}
+// Labels returns the instance's telemetry identity, the label set of every
+// point it emits. It is shared: callers must not mutate it.
+func (i *Instance) Labels() telemetry.Labels { return i.labels }
 
 // emit appends one application metric to the TSDB.
 func (i *Instance) emit(name string, value float64) {
-	_ = i.rt.db.Append(telemetry.Point{Name: name, Labels: i.labels(), Time: i.rt.engine.Now(), Value: value})
+	_ = i.rt.db.Append(telemetry.Point{Name: name, Labels: i.labels, Time: i.rt.engine.Now(), Value: value})
 }
 
 // emitMarker drops the progress marker set: app.progress (completed
@@ -468,7 +472,7 @@ func (i *Instance) emit(name string, value float64) {
 // and misconfiguration signals. The whole set is ingested as one batch so a
 // marker costs one TSDB lock round-trip, not one per metric.
 func (i *Instance) emitMarker() {
-	labels := i.labels()
+	labels := i.labels
 	now := i.rt.engine.Now()
 	batch := make([]telemetry.Point, 0, 4)
 	add := func(name string, value float64) {

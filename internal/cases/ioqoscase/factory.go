@@ -32,6 +32,7 @@ func Factory() control.CaseFactory {
 		Name:     CaseName,
 		Doc:      "hierarchical I/O QoS: per-tenant bandwidth enforcement children under a reallocating parent watching tail latencies",
 		Requires: []control.Capability{control.CapQuerier, control.CapPFS, control.CapKnowledge},
+		Inputs:   []string{"pfs.tenant.lat_ms", "pfs.tenant.mbps"},
 		Defaults: func() interface{} {
 			cfg := FactoryConfig{
 				Config: DefaultConfig([]Tenant{

@@ -72,8 +72,16 @@ type Controller struct {
 	apps *app.Runtime
 	cl   *hw.Cluster
 
-	streaks map[int]map[app.Misconfig]int
+	// streaks counts, per job, the consecutive ticks each kind was
+	// classified (index kind-1).
+	streaks map[int][3]int
 	flagged map[int]app.Misconfig
+
+	// running, ptsBuf and jobs are Monitor and Analyze scratch reused across
+	// ticks: the loop drops each observation after Analyze.
+	running []*sched.Job
+	ptsBuf  []telemetry.Point
+	jobs    []jobObs
 
 	// Detections lists confirmed findings in order (experiment metric).
 	Detections []Detection
@@ -94,7 +102,7 @@ func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runti
 	}
 	return &Controller{
 		cfg: cfg, db: db, sch: sch, apps: apps, cl: cl,
-		streaks: make(map[int]map[app.Misconfig]int),
+		streaks: make(map[int][3]int),
 		flagged: make(map[int]app.Misconfig),
 	}
 }
@@ -116,102 +124,114 @@ func (c *Controller) Loop() *core.Loop {
 }
 
 // observe gathers per-job context-switch rates, loader warnings, and
-// per-node utilization of each allocation.
+// per-node utilization of each allocation. Every point of a job carries the
+// job's label set, the matcher of its reads.
 func (c *Controller) observe(now time.Duration) (core.Observation, error) {
-	obs := core.Observation{Time: now}
-	for _, j := range c.sch.Running() {
+	pts := c.ptsBuf[:0]
+	c.running = c.sch.RunningInto(c.running[:0])
+	for _, j := range c.running {
 		if now-j.Start < c.cfg.WarmupAfterStart {
 			continue
 		}
-		label := telemetry.Labels{"job": strconv.Itoa(j.ID)}
-		if v, ok := c.db.LatestValue("app.ctx_switch_rate", label); ok {
-			obs.Points = append(obs.Points, telemetry.Point{Name: "app.ctx_switch_rate", Labels: label, Time: now, Value: v})
+		labels := c.jobLabels(j.ID)
+		if v, ok := c.db.LatestValue("app.ctx_switch_rate", labels); ok {
+			pts = append(pts, telemetry.Point{Name: "app.ctx_switch_rate", Labels: labels, Time: now, Value: v})
 		}
-		if v, ok := c.db.LatestValue("app.lib_warn", label); ok {
-			obs.Points = append(obs.Points, telemetry.Point{Name: "app.lib_warn", Labels: label, Time: now, Value: v})
+		if v, ok := c.db.LatestValue("app.lib_warn", labels); ok {
+			pts = append(pts, telemetry.Point{Name: "app.lib_warn", Labels: labels, Time: now, Value: v})
 		}
 		if c.cl != nil {
 			for _, n := range j.AssignedNodes {
-				obs.Points = append(obs.Points, telemetry.Point{
-					Name:   "node.cpu.util",
-					Labels: telemetry.Labels{"job": strconv.Itoa(j.ID), "node": n},
-					Time:   now,
-					Value:  c.cl.Util(n),
-				})
+				pts = append(pts, telemetry.Point{Name: "node.cpu.util", Labels: labels, Time: now, Value: c.cl.Util(n)})
 			}
 		}
 	}
-	return obs, nil
+	c.ptsBuf = pts
+	return core.Observation{Time: now, Points: pts}, nil
 }
 
-// jobObs aggregates one job's telemetry for a single analysis pass.
+// jobLabels is the matcher of a job's application telemetry: its instance's
+// label set, which resolves through the job's one-entry posting list to the
+// same single series as {job}. A job with no instance falls back to {job}.
+func (c *Controller) jobLabels(id int) telemetry.Labels {
+	if inst, ok := c.apps.Instance(id); ok {
+		return inst.Labels()
+	}
+	return telemetry.Labels{"job": strconv.Itoa(id)}
+}
+
+// jobObs folds one job's telemetry for a single analysis pass.
 type jobObs struct {
+	id      int
 	ctx     float64
 	hasCtx  bool
 	libWarn bool
-	utils   []float64
+	// n counts the allocation's nodes; idle and busy those below IdleUtil
+	// and above BusyUtil.
+	n, idle, busy int
 }
 
-// analyze classifies misconfigurations per job with debouncing.
+// analyze classifies misconfigurations per job with debouncing, in the
+// order the jobs were observed.
 func (c *Controller) analyze(now time.Duration, obs core.Observation) (core.Symptoms, error) {
 	sym := core.Symptoms{Time: now}
-	byJob := map[int]*jobObs{}
-	get := func(id int) *jobObs {
-		jo := byJob[id]
-		if jo == nil {
-			jo = &jobObs{}
-			byJob[id] = jo
-		}
-		return jo
-	}
+	jobs := c.jobs[:0]
 	for _, p := range obs.Points {
 		id, err := strconv.Atoi(p.Labels["job"])
 		if err != nil {
 			continue
 		}
+		i := len(jobs) - 1
+		for i >= 0 && jobs[i].id != id {
+			i--
+		}
+		if i < 0 {
+			jobs = append(jobs, jobObs{id: id})
+			i = len(jobs) - 1
+		}
+		jo := &jobs[i]
 		switch p.Name {
 		case "app.ctx_switch_rate":
-			jo := get(id)
 			jo.ctx, jo.hasCtx = p.Value, true
 		case "app.lib_warn":
-			get(id).libWarn = p.Value > 0
+			jo.libWarn = p.Value > 0
 		case "node.cpu.util":
-			jo := get(id)
-			jo.utils = append(jo.utils, p.Value)
+			jo.n++
+			switch {
+			case p.Value < c.cfg.IdleUtil:
+				jo.idle++
+			case p.Value > c.cfg.BusyUtil:
+				jo.busy++
+			}
 		}
 	}
-	for _, j := range c.sch.Running() {
-		jo, ok := byJob[j.ID]
-		if !ok {
-			continue
-		}
-		if _, done := c.flagged[j.ID]; done {
+	c.jobs = jobs
+	for i := range jobs {
+		jo := &jobs[i]
+		if _, done := c.flagged[jo.id]; done {
 			continue
 		}
 		kind := c.classify(jo)
-		streaks := c.streaks[j.ID]
-		if streaks == nil {
-			streaks = make(map[app.Misconfig]int)
-			c.streaks[j.ID] = streaks
-		}
-		for _, m := range []app.Misconfig{app.MisconfigThreads, app.MisconfigWrongLib, app.MisconfigUnderutil} {
-			if m == kind {
-				streaks[m]++
+		streak := c.streaks[jo.id]
+		for m := range streak {
+			if app.Misconfig(m+1) == kind {
+				streak[m]++
 			} else {
-				streaks[m] = 0
+				streak[m] = 0
 			}
 		}
-		if kind == app.MisconfigNone || streaks[kind] < c.cfg.Consecutive {
+		c.streaks[jo.id] = streak
+		if kind == app.MisconfigNone || streak[kind-1] < c.cfg.Consecutive {
 			continue
 		}
-		c.flagged[j.ID] = kind
-		c.Detections = append(c.Detections, Detection{JobID: j.ID, Kind: kind, At: now})
+		c.flagged[jo.id] = kind
+		c.Detections = append(c.Detections, Detection{JobID: jo.id, Kind: kind, At: now})
 		sym.Findings = append(sym.Findings, core.Finding{
 			Kind:       "misconfig-" + kind.String(),
-			Subject:    strconv.Itoa(j.ID),
+			Subject:    strconv.Itoa(jo.id),
 			Value:      float64(kind),
 			Confidence: 0.85,
-			Detail:     c.explain(kind, jo),
+			Detail:     explain(kind),
 		})
 	}
 	return sym, nil
@@ -228,25 +248,14 @@ func (c *Controller) classify(jo *jobObs) app.Misconfig {
 	if jo.hasCtx && jo.ctx > c.cfg.CtxSwitchStorm {
 		return app.MisconfigThreads
 	}
-	if len(jo.utils) >= 2 {
-		idle, busy := 0, 0
-		for _, u := range jo.utils {
-			switch {
-			case u < c.cfg.IdleUtil:
-				idle++
-			case u > c.cfg.BusyUtil:
-				busy++
-			}
-		}
-		if idle > 0 && busy > 0 && idle+busy == len(jo.utils) {
-			return app.MisconfigUnderutil
-		}
+	if jo.n >= 2 && jo.idle > 0 && jo.busy > 0 && jo.idle+jo.busy == jo.n {
+		return app.MisconfigUnderutil
 	}
 	return app.MisconfigNone
 }
 
 // explain renders a user-facing diagnosis.
-func (c *Controller) explain(kind app.Misconfig, jo *jobObs) string {
+func explain(kind app.Misconfig) string {
 	switch kind {
 	case app.MisconfigThreads:
 		return "context-switch storm indicates more threads than cores; suggest OMP_NUM_THREADS=cores"

@@ -192,3 +192,43 @@ func TestLoopEventsOnBus(t *testing.T) {
 		t.Errorf("loop events = %v; want finding, plan, and execute envelopes", counts)
 	}
 }
+
+// TestObserveAnalyzeAllocs gates a tick's Monitor and Analyze at zero
+// allocations once the controller's buffers are warm: two running jobs past
+// warm-up, each with progress markers on two or more nodes. The reads match
+// on each instance's own label set, the points share it, and the per-job
+// fold, the running-job list and the streaks reuse controller scratch.
+func TestObserveAnalyzeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	r := newRig(t, true)
+	jobs := []*sched.Job{
+		r.launch(t, "clean-a", app.MisconfigNone, 2),
+		r.launch(t, "clean-b", app.MisconfigNone, 3),
+	}
+	r.e.RunUntil(10 * time.Minute)
+	now := r.e.Now()
+	for _, j := range jobs {
+		if j.State != sched.JobRunning || now-j.Start < r.ctl.cfg.WarmupAfterStart {
+			t.Fatalf("job %d: state %v, started %v; want running past warm-up", j.ID, j.State, j.Start)
+		}
+	}
+	tick := func() {
+		obs, _ := r.ctl.observe(now)
+		if _, err := r.ctl.analyze(now, obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tick()
+	obs, _ := r.ctl.observe(now)
+	if len(obs.Points) != 2+2+3 { // one context-switch rate per job, one utilization per node
+		t.Fatalf("observed %d points, want 7: %v", len(obs.Points), obs.Points)
+	}
+	if len(r.ctl.jobs) != 2 {
+		t.Fatalf("analyze folded %d jobs, want 2", len(r.ctl.jobs))
+	}
+	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
+		t.Errorf("observe+analyze allocates %.1f times per tick, want 0", allocs)
+	}
+}

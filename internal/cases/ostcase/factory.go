@@ -15,6 +15,7 @@ func Factory() control.CaseFactory {
 		Name:     CaseName,
 		Doc:      "storage back-end avoidance: MAD outlier test on per-OST write latency, reopen affected applications' files elsewhere",
 		Requires: []control.Capability{control.CapQuerier, control.CapScheduler, control.CapApps},
+		Inputs:   []string{"pfs.ost.lat_ms"},
 		Defaults: func() interface{} { cfg := DefaultConfig(); return &cfg },
 		Priority: FleetPriority,
 		Period:   control.Duration(time.Minute),

@@ -17,6 +17,7 @@ func Factory() control.CaseFactory {
 		Name:     CaseName,
 		Doc:      "cooling-energy optimization: raise the supply-air setpoint on fleet-wide thermal headroom, back it down on pressure",
 		Requires: []control.Capability{control.CapQuerier, control.CapPlant},
+		Inputs:   []string{"node.temp.celsius"},
 		Defaults: func() interface{} { cfg := DefaultConfig(); return &cfg },
 		Priority: FleetPriority,
 		Period:   control.Duration(time.Minute),

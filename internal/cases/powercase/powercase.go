@@ -79,14 +79,12 @@ func (c *Controller) Loop() *core.Loop {
 	)
 }
 
-// observe reads the fleet's hottest temperature and the plant state through
-// the zero-copy fill-buffer surface, reusing one point buffer across ticks.
+// observe reads every node's newest temperature through the zero-copy
+// fill-buffer surface, reusing one point buffer across ticks. The plant
+// state plan needs is read from the plant itself.
 func (c *Controller) observe(now time.Duration) (core.Observation, error) {
 	obs := core.Observation{Time: now}
 	c.ptsBuf = c.db.LatestInto(c.ptsBuf[:0], "node.temp.celsius", nil)
-	if pue, ok := c.db.LatestValue("facility.pue", nil); ok {
-		c.ptsBuf = append(c.ptsBuf, telemetry.Point{Name: "facility.pue", Time: now, Value: pue})
-	}
 	obs.Points = c.ptsBuf
 	return obs, nil
 }

@@ -116,6 +116,12 @@ type CaseFactory struct {
 	Doc string
 	// Requires lists the substrates Build dereferences.
 	Requires []Capability
+	// Inputs lists the metrics the case's loops read, every tick, as the
+	// newest point of every series (LatestInto/LatestValue with an empty
+	// matcher). A Service resolves each distinct declared metric once per
+	// control round and serves those reads from that resolution; every
+	// other read goes to the store.
+	Inputs []string
 	// Defaults returns a pointer to a fresh config struct carrying the
 	// case's default values; spec.Config is unmarshaled over it.
 	Defaults func() interface{}

@@ -27,6 +27,7 @@ import (
 type Service struct {
 	reg    *Registry
 	env    *Env
+	view   *roundView // the Querier spawned loops read through
 	coord  *fleet.Coordinator
 	source string
 	base   time.Duration
@@ -90,7 +91,7 @@ func NewService(reg *Registry, env *Env, coord *fleet.Coordinator, base time.Dur
 		panic("control: NewService requires registry, env, and coordinator")
 	}
 	return &Service{
-		reg: reg, env: env, coord: coord, base: base,
+		reg: reg, env: env, view: newRoundView(env.Querier), coord: coord, base: base,
 		managed: make(map[string]*managedGroup),
 		byLoop:  make(map[string]*managedGroup),
 		pending: make(map[uint64]*pendingEntry),
@@ -133,7 +134,8 @@ func (s *Service) publish(topic string, now time.Duration, payload interface{}) 
 
 // Spawn instantiates spec, wires the loops into the approval surface, and
 // registers them with the coordinator. It is the programmatic form of the
-// spawn op.
+// spawn op. The loops read telemetry through the service's round view, and
+// the case's declared Inputs are resolved from the next round on.
 func (s *Service) Spawn(spec LoopSpec) (*Spawned, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -141,7 +143,15 @@ func (s *Service) Spawn(spec LoopSpec) (*Spawned, error) {
 }
 
 func (s *Service) spawnLocked(spec LoopSpec) (*Spawned, error) {
-	sp, err := s.reg.Spawn(s.env, spec)
+	// The loops query through the round view; without a store there is
+	// nothing to route (and the factory's capability check reports it).
+	env := s.env
+	if s.env.Querier != nil {
+		routed := *s.env
+		routed.Querier = s.view
+		env = &routed
+	}
+	sp, err := s.reg.Spawn(env, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -173,18 +183,25 @@ func (s *Service) spawnLocked(spec LoopSpec) (*Spawned, error) {
 		s.byLoop[bl.Loop.Name] = g
 	}
 	s.managed[g.loops[0].Name] = g
+	if s.env.Querier != nil {
+		f, _ := s.reg.Lookup(spec.Case)
+		s.view.declare(f.Inputs)
+	}
 	return sp, nil
 }
 
 // Tick runs one control round at virtual time now: queued verdicts and
 // expired approval timeouts are applied, stale pending actions are swept,
-// and the fleet coordinator ticks. It implements telemetry.Ticker so the
-// monitoring cadence can drive the control plane.
+// the declared inputs are read once into the round view, and the fleet
+// coordinator ticks. It implements telemetry.Ticker so the monitoring
+// cadence can drive the control plane.
 func (s *Service) Tick(now time.Duration) {
 	s.mu.Lock()
 	s.now = now
 	resolved := s.settleQueue(now)
+	s.view.resolve()
 	s.coord.Tick(now)
+	s.view.end()
 	s.pruneStopped()
 	s.mu.Unlock()
 	for _, r := range resolved {

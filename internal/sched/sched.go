@@ -154,14 +154,18 @@ func (s *Scheduler) Job(id int) (*Job, bool) {
 func (s *Scheduler) Jobs() []*Job { return append([]*Job(nil), s.jobs...) }
 
 // Running returns the currently running jobs in ID order.
-func (s *Scheduler) Running() []*Job {
-	var out []*Job
+func (s *Scheduler) Running() []*Job { return s.RunningInto(nil) }
+
+// RunningInto appends the currently running jobs to buf in ID order and
+// returns the extended buffer: Running without an allocation once buf has
+// capacity.
+func (s *Scheduler) RunningInto(buf []*Job) []*Job {
 	for _, j := range s.jobs {
 		if j.State == JobRunning {
-			out = append(out, j)
+			buf = append(buf, j)
 		}
 	}
-	return out
+	return buf
 }
 
 // QueueLen returns the number of pending jobs.
