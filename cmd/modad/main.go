@@ -1,7 +1,7 @@
 // Command modad is a small MODA telemetry daemon: it runs a simulated HPC
 // system in real time (wall clock, scaled by -speed: 60 means one wall
 // second carries one virtual minute), samples all sensor domains into a
-// TSDB, and serves the telemetry stream, loop audit events, and the
+// TSDB, and serves the telemetry stream, loop decision events, and the
 // control.v1 runtime API over TCP as newline-delimited JSON envelopes — the
 // interoperability surface the paper's question (ii) asks for. A client can
 // connect with `nc`, watch the envelopes an autonomy loop consumes, and
@@ -136,8 +136,8 @@ func decodeDaemonSnapshot(payload []byte) (daemonSnapshot, error) {
 	return snap, nil
 }
 
-// journaledTopic selects the bus traffic worth journaling: loop lifecycle
-// and audit events, fleet round summaries, and control.v1 requests and
+// journaledTopic selects the bus traffic worth journaling: every loop's
+// decision events, fleet round summaries, and control.v1 requests and
 // resolutions. Telemetry topics are excluded — every accepted point is
 // already journaled by the TSDB, so recording the fan-out envelopes would
 // double the log for no recovery value.

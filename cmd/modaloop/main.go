@@ -14,66 +14,72 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"autoloop/internal/experiments"
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one modaloop command line and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		return usage(stderr)
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "list":
 		for _, id := range experiments.IDs() {
 			title, _ := experiments.Title(id)
-			fmt.Printf("%-9s %s\n", id, title)
+			fmt.Fprintf(stdout, "%-9s %s\n", id, title)
 		}
+		return 0
 	case "run":
-		runCmd(os.Args[2:])
-	default:
-		usage()
-		os.Exit(2)
+		return runCmd(args[1:], stdout, stderr)
 	}
+	return usage(stderr)
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: modaloop list | modaloop run <EXP-ID|all> [-quick] [-csv] [-seed N]")
+func usage(stderr io.Writer) int {
+	fmt.Fprintln(stderr, "usage: modaloop list | modaloop run <EXP-ID|all> [-quick] [-csv] [-seed N]")
+	return 2
 }
 
-func runCmd(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+func runCmd(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "shrink the scenario for a fast run")
 	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
 	seed := fs.Int64("seed", 1, "deterministic seed")
 	if len(args) == 0 {
-		usage()
-		os.Exit(2)
+		return usage(stderr)
 	}
 	id := args[0]
 	if err := fs.Parse(args[1:]); err != nil {
-		os.Exit(2)
+		return 2
 	}
 	opt := experiments.Options{Seed: *seed, Quick: *quick}
 
 	emit := func(res *experiments.Result) {
 		if *csv {
-			fmt.Print(res.CSV())
+			fmt.Fprint(stdout, res.CSV())
 		} else {
-			fmt.Println(res.Table())
+			fmt.Fprintln(stdout, res.Table())
 		}
 	}
 	if id == "all" {
 		for _, res := range experiments.RunAll(opt) {
 			emit(res)
 		}
-		return
+		return 0
 	}
 	res, err := experiments.Run(id, opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "modaloop:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "modaloop:", err)
+		return 1
 	}
 	emit(res)
+	return 0
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"autoloop/internal/app"
+	"autoloop/internal/bus"
 	"autoloop/internal/cases/schedcase"
 	"autoloop/internal/core"
 	"autoloop/internal/knowledge"
@@ -50,7 +51,15 @@ func main() {
 	ctl := schedcase.New(schedcase.DefaultConfig(), db, scheduler, runtime, kb,
 		sim.VirtualClock{Engine: engine})
 	loop := ctl.Loop()
-	loop.Audit = core.NewAuditLog(256)
+	// The loop explains itself on the bus: every finding, plan and
+	// execution is an event on "loop.<name>.<kind>". Keep the executions.
+	loop.Bus = bus.New()
+	var trail []string
+	loop.Bus.Subscribe("loop."+loop.Name+".execute", func(e bus.Envelope) {
+		res := e.Payload.(core.ActionResult)
+		trail = append(trail, fmt.Sprintf("[%v] %s(%s) honored=%v granted=%.4g: %s",
+			e.Time, res.Action.Kind, res.Action.Subject, res.Honored, res.Granted, res.Action.Explanation))
+	})
 	loop.RunEvery(sim.VirtualClock{Engine: engine}, 5*time.Minute,
 		func() bool { return job.State != sched.JobRunning && job.State != sched.JobPending })
 
@@ -63,9 +72,9 @@ func main() {
 		job.ID, job.Name, job.Walltime, job.State)
 	fmt.Printf("ran %v wall time with %d extension(s) totalling %v\n",
 		(job.End - job.Start).Truncate(time.Second), job.Extensions, job.ExtensionTotal)
-	fmt.Println("\naudit trail (the loop explaining itself):")
-	for _, e := range loop.Audit.Filter("", "execute") {
-		fmt.Println(" ", e)
+	fmt.Printf("\nloop.%s.execute (the loop explaining itself):\n", loop.Name)
+	for _, line := range trail {
+		fmt.Println(" ", line)
 	}
 	eff := kb.Assess("scheduler-case")
 	fmt.Printf("\nknowledge: %d plan(s) recorded, %d honored, mean relative prediction error %.1f%%\n",

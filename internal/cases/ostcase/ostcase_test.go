@@ -57,7 +57,6 @@ func TestDetectsAndAvoidsDegradedOST(t *testing.T) {
 	r := newRig(t, 8)
 	j := r.ioApp(t, "writer", 8) // stripes over every OST
 	loop := r.ctl.Loop()
-	loop.Audit = core.NewAuditLog(1000)
 	loop.RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
 
 	// Healthy warmup.

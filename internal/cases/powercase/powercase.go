@@ -68,8 +68,8 @@ func New(cfg Config, db telemetry.Querier, plant *facility.Plant) *Controller {
 	return &Controller{cfg: cfg, db: db, plant: plant}
 }
 
-// Loop assembles the core loop. Callers typically add a ConfidenceGate and
-// an audit log; the experiments run it both gated and ungated.
+// Loop assembles the core loop. Callers typically add a ConfidenceGate;
+// the experiments run it both gated and ungated.
 func (c *Controller) Loop() *core.Loop {
 	return core.NewLoop("power-case",
 		core.MonitorFunc(c.observe),

@@ -123,7 +123,7 @@ func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runti
 }
 
 // Loop assembles the core.Loop around this controller. Callers may further
-// configure mode, guards, audit, and notifier before running it.
+// configure mode, guards, and bus before running it.
 func (c *Controller) Loop() *core.Loop {
 	l := core.NewLoop("scheduler-case",
 		core.MonitorFunc(c.observe),

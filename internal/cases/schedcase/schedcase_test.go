@@ -36,7 +36,6 @@ func newRig(t *testing.T, cfg Config, policy sched.ExtensionPolicy) *rig {
 	ctl := New(cfg, db, s, rt, kb, sim.VirtualClock{Engine: e})
 	rt.Serve(s)
 	loop := ctl.Loop()
-	loop.Audit = core.NewAuditLog(1000)
 	r := &rig{e: e, db: db, s: s, rt: rt, kb: kb, ctl: ctl, loop: loop}
 	return r
 }

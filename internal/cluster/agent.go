@@ -186,7 +186,7 @@ func (a *Agent) Metrics() AgentMetrics {
 // re-delivering buffered digests and re-announcing membership.
 func (a *Agent) SetLinkState(up bool) {
 	if up {
-		a.rejoin()
+		a.noteContact()
 		return
 	}
 	a.mu.Lock()
@@ -212,26 +212,13 @@ func (a *Agent) enterDegradedLocked(reason string) {
 }
 
 // noteContact records proof the coordinator can reach us (an assign, revoke,
-// fanout, or verdict arrived) — it resets the arbitration-miss streak and, if
-// degraded, rejoins.
+// fanout, or verdict arrived, or the link maintainer reports the link up) —
+// it resets the arbitration-miss streak and, if degraded, rejoins: buffered
+// digests re-deliver flagged Backfill and the agent re-Hellos.
 func (a *Agent) noteContact() {
 	a.mu.Lock()
 	a.arbMisses = 0
 	if !a.degraded {
-		a.mu.Unlock()
-		return
-	}
-	flush := a.exitDegradedLocked()
-	a.mu.Unlock()
-	a.deliverBackfill(flush)
-}
-
-// rejoin exits degraded mode (if in it), flushing the digest buffer and
-// re-announcing membership.
-func (a *Agent) rejoin() {
-	a.mu.Lock()
-	if !a.degraded {
-		a.arbMisses = 0
 		a.mu.Unlock()
 		return
 	}

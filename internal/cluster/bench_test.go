@@ -14,7 +14,7 @@ import (
 // BenchmarkRingOwner is the placement hot path: one consistent-hash lookup
 // against an 8-member ring (hash + binary search over 1024 virtual points).
 func BenchmarkRingOwner(b *testing.B) {
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < 8; i++ {
 		r.Add("worker-" + strconv.Itoa(i))
 	}
@@ -34,7 +34,7 @@ func BenchmarkRingOwner(b *testing.B) {
 // BenchmarkRingMembership is the failover path: removing a member and
 // re-adding it, each a full point-slice rebuild and resort.
 func BenchmarkRingMembership(b *testing.B) {
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < 8; i++ {
 		r.Add("worker-" + strconv.Itoa(i))
 	}

@@ -510,7 +510,7 @@ func TestClusterCrossNodeArbitration(t *testing.T) {
 
 	// Pick group names the ring provably places on different workers, using
 	// the same deterministic ring the coordinator computes with.
-	ring := NewRing(0)
+	ring := NewRing()
 	ring.Add("w1")
 	ring.Add("w2")
 	capper := "capper"

@@ -32,18 +32,12 @@ type Options struct {
 	// arriving within the window re-acquires the lease without re-Hello
 	// churn. 0 selects one extra lease window; negative disables the tier.
 	Grace time.Duration
-	// Replicas is the consistent-hash virtual-point count per worker
-	// (default DefaultReplicas).
-	Replicas int
 	// ArbWindow is the cross-node subject-grant window (default
 	// DefaultArbWindow).
 	ArbWindow time.Duration
 	// ScatterTimeout bounds each scatter-gather fan-out (default
 	// DefaultScatterTimeout).
 	ScatterTimeout time.Duration
-	// AssignTimeout bounds one unacked assignment before re-send (default
-	// DefaultAssignTimeout).
-	AssignTimeout time.Duration
 	// Registry, when set, answers the cases op locally (workers all run
 	// the same registry, so the coordinator's copy is authoritative).
 	Registry *control.Registry
@@ -129,13 +123,10 @@ func NewCoordinator(b *bus.Bus, opts Options) *Coordinator {
 	if opts.Source == "" {
 		opts.Source = "coordinator"
 	}
-	if opts.AssignTimeout <= 0 {
-		opts.AssignTimeout = DefaultAssignTimeout
-	}
 	c := &Coordinator{
 		b:       b,
 		opts:    opts,
-		ring:    NewRing(opts.Replicas),
+		ring:    NewRing(),
 		dir:     NewDirectory(opts.Lease, opts.Grace),
 		arb:     NewArbiter(opts.ArbWindow),
 		scatter: newScatter(b, opts.Source, opts.ScatterTimeout),
@@ -341,7 +332,7 @@ func (c *Coordinator) Tick(now time.Time) {
 	for _, p := range c.specs {
 		switch p.state {
 		case placeAssigned:
-			if now.Sub(p.sentAt) > c.opts.AssignTimeout {
+			if now.Sub(p.sentAt) > DefaultAssignTimeout {
 				c.placeLocked(p, now)
 			}
 		case placePending:

@@ -6,7 +6,7 @@ import (
 	"strconv"
 )
 
-// Ring is a consistent-hash placement ring: members project `replicas`
+// Ring is a consistent-hash placement ring: members project DefaultReplicas
 // virtual points onto a 64-bit circle and a key is owned by the first point
 // clockwise of its hash. Adding or removing a member therefore moves only
 // the keys in the arcs it gains or loses — the property that keeps failover
@@ -15,9 +15,8 @@ import (
 // computes the same placement. Ring is not goroutine-safe; the Coordinator
 // guards it with its own mutex.
 type Ring struct {
-	replicas int
-	members  map[string]bool
-	points   []ringPoint // sorted by hash
+	members map[string]bool
+	points  []ringPoint // sorted by hash
 }
 
 type ringPoint struct {
@@ -29,12 +28,9 @@ type ringPoint struct {
 // max/min load ratio under ~1.25 at realistic member counts.
 const DefaultReplicas = 128
 
-// NewRing returns an empty ring; replicas <= 0 selects DefaultReplicas.
-func NewRing(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	return &Ring{replicas: replicas, members: make(map[string]bool)}
+// NewRing returns an empty ring.
+func NewRing() *Ring {
+	return &Ring{members: make(map[string]bool)}
 }
 
 // ringHash hashes a key or virtual point onto the circle: FNV-64a for the
@@ -61,7 +57,7 @@ func (r *Ring) Add(member string) {
 		return
 	}
 	r.members[member] = true
-	for i := 0; i < r.replicas; i++ {
+	for i := 0; i < DefaultReplicas; i++ {
 		r.points = append(r.points, ringPoint{
 			hash:   ringHash(member + "#" + strconv.Itoa(i)),
 			member: member,

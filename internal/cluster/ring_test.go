@@ -9,8 +9,8 @@ import (
 // membership — in different insertion orders — agree on every owner, the
 // property that lets coordinator and workers compute placement independently.
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing(0)
-	b := NewRing(0)
+	a := NewRing()
+	b := NewRing()
 	for _, m := range []string{"w1", "w2", "w3"} {
 		a.Add(m)
 	}
@@ -28,7 +28,7 @@ func TestRingDeterministic(t *testing.T) {
 // TestRingBalance places 100k keys on 4 members and checks the load spread
 // stays within the bound the virtual-point count is chosen for.
 func TestRingBalance(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	members := []string{"w1", "w2", "w3", "w4"}
 	for _, m := range members {
 		r.Add(m)
@@ -59,7 +59,7 @@ func TestRingBalance(t *testing.T) {
 // keys owned by the removed member move — the consistent-hashing contract
 // that keeps failover from reshuffling the whole facility.
 func TestRingMinimalMovement(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for _, m := range []string{"w1", "w2", "w3", "w4"} {
 		r.Add(m)
 	}
@@ -82,7 +82,7 @@ func TestRingMinimalMovement(t *testing.T) {
 
 // TestRingEmpty checks the empty ring yields no owner (specs stay pending).
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	if got := r.Owner("anything"); got != "" {
 		t.Fatalf("empty ring Owner = %q, want empty", got)
 	}

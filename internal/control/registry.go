@@ -41,7 +41,7 @@ const (
 
 // Env is the deployment environment a registry spawns loops into: the
 // telemetry query surface, the managed substrates, and the cross-cutting
-// services (knowledge, clock, rng, bus, audit) wired onto every spawned
+// services (knowledge, clock, rng, bus) wired onto every spawned
 // loop. Fields may be nil; factories declare what they require.
 type Env struct {
 	Querier   telemetry.Querier
@@ -57,9 +57,8 @@ type Env struct {
 	Clock sim.Clock
 	Rng   *rand.Rand
 
-	// Bus and Audit, when set, are attached to every spawned loop.
-	Bus   *bus.Bus
-	Audit *core.AuditLog
+	// Bus, when set, is attached to every spawned loop.
+	Bus *bus.Bus
 }
 
 // Has reports whether the environment provides c.
@@ -238,7 +237,7 @@ func (s *Spawned) Loop() *core.Loop { return s.Loops[0].Loop }
 // Spawn instantiates spec against env: it resolves the case factory,
 // validates capabilities, merges the spec's config overrides onto the
 // factory defaults (unknown fields rejected), builds the loops, and wires
-// mode, bus, audit, clock, and rng onto each.
+// mode, bus, clock, and rng onto each.
 func (r *Registry) Spawn(env *Env, spec LoopSpec) (*Spawned, error) {
 	if env == nil {
 		return nil, fmt.Errorf("control: Spawn with nil env")
@@ -297,9 +296,6 @@ func (r *Registry) Spawn(env *Env, spec LoopSpec) (*Spawned, error) {
 		l.Human = human
 		if l.Bus == nil {
 			l.Bus = env.Bus
-		}
-		if l.Audit == nil {
-			l.Audit = env.Audit
 		}
 		if l.Clock == nil {
 			l.Clock = env.Clock

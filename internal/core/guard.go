@@ -6,7 +6,7 @@ import (
 )
 
 // Guardrail vets planned actions before execution. A non-nil error vetoes
-// the action; the veto is audited with the error's text. Guardrails are the
+// the action; the veto event carries the error's text. Guardrails are the
 // paper's §III(iv) trust controls made first-class.
 type Guardrail interface {
 	Check(now time.Duration, loop string, action Action) error
@@ -92,7 +92,7 @@ func (c *SubjectCap) Check(now time.Duration, loop string, action Action) error 
 }
 
 // DryRun vetoes everything, turning a loop into a pure advisor: plans and
-// audit entries happen, execution does not. This is how a site builds trust
+// their events happen, execution does not. This is how a site builds trust
 // before enabling autonomous response.
 type DryRun struct{}
 

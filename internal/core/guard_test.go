@@ -103,8 +103,9 @@ func TestDryRunVetoesEverything(t *testing.T) {
 	}
 }
 
-// guardedLoop builds a loop planning one action, with the given guards.
-func guardedLoop(guards ...Guardrail) *Loop {
+// guardedLoop builds a loop planning one action, with the given guards, and
+// the trail of its bus events.
+func guardedLoop(guards ...Guardrail) (*Loop, *trail) {
 	l := NewLoop("guarded",
 		MonitorFunc(func(now time.Duration) (Observation, error) { return Observation{Time: now}, nil }),
 		AnalyzerFunc(func(now time.Duration, obs Observation) (Symptoms, error) {
@@ -118,8 +119,7 @@ func guardedLoop(guards ...Guardrail) *Loop {
 		}),
 	)
 	l.Guards = guards
-	l.Audit = NewAuditLog(0)
-	return l
+	return l, attachTrail(l)
 }
 
 func TestGuardOrderingFirstErrorWins(t *testing.T) {
@@ -130,7 +130,7 @@ func TestGuardOrderingFirstErrorWins(t *testing.T) {
 			return err
 		})
 	}
-	l := guardedLoop(
+	l, tr := guardedLoop(
 		mk("pass", nil),
 		mk("veto-a", errors.New("first veto")),
 		mk("veto-b", errors.New("second veto")),
@@ -144,24 +144,23 @@ func TestGuardOrderingFirstErrorWins(t *testing.T) {
 	if m.VetoedActions != 1 || m.ExecutedActions != 0 {
 		t.Errorf("metrics = %+v, want 1 veto, 0 executions", m)
 	}
-	entries := l.Audit.Filter("guarded", "veto")
-	if len(entries) != 1 || !strings.Contains(entries[0].Msg, "first veto") {
-		t.Errorf("veto audit = %v, want one entry carrying the first guard's error", entries)
+	if want := []string{"finding", "plan", "veto: first veto"}; strings.Join(tr.lines, ",") != strings.Join(want, ",") {
+		t.Errorf("events = %q, want %q (one veto carrying the first guard's error)", tr.lines, want)
 	}
 }
 
 func TestGuardPassPathExecutesAndAudits(t *testing.T) {
-	l := guardedLoop(ConfidenceGate{Min: 0.5}, NewSubjectCap("act", 3))
+	l, tr := guardedLoop(ConfidenceGate{Min: 0.5}, NewSubjectCap("act", 3))
 	l.Tick(time.Second)
 	m := l.Metrics()
 	if m.VetoedActions != 0 || m.ExecutedActions != 1 {
 		t.Errorf("metrics = %+v, want a clean execution", m)
 	}
-	if len(l.Audit.Filter("guarded", "veto")) != 0 {
-		t.Error("pass path must not audit a veto")
+	if tr.count("veto") != 0 {
+		t.Error("pass path must not publish a veto")
 	}
-	if len(l.Audit.Filter("guarded", "execute")) != 1 {
-		t.Error("execution not audited")
+	if tr.count("execute") != 1 {
+		t.Error("execution not published")
 	}
 }
 
@@ -189,26 +188,25 @@ func TestEachBuiltinGuardrailVetoPathInLoop(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			l := guardedLoop(tc.guard)
+			l, tr := guardedLoop(tc.guard)
 			l.Tick(time.Second)
 			m := l.Metrics()
 			if m.VetoedActions != 1 || m.ExecutedActions != 0 {
 				t.Errorf("metrics = %+v, want 1 veto, 0 executions", m)
 			}
-			if got := len(l.Audit.Filter("guarded", "veto")); got != 1 {
-				t.Errorf("veto audit entries = %d, want 1", got)
+			if got := tr.count("veto"); got != 1 {
+				t.Errorf("veto events = %d, want 1", got)
 			}
 		})
 	}
 }
 
 func TestGuardErrorTextReachesAudit(t *testing.T) {
-	l := guardedLoop(GuardrailFunc(func(now time.Duration, loop string, a Action) error {
+	l, tr := guardedLoop(GuardrailFunc(func(now time.Duration, loop string, a Action) error {
 		return fmt.Errorf("budget %s exhausted", a.Subject)
 	}))
 	l.Tick(time.Second)
-	entries := l.Audit.Filter("guarded", "veto")
-	if len(entries) != 1 || !strings.Contains(entries[0].Msg, "budget s exhausted") {
-		t.Fatalf("veto audit = %v, want the guard's error text", entries)
+	if tr.count("veto: budget s exhausted") != 1 {
+		t.Fatalf("events = %q, want a veto carrying the guard's error text", tr.lines)
 	}
 }

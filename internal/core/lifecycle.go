@@ -195,13 +195,15 @@ func (d DeferredAction) Stale() bool { return !d.Loop.deferredValid(d.Gen) }
 // through the loop's Executor (decision latency accounted from Decided),
 // deny drops it. A stale action (lifecycle generation moved on, or the loop
 // is no longer tickable) is never executed regardless of the verdict;
-// Resolve reports whether the action actually executed.
+// Resolve reports whether the action actually executed. The outcome's event
+// (execute, deny or stale) publishes at once.
 func (d DeferredAction) Resolve(now time.Duration, approve bool, reason string) bool {
 	l := d.Loop
+	defer l.flush()
 	if d.Stale() {
 		l.metrics.StaleDeferred++
-		l.audit(now, "stale", "%s(%s): deferred action invalidated by lifecycle (gen %d != %d or state %s)",
-			d.Action.Kind, d.Action.Subject, d.Gen, l.gen.Load(), l.State())
+		l.emitResult(now, "stale", d.Action, fmt.Sprintf(
+			"deferred action invalidated by lifecycle (gen %d != %d or state %s)", d.Gen, l.gen.Load(), l.State()))
 		return false
 	}
 	if !approve {
@@ -209,7 +211,7 @@ func (d DeferredAction) Resolve(now time.Duration, approve bool, reason string) 
 		if reason == "" {
 			reason = "denied by operator"
 		}
-		l.audit(now, "deny", "%s(%s): %s", d.Action.Kind, d.Action.Subject, reason)
+		l.emitResult(now, "deny", d.Action, reason)
 		return false
 	}
 	l.execute(d.Decided, now, d.Action)

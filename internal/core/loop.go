@@ -100,17 +100,13 @@ type Loop struct {
 	Mode  Mode
 	Human HumanModel
 
-	// Notifier receives on-the-loop notifications (optional).
-	Notifier Notifier
-	// Audit receives the decision trail (optional).
-	Audit *AuditLog
-
-	// Bus, when set, receives the loop's lifecycle envelopes — one per
-	// finding on "loop.<name>.finding", per planned action on
-	// "loop.<name>.plan", per veto on "loop.<name>.veto", per action lost to
-	// cross-loop arbitration on "loop.<name>.arbitrated", and per executed
-	// result on "loop.<name>.execute" — batched into a single publish per
-	// tick. Deferred human-in-the-loop executions publish when they fire.
+	// Bus, when set, receives the loop's account of itself on
+	// "loop.<name>.<kind>": finding, plan, arbitrated, veto, execute,
+	// defer, drop, deny, stale and error. arbitrated, veto, defer, drop,
+	// deny and stale carry an ActionResult whose Detail is the reason; a
+	// failed Execute is an execute event with Detail set; error carries a
+	// PhaseError. A tick publishes as one batch; deferred executions and
+	// approval resolutions publish when they happen.
 	Bus *bus.Bus
 
 	// Clock schedules deferred executions (required for HumanInTheLoop).
@@ -132,8 +128,10 @@ type Loop struct {
 
 	metrics Metrics
 
-	inTick bool
-	events []bus.Envelope // per-tick event batch, reused across ticks
+	// events buffers the envelopes not yet published: PlanTick appends
+	// from its plan worker, ExecutePlanned appends the rest and publishes
+	// the batch. Reused across ticks.
+	events []bus.Envelope
 }
 
 // NewLoop constructs a named loop with the given phases. The loop starts in
@@ -148,33 +146,27 @@ func NewLoop(name string, m Monitor, a Analyzer, p Planner, e Executor) *Loop {
 // Metrics returns a snapshot of the loop's counters.
 func (l *Loop) Metrics() Metrics { return l.metrics }
 
-// audit appends to the audit log when one is attached.
-func (l *Loop) audit(now time.Duration, phase, format string, args ...interface{}) {
-	if l.Audit != nil {
-		l.Audit.Appendf(now, l.Name, phase, format, args...)
-	}
-}
-
-// event queues one lifecycle envelope for the attached bus. Inside a tick
-// events accumulate and flush as one batch; outside (deferred executions)
-// they publish immediately.
-func (l *Loop) event(now time.Duration, kind string, payload interface{}) {
+// emit buffers one lifecycle envelope for the attached bus; flush
+// publishes it.
+func (l *Loop) emit(now time.Duration, kind string, payload interface{}) {
 	if l.Bus == nil {
 		return
 	}
-	env := bus.Envelope{Topic: "loop." + l.Name + "." + kind, Time: now, Source: l.Name, Payload: payload}
-	if l.inTick {
-		l.events = append(l.events, env)
-		return
-	}
-	l.Bus.Publish(env)
+	l.events = append(l.events, bus.Envelope{Topic: "loop." + l.Name + "." + kind, Time: now, Source: l.Name, Payload: payload})
 }
 
-// flushEvents publishes the tick's accumulated event batch. The batch is
+// emitResult buffers an event carrying the action and the reason it did not
+// (or not yet) execute.
+func (l *Loop) emitResult(now time.Duration, kind string, action Action, reason string) {
+	if l.Bus != nil {
+		l.emit(now, kind, ActionResult{Action: action, Detail: reason})
+	}
+}
+
+// flush publishes the buffered envelopes as one batch. The batch is
 // detached before dispatch so a handler that re-enters this loop cannot
 // double-publish it.
-func (l *Loop) flushEvents() {
-	l.inTick = false
+func (l *Loop) flush() {
 	if len(l.events) == 0 {
 		return
 	}
@@ -187,35 +179,26 @@ func (l *Loop) flushEvents() {
 }
 
 // Tick runs one complete MAPE pass at virtual time now. Errors from phases
-// are audited and counted but do not abort the loop: an autonomy loop must
-// survive bad data.
+// are published and counted but do not abort the loop: an autonomy loop
+// must survive bad data.
 func (l *Loop) Tick(now time.Duration) {
 	l.ExecutePlanned(l.PlanTick(now))
 }
 
-// bufferedEvent is one bus lifecycle event captured during PlanTick, replayed
-// by ExecutePlanned in deterministic order.
-type bufferedEvent struct {
-	kind    string
-	payload interface{}
-}
-
 // PlannedTick is the output of the Plan half of a two-phase tick: the
-// Monitor/Analyze/Plan phases have run, but no action has been dispatched and
-// no audit entry or bus event has been emitted yet — those are buffered so
-// that PlanTick may run on a worker goroutine while ExecutePlanned replays
-// them deterministically. A fleet coordinator arbitrates between the two
-// halves by calling Arbitrate on actions that lose a cross-loop conflict.
+// Monitor/Analyze/Plan phases have run, but no action has been dispatched
+// and no event published yet, so PlanTick may run on a worker goroutine
+// while ExecutePlanned publishes in deterministic order. A fleet
+// coordinator arbitrates between the two halves by calling Arbitrate on
+// actions that lose a cross-loop conflict.
 type PlannedTick struct {
 	loop    *Loop
 	now     time.Duration
 	skipped bool // loop disabled: the execute half is a no-op
-	failed  bool // a MAPE phase errored: the execute half only flushes buffers
+	failed  bool // a MAPE phase errored: the execute half only publishes
 
-	plan     Plan
-	lost     []string // lost[i] != "" marks action i arbitrated away, with the reason
-	preAudit []AuditEntry
-	preEvent []bufferedEvent
+	plan Plan
+	lost []string // lost[i] != "" marks action i arbitrated away, with the reason
 }
 
 // skippedTick is the shared execute half of every skipped tick: a paused,
@@ -241,7 +224,7 @@ func (pt *PlannedTick) Arbitrated(i int) bool {
 }
 
 // Arbitrate marks action i as lost to a cross-loop conflict: ExecutePlanned
-// will audit and publish it as arbitrated instead of dispatching it.
+// will publish it as arbitrated, with the reason, instead of dispatching it.
 func (pt *PlannedTick) Arbitrate(i int, reason string) {
 	if i < 0 || i >= len(pt.plan.Actions) {
 		panic(fmt.Sprintf("core: Arbitrate index %d out of range (%d actions)", i, len(pt.plan.Actions)))
@@ -255,30 +238,11 @@ func (pt *PlannedTick) Arbitrate(i int, reason string) {
 	pt.lost[i] = reason
 }
 
-// bufAuditf captures one audit entry for deterministic replay, formatting
-// eagerly so the cost lands on the (parallel) plan half.
-func (pt *PlannedTick) bufAuditf(phase, format string, args ...interface{}) {
-	if pt.loop.Audit == nil {
-		return
-	}
-	pt.preAudit = append(pt.preAudit, AuditEntry{
-		Time: pt.now, Loop: pt.loop.Name, Phase: phase, Msg: fmt.Sprintf(format, args...),
-	})
-}
-
-// bufEvent captures one lifecycle event for deterministic replay.
-func (pt *PlannedTick) bufEvent(kind string, payload interface{}) {
-	if pt.loop.Bus == nil {
-		return
-	}
-	pt.preEvent = append(pt.preEvent, bufferedEvent{kind: kind, payload: payload})
-}
-
 // PlanTick runs the Monitor, Analyze, and Plan phases at virtual time now and
 // returns the pending execute half. It touches only loop-local state plus the
 // (read-only) Monitor/Analyze/Plan phases, so a coordinator may run many
-// loops' PlanTicks concurrently; audit entries and bus events are buffered
-// inside the PlannedTick and replayed by ExecutePlanned.
+// loops' PlanTicks concurrently; its events wait in the loop's buffer for
+// ExecutePlanned to publish.
 func (l *Loop) PlanTick(now time.Duration) *PlannedTick {
 	switch st := l.State(); {
 	case st == StateCreated:
@@ -293,41 +257,41 @@ func (l *Loop) PlanTick(now time.Duration) *PlannedTick {
 	l.metrics.Ticks++
 	obs, err := l.M.Observe(now)
 	if err != nil {
-		l.metrics.Errors++
-		pt.bufAuditf("error", "monitor: %v", err)
-		pt.failed = true
-		return pt
+		return pt.fail("monitor", err)
 	}
 	sym, err := l.A.Analyze(now, obs)
 	if err != nil {
-		l.metrics.Errors++
-		pt.bufAuditf("error", "analyze: %v", err)
-		pt.failed = true
-		return pt
+		return pt.fail("analyze", err)
 	}
 	l.metrics.Findings += len(sym.Findings)
 	for _, f := range sym.Findings {
-		pt.bufAuditf("analyze", "%s(%s)=%.4g conf=%.2f: %s", f.Kind, f.Subject, f.Value, f.Confidence, f.Detail)
-		pt.bufEvent("finding", f)
+		l.emit(now, "finding", f)
 	}
 	plan, err := l.P.Plan(now, sym)
 	if err != nil {
-		l.metrics.Errors++
-		pt.bufAuditf("error", "plan: %v", err)
-		pt.failed = true
-		return pt
+		return pt.fail("plan", err)
 	}
 	l.metrics.PlannedActions += len(plan.Actions)
 	pt.plan = plan
 	return pt
 }
 
-// ExecutePlanned runs the Execute half of a two-phase tick: it replays the
-// buffered audit entries and events, dispatches every surviving action
-// through guardrails and the operating mode, skips arbitrated ones, and runs
-// Assess. It must be called from a single goroutine — under a fleet
-// coordinator, serially in registration order after the round barrier, which
-// is what keeps concurrent rounds deterministic.
+// fail records a Monitor, Analyze or Plan error: the tick plans nothing and
+// its execute half publishes only the events buffered so far.
+func (pt *PlannedTick) fail(phase string, err error) *PlannedTick {
+	l := pt.loop
+	l.metrics.Errors++
+	l.emit(pt.now, "error", PhaseError{Phase: phase, Err: err.Error()})
+	pt.failed = true
+	return pt
+}
+
+// ExecutePlanned runs the Execute half of a two-phase tick: it dispatches
+// every surviving action through guardrails and the operating mode, skips
+// arbitrated ones, runs Assess, and publishes the tick's events as one
+// batch. It must be called from a single goroutine — under a fleet
+// coordinator, serially in registration order after the round barrier,
+// which is what keeps concurrent rounds deterministic.
 func (l *Loop) ExecutePlanned(pt *PlannedTick) {
 	if pt == nil || pt.skipped {
 		return
@@ -335,31 +299,17 @@ func (l *Loop) ExecutePlanned(pt *PlannedTick) {
 	if pt.loop != l {
 		panic("core: ExecutePlanned with another loop's PlannedTick")
 	}
-	now := pt.now
-	if l.Bus != nil {
-		l.inTick = true
-		defer l.flushEvents()
-	}
-	if l.Audit != nil {
-		for _, e := range pt.preAudit {
-			l.Audit.Append(e)
-		}
-	}
-	for _, ev := range pt.preEvent {
-		l.event(now, ev.kind, ev.payload)
-	}
+	defer l.flush()
 	if pt.failed {
 		return
 	}
+	now := pt.now
 	outcome := Outcome{Time: now}
 	for i, action := range pt.plan.Actions {
-		l.audit(now, "plan", "%s(%s) amount=%.4g conf=%.2f: %s",
-			action.Kind, action.Subject, action.Amount, action.Confidence, action.Explanation)
-		l.event(now, "plan", action)
-		if pt.lost != nil && pt.lost[i] != "" {
+		l.emit(now, "plan", action)
+		if pt.Arbitrated(i) {
 			l.metrics.ArbitratedActions++
-			l.audit(now, "arbitrate", "%s(%s): %s", action.Kind, action.Subject, pt.lost[i])
-			l.event(now, "arbitrated", action)
+			l.emitResult(now, "arbitrated", action, pt.lost[i])
 			continue
 		}
 		if res, executed := l.dispatch(now, action); executed {
@@ -372,28 +322,22 @@ func (l *Loop) ExecutePlanned(pt *PlannedTick) {
 }
 
 // dispatch applies guardrails and the operating mode to one action,
-// returning the result if the action executed synchronously.
+// returning the result if the action executed synchronously. A
+// human-on-the-loop action executes at once; its execute event, carrying the
+// planner's Explanation, is the human's notification.
 func (l *Loop) dispatch(now time.Duration, action Action) (ActionResult, bool) {
 	for _, g := range l.Guards {
 		if err := g.Check(now, l.Name, action); err != nil {
 			l.metrics.VetoedActions++
-			l.audit(now, "veto", "%s(%s): %v", action.Kind, action.Subject, err)
-			l.event(now, "veto", action)
+			l.emitResult(now, "veto", action, err.Error())
 			return ActionResult{}, false
 		}
 	}
 	switch l.Mode {
-	case Autonomous:
+	case Autonomous, HumanOnTheLoop:
 		return l.execute(now, now, action), true
-	case HumanOnTheLoop:
-		res := l.execute(now, now, action)
-		if l.Notifier != nil {
-			l.Notifier.Notify(now, l.Name, action, &res)
-		}
-		return res, true
 	case HumanInTheLoop:
 		l.deferToHuman(now, action)
-		return ActionResult{}, false
 	}
 	return ActionResult{}, false
 }
@@ -404,9 +348,8 @@ func (l *Loop) execute(decidedAt, now time.Duration, action Action) ActionResult
 	res, err := l.E.Execute(now, action)
 	if err != nil {
 		l.metrics.Errors++
-		l.audit(now, "error", "execute %s(%s): %v", action.Kind, action.Subject, err)
 		failed := ActionResult{Action: action, Detail: err.Error()}
-		l.event(now, "execute", failed)
+		l.emit(now, "execute", failed)
 		return failed
 	}
 	l.metrics.ExecutedActions++
@@ -414,9 +357,7 @@ func (l *Loop) execute(decidedAt, now time.Duration, action Action) ActionResult
 	if res.Honored {
 		l.metrics.HonoredActions++
 	}
-	l.audit(now, "execute", "%s(%s) honored=%v granted=%.4g %s",
-		action.Kind, action.Subject, res.Honored, res.Granted, res.Detail)
-	l.event(now, "execute", res)
+	l.emit(now, "execute", res)
 	return res
 }
 
@@ -427,14 +368,14 @@ func (l *Loop) execute(decidedAt, now time.Duration, action Action) ActionResult
 func (l *Loop) deferToHuman(now time.Duration, action Action) {
 	if l.Approvals != nil {
 		l.metrics.DeferredActions++
-		l.audit(now, "defer", "%s(%s): queued for operator approval", action.Kind, action.Subject)
+		l.emitResult(now, "defer", action, "queued for operator approval")
 		l.Approvals.Defer(DeferredAction{Loop: l, Decided: now, Action: action, Gen: l.gen.Load()})
 		return
 	}
 	if l.Clock == nil || l.Rng == nil {
 		// Without a clock there is no way to wait: treat the human as absent.
 		l.metrics.DroppedActions++
-		l.audit(now, "drop", "%s(%s): no clock for human approval", action.Kind, action.Subject)
+		l.emitResult(now, "drop", action, "no clock for human approval")
 		return
 	}
 	l.metrics.DeferredActions++
@@ -442,26 +383,29 @@ func (l *Loop) deferToHuman(now time.Duration, action Action) {
 	available := l.Rng.Float64() < l.Human.Availability
 	if !available {
 		if l.Human.ContingencyAfter > 0 {
-			l.audit(now, "defer", "%s(%s): human absent, contingency in %v",
-				action.Kind, action.Subject, l.Human.ContingencyAfter)
-			l.Clock.AfterFunc(l.Human.ContingencyAfter, func() {
-				if l.deferredValid(gen) {
-					l.execute(now, l.Clock.Now(), action)
-				}
-			})
+			l.emitResult(now, "defer", action, fmt.Sprintf("human absent, contingency in %v", l.Human.ContingencyAfter))
+			l.Clock.AfterFunc(l.Human.ContingencyAfter, l.executeLater(gen, now, action))
 			return
 		}
 		l.metrics.DroppedActions++
-		l.audit(now, "drop", "%s(%s): human absent, no contingency", action.Kind, action.Subject)
+		l.emitResult(now, "drop", action, "human absent, no contingency")
 		return
 	}
 	delay := l.Human.Latency.Sample(l.Rng)
-	l.audit(now, "defer", "%s(%s): awaiting approval, eta %v", action.Kind, action.Subject, delay)
-	l.Clock.AfterFunc(delay, func() {
+	l.emitResult(now, "defer", action, fmt.Sprintf("awaiting approval, eta %v", delay))
+	l.Clock.AfterFunc(delay, l.executeLater(gen, now, action))
+}
+
+// executeLater returns the callback that fires a deferred action outside
+// any tick, unless a lifecycle transition made it stale, and publishes its
+// execute event at once.
+func (l *Loop) executeLater(gen uint64, decidedAt time.Duration, action Action) func() {
+	return func() {
 		if l.deferredValid(gen) {
-			l.execute(now, l.Clock.Now(), action)
+			l.execute(decidedAt, l.Clock.Now(), action)
+			l.flush()
 		}
-	})
+	}
 }
 
 // RunEvery schedules the loop to tick on clock every period until stop

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"autoloop/internal/bus"
 	"autoloop/internal/sim"
 )
 
@@ -54,7 +55,7 @@ func newTestLoop(conf float64) (*Loop, *recorder) {
 
 func TestLoopTickExecutesPlan(t *testing.T) {
 	l, rec := newTestLoop(0.9)
-	l.Audit = NewAuditLog(100)
+	tr := attachTrail(l)
 	l.Tick(time.Second)
 	if len(rec.executed) != 1 {
 		t.Fatalf("executed %d actions", len(rec.executed))
@@ -63,8 +64,8 @@ func TestLoopTickExecutesPlan(t *testing.T) {
 	if m.Ticks != 1 || m.Findings != 1 || m.PlannedActions != 1 || m.ExecutedActions != 1 || m.HonoredActions != 1 {
 		t.Errorf("metrics = %+v", m)
 	}
-	if len(l.Audit.Filter("test", "execute")) != 1 {
-		t.Error("execute not audited")
+	if tr.count("execute") != 1 {
+		t.Error("execute not published")
 	}
 }
 
@@ -86,7 +87,6 @@ func TestLoopPhaseErrorsAreContained(t *testing.T) {
 		return Observation{}, errors.New("sensor offline")
 	})
 	l := NewLoop("t", failing, alwaysFind(1), planPerFinding(1), rec)
-	l.Audit = NewAuditLog(10)
 	l.Tick(time.Second) // must not panic
 	if l.Metrics().Errors != 1 {
 		t.Errorf("errors = %d", l.Metrics().Errors)
@@ -135,7 +135,7 @@ func TestLoopNilPhasePanics(t *testing.T) {
 func TestConfidenceGateVetoes(t *testing.T) {
 	l, rec := newTestLoop(0.4)
 	l.Guards = []Guardrail{ConfidenceGate{Min: 0.8}}
-	l.Audit = NewAuditLog(10)
+	tr := attachTrail(l)
 	l.Tick(time.Second)
 	if len(rec.executed) != 0 {
 		t.Error("low-confidence action executed")
@@ -143,8 +143,8 @@ func TestConfidenceGateVetoes(t *testing.T) {
 	if l.Metrics().VetoedActions != 1 {
 		t.Errorf("vetoed = %d", l.Metrics().VetoedActions)
 	}
-	if len(l.Audit.Filter("", "veto")) != 1 {
-		t.Error("veto not audited")
+	if tr.count("veto") != 1 {
+		t.Error("veto not published")
 	}
 }
 
@@ -204,16 +204,18 @@ func TestDryRunVetoesAll(t *testing.T) {
 func TestHumanOnTheLoopNotifies(t *testing.T) {
 	l, rec := newTestLoop(1)
 	l.Mode = HumanOnTheLoop
+	l.Bus = bus.New()
 	var notices []string
-	l.Notifier = NotifierFunc(func(now time.Duration, loop string, a Action, res *ActionResult) {
-		notices = append(notices, fmt.Sprintf("%s:%s", loop, a.Kind))
+	l.Bus.Subscribe("loop.test.execute", func(e bus.Envelope) {
+		res := e.Payload.(ActionResult)
+		notices = append(notices, fmt.Sprintf("%s:%s", res.Action.Kind, res.Action.Explanation))
 	})
 	l.Tick(time.Second)
 	if len(rec.executed) != 1 {
 		t.Error("on-the-loop must execute immediately")
 	}
-	if len(notices) != 1 || notices[0] != "test:lower" {
-		t.Errorf("notices = %v", notices)
+	if len(notices) != 1 || notices[0] != "lower:test" {
+		t.Errorf("notices = %v, want the execute event with the planner's explanation", notices)
 	}
 }
 

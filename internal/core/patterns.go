@@ -49,7 +49,6 @@ type MasterWorker struct {
 	PlanCost func(n int) time.Duration
 
 	Clock sim.Clock
-	Audit *AuditLog
 
 	enabled bool
 	metrics Metrics
@@ -122,9 +121,6 @@ func (m *MasterWorker) Tick(now time.Duration) {
 			m.metrics.DecisionLatency += at - now
 			if res.Honored {
 				m.metrics.HonoredActions++
-			}
-			if m.Audit != nil {
-				m.Audit.Appendf(at, m.Name, "execute", "%s(%s) granted=%.4g", action.Kind, action.Subject, res.Granted)
 			}
 		}
 	}

@@ -3,8 +3,8 @@
 // operations, with the four decentralization design patterns of Fig. 2 —
 // classical, master-worker, fully decentralized coordinated, and
 // hierarchical — plus the trust machinery the paper's §III(iv) and §IV call
-// for: guardrails, confidence gates, audit logging with explanations, and
-// human-in/on-the-loop operating modes.
+// for: guardrails, confidence gates, explained decisions published on the bus,
+// and human-in/on-the-loop operating modes.
 //
 // A loop is wired from five interchangeable interfaces (Monitor, Analyzer,
 // Planner, Executor, Assessor) over a shared Knowledge base. Use cases in
@@ -35,7 +35,7 @@ type Finding struct {
 	Value float64
 	// Confidence in [0,1] expresses the analyzer's belief in the finding.
 	Confidence float64
-	// Detail is a human-readable explanation for audit and notification.
+	// Detail is a human-readable explanation, published with the finding.
 	Detail string
 }
 
@@ -79,6 +79,13 @@ type ActionResult struct {
 	Granted float64
 	// Detail explains denials and partial grants.
 	Detail string
+}
+
+// PhaseError is the payload of a loop's "error" event: the Monitor,
+// Analyze or Plan phase failed, so the tick planned nothing.
+type PhaseError struct {
+	Phase string // "monitor", "analyze" or "plan"
+	Err   string
 }
 
 // Outcome is the Execute phase's output.
@@ -147,8 +154,3 @@ type AssessorFunc func(now time.Duration, plan Plan, outcome Outcome)
 
 // Assess implements Assessor.
 func (f AssessorFunc) Assess(now time.Duration, plan Plan, outcome Outcome) { f(now, plan, outcome) }
-
-// Notifier receives human-facing notifications in human-on-the-loop mode.
-type Notifier interface {
-	Notify(now time.Duration, loop string, action Action, result *ActionResult)
-}

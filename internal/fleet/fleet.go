@@ -7,10 +7,9 @@
 // half of every loop (Monitor/Analyze/Plan) fans out over a worker pool, a
 // round barrier waits for all of them, per-subject arbitration (the Yields
 // rule) resolves cross-loop conflicts among the planned actions, and the
-// execute halves run
-// serially in registration order. Because the plan half touches only
-// loop-local state (audit entries and bus events are buffered inside the
-// PlannedTick) and everything order-sensitive happens after the barrier, a
+// execute halves run serially in registration order. Because the plan half
+// touches only loop-local state (its bus events wait in the loop's own
+// buffer) and everything order-sensitive happens after the barrier, a
 // round's outcome is bit-identical regardless of worker count or goroutine
 // scheduling — fixed-seed experiment tables survive the concurrency.
 package fleet
@@ -126,7 +125,7 @@ func (c *Coordinator) PublishTo(b *bus.Bus, source string) *Coordinator {
 // at least one subject-bearing action. The hook receives one digest per
 // surviving action and returns a parallel slice; true at index i suppresses
 // digest i's action exactly like a local arbitration loss (the action is
-// audited and counted as arbitrated, and additionally as Metrics.Remote).
+// published and counted as arbitrated, and additionally as Metrics.Remote).
 // A nil hook (the default) keeps rounds byte-identical to the single-node
 // coordinator. The hook runs on the tick goroutine and may block — a cluster
 // worker uses it for a digest/verdict round trip with its coordinator.

@@ -43,7 +43,11 @@ func newStaticLoop(name string, actions ...core.Action) *staticLoop {
 func TestPriorityArbitration(t *testing.T) {
 	capLoop := newStaticLoop("power-cap", core.Action{Kind: "cap", Subject: "n001", Amount: 100, Confidence: 1})
 	boost := newStaticLoop("sched-boost", core.Action{Kind: "boost", Subject: "n001", Amount: 50, Confidence: 1})
-	boost.loop.Audit = core.NewAuditLog(0)
+	boost.loop.Bus = bus.New()
+	var reasons []string
+	boost.loop.Bus.Subscribe("loop.sched-boost.arbitrated", func(e bus.Envelope) {
+		reasons = append(reasons, e.Payload.(core.ActionResult).Detail)
+	})
 
 	c := New(4)
 	c.Add(capLoop.loop, 10)
@@ -62,9 +66,8 @@ func TestPriorityArbitration(t *testing.T) {
 	if m := capLoop.loop.Metrics(); m.ArbitratedActions != 0 {
 		t.Errorf("winner ArbitratedActions = %d, want 0", m.ArbitratedActions)
 	}
-	entries := boost.loop.Audit.Filter("sched-boost", "arbitrate")
-	if len(entries) != 1 || !strings.Contains(entries[0].Msg, "power-cap/cap") {
-		t.Errorf("arbitrate audit = %v", entries)
+	if len(reasons) != 1 || !strings.Contains(reasons[0], "power-cap/cap") {
+		t.Errorf("arbitrated event reasons = %q, want one naming the winner", reasons)
 	}
 	if cm := c.Metrics(); cm.Rounds != 1 || cm.Planned != 2 || cm.Arbitrated != 1 || cm.Conflicts != 1 {
 		t.Errorf("coordinator metrics = %+v", cm)
@@ -169,18 +172,17 @@ func TestRunEvery(t *testing.T) {
 }
 
 // fleetScript runs a deterministic multi-loop scenario with the given worker
-// count and returns a transcript: every audit entry, every bus envelope
-// topic, every loop's metrics, and the shared knowledge base's state.
+// count and returns a transcript: every bus envelope's topic and payload,
+// the coordinator's metrics, and the shared knowledge base's state.
 func fleetScript(t *testing.T, workers int) string {
 	t.Helper()
 	kb := knowledge.NewBase()
 	b := bus.New()
-	audit := core.NewAuditLog(1 << 16)
 	var mu sync.Mutex
-	var topics []string
+	var events []string
 	b.Subscribe("*", func(e bus.Envelope) {
 		mu.Lock()
-		topics = append(topics, e.Topic)
+		events = append(events, fmt.Sprintf("[%v] %s %+v", e.Time, e.Topic, e.Payload))
 		mu.Unlock()
 	})
 
@@ -218,7 +220,6 @@ func fleetScript(t *testing.T, workers int) string {
 				return core.ActionResult{Action: a, Honored: true, Granted: a.Amount}, nil
 			}),
 		)
-		l.Audit = audit
 		l.Bus = b
 		l.K = kb
 		c.Add(l, i%5)
@@ -228,8 +229,7 @@ func fleetScript(t *testing.T, workers int) string {
 	}
 
 	var sb strings.Builder
-	sb.WriteString(audit.Dump())
-	sb.WriteString(strings.Join(topics, "\n"))
+	sb.WriteString(strings.Join(events, "\n"))
 	fmt.Fprintf(&sb, "\nmetrics=%+v\n", c.Metrics())
 	fmt.Fprintf(&sb, "plans=%d\n", len(kb.Plans()))
 	return sb.String()
@@ -245,7 +245,7 @@ func TestRoundDeterminism(t *testing.T) {
 		t.Fatalf("transcripts diverge between workers=1 and workers=8:\n--- sequential ---\n%s\n--- concurrent ---\n%s",
 			sequential, concurrent)
 	}
-	if !strings.Contains(sequential, "arbitrate") {
+	if !strings.Contains(sequential, ".arbitrated ") {
 		t.Fatal("scenario produced no arbitration; determinism check is vacuous")
 	}
 }

@@ -98,9 +98,6 @@ type Options struct {
 
 	// OutboxDepth is the per-SSE-client outbox capacity (default 256).
 	OutboxDepth int
-	// ReplayDepth is how many recent events the stream hub retains for
-	// Last-Event-ID replay (default 1024).
-	ReplayDepth int
 }
 
 // Stats is a snapshot of the gateway's own counters.
@@ -138,7 +135,7 @@ func New(opts Options) *Gateway {
 	}
 	g := &Gateway{opts: opts}
 	if opts.Bus != nil {
-		g.hub = NewHub(opts.Bus, opts.ReplayDepth)
+		g.hub = NewHub(opts.Bus, defaultReplayDepth)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", g.handleHealthz)

@@ -13,7 +13,8 @@ import (
 	"autoloop/internal/bus"
 )
 
-// Defaults for Options.OutboxDepth and Options.ReplayDepth.
+// The default Options.OutboxDepth, and how many recent events a gateway's
+// hub retains for Last-Event-ID replay.
 const (
 	defaultOutboxDepth = 256
 	defaultReplayDepth = 1024
@@ -79,12 +80,8 @@ type Hub struct {
 	dropped atomic.Uint64
 }
 
-// NewHub builds a hub over b retaining replayDepth events (<=0 selects the
-// default).
+// NewHub builds a hub over b retaining replayDepth events.
 func NewHub(b *bus.Bus, replayDepth int) *Hub {
-	if replayDepth <= 0 {
-		replayDepth = defaultReplayDepth
-	}
 	return &Hub{bus: b, patterns: make(map[string]*hubPattern), ringCap: replayDepth}
 }
 
@@ -264,7 +261,7 @@ func appendFrame(buf []byte, id uint64, topic string, data []byte) []byte {
 }
 
 // defaultStreamTopics is what /v1/stream serves when no topics parameter is
-// given: loop findings/plans/audit events, fleet round summaries, and the
+// given: every loop's decision events, fleet round summaries, and the
 // control plane's pending/resolved approval traffic.
 const defaultStreamTopics = "loop.*,fleet.*,control.v1.*"
 
