@@ -37,7 +37,6 @@ func runCoordinator() error {
 		defer w.Close()
 	}
 	coord := cluster.NewCoordinator(b, cluster.Options{
-		Source:    "coordinator",
 		Lease:     *leaseTTL,
 		Grace:     *leaseGrace,
 		ArbWindow: *arbWindow,

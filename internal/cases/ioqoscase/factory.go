@@ -26,7 +26,7 @@ type FactoryConfig struct {
 // Factory registers the hierarchical I/O QoS case with the control plane.
 // Unlike the single-loop cases it spawns one child loop per tenant plus the
 // reallocating parent; under a fleet coordinator the parent registers with
-// an EveryMul of ParentEvery, reproducing the Hierarchy composition flat.
+// an EveryMul of ParentEvery (see builtLoops).
 func Factory() control.CaseFactory {
 	return control.CaseFactory{
 		Name:     CaseName,
@@ -50,17 +50,7 @@ func Factory() control.CaseFactory {
 			if len(fc.Tenants) == 0 {
 				return nil, fmt.Errorf("ioqoscase: config needs at least one tenant")
 			}
-			if fc.ParentEvery < 1 {
-				fc.ParentEvery = 1
-			}
-			c := New(fc.Config, env.Querier, env.FS, env.Knowledge)
-			// Parent first: it is the case's primary loop (reallocation is
-			// where mode/approval policy bites); children enforce setpoints.
-			out := []control.BuiltLoop{{Loop: c.parentLoop(), EveryMul: fc.ParentEvery}}
-			for _, t := range c.cfg.Tenants {
-				out = append(out, control.BuiltLoop{Loop: c.childLoop(t)})
-			}
-			return out, nil
+			return New(fc.Config, env.Querier, env.FS, env.Knowledge).builtLoops(fc.ParentEvery), nil
 		},
 	}
 }

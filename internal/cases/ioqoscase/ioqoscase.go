@@ -18,6 +18,7 @@ import (
 	"math"
 	"time"
 
+	"autoloop/internal/control"
 	"autoloop/internal/core"
 	"autoloop/internal/knowledge"
 	"autoloop/internal/pfs"
@@ -114,15 +115,19 @@ func (c *Controller) setAlloc(tenant string, mbps float64) {
 	c.kb.SetFact(factKey(tenant), mbps)
 }
 
-// Hierarchy assembles the full pattern: one fast child loop per tenant plus
-// the slow campaign parent, with the parent ticking once per parentEvery
-// child ticks.
-func (c *Controller) Hierarchy(parentEvery int) *core.Hierarchical {
-	var children []*core.Loop
+// builtLoops assembles the hierarchy flat, the one form every caller runs:
+// the slow campaign parent first — the case's primary loop, where
+// mode/approval policy bites — planning once per parentEvery rounds, then
+// one fast child loop per tenant enforcing its setpoint every round.
+// Registered in this order on a fleet coordinator, the children plan against
+// the setpoints in force at the start of the round and the parent's
+// reallocation reaches them on the next one.
+func (c *Controller) builtLoops(parentEvery int) []control.BuiltLoop {
+	out := []control.BuiltLoop{{Loop: c.parentLoop(), EveryMul: parentEvery}}
 	for _, t := range c.cfg.Tenants {
-		children = append(children, c.childLoop(t))
+		out = append(out, control.BuiltLoop{Loop: c.childLoop(t)})
 	}
-	return core.NewHierarchical("ioqos", c.parentLoop(), children, parentEvery)
+	return out
 }
 
 // childLoop enacts the tenant's setpoint: monitor the blackboard and the

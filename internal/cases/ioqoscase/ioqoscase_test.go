@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"autoloop/internal/fleet"
 	"autoloop/internal/knowledge"
 	"autoloop/internal/pfs"
 	"autoloop/internal/sim"
@@ -43,6 +44,16 @@ func newRig(t *testing.T) *rig {
 		return true
 	})
 	return &rig{e: e, db: db, fs: fs, kb: kb, ctl: ctl}
+}
+
+// run registers the case's loops on a fleet coordinator the way the control
+// plane spawns them and ticks it every 10s of virtual time.
+func (r *rig) run(parentEvery int) {
+	coord := fleet.New(0)
+	for _, bl := range r.ctl.builtLoops(parentEvery) {
+		coord.AddEvery(bl.Loop, FleetPriority, bl.EveryMul)
+	}
+	coord.RunEvery(sim.VirtualClock{Engine: r.e}, 10*time.Second, nil)
 }
 
 // interferer saturates the filesystem with a closed-loop writer: 8 streams
@@ -87,8 +98,7 @@ func TestInitialAllocationsByPriority(t *testing.T) {
 
 func TestChildLoopEnactsSetpoint(t *testing.T) {
 	r := newRig(t)
-	h := r.ctl.Hierarchy(6)
-	h.RunEvery(sim.VirtualClock{Engine: r.e}, 10*time.Second, nil)
+	r.run(6)
 	r.e.RunUntil(time.Minute)
 	rate, burst, ok := r.fs.QoS("deadline")
 	if !ok || rate != 1500 || burst != 3000 {
@@ -98,8 +108,7 @@ func TestChildLoopEnactsSetpoint(t *testing.T) {
 
 func TestParentThrottlesBestEffortUnderViolation(t *testing.T) {
 	r := newRig(t)
-	h := r.ctl.Hierarchy(3)
-	h.RunEvery(sim.VirtualClock{Engine: r.e}, 10*time.Second, nil)
+	r.run(3)
 	var lats []float64
 	r.interferer(0)
 	r.victim(&lats)
@@ -117,8 +126,7 @@ func TestParentThrottlesBestEffortUnderViolation(t *testing.T) {
 
 func TestRecoveryAfterBurstEnds(t *testing.T) {
 	r := newRig(t)
-	h := r.ctl.Hierarchy(3)
-	h.RunEvery(sim.VirtualClock{Engine: r.e}, 10*time.Second, nil)
+	r.run(3)
 	var lats []float64
 	r.interferer(10 * time.Minute)
 	r.victim(&lats)
@@ -138,8 +146,7 @@ func TestAdaptiveBeatsStaticTailLatency(t *testing.T) {
 	measure := func(adaptive bool) (mean, p99 float64) {
 		r := newRig(t)
 		if adaptive {
-			h := r.ctl.Hierarchy(3)
-			h.RunEvery(sim.VirtualClock{Engine: r.e}, 10*time.Second, nil)
+			r.run(3)
 		} else {
 			// Static QoS: the loose campaign buckets, never adjusted.
 			r.fs.SetQoS("deadline", 1500, 3000)

@@ -90,11 +90,13 @@ type Agent struct {
 	ctl  *control.Service
 	db   *tsdb.Service
 
-	mu     sync.Mutex
-	held   map[string][]string // group -> spawned loop names
-	seq    uint64              // heartbeat sequence
-	digSeq uint64              // digest sequence
-	waits  map[uint64]chan Verdict
+	mu sync.Mutex
+	// primary names each assigned group's primary loop: only an index, as
+	// ctl alone records which of those loops the worker still runs.
+	primary map[string]string
+	seq     uint64 // heartbeat sequence
+	digSeq  uint64 // digest sequence
+	waits   map[uint64]chan Verdict
 
 	// Degraded standalone mode: entered after DegradeAfter consecutive
 	// arbitration timeouts (or an explicit SetLinkState(false) from the
@@ -135,13 +137,13 @@ func NewAgent(b *bus.Bus, ctl *control.Service, db *tsdb.Service, opts AgentOpti
 		opts.DegradeAfter = DefaultDegradeAfter
 	}
 	a := &Agent{
-		opts:  opts,
-		b:     b,
-		ctl:   ctl,
-		db:    db,
-		held:  make(map[string][]string),
-		waits: make(map[uint64]chan Verdict),
-		stop:  make(chan struct{}),
+		opts:    opts,
+		b:       b,
+		ctl:     ctl,
+		db:      db,
+		primary: make(map[string]string),
+		waits:   make(map[uint64]chan Verdict),
+		stop:    make(chan struct{}),
 	}
 	a.cancels = append(a.cancels,
 		b.Subscribe(TopicAssign, a.handleAssign),
@@ -261,16 +263,50 @@ func (a *Agent) bufferLocked(d Digest) {
 	a.metrics.DigestsBuffered++
 }
 
-// Held returns the groups the agent currently holds, sorted.
+// Held returns, sorted, the assigned groups whose loops the control service
+// still runs.
 func (a *Agent) Held() []string {
+	running := make(map[string]bool)
+	for _, st := range a.ctl.Handle(control.Request{Op: control.OpList}).Loops {
+		running[st.Group] = true
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.held))
-	for g := range a.held {
-		out = append(out, g)
+	var out []string
+	for g, name := range a.primary {
+		if running[name] {
+			out = append(out, g)
+		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// get asks the control service for group's loops. The reply is OK only
+// while the service runs them: not after a remove or a completed drain,
+// and not for a group never spawned here.
+func (a *Agent) get(group string) control.Reply {
+	a.mu.Lock()
+	name, ok := a.primary[group]
+	a.mu.Unlock()
+	if !ok {
+		return control.Reply{Op: control.OpGet, Error: "group not spawned here"}
+	}
+	return a.ctl.Handle(control.Request{Op: control.OpGet, Loop: name})
+}
+
+// remove tears group's loops down and forgets the group. Like assigns,
+// removes are idempotent: removing a group the service no longer runs
+// succeeds.
+func (a *Agent) remove(group string) control.Reply {
+	r := a.get(group)
+	a.mu.Lock()
+	delete(a.primary, group)
+	a.mu.Unlock()
+	if !r.OK {
+		return control.Reply{Op: control.OpRemove, OK: true}
+	}
+	return a.ctl.Handle(control.Request{Op: control.OpRemove, Loop: r.Loop.Name})
 }
 
 func (a *Agent) publish(topic string, payload interface{}) {
@@ -296,11 +332,10 @@ func (a *Agent) heartbeatLoop() {
 		if beats%a.opts.HelloEvery == 0 {
 			a.sendHello()
 		}
-		hb := Heartbeat{Worker: a.opts.ID}
+		hb := Heartbeat{Worker: a.opts.ID, Groups: len(a.Held())}
 		a.mu.Lock()
 		a.seq++
 		hb.Seq = a.seq
-		hb.Groups = len(a.held)
 		a.mu.Unlock()
 		if a.opts.Stats != nil {
 			hb.Series, hb.Samples, hb.Rounds = a.opts.Stats()
@@ -310,8 +345,8 @@ func (a *Agent) heartbeatLoop() {
 }
 
 // handleAssign spawns one assigned spec. Assigns are idempotent: re-assigning
-// a held group acks OK with the existing loop names (the coordinator re-sends
-// unacked assigns, and a rebalance may re-affirm ownership).
+// a group whose loops still run acks OK with their names (the coordinator
+// re-sends unacked assigns, and a rebalance may re-affirm ownership).
 func (a *Agent) handleAssign(env bus.Envelope) {
 	var as Assign
 	if err := bus.DecodePayload(env, &as); err != nil || as.Worker != a.opts.ID {
@@ -319,12 +354,11 @@ func (a *Agent) handleAssign(env bus.Envelope) {
 	}
 	a.noteContact()
 	ack := Ack{Worker: a.opts.ID, ID: as.ID, Group: as.Group}
-	a.mu.Lock()
-	loops, have := a.held[as.Group]
-	a.mu.Unlock()
-	if have {
+	if r := a.get(as.Group); r.OK {
 		ack.OK = true
-		ack.Loops = loops
+		for _, st := range r.Loops {
+			ack.Loops = append(ack.Loops, st.Name)
+		}
 		a.publish(TopicAck, ack)
 		return
 	}
@@ -339,7 +373,7 @@ func (a *Agent) handleAssign(env bus.Envelope) {
 	}
 	ack.OK = true
 	a.mu.Lock()
-	a.held[as.Group] = ack.Loops
+	a.primary[as.Group] = sp.Loop().Name
 	a.mu.Unlock()
 	a.publish(TopicAck, ack)
 }
@@ -352,20 +386,8 @@ func (a *Agent) handleRevoke(env bus.Envelope) {
 		return
 	}
 	a.noteContact()
-	ack := Ack{Worker: a.opts.ID, ID: rv.ID, Group: rv.Group}
-	a.mu.Lock()
-	loops, have := a.held[rv.Group]
-	delete(a.held, rv.Group)
-	a.mu.Unlock()
-	if !have {
-		ack.OK = true // already gone; revokes are idempotent too
-		a.publish(TopicAck, ack)
-		return
-	}
-	r := a.ctl.Handle(control.Request{Op: control.OpRemove, Loop: loops[0]})
-	ack.OK = r.OK
-	ack.Error = r.Error
-	a.publish(TopicAck, ack)
+	r := a.remove(rv.Group)
+	a.publish(TopicAck, Ack{Worker: a.opts.ID, ID: rv.ID, Group: rv.Group, OK: r.OK, Error: r.Error})
 }
 
 // handleFanout answers one scattered request from the local services.
@@ -377,6 +399,11 @@ func (a *Agent) handleFanout(env bus.Envelope) {
 	a.noteContact()
 	reply := FanReply{Worker: a.opts.ID, ID: f.ID}
 	switch {
+	case f.Control != nil && f.Control.Op == control.OpRemove:
+		// A routed remove names the group (see Coordinator.routeLoopOp).
+		r := a.remove(f.Control.Loop)
+		r.ID = f.Control.ID
+		reply.Control = &r
 	case f.Control != nil:
 		r := a.ctl.Handle(*f.Control)
 		reply.Control = &r
@@ -437,8 +464,8 @@ func (a *Agent) arbitrate(now time.Duration, digests []fleet.ActionDigest) []boo
 	a.publish(TopicDigest, digestFromFleet(a.opts.ID, seq, digests))
 	select {
 	case v := <-ch:
-		// handleVerdict already counted the contact (and rejoined if
-		// degraded) before handing us the verdict.
+		// handleVerdict counts the contact (and rejoins if degraded) after
+		// handing us the verdict.
 		if len(v.Deny) != len(digests) {
 			return nil // malformed verdict: fail open
 		}
@@ -464,13 +491,14 @@ func (a *Agent) arbitrate(now time.Duration, digests []fleet.ActionDigest) []boo
 	}
 }
 
-// handleVerdict routes a coordinator verdict to the round waiting on it.
+// handleVerdict routes a coordinator verdict to the round waiting on it,
+// then notes the contact. That order matters: a rejoin re-Hellos, which
+// reads the control service and so waits for the round to finish.
 func (a *Agent) handleVerdict(env bus.Envelope) {
 	var v Verdict
 	if err := bus.DecodePayload(env, &v); err != nil || v.Worker != a.opts.ID {
 		return
 	}
-	a.noteContact()
 	a.mu.Lock()
 	ch := a.waits[v.Seq]
 	a.mu.Unlock()
@@ -480,4 +508,5 @@ func (a *Agent) handleVerdict(env bus.Envelope) {
 		default:
 		}
 	}
+	a.noteContact()
 }

@@ -360,6 +360,104 @@ func TestClusterPlacementAndScatter(t *testing.T) {
 	}
 }
 
+// runsOn reports whether w's control service manages loop.
+func runsOn(w *testWorker, loop string) bool {
+	return w.ctl.Handle(control.Request{Op: control.OpGet, Loop: loop}).OK
+}
+
+// spawnPlaced spawns the script case as group through the coordinator's
+// operator surface and waits until w runs it.
+func spawnPlaced(t *testing.T, tc *testCluster, w *testWorker, group string) {
+	t.Helper()
+	r := tc.coord.Handle(control.Request{Op: control.OpSpawn, Spec: &control.LoopSpec{Case: "script", Name: group}})
+	if !r.OK {
+		t.Fatalf("spawn %s: %s", group, r.Error)
+	}
+	waitFor(t, 5*time.Second, group+" placed and running on "+w.id, func() bool {
+		return placedCount(tc.coord) == 1 && runsOn(w, group)
+	})
+}
+
+// assertListMatchesPlacements ticks w once and checks that the cluster-wide
+// list shows exactly the placed groups, each on its owner, and that the
+// owner's agent holds exactly those groups.
+func assertListMatchesPlacements(t *testing.T, tc *testCluster, w *testWorker) {
+	t.Helper()
+	w.tick()
+	r := tc.coord.Handle(control.Request{Op: control.OpList})
+	if !r.OK {
+		t.Fatalf("list: %s", r.Error)
+	}
+	listed := make(map[string]string)
+	for _, st := range r.Loops {
+		if st.Metrics.Ticks == 0 {
+			t.Errorf("loop %s on %s never ticked", st.Name, st.Worker)
+		}
+		listed[st.Group] = st.Worker
+	}
+	var placed []string
+	for _, p := range tc.coord.Placements() {
+		if p.State != placePlaced || listed[p.Group] != p.Worker {
+			t.Errorf("placement %+v, but list shows the group on %q", p, listed[p.Group])
+		}
+		placed = append(placed, p.Group)
+	}
+	if len(listed) != len(placed) {
+		t.Errorf("list shows groups %v, placements %v", listed, placed)
+	}
+	if held := w.agent.Held(); fmt.Sprint(held) != fmt.Sprint(placed) {
+		t.Errorf("%s holds %v, placements %v", w.id, held, placed)
+	}
+}
+
+// TestClusterSpawnRemoveSpawn removes a group through the coordinator and
+// spawns it again: the owner must run the new spawn, not ack it from a
+// record of the loops it just tore down.
+func TestClusterSpawnRemoveSpawn(t *testing.T) {
+	tc := newTestCluster(t, Options{Lease: 2 * time.Second})
+	w := newTestWorker(t, tc.addr, "w1", AgentOptions{})
+	waitFor(t, 5*time.Second, "w1 alive", func() bool { return len(tc.coord.Directory().Alive()) == 1 })
+
+	spawnPlaced(t, tc, w, "g1")
+	if r := tc.coord.Handle(control.Request{Op: control.OpRemove, Loop: "g1"}); !r.OK {
+		t.Fatalf("remove g1: %s", r.Error)
+	}
+	if runsOn(w, "g1") || len(tc.coord.Placements()) != 0 || len(w.agent.Held()) != 0 {
+		t.Fatalf("after remove: runs=%v placements=%v held=%v", runsOn(w, "g1"), tc.coord.Placements(), w.agent.Held())
+	}
+	spawnPlaced(t, tc, w, "g1")
+	assertListMatchesPlacements(t, tc, w)
+}
+
+// TestClusterDrainThenRemoveAndSpawn drains a group through the coordinator
+// until the owner's loops are gone, then removes and respawns it: the
+// drained group must neither be reported held nor block its own removal.
+func TestClusterDrainThenRemoveAndSpawn(t *testing.T) {
+	tc := newTestCluster(t, Options{Lease: 2 * time.Second})
+	w := newTestWorker(t, tc.addr, "w1", AgentOptions{})
+	waitFor(t, 5*time.Second, "w1 alive", func() bool { return len(tc.coord.Directory().Alive()) == 1 })
+
+	spawnPlaced(t, tc, w, "g1")
+	if r := tc.coord.Handle(control.Request{Op: control.OpDrain, Loop: "g1"}); !r.OK {
+		t.Fatalf("drain g1: %s", r.Error)
+	}
+	w.tick() // the drain completes at the round boundary
+	if runsOn(w, "g1") {
+		t.Fatal("g1 still runs after its drain completed")
+	}
+	if held := w.agent.Held(); len(held) != 0 {
+		t.Fatalf("w1 reports %v held after the drain", held)
+	}
+	if r := tc.coord.Handle(control.Request{Op: control.OpRemove, Loop: "g1"}); !r.OK {
+		t.Fatalf("remove drained g1: %s", r.Error)
+	}
+	if p := tc.coord.Placements(); len(p) != 0 {
+		t.Fatalf("placements after removing drained g1: %+v", p)
+	}
+	spawnPlaced(t, tc, w, "g1")
+	assertListMatchesPlacements(t, tc, w)
+}
+
 // TestClusterFailover kills one worker without a goodbye and asserts its
 // loops are re-placed on the survivors within the lease window.
 func TestClusterFailover(t *testing.T) {

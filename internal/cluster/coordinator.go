@@ -19,10 +19,11 @@ import (
 // ack before re-sending it.
 const DefaultAssignTimeout = 3 * time.Second
 
+// coordinatorSource tags every envelope a Coordinator publishes.
+const coordinatorSource = "coordinator"
+
 // Options configures a Coordinator.
 type Options struct {
-	// Source tags outbound envelopes (defaults to "coordinator").
-	Source string
 	// Lease is the worker lease window (default DefaultLeaseTTL): a worker
 	// silent for longer turns suspect, and past Lease+Grace is declared
 	// dead and its loops fail over.
@@ -35,9 +36,6 @@ type Options struct {
 	// ArbWindow is the cross-node subject-grant window (default
 	// DefaultArbWindow).
 	ArbWindow time.Duration
-	// ScatterTimeout bounds each scatter-gather fan-out (default
-	// DefaultScatterTimeout).
-	ScatterTimeout time.Duration
 	// Registry, when set, answers the cases op locally (workers all run
 	// the same registry, so the coordinator's copy is authoritative).
 	Registry *control.Registry
@@ -120,16 +118,13 @@ type Coordinator struct {
 // the cluster worker topics, the operator-facing control.v1 request and
 // verdict topics, and the tsdb query topic (answered by scatter-gather).
 func NewCoordinator(b *bus.Bus, opts Options) *Coordinator {
-	if opts.Source == "" {
-		opts.Source = "coordinator"
-	}
 	c := &Coordinator{
 		b:       b,
 		opts:    opts,
 		ring:    NewRing(),
 		dir:     NewDirectory(opts.Lease, opts.Grace),
 		arb:     NewArbiter(opts.ArbWindow),
-		scatter: newScatter(b, opts.Source, opts.ScatterTimeout),
+		scatter: newScatter(b, coordinatorSource, DefaultScatterTimeout),
 		specs:   make(map[string]*placement),
 		byLoop:  make(map[string]string),
 	}
@@ -439,7 +434,7 @@ func (c *Coordinator) handleDigest(env bus.Envelope) {
 
 // publish sends one envelope on the coordinator bus.
 func (c *Coordinator) publish(topic string, payload interface{}) {
-	c.b.Publish(bus.Envelope{Topic: topic, Source: c.opts.Source, Payload: payload})
+	c.b.Publish(bus.Envelope{Topic: topic, Source: coordinatorSource, Payload: payload})
 }
 
 // ledger journals one placement event when a ledger WAL is attached.

@@ -44,9 +44,6 @@ type fan struct {
 }
 
 func newScatter(b *bus.Bus, source string, timeout time.Duration) *scatter {
-	if timeout <= 0 {
-		timeout = DefaultScatterTimeout
-	}
 	return &scatter{b: b, source: source, timeout: timeout, flight: make(map[string]*fan)}
 }
 

@@ -30,7 +30,7 @@ func (c *Coordinator) handleControlRequest(env bus.Envelope) {
 
 func (c *Coordinator) publishReply(env bus.Envelope, r control.Reply) {
 	c.b.Publish(bus.Envelope{
-		Topic: control.TopicReply, Time: env.Time, Source: c.opts.Source, Payload: r,
+		Topic: control.TopicReply, Time: env.Time, Source: coordinatorSource, Payload: r,
 	})
 }
 
@@ -112,6 +112,12 @@ func (c *Coordinator) routeLoopOp(req control.Request) control.Reply {
 	replies := c.scatter.Fan([]string{worker}, func(w, id string) Fanout {
 		fr := req
 		fr.ID = id
+		if req.Op == control.OpRemove {
+			// A remove takes the whole group down, so it names the group:
+			// the owner then acks a group it no longer runs (drained) as
+			// removed, and the placement goes with it.
+			fr.Loop = group
+		}
 		return Fanout{Worker: w, ID: id, Control: &fr}
 	})
 	if len(replies) == 0 || replies[0].Control == nil {
@@ -255,7 +261,7 @@ func (c *Coordinator) handleQuery(env bus.Envelope) {
 	} else {
 		resp = c.Answer(req)
 	}
-	c.b.Publish(bus.Envelope{Topic: tsdb.ResultTopic, Time: env.Time, Source: c.opts.Source, Payload: resp})
+	c.b.Publish(bus.Envelope{Topic: tsdb.ResultTopic, Time: env.Time, Source: coordinatorSource, Payload: resp})
 }
 
 // Answer scatter-gathers one already-decoded query across the alive workers

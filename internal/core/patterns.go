@@ -8,10 +8,12 @@ import (
 	"autoloop/internal/sim"
 )
 
-// This file implements the decentralized MAPE-K design patterns of the
-// paper's Fig. 2 (after Weyns et al.): master-worker, fully decentralized
-// coordinated control, and hierarchical control. The classical pattern is a
-// plain Loop.
+// This file implements the master-worker MAPE-K design pattern of the
+// paper's Fig. 2 (after Weyns et al.) and the intent board peer planners
+// coordinate through. The classical pattern is a plain Loop; the fully
+// decentralized (coordinated) and hierarchical patterns are loops registered
+// on one fleet.Coordinator, the hierarchy's parent with a slower cadence
+// (fleet.Coordinator.AddEvery).
 
 // Worker is the per-managed-system half of the master-worker pattern: it
 // owns only Monitor and Execute; Analyze and Plan are centralized in the
@@ -186,69 +188,4 @@ func (b *IntentBoard) SumAmount(self, kind string) float64 {
 		}
 	}
 	return total
-}
-
-// Coordinated is the fully decentralized pattern: every managed system has a
-// complete local loop; loops share an IntentBoard. Whether planners consult
-// the board is up to the use case — the stability experiment contrasts both.
-type Coordinated struct {
-	Name  string
-	Loops []*Loop
-	Board *IntentBoard
-}
-
-// NewCoordinated groups loops around a fresh board.
-func NewCoordinated(name string, loops []*Loop) *Coordinated {
-	return &Coordinated{Name: name, Loops: loops, Board: NewIntentBoard()}
-}
-
-// Tick ticks every enabled loop in order.
-func (c *Coordinated) Tick(now time.Duration) {
-	for _, l := range c.Loops {
-		l.Tick(now)
-	}
-}
-
-// Hierarchical is the hierarchical control pattern: fast child loops manage
-// individual subsystems while a slower parent loop observes aggregate state
-// and steers the children — "separation of concerns and time scales ...
-// aiming to improve scalability without compromising stability". Parent and
-// children exchange state through the shared Knowledge base's fact
-// blackboard (how Knowledge is "stored and exchanged among MAPE components").
-type Hierarchical struct {
-	Name     string
-	Parent   *Loop
-	Children []*Loop
-	// ParentEvery makes the parent tick once per this many child ticks
-	// (minimum 1).
-	ParentEvery int
-
-	childTicks int
-}
-
-// NewHierarchical builds the pattern.
-func NewHierarchical(name string, parent *Loop, children []*Loop, parentEvery int) *Hierarchical {
-	if parent == nil {
-		panic("core: hierarchical pattern requires a parent loop")
-	}
-	if parentEvery < 1 {
-		parentEvery = 1
-	}
-	return &Hierarchical{Name: name, Parent: parent, Children: children, ParentEvery: parentEvery}
-}
-
-// Tick ticks all children and, every ParentEvery-th call, the parent.
-func (h *Hierarchical) Tick(now time.Duration) {
-	for _, c := range h.Children {
-		c.Tick(now)
-	}
-	h.childTicks++
-	if h.childTicks%h.ParentEvery == 0 {
-		h.Parent.Tick(now)
-	}
-}
-
-// RunEvery schedules the hierarchy on the child cadence.
-func (h *Hierarchical) RunEvery(clock sim.Clock, period time.Duration, stop func() bool) {
-	sim.TickEvery(clock, period, stop, h.Tick)
 }

@@ -133,74 +133,3 @@ func TestIntentBoard(t *testing.T) {
 		t.Errorf("SumAmount for outsider = %v, want 30", got)
 	}
 }
-
-func TestCoordinatedTicksAllLoops(t *testing.T) {
-	var loops []*Loop
-	recs := make([]*recorder, 3)
-	for i := range recs {
-		l, rec := newTestLoop(1)
-		l.Name = string([]byte{'l', byte('0' + i)})
-		loops = append(loops, l)
-		recs[i] = rec
-	}
-	c := NewCoordinated("coord", loops)
-	c.Tick(time.Second)
-	for i, rec := range recs {
-		if len(rec.executed) != 1 {
-			t.Errorf("loop %d executed %d", i, len(rec.executed))
-		}
-	}
-	if c.Board == nil {
-		t.Error("board missing")
-	}
-}
-
-func TestCoordinatedSurvivesMemberFailure(t *testing.T) {
-	l1, r1 := newTestLoop(1)
-	l2, r2 := newTestLoop(1)
-	l1.SetEnabled(false)
-	c := NewCoordinated("coord", []*Loop{l1, l2})
-	c.Tick(time.Second)
-	if len(r1.executed) != 0 {
-		t.Error("dead loop acted")
-	}
-	if len(r2.executed) != 1 {
-		t.Error("surviving loop must keep controlling its subsystem")
-	}
-}
-
-func TestHierarchicalParentCadence(t *testing.T) {
-	parent, prec := newTestLoop(1)
-	child, crec := newTestLoop(1)
-	h := NewHierarchical("h", parent, []*Loop{child}, 3)
-	for i := 0; i < 9; i++ {
-		h.Tick(time.Duration(i) * time.Second)
-	}
-	if len(crec.executed) != 9 {
-		t.Errorf("child executed %d, want 9", len(crec.executed))
-	}
-	if len(prec.executed) != 3 {
-		t.Errorf("parent executed %d, want 3 (every 3rd tick)", len(prec.executed))
-	}
-}
-
-func TestHierarchicalRunEvery(t *testing.T) {
-	e := sim.NewEngine(1)
-	parent, _ := newTestLoop(1)
-	child, _ := newTestLoop(1)
-	h := NewHierarchical("h", parent, []*Loop{child}, 2)
-	h.RunEvery(sim.VirtualClock{Engine: e}, time.Minute, func() bool { return e.Now() >= 4*time.Minute })
-	e.RunUntil(time.Hour)
-	if child.Metrics().Ticks != 3 || parent.Metrics().Ticks != 1 {
-		t.Errorf("child=%d parent=%d", child.Metrics().Ticks, parent.Metrics().Ticks)
-	}
-}
-
-func TestHierarchicalNilParentPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewHierarchical("h", nil, nil, 1)
-}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"autoloop/internal/core"
+	"autoloop/internal/fleet"
 	"autoloop/internal/sim"
 	"autoloop/internal/telemetry"
 	"autoloop/internal/tsdb"
@@ -116,12 +117,12 @@ func runF2a(opt Options) *Result {
 		{
 			engine := sim.NewEngine(opt.Seed)
 			subs, _ := makeSubsystems(n)
-			loops := localLoops(subs)
+			coord := localFleet(subs)
 			// Local plan cost is constant: model it as a fixed execution delay
 			// by measuring it directly in the metrics (zero modeled delay).
-			runPatternWindow(engine, subs, window, core.NewCoordinated("coord", loops).Tick)
+			runPatternWindow(engine, subs, window, coord.Tick)
 			var total core.Metrics
-			for _, l := range loops {
+			for _, l := range coord.Loops() {
 				m := l.Metrics()
 				total.ExecutedActions += m.ExecutedActions
 				total.DecisionLatency += m.DecisionLatency + time.Duration(1)*unit*time.Duration(m.ExecutedActions)
@@ -171,14 +172,15 @@ func makeSubsystems(n int) ([]*subsystem, []*core.Worker) {
 	return subs, workers
 }
 
-// localLoops gives each subsystem its own full MAPE-K loop (the coordinated
-// pattern's members).
-func localLoops(subs []*subsystem) []*core.Loop {
-	loops := make([]*core.Loop, len(subs))
-	for i, s := range subs {
-		loops[i] = core.NewLoop(s.name, s.monitor(), drainAnalyzer(5), drainPlanner(), s.executor())
+// localFleet gives each subsystem its own full MAPE-K loop (the coordinated
+// pattern's members) and registers them all on one fleet coordinator. Each
+// loop acts only on its own subsystem, so no action is ever arbitrated.
+func localFleet(subs []*subsystem) *fleet.Coordinator {
+	coord := fleet.New(0)
+	for _, s := range subs {
+		coord.Add(core.NewLoop(s.name, s.monitor(), drainAnalyzer(5), drainPlanner(), s.executor()), 0)
 	}
-	return loops
+	return coord
 }
 
 // groupMasters splits workers into at most groups contiguous groups of
@@ -415,9 +417,9 @@ func runF2c(opt Options) *Result {
 			return mw.Tick, func() { mw.SetEnabled(false) }
 		}},
 		{"coordinated", "25% of loops die", func(subs []*subsystem, _ []*core.Worker) (func(time.Duration), func()) {
-			loops := localLoops(subs)
-			return core.NewCoordinated("coord", loops).Tick, func() {
-				for _, l := range loops[:n/4] {
+			coord := localFleet(subs)
+			return coord.Tick, func() {
+				for _, l := range coord.Loops()[:n/4] {
 					l.SetEnabled(false)
 				}
 			}

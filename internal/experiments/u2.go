@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"autoloop/internal/cases/ioqoscase"
+	"autoloop/internal/control"
+	"autoloop/internal/fleet"
 	"autoloop/internal/knowledge"
 	"autoloop/internal/pfs"
 	"autoloop/internal/sim"
@@ -54,9 +56,19 @@ func runU2(opt Options) *Result {
 		}
 		switch {
 		case rg.adaptive:
-			ctl := ioqoscase.New(ioqoscase.DefaultConfig(tenants, 2000), db, fs, kb)
-			h := ctl.Hierarchy(3)
-			h.RunEvery(sim.VirtualClock{Engine: engine}, 10*time.Second, func() bool { return engine.Now() >= horizon })
+			// The loops modad spawns for the ioqos case, registered on a
+			// fleet the way the control plane registers them.
+			built, err := ioqoscase.Factory().Build(
+				&control.Env{Querier: db, FS: fs, Knowledge: kb},
+				&ioqoscase.FactoryConfig{Config: ioqoscase.DefaultConfig(tenants, 2000), ParentEvery: 3})
+			if err != nil {
+				panic(err)
+			}
+			coord := fleet.New(0)
+			for _, bl := range built {
+				coord.AddEvery(bl.Loop, ioqoscase.FleetPriority, bl.EveryMul)
+			}
+			coord.RunEvery(sim.VirtualClock{Engine: engine}, 10*time.Second, func() bool { return engine.Now() >= horizon })
 		case !rg.noQoS:
 			fs.SetQoS("deadline", 1500, 3000)
 			fs.SetQoS("batch", 500, 1000)

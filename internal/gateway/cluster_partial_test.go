@@ -21,9 +21,7 @@ import (
 // the partitioned worker — and /metrics must count the partial scatter.
 func TestQueryPartialOnPartitionedWorker(t *testing.T) {
 	coordBus := bus.New()
-	coord := cluster.NewCoordinator(coordBus, cluster.Options{
-		Lease: 2 * time.Second, ScatterTimeout: 300 * time.Millisecond,
-	})
+	coord := cluster.NewCoordinator(coordBus, cluster.Options{Lease: 2 * time.Second})
 	defer coord.Close()
 	srv, err := bus.NewServer("127.0.0.1:0", cluster.CoordExportPattern, coordBus)
 	if err != nil {

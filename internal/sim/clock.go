@@ -24,7 +24,7 @@ func (c VirtualClock) AfterFunc(d time.Duration, fn func()) { c.Engine.After(d, 
 
 // TickEvery schedules tick to run on clock every period until stop returns
 // true (stop may be nil for "run forever"). It is the one periodic-driver
-// shape shared by loops, decentralization patterns, and fleet coordinators.
+// shape shared by single loops and fleet coordinators.
 func TickEvery(clock Clock, period time.Duration, stop func() bool, tick func(now time.Duration)) {
 	if period <= 0 {
 		panic("sim: TickEvery requires a positive period")

@@ -24,7 +24,7 @@ type SeriesVisitor func(labels Labels, samples []Sample)
 // vocabulary (tsdb.Execute), which every transport — bus service, HTTP
 // gateway, cluster scatter-gather — answers through. *tsdb.DB also has
 // WindowInto, a zero-copy window read outside this interface, and
-// Query/QueryOne/Latest, which materialize independent copies for one-shot
+// Query/Latest, which materialize independent copies for one-shot
 // reporting.
 type Querier interface {
 	// LatestValue returns the newest value of the last matching series in

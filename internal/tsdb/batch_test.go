@@ -71,9 +71,9 @@ func TestAppendBatchFirstErrorAttemptsAll(t *testing.T) {
 	if err := db.AppendBatch(pts); err == nil {
 		t.Fatal("want error for empty metric name")
 	}
-	s, ok := db.QueryOne("ok", nil, 0, time.Hour)
-	if !ok || len(s.Samples) != 2 {
-		t.Errorf("valid points not all appended: %+v", s)
+	ss := db.Query("ok", nil, 0, time.Hour)
+	if len(ss) != 1 || len(ss[0].Samples) != 2 {
+		t.Errorf("valid points not all appended: %+v", ss)
 	}
 	if err := db.AppendBatch(nil); err != nil {
 		t.Errorf("empty batch: %v", err)

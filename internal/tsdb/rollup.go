@@ -39,17 +39,13 @@ func (r RollupRule) same(o RollupRule) bool {
 // the future), exactly as the offline downsample reference in the tests
 // buckets.
 type seriesRollup struct {
-	rule    RollupRule
-	bucket  int64     // open bucket index, meaningful when len(values) > 0
-	values  []float64 // raw values of the open bucket
-	samples []telemetry.Sample
-	head    int // first live flushed sample (rollup retention)
+	rule      RollupRule
+	bucket    int64     // open bucket index, meaningful when len(values) > 0
+	values    []float64 // raw values of the open bucket
+	sampleLog           // flushed buckets, under the rule's Retention
 }
 
 func newSeriesRollup(rule RollupRule) *seriesRollup { return &seriesRollup{rule: rule} }
-
-// live returns the retained flushed samples.
-func (sr *seriesRollup) live() []telemetry.Sample { return sr.samples[sr.head:] }
 
 // observe folds one raw sample into the rollup. overwrite marks a
 // tail-timestamp overwrite, which replaces the open bucket's newest value
@@ -70,30 +66,13 @@ func (sr *seriesRollup) observe(t time.Duration, v float64, overwrite bool) {
 }
 
 // flush closes the open bucket into a flushed sample and applies the rule's
-// retention with the same O(1)-amortized head scheme raw series use.
+// retention.
 func (sr *seriesRollup) flush() {
 	end := time.Duration(sr.bucket+1) * sr.rule.Step
 	sr.samples = append(sr.samples, telemetry.Sample{Time: end, Value: sr.rule.Agg.apply(sr.values)})
 	sr.values = sr.values[:0]
 	if sr.rule.Retention > 0 {
 		sr.truncateBefore(end - sr.rule.Retention)
-	}
-}
-
-func (sr *seriesRollup) truncateBefore(cutoff time.Duration) {
-	live := sr.live()
-	i := 0
-	for i < len(live) && live[i].Time < cutoff {
-		i++
-	}
-	if i == 0 {
-		return
-	}
-	sr.head += i
-	if sr.head > len(sr.samples)-sr.head {
-		n := copy(sr.samples, sr.samples[sr.head:])
-		sr.samples = sr.samples[:n]
-		sr.head = 0
 	}
 }
 

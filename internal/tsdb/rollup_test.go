@@ -23,8 +23,7 @@ func TestRollupMatchesDownsample(t *testing.T) {
 	if !ok || len(got) != 1 {
 		t.Fatalf("QueryRollup = %v, %v", got, ok)
 	}
-	raw, _ := db.QueryOne("m", nil, 0, time.Hour)
-	want := downsample(raw, 5*time.Second, AggMean)
+	want := downsample(db.Query("m", nil, 0, time.Hour)[0], 5*time.Second, AggMean)
 	if len(got[0].Samples) != len(want.Samples) {
 		t.Fatalf("rollup has %d buckets, downsample %d", len(got[0].Samples), len(want.Samples))
 	}

@@ -27,39 +27,45 @@ type labelSet struct {
 	enc string
 }
 
+// sampleLog is a retained, time-ordered sample list — a raw series' samples
+// or a rollup's flushed buckets. Retention drops samples by advancing head;
+// the dead prefix is compacted only once it outgrows the live part, so
+// expiry is O(1) amortized instead of copying the whole window on every
+// append.
+type sampleLog struct {
+	samples []telemetry.Sample
+	head    int // index of the first live sample
+}
+
+// live returns the retained samples.
+func (l *sampleLog) live() []telemetry.Sample { return l.samples[l.head:] }
+
+// truncateBefore drops samples strictly older than cutoff.
+func (l *sampleLog) truncateBefore(cutoff time.Duration) {
+	live := l.live()
+	i := sort.Search(len(live), func(i int) bool { return live[i].Time >= cutoff })
+	if i == 0 {
+		return
+	}
+	l.head += i
+	if l.head > len(l.samples)-l.head {
+		n := copy(l.samples, l.samples[l.head:])
+		l.samples = l.samples[:n]
+		l.head = 0
+	}
+}
+
 // memSeries stores one (name, labels) identity's samples in time order.
-// Retention drops samples by advancing head; the dead prefix is compacted
-// only once it outgrows the live part, so expiry is O(1) amortized instead
-// of copying the whole window on every append.
 type memSeries struct {
 	name string
 	*labelSet
 	// db is the owning store, fixed at creation: a series memoized in a
 	// telemetry.Ref is only honoured by the DB that left it there.
-	db      *DB
-	samples []telemetry.Sample
-	head    int // index of the first live sample
+	db *DB
+	sampleLog
 	// rollups holds the continuous-rollup states attached to this series,
 	// one per registered rule matching the series' metric name.
 	rollups []*seriesRollup
-}
-
-// live returns the retained samples.
-func (s *memSeries) live() []telemetry.Sample { return s.samples[s.head:] }
-
-// truncateBefore drops samples strictly older than cutoff.
-func (s *memSeries) truncateBefore(cutoff time.Duration) {
-	live := s.live()
-	i := sort.Search(len(live), func(i int) bool { return live[i].Time >= cutoff })
-	if i == 0 {
-		return
-	}
-	s.head += i
-	if s.head > len(s.samples)-s.head {
-		n := copy(s.samples, s.samples[s.head:])
-		s.samples = s.samples[:n]
-		s.head = 0
-	}
 }
 
 // rangeBounds binary-searches the live window for [from, to], returning the

@@ -191,10 +191,10 @@ func (db *DB) RestoreSnapshot(data []byte) error {
 		s.samples = ss.Samples
 		for _, rs := range ss.Rollups {
 			s.rollups = append(s.rollups, &seriesRollup{
-				rule:    RollupRule{Metric: ss.Name, Step: rs.Step, Agg: rs.Agg, Retention: rs.Retention},
-				bucket:  rs.Bucket,
-				values:  rs.Values,
-				samples: rs.Samples,
+				rule:      RollupRule{Metric: ss.Name, Step: rs.Step, Agg: rs.Agg, Retention: rs.Retention},
+				bucket:    rs.Bucket,
+				values:    rs.Values,
+				sampleLog: sampleLog{samples: rs.Samples},
 			})
 		}
 		// Backfill registered rules the snapshot predates.

@@ -287,16 +287,6 @@ func (db *DB) Query(name string, matcher telemetry.Labels, from, to time.Duratio
 	})
 }
 
-// QueryOne is Query for callers expecting exactly one matching series; it
-// reports false when zero or multiple series match.
-func (db *DB) QueryOne(name string, matcher telemetry.Labels, from, to time.Duration) (telemetry.Series, bool) {
-	ss := db.Query(name, matcher, from, to)
-	if len(ss) != 1 {
-		return telemetry.Series{}, false
-	}
-	return ss[0], true
-}
-
 // Latest returns the most recent sample of every matching series in
 // label-key order: LatestInto with the labels cloned, so the points share no
 // storage with the database.

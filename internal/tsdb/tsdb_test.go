@@ -143,7 +143,7 @@ func TestRetention(t *testing.T) {
 	}
 }
 
-func TestLatestAndQueryOne(t *testing.T) {
+func TestLatestAndQuery(t *testing.T) {
 	db := New(0)
 	_ = db.Append(pt("m", telemetry.Labels{"n": "1"}, time.Second, 1))
 	_ = db.Append(pt("m", telemetry.Labels{"n": "1"}, 2*time.Second, 7))
@@ -155,12 +155,12 @@ func TestLatestAndQueryOne(t *testing.T) {
 	if latest[0].Value != 7 {
 		t.Errorf("latest n=1 = %v, want 7", latest[0].Value)
 	}
-	if _, ok := db.QueryOne("m", nil, 0, time.Hour); ok {
-		t.Error("QueryOne should fail with 2 matches")
+	if ss := db.Query("m", nil, 0, time.Hour); len(ss) != 2 {
+		t.Errorf("Query returned %d series, want 2", len(ss))
 	}
-	s, ok := db.QueryOne("m", telemetry.Labels{"n": "2"}, 0, time.Hour)
-	if !ok || s.Samples[0].Value != 3 {
-		t.Errorf("QueryOne = %v, %v", s, ok)
+	ss := db.Query("m", telemetry.Labels{"n": "2"}, 0, time.Hour)
+	if len(ss) != 1 || ss[0].Samples[0].Value != 3 {
+		t.Errorf("Query n=2 = %v", ss)
 	}
 }
 
