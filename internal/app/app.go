@@ -131,6 +131,9 @@ type Instance struct {
 	// labels is the instance's telemetry identity ({job, app, user}), built
 	// once at Start and carried by every point it emits.
 	labels telemetry.Labels
+	// handles holds one read handle per emitted metric, (metrics[k],
+	// labels), built at Start and shared by every loop reading the instance.
+	handles [len(metrics)]telemetry.Handle
 
 	ckptIter    int  // last checkpointed iteration (persisted across restarts)
 	fixedConfig bool // misconfiguration corrected on the fly
@@ -140,6 +143,12 @@ type Instance struct {
 
 	// window stats for telemetry
 	lastIterSec float64
+}
+
+// metrics lists every metric an Instance emits, each under its label set.
+var metrics = [...]string{
+	"app.progress", "app.progress_total", "app.iter_time_ms", "app.ctx_switch_rate", "app.lib_warn",
+	"app.io.lat_ms", "app.ckpt.iter", "app.done", "app.reopen", "app.misconfig.fixed",
 }
 
 // Iter returns completed iterations.
@@ -221,6 +230,9 @@ func (r *Runtime) Start(j *sched.Job) {
 		ckptIter:  r.ckpts[j.Name],
 		running:   true,
 		avoidOSTs: make(map[int]bool),
+	}
+	for k := range inst.handles {
+		inst.handles[k].Name, inst.handles[k].Matcher = metrics[k], inst.labels
 	}
 	r.instances[j.ID] = inst
 	if r.fs != nil && spec.IOEvery > 0 {
@@ -461,6 +473,19 @@ func (i *Instance) Fixed() bool { return i.fixedConfig }
 // Labels returns the instance's telemetry identity, the label set of every
 // point it emits. It is shared: callers must not mutate it.
 func (i *Instance) Labels() telemetry.Labels { return i.labels }
+
+// Handle returns the instance's read handle for a metric it emits: the
+// newest value of (metric, Labels()). Every loop reading the instance shares
+// it, so the store resolves each instance metric once, not once per reader.
+// It panics on a metric the instance does not emit.
+func (i *Instance) Handle(metric string) *telemetry.Handle {
+	for k := range i.handles {
+		if i.handles[k].Name == metric {
+			return &i.handles[k]
+		}
+	}
+	panic(fmt.Sprintf("app: instances emit no metric %q", metric))
+}
 
 // emit appends one application metric to the TSDB.
 func (i *Instance) emit(name string, value float64) {

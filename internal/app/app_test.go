@@ -86,7 +86,7 @@ func TestProgressMarkersEmitted(t *testing.T) {
 	if last, _ := ss[0].Last(); last.Value != 10 {
 		t.Errorf("final marker = %v, want 10", last.Value)
 	}
-	total, ok := r.db.LatestValue("app.progress_total", label)
+	total, ok := r.db.LatestValue(&telemetry.Handle{Name: "app.progress_total", Matcher: label})
 	if !ok || total != 10 {
 		t.Errorf("progress_total = %v, %v", total, ok)
 	}
@@ -219,11 +219,11 @@ func TestMisconfigThreadsSlowdownAndSignal(t *testing.T) {
 	if ratio < 1.55 || ratio > 1.65 {
 		t.Errorf("threads slowdown ratio = %.2f, want ~1.6", ratio)
 	}
-	ctx, ok := r.db.LatestValue("app.ctx_switch_rate", telemetry.Labels{"app": "bad"})
+	ctx, ok := r.db.LatestValue(&telemetry.Handle{Name: "app.ctx_switch_rate", Matcher: telemetry.Labels{"app": "bad"}})
 	if !ok || ctx < 40000 {
 		t.Errorf("ctx_switch_rate = %v, want pathological (>40k)", ctx)
 	}
-	ctxClean, _ := r.db.LatestValue("app.ctx_switch_rate", telemetry.Labels{"app": "clean"})
+	ctxClean, _ := r.db.LatestValue(&telemetry.Handle{Name: "app.ctx_switch_rate", Matcher: telemetry.Labels{"app": "clean"}})
 	if ctxClean > 5000 {
 		t.Errorf("clean ctx rate = %v, want nominal", ctxClean)
 	}
@@ -235,7 +235,7 @@ func TestMisconfigWrongLibSignal(t *testing.T) {
 	bad.Misconfig = MisconfigWrongLib
 	r.launch(t, bad, 1, time.Hour)
 	r.e.Run()
-	if _, ok := r.db.LatestValue("app.lib_warn", telemetry.Labels{"app": "bad"}); !ok {
+	if _, ok := r.db.LatestValue(&telemetry.Handle{Name: "app.lib_warn", Matcher: telemetry.Labels{"app": "bad"}}); !ok {
 		t.Error("lib_warn missing")
 	}
 }

@@ -132,11 +132,21 @@ func (c *Controller) builtLoops(parentEvery int) []control.BuiltLoop {
 
 // childLoop enacts the tenant's setpoint: monitor the blackboard and the
 // live bucket, plan a change when they diverge, execute SetQoS.
+//
+// The tenant's label set and fact key are built once, and the monitor fills
+// one two-point buffer, reused across ticks (the loop drops observations
+// after Analyze).
 func (c *Controller) childLoop(t Tenant) *core.Loop {
 	name := "ioqos-child-" + t.Name
+	key := factKey(t.Name)
+	labels := telemetry.Labels{"tenant": t.Name}
+	pts := [2]telemetry.Point{
+		{Name: "ioqos.setpoint", Labels: labels},
+		{Name: "ioqos.current", Labels: labels},
+	}
 	monitor := core.MonitorFunc(func(now time.Duration) (core.Observation, error) {
 		obs := core.Observation{Time: now}
-		setpoint, ok := c.kb.Fact(factKey(t.Name))
+		setpoint, ok := c.kb.Fact(key)
 		if !ok {
 			return obs, nil
 		}
@@ -144,10 +154,9 @@ func (c *Controller) childLoop(t Tenant) *core.Loop {
 		if !limited {
 			rate = -1 // sentinel: no bucket installed yet
 		}
-		obs.Points = append(obs.Points,
-			telemetry.Point{Name: "ioqos.setpoint", Labels: telemetry.Labels{"tenant": t.Name}, Time: now, Value: setpoint},
-			telemetry.Point{Name: "ioqos.current", Labels: telemetry.Labels{"tenant": t.Name}, Time: now, Value: rate},
-		)
+		pts[0].Time, pts[0].Value = now, setpoint
+		pts[1].Time, pts[1].Value = now, rate
+		obs.Points = pts[:]
 		return obs, nil
 	})
 	analyzer := core.AnalyzerFunc(func(now time.Duration, obs core.Observation) (core.Symptoms, error) {
@@ -204,8 +213,13 @@ func (c *Controller) childLoop(t Tenant) *core.Loop {
 func (c *Controller) parentLoop() *core.Loop {
 	// The monitor fills one buffer, reused across ticks, through the
 	// zero-copy LatestInto surface (the loop drops observations after
-	// Analyze, so the backing array is safe to recycle).
+	// Analyze, so the backing array is safe to recycle). The analyzer folds
+	// latencies into lat, one slot per tenant, and builds its findings in
+	// one reused buffer (the loop drops symptoms after Plan).
 	var ptsBuf []telemetry.Point
+	lat := make([]float64, len(c.cfg.Tenants))
+	seen := make([]bool, len(c.cfg.Tenants))
+	var findings []core.Finding
 	monitor := core.MonitorFunc(func(now time.Duration) (core.Observation, error) {
 		obs := core.Observation{Time: now}
 		ptsBuf = c.db.LatestInto(ptsBuf[:0], "pfs.tenant.lat_ms", nil)
@@ -214,38 +228,41 @@ func (c *Controller) parentLoop() *core.Loop {
 		return obs, nil
 	})
 	analyzer := core.AnalyzerFunc(func(now time.Duration, obs core.Observation) (core.Symptoms, error) {
-		sym := core.Symptoms{Time: now}
-		lat := map[string]float64{}
+		findings = findings[:0]
+		clear(seen)
 		for _, p := range obs.Points {
-			if p.Name == "pfs.tenant.lat_ms" {
-				lat[p.Labels["tenant"]] = p.Value
+			if p.Name != "pfs.tenant.lat_ms" {
+				continue
+			}
+			tenant := p.Labels["tenant"]
+			for i := range c.cfg.Tenants {
+				if c.cfg.Tenants[i].Name == tenant {
+					lat[i], seen[i] = p.Value, true
+				}
 			}
 		}
 		anyViolation := false
-		for _, t := range c.cfg.Tenants {
-			if t.TargetLatMS <= 0 {
+		for i, t := range c.cfg.Tenants {
+			if t.TargetLatMS <= 0 || !seen[i] {
 				continue
 			}
-			observed, ok := lat[t.Name]
-			if !ok {
-				continue
-			}
+			observed := lat[i]
 			if observed > t.TargetLatMS {
 				anyViolation = true
 				c.Violations++
-				sym.Findings = append(sym.Findings, core.Finding{
+				findings = append(findings, core.Finding{
 					Kind: "latency-violation", Subject: t.Name, Value: observed, Confidence: 0.9,
 					Detail: fmt.Sprintf("latency %.1fms exceeds objective %.1fms", observed, t.TargetLatMS),
 				})
 			}
 		}
 		if !anyViolation {
-			sym.Findings = append(sym.Findings, core.Finding{
+			findings = append(findings, core.Finding{
 				Kind: "headroom", Subject: "*", Value: 1, Confidence: 0.9,
 				Detail: "all latency objectives met",
 			})
 		}
-		return sym, nil
+		return core.Symptoms{Time: now, Findings: findings}, nil
 	})
 	planner := core.PlannerFunc(func(now time.Duration, sym core.Symptoms) (core.Plan, error) {
 		plan := core.Plan{Time: now}

@@ -46,6 +46,18 @@ type Controller struct {
 	// window, so one window triggers one response per job.
 	handled map[int]bool
 
+	// running, ptsBuf and rates are Monitor and Analyze scratch reused
+	// across ticks: the loop drops each observation after Analyze.
+	running []*sched.Job
+	ptsBuf  []telemetry.Point
+	rates   []jobRate
+	// visit is the progress-window visitor, bound once; it folds one
+	// window into matches, n and rate.
+	visit   telemetry.SeriesVisitor
+	matches int
+	n       int
+	rate    float64
+
 	// Preserved counts jobs saved ahead of maintenance (experiment metric).
 	Preserved int
 }
@@ -55,7 +67,15 @@ func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runti
 	if db == nil || sch == nil || apps == nil {
 		panic("maintcase: nil dependency")
 	}
-	return &Controller{cfg: cfg, db: db, sch: sch, apps: apps, handled: make(map[int]bool)}
+	c := &Controller{cfg: cfg, db: db, sch: sch, apps: apps, handled: make(map[int]bool)}
+	c.visit = c.foldProgress
+	return c
+}
+
+// jobRate is one observed job's progress rate.
+type jobRate struct {
+	id   int
+	rate float64
 }
 
 // Loop assembles the core loop.
@@ -69,58 +89,73 @@ func (c *Controller) Loop() *core.Loop {
 }
 
 // observe reports the next maintenance window and per-job progress rates.
+// A job's progress is read under its instance's label set; a job with no
+// instance has no progress to read.
 func (c *Controller) observe(now time.Duration) (core.Observation, error) {
 	obs := core.Observation{Time: now}
-	wins := c.sch.Maintenance(now)
-	if len(wins) == 0 {
+	start, ok := c.sch.NextMaintenance(now)
+	if !ok {
 		return obs, nil
 	}
-	obs.Points = append(obs.Points, telemetry.Point{
-		Name: "maint.next.start", Time: now, Value: wins[0][0].Seconds(),
+	pts := append(c.ptsBuf[:0], telemetry.Point{
+		Name: "maint.next.start", Time: now, Value: start.Seconds(),
 	})
-	for _, j := range c.sch.Running() {
-		label := telemetry.Labels{"job": strconv.Itoa(j.ID)}
+	c.running = c.sch.RunningInto(c.running[:0])
+	for _, j := range c.running {
+		inst, ok := c.apps.Instance(j.ID)
+		if !ok {
+			continue
+		}
 		// Rate needs only the window's endpoints, so the progress series is
 		// reduced during the visit instead of being copied out of the store.
-		matches, n := 0, 0
-		var rate float64
-		c.db.QueryVisit("app.progress", label, now-c.cfg.LeadTime, now, func(_ telemetry.Labels, samples []telemetry.Sample) {
-			matches++
-			n = len(samples)
-			rate = tsdb.Rate(telemetry.Series{Samples: samples})
-		})
-		if matches == 1 && n >= 2 {
-			obs.Points = append(obs.Points, telemetry.Point{
-				Name: "app.progress.rate", Labels: label, Time: now, Value: rate,
+		c.matches, c.n, c.rate = 0, 0, 0
+		c.db.QueryVisit("app.progress", inst.Labels(), now-c.cfg.LeadTime, now, c.visit)
+		if c.matches == 1 && c.n >= 2 {
+			pts = append(pts, telemetry.Point{
+				Name: "app.progress.rate", Labels: inst.Labels(), Time: now, Value: c.rate,
 			})
 		}
 	}
+	c.ptsBuf = pts
+	obs.Points = pts
 	return obs, nil
+}
+
+// foldProgress is the visitor observe reads each job's progress window
+// through.
+func (c *Controller) foldProgress(_ telemetry.Labels, samples []telemetry.Sample) {
+	c.matches++
+	c.n = len(samples)
+	c.rate = tsdb.Rate(telemetry.Series{Samples: samples})
 }
 
 // analyze flags running jobs that will not finish before the window.
 func (c *Controller) analyze(now time.Duration, obs core.Observation) (core.Symptoms, error) {
 	sym := core.Symptoms{Time: now}
 	var maintStart time.Duration
-	rates := map[int]float64{}
 	for _, p := range obs.Points {
-		switch p.Name {
-		case "maint.next.start":
+		if p.Name == "maint.next.start" {
 			maintStart = time.Duration(p.Value * float64(time.Second))
-		case "app.progress.rate":
-			if id, err := strconv.Atoi(p.Labels["job"]); err == nil {
-				rates[id] = p.Value
-			}
 		}
 	}
 	if maintStart == 0 || maintStart-now > c.cfg.LeadTime {
 		return sym, nil // no window close enough to act on
 	}
-	for _, j := range c.sch.Running() {
+	rates := c.rates[:0]
+	for _, p := range obs.Points {
+		if p.Name == "app.progress.rate" {
+			if id, err := strconv.Atoi(p.Labels["job"]); err == nil {
+				rates = append(rates, jobRate{id: id, rate: p.Value})
+			}
+		}
+	}
+	c.rates = rates
+	c.running = c.sch.RunningInto(c.running[:0])
+	for _, j := range c.running {
 		if c.handled[j.ID] {
 			continue
 		}
-		finishBy := c.estimateEnd(now, j, rates[j.ID])
+		finishBy := c.estimateEnd(now, j, rateOf(rates, j.ID))
 		if finishBy+c.cfg.SafetyMargin < maintStart {
 			continue // will finish on its own
 		}
@@ -136,13 +171,27 @@ func (c *Controller) analyze(now time.Duration, obs core.Observation) (core.Symp
 	return sym, nil
 }
 
+// rateOf returns the observed progress rate of job id, or 0 when it has
+// none.
+func rateOf(rates []jobRate, id int) float64 {
+	for _, r := range rates {
+		if r.id == id {
+			return r.rate
+		}
+	}
+	return 0
+}
+
 // estimateEnd projects a job's completion: progress-rate based when markers
 // exist, otherwise pessimistically its deadline.
 func (c *Controller) estimateEnd(now time.Duration, j *sched.Job, rate float64) time.Duration {
-	label := telemetry.Labels{"job": strconv.Itoa(j.ID)}
-	total, okT := c.db.LatestValue("app.progress_total", label)
-	done, okD := c.db.LatestValue("app.progress", label)
-	if rate > 0 && okT && okD && total > done {
+	inst, ok := c.apps.Instance(j.ID)
+	if !ok || rate <= 0 {
+		return j.Deadline
+	}
+	total, okT := c.db.LatestValue(inst.Handle("app.progress_total"))
+	done, okD := c.db.LatestValue(inst.Handle("app.progress"))
+	if okT && okD && total > done {
 		return now + time.Duration((total-done)/rate*float64(time.Second))
 	}
 	return j.Deadline

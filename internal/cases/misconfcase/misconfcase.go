@@ -124,8 +124,10 @@ func (c *Controller) Loop() *core.Loop {
 }
 
 // observe gathers per-job context-switch rates, loader warnings, and
-// per-node utilization of each allocation. Every point of a job carries the
-// job's label set, the matcher of its reads.
+// per-node utilization of each allocation. A job's application metrics are
+// read through its instance's handles, and every point of a job carries the
+// instance's label set. A running job with no instance has no application
+// telemetry to read; its utilization points carry {job} alone.
 func (c *Controller) observe(now time.Duration) (core.Observation, error) {
 	pts := c.ptsBuf[:0]
 	c.running = c.sch.RunningInto(c.running[:0])
@@ -133,12 +135,17 @@ func (c *Controller) observe(now time.Duration) (core.Observation, error) {
 		if now-j.Start < c.cfg.WarmupAfterStart {
 			continue
 		}
-		labels := c.jobLabels(j.ID)
-		if v, ok := c.db.LatestValue("app.ctx_switch_rate", labels); ok {
-			pts = append(pts, telemetry.Point{Name: "app.ctx_switch_rate", Labels: labels, Time: now, Value: v})
-		}
-		if v, ok := c.db.LatestValue("app.lib_warn", labels); ok {
-			pts = append(pts, telemetry.Point{Name: "app.lib_warn", Labels: labels, Time: now, Value: v})
+		var labels telemetry.Labels
+		if inst, ok := c.apps.Instance(j.ID); ok {
+			labels = inst.Labels()
+			if v, ok := c.db.LatestValue(inst.Handle("app.ctx_switch_rate")); ok {
+				pts = append(pts, telemetry.Point{Name: "app.ctx_switch_rate", Labels: labels, Time: now, Value: v})
+			}
+			if v, ok := c.db.LatestValue(inst.Handle("app.lib_warn")); ok {
+				pts = append(pts, telemetry.Point{Name: "app.lib_warn", Labels: labels, Time: now, Value: v})
+			}
+		} else {
+			labels = telemetry.Labels{"job": strconv.Itoa(j.ID)}
 		}
 		if c.cl != nil {
 			for _, n := range j.AssignedNodes {
@@ -150,18 +157,10 @@ func (c *Controller) observe(now time.Duration) (core.Observation, error) {
 	return core.Observation{Time: now, Points: pts}, nil
 }
 
-// jobLabels is the matcher of a job's application telemetry: its instance's
-// label set, which resolves through the job's one-entry posting list to the
-// same single series as {job}. A job with no instance falls back to {job}.
-func (c *Controller) jobLabels(id int) telemetry.Labels {
-	if inst, ok := c.apps.Instance(id); ok {
-		return inst.Labels()
-	}
-	return telemetry.Labels{"job": strconv.Itoa(id)}
-}
-
 // jobObs folds one job's telemetry for a single analysis pass.
 type jobObs struct {
+	// key is the job label of the job's points; id is its parsed form.
+	key     string
 	id      int
 	ctx     float64
 	hasCtx  bool
@@ -172,24 +171,29 @@ type jobObs struct {
 }
 
 // analyze classifies misconfigurations per job with debouncing, in the
-// order the jobs were observed.
+// order the jobs were observed. Points are folded by their job label, which
+// is parsed only where it changes: a job's points arrive together.
 func (c *Controller) analyze(now time.Duration, obs core.Observation) (core.Symptoms, error) {
 	sym := core.Symptoms{Time: now}
 	jobs := c.jobs[:0]
+	var jo *jobObs
 	for _, p := range obs.Points {
-		id, err := strconv.Atoi(p.Labels["job"])
-		if err != nil {
-			continue
+		if key := p.Labels["job"]; jo == nil || key != jo.key {
+			id, err := strconv.Atoi(key)
+			if err != nil {
+				jo = nil
+				continue
+			}
+			i := len(jobs) - 1
+			for i >= 0 && jobs[i].id != id {
+				i--
+			}
+			if i < 0 {
+				jobs = append(jobs, jobObs{key: key, id: id})
+				i = len(jobs) - 1
+			}
+			jo = &jobs[i]
 		}
-		i := len(jobs) - 1
-		for i >= 0 && jobs[i].id != id {
-			i--
-		}
-		if i < 0 {
-			jobs = append(jobs, jobObs{id: id})
-			i = len(jobs) - 1
-		}
-		jo := &jobs[i]
 		switch p.Name {
 		case "app.ctx_switch_rate":
 			jo.ctx, jo.hasCtx = p.Value, true

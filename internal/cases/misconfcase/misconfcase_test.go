@@ -1,6 +1,7 @@
 package misconfcase
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -230,5 +231,46 @@ func TestObserveAnalyzeAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
 		t.Errorf("observe+analyze allocates %.1f times per tick, want 0", allocs)
+	}
+}
+
+// TestJobWithoutInstance pins the observation of a running job the
+// application runtime has no instance for (its scheduler does not start jobs
+// through the runtime): it has no handles, so no application read is made
+// for it, and its allocation's utilization is still observed under {job}
+// and folded into the job by analyze.
+func TestJobWithoutInstance(t *testing.T) {
+	r := newRig(t, true)
+	orphans := sched.New(r.e, r.cl.UpNodes(), sched.DefaultExtensionPolicy())
+	ctl := New(DefaultConfig(), r.db, orphans, r.rt, r.cl)
+	j, err := orphans.Submit("orphan", "u", 2, 6*time.Hour, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.e.RunUntil(10 * time.Minute)
+	if j.State != sched.JobRunning {
+		t.Fatalf("orphan job state %v, want running", j.State)
+	}
+	if _, ok := r.rt.Instance(j.ID); ok {
+		t.Fatal("orphan job has an instance")
+	}
+	now := r.e.Now()
+	obs, err := ctl.observe(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(obs.Points) != 2 {
+		t.Fatalf("observed %v; want two node.cpu.util points", obs.Points)
+	}
+	for _, p := range obs.Points {
+		if p.Name != "node.cpu.util" || len(p.Labels) != 1 || p.Labels["job"] != strconv.Itoa(j.ID) {
+			t.Errorf("observed %v; want node.cpu.util{job=%d}", p, j.ID)
+		}
+	}
+	if _, err := ctl.analyze(now, obs); err != nil {
+		t.Fatal(err)
+	}
+	if len(ctl.jobs) != 1 || ctl.jobs[0].id != j.ID || ctl.jobs[0].n != 2 || ctl.jobs[0].hasCtx {
+		t.Errorf("analyze folded %+v; want job %d with 2 nodes and no context-switch rate", ctl.jobs, j.ID)
 	}
 }

@@ -93,6 +93,13 @@ type Controller struct {
 	// predictions awaiting resolution: jobID -> predicted completion time
 	// and the KB plan index.
 	pending map[int]prediction
+
+	// running and ptsBuf are Monitor and Analyze scratch reused across
+	// ticks: the loop drops each observation after Analyze. visit is the
+	// marker visitor, bound once, appending to ptsBuf.
+	running []*sched.Job
+	ptsBuf  []telemetry.Point
+	visit   telemetry.SeriesVisitor
 }
 
 type prediction struct {
@@ -112,7 +119,7 @@ func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runti
 	if cfg.MinSamples < 2 {
 		cfg.MinSamples = 2
 	}
-	return &Controller{
+	c := &Controller{
 		cfg: cfg, db: db, sch: sch, apps: apps, kb: kb, clock: clock,
 		estimators: make(map[int]*analytics.TTCEstimator),
 		startSeen:  make(map[int]time.Duration),
@@ -120,6 +127,8 @@ func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runti
 		conf:       make(map[string]*analytics.ConfidenceTracker),
 		pending:    make(map[int]prediction),
 	}
+	c.visit = c.appendMarkers
+	return c
 }
 
 // Loop assembles the core.Loop around this controller. Callers may further
@@ -140,27 +149,33 @@ func (c *Controller) Loop() *core.Loop {
 // observe is the Monitor phase: gather fresh progress markers per running
 // job from the TSDB. Markers stream straight from the store into the
 // observation through QueryVisit — no intermediate []Series materialization
-// per job per tick.
+// per job per tick — and the total is read through the job's instance
+// handle. A job with no instance has no markers to read.
 func (c *Controller) observe(now time.Duration) (core.Observation, error) {
-	obs := core.Observation{Time: now}
-	for _, j := range c.sch.Running() {
-		label := telemetry.Labels{"job": strconv.Itoa(j.ID)}
-		from := c.lastPoll[j.ID]
-		c.db.QueryVisit("app.progress", label, from, now, func(labels telemetry.Labels, samples []telemetry.Sample) {
-			for _, smp := range samples {
-				obs.Points = append(obs.Points, telemetry.Point{
-					Name: "app.progress", Labels: labels, Time: smp.Time, Value: smp.Value,
+	c.ptsBuf = c.ptsBuf[:0]
+	c.running = c.sch.RunningInto(c.running[:0])
+	for _, j := range c.running {
+		if inst, ok := c.apps.Instance(j.ID); ok {
+			c.db.QueryVisit("app.progress", inst.Labels(), c.lastPoll[j.ID], now, c.visit)
+			if total, ok := c.db.LatestValue(inst.Handle("app.progress_total")); ok {
+				c.ptsBuf = append(c.ptsBuf, telemetry.Point{
+					Name: "app.progress_total", Labels: inst.Labels(), Time: now, Value: total,
 				})
 			}
-		})
-		if total, ok := c.db.LatestValue("app.progress_total", label); ok {
-			obs.Points = append(obs.Points, telemetry.Point{
-				Name: "app.progress_total", Labels: label, Time: now, Value: total,
-			})
 		}
 		c.lastPoll[j.ID] = now + 1 // half-open window for the next poll
 	}
-	return obs, nil
+	return core.Observation{Time: now, Points: c.ptsBuf}, nil
+}
+
+// appendMarkers is the visitor observe streams each job's new progress
+// markers through.
+func (c *Controller) appendMarkers(labels telemetry.Labels, samples []telemetry.Sample) {
+	for _, smp := range samples {
+		c.ptsBuf = append(c.ptsBuf, telemetry.Point{
+			Name: "app.progress", Labels: labels, Time: smp.Time, Value: smp.Value,
+		})
+	}
 }
 
 // analyze is the Analyze phase: update per-job estimators and flag jobs whose
@@ -186,7 +201,8 @@ func (c *Controller) analyze(now time.Duration, obs core.Observation) (core.Symp
 		}
 	}
 	// Evaluate every running job with a warmed-up estimator.
-	for _, j := range c.sch.Running() {
+	c.running = c.sch.RunningInto(c.running[:0])
+	for _, j := range c.running {
 		est, ok := c.estimators[j.ID]
 		if !ok {
 			continue

@@ -116,8 +116,8 @@ type CaseFactory struct {
 	// Requires lists the substrates Build dereferences.
 	Requires []Capability
 	// Inputs lists the metrics the case's loops read, every tick, as the
-	// newest point of every series (LatestInto/LatestValue with an empty
-	// matcher). A Service resolves each distinct declared metric once per
+	// newest point of every series (LatestInto, or LatestValue through a
+	// handle, with an empty matcher). A Service resolves each distinct declared metric once per
 	// control round and serves those reads from that resolution; every
 	// other read goes to the store.
 	Inputs []string

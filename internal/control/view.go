@@ -9,9 +9,10 @@ import (
 // roundView is the telemetry.Querier a Service hands the loops it spawns. The
 // metrics their factories declare as Inputs are resolved once per control
 // round — one store walk per distinct metric, whatever the number of loops
-// reading it — and a LatestInto/LatestValue of a declared metric with an
-// empty matcher answers from that resolution. Every other read (any matcher,
-// any QueryVisit window, any undeclared metric) goes to the store unchanged.
+// reading it — and a LatestInto, or a LatestValue through a handle, of a
+// declared metric with an empty matcher answers from that resolution. Every
+// other read (any matcher, any QueryVisit window, any undeclared metric)
+// goes to the store unchanged; a handle read there uses the handle's memo.
 //
 // Freshness: Service.Tick resolves the view under the service mutex, after
 // the approval queue settles and before the plan fan-out, and ends it once
@@ -66,14 +67,14 @@ func (v *roundView) resolved(name string, matcher telemetry.Labels) ([]telemetry
 }
 
 // LatestValue implements telemetry.Querier.
-func (v *roundView) LatestValue(name string, matcher telemetry.Labels) (float64, bool) {
-	if pts, ok := v.resolved(name, matcher); ok {
+func (v *roundView) LatestValue(h *telemetry.Handle) (float64, bool) {
+	if pts, ok := v.resolved(h.Name, h.Matcher); ok {
 		if len(pts) == 0 {
 			return 0, false
 		}
 		return pts[len(pts)-1].Value, true
 	}
-	return v.store.LatestValue(name, matcher)
+	return v.store.LatestValue(h)
 }
 
 // LatestInto implements telemetry.Querier.

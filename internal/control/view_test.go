@@ -34,9 +34,9 @@ func (q *countingQuerier) count(call, metric string, matcher telemetry.Labels) {
 	q.mu.Unlock()
 }
 
-func (q *countingQuerier) LatestValue(name string, matcher telemetry.Labels) (float64, bool) {
-	q.count("LatestValue", name, matcher)
-	return q.Querier.LatestValue(name, matcher)
+func (q *countingQuerier) LatestValue(h *telemetry.Handle) (float64, bool) {
+	q.count("LatestValue", h.Name, h.Matcher)
+	return q.Querier.LatestValue(h)
 }
 
 func (q *countingQuerier) LatestInto(buf []telemetry.Point, name string, matcher telemetry.Labels) []telemetry.Point {
@@ -81,12 +81,14 @@ func (p *probe) factory() control.CaseFactory {
 		Build: func(env *control.Env, _ interface{}) ([]control.BuiltLoop, error) {
 			q := env.Querier
 			var got, want []telemetry.Point
+			declared := &telemetry.Handle{Name: probeDeclared}
+			n000 := &telemetry.Handle{Name: "node.temp.celsius", Matcher: telemetry.Labels{"node": "n000"}}
 			l := core.NewLoop("probe",
 				core.MonitorFunc(func(now time.Duration) (core.Observation, error) {
 					got = q.LatestInto(got[:0], probeDeclared, nil)
 					want = p.store.LatestInto(want[:0], probeDeclared, nil)
-					v, ok := q.LatestValue(probeDeclared, nil)
-					matched, _ := q.LatestValue("node.temp.celsius", telemetry.Labels{"node": "n000"})
+					v, ok := q.LatestValue(declared)
+					matched, _ := q.LatestValue(n000)
 					var pue []telemetry.Point
 					pue = q.LatestInto(pue, probeUndeclared, nil)
 					p.mu.Lock()

@@ -202,7 +202,7 @@ func (d DeferredAction) Resolve(now time.Duration, approve bool, reason string) 
 	defer l.flush()
 	if d.Stale() {
 		l.metrics.StaleDeferred++
-		l.emitResult(now, "stale", d.Action, fmt.Sprintf(
+		l.emitResult(now, evStale, d.Action, fmt.Sprintf(
 			"deferred action invalidated by lifecycle (gen %d != %d or state %s)", d.Gen, l.gen.Load(), l.State()))
 		return false
 	}
@@ -211,7 +211,7 @@ func (d DeferredAction) Resolve(now time.Duration, approve bool, reason string) 
 		if reason == "" {
 			reason = "denied by operator"
 		}
-		l.emitResult(now, "deny", d.Action, reason)
+		l.emitResult(now, evDeny, d.Action, reason)
 		return false
 	}
 	l.execute(d.Decided, now, d.Action)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -132,6 +133,37 @@ type Loop struct {
 	// from its plan worker, ExecutePlanned appends the rest and publishes
 	// the batch. Reused across ticks.
 	events []bus.Envelope
+	// topics caches each event kind's topic for the name in topicsOf. A
+	// control plane names a loop after building it, so the cache is filled
+	// on first emit and refilled if the name changes.
+	topicsOf string
+	topics   [numEventKinds]string
+
+	// planned is the loop's one plan half, reused by every PlanTick.
+	planned PlannedTick
+}
+
+// eventKind is the last element of a loop event's topic,
+// "loop.<name>.<kind>".
+type eventKind uint8
+
+// The loop event kinds; eventKinds holds their names.
+const (
+	evFinding eventKind = iota
+	evPlan
+	evArbitrated
+	evVeto
+	evExecute
+	evDefer
+	evDrop
+	evDeny
+	evStale
+	evError
+	numEventKinds
+)
+
+var eventKinds = [numEventKinds]string{
+	"finding", "plan", "arbitrated", "veto", "execute", "defer", "drop", "deny", "stale", "error",
 }
 
 // NewLoop constructs a named loop with the given phases. The loop starts in
@@ -146,26 +178,38 @@ func NewLoop(name string, m Monitor, a Analyzer, p Planner, e Executor) *Loop {
 // Metrics returns a snapshot of the loop's counters.
 func (l *Loop) Metrics() Metrics { return l.metrics }
 
-// emit buffers one lifecycle envelope for the attached bus; flush
-// publishes it.
-func (l *Loop) emit(now time.Duration, kind string, payload interface{}) {
+// emit buffers one lifecycle envelope for l's attached bus; flush
+// publishes it. It is generic so the payload is boxed only when a bus is
+// attached: a loop without one publishes, and allocates, nothing.
+func emit[P any](l *Loop, now time.Duration, kind eventKind, payload P) {
 	if l.Bus == nil {
 		return
 	}
-	l.events = append(l.events, bus.Envelope{Topic: "loop." + l.Name + "." + kind, Time: now, Source: l.Name, Payload: payload})
+	l.events = append(l.events, bus.Envelope{Topic: l.topic(kind), Time: now, Source: l.Name, Payload: payload})
+}
+
+// topic returns kind's topic under the loop's current name, built once per
+// name and kind.
+func (l *Loop) topic(kind eventKind) string {
+	if l.topicsOf != l.Name {
+		l.topicsOf, l.topics = l.Name, [numEventKinds]string{}
+	}
+	if l.topics[kind] == "" {
+		l.topics[kind] = "loop." + l.Name + "." + eventKinds[kind]
+	}
+	return l.topics[kind]
 }
 
 // emitResult buffers an event carrying the action and the reason it did not
 // (or not yet) execute.
-func (l *Loop) emitResult(now time.Duration, kind string, action Action, reason string) {
-	if l.Bus != nil {
-		l.emit(now, kind, ActionResult{Action: action, Detail: reason})
-	}
+func (l *Loop) emitResult(now time.Duration, kind eventKind, action Action, reason string) {
+	emit(l, now, kind, ActionResult{Action: action, Detail: reason})
 }
 
 // flush publishes the buffered envelopes as one batch. The batch is
 // detached before dispatch so a handler that re-enters this loop cannot
-// double-publish it.
+// double-publish it. The reclaimed buffer is cleared, so it does not keep
+// published payloads alive.
 func (l *Loop) flush() {
 	if len(l.events) == 0 {
 		return
@@ -174,6 +218,7 @@ func (l *Loop) flush() {
 	l.events = nil
 	l.Bus.PublishBatch(batch)
 	if l.events == nil { // no re-entrant tick: reclaim the buffer
+		clear(batch)
 		l.events = batch[:0]
 	}
 }
@@ -190,7 +235,8 @@ func (l *Loop) Tick(now time.Duration) {
 // and no event published yet, so PlanTick may run on a worker goroutine
 // while ExecutePlanned publishes in deterministic order. A fleet
 // coordinator arbitrates between the two halves by calling Arbitrate on
-// actions that lose a cross-loop conflict.
+// actions that lose a cross-loop conflict. A loop has one PlannedTick,
+// which every PlanTick reuses: execute it before the loop's next PlanTick.
 type PlannedTick struct {
 	loop    *Loop
 	now     time.Duration
@@ -220,7 +266,7 @@ func (pt *PlannedTick) Actions() []Action {
 // cross-loop conflict, so layered arbiters (a fleet's local arbiter, then a
 // cluster coordinator's cross-node arbiter) do not re-litigate losers.
 func (pt *PlannedTick) Arbitrated(i int) bool {
-	return pt.lost != nil && i >= 0 && i < len(pt.lost) && pt.lost[i] != ""
+	return i >= 0 && i < len(pt.lost) && pt.lost[i] != ""
 }
 
 // Arbitrate marks action i as lost to a cross-loop conflict: ExecutePlanned
@@ -229,8 +275,9 @@ func (pt *PlannedTick) Arbitrate(i int, reason string) {
 	if i < 0 || i >= len(pt.plan.Actions) {
 		panic(fmt.Sprintf("core: Arbitrate index %d out of range (%d actions)", i, len(pt.plan.Actions)))
 	}
-	if pt.lost == nil {
-		pt.lost = make([]string, len(pt.plan.Actions))
+	if len(pt.lost) == 0 {
+		pt.lost = slices.Grow(pt.lost, len(pt.plan.Actions))[:len(pt.plan.Actions)]
+		clear(pt.lost)
 	}
 	if reason == "" {
 		reason = "lost cross-loop arbitration"
@@ -242,7 +289,8 @@ func (pt *PlannedTick) Arbitrate(i int, reason string) {
 // returns the pending execute half. It touches only loop-local state plus the
 // (read-only) Monitor/Analyze/Plan phases, so a coordinator may run many
 // loops' PlanTicks concurrently; its events wait in the loop's buffer for
-// ExecutePlanned to publish.
+// ExecutePlanned to publish. The returned tick is the loop's own, reused by
+// its next PlanTick.
 func (l *Loop) PlanTick(now time.Duration) *PlannedTick {
 	switch st := l.State(); {
 	case st == StateCreated:
@@ -253,7 +301,8 @@ func (l *Loop) PlanTick(now time.Duration) *PlannedTick {
 	case !st.Tickable():
 		return skippedTick
 	}
-	pt := &PlannedTick{loop: l, now: now}
+	pt := &l.planned
+	*pt = PlannedTick{loop: l, now: now, lost: pt.lost[:0]}
 	l.metrics.Ticks++
 	obs, err := l.M.Observe(now)
 	if err != nil {
@@ -265,7 +314,7 @@ func (l *Loop) PlanTick(now time.Duration) *PlannedTick {
 	}
 	l.metrics.Findings += len(sym.Findings)
 	for _, f := range sym.Findings {
-		l.emit(now, "finding", f)
+		emit(l, now, evFinding, f)
 	}
 	plan, err := l.P.Plan(now, sym)
 	if err != nil {
@@ -281,7 +330,7 @@ func (l *Loop) PlanTick(now time.Duration) *PlannedTick {
 func (pt *PlannedTick) fail(phase string, err error) *PlannedTick {
 	l := pt.loop
 	l.metrics.Errors++
-	l.emit(pt.now, "error", PhaseError{Phase: phase, Err: err.Error()})
+	emit(l, pt.now, evError, PhaseError{Phase: phase, Err: err.Error()})
 	pt.failed = true
 	return pt
 }
@@ -306,10 +355,10 @@ func (l *Loop) ExecutePlanned(pt *PlannedTick) {
 	now := pt.now
 	outcome := Outcome{Time: now}
 	for i, action := range pt.plan.Actions {
-		l.emit(now, "plan", action)
+		emit(l, now, evPlan, action)
 		if pt.Arbitrated(i) {
 			l.metrics.ArbitratedActions++
-			l.emitResult(now, "arbitrated", action, pt.lost[i])
+			l.emitResult(now, evArbitrated, action, pt.lost[i])
 			continue
 		}
 		if res, executed := l.dispatch(now, action); executed {
@@ -329,7 +378,7 @@ func (l *Loop) dispatch(now time.Duration, action Action) (ActionResult, bool) {
 	for _, g := range l.Guards {
 		if err := g.Check(now, l.Name, action); err != nil {
 			l.metrics.VetoedActions++
-			l.emitResult(now, "veto", action, err.Error())
+			l.emitResult(now, evVeto, action, err.Error())
 			return ActionResult{}, false
 		}
 	}
@@ -349,7 +398,7 @@ func (l *Loop) execute(decidedAt, now time.Duration, action Action) ActionResult
 	if err != nil {
 		l.metrics.Errors++
 		failed := ActionResult{Action: action, Detail: err.Error()}
-		l.emit(now, "execute", failed)
+		emit(l, now, evExecute, failed)
 		return failed
 	}
 	l.metrics.ExecutedActions++
@@ -357,7 +406,7 @@ func (l *Loop) execute(decidedAt, now time.Duration, action Action) ActionResult
 	if res.Honored {
 		l.metrics.HonoredActions++
 	}
-	l.emit(now, "execute", res)
+	emit(l, now, evExecute, res)
 	return res
 }
 
@@ -368,14 +417,14 @@ func (l *Loop) execute(decidedAt, now time.Duration, action Action) ActionResult
 func (l *Loop) deferToHuman(now time.Duration, action Action) {
 	if l.Approvals != nil {
 		l.metrics.DeferredActions++
-		l.emitResult(now, "defer", action, "queued for operator approval")
+		l.emitResult(now, evDefer, action, "queued for operator approval")
 		l.Approvals.Defer(DeferredAction{Loop: l, Decided: now, Action: action, Gen: l.gen.Load()})
 		return
 	}
 	if l.Clock == nil || l.Rng == nil {
 		// Without a clock there is no way to wait: treat the human as absent.
 		l.metrics.DroppedActions++
-		l.emitResult(now, "drop", action, "no clock for human approval")
+		l.emitResult(now, evDrop, action, "no clock for human approval")
 		return
 	}
 	l.metrics.DeferredActions++
@@ -383,16 +432,16 @@ func (l *Loop) deferToHuman(now time.Duration, action Action) {
 	available := l.Rng.Float64() < l.Human.Availability
 	if !available {
 		if l.Human.ContingencyAfter > 0 {
-			l.emitResult(now, "defer", action, fmt.Sprintf("human absent, contingency in %v", l.Human.ContingencyAfter))
+			l.emitResult(now, evDefer, action, fmt.Sprintf("human absent, contingency in %v", l.Human.ContingencyAfter))
 			l.Clock.AfterFunc(l.Human.ContingencyAfter, l.executeLater(gen, now, action))
 			return
 		}
 		l.metrics.DroppedActions++
-		l.emitResult(now, "drop", action, "human absent, no contingency")
+		l.emitResult(now, evDrop, action, "human absent, no contingency")
 		return
 	}
 	delay := l.Human.Latency.Sample(l.Rng)
-	l.emitResult(now, "defer", action, fmt.Sprintf("awaiting approval, eta %v", delay))
+	l.emitResult(now, evDefer, action, fmt.Sprintf("awaiting approval, eta %v", delay))
 	l.Clock.AfterFunc(delay, l.executeLater(gen, now, action))
 }
 

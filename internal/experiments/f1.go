@@ -106,9 +106,11 @@ func runF1(opt Options) *Result {
 	pueCUSUM := analytics.NewCUSUM(10, 0.005, 0.05)
 	// The detector poll is the per-tick inner loop of the ODA plane: points
 	// and values go through reused buffers on the zero-copy LatestInto
-	// surface, so polling allocates nothing in steady state.
+	// surface and PUE through one handle, so polling allocates nothing in
+	// steady state.
 	var ptsBuf []telemetry.Point
 	var vals []float64
+	pueHandle := &telemetry.Handle{Name: "facility.pue", Matcher: telemetry.Labels{"plant": "p0"}}
 	engine.Every(time.Minute, time.Minute, func() bool {
 		now := engine.Now()
 		// Hardware: robust fleet outlier on node temperatures.
@@ -141,7 +143,7 @@ func runF1(opt Options) *Result {
 			}
 		}
 		// Facility: CUSUM on PUE.
-		if pue, ok := db.LatestValue("facility.pue", telemetry.Labels{"plant": "p0"}); ok {
+		if pue, ok := db.LatestValue(pueHandle); ok {
 			if pueCUSUM.Step(pue) {
 				note("facility", now)
 			}

@@ -254,15 +254,16 @@ func (s *Scheduler) AddMaintenance(start, end time.Duration) error {
 	return nil
 }
 
-// Maintenance returns upcoming or active maintenance windows at time now.
-func (s *Scheduler) Maintenance(now time.Duration) [][2]time.Duration {
-	var out [][2]time.Duration
+// NextMaintenance returns the start of the earliest-starting maintenance
+// window that is upcoming or active at time now, and false when there is
+// none.
+func (s *Scheduler) NextMaintenance(now time.Duration) (time.Duration, bool) {
 	for _, w := range s.maint {
 		if w.end > now {
-			out = append(out, [2]time.Duration{w.start, w.end})
+			return w.start, true
 		}
 	}
-	return out
+	return 0, false
 }
 
 func (s *Scheduler) beginMaintenance(start, end time.Duration) {

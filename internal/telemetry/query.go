@@ -22,14 +22,18 @@ type SeriesVisitor func(labels Labels, samples []Sample)
 // zero steady-state allocations; tick-time readers (detector polls, Monitor
 // phases) use them, and so does the one executor of the wire query
 // vocabulary (tsdb.Execute), which every transport — bus service, HTTP
-// gateway, cluster scatter-gather — answers through. *tsdb.DB also has
-// WindowInto, a zero-copy window read outside this interface, and
-// Query/Latest, which materialize independent copies for one-shot
-// reporting.
+// gateway, cluster scatter-gather — answers through. The one single-value
+// read goes through a Handle, so a question asked every round is resolved
+// once, not per read. *tsdb.DB also has WindowInto, a zero-copy window read
+// outside this interface, and Query/Latest, which materialize independent
+// copies for one-shot reporting.
 type Querier interface {
-	// LatestValue returns the newest value of the last matching series in
-	// label-key order, allocation-free.
-	LatestValue(name string, matcher Labels) (float64, bool)
+	// LatestValue returns the newest value of the last series, in label-key
+	// order, that matches the handle and still holds a sample, or ok=false
+	// when there is none. It reads through the handle's memo when the memo
+	// is still valid and leaves a fresh one when it is not; a read on a
+	// valid memo allocates nothing.
+	LatestValue(h *Handle) (float64, bool)
 	// QueryVisit calls visit once per series of name whose labels match the
 	// matcher and that has at least one sample in [from, to], without
 	// materializing copies, in label-key order.

@@ -33,6 +33,29 @@
 // keeping those apart is the owner's half of the contract.) A Point without a
 // Ref behaves exactly as before, and nothing but Sink implementations ever
 // reads one.
+//
+// # Read handles
+//
+// The read side has the same shape. A loop that polls one subject's newest
+// value every round — a job's context-switch rate, its progress marker —
+// asks the same (Name, Matcher) question each time, and a store that
+// re-derives the matching series from the matcher on every read spends more
+// on finding the data than on reading it. A Handle is the fix, the read-side
+// twin of a Ref: it names the question once, and the store leaves the
+// resolved answer — the series it matches — in the handle's memo on first
+// read and reads through it afterwards. DCDB Wintermute binds an operator's
+// input sensors the same way, once, when the unit is configured.
+//
+// A handle is owned by the subject it reads, not by the reader: an
+// application instance keeps one per metric it emits, built from the label
+// set it emits with, and every loop reading that instance shares them. Its
+// Name and Matcher are fixed once it is first read. The contract is again
+// validate, don't trust: a store uses a memo only after checking that it
+// left it there itself and that nothing has since been added to the metric
+// that could change the match set, and otherwise resolves the handle from
+// Name and Matcher as if it were new. Readers sharing a handle may race on
+// its memo: each writer leaves an equally valid resolution, and the last
+// one wins.
 package telemetry
 
 import (
@@ -96,23 +119,42 @@ func (l Labels) Matches(matcher Labels) bool {
 // String implements fmt.Stringer.
 func (l Labels) String() string { return "{" + l.Key() + "}" }
 
+// memo is the store-owned slot a Ref or a Handle carries. The zero value is
+// empty, ready to use.
+type memo struct {
+	v atomic.Value
+}
+
+// Memo returns what the last SetMemo left, or nil. The value may come from a
+// different store than the caller: type-assert it and check ownership.
+func (m *memo) Memo() any { return m.v.Load() }
+
+// SetMemo leaves a store's resolution in the slot. Stores sharing a slot
+// race benignly — the last writer wins and the others re-resolve — but, as
+// with atomic.Value, every memo stored in one slot must have the same
+// concrete type.
+func (m *memo) SetMemo(v any) { m.v.Store(v) }
+
 // Ref is an optional per-series memo: see the package comment for who owns
 // it and what a sink may assume. The zero value is an empty memo, ready to
 // use; a Ref must not be copied once a Point carries its address. A resolved
 // memo keeps the sink's series reachable for as long as the Ref lives.
 type Ref struct {
-	memo atomic.Value
+	memo
 }
 
-// Memo returns what the last SetMemo left, or nil. The value may come from a
-// different sink than the caller: type-assert it and check ownership.
-func (r *Ref) Memo() any { return r.memo.Load() }
-
-// SetMemo leaves a sink's handle for the Ref's series. Sinks sharing a Ref
-// race benignly — the last writer wins and the others re-resolve — but, as
-// with atomic.Value, every memo stored in one Ref must have the same
-// concrete type.
-func (r *Ref) SetMemo(m any) { r.memo.Store(m) }
+// Handle is a fixed latest-value read: the newest value of the last series
+// of Name, in label-key order, whose labels match Matcher and that still
+// holds a sample. See the package comment for who owns one and what a store
+// may assume. Name and Matcher must not change once the handle is read, and
+// a handle must not be copied once read; the zero memo is empty, ready to
+// use. A resolved memo keeps the store's matching series reachable for as
+// long as the Handle lives.
+type Handle struct {
+	Name    string
+	Matcher Labels
+	memo
+}
 
 // Point is a single observation of a metric.
 type Point struct {

@@ -35,6 +35,7 @@ func TestConcurrentAppendQueryRollup(t *testing.T) {
 		}()
 	}
 	stop := make(chan struct{})
+	w1 := &telemetry.Handle{Name: "c.load", Matcher: telemetry.Labels{"node": "w1"}}
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
@@ -47,7 +48,7 @@ func TestConcurrentAppendQueryRollup(t *testing.T) {
 				}
 				db.Query("c.load", telemetry.Labels{"node": "w0"}, 0, time.Hour)
 				db.Latest("c.load", nil)
-				db.LatestValue("c.load", telemetry.Labels{"node": "w1"})
+				db.LatestValue(w1)
 				db.QueryRollup("c.load", nil, 4*time.Second, AggMean, 0, time.Hour)
 				db.NumSeries()
 				db.Appended()
@@ -269,5 +270,69 @@ func TestConcurrentAppendBatchSharedRefs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestConcurrentHandleReads shares one read handle between two readers while
+// the appender keeps creating series in its metric: every other one matches
+// the handle and sorts after all earlier matches, so each creation moves the
+// handle's answer, and the rest only bump the family's generation. A reader
+// must never see the answer go back or come from a series the handle does
+// not match, and after the last append it must read the last match's value.
+// Run under -race in CI, it guards the memo hand-off between readers.
+func TestConcurrentHandleReads(t *testing.T) {
+	db := New(0)
+	h := &telemetry.Handle{Name: "h.load", Matcher: telemetry.Labels{"rack": "r0"}}
+	const series = 300
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := -1.0
+			for {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				v, ok := db.LatestValue(h)
+				if !ok {
+					if last >= 0 {
+						errs <- fmt.Errorf("handle read empty after reading %v", last)
+						return
+					}
+					continue
+				}
+				if v < last || v == -1 {
+					errs <- fmt.Errorf("handle read %v after %v", v, last)
+					return
+				}
+				last = v
+			}
+		}()
+	}
+	for i := 0; i < series; i++ {
+		for _, p := range []telemetry.Point{
+			{Name: "h.load", Labels: telemetry.Labels{"rack": "r1", "node": fmt.Sprintf("n%03d", i)}, Time: time.Duration(i), Value: -1},
+			{Name: "h.load", Labels: telemetry.Labels{"rack": "r0", "node": fmt.Sprintf("n%03d", i)}, Time: time.Duration(i), Value: float64(i)},
+		} {
+			if err := db.Append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for r := 0; r < 2; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, ok := db.LatestValue(h); !ok || v != series-1 {
+		t.Fatalf("final handle read = %v, %v; want %d", v, ok, series-1)
 	}
 }

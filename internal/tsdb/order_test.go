@@ -168,7 +168,7 @@ func TestFamilyOrder(t *testing.T) {
 				if !reflect.DeepEqual(latest, wantLatest) {
 					t.Fatalf("%s: LatestInto = %v, want %v", what, latest, wantLatest)
 				}
-				v, ok := db.LatestValue(name, m)
+				v, ok := db.LatestValue(&telemetry.Handle{Name: name, Matcher: m})
 				if ok != (len(latest) > 0) || (ok && v != latest[len(latest)-1].Value) {
 					t.Fatalf("%s: LatestValue = %v, %v beside LatestInto %v", what, v, ok, latest)
 				}

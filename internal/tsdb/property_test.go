@@ -121,6 +121,18 @@ func (db *refDB) latestValue(name string, matcher telemetry.Labels) (float64, bo
 	return pts[len(pts)-1].Value, true
 }
 
+// tail returns the last series of name, in label-key order, that matches
+// matcher and holds a sample: the one LatestValue answers from.
+func (db *refDB) tail(name string, matcher telemetry.Labels) *refSeries {
+	list := db.sorted(name)
+	for i := len(list) - 1; i >= 0; i-- {
+		if list[i].labels.Matches(matcher) && len(list[i].samples) > 0 {
+			return list[i]
+		}
+	}
+	return nil
+}
+
 // sorted returns the metric's series in label-key order.
 func (db *refDB) sorted(name string) []*refSeries {
 	fams := db.byName[name]
@@ -241,7 +253,10 @@ func (rp *refPool) attach(rng *rand.Rand, p *telemetry.Point) {
 // reused across rounds and sometimes re-pointed; a second DB (twin) is fed
 // the same points with the same refs a few operations late, so each store
 // runs on its own warm memos for a while and then finds the other's, which
-// it must not follow.
+// it must not follow. A fixed set of read handles is checked against the
+// reference after every op while ops grow their match sets at the end, cut
+// their answers' history by retention, and read them on a DB restored from
+// a snapshot.
 func TestStoreMatchesReference(t *testing.T) {
 	retentions := []time.Duration{0, 0, 45 * time.Second, 3 * time.Minute}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -294,6 +309,38 @@ func TestStoreMatchesReference(t *testing.T) {
 				late = late[:0]
 			}
 
+			// appendBoth is one single append the twin sees late.
+			appendBoth := func(op int, p telemetry.Point) {
+				gotErr := db.Append(p) != nil
+				wantErr := ref.append(p) != nil
+				if gotErr != wantErr {
+					t.Fatalf("op %d: append error mismatch: db=%v ref=%v for %v", op, gotErr, wantErr, p)
+				}
+				late = append(late, lateOp{pts: []telemetry.Point{p}, wantErr: wantErr})
+			}
+			// handles are read after every op and must answer as the
+			// reference's LatestValue does: an exact identity, partial
+			// matchers, an empty matcher, and a metric that only the
+			// handle-growing op ever creates. They are never reset, so
+			// their memos see every later series, retention cut and
+			// restored DB.
+			handles := []*telemetry.Handle{
+				{Name: "m0", Matcher: telemetry.Labels{"job": "j2", "node": "n1", "rack": "r1"}},
+				{Name: "m0", Matcher: telemetry.Labels{"node": "n4"}},
+				{Name: "m1", Matcher: telemetry.Labels{"job": "j0"}},
+				{Name: "m2"},
+				{Name: "m3", Matcher: telemetry.Labels{"node": "n2"}},
+			}
+			checkHandles := func(op int, which string, db *DB) {
+				for _, h := range handles {
+					gv, gok := db.LatestValue(h)
+					wv, wok := ref.latestValue(h.Name, h.Matcher)
+					if gok != wok || gv != wv {
+						t.Fatalf("op %d: %s handle %s%s = (%v, %v), want (%v, %v)", op, which, h.Name, h.Matcher, gv, gok, wv, wok)
+					}
+				}
+			}
+
 			var now time.Duration
 			names := []string{"m0", "m1", "m2"}
 			const ops = 3000
@@ -308,6 +355,45 @@ func TestStoreMatchesReference(t *testing.T) {
 					ref.rules = append(ref.rules, lateRule)
 				}
 				switch r := rng.Intn(100); {
+				case r < 2: // a series sorting after a handle's matches, or its first
+					h := handles[rng.Intn(len(handles))]
+					labels := telemetry.Labels{"zz": fmt.Sprintf("k%d", op)}
+					for k, v := range h.Matcher {
+						labels[k] = v
+					}
+					appendBoth(op, telemetry.Point{Name: h.Name, Labels: labels, Time: now, Value: float64(op)})
+				case r < 3 && retention > 0: // retention drops a handle's answer's history
+					h := handles[rng.Intn(len(handles))]
+					if tail := ref.tail(h.Name, h.Matcher); tail != nil {
+						now += retention + time.Second
+						appendBoth(op, telemetry.Point{Name: h.Name, Labels: tail.labels, Time: now, Value: float64(op)})
+					}
+				case r < 4: // a fresh DB restored from a snapshot reads the handles
+					snap, err := db.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					restored := New(retention)
+					if err := restored.RestoreSnapshot(snap); err != nil {
+						t.Fatal(err)
+					}
+					checkHandles(op, "restored", restored)
+					// Then the two part ways: a last match only the
+					// restored DB holds answers there, and not on db.
+					for i, h := range handles {
+						labels := telemetry.Labels{"zz": fmt.Sprintf("r%d", op)}
+						for k, v := range h.Matcher {
+							labels[k] = v
+						}
+						if err := restored.Append(telemetry.Point{Name: h.Name, Labels: labels, Time: now, Value: float64(-1 - i)}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for i, h := range handles {
+						if v, ok := restored.LatestValue(h); !ok || v != float64(-1-i) {
+							t.Fatalf("op %d: restored handle %s%s = (%v, %v), want (%d, true)", op, h.Name, h.Matcher, v, ok, -1-i)
+						}
+					}
 				case r < 55: // single append
 					p := telemetry.Point{
 						Name:   names[rng.Intn(len(names))],
@@ -369,7 +455,7 @@ func TestStoreMatchesReference(t *testing.T) {
 					if !reflect.DeepEqual(db.Latest(name, matcher), ref.latest(name, matcher)) {
 						t.Fatalf("op %d: Latest mismatch", op)
 					}
-					gv, gok := db.LatestValue(name, matcher)
+					gv, gok := db.LatestValue(&telemetry.Handle{Name: name, Matcher: matcher})
 					wv, wok := ref.latestValue(name, matcher)
 					if gok != wok || gv != wv {
 						t.Fatalf("op %d: LatestValue = (%v, %v), want (%v, %v)", op, gv, gok, wv, wok)
@@ -386,11 +472,12 @@ func TestStoreMatchesReference(t *testing.T) {
 						t.Fatalf("op %d: NumSeries = %d, want %d", op, got, refSeriesCount)
 					}
 				}
+				checkHandles(op, "db", db)
 			}
 
 			// Final sweep: every metric's full window, plus every rollup.
 			catchUp(ops)
-			for _, name := range names {
+			for _, name := range append(names, "m3") {
 				got := db.Query(name, nil, 0, now+time.Hour)
 				want := ref.query(name, nil, 0, now+time.Hour)
 				if !reflect.DeepEqual(got, want) {

@@ -109,6 +109,11 @@ type family struct {
 	// postings maps k=v -> the family's series carrying that label. Posting
 	// lists only grow.
 	postings map[labelPair][]*memSeries
+	// gen counts the series created in the family. Series are never
+	// deleted, so a creation is the only event that can change which
+	// series a handle's matcher selects: a handle memo resolved at one gen
+	// holds while the gen stands.
+	gen uint64
 }
 
 // candidates returns, in label-key order, the shortest indexed list holding
@@ -154,6 +159,7 @@ func (db *DB) create(p *telemetry.Point, h uint64, rules []RollupRule) *memSerie
 	}
 	s := &memSeries{name: p.Name, labelSet: db.intern(p.Labels), db: db}
 	fam.series = insertByKey(fam.series, s)
+	fam.gen++
 	db.byHash[h] = append(db.byHash[h], s)
 	for k, v := range s.labels {
 		pair := labelPair{k, v}

@@ -15,9 +15,13 @@
 // metric and every read visits in the order it promises without sorting;
 // and an identity-hash map the append path resolves a point through without
 // building its label key. A series takes its place in that order once, when
-// it is created; range bounds inside a series are binary-searched. A read
-// takes the lock once; AppendBatch takes it once per batchChunk points, so
-// readers interleave with a large sampling round instead of waiting it out.
+// it is created; range bounds inside a series are binary-searched. A
+// family counts the series created in it (its gen), and a latest-value read
+// through a telemetry.Handle resolves its matcher once per gen and reads the
+// memoized series afterwards, so a question a loop asks every round skips
+// the matcher walk. A read takes the lock once; AppendBatch takes it once
+// per batchChunk points, so readers interleave with a large sampling round
+// instead of waiting it out.
 // Concurrent appenders to one DB serialize: every deployment shape has one
 // appender per DB (the telemetry pipeline's sampling round) and scales
 // ingest out by process, each cluster worker owning its own DB. Registered
@@ -298,19 +302,59 @@ func (db *DB) Latest(name string, matcher telemetry.Labels) []telemetry.Point {
 	return out
 }
 
-// LatestValue returns the newest value of the last matching series in label
-// key order (the single series' value when exactly one matches), or
-// ok=false when none matches. Unlike Latest it allocates nothing: the
-// candidates are walked from the end and the first match's tail is read in
-// place.
-func (db *DB) LatestValue(name string, matcher telemetry.Labels) (float64, bool) {
+// handleMemo is the resolution LatestValue leaves in a telemetry.Handle: the
+// series of the handle's metric matching its matcher, in label-key order, as
+// of one generation of one family of one DB. It is immutable once left;
+// a stale one is replaced, never updated.
+type handleMemo struct {
+	db     *DB
+	name   string
+	fam    *family
+	gen    uint64
+	series []*memSeries
+}
+
+// LatestValue returns the newest value of the last series, in label-key
+// order, that matches the handle and still holds a live sample (the single
+// series' value when exactly one matches), or ok=false when none does. It
+// reads through the handle's memo when this DB left it for the handle's
+// metric and no series has been created in that metric since; otherwise it
+// resolves the matcher — through the shortest posting list, like every
+// matcher read — and leaves a fresh memo. A read on a valid memo takes the
+// read lock and walks the memoized series from the end, allocation-free.
+func (db *DB) LatestValue(h *telemetry.Handle) (float64, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	list := db.candidates(name, matcher)
-	for i := len(list) - 1; i >= 0; i-- {
-		if live := list[i].live(); len(live) > 0 && list[i].labels.Matches(matcher) {
+	m, _ := h.Memo().(*handleMemo)
+	if m == nil || m.db != db || m.name != h.Name || m.gen != m.fam.gen {
+		if m = db.resolveHandle(h); m == nil {
+			return 0, false
+		}
+	}
+	for i := len(m.series) - 1; i >= 0; i-- {
+		if live := m.series[i].live(); len(live) > 0 {
 			return live[len(live)-1].Value, true
 		}
 	}
 	return 0, false
+}
+
+// resolveHandle matches h against its metric's family and leaves the result
+// in h's memo. A metric not yet created gets no memo: until its first
+// series exists, every read costs one map lookup. Callers must hold at least
+// the read lock; concurrent readers may resolve the same handle at once, and
+// the last memo left wins.
+func (db *DB) resolveHandle(h *telemetry.Handle) *handleMemo {
+	fam := db.byName[h.Name]
+	if fam == nil {
+		return nil
+	}
+	m := &handleMemo{db: db, name: h.Name, fam: fam, gen: fam.gen}
+	for _, s := range db.candidates(h.Name, h.Matcher) {
+		if s.labels.Matches(h.Matcher) {
+			m.series = append(m.series, s)
+		}
+	}
+	h.SetMemo(m)
+	return m
 }

@@ -54,7 +54,7 @@ func TestAppendEqualTimestampOverwrites(t *testing.T) {
 	}
 	must(db.Append(pt("m", l, time.Second, 1)))
 	must(db.Append(pt("m", l, time.Second, 9)))
-	v, ok := db.LatestValue("m", l)
+	v, ok := db.LatestValue(&telemetry.Handle{Name: "m", Matcher: l})
 	if !ok || v != 9 {
 		t.Errorf("LatestValue = %v, %v; want 9", v, ok)
 	}
@@ -121,7 +121,7 @@ func TestQueryResultsAreCopies(t *testing.T) {
 	_ = db.Append(pt("m", l, time.Second, 5))
 	ss := db.Query("m", nil, 0, time.Minute)
 	ss[0].Samples[0].Value = 99
-	v, _ := db.LatestValue("m", l)
+	v, _ := db.LatestValue(&telemetry.Handle{Name: "m", Matcher: l})
 	if v != 5 {
 		t.Error("query result mutation leaked into the database")
 	}

@@ -207,3 +207,38 @@ func TestVisitSurfaceAllocs(t *testing.T) {
 		t.Error("QueryVisit visited nothing")
 	}
 }
+
+// TestHandleReadAllocs gates the handle read: once a handle's memo is left,
+// LatestValue through it allocates nothing, and a series created in its
+// metric costs one re-resolution, after which reads are free again.
+func TestHandleReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the gate runs in the non-race jobs")
+	}
+	db := New(0)
+	appendOne := func(ost string, v float64) {
+		if err := db.Append(telemetry.Point{Name: "lat", Labels: telemetry.Labels{"ost": ost, "rack": "r0"}, Value: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendOne("ost00", 1)
+	h := &telemetry.Handle{Name: "lat", Matcher: telemetry.Labels{"rack": "r0"}}
+	read := func() float64 {
+		v, ok := db.LatestValue(h)
+		if !ok {
+			t.Fatal("handle read found nothing")
+		}
+		return v
+	}
+	read()
+	if allocs := testing.AllocsPerRun(100, func() { read() }); allocs != 0 {
+		t.Errorf("a handle read on a valid memo allocates %v; want 0", allocs)
+	}
+	appendOne("ost01", 2)
+	if v := read(); v != 2 {
+		t.Fatalf("after a later match was created the handle read %v, want 2", v)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { read() }); allocs != 0 {
+		t.Errorf("a handle read on a re-resolved memo allocates %v; want 0", allocs)
+	}
+}
