@@ -10,8 +10,7 @@
 // I/O QoS, OST avoidance, Misconfiguration) are implemented end to end in
 // internal/cases, the four Fig. 2 decentralization patterns in
 // internal/core, and one experiment per figure/claim in
-// internal/experiments (run them with cmd/modaloop, or via the benchmarks
-// in bench_test.go).
+// internal/experiments (run them with `modad experiment run`).
 //
 // This facade re-exports the core MAPE-K vocabulary so that the README's
 // snippets read from one import; the full surface lives in the internal

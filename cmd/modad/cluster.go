@@ -19,8 +19,8 @@ import (
 // table, the cross-node arbiter, and the scatter-gather layer; it runs no
 // simulation. Operators connect to -addr (or the HTTP gateway) and see the
 // usual control.v1 and tsdb.query surface; workers join on -cluster-addr.
-func runCoordinator() error {
-	fleet, err := loadFleet(*specsPath)
+func (d *daemon) runCoordinator() error {
+	fleet, err := loadFleet(d.specsPath)
 	if err != nil {
 		return err
 	}
@@ -29,7 +29,7 @@ func runCoordinator() error {
 	// The placement ledger: every spec admission, assignment, ack, and lease
 	// expiry is journaled, so a restarted coordinator rebuilds its table and
 	// reconciles against worker re-Hellos instead of re-spawning the fleet.
-	w, err := openWAL(*walDir, *fsyncMode)
+	w, err := openWAL(d.walDir, d.fsyncMode)
 	if err != nil {
 		return err
 	}
@@ -37,11 +37,10 @@ func runCoordinator() error {
 		defer w.Close()
 	}
 	coord := cluster.NewCoordinator(b, cluster.Options{
-		Lease:     *leaseTTL,
-		Grace:     *leaseGrace,
-		ArbWindow: *arbWindow,
-		Registry:  cases.NewRegistry(),
-		Ledger:    w,
+		Lease:    d.leaseTTL,
+		Grace:    d.leaseGrace,
+		Registry: cases.NewRegistry(),
+		Ledger:   w,
 	})
 	defer coord.Close()
 
@@ -58,8 +57,8 @@ func runCoordinator() error {
 		}
 		coord.RestoreDone()
 		if recovered > 0 {
-			fmt.Printf("modad: coordinator recovered %d ledger records (%d specs) from %s\n",
-				recovered, coord.Stats().Specs, *walDir)
+			fmt.Fprintf(d.stdout, "modad: coordinator recovered %d ledger records (%d specs) from %s\n",
+				recovered, coord.Stats().Specs, d.walDir)
 		}
 	}
 
@@ -75,33 +74,33 @@ func runCoordinator() error {
 
 	// Two bridge servers on one bus: workers join the cluster address (and
 	// receive only coordinator-to-worker topics); operators get everything.
-	csrv, err := bus.NewServer(*clusterAddr, cluster.CoordExportPattern, b)
+	csrv, err := bus.NewServer(d.clusterAddr, cluster.CoordExportPattern, b)
 	if err != nil {
 		return err
 	}
 	defer csrv.Close()
-	srv, err := bus.NewServer(*addr, "*", b)
+	srv, err := bus.NewServer(d.addr, "*", b)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	fmt.Printf("modad: coordinator serving operators on %s, cluster on %s (%d specs pending placement)\n",
+	fmt.Fprintf(d.stdout, "modad: coordinator serving operators on %s, cluster on %s (%d specs pending placement)\n",
 		srv.Addr(), csrv.Addr(), coord.Stats().Specs)
-	closeHTTP, err := serveHTTP(gateway.Options{Cluster: coord, Bus: b, WAL: w, WireServer: srv})
+	closeHTTP, err := d.serveHTTP(gateway.Options{Cluster: coord, Bus: b, WAL: w, WireServer: srv})
 	if err != nil {
 		return err
 	}
 	defer closeHTTP()
 
-	drive(*duration, func(time.Duration) { coord.Tick(time.Now()) })
+	d.drive(func(time.Duration) { coord.Tick(time.Now()) })
 
 	if w != nil {
 		if err := w.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "modad: wal close:", err)
+			fmt.Fprintln(d.stderr, "modad: wal close:", err)
 		}
 	}
 	s := coord.Stats()
-	fmt.Printf("modad: coordinator done; %d members (%d alive, %d suspect), %d specs (%d placed), %d assigns, %d failovers, %d fanouts (%d partial), %d digests (%d denied, %d backfilled), %d ledger faults\n",
+	fmt.Fprintf(d.stdout, "modad: coordinator done; %d members (%d alive, %d suspect), %d specs (%d placed), %d assigns, %d failovers, %d fanouts (%d partial), %d digests (%d denied, %d backfilled), %d ledger faults\n",
 		s.Members, s.Alive, s.Suspect, s.Specs, s.Placed, s.Assigns, s.Failovers,
 		s.Fanouts, s.ScatterPartials, s.DigestsSeen, s.DigestsDenied, s.DigestsBackfilled, s.LedgerFaults)
 	return nil
@@ -112,11 +111,11 @@ func runCoordinator() error {
 // the coordinator, renews its lease, and spawns whatever the coordinator
 // assigns. Its own steady workload keeps its telemetry slice alive, so
 // scattered queries return per-worker series.
-func runWorker() error {
-	if *join == "" {
+func (d *daemon) runWorker() error {
+	if d.join == "" {
 		return fmt.Errorf("-role=worker needs -join=<coordinator cluster address>")
 	}
-	id := *node
+	id := d.node
 	if id == "" {
 		host, _ := os.Hostname()
 		id = fmt.Sprintf("%s-%d", host, os.Getpid())
@@ -128,7 +127,7 @@ func runWorker() error {
 	defer svc.Close()
 	defer rt.Ctl.Close()
 	db, coord := rt.DB, rt.Ctl.Coordinator()
-	logf := func(format string, args ...any) { fmt.Printf("modad: "+format+"\n", args...) }
+	logf := func(format string, args ...any) { fmt.Fprintf(d.stdout, "modad: "+format+"\n", args...) }
 
 	// The bridge link is maintained by a Reconnector: a dropped link is
 	// redialed under capped exponential backoff with full jitter (a fleet of
@@ -139,7 +138,7 @@ func runWorker() error {
 	// under local fail-open arbitration, and on rejoin the agent re-Hellos
 	// and backfills its buffered digests.
 	var agentRef atomic.Pointer[cluster.Agent]
-	rc, err := bus.NewReconnector(*join, cluster.WorkerExportPattern, rt.Bus, bus.ReconnectOptions{
+	rc, err := bus.NewReconnector(d.join, cluster.WorkerExportPattern, rt.Bus, bus.ReconnectOptions{
 		OnState: func(up bool) {
 			if a := agentRef.Load(); a != nil {
 				a.SetLinkState(up)
@@ -148,13 +147,13 @@ func runWorker() error {
 		Logf: logf,
 	})
 	if err != nil {
-		return fmt.Errorf("join %s: %w", *join, err)
+		return fmt.Errorf("join %s: %w", d.join, err)
 	}
 	defer rc.Close()
 
 	agent, err := cluster.NewAgent(rt.Bus, rt.Ctl, svc, cluster.AgentOptions{
 		ID:        id,
-		Heartbeat: *heartbeat,
+		Heartbeat: d.heartbeat,
 		Stats: func() (int, uint64, int) {
 			return db.NumSeries(), db.Appended(), coord.Metrics().Rounds
 		},
@@ -165,15 +164,15 @@ func runWorker() error {
 	}
 	defer agent.Close()
 	agentRef.Store(agent)
-	fmt.Printf("modad: worker %s joined coordinator at %s (speed %dx)\n", id, *join, *speed)
+	fmt.Fprintf(d.stdout, "modad: worker %s joined coordinator at %s (speed %dx)\n", id, d.join, d.speed)
 
-	drive(*duration, advance(rt))
+	d.drive(d.advance(rt))
 
 	agent.Close()
 	cm := coord.Metrics()
 	am := agent.Metrics()
 	dials, failures, drops := rc.Stats()
-	fmt.Printf("modad: worker %s done; %d series, %d samples stored; fleet ran %d rounds (%d actions, %d arbitrated, %d remote-denied); link: %d dials (%d failed, %d drops), %d degraded spells (%d rounds, %d digests backfilled)\n",
+	fmt.Fprintf(d.stdout, "modad: worker %s done; %d series, %d samples stored; fleet ran %d rounds (%d actions, %d arbitrated, %d remote-denied); link: %d dials (%d failed, %d drops), %d degraded spells (%d rounds, %d digests backfilled)\n",
 		id, db.NumSeries(), db.Appended(), cm.Rounds, cm.Planned, cm.Arbitrated, cm.Remote,
 		dials, failures, drops, am.DegradedEntries, am.DegradedRounds, am.DigestsBackfilled)
 	return nil

@@ -15,13 +15,15 @@
 // scenario.AssembleOn exactly as a scenario run builds its own; -specs
 // replaces the preset's loop fleet (power + ost) and nothing else.
 //
-// Scenario batch mode runs a declarative chaos scenario instead of serving:
-// it assembles the stack the file describes (see internal/scenario), runs it
-// to the horizon on virtual time, prints the deterministic score table, and
-// exits.
+// Two batch subcommands print deterministic tables on virtual time and
+// exit: the paper-reproduction experiments (internal/experiments), and a
+// scenario document (internal/scenario) generated from a preset, then run
+// to its horizon and scored. The document plus its seed is the artifact.
 //
-//	modagen scenario -preset midsize -seed 1 > midsize.json
-//	modad -scenario midsize.json
+//	modad experiment list
+//	modad experiment run <EXP-ID|all> [-quick] [-csv] [-seed N]
+//	modad scenario gen -preset midsize -seed 1 > midsize.json
+//	modad scenario run midsize.json
 //
 // Multi-node mode splits the same daemon across processes:
 //
@@ -72,27 +74,17 @@ import (
 	"autoloop/internal/wal"
 )
 
-var (
-	addr         = flag.String("addr", "127.0.0.1:7675", "TCP address to serve envelopes on")
-	httpAddr     = flag.String("http", "", "HTTP gateway address (empty = no HTTP; e.g. 127.0.0.1:7676)")
-	httpReadTok  = flag.String("http-read-token", "", "comma-separated read-only bearer tokens for the HTTP gateway")
-	httpOpTok    = flag.String("http-op-token", "", "comma-separated operator bearer tokens for the HTTP gateway (no tokens at all = open access)")
-	speed        = flag.Int("speed", 60, "virtual seconds per wall second")
-	duration     = flag.Duration("duration", 2*time.Minute, "wall-clock run time (0 = forever)")
-	specsPath    = flag.String("specs", "", "JSON loop-spec file replacing the built-in fleet")
-	scenarioPath = flag.String("scenario", "", "scenario file: assemble the described facility, run it to its horizon on virtual time, print the score table, and exit (batch mode; see modagen scenario)")
-	walDir       = flag.String("wal-dir", "", "write-ahead-log directory (empty = no durability)")
-	fsyncMode    = flag.String("fsync", "batch", "WAL fsync policy: batch, always, or none")
-	snapEvery    = flag.Duration("snapshot-every", 10*time.Minute, "virtual time between snapshots")
-	role         = flag.String("role", "single", "process role: single (everything in one binary), coordinator, or worker")
-	join         = flag.String("join", "", "worker: coordinator cluster address to join (required with -role=worker)")
-	clusterAddr  = flag.String("cluster-addr", "127.0.0.1:7677", "coordinator: TCP address workers join")
-	node         = flag.String("node", "", "worker: unique node name (default <hostname>-<pid>)")
-	leaseTTL     = flag.Duration("lease", cluster.DefaultLeaseTTL, "coordinator: worker lease TTL before a worker turns suspect")
-	leaseGrace   = flag.Duration("lease-grace", 0, "coordinator: suspect window past the lease before failover (0 = one extra lease, negative = none)")
-	heartbeat    = flag.Duration("heartbeat", cluster.DefaultHeartbeat, "worker: lease-renewal period")
-	arbWindow    = flag.Duration("arb-window", cluster.DefaultArbWindow, "coordinator: cross-node arbitration grant window")
-)
+// daemon is one daemon command line's parsed flags and where the daemon
+// reports.
+type daemon struct {
+	addr, httpAddr, httpReadTok, httpOpTok string
+	speed                                  int
+	duration, snapEvery                    time.Duration
+	specsPath, walDir, fsyncMode           string
+	role, join, clusterAddr, node          string
+	leaseTTL, leaseGrace, heartbeat        time.Duration
+	stdout, stderr                         io.Writer
+}
 
 // daemonSnapshot is the combined snapshot payload stored under the "modad"
 // snapshot name: the WAL sequence it covers, the virtual time it was taken
@@ -148,40 +140,76 @@ func journaledTopic(topic string) bool {
 }
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "modad:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	flag.Parse()
+// run executes one modad command line and returns the exit status: the
+// subcommand its first argument names, or else the daemon its flags
+// describe.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		switch args[0] {
+		case "experiment":
+			return experimentCmd(args[1:], stdout, stderr)
+		case "scenario":
+			return scenarioCmd(args[1:], stdout, stderr)
+		}
+	}
+	d := &daemon{stdout: stdout, stderr: stderr}
+	fs := flag.NewFlagSet("modad", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() { usage(stderr); fs.PrintDefaults() }
+	fs.StringVar(&d.addr, "addr", "127.0.0.1:7675", "TCP address to serve envelopes on")
+	fs.StringVar(&d.httpAddr, "http", "", "HTTP gateway address (empty = no HTTP; e.g. 127.0.0.1:7676)")
+	fs.StringVar(&d.httpReadTok, "http-read-token", "", "comma-separated read-only bearer tokens for the HTTP gateway")
+	fs.StringVar(&d.httpOpTok, "http-op-token", "", "comma-separated operator bearer tokens for the HTTP gateway (no tokens at all = open access)")
+	fs.IntVar(&d.speed, "speed", 60, "virtual seconds per wall second (> 0)")
+	fs.DurationVar(&d.duration, "duration", 2*time.Minute, "wall-clock run time (0 = forever)")
+	fs.StringVar(&d.specsPath, "specs", "", "JSON loop-spec file replacing the built-in fleet")
+	fs.StringVar(&d.walDir, "wal-dir", "", "write-ahead-log directory (empty = no durability)")
+	fs.StringVar(&d.fsyncMode, "fsync", "batch", "WAL fsync policy: batch, always, or none")
+	fs.DurationVar(&d.snapEvery, "snapshot-every", 10*time.Minute, "virtual time between snapshots")
+	fs.StringVar(&d.role, "role", "single", "process role: single (everything in one binary), coordinator, or worker")
+	fs.StringVar(&d.join, "join", "", "worker: coordinator cluster address to join (required with -role=worker)")
+	fs.StringVar(&d.clusterAddr, "cluster-addr", "127.0.0.1:7677", "coordinator: TCP address workers join")
+	fs.StringVar(&d.node, "node", "", "worker: unique node name (default <hostname>-<pid>)")
+	fs.DurationVar(&d.leaseTTL, "lease", cluster.DefaultLeaseTTL, "coordinator: worker lease TTL before a worker turns suspect")
+	fs.DurationVar(&d.leaseGrace, "lease-grace", 0, "coordinator: suspect window past the lease before failover (0 = one extra lease, negative = none)")
+	fs.DurationVar(&d.heartbeat, "heartbeat", cluster.DefaultHeartbeat, "worker: lease-renewal period")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	roles := map[string]func() error{"single": d.runSingle, "coordinator": d.runCoordinator, "worker": d.runWorker}
+	runRole, ok := roles[d.role]
+	switch {
+	case fs.NArg() > 0:
+		fmt.Fprintf(stderr, "modad: unexpected argument %q\n", fs.Arg(0))
+		return usage(stderr)
+	case d.speed <= 0:
+		fmt.Fprintf(stderr, "modad: -speed must be positive, got %d\n", d.speed)
+		return usage(stderr)
+	case !ok:
+		fmt.Fprintf(stderr, "modad: unknown -role %q (want single, coordinator, or worker)\n", d.role)
+		return usage(stderr)
+	}
+	if err := runRole(); err != nil {
+		fmt.Fprintln(stderr, "modad:", err)
+		return 1
+	}
+	return 0
+}
 
-	// Scenario batch mode: no serving surface, no durability, no wall clock.
-	if *scenarioPath != "" {
-		if *role != "single" || *walDir != "" {
-			return fmt.Errorf("-scenario is a batch mode, incompatible with -role=%s and -wal-dir", *role)
-		}
-		data, err := os.ReadFile(*scenarioPath)
-		if err != nil {
-			return err
-		}
-		spec, err := scenario.Decode(data)
-		if err != nil {
-			return err
-		}
-		rep, err := scenario.Run(spec, cases.NewRegistry())
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep.Table())
-		return nil
-	}
-	roles := map[string]func() error{"single": runSingle, "coordinator": runCoordinator, "worker": runWorker}
-	if runRole, ok := roles[*role]; ok {
-		return runRole()
-	}
-	return fmt.Errorf("unknown -role %q (want single, coordinator, or worker)", *role)
+// usage prints modad's command lines and returns the exit status for a
+// command line that matches none of them.
+func usage(stderr io.Writer) int {
+	fmt.Fprint(stderr, `usage: modad [daemon flags]
+       modad experiment list | run <EXP-ID|all> [-quick] [-csv] [-seed N]
+       modad scenario gen [-preset small|midsize|stress10k] [-seed N] | run <file>
+`)
+	return 2
 }
 
 // loadFleet reads the loop fleet to deploy: the -specs file, or the daemon
@@ -276,38 +304,38 @@ func boot(id string, now time.Duration, fleet []scenario.Loop) (*scenario.Runtim
 // to the scaled wall time, then surface sink errors, at most once a second
 // — a TSDB that rejects points (clock skew, invalid values) must show while
 // the daemon runs, not be swallowed into the pipeline's sticky error.
-func advance(rt *scenario.Runtime) func(wall time.Duration) {
+func (d *daemon) advance(rt *scenario.Runtime) func(wall time.Duration) {
 	vbase := rt.Engine.Now()
 	var seenErrs uint64
 	var lastLog time.Time
 	return func(wall time.Duration) {
-		rt.Engine.RunUntil(vbase + time.Duration(int64(wall)*int64(*speed)))
+		rt.Engine.RunUntil(vbase + time.Duration(int64(wall)*int64(d.speed)))
 		if _, _, errs := rt.Pipe.Stats(); errs > seenErrs && time.Since(lastLog) >= time.Second {
 			seenErrs, lastLog = errs, time.Now()
-			fmt.Fprintf(os.Stderr, "modad: telemetry ingest: %d sampling rounds returned an error so far (latest: %v)\n", errs, rt.Pipe.Err())
+			fmt.Fprintf(d.stderr, "modad: telemetry ingest: %d sampling rounds returned an error so far (latest: %v)\n", errs, rt.Pipe.Err())
 		}
 	}
 }
 
 // serveHTTP starts the HTTP gateway over opt when -http is set, with the
 // flags' bearer tokens; the returned closer is a no-op without a gateway.
-func serveHTTP(opt gateway.Options) (func(), error) {
-	if *httpAddr == "" {
+func (d *daemon) serveHTTP(opt gateway.Options) (func(), error) {
+	if d.httpAddr == "" {
 		return func() {}, nil
 	}
-	opt.ReadTokens = splitTokens(*httpReadTok)
-	opt.OperatorTokens = splitTokens(*httpOpTok)
+	opt.ReadTokens = splitTokens(d.httpReadTok)
+	opt.OperatorTokens = splitTokens(d.httpOpTok)
 	gw := gateway.New(opt)
-	if err := gw.Serve(*httpAddr); err != nil {
+	if err := gw.Serve(d.httpAddr); err != nil {
 		return nil, err
 	}
-	fmt.Printf("modad: http gateway on http://%s (/v1/query, /v1/control/<op>, /v1/stream, /metrics)\n", gw.Addr())
+	fmt.Fprintf(d.stdout, "modad: http gateway on http://%s (/v1/query, /v1/control/<op>, /v1/stream, /metrics)\n", gw.Addr())
 	return func() { gw.Close() }, nil
 }
 
 // drive calls step every 250ms of wall time, passing the time since it
-// started, until duration lapses (0 = never) or SIGINT/SIGTERM arrives.
-func drive(duration time.Duration, step func(wall time.Duration)) {
+// started, until -duration lapses (0 = never) or SIGINT/SIGTERM arrives.
+func (d *daemon) drive(step func(wall time.Duration)) {
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)
@@ -318,12 +346,12 @@ func drive(duration time.Duration, step func(wall time.Duration)) {
 		select {
 		case <-tick.C:
 			wall := time.Since(start)
-			if duration > 0 && wall >= duration {
+			if d.duration > 0 && wall >= d.duration {
 				return
 			}
 			step(wall)
 		case sig := <-sigs:
-			fmt.Printf("modad: %v: shutting down\n", sig)
+			fmt.Fprintf(d.stdout, "modad: %v: shutting down\n", sig)
 			return
 		}
 	}
@@ -338,7 +366,7 @@ func drive(duration time.Duration, step func(wall time.Duration)) {
 // halts journaling for good — logging one line, not a corrupt trail. Loop
 // state and telemetry journaling are unaffected; their appends surface
 // errors on their own paths.
-func journalBus(b *bus.Bus, w *wal.WAL) {
+func (d *daemon) journalBus(b *bus.Bus, w *wal.WAL) {
 	var lastJournalErr atomic.Int64 // unix nanos of the last logged failure
 	var journalHalted atomic.Bool
 	b.Journal(func(env bus.Envelope) {
@@ -352,14 +380,14 @@ func journalBus(b *bus.Bus, w *wal.WAL) {
 		if err != nil {
 			if !wal.Retryable(err) {
 				journalHalted.Store(true)
-				fmt.Fprintf(os.Stderr, "modad: bus journal halted on fatal WAL fault: %v\n", err)
+				fmt.Fprintf(d.stderr, "modad: bus journal halted on fatal WAL fault: %v\n", err)
 				return
 			}
 			// Rate-limited to 1/s: a broken audit trail must surface
 			// while the daemon runs, not via the sticky error at Close.
 			if now := time.Now().UnixNano(); now-lastJournalErr.Load() >= int64(time.Second) {
 				lastJournalErr.Store(now)
-				fmt.Fprintf(os.Stderr, "modad: bus journal shed %s: %v\n", env.Topic, err)
+				fmt.Fprintf(d.stderr, "modad: bus journal shed %s: %v\n", env.Topic, err)
 			}
 		}
 	})
@@ -368,8 +396,8 @@ func journalBus(b *bus.Bus, w *wal.WAL) {
 // runSingle is the whole daemon in one process: the assembled facility, the
 // TCP bridge, the optional HTTP gateway, and — with -wal-dir — journaling,
 // periodic snapshots and crash recovery.
-func runSingle() error {
-	fleet, err := loadFleet(*specsPath)
+func (d *daemon) runSingle() error {
+	fleet, err := loadFleet(d.specsPath)
 	if err != nil {
 		return err
 	}
@@ -379,7 +407,7 @@ func runSingle() error {
 	// from the snapshot's time — every subsystem schedules against it. A
 	// recovered control plane re-spawns its fleet from the snapshot; a fresh
 	// one deploys the configured specs.
-	w, err := openWAL(*walDir, *fsyncMode)
+	w, err := openWAL(d.walDir, d.fsyncMode)
 	if err != nil {
 		return err
 	}
@@ -387,7 +415,7 @@ func runSingle() error {
 	restored := false
 	if w != nil {
 		defer w.Close()
-		payload, _, ok, err := wal.LatestSnapshot(*walDir, "modad")
+		payload, _, ok, err := wal.LatestSnapshot(d.walDir, "modad")
 		if err != nil {
 			return err
 		}
@@ -435,12 +463,12 @@ func runSingle() error {
 			return err
 		}
 		if restored || replayed > 0 {
-			fmt.Printf("modad: recovered from %s: snapshot @ seq %d + %d replayed records (%d series, %d samples)\n",
-				*walDir, snap.Seq, replayed, db.NumSeries(), db.Appended())
+			fmt.Fprintf(d.stdout, "modad: recovered from %s: snapshot @ seq %d + %d replayed records (%d series, %d samples)\n",
+				d.walDir, snap.Seq, replayed, db.NumSeries(), db.Appended())
 		}
 		db.Journal(w)
 		kb.Journal(w)
-		journalBus(rt.Bus, w)
+		d.journalBus(rt.Bus, w)
 	}
 
 	// snapshot writes one combined snapshot covering everything the log
@@ -474,30 +502,30 @@ func runSingle() error {
 		if err != nil {
 			return err
 		}
-		if err := wal.WriteSnapshot(*walDir, "modad", seq, payload); err != nil {
+		if err := wal.WriteSnapshot(d.walDir, "modad", seq, payload); err != nil {
 			return err
 		}
 		_, err = w.Compact(seq + 1)
 		return err
 	}
-	if w != nil && *snapEvery > 0 {
-		engine.Every(engine.Now()+*snapEvery, *snapEvery, func() bool {
+	if w != nil && d.snapEvery > 0 {
+		engine.Every(engine.Now()+d.snapEvery, d.snapEvery, func() bool {
 			if err := snapshot(); err != nil {
-				fmt.Fprintln(os.Stderr, "modad: snapshot:", err)
+				fmt.Fprintln(d.stderr, "modad: snapshot:", err)
 			}
 			return true
 		})
 	}
 
-	srv, err := bus.NewServer(*addr, "*", rt.Bus)
+	srv, err := bus.NewServer(d.addr, "*", rt.Bus)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
 	coord := ctl.Coordinator()
-	fmt.Printf("modad: serving telemetry, loop, fleet, and control.v1 envelopes on %s (speed %dx, %d loops)\n",
-		srv.Addr(), *speed, coord.Len())
-	closeHTTP, err := serveHTTP(gateway.Options{
+	fmt.Fprintf(d.stdout, "modad: serving telemetry, loop, fleet, and control.v1 envelopes on %s (speed %dx, %d loops)\n",
+		srv.Addr(), d.speed, coord.Len())
+	closeHTTP, err := d.serveHTTP(gateway.Options{
 		Store: db, Control: ctl, Bus: rt.Bus, Pipeline: rt.Pipe, WAL: w, WireServer: srv,
 	})
 	if err != nil {
@@ -505,14 +533,14 @@ func runSingle() error {
 	}
 	defer closeHTTP()
 
-	drive(*duration, advance(rt))
+	d.drive(d.advance(rt))
 
 	// Shutdown: snapshot FIRST, while the fleet still holds its live
 	// lifecycle states — a restart with the same -wal-dir resumes exactly
 	// here. Then drain the loops so no plan is cut mid-action, and finally
 	// flush and fsync the log.
 	if err := snapshot(); err != nil {
-		fmt.Fprintln(os.Stderr, "modad: final snapshot:", err)
+		fmt.Fprintln(d.stderr, "modad: final snapshot:", err)
 	}
 	for _, ls := range ctl.Handle(control.Request{Op: control.OpList}).Loops {
 		if ls.Name == ls.Group && (ls.State == "created" || ls.State == "running") {
@@ -522,18 +550,18 @@ func runSingle() error {
 	ctl.Tick(engine.Now() + time.Minute) // one settling round completes the drains
 	if w != nil {
 		if err := kb.JournalErr(); err != nil {
-			fmt.Fprintln(os.Stderr, "modad: journal:", err)
+			fmt.Fprintln(d.stderr, "modad: journal:", err)
 		}
 		if err := w.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "modad: wal close:", err)
+			fmt.Fprintln(d.stderr, "modad: wal close:", err)
 		}
 		m := w.Metrics()
-		fmt.Printf("modad: wal closed; %d records, %d bytes, %d syncs, %d rotations\n",
+		fmt.Fprintf(d.stdout, "modad: wal closed; %d records, %d bytes, %d syncs, %d rotations\n",
 			m.Appends, m.Bytes, m.Syncs, m.Rotations)
 	}
 	cm := coord.Metrics()
 	_, _, sinkErrs := rt.Pipe.Stats()
-	fmt.Printf("modad: done; %d series, %d samples stored (%d sampling rounds with an ingest error); fleet ran %d rounds (%d actions, %d arbitrated)\n",
+	fmt.Fprintf(d.stdout, "modad: done; %d series, %d samples stored (%d sampling rounds with an ingest error); fleet ran %d rounds (%d actions, %d arbitrated)\n",
 		db.NumSeries(), db.Appended(), sinkErrs, cm.Rounds, cm.Planned, cm.Arbitrated)
 	return nil
 }

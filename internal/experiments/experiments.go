@@ -1,14 +1,16 @@
 // Package experiments contains one runnable experiment per figure and per
 // qualitative claim of the paper, indexed by the registry below and run with
-// cmd/modaloop. Each runner assembles the simulated substrates and autonomy
-// loops, executes a deterministic scenario, and returns a Result whose table
-// is the reproduction artifact; the seed-1 tables are pinned byte for byte
-// in testdata/*.golden.
+// `modad experiment run`. Each runner assembles the simulated substrates and
+// autonomy loops, executes a deterministic scenario, and returns a Result
+// whose table is the reproduction artifact; the seed-1 tables are pinned
+// byte for byte in testdata/*.golden.
 package experiments
 
 import (
 	"fmt"
 	"strings"
+
+	"autoloop/internal/scenario"
 )
 
 // Result is one experiment's output: a labeled table plus free-form notes.
@@ -59,35 +61,7 @@ func (r *Result) Table() string {
 	if r.Claim != "" {
 		fmt.Fprintf(&b, "paper: %s\n", r.Claim)
 	}
-	widths := make([]int, len(r.Columns))
-	for i, c := range r.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range r.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(r.Columns)
-	sep := make([]string, len(r.Columns))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range r.Rows {
-		writeRow(row)
-	}
+	scenario.WriteAligned(&b, r.Columns, r.Rows)
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}

@@ -78,7 +78,7 @@ func TestScenarioSmallEndToEnd(t *testing.T) {
 }
 
 // TestScenarioJSONPath runs the same preset through its JSON form — the
-// modad -scenario path — and requires the identical table.
+// `modad scenario run` path — and requires the identical table.
 func TestScenarioJSONPath(t *testing.T) {
 	direct, err := scenario.Run(scenario.Small(42), cases.NewRegistry())
 	if err != nil {

@@ -272,7 +272,7 @@ func (r *Report) Table() string {
 		}
 		rows = append(rows, []string{kind, o.Domain, o.At.String(), o.End.String(), det, lat, resp, mttr, by})
 	}
-	writeAligned(&b, cols, rows)
+	WriteAligned(&b, cols, rows)
 	s := r.Scores
 	fmt.Fprintf(&b, "detected %d/%d, responded %d/%d, mean MTTR %v\n",
 		s.Detected, s.Windows, s.Responded, s.Windows, s.MeanMTTR)
@@ -282,8 +282,10 @@ func (r *Report) Table() string {
 	return b.String()
 }
 
-// writeAligned renders one fixed-width table.
-func writeAligned(b *strings.Builder, cols []string, rows [][]string) {
+// WriteAligned renders one fixed-width table: every column as wide as its
+// widest cell, cells joined by two spaces, and a dashed row under the
+// header. The scenario and experiment tables share it.
+func WriteAligned(b *strings.Builder, cols []string, rows [][]string) {
 	widths := make([]int, len(cols))
 	for i, c := range cols {
 		widths[i] = len(c)
