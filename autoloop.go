@@ -8,9 +8,10 @@
 //
 // The paper's five use cases (Scheduler walltime extension, Maintenance,
 // I/O QoS, OST avoidance, Misconfiguration) are implemented end to end in
-// internal/cases, the four Fig. 2 decentralization patterns in
-// internal/core, and one experiment per figure/claim in
-// internal/experiments (run them with `modad experiment run`).
+// internal/cases, the MAPE-K loop in internal/core, and one experiment per
+// figure/claim in internal/experiments (run them with `modad experiment
+// run`). The four Fig. 2 decentralization patterns are compositions of
+// core.Loops in internal/experiments/f2.go.
 //
 // This facade re-exports the core MAPE-K vocabulary so that the README's
 // snippets read from one import; the full surface lives in the internal

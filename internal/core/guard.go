@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -27,13 +28,37 @@ func (g ConfidenceGate) Check(now time.Duration, loop string, action Action) err
 	return nil
 }
 
-// RateLimit vetoes actions once Max actions have executed within Window
-// (sliding), bounding how aggressively a loop may steer its managed system.
+// budgeted is a guardrail with a budget that actions use up. Its Check only
+// reads the budget; admit records an action in it once every guard has
+// passed the action, so a veto by a later guard costs nothing.
+type budgeted interface {
+	record(now time.Duration, action Action)
+}
+
+// admit runs action past guards in order, the first error vetoing it, and
+// records an admitted action in every budgeted guard.
+func admit(guards []Guardrail, now time.Duration, loop string, action Action) error {
+	for _, g := range guards {
+		if err := g.Check(now, loop, action); err != nil {
+			return err
+		}
+	}
+	for _, g := range guards {
+		if b, ok := g.(budgeted); ok {
+			b.record(now, action)
+		}
+	}
+	return nil
+}
+
+// RateLimit vetoes actions once Max actions have passed every guard of the
+// loop within Window (sliding), bounding how aggressively a loop may steer
+// its managed system.
 type RateLimit struct {
 	Max    int
 	Window time.Duration
 
-	times []time.Duration
+	times []time.Duration // admission times
 }
 
 // NewRateLimit returns a sliding-window rate limit.
@@ -44,21 +69,22 @@ func NewRateLimit(max int, window time.Duration) *RateLimit {
 	return &RateLimit{Max: max, Window: window}
 }
 
-// Check implements Guardrail. An accepted check counts against the budget.
+// Check implements Guardrail.
 func (r *RateLimit) Check(now time.Duration, loop string, action Action) error {
-	cutoff := now - r.Window
-	keep := r.times[:0]
+	n := 0
 	for _, t := range r.times {
-		if t > cutoff {
-			keep = append(keep, t)
+		if t > now-r.Window {
+			n++
 		}
 	}
-	r.times = keep
-	if len(r.times) >= r.Max {
+	if n >= r.Max {
 		return fmt.Errorf("rate limit: %d actions in %v", r.Max, r.Window)
 	}
-	r.times = append(r.times, now)
 	return nil
+}
+
+func (r *RateLimit) record(now time.Duration, _ Action) {
+	r.times = append(slices.DeleteFunc(r.times, func(t time.Duration) bool { return t <= now-r.Window }), now)
 }
 
 // SubjectCap vetoes actions once a subject has received Max actions of a
@@ -81,14 +107,18 @@ func NewSubjectCap(kind string, max int) *SubjectCap {
 
 // Check implements Guardrail.
 func (c *SubjectCap) Check(now time.Duration, loop string, action Action) error {
-	if c.Kind != "" && action.Kind != c.Kind {
-		return nil
-	}
-	if c.counts[action.Subject] >= c.Max {
+	if c.matches(action) && c.counts[action.Subject] >= c.Max {
 		return fmt.Errorf("subject %s reached cap of %d %q actions", action.Subject, c.Max, c.Kind)
 	}
-	c.counts[action.Subject]++
 	return nil
+}
+
+func (c *SubjectCap) matches(action Action) bool { return c.Kind == "" || action.Kind == c.Kind }
+
+func (c *SubjectCap) record(now time.Duration, action Action) {
+	if c.matches(action) {
+		c.counts[action.Subject]++
+	}
 }
 
 // DryRun vetoes everything, turning a loop into a pure advisor: plans and

@@ -33,21 +33,21 @@ func TestConfidenceGate(t *testing.T) {
 func TestRateLimitSlidingWindow(t *testing.T) {
 	r := NewRateLimit(2, time.Minute)
 	a := Action{Kind: "x", Subject: "s"}
-	if err := r.Check(0, "l", a); err != nil {
+	if err := admit([]Guardrail{r}, 0, "l", a); err != nil {
 		t.Fatalf("first action vetoed: %v", err)
 	}
-	if err := r.Check(10*time.Second, "l", a); err != nil {
+	if err := admit([]Guardrail{r}, 10*time.Second, "l", a); err != nil {
 		t.Fatalf("second action vetoed: %v", err)
 	}
-	if err := r.Check(20*time.Second, "l", a); err == nil {
+	if err := admit([]Guardrail{r}, 20*time.Second, "l", a); err == nil {
 		t.Fatal("third action within window must be vetoed")
 	}
 	// The first action (t=0) leaves the sliding window at t>60s; one slot
 	// frees up. The rejected attempt at t=20s must not have consumed budget.
-	if err := r.Check(61*time.Second, "l", a); err != nil {
+	if err := admit([]Guardrail{r}, 61*time.Second, "l", a); err != nil {
 		t.Fatalf("action after window slid must pass: %v", err)
 	}
-	if err := r.Check(62*time.Second, "l", a); err == nil {
+	if err := admit([]Guardrail{r}, 62*time.Second, "l", a); err == nil {
 		t.Fatal("window is full again; action must be vetoed")
 	}
 }
@@ -72,27 +72,27 @@ func TestSubjectCap(t *testing.T) {
 	c := NewSubjectCap("extend", 2)
 	ext := func(subject string) Action { return Action{Kind: "extend", Subject: subject} }
 	for i := 0; i < 2; i++ {
-		if err := c.Check(0, "l", ext("job1")); err != nil {
+		if err := admit([]Guardrail{c}, 0, "l", ext("job1")); err != nil {
 			t.Fatalf("extend %d on job1 vetoed: %v", i+1, err)
 		}
 	}
-	if err := c.Check(0, "l", ext("job1")); err == nil {
+	if err := admit([]Guardrail{c}, 0, "l", ext("job1")); err == nil {
 		t.Fatal("third extend on job1 must be vetoed")
 	}
-	if err := c.Check(0, "l", ext("job2")); err != nil {
+	if err := admit([]Guardrail{c}, 0, "l", ext("job2")); err != nil {
 		t.Fatalf("other subject must have its own budget: %v", err)
 	}
-	if err := c.Check(0, "l", Action{Kind: "checkpoint", Subject: "job1"}); err != nil {
+	if err := admit([]Guardrail{c}, 0, "l", Action{Kind: "checkpoint", Subject: "job1"}); err != nil {
 		t.Fatalf("other kind must not be capped: %v", err)
 	}
 }
 
 func TestSubjectCapEmptyKindMatchesAll(t *testing.T) {
 	c := NewSubjectCap("", 1)
-	if err := c.Check(0, "l", Action{Kind: "a", Subject: "s"}); err != nil {
+	if err := admit([]Guardrail{c}, 0, "l", Action{Kind: "a", Subject: "s"}); err != nil {
 		t.Fatalf("first action vetoed: %v", err)
 	}
-	if err := c.Check(0, "l", Action{Kind: "b", Subject: "s"}); err == nil {
+	if err := admit([]Guardrail{c}, 0, "l", Action{Kind: "b", Subject: "s"}); err == nil {
 		t.Fatal("kind-agnostic cap must count every kind")
 	}
 }
@@ -173,14 +173,14 @@ func TestEachBuiltinGuardrailVetoPathInLoop(t *testing.T) {
 		{"dry run", DryRun{}},
 		{"exhausted subject cap", func() Guardrail {
 			c := NewSubjectCap("act", 1)
-			if err := c.Check(0, "warm", Action{Kind: "act", Subject: "s"}); err != nil {
+			if err := admit([]Guardrail{c}, 0, "warm", Action{Kind: "act", Subject: "s"}); err != nil {
 				t.Fatalf("warmup: %v", err)
 			}
 			return c
 		}()},
 		{"exhausted rate limit", func() Guardrail {
 			r := NewRateLimit(1, time.Hour)
-			if err := r.Check(time.Second, "warm", Action{Kind: "act", Subject: "s"}); err != nil {
+			if err := admit([]Guardrail{r}, time.Second, "warm", Action{Kind: "act", Subject: "s"}); err != nil {
 				t.Fatalf("warmup: %v", err)
 			}
 			return r
@@ -208,5 +208,38 @@ func TestGuardErrorTextReachesAudit(t *testing.T) {
 	l.Tick(time.Second)
 	if tr.count("veto: budget s exhausted") != 1 {
 		t.Fatalf("events = %q, want a veto carrying the guard's error text", tr.lines)
+	}
+}
+
+// TestVetoedActionSpendsNoBudget: an action a later guard vetoes must not use
+// up an earlier guard's budget, which counts only admitted actions.
+func TestVetoedActionSpendsNoBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		budget     Guardrail
+		exhaustion string
+	}{
+		{"rate limit", NewRateLimit(1, time.Hour), "veto: rate limit: 1 actions in 1h0m0s"},
+		{"subject cap", NewSubjectCap("act", 1), `veto: subject s reached cap of 1 "act" actions`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			confidence := 0.5
+			l, tr := guardedLoop(tc.budget, ConfidenceGate{Min: 0.9})
+			l.P = PlannerFunc(func(now time.Duration, sym Symptoms) (Plan, error) {
+				return Plan{Time: now, Actions: []Action{{Kind: "act", Subject: "s", Confidence: confidence}}}, nil
+			})
+			l.Tick(time.Second)
+			confidence = 1
+			l.Tick(2 * time.Second)
+			l.Tick(3 * time.Second)
+			want := []string{
+				"finding", "plan", "veto: confidence 0.50 below gate 0.90",
+				"finding", "plan", "execute",
+				"finding", "plan", tc.exhaustion,
+			}
+			if strings.Join(tr.lines, ",") != strings.Join(want, ",") {
+				t.Errorf("events = %q, want %q", tr.lines, want)
+			}
+		})
 	}
 }

@@ -158,17 +158,6 @@ func (l *Loop) FinishDrain() {
 // Stop is idempotent and valid from every state.
 func (l *Loop) Stop() error { return l.transition(StateStopped, true) }
 
-// SetEnabled maps the legacy enable/disable toggle onto the lifecycle:
-// disabling pauses the loop (failure injection for the robustness
-// experiments; a paused loop's Tick is a no-op), enabling resumes it.
-func (l *Loop) SetEnabled(on bool) {
-	if on {
-		_ = l.Resume()
-	} else {
-		_ = l.Pause()
-	}
-}
-
 // deferredValid reports whether a deferred human-approval action captured at
 // generation gen may still execute: the loop must be tickable and no
 // pause/drain/stop may have intervened.

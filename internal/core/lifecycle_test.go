@@ -101,24 +101,6 @@ func TestDrainCompletesAtTickBoundary(t *testing.T) {
 	}
 }
 
-func TestSetEnabledCompat(t *testing.T) {
-	l, rec := newTestLoop(0.9)
-	l.Tick(time.Second)
-	l.SetEnabled(false)
-	if l.State().Tickable() || l.State() != StatePaused {
-		t.Fatalf("SetEnabled(false): enabled=%v state=%s", l.State().Tickable(), l.State())
-	}
-	l.Tick(2 * time.Second)
-	l.SetEnabled(true)
-	if !l.State().Tickable() || l.State() != StateRunning {
-		t.Fatalf("SetEnabled(true): enabled=%v state=%s", l.State().Tickable(), l.State())
-	}
-	l.Tick(3 * time.Second)
-	if len(rec.executed) != 2 {
-		t.Fatalf("executed %d, want 2 (disabled tick skipped)", len(rec.executed))
-	}
-}
-
 func TestParseModeAndState(t *testing.T) {
 	for _, m := range []Mode{Autonomous, HumanOnTheLoop, HumanInTheLoop} {
 		got, err := ParseMode(m.String())

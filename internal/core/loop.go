@@ -76,8 +76,8 @@ type Metrics struct {
 	Errors            int
 
 	// DecisionLatency accumulates time from symptom to execution (nonzero
-	// only for deferred human-in-the-loop executions and pattern plan
-	// costs); divide by ExecutedActions for the mean.
+	// only for deferred human-in-the-loop executions); divide by
+	// ExecutedActions for the mean.
 	DecisionLatency time.Duration
 }
 
@@ -375,12 +375,10 @@ func (l *Loop) ExecutePlanned(pt *PlannedTick) {
 // human-on-the-loop action executes at once; its execute event, carrying the
 // planner's Explanation, is the human's notification.
 func (l *Loop) dispatch(now time.Duration, action Action) (ActionResult, bool) {
-	for _, g := range l.Guards {
-		if err := g.Check(now, l.Name, action); err != nil {
-			l.metrics.VetoedActions++
-			l.emitResult(now, evVeto, action, err.Error())
-			return ActionResult{}, false
-		}
+	if err := admit(l.Guards, now, l.Name, action); err != nil {
+		l.metrics.VetoedActions++
+		l.emitResult(now, evVeto, action, err.Error())
+		return ActionResult{}, false
 	}
 	switch l.Mode {
 	case Autonomous, HumanOnTheLoop:

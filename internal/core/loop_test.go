@@ -71,13 +71,15 @@ func TestLoopTickExecutesPlan(t *testing.T) {
 
 func TestLoopDisabledDoesNothing(t *testing.T) {
 	l, rec := newTestLoop(0.9)
-	l.SetEnabled(false)
+	if err := l.Pause(); err != nil {
+		t.Fatal(err)
+	}
 	l.Tick(time.Second)
 	if len(rec.executed) != 0 || l.Metrics().Ticks != 0 {
-		t.Error("disabled loop acted")
+		t.Error("paused loop acted")
 	}
 	if l.State().Tickable() {
-		t.Error("Enabled should be false")
+		t.Error("paused loop reports tickable")
 	}
 }
 

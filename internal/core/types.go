@@ -1,15 +1,17 @@
 // Package core implements the paper's primary contribution: MAPE-K autonomy
 // loops for MODA (monitoring and operational data analytics) in HPC
-// operations, with the four decentralization design patterns of Fig. 2 —
-// classical, master-worker, fully decentralized coordinated, and
-// hierarchical — plus the trust machinery the paper's §III(iv) and §IV call
+// operations, plus the trust machinery the paper's §III(iv) and §IV call
 // for: guardrails, confidence gates, explained decisions published on the bus,
-// and human-in/on-the-loop operating modes.
+// human-in/on-the-loop operating modes, and a lifecycle a control plane
+// drives.
 //
 // A loop is wired from five interchangeable interfaces (Monitor, Analyzer,
 // Planner, Executor, Assessor) over a shared Knowledge base. Use cases in
-// internal/cases compose concrete phase implementations; patterns in this
-// package compose whole loops.
+// internal/cases compose concrete phase implementations. The four
+// decentralization design patterns of Fig. 2 — classical, master-worker,
+// fully decentralized coordinated, and hierarchical — are compositions of
+// Loops in internal/experiments/f2.go, the grouped ones registered on a
+// fleet.Coordinator.
 package core
 
 import (

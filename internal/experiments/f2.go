@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"autoloop/internal/core"
@@ -12,40 +13,39 @@ import (
 	"autoloop/internal/tsdb"
 )
 
+// The Fig. 2 decentralization patterns are compositions of core.Loops:
+// master-worker is one masterLoop over every subsystem, coordinated is one
+// full loop per subsystem on a fleet (localFleet), and hierarchical is
+// sqrt(N) masterLoops on a fleet (groupMasters).
+
 // ---- shared managed subsystem for the pattern experiments ----
 
 // subsystem is a minimal managed system: a work queue that grows at a fixed
-// arrival rate; the control action drains it. It exposes a Monitor (queue
-// depth) and an Executor (drain), i.e. exactly the M/E split of the
-// master-worker pattern.
+// arrival rate; the control action drains it. It is its own core.Monitor
+// (queue depth) and core.Executor (drain), i.e. exactly the M/E split the
+// master-worker pattern leaves with each managed system.
 type subsystem struct {
 	name    string
 	queue   float64
 	arrival float64 // work per tick
-	drained float64
 	actions int
-	lastAct time.Duration
 }
 
 func (s *subsystem) step() { s.queue += s.arrival }
 
-func (s *subsystem) monitor() core.Monitor {
-	return core.MonitorFunc(func(now time.Duration) (core.Observation, error) {
-		return core.Observation{Time: now, Points: []telemetry.Point{{
-			Name: "subsys.queue", Labels: telemetry.Labels{"sub": s.name}, Time: now, Value: s.queue,
-		}}}, nil
-	})
+// Observe implements core.Monitor.
+func (s *subsystem) Observe(now time.Duration) (core.Observation, error) {
+	return core.Observation{Time: now, Points: []telemetry.Point{{
+		Name: "subsys.queue", Labels: telemetry.Labels{"sub": s.name}, Time: now, Value: s.queue,
+	}}}, nil
 }
 
-func (s *subsystem) executor() core.Executor {
-	return core.ExecutorFunc(func(now time.Duration, a core.Action) (core.ActionResult, error) {
-		amount := math.Min(a.Amount, s.queue)
-		s.queue -= amount
-		s.drained += amount
-		s.actions++
-		s.lastAct = now
-		return core.ActionResult{Action: a, Honored: true, Granted: amount}, nil
-	})
+// Execute implements core.Executor.
+func (s *subsystem) Execute(now time.Duration, a core.Action) (core.ActionResult, error) {
+	amount := math.Min(a.Amount, s.queue)
+	s.queue -= amount
+	s.actions++
+	return core.ActionResult{Action: a, Honored: true, Granted: amount}, nil
 }
 
 // drainAnalyzer flags any subsystem whose queue exceeds the threshold.
@@ -79,9 +79,9 @@ func drainPlanner() core.Planner {
 // runF2a measures how the decision latency of each pattern scales with the
 // number of managed subsystems. The centralized Plan of master-worker is
 // modeled with a cost quadratic in the inputs it must jointly consider
-// (pairwise interference reasoning), local plans are constant, and the
-// hierarchical parent pays the quadratic cost only over its direct children
-// (groups), on a slower cadence.
+// (pairwise interference reasoning), local plans are constant, and each of
+// the hierarchical pattern's sqrt(N) group masters pays the quadratic cost
+// only over its own group. No parent level runs above the group masters.
 func runF2a(opt Options) *Result {
 	res := &Result{
 		Title: "Decision latency vs managed-system count N",
@@ -97,26 +97,24 @@ func runF2a(opt Options) *Result {
 		unit   = 500 * time.Microsecond // plan cost per considered pair/input
 		window = 120 * time.Second
 	)
-	planCost := func(n int) time.Duration { return time.Duration(n*n) * unit }
+	quadratic := func(n int) time.Duration { return time.Duration(n*n) * unit }
 
 	for _, n := range sizes {
 		latencies := map[string]time.Duration{}
 
-		// Master-worker: one central A+P over all N workers.
+		// Master-worker: one central A+P over all N subsystems.
 		{
 			engine := sim.NewEngine(opt.Seed)
-			subs, workers := makeSubsystems(n)
-			mw := core.NewMasterWorker("mw", drainAnalyzer(5), drainPlanner(), workers)
-			mw.Clock = sim.VirtualClock{Engine: engine}
-			mw.PlanCost = planCost
-			runPatternWindow(engine, subs, window, mw.Tick)
-			latencies["master-worker"] = meanLatency(mw.Metrics())
+			subs := makeSubsystems(n)
+			cost := &planCost{per: quadratic, clock: sim.VirtualClock{Engine: engine}}
+			runPatternWindow(engine, subs, window, masterLoop("mw", subs, cost).Tick)
+			latencies["master-worker"] = meanLatency(cost.lat)
 		}
 
 		// Coordinated: N full local loops, each planning O(1).
 		{
 			engine := sim.NewEngine(opt.Seed)
-			subs, _ := makeSubsystems(n)
+			subs := makeSubsystems(n)
 			coord := localFleet(subs)
 			// Local plan cost is constant: model it as a fixed execution delay
 			// by measuring it directly in the metrics (zero modeled delay).
@@ -130,24 +128,14 @@ func runF2a(opt Options) *Result {
 			latencies["coordinated"] = meanLatency(total)
 		}
 
-		// Hierarchical: sqrt(N) groups; each group master plans over its
-		// members, the parent plans over group aggregates every 10 ticks.
+		// Hierarchical: sqrt(N) group masters on one fleet, each planning
+		// over its own group's members.
 		{
 			engine := sim.NewEngine(opt.Seed)
-			subs, workers := makeSubsystems(n)
-			masters := groupMasters(workers, int(math.Sqrt(float64(n))))
-			for _, mw := range masters {
-				mw.Clock = sim.VirtualClock{Engine: engine}
-				mw.PlanCost = planCost // quadratic, but only over group size
-			}
-			runPatternWindow(engine, subs, window, tickAll(masters))
-			var total core.Metrics
-			for _, mw := range masters {
-				m := mw.Metrics()
-				total.ExecutedActions += m.ExecutedActions
-				total.DecisionLatency += m.DecisionLatency
-			}
-			latencies["hierarchical"] = meanLatency(total)
+			subs := makeSubsystems(n)
+			cost := &planCost{per: quadratic, clock: sim.VirtualClock{Engine: engine}}
+			runPatternWindow(engine, subs, window, groupMasters(subs, int(math.Sqrt(float64(n))), cost).Tick)
+			latencies["hierarchical"] = meanLatency(cost.lat)
 		}
 
 		res.AddRow(n,
@@ -161,15 +149,12 @@ func runF2a(opt Options) *Result {
 	return res
 }
 
-func makeSubsystems(n int) ([]*subsystem, []*core.Worker) {
+func makeSubsystems(n int) []*subsystem {
 	subs := make([]*subsystem, n)
-	workers := make([]*core.Worker, n)
-	for i := 0; i < n; i++ {
-		s := &subsystem{name: fmt.Sprintf("s%03d", i), arrival: 3}
-		subs[i] = s
-		workers[i] = core.NewWorker(s.name, s.monitor(), s.executor())
+	for i := range subs {
+		subs[i] = &subsystem{name: fmt.Sprintf("s%03d", i), arrival: 3}
 	}
-	return subs, workers
+	return subs
 }
 
 // localFleet gives each subsystem its own full MAPE-K loop (the coordinated
@@ -178,34 +163,65 @@ func makeSubsystems(n int) ([]*subsystem, []*core.Worker) {
 func localFleet(subs []*subsystem) *fleet.Coordinator {
 	coord := fleet.New(0)
 	for _, s := range subs {
-		coord.Add(core.NewLoop(s.name, s.monitor(), drainAnalyzer(5), drainPlanner(), s.executor()), 0)
+		coord.Add(core.NewLoop(s.name, s, drainAnalyzer(5), drainPlanner(), s), 0)
 	}
 	return coord
 }
 
-// groupMasters splits workers into at most groups contiguous groups of
-// ceil(len/groups) and gives each its own master (the hierarchical pattern's
-// group level).
-func groupMasters(workers []*core.Worker, groups int) []*core.MasterWorker {
-	if groups < 1 {
-		groups = 1
-	}
-	per := (len(workers) + groups - 1) / groups
-	var masters []*core.MasterWorker
-	for g := 0; g*per < len(workers); g++ {
-		group := workers[g*per : min((g+1)*per, len(workers))]
-		masters = append(masters, core.NewMasterWorker(fmt.Sprintf("g%d", g), drainAnalyzer(5), drainPlanner(), group))
-	}
-	return masters
+// planCost models a master's centralized Plan, which "suffers from limited
+// scalability", as a virtual-time delay before its actions reach the
+// subsystems: per(n) for a master over n subsystems, waited on clock. lat
+// accumulates each handed-off action and its delay.
+type planCost struct {
+	per   func(n int) time.Duration
+	clock sim.Clock
+	lat   core.Metrics
 }
 
-// tickAll ticks every master in order.
-func tickAll(masters []*core.MasterWorker) func(now time.Duration) {
-	return func(now time.Duration) {
-		for _, mw := range masters {
-			mw.Tick(now)
+// masterLoop is the master-worker pattern as one core.Loop: its Monitor
+// merges every subsystem's observation, Analyze and Plan run once centrally,
+// and its Executor hands each action to the subsystem its Subject names —
+// at once, or after the plan cost when cost is non-nil. A subsystem's
+// Observe and Execute never fail.
+func masterLoop(name string, subs []*subsystem, cost *planCost) *core.Loop {
+	monitor := core.MonitorFunc(func(now time.Duration) (core.Observation, error) {
+		merged := core.Observation{Time: now}
+		for _, s := range subs {
+			obs, _ := s.Observe(now)
+			merged.Points = append(merged.Points, obs.Points...)
 		}
+		return merged, nil
+	})
+	handOff := core.ExecutorFunc(func(now time.Duration, a core.Action) (core.ActionResult, error) {
+		i := slices.IndexFunc(subs, func(s *subsystem) bool { return s.name == a.Subject })
+		if i < 0 {
+			return core.ActionResult{}, fmt.Errorf("no subsystem %q", a.Subject)
+		}
+		s := subs[i]
+		if cost == nil {
+			return s.Execute(now, a)
+		}
+		delay := cost.per(len(subs))
+		cost.clock.AfterFunc(delay, func() {
+			_, _ = s.Execute(cost.clock.Now(), a)
+			cost.lat.ExecutedActions++
+			cost.lat.DecisionLatency += delay
+		})
+		return core.ActionResult{Action: a}, nil
+	})
+	return core.NewLoop(name, monitor, drainAnalyzer(5), drainPlanner(), handOff)
+}
+
+// groupMasters splits subs into at most groups (>= 1) contiguous groups of
+// ceil(len/groups) and registers one master per group, in group order, on
+// one fleet (the hierarchical pattern's group level).
+func groupMasters(subs []*subsystem, groups int, cost *planCost) *fleet.Coordinator {
+	per := (len(subs) + groups - 1) / groups
+	coord := fleet.New(0)
+	for g := 0; g*per < len(subs); g++ {
+		coord.Add(masterLoop(fmt.Sprintf("g%d", g), subs[g*per:min((g+1)*per, len(subs))], cost), 0)
 	}
+	return coord
 }
 
 // runPatternWindow advances subsystems and ticks the controller once per
@@ -234,7 +250,7 @@ func meanLatency(m core.Metrics) time.Duration {
 // offered rate approaches capacity (M/M/1-style).
 type sharedResource struct {
 	capacity float64
-	offered  map[string]float64
+	offered  []float64 // each loop's rate, in loop order
 }
 
 func (r *sharedResource) total() float64 {
@@ -286,13 +302,11 @@ func runF2b(opt Options) *Result {
 		{"coordinated", true, false},
 		{"hierarchical", false, true},
 	} {
-		rsc := &sharedResource{capacity: capacity, offered: map[string]float64{}}
-		board := core.NewIntentBoard()
 		rates := make([]float64, nLoops)
 		for i := range rates {
 			rates[i] = capacity / nLoops / 2
-			rsc.offered[fmt.Sprintf("l%02d", i)] = rates[i]
 		}
+		rsc := &sharedResource{capacity: capacity, offered: rates}
 		// Hierarchical parent state: per-loop allocation.
 		alloc := capacity * 0.85 / nLoops
 
@@ -317,16 +331,22 @@ func runF2b(opt Options) *Result {
 				}
 			}
 			for i := 0; i < nLoops; i++ {
-				name := fmt.Sprintf("l%02d", i)
 				switch {
 				case v.hierarchic:
 					// Children track the parent's allocation.
 					rates[i] = alloc
 				case v.coordinated:
-					// Consult peers' posted intents: take a fair share of
-					// the remaining headroom (below the latency knee)
-					// instead of reacting to the shared latency signal.
-					peers := board.SumAmount(name, "rate")
+					// Consult the rates peers already posted (this tick's
+					// for lower indexes, last tick's for higher ones, summed
+					// in index order): take a fair share of the remaining
+					// headroom (below the latency knee) instead of reacting
+					// to the shared latency signal.
+					peers := 0.0
+					for j, r := range rates {
+						if j != i && (j < i || tick > 0) {
+							peers += r
+						}
+					}
 					headroom := capacity*0.72 - peers
 					share := headroom
 					if share > capacity*0.72/nLoops*1.5 {
@@ -348,8 +368,6 @@ func runF2b(opt Options) *Result {
 				if rates[i] < 1 {
 					rates[i] = 1
 				}
-				rsc.offered[name] = rates[i]
-				board.Post(time.Duration(tick)*time.Second, name, core.Action{Kind: "rate", Amount: rates[i]})
 			}
 			totals = append(totals, rsc.total())
 			utils = append(utils, rsc.total()/capacity)
@@ -406,40 +424,41 @@ func runF2c(opt Options) *Result {
 	half := window / 2
 
 	// Each scenario wires one pattern over the subsystems and returns its
-	// tick and the failure to inject.
+	// tick and the failure to inject: a dead controller is a paused loop
+	// (pausing a running loop cannot fail).
 	type scenario struct {
 		name, failure string
-		build         func(subs []*subsystem, workers []*core.Worker) (tick func(time.Duration), fail func())
+		build         func(subs []*subsystem) (tick func(time.Duration), fail func())
 	}
 	scenarios := []scenario{
-		{"master-worker", "master dies", func(_ []*subsystem, workers []*core.Worker) (func(time.Duration), func()) {
-			mw := core.NewMasterWorker("mw", drainAnalyzer(5), drainPlanner(), workers)
-			return mw.Tick, func() { mw.SetEnabled(false) }
+		{"master-worker", "master dies", func(subs []*subsystem) (func(time.Duration), func()) {
+			mw := masterLoop("mw", subs, nil)
+			return mw.Tick, func() { _ = mw.Pause() }
 		}},
-		{"coordinated", "25% of loops die", func(subs []*subsystem, _ []*core.Worker) (func(time.Duration), func()) {
+		{"coordinated", "25% of loops die", func(subs []*subsystem) (func(time.Duration), func()) {
 			coord := localFleet(subs)
 			return coord.Tick, func() {
 				for _, l := range coord.Loops()[:n/4] {
-					l.SetEnabled(false)
+					_ = l.Pause()
 				}
 			}
 		}},
 		// This model's parent holds no state the group masters depend on, so
 		// its death changes nothing and the row equals the no-failure
 		// baseline.
-		{"hierarchical", "parent dies", func(_ []*subsystem, workers []*core.Worker) (func(time.Duration), func()) {
-			return tickAll(groupMasters(workers, 4)), func() {}
+		{"hierarchical", "parent dies", func(subs []*subsystem) (func(time.Duration), func()) {
+			return groupMasters(subs, 4, nil).Tick, func() {}
 		}},
-		{"hierarchical", "1 of 4 group masters dies", func(_ []*subsystem, workers []*core.Worker) (func(time.Duration), func()) {
-			masters := groupMasters(workers, 4)
-			return tickAll(masters), func() { masters[0].SetEnabled(false) }
+		{"hierarchical", "1 of 4 group masters dies", func(subs []*subsystem) (func(time.Duration), func()) {
+			coord := groupMasters(subs, 4, nil)
+			return coord.Tick, func() { _ = coord.Loops()[0].Pause() }
 		}},
 	}
 
 	for _, sc := range scenarios {
 		engine := sim.NewEngine(opt.Seed)
-		subs, workers := makeSubsystems(n)
-		tick, fail := sc.build(subs, workers)
+		subs := makeSubsystems(n)
+		tick, fail := sc.build(subs)
 		// Snapshot per-subsystem action counts at the failure instant so
 		// coverage can be attributed to each half of the window. Registered
 		// before the pattern's ticks, the failure lands ahead of the tick at

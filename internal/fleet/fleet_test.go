@@ -148,7 +148,9 @@ func TestArbitratedEventOnBus(t *testing.T) {
 
 func TestDisabledLoopSkipsRound(t *testing.T) {
 	a := newStaticLoop("a", core.Action{Kind: "cap", Subject: "n001"})
-	a.loop.SetEnabled(false)
+	if err := a.loop.Pause(); err != nil {
+		t.Fatal(err)
+	}
 	b := newStaticLoop("b", core.Action{Kind: "boost", Subject: "n001"})
 	c := New(2)
 	c.Add(a.loop, 10)
