@@ -134,6 +134,10 @@ type Instance struct {
 	// handles holds one read handle per emitted metric, (metrics[k],
 	// labels), built at Start and shared by every loop reading the instance.
 	handles [len(metrics)]telemetry.Handle
+	// refs holds one series ref per emitted metric, carried by every point
+	// of it, and marker is the reused progress-marker batch.
+	refs   [len(metrics)]telemetry.Ref
+	marker []telemetry.Point
 
 	ckptIter    int  // last checkpointed iteration (persisted across restarts)
 	fixedConfig bool // misconfiguration corrected on the fly
@@ -145,10 +149,25 @@ type Instance struct {
 	lastIterSec float64
 }
 
+// Indices into metrics, and so into an Instance's handles and refs.
+const (
+	mProgress = iota
+	mProgressTotal
+	mIterTime
+	mCtxSwitch
+	mLibWarn
+	mIOLat
+	mCkptIter
+	mDone
+	mReopen
+	mMisconfigFixed
+)
+
 // metrics lists every metric an Instance emits, each under its label set.
 var metrics = [...]string{
-	"app.progress", "app.progress_total", "app.iter_time_ms", "app.ctx_switch_rate", "app.lib_warn",
-	"app.io.lat_ms", "app.ckpt.iter", "app.done", "app.reopen", "app.misconfig.fixed",
+	mProgress: "app.progress", mProgressTotal: "app.progress_total", mIterTime: "app.iter_time_ms",
+	mCtxSwitch: "app.ctx_switch_rate", mLibWarn: "app.lib_warn", mIOLat: "app.io.lat_ms",
+	mCkptIter: "app.ckpt.iter", mDone: "app.done", mReopen: "app.reopen", mMisconfigFixed: "app.misconfig.fixed",
 }
 
 // Iter returns completed iterations.
@@ -349,7 +368,7 @@ func (i *Instance) ioPhase() {
 		}
 		i.inIO = false
 		i.setUtil(i.computeUtil())
-		i.emit("app.io.lat_ms", lat.Seconds()*1000)
+		i.emit(mIOLat, lat.Seconds()*1000)
 		_ = start
 		i.scheduleIteration()
 	})
@@ -369,7 +388,7 @@ func (i *Instance) checkpoint() {
 		}
 		i.ckptIter = atIter
 		i.rt.ckpts[i.Job.Name] = atIter
-		i.emit("app.ckpt.iter", float64(atIter))
+		i.emit(mCkptIter, float64(atIter))
 		for _, cb := range cbs {
 			cb()
 		}
@@ -397,7 +416,7 @@ func (i *Instance) complete() {
 	i.running = false
 	i.gen++
 	i.setUtil(0)
-	i.emit("app.done", 1)
+	i.emit(mDone, 1)
 	if i.file != nil && i.rt.fs != nil {
 		i.rt.fs.Close(i.file)
 	}
@@ -446,7 +465,7 @@ func (i *Instance) ReopenAvoiding(osts ...int) error {
 	}
 	i.rt.fs.Close(i.file)
 	i.file = i.rt.fs.Open(i.Job.User, i.Spec.StripeCount, i.avoidOSTs)
-	i.emit("app.reopen", float64(len(i.avoidOSTs)))
+	i.emit(mReopen, float64(len(i.avoidOSTs)))
 	return nil
 }
 
@@ -458,7 +477,7 @@ func (i *Instance) FixMisconfig() error {
 	case MisconfigThreads, MisconfigWrongLib:
 		i.fixedConfig = true
 		i.setUtil(i.computeUtil())
-		i.emit("app.misconfig.fixed", 1)
+		i.emit(mMisconfigFixed, 1)
 		return nil
 	case MisconfigUnderutil:
 		return fmt.Errorf("app: underutilization cannot be fixed mid-run")
@@ -487,9 +506,14 @@ func (i *Instance) Handle(metric string) *telemetry.Handle {
 	panic(fmt.Sprintf("app: instances emit no metric %q", metric))
 }
 
-// emit appends one application metric to the TSDB.
-func (i *Instance) emit(name string, value float64) {
-	_ = i.rt.db.Append(telemetry.Point{Name: name, Labels: i.labels, Time: i.rt.engine.Now(), Value: value})
+// point is the instance's sample of metric k at now, carrying its ref.
+func (i *Instance) point(k int, now time.Duration, value float64) telemetry.Point {
+	return telemetry.Point{Name: metrics[k], Labels: i.labels, Time: now, Value: value, Ref: &i.refs[k]}
+}
+
+// emit appends one sample of metric k to the TSDB.
+func (i *Instance) emit(k int, value float64) {
+	_ = i.rt.db.Append(i.point(k, i.rt.engine.Now(), value))
 }
 
 // emitMarker drops the progress marker set: app.progress (completed
@@ -497,28 +521,23 @@ func (i *Instance) emit(name string, value float64) {
 // and misconfiguration signals. The whole set is ingested as one batch so a
 // marker costs one TSDB lock round-trip, not one per metric.
 func (i *Instance) emitMarker() {
-	labels := i.labels
 	now := i.rt.engine.Now()
-	batch := make([]telemetry.Point, 0, 4)
-	add := func(name string, value float64) {
-		batch = append(batch, telemetry.Point{Name: name, Labels: labels, Time: now, Value: value})
-	}
-	add("app.progress", float64(i.iter))
-	add("app.progress_total", float64(i.Spec.TotalIters))
+	batch := append(i.marker[:0], i.point(mProgress, now, float64(i.iter)), i.point(mProgressTotal, now, float64(i.Spec.TotalIters)))
 	if i.lastIterSec > 0 {
-		add("app.iter_time_ms", i.lastIterSec*1000)
+		batch = append(batch, i.point(mIterTime, now, i.lastIterSec*1000))
 	}
 	if !i.fixedConfig {
 		switch i.Spec.Misconfig {
 		case MisconfigThreads:
 			// Oversubscription shows up as a context-switch storm.
-			add("app.ctx_switch_rate", 50000+i.rt.engine.Rand().Float64()*20000)
+			batch = append(batch, i.point(mCtxSwitch, now, 50000+i.rt.engine.Rand().Float64()*20000))
 		case MisconfigWrongLib:
-			add("app.lib_warn", 1)
+			batch = append(batch, i.point(mLibWarn, now, 1))
 		}
 	}
 	if i.Spec.Misconfig == MisconfigNone || i.fixedConfig {
-		add("app.ctx_switch_rate", 1000+i.rt.engine.Rand().Float64()*500)
+		batch = append(batch, i.point(mCtxSwitch, now, 1000+i.rt.engine.Rand().Float64()*500))
 	}
+	i.marker = batch
 	_ = i.rt.db.AppendBatch(batch)
 }

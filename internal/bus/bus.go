@@ -22,6 +22,7 @@ package bus
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -222,10 +223,11 @@ func matches(pattern, topic string) bool {
 // gateway's SSE replay filter.
 func MatchTopic(pattern, topic string) bool { return matches(pattern, topic) }
 
-// collectLocked gathers the handlers matching topic in subscription-id order.
-// Callers must hold at least the read lock; the returned slice is freshly
-// allocated and safe to use after the lock is released.
-func (b *Bus) collectLocked(topic string) []Handler {
+// appendHandlersLocked appends the handlers matching topic to dst in
+// subscription-id order and returns the extended slice. Callers must hold at
+// least the read lock; the appended handlers stay valid after it is
+// released.
+func (b *Bus) appendHandlersLocked(dst []Handler, topic string) []Handler {
 	// Gather the (individually id-sorted) source lists that can match.
 	var store [6][]*subscription
 	lists := store[:0]
@@ -258,34 +260,34 @@ func (b *Bus) collectLocked(topic string) []Handler {
 			lists = append(lists, []*subscription{s})
 		}
 	}
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		out := make([]Handler, len(lists[0]))
-		for i, s := range lists[0] {
-			out[i] = s.h
-		}
-		return out
-	}
-	// Merge by subscription id so dispatch order equals subscription order.
 	total := 0
 	for _, l := range lists {
 		total += len(l)
 	}
-	out := make([]Handler, 0, total)
-	pos := make([]int, len(lists))
-	for len(out) < total {
+	dst = slices.Grow(dst, total)
+	if len(lists) == 1 {
+		for _, s := range lists[0] {
+			dst = append(dst, s.h)
+		}
+		return dst
+	}
+	// Merge by subscription id so dispatch order equals subscription order.
+	var posStore [len(store)]int
+	pos := posStore[:]
+	if len(lists) > len(pos) {
+		pos = make([]int, len(lists))
+	}
+	for want := len(dst) + total; len(dst) < want; {
 		best := -1
 		for li, l := range lists {
 			if pos[li] < len(l) && (best < 0 || l[pos[li]].id < lists[best][pos[best]].id) {
 				best = li
 			}
 		}
-		out = append(out, lists[best][pos[best]].h)
+		dst = append(dst, lists[best][pos[best]].h)
 		pos[best]++
 	}
-	return out
+	return dst
 }
 
 // Publish delivers env to all matching subscribers in subscription order.
@@ -300,7 +302,7 @@ func (b *Bus) Publish(env Envelope) {
 		return
 	}
 	b.mu.RLock()
-	matched := b.collectLocked(env.Topic)
+	matched := b.appendHandlersLocked(nil, env.Topic)
 	b.mu.RUnlock()
 
 	if j := b.journal.Load(); j != nil {
@@ -315,8 +317,9 @@ func (b *Bus) Publish(env Envelope) {
 
 // PublishBatch delivers every envelope in order, resolving the subscriber set
 // for the whole batch under one read-lock and bumping the stats counters
-// once. Runs of envelopes sharing a topic — the common case for telemetry
-// point batches — reuse one handler resolution.
+// once. Each distinct topic is resolved once per batch — a telemetry round
+// cycles through a node's five metrics, so its topics never repeat back to
+// back — into a pooled dispatch plan, so a warm batch allocates nothing.
 //
 // The subscriber set is snapshotted once for the whole batch: a handler that
 // subscribes or cancels mid-batch changes delivery only for subsequent
@@ -331,24 +334,24 @@ func (b *Bus) PublishBatch(envs []Envelope) {
 			panic("bus: PublishBatch with empty topic")
 		}
 	}
-	plans := make([][]Handler, len(envs))
-	var lastTopic string
-	var lastHandlers []Handler
-	have := false
+	p := planScratch.Get().(*batchPlan)
 	total, dropped := 0, 0
 	b.mu.RLock()
 	for i := range envs {
 		if envs[i].Expired(envs[i].Time) {
 			dropped++
+			p.spans = append(p.spans, span{})
 			continue
 		}
-		if !have || envs[i].Topic != lastTopic {
-			lastTopic = envs[i].Topic
-			lastHandlers = b.collectLocked(lastTopic)
-			have = true
+		sp, ok := p.byTopic[envs[i].Topic]
+		if !ok {
+			sp.lo = len(p.handlers)
+			p.handlers = b.appendHandlersLocked(p.handlers, envs[i].Topic)
+			sp.hi = len(p.handlers)
+			p.byTopic[envs[i].Topic] = sp
 		}
-		plans[i] = lastHandlers
-		total += len(lastHandlers)
+		p.spans = append(p.spans, sp)
+		total += sp.hi - sp.lo
 	}
 	b.mu.RUnlock()
 
@@ -363,10 +366,36 @@ func (b *Bus) PublishBatch(envs []Envelope) {
 	b.delivered.Add(uint64(total))
 	b.expired.Add(uint64(dropped))
 	for i, env := range envs {
-		for _, h := range plans[i] {
+		for _, h := range p.handlers[p.spans[i].lo:p.spans[i].hi] {
 			h(env)
 		}
 	}
+	p.reset()
+	planScratch.Put(p)
+}
+
+// batchPlan is PublishBatch's pooled dispatch scratch: the handlers of every
+// distinct topic in the batch in one flat list, each envelope's span of it,
+// and the per-batch topic memo. A handler that publishes a batch of its own
+// takes another plan from the pool.
+type batchPlan struct {
+	handlers []Handler
+	spans    []span
+	byTopic  map[string]span
+}
+
+// span is a [lo, hi) range of batchPlan.handlers.
+type span struct{ lo, hi int }
+
+var planScratch = sync.Pool{New: func() any { return &batchPlan{byTopic: make(map[string]span)} }}
+
+// reset empties p for the next batch, keeping its capacity but not the
+// handlers and topics it referenced.
+func (p *batchPlan) reset() {
+	clear(p.handlers)
+	p.handlers = p.handlers[:0]
+	p.spans = p.spans[:0]
+	clear(p.byTopic)
 }
 
 // Journal registers fn as the bus's journal hook: it observes every

@@ -2,6 +2,7 @@ package bus
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -189,6 +190,27 @@ func TestPublishBatch(t *testing.T) {
 	b.PublishBatch(nil) // empty batch is a no-op
 	if pub, _ := b.Stats(); pub != 4 {
 		t.Errorf("published = %d after empty batch, want 4", pub)
+	}
+}
+
+// TestPublishBatchReentrant: topics that recur out of adjacency resolve to
+// the same handlers, and a handler publishing a batch of its own mid-batch
+// leaves the outer batch's dispatch plan intact.
+func TestPublishBatchReentrant(t *testing.T) {
+	b := New()
+	var got []string
+	b.Subscribe("a", func(e Envelope) {
+		got = append(got, "a")
+		b.PublishBatch([]Envelope{{Topic: "c"}, {Topic: "c"}})
+	})
+	b.Subscribe("b", func(e Envelope) { got = append(got, "b") })
+	b.Subscribe("c", func(e Envelope) { got = append(got, "c") })
+	b.PublishBatch([]Envelope{{Topic: "a"}, {Topic: "b"}, {Topic: "a"}, {Topic: "b"}})
+	if want := "a c c b a c c b"; strings.Join(got, " ") != want {
+		t.Fatalf("delivered %v, want %s", got, want)
+	}
+	if pub, del := b.Stats(); pub != 8 || del != 8 {
+		t.Errorf("Stats = %d, %d; want 8, 8", pub, del)
 	}
 }
 

@@ -113,11 +113,12 @@ func TestQuietRoundAllocatesNothing(t *testing.T) {
 
 // allocsPerEnvelope bounds a round's allocations per envelope the loops
 // publish once a bus is attached and they have something to say. Behind
-// each envelope of a planned action sit the boxed payload, the bus's batch
-// dispatch, and the case's own work: its action list, a Sprintf'd
-// explanation, the arbiter's subject index and the knowledge write the
-// action executes. The I/O QoS recovery measured here spends 6.
-const allocsPerEnvelope = 8
+// each envelope of a planned action sit the boxed payload and the case's own
+// work: its action list, a Sprintf'd explanation and the knowledge write the
+// action executes. The bus's batch dispatch plan and the arbiter's subject
+// index are reused across rounds. The I/O QoS recovery measured here spends
+// 4.
+const allocsPerEnvelope = 6
 
 // TestRoundAllocationsBoundedByEnvelopes attaches a bus and lets the I/O QoS
 // campaign parent plan a recovery every cycle: the round's allocations stay

@@ -134,10 +134,11 @@ func (p *Plant) PUE(now time.Duration) float64 {
 // Collector exposes the facility sensor domain: facility.outside.celsius,
 // facility.supply.setpoint, facility.cooling.watts, facility.it.watts,
 // facility.pue. Every round hands out the same label map (read-only for
-// consumers) and the same five series refs.
+// consumers) and the same five series refs, in one reused point buffer.
 func (p *Plant) Collector() telemetry.Collector {
 	labels := telemetry.Labels{"plant": "p0"}
 	refs := new([5]telemetry.Ref)
+	buf := make([]telemetry.Point, 0, len(refs))
 	return telemetry.CollectorFunc(func(now time.Duration) []telemetry.Point {
 		noise := func() float64 {
 			if p.cfg.SensorNoise <= 0 {
@@ -146,12 +147,12 @@ func (p *Plant) Collector() telemetry.Collector {
 			return 1 + p.engine.Rand().NormFloat64()*p.cfg.SensorNoise
 		}
 		pue := p.PUE(now)
-		pts := []telemetry.Point{
-			{Name: "facility.outside.celsius", Labels: labels, Time: now, Value: p.OutsideC(now) * noise(), Ref: &refs[0]},
-			{Name: "facility.supply.setpoint", Labels: labels, Time: now, Value: p.supply, Ref: &refs[1]},
-			{Name: "facility.cooling.watts", Labels: labels, Time: now, Value: p.CoolingPowerW(now) * noise(), Ref: &refs[2]},
-			{Name: "facility.it.watts", Labels: labels, Time: now, Value: p.load.TotalPowerW() * noise(), Ref: &refs[3]},
-		}
+		pts := append(buf[:0],
+			telemetry.Point{Name: "facility.outside.celsius", Labels: labels, Time: now, Value: p.OutsideC(now) * noise(), Ref: &refs[0]},
+			telemetry.Point{Name: "facility.supply.setpoint", Labels: labels, Time: now, Value: p.supply, Ref: &refs[1]},
+			telemetry.Point{Name: "facility.cooling.watts", Labels: labels, Time: now, Value: p.CoolingPowerW(now) * noise(), Ref: &refs[2]},
+			telemetry.Point{Name: "facility.it.watts", Labels: labels, Time: now, Value: p.load.TotalPowerW() * noise(), Ref: &refs[3]},
+		)
 		if !math.IsInf(pue, 1) {
 			pts = append(pts, telemetry.Point{Name: "facility.pue", Labels: labels, Time: now, Value: pue, Ref: &refs[4]})
 		}

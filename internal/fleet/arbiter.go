@@ -32,6 +32,37 @@ type candidate struct {
 	act    core.Action
 }
 
+// subjectGroup is one subject's candidates in a round, in plan order.
+type subjectGroup struct {
+	subject   string
+	multiLoop bool // planned on by two or more loops
+	cands     []candidate
+}
+
+// arbiter is arbitrate's round scratch, kept on the Coordinator and reset
+// every round, so arbitration allocates only for the conflicts it records.
+type arbiter struct {
+	index  map[string]int // subject -> its group's position in groups
+	groups []subjectGroup // in first-subject-appearance order
+}
+
+// group returns the round's group for subject, opening it (and reusing an
+// earlier round's candidate capacity) on the subject's first appearance.
+func (a *arbiter) group(subject string) *subjectGroup {
+	if gi, ok := a.index[subject]; ok {
+		return &a.groups[gi]
+	}
+	a.index[subject] = len(a.groups)
+	if len(a.groups) < cap(a.groups) {
+		a.groups = a.groups[:len(a.groups)+1]
+	} else {
+		a.groups = append(a.groups, subjectGroup{})
+	}
+	g := &a.groups[len(a.groups)-1]
+	g.subject, g.multiLoop, g.cands = subject, false, g.cands[:0]
+	return g
+}
+
 // arbitrate resolves cross-loop conflicts among the actions planned in one
 // round. A subject is contested when two or more loops plan actions on it;
 // its winner is the highest-priority action, ties keeping the earlier one
@@ -39,55 +70,61 @@ type candidate struct {
 // that Yields to the winner loses and is marked arbitrated on its
 // PlannedTick. The conflict records come back in deterministic
 // (first-subject-appearance) order.
-func arbitrate(members []member, plans []*core.PlannedTick) []ConflictRecord {
-	var order []string
-	bySubject := make(map[string][]candidate)
-	multiLoop := make(map[string]bool)
+func (a *arbiter) arbitrate(members []member, plans []*core.PlannedTick) []ConflictRecord {
+	defer a.reset()
 	for mi, pt := range plans {
 		for ai, act := range pt.Actions() {
 			if act.Subject == "" {
 				continue
 			}
-			group := bySubject[act.Subject]
-			if group == nil {
-				order = append(order, act.Subject)
-			} else if group[0].mi != mi {
-				multiLoop[act.Subject] = true
+			g := a.group(act.Subject)
+			if len(g.cands) > 0 && g.cands[0].mi != mi {
+				g.multiLoop = true
 			}
-			bySubject[act.Subject] = append(group, candidate{mi: mi, ai: ai, act: act})
+			g.cands = append(g.cands, candidate{mi: mi, ai: ai, act: act})
 		}
 	}
 
 	var records []ConflictRecord
-	for _, subject := range order {
-		if !multiLoop[subject] {
+	for gi := range a.groups {
+		g := &a.groups[gi]
+		if !g.multiLoop {
 			continue // a loop never conflicts with itself
 		}
-		group := bySubject[subject]
-		win := group[0]
-		for _, cand := range group[1:] {
+		win := g.cands[0]
+		for _, cand := range g.cands[1:] {
 			if members[cand.mi].priority > members[win.mi].priority {
 				win = cand
 			}
 		}
 		winLoop, winPrio := members[win.mi].loop, members[win.mi].priority
 		var losers []string
-		for _, cand := range group {
+		for _, cand := range g.cands {
 			prio := members[cand.mi].priority
 			if cand.mi == win.mi || !Yields(cand.act.Kind, prio, win.act.Kind, winPrio) {
 				continue
 			}
 			plans[cand.mi].Arbitrate(cand.ai, fmt.Sprintf(
-				"lost %s to %s/%s (priority %d vs %d)", subject, winLoop.Name, win.act.Kind, prio, winPrio))
+				"lost %s to %s/%s (priority %d vs %d)", g.subject, winLoop.Name, win.act.Kind, prio, winPrio))
 			losers = append(losers, members[cand.mi].loop.Name+"/"+cand.act.Kind)
 		}
 		if len(losers) > 0 {
 			records = append(records, ConflictRecord{
-				Subject: subject,
+				Subject: g.subject,
 				Winner:  winLoop.Name + "/" + win.act.Kind,
 				Losers:  losers,
 			})
 		}
 	}
 	return records
+}
+
+// reset empties the scratch for the next round without keeping the round's
+// actions reachable.
+func (a *arbiter) reset() {
+	for gi := range a.groups {
+		clear(a.groups[gi].cands)
+	}
+	a.groups = a.groups[:0]
+	clear(a.index)
 }

@@ -88,6 +88,7 @@ type Coordinator struct {
 	members []member
 	names   map[string]bool
 	plans   []*core.PlannedTick // reused across rounds
+	arb     arbiter             // arbitration scratch, reused across rounds
 	metrics Metrics
 
 	// external, when set, is consulted between local arbitration and the
@@ -108,7 +109,7 @@ func New(workers int) *Coordinator {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Coordinator{workers: workers, names: make(map[string]bool)}
+	return &Coordinator{workers: workers, names: make(map[string]bool), arb: arbiter{index: make(map[string]int)}}
 }
 
 // PublishTo arranges for every round to publish its ConflictRecords and
@@ -206,7 +207,7 @@ func (c *Coordinator) Tick(now time.Duration) {
 	c.planRound(now, plans)
 
 	// Round barrier passed: everything below is serial and deterministic.
-	conflicts := arbitrate(c.members, plans)
+	conflicts := c.arb.arbitrate(c.members, plans)
 	planned, arbitrated := 0, 0
 	for _, pt := range plans {
 		planned += len(pt.Actions())

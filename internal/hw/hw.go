@@ -257,8 +257,9 @@ func (c *Cluster) TotalPowerW() float64 {
 // node.cpu.util, node.power.watts, node.temp.celsius, node.mem.used_gb,
 // node.cores.used — the "System Hardware" sensor domain of Fig. 1. Every
 // round hands out the same label map (read-only for consumers) and series
-// refs per node; they are built when a node is first collected, not here, so
-// assembling a 10k-node facility does not pay for 10k maps up front.
+// refs per node, and refills one point buffer of exactly five points per
+// node. All of them are built on the first Collect, not here, so assembling
+// a 10k-node facility does not pay for them up front.
 func (c *Cluster) Collector() telemetry.Collector {
 	// nodeSensors is one node's static sensor identity: the label map its
 	// five metrics share and one series ref per metric.
@@ -267,9 +268,11 @@ func (c *Cluster) Collector() telemetry.Collector {
 		refs   [5]telemetry.Ref
 	}
 	var sensors []nodeSensors
+	var buf []telemetry.Point
 	return telemetry.CollectorFunc(func(now time.Duration) []telemetry.Point {
 		if sensors == nil {
 			sensors = make([]nodeSensors, len(c.nodes))
+			buf = make([]telemetry.Point, 0, len(c.nodes)*5)
 		}
 		noise := func() float64 {
 			if c.cfg.SensorNoise <= 0 {
@@ -277,7 +280,7 @@ func (c *Cluster) Collector() telemetry.Collector {
 			}
 			return 1 + c.engine.Rand().NormFloat64()*c.cfg.SensorNoise
 		}
-		pts := make([]telemetry.Point, 0, len(c.nodes)*5)
+		pts := buf[:0]
 		for i, n := range c.nodes {
 			if n.State == NodeDown {
 				continue

@@ -116,6 +116,35 @@ func TestCollectorEmitsPerUpNode(t *testing.T) {
 	}
 }
 
+// TestCollectorReusesBufferAcrossNodeDown: the collector refills one buffer
+// every round, so a node going down between two rounds shrinks the second
+// round's slice by its five points, in place, and leaves none of them behind.
+func TestCollectorReusesBufferAcrossNodeDown(t *testing.T) {
+	e, c := newTestCluster(t)
+	col := c.Collector()
+	first := col.Collect(e.Now())
+	if len(first) != 4*5 {
+		t.Fatalf("got %d points, want 20 (4 up nodes x 5 metrics)", len(first))
+	}
+	c.byID["n002"].State = NodeDown
+	e.RunUntil(time.Minute)
+	second := col.Collect(e.Now())
+	if len(second) != len(first)-5 {
+		t.Fatalf("got %d points after n002 went down, want %d", len(second), len(first)-5)
+	}
+	if &second[0] != &first[0] {
+		t.Error("the second round did not reuse the first round's buffer")
+	}
+	for _, p := range second {
+		if p.Labels["node"] == "n002" {
+			t.Errorf("down node reported %v", p)
+		}
+		if p.Time != time.Minute {
+			t.Errorf("stale point %v in the second round", p)
+		}
+	}
+}
+
 func TestSetUtilClamps(t *testing.T) {
 	_, c := newTestCluster(t)
 	c.SetUtil("n000", 1.7)

@@ -110,10 +110,16 @@ type FS struct {
 
 	lastCollect time.Duration
 
-	// tenant window counters
-	tenantWindowMB map[string]float64
-	tenantLatSum   map[string]time.Duration
-	tenantLatCount map[string]int
+	// tenants holds the window counters of every tenant that has completed
+	// a write, zeroed (not deleted) on collection.
+	tenants map[string]*tenantWindow
+}
+
+// tenantWindow is one tenant's window counters, drained by the collector.
+type tenantWindow struct {
+	mb     float64
+	latSum time.Duration
+	writes int // writes completed in the window
 }
 
 // New builds a filesystem attached to engine.
@@ -125,12 +131,10 @@ func New(engine *sim.Engine, cfg Config) *FS {
 		cfg.DefaultStripeCount = cfg.OSTs
 	}
 	fs := &FS{
-		cfg:            cfg,
-		engine:         engine,
-		buckets:        make(map[string]*bucket),
-		tenantWindowMB: make(map[string]float64),
-		tenantLatSum:   make(map[string]time.Duration),
-		tenantLatCount: make(map[string]int),
+		cfg:     cfg,
+		engine:  engine,
+		buckets: make(map[string]*bucket),
+		tenants: make(map[string]*tenantWindow),
 	}
 	for i := 0; i < cfg.OSTs; i++ {
 		fs.osts = append(fs.osts, &ost{id: i, capacity: cfg.OSTBandwidthMBps, health: 1})
@@ -287,10 +291,15 @@ func (fs *FS) dispatch(f *File, sizeMB float64, start time.Duration, done func(t
 			o.windowLatCount++
 			remaining--
 			if remaining == 0 {
-				fs.tenantWindowMB[f.Tenant] += sizeMB
+				w := fs.tenants[f.Tenant]
+				if w == nil {
+					w = &tenantWindow{}
+					fs.tenants[f.Tenant] = w
+				}
 				total := fs.engine.Now() - start
-				fs.tenantLatSum[f.Tenant] += total
-				fs.tenantLatCount[f.Tenant]++
+				w.mb += sizeMB
+				w.latSum += total
+				w.writes++
 				if done != nil {
 					done(total)
 				}
@@ -304,25 +313,33 @@ func (fs *FS) dispatch(f *File, sizeMB float64, start time.Duration, done func(t
 // pfs.ost.lat_ms (mean window write latency). Per tenant with traffic:
 // pfs.tenant.mbps, pfs.tenant.lat_ms. Window counters reset on collection,
 // so the collector must be sampled on a fixed cadence. Every round hands out
-// the same label map (read-only for consumers) and series refs per OST;
-// tenants come and go, so their points carry fresh labels and no ref.
+// the same label map (read-only for consumers) and series refs per OST, and
+// per tenant once it is first seen, in one reused point buffer.
 func (fs *FS) Collector() telemetry.Collector {
-	// ostSensors is one OST's static sensor identity.
+	// ostSensors and tenantSensors are one OST's or tenant's static sensor
+	// identity: its label map and one series ref per metric.
 	type ostSensors struct {
 		labels telemetry.Labels
 		refs   [4]telemetry.Ref
 	}
-	sensors := make([]ostSensors, len(fs.osts))
-	for i, o := range fs.osts {
-		sensors[i].labels = telemetry.Labels{"ost": fmt.Sprintf("ost%02d", o.id)}
+	type tenantSensors struct {
+		labels telemetry.Labels
+		refs   [2]telemetry.Ref
 	}
+	osts := make([]ostSensors, len(fs.osts))
+	for i, o := range fs.osts {
+		osts[i].labels = telemetry.Labels{"ost": fmt.Sprintf("ost%02d", o.id)}
+	}
+	tenants := make(map[string]*tenantSensors)
+	var names []string // the round's tenants with traffic, reused
+	var buf []telemetry.Point
 	return telemetry.CollectorFunc(func(now time.Duration) []telemetry.Point {
 		interval := now - fs.lastCollect
 		fs.lastCollect = now
 		secs := interval.Seconds()
-		var pts []telemetry.Point
+		pts := buf[:0]
 		for i, o := range fs.osts {
-			m := &sensors[i]
+			m := &osts[i]
 			mbps, busy := 0.0, 0.0
 			if secs > 0 {
 				mbps = o.windowBytesMB / secs
@@ -343,27 +360,30 @@ func (fs *FS) Collector() telemetry.Collector {
 			)
 			o.windowBytesMB, o.windowBusy, o.windowLatSum, o.windowLatCount = 0, 0, 0, 0
 		}
-		tenants := make([]string, 0, len(fs.tenantWindowMB))
-		for tnt := range fs.tenantWindowMB {
-			tenants = append(tenants, tnt)
+		names = names[:0]
+		for tnt, w := range fs.tenants {
+			if w.writes > 0 {
+				names = append(names, tnt)
+			}
 		}
-		sort.Strings(tenants)
-		for _, tnt := range tenants {
-			labels := telemetry.Labels{"tenant": tnt}
-			mb := fs.tenantWindowMB[tnt]
+		sort.Strings(names)
+		for _, tnt := range names {
+			m := tenants[tnt]
+			if m == nil {
+				m = &tenantSensors{labels: telemetry.Labels{"tenant": tnt}}
+				tenants[tnt] = m
+			}
+			w := fs.tenants[tnt]
 			if secs > 0 {
-				pts = append(pts, telemetry.Point{Name: "pfs.tenant.mbps", Labels: labels, Time: now, Value: mb / secs})
+				pts = append(pts, telemetry.Point{Name: "pfs.tenant.mbps", Labels: m.labels, Time: now, Value: w.mb / secs, Ref: &m.refs[0]})
 			}
-			if n := fs.tenantLatCount[tnt]; n > 0 {
-				pts = append(pts, telemetry.Point{
-					Name: "pfs.tenant.lat_ms", Labels: labels, Time: now,
-					Value: fs.tenantLatSum[tnt].Seconds() * 1000 / float64(n),
-				})
-			}
-			delete(fs.tenantWindowMB, tnt)
-			delete(fs.tenantLatSum, tnt)
-			delete(fs.tenantLatCount, tnt)
+			pts = append(pts, telemetry.Point{
+				Name: "pfs.tenant.lat_ms", Labels: m.labels, Time: now,
+				Value: w.latSum.Seconds() * 1000 / float64(w.writes), Ref: &m.refs[1],
+			})
+			*w = tenantWindow{}
 		}
+		buf = pts
 		return pts
 	})
 }

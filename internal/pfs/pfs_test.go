@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"autoloop/internal/sim"
+	"autoloop/internal/telemetry"
 )
 
 func newFS(osts int, stripe int) (*sim.Engine, *FS) {
@@ -236,6 +237,46 @@ func TestCollectorThroughputAndReset(t *testing.T) {
 		if p.Name == "pfs.tenant.mbps" {
 			t.Error("tenant with no traffic must not report")
 		}
+	}
+}
+
+// TestTenantPointsCarryRefs: a tenant's two metrics each keep one series
+// ref from the round the tenant is first seen, and a tenant that goes quiet
+// emits no points until it writes again.
+func TestTenantPointsCarryRefs(t *testing.T) {
+	e, fs := newFS(2, 1)
+	col := fs.Collector()
+	f := fs.Open("a", 1, nil)
+	tenantPoints := func() []telemetry.Point {
+		var out []telemetry.Point
+		for _, p := range col.Collect(e.Now()) {
+			if p.Labels["tenant"] != "" {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	fs.Write(f, 100, nil)
+	e.RunUntil(10 * time.Second)
+	first := tenantPoints()
+	if len(first) != 2 || first[0].Name != "pfs.tenant.mbps" || first[1].Name != "pfs.tenant.lat_ms" {
+		t.Fatalf("first round's tenant points = %v, want mbps then lat_ms", first)
+	}
+	if first[0].Ref == nil || first[1].Ref == nil || first[0].Ref == first[1].Ref {
+		t.Fatalf("tenant refs %p, %p: want two distinct refs", first[0].Ref, first[1].Ref)
+	}
+	e.RunUntil(20 * time.Second)
+	if quiet := tenantPoints(); len(quiet) != 0 {
+		t.Fatalf("a quiet tenant emitted %v", quiet)
+	}
+	fs.Write(f, 100, nil)
+	e.RunUntil(30 * time.Second)
+	again := tenantPoints()
+	if len(again) != 2 || again[0].Ref != first[0].Ref || again[1].Ref != first[1].Ref {
+		t.Fatalf("the tenant's points came back as %v, want the first round's refs", again)
+	}
+	if again[0].Value != 10 {
+		t.Errorf("tenant mbps = %v after a quiet window, want 10", again[0].Value)
 	}
 }
 

@@ -261,20 +261,14 @@ type refAudit struct {
 	t      *testing.T
 	inner  telemetry.Sink
 	owner  map[*telemetry.Ref]string
-	static int // points of the static sensor domains seen
+	points int // points seen
 }
 
 func (a *refAudit) AppendBatch(pts []telemetry.Point) error {
 	for _, p := range pts {
-		static := strings.HasPrefix(p.Name, "node.") || strings.HasPrefix(p.Name, "pfs.ost.") || strings.HasPrefix(p.Name, "facility.")
-		if static {
-			a.static++
-		}
-		if static != (p.Ref != nil) {
-			a.t.Errorf("%s%s: ref = %v, want one exactly on the static sensor domains", p.Name, p.Labels, p.Ref)
-			continue
-		}
+		a.points++
 		if p.Ref == nil {
+			a.t.Errorf("%s%s: no ref, want one on every collected point", p.Name, p.Labels)
 			continue
 		}
 		id := p.Name + p.Labels.String()
@@ -287,10 +281,10 @@ func (a *refAudit) AppendBatch(pts []telemetry.Point) error {
 }
 
 // TestCollectorRefsOneIdentityEach runs the Small scenario with an auditing
-// sink between the pipeline and the store: every hardware, OST and plant
-// point carries a Ref, tenant points carry none, no Ref ever changes
-// identity over the run (nodes fail and return, faults flap), and the store
-// ends with exactly one series per Ref.
+// sink between the pipeline and the store: every hardware, filesystem and
+// plant point carries a Ref — a tenant's from the round it is first seen —,
+// no Ref ever changes identity over the run (nodes fail and return, faults
+// flap), and the store ends with exactly one series per Ref.
 func TestCollectorRefsOneIdentityEach(t *testing.T) {
 	rt, err := scenario.Assemble(scenario.Small(42), cases.NewRegistry())
 	if err != nil {
@@ -302,16 +296,23 @@ func TestCollectorRefsOneIdentityEach(t *testing.T) {
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if audit.static == 0 || len(audit.owner) == 0 {
-		t.Fatalf("audited %d static points over %d refs", audit.static, len(audit.owner))
+	if audit.points == 0 || len(audit.owner) == 0 {
+		t.Fatalf("audited %d points over %d refs", audit.points, len(audit.owner))
 	}
-	series := 0
+	series, tenants := 0, 0
 	for _, name := range rt.DB.MetricNames() {
-		if strings.HasPrefix(name, "node.") || strings.HasPrefix(name, "pfs.ost.") || strings.HasPrefix(name, "facility.") {
-			series += len(rt.DB.LatestInto(nil, name, nil))
+		if strings.HasPrefix(name, "node.") || strings.HasPrefix(name, "pfs.") || strings.HasPrefix(name, "facility.") {
+			n := len(rt.DB.LatestInto(nil, name, nil))
+			series += n
+			if strings.HasPrefix(name, "pfs.tenant.") {
+				tenants += n
+			}
 		}
 	}
+	if tenants == 0 {
+		t.Fatal("no tenant series: the audit never saw a tenant's points")
+	}
 	if series != len(audit.owner) {
-		t.Errorf("store holds %d static series for %d refs", series, len(audit.owner))
+		t.Errorf("store holds %d collected series for %d refs", series, len(audit.owner))
 	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -370,7 +371,8 @@ func TestCollector(t *testing.T) {
 	r.submit(t, "a", 2, time.Hour, 0)
 	r.submit(t, "b", 4, time.Hour, 0)
 	col := r.s.Collector()
-	pts := col.Collect(r.e.Now())
+	// Collect reuses one buffer: keep a copy of the first round.
+	pts := slices.Clone(col.Collect(r.e.Now()))
 	vals := map[string]float64{}
 	for i, p := range pts {
 		vals[p.Name] = p.Value

@@ -36,7 +36,10 @@ type WirePoint struct {
 // on the bus — one PublishBatch per sample instead of one envelope per
 // point, which removes the per-point lock and dispatch overhead from every
 // experiment's inner loop. Gather and envelope buffers are reused across
-// samples, so steady-state sampling does not allocate.
+// samples, as are the stock collectors' point buffers and the bus's batch
+// dispatch plan, so steady-state sampling allocates nothing but the samples
+// the store keeps, plus one boxed WirePoint per point once a bus is
+// attached.
 //
 // Pipeline is not safe for concurrent Sample calls; under the simulator all
 // sampling is single-threaded on the event engine.

@@ -20,7 +20,11 @@
 // the collector — allocates once, keeps for as long as it emits that
 // identity, and attaches to each Point of it. A sink may leave its resolved
 // handle for the series in the memo on first sight and pick it up on every
-// later round.
+// later round. Every stock collector attaches one to every point, a
+// filesystem tenant's from the round it is first seen, and so does an
+// application instance to every point it emits; with the collectors' reused
+// point buffers, a steady-state sampling round allocates only the samples
+// the store keeps.
 //
 // The contract is validate, don't trust. The owner attaches a Ref only to
 // points of the one identity it was allocated for. A sink uses a memo only
@@ -206,12 +210,18 @@ func (s *Series) Last() (Sample, bool) {
 }
 
 // Collector is implemented by every monitored substrate component. Collect
-// reports the component's current sensor readings at virtual time now.
+// reports the component's current sensor readings at virtual time now. The
+// returned slice belongs to the collector, which may refill it on its next
+// Collect: a caller copies out what it keeps before calling again
+// (Registry.GatherInto copies at once), so a collector can hand out one
+// reused buffer round after round.
 type Collector interface {
 	Collect(now time.Duration) []Point
 }
 
-// CollectorFunc adapts a plain function to the Collector interface.
+// CollectorFunc adapts a plain function to the Collector interface. The
+// function's result is owned as Collect's is: it need stay valid only until
+// the next call.
 type CollectorFunc func(now time.Duration) []Point
 
 // Collect implements Collector.
@@ -249,8 +259,9 @@ func (r *Registry) Register(c Collector) {
 func (r *Registry) Size() int { return len(r.collectors) }
 
 // GatherInto collects from every registered collector in registration
-// order, appending into buf, so steady-state sampling loops can reuse one
-// buffer across rounds instead of reallocating per sample.
+// order, copying each result into buf before the next Collect, so
+// steady-state sampling loops can reuse one buffer across rounds instead of
+// reallocating per sample.
 func (r *Registry) GatherInto(now time.Duration, buf []Point) []Point {
 	for _, c := range r.collectors {
 		buf = append(buf, c.Collect(now)...)

@@ -25,6 +25,8 @@ type labelSet struct {
 	// enc is the label part of a point's journal encoding (appendLabelsEnc),
 	// so a journaled append copies bytes instead of iterating the map.
 	enc string
+	// next is the following label set of equal label hash in DB.labelSets.
+	next *labelSet
 }
 
 // sampleLog is a retained, time-ordered sample list — a raw series' samples
@@ -66,6 +68,8 @@ type memSeries struct {
 	// rollups holds the continuous-rollup states attached to this series,
 	// one per registered rule matching the series' metric name.
 	rollups []*seriesRollup
+	// nextHash is the following series of equal identity hash in DB.byHash.
+	nextHash *memSeries
 }
 
 // rangeBounds binary-searches the live window for [from, to], returning the
@@ -80,7 +84,7 @@ func rangeBounds(live []telemetry.Sample, from, to time.Duration) (lo, hi int) {
 // verifying name and labels against hash collisions. Callers must hold at
 // least the read lock.
 func (db *DB) lookup(h uint64, p *telemetry.Point) *memSeries {
-	for _, s := range db.byHash[h] {
+	for s := db.byHash[h]; s != nil; s = s.nextHash {
 		if s.name == p.Name && labelsEqual(s.labels, p.Labels) {
 			return s
 		}
@@ -160,7 +164,7 @@ func (db *DB) create(p *telemetry.Point, h uint64, rules []RollupRule) *memSerie
 	s := &memSeries{name: p.Name, labelSet: db.intern(p.Labels), db: db}
 	fam.series = insertByKey(fam.series, s)
 	fam.gen++
-	db.byHash[h] = append(db.byHash[h], s)
+	s.nextHash, db.byHash[h] = db.byHash[h], s
 	for k, v := range s.labels {
 		pair := labelPair{k, v}
 		fam.postings[pair] = insertByKey(fam.postings[pair], s)
@@ -174,24 +178,28 @@ func (db *DB) create(p *telemetry.Point, h uint64, rules []RollupRule) *memSerie
 }
 
 // intern returns the canonical form of a new series' label set, shared with
-// every other series of this DB carrying an equal one. The empty set's
-// canonical map is nil, whichever of nil and Labels{} its first series
-// arrived with. Callers must hold the write lock.
+// every other series of this DB carrying an equal one. It finds an interned
+// set by label hash and labelsEqual, so only a set seen for the first time
+// builds its key. The empty set's canonical map is nil, whichever of nil and
+// Labels{} its first series arrived with. Callers must hold the write lock.
 func (db *DB) intern(labels telemetry.Labels) *labelSet {
-	key := labels.Key()
-	ls := db.labelSets[key]
-	if ls == nil {
-		ls = &labelSet{key: key, enc: string(appendLabelsEnc(nil, labels))}
-		if len(labels) > 0 {
-			ls.labels = labels.Clone()
+	h := labelHash(labels)
+	for ls := db.labelSets[h]; ls != nil; ls = ls.next {
+		if labelsEqual(ls.labels, labels) {
+			return ls
 		}
-		db.labelSets[key] = ls
 	}
+	ls := &labelSet{key: labels.Key(), enc: string(appendLabelsEnc(nil, labels)), next: db.labelSets[h]}
+	if len(labels) > 0 {
+		ls.labels = labels.Clone()
+	}
+	db.labelSets[h] = ls
 	return ls
 }
 
-// hashSeed keys the identity hash for this process. The hash only indexes
-// byHash, so it needs to be stable within one process, never across them.
+// hashSeed keys the identity and label hashes for this process. They only
+// index byHash and labelSets, so they need to be stable within one process,
+// never across them.
 var hashSeed = maphash.MakeSeed()
 
 // identityOf hashes a point's series identity using the runtime's hardware-
@@ -200,12 +208,18 @@ var hashSeed = maphash.MakeSeed()
 // canonical key string has to be allocated; collisions are harmless because
 // lookups verify name and labels.
 func identityOf(p *telemetry.Point) uint64 {
-	h := maphash.String(hashSeed, p.Name)
-	var lh uint64
-	for k, v := range p.Labels {
-		lh ^= pairHash(k, v)
+	return mix(maphash.String(hashSeed, p.Name) ^ labelHash(p.Labels))
+}
+
+// labelHash is the label part of identityOf: the XOR of every pair's hash,
+// so equal sets hash equal whatever their iteration order, and the empty set
+// hashes to 0.
+func labelHash(l telemetry.Labels) uint64 {
+	var h uint64
+	for k, v := range l {
+		h ^= pairHash(k, v)
 	}
-	return mix(h ^ lh)
+	return h
 }
 
 // pairHash hashes one label pair asymmetrically so swapping key and value

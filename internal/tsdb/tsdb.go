@@ -59,13 +59,15 @@ type DB struct {
 	// Series are never deleted (retention drops samples, not identities),
 	// so its keys are every metric name ever appended.
 	byName map[string]*family
-	// byHash maps the series identity hash to its (rarely >1) collision
-	// bucket. The append hot path resolves a point to its series through
-	// this map without materializing the canonical label-key string, so
-	// steady-state ingestion does not allocate.
-	byHash map[uint64][]*memSeries
-	// labelSets interns label sets by canonical key.
-	labelSets map[string]*labelSet
+	// byHash maps the series identity hash to the first series of its
+	// (rarely longer than one) collision chain, linked through
+	// memSeries.nextHash. The append hot path resolves a point to its series
+	// through this map without materializing the canonical label-key
+	// string, so steady-state ingestion does not allocate.
+	byHash map[uint64]*memSeries
+	// labelSets interns label sets by their order-independent label hash,
+	// each entry the first of its collision chain (labelSet.next).
+	labelSets map[uint64]*labelSet
 	// rules is the registered rollup-rule set, in registration order.
 	rules []RollupRule
 	// appended counts samples stored (tail overwrites excluded).
@@ -78,8 +80,8 @@ func New(retention time.Duration) *DB {
 	return &DB{
 		retention: retention,
 		byName:    make(map[string]*family),
-		byHash:    make(map[uint64][]*memSeries),
-		labelSets: make(map[string]*labelSet),
+		byHash:    make(map[uint64]*memSeries),
+		labelSets: make(map[uint64]*labelSet),
 	}
 }
 
