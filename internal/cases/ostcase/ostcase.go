@@ -62,6 +62,9 @@ type Controller struct {
 	// ids/lats are the per-tick fleet scratch for the outlier test.
 	ids  []int
 	lats []float64
+	// running is the plan phase's running-job scratch, refilled per
+	// finding.
+	running []*sched.Job
 
 	// Responses counts reopen actions taken (experiment metric).
 	Responses int
@@ -168,7 +171,8 @@ func (c *Controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, erro
 		if err != nil {
 			continue
 		}
-		for _, j := range c.sch.Running() {
+		c.running = c.sch.RunningInto(c.running[:0])
+		for _, j := range c.running {
 			inst, ok := c.apps.Instance(j.ID)
 			if !ok || inst.File() == nil {
 				continue

@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -16,103 +19,211 @@ type invariantRig struct {
 	s *Scheduler
 	n int
 
+	held       []int // per-node hold count, check's scratch
 	violations []string
 }
 
 func newInvariantRig(seed int64, nodes int) *invariantRig {
 	e := sim.NewEngine(seed)
-	ids := make([]string, nodes)
-	for i := range ids {
-		ids[i] = nodeName(i)
-	}
-	r := &invariantRig{e: e, n: nodes}
-	r.s = New(e, ids, DefaultExtensionPolicy())
+	r := &invariantRig{e: e, n: nodes, held: make([]int, nodes)}
+	r.s = New(e, nodeIDs(nodes), DefaultExtensionPolicy())
 	return r
 }
 
-// check records an invariant violation.
+func (r *invariantRig) violate(format string, args ...any) {
+	r.violations = append(r.violations, fmt.Sprintf(format, args...))
+}
+
+// check records every invariant the scheduler breaks at this instant.
 func (r *invariantRig) check() {
+	jobs := r.s.Jobs()
 	// Invariant 1: allocated nodes never exceed the pool, and no node is
 	// double-allocated.
-	seen := map[string]int{}
+	clear(r.held)
 	busy := 0
-	for _, j := range r.s.Jobs() {
+	var running []*Job
+	for _, j := range jobs {
 		if j.State != JobRunning {
 			continue
 		}
+		running = append(running, j)
 		if len(j.AssignedNodes) != j.Nodes {
-			r.violations = append(r.violations, "running job with wrong node count")
+			r.violate("running job %d holds %d nodes, wants %d", j.ID, len(j.AssignedNodes), j.Nodes)
 		}
 		for _, n := range j.AssignedNodes {
-			seen[n]++
+			i, ok := r.s.nodeIndex[n]
+			if !ok {
+				r.violate("job %d holds unknown node %s", j.ID, n)
+				continue
+			}
+			r.held[i]++
+			if r.held[i] > 1 {
+				r.violate("node %s double-allocated", n)
+			}
+			if r.s.free[i] {
+				r.violate("node %s held by job %d but marked free", n, j.ID)
+			}
 			busy++
 		}
 	}
-	for n, c := range seen {
-		if c > 1 {
-			r.violations = append(r.violations, "node "+n+" double-allocated")
-		}
-	}
 	if busy > r.n {
-		r.violations = append(r.violations, "more nodes busy than exist")
+		r.violate("%d nodes busy of %d", busy, r.n)
 	}
 	// Invariant 2: no running job is past its deadline (the kill event at
 	// the deadline fires before any later event).
-	for _, j := range r.s.Jobs() {
-		if j.State == JobRunning && r.e.Now() > j.Deadline {
-			r.violations = append(r.violations, "running job past deadline")
+	for _, j := range running {
+		if r.e.Now() > j.Deadline {
+			r.violate("running job %d past deadline", j.ID)
+		}
+	}
+	// Invariant 3: the free count is the number of idle nodes.
+	idle := 0
+	for _, f := range r.s.free {
+		if f {
+			idle++
+		}
+	}
+	if got := r.s.freeCount(); got != idle || idle != r.n-busy {
+		r.violate("free count %d, %d nodes marked idle, %d not held", got, idle, r.n-busy)
+	}
+	// Invariant 4: the running set is every running job, in ID order.
+	if got := r.s.RunningInto(nil); !slices.Equal(got, running) {
+		r.violate("running set %v, want %v", jobIDs(got), jobIDs(running))
+	}
+	// Invariant 5: the queue holds exactly the pending jobs, in (Submit, ID)
+	// order.
+	pending := 0
+	for _, j := range jobs {
+		if j.State == JobPending {
+			pending++
+		}
+	}
+	q := r.s.pending
+	if len(q) != pending {
+		r.violate("queue holds %d jobs, %d are pending", len(q), pending)
+	}
+	for i := 1; i < len(q); i++ {
+		a, b := q[i-1], q[i]
+		if a.Submit > b.Submit || a.Submit == b.Submit && a.ID >= b.ID {
+			r.violate("queue out of order: job %d (%v) before job %d (%v)", a.ID, a.Submit, b.ID, b.Submit)
+		}
+	}
+	// Invariant 6: the head's reservation is the one a scan of every job
+	// and sort.Slice give, ties included.
+	if len(q) > 0 {
+		shadow, extra := r.s.headReservation(q[0])
+		wantShadow, wantExtra := referenceReservation(r.s, q[0])
+		if shadow != wantShadow || extra != wantExtra {
+			r.violate("head %d reservation (%v, %d), reference (%v, %d)", q[0].ID, shadow, extra, wantShadow, wantExtra)
 		}
 	}
 }
 
-// TestSchedulerInvariantsUnderRandomWorkload drives random submissions,
-// completions, extensions, and requeues, checking invariants continuously.
-func TestSchedulerInvariantsUnderRandomWorkload(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := newInvariantRig(seed, 8)
-		r.s.SetHooks(func(j *Job) {
-			// Jobs complete after a random fraction of their walltime
-			// (sometimes exceeding it -> killed).
-			frac := 0.3 + rng.Float64()
-			d := time.Duration(float64(j.Walltime) * frac)
-			id := j.ID
-			r.e.After(d, func() { r.s.JobFinished(id) })
-		}, nil)
-
-		for i := 0; i < 40; i++ {
-			at := time.Duration(rng.Int63n(int64(4 * time.Hour)))
-			nodes := 1 + rng.Intn(8)
-			wall := time.Duration(10+rng.Intn(120)) * time.Minute
-			name := "j" + string([]byte{byte('a' + i%26)})
-			r.e.At(at, func() {
-				_, _ = r.s.Submit(name, "u", nodes, wall, 0)
-			})
+// referenceReservation computes headReservation from first principles: scan
+// every job ever submitted for running ones and order their releases with
+// sort.Slice.
+func referenceReservation(s *Scheduler, head *Job) (shadow time.Duration, extra int) {
+	var rels []release
+	for _, j := range s.Jobs() {
+		if j.State == JobRunning {
+			rels = append(rels, release{j.Deadline, j.Nodes})
 		}
-		// Random extensions and requeues against running jobs.
-		r.e.Every(7*time.Minute, 7*time.Minute, func() bool {
-			r.check()
-			running := r.s.Running()
-			if len(running) > 0 {
-				j := running[rng.Intn(len(running))]
-				switch rng.Intn(3) {
-				case 0:
-					r.s.RequestExtension(j.ID, time.Duration(1+rng.Intn(60))*time.Minute)
-				case 1:
-					_ = r.s.Requeue(j.ID)
-				}
-			}
-			return r.e.Now() < 12*time.Hour
-		})
-		r.e.RunUntil(12 * time.Hour)
-		r.check()
-		if len(r.violations) > 0 {
-			t.Logf("seed %d violations: %v", seed, r.violations[:min(3, len(r.violations))])
-			return false
-		}
-		return true
 	}
+	sort.Slice(rels, func(i, k int) bool { return rels[i].at < rels[k].at })
+	avail := s.freeCount()
+	shadow = s.engine.Now()
+	for avail < head.Nodes && len(rels) > 0 {
+		avail += rels[0].nodes
+		shadow = rels[0].at
+		rels = rels[1:]
+	}
+	if avail < head.Nodes {
+		return shadow, 0
+	}
+	for s.maintenanceBlocks(shadow, head.Walltime) {
+		shadow = s.nextMaintenanceEndAfter(shadow, head.Walltime)
+	}
+	return shadow, avail - head.Nodes
+}
+
+func jobIDs(js []*Job) []int {
+	ids := make([]int, len(js))
+	for i, j := range js {
+		ids[i] = j.ID
+	}
+	return ids
+}
+
+// randomWorkload drives one seeded workload on an n-node rig: jobs
+// submissions of 1..maxNodes nodes on a 5-minute grid with walltimes in
+// 10-minute steps (so deadlines tie), random completions, extensions and
+// requeues, and one maintenance window. It checks the invariants after every
+// event until the engine drains, and reports whether none broke.
+func randomWorkload(t *testing.T, seed int64, nodes, jobs, maxNodes int) bool {
+	rng := rand.New(rand.NewSource(seed))
+	r := newInvariantRig(seed, nodes)
+	r.s.SetHooks(func(j *Job) {
+		// Jobs complete after a random fraction of their walltime
+		// (sometimes exceeding it -> killed).
+		frac := 0.3 + rng.Float64()
+		d := time.Duration(float64(j.Walltime) * frac)
+		id := j.ID
+		r.e.After(d, func() { r.s.JobFinished(id) })
+	}, nil)
+
+	for i := 0; i < jobs; i++ {
+		at := time.Duration(rng.Intn(48)) * 5 * time.Minute
+		size := 1 + rng.Intn(maxNodes)
+		wall := time.Duration(1+rng.Intn(12)) * 10 * time.Minute
+		name := "j" + string([]byte{byte('a' + i%26)})
+		r.e.At(at, func() {
+			_, _ = r.s.Submit(name, "u", size, wall, 0)
+		})
+	}
+	maint := time.Hour + time.Duration(rng.Intn(6))*time.Hour
+	if err := r.s.AddMaintenance(maint, maint+30*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	// Random extensions and requeues against running jobs.
+	r.e.Every(7*time.Minute, 7*time.Minute, func() bool {
+		running := r.s.Running()
+		if len(running) > 0 {
+			j := running[rng.Intn(len(running))]
+			switch rng.Intn(3) {
+			case 0:
+				r.s.RequestExtension(j.ID, time.Duration(1+rng.Intn(60))*time.Minute)
+			case 1:
+				_ = r.s.Requeue(j.ID)
+			}
+		}
+		return r.e.Now() < 12*time.Hour
+	})
+	r.check()
+	for r.e.Step() {
+		r.check()
+	}
+	if len(r.violations) > 0 {
+		t.Logf("seed %d: %d violations, first: %v", seed, len(r.violations), r.violations[:min(3, len(r.violations))])
+		return false
+	}
+	return true
+}
+
+// TestSchedulerInvariantsUnderRandomWorkload drives random submissions,
+// completions, extensions, requeues and maintenance on a small cluster,
+// checking invariants after every event.
+func TestSchedulerInvariantsUnderRandomWorkload(t *testing.T) {
+	f := func(seed int64) bool { return randomWorkload(t, seed, 8, 40, 8) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSchedulerInvariantsAtStress10kSize runs the random workload on 10,240
+// nodes, the stress10k facility's size, with jobs of up to a quarter of it.
+func TestSchedulerInvariantsAtStress10kSize(t *testing.T) {
+	f := func(seed int64) bool { return randomWorkload(t, seed, 10240, 200, 2560) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 5}); err != nil {
 		t.Error(err)
 	}
 }
@@ -177,11 +288,4 @@ func TestBackfillNeverExceedsCapacity(t *testing.T) {
 	if r.s.Stats().BackfillStart == 0 {
 		t.Error("scenario produced no backfill at all — not exercising the path")
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

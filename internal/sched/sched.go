@@ -9,10 +9,19 @@
 // it through telemetry and job state, and act on it only through Submit,
 // RequestExtension, and Requeue — the same narrow hooks a production
 // deployment would expose.
+//
+// Loops call those hooks, and read RunningInto, every control round, so the
+// scheduler answers from indexes it keeps instead of scanning the facility
+// or the job history: a free-node bitmap with its count, the running jobs in
+// ID order, and the pending queue in (Submit, ID) order. Each index changes
+// only where a job starts, ends or is requeued, so a query costs the size of
+// its answer and a scheduling pass that starts nothing allocates nothing.
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -95,17 +104,42 @@ func (s Stats) MeanWait() time.Duration {
 // window is a full-system maintenance reservation.
 type window struct{ start, end time.Duration }
 
+// release is one running job's contribution to a reservation: its nodes
+// come free at its deadline.
+type release struct {
+	at    time.Duration
+	nodes int
+}
+
 // Scheduler is the batch scheduler.
 type Scheduler struct {
 	engine *sim.Engine
 	policy ExtensionPolicy
 
-	nodes []string
-	free  map[string]bool
+	// nodes holds the node IDs in sorted order, the order start allocates
+	// in. free[i] reports whether nodes[i] is idle and nfree counts the
+	// idle nodes; start clears entries and releaseNodes sets them, each
+	// adjusting nfree. nodeIndex maps an ID to its position in nodes, and
+	// only releaseNodes reads it.
+	nodes     []string
+	free      []bool
+	nfree     int
+	nodeIndex map[string]int
 
+	// pending is the queue in (Submit, ID) order, kept so by construction:
+	// Submit appends (its job has the latest Submit and the highest ID),
+	// Requeue inserts at the position a binary search finds, and schedule
+	// removes the jobs it starts.
 	pending []*Job
 	// jobs holds every job ever submitted in ID order: jobs[i].ID == i+1.
 	jobs []*Job
+	// running holds the running jobs in ID order: start inserts a job,
+	// releaseNodes removes it. It is mutated on the simulation goroutine
+	// only, never during a plan phase, so plan workers read it under the
+	// same discipline as jobs.
+	running []*Job
+	// rels is headReservation's scratch, reused across calls.
+	rels []release
 
 	startFn StartFn
 	killFn  KillFn
@@ -120,14 +154,17 @@ func New(engine *sim.Engine, nodes []string, policy ExtensionPolicy) *Scheduler 
 		panic("sched: no nodes")
 	}
 	s := &Scheduler{
-		engine: engine,
-		policy: policy,
-		nodes:  append([]string(nil), nodes...),
-		free:   make(map[string]bool, len(nodes)),
+		engine:    engine,
+		policy:    policy,
+		nodes:     append([]string(nil), nodes...),
+		free:      make([]bool, len(nodes)),
+		nfree:     len(nodes),
+		nodeIndex: make(map[string]int, len(nodes)),
 	}
 	sort.Strings(s.nodes)
-	for _, n := range s.nodes {
-		s.free[n] = true
+	for i, n := range s.nodes {
+		s.free[i] = true
+		s.nodeIndex[n] = i
 	}
 	return s
 }
@@ -160,12 +197,7 @@ func (s *Scheduler) Running() []*Job { return s.RunningInto(nil) }
 // returns the extended buffer: Running without an allocation once buf has
 // capacity.
 func (s *Scheduler) RunningInto(buf []*Job) []*Job {
-	for _, j := range s.jobs {
-		if j.State == JobRunning {
-			buf = append(buf, j)
-		}
-	}
-	return buf
+	return append(buf, s.running...)
 }
 
 // QueueLen returns the number of pending jobs.
@@ -234,8 +266,10 @@ func (s *Scheduler) Requeue(jobID int) error {
 	j.Requeues++
 	j.Submit = s.engine.Now()
 	s.stats.Requeued++
-	s.pending = append(s.pending, j)
-	s.sortPending()
+	// j.Submit is now, the latest in the queue, so j lands after every
+	// earlier submission and among this instant's by ID.
+	i, _ := slices.BinarySearchFunc(s.pending, j, queueOrder)
+	s.pending = slices.Insert(s.pending, i, j)
 	s.schedule()
 	return nil
 }
@@ -249,7 +283,7 @@ func (s *Scheduler) AddMaintenance(start, end time.Duration) error {
 	}
 	s.maint = append(s.maint, window{start, end})
 	sort.Slice(s.maint, func(i, k int) bool { return s.maint[i].start < s.maint[k].start })
-	s.engine.At(start, func() { s.beginMaintenance(start, end) })
+	s.engine.At(start, s.beginMaintenance)
 	s.engine.At(end, func() { s.schedule() })
 	return nil
 }
@@ -266,12 +300,12 @@ func (s *Scheduler) NextMaintenance(now time.Duration) (time.Duration, bool) {
 	return 0, false
 }
 
-func (s *Scheduler) beginMaintenance(start, end time.Duration) {
-	for _, j := range s.Running() {
+// beginMaintenance kills every job running at a window's start. It walks a
+// copy of the running set, which each kill shrinks.
+func (s *Scheduler) beginMaintenance() {
+	for _, j := range slices.Clone(s.running) {
 		s.kill(j, KillMaintenance)
 	}
-	_ = start
-	_ = end
 }
 
 // kill terminates a running job with the given reason.
@@ -298,31 +332,31 @@ func (s *Scheduler) kill(j *Job, reason KillReason) {
 	s.schedule()
 }
 
+// releaseNodes returns j's nodes to the free pool and drops j from the
+// running set.
 func (s *Scheduler) releaseNodes(j *Job) {
 	for _, n := range j.AssignedNodes {
-		s.free[n] = true
+		s.free[s.nodeIndex[n]] = true
 	}
+	s.nfree += len(j.AssignedNodes)
 	j.AssignedNodes = nil
-}
-
-func (s *Scheduler) freeCount() int {
-	c := 0
-	for _, ok := range s.free {
-		if ok {
-			c++
-		}
+	if i, ok := slices.BinarySearchFunc(s.running, j.ID, byID); ok {
+		s.running = slices.Delete(s.running, i, i+1)
 	}
-	return c
 }
 
-func (s *Scheduler) sortPending() {
-	sort.SliceStable(s.pending, func(i, k int) bool {
-		if s.pending[i].Submit != s.pending[k].Submit {
-			return s.pending[i].Submit < s.pending[k].Submit
-		}
-		return s.pending[i].ID < s.pending[k].ID
-	})
+func (s *Scheduler) freeCount() int { return s.nfree }
+
+// queueOrder is the pending queue's order: by Submit, then by ID.
+func queueOrder(a, b *Job) int {
+	if c := cmp.Compare(a.Submit, b.Submit); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
+
+// byID orders the running set for binary search by job ID.
+func byID(j *Job, id int) int { return cmp.Compare(j.ID, id) }
 
 // maintenanceBlocks reports whether a job starting at t with limit wall would
 // overlap any maintenance window.
@@ -350,22 +384,23 @@ func (s *Scheduler) nextMaintenanceEndAfter(t, wall time.Duration) time.Duration
 // start launches job j on free nodes now.
 func (s *Scheduler) start(j *Job, backfilled bool) {
 	now := s.engine.Now()
+	if s.nfree < j.Nodes {
+		panic("sched: start called without capacity")
+	}
 	assigned := make([]string, 0, j.Nodes)
-	for _, n := range s.nodes {
-		if s.free[n] {
-			assigned = append(assigned, n)
+	for i, idle := range s.free {
+		if idle {
+			s.free[i] = false
+			assigned = append(assigned, s.nodes[i])
 			if len(assigned) == j.Nodes {
 				break
 			}
 		}
 	}
-	if len(assigned) < j.Nodes {
-		panic("sched: start called without capacity")
-	}
-	for _, n := range assigned {
-		s.free[n] = false
-	}
+	s.nfree -= j.Nodes
 	j.AssignedNodes = assigned
+	i, _ := slices.BinarySearchFunc(s.running, j.ID, byID)
+	s.running = slices.Insert(s.running, i, j)
 	j.State = JobRunning
 	j.Start = now
 	j.Deadline = now + j.Walltime
@@ -407,17 +442,15 @@ func (s *Scheduler) canStartNow(j *Job) bool {
 func (s *Scheduler) headReservation(head *Job) (shadow time.Duration, extra int) {
 	now := s.engine.Now()
 	avail := s.freeCount()
-	type rel struct {
-		at    time.Duration
-		nodes int
+	// The sort is unstable: jobs with equal deadlines pop in the order
+	// pdqsort leaves the ID-ordered input in, which decides extra and which
+	// the golden tables pin. sort.Slice runs the same pdqsort but allocates.
+	rels := s.rels[:0]
+	for _, j := range s.running {
+		rels = append(rels, release{j.Deadline, j.Nodes})
 	}
-	var rels []rel
-	for _, j := range s.jobs {
-		if j.State == JobRunning {
-			rels = append(rels, rel{j.Deadline, j.Nodes})
-		}
-	}
-	sort.Slice(rels, func(i, k int) bool { return rels[i].at < rels[k].at })
+	slices.SortFunc(rels, func(a, b release) int { return cmp.Compare(a.at, b.at) })
+	s.rels = rels
 	shadow = now
 	for avail < head.Nodes && len(rels) > 0 {
 		avail += rels[0].nodes
@@ -438,7 +471,6 @@ func (s *Scheduler) headReservation(head *Job) (shadow time.Duration, extra int)
 // schedule runs one FCFS + EASY backfill dispatch pass.
 func (s *Scheduler) schedule() {
 	now := s.engine.Now()
-	s.sortPending()
 	for len(s.pending) > 0 {
 		head := s.pending[0]
 		if s.canStartNow(head) {
@@ -549,15 +581,9 @@ func (s *Scheduler) Collector() telemetry.Collector {
 	buf := new([4]telemetry.Point)
 	return telemetry.CollectorFunc(func(now time.Duration) []telemetry.Point {
 		busy := len(s.nodes) - s.freeCount()
-		running := 0
-		for _, j := range s.jobs {
-			if j.State == JobRunning {
-				running++
-			}
-		}
 		*buf = [4]telemetry.Point{
 			{Name: "sched.queue.len", Labels: labels, Time: now, Value: float64(len(s.pending)), Ref: &refs[0]},
-			{Name: "sched.jobs.running", Labels: labels, Time: now, Value: float64(running), Ref: &refs[1]},
+			{Name: "sched.jobs.running", Labels: labels, Time: now, Value: float64(len(s.running)), Ref: &refs[1]},
 			{Name: "sched.nodes.busy", Labels: labels, Time: now, Value: float64(busy), Ref: &refs[2]},
 			{Name: "sched.util", Labels: labels, Time: now, Value: float64(busy) / float64(len(s.nodes)), Ref: &refs[3]},
 		}

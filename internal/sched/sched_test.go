@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -41,6 +42,15 @@ func newRig(t *testing.T, nodes int) *testRig {
 
 func nodeName(i int) string {
 	return string([]byte{'n', byte('0' + i/10), byte('0' + i%10)})
+}
+
+// nodeIDs names n nodes for clusters of any size, in sorted order.
+func nodeIDs(n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("n%05d", i)
+	}
+	return ids
 }
 
 func (r *testRig) submit(t *testing.T, name string, nodes int, wall, actual time.Duration) *Job {
@@ -473,5 +483,74 @@ func TestDeterministicSchedule(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("schedule not deterministic at job %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// blockedQueue builds a scheduler over nodes nodes with running jobs holding
+// all but free of them, a head that needs the whole cluster, and candidates
+// pending behind it that cannot start: half need more than the free nodes,
+// half fit but would run past the head's reservation. A schedule pass over
+// it starts nothing.
+func blockedQueue(tb testing.TB, nodes, free, running, candidates int) *Scheduler {
+	tb.Helper()
+	s := New(sim.NewEngine(1), nodeIDs(nodes), DefaultExtensionPolicy())
+	per := (nodes - free) / running
+	for i := 0; i < running; i++ {
+		size := per
+		if i == running-1 {
+			size = nodes - free - per*(running-1)
+		}
+		if _, err := s.Submit("run", "u", size, time.Duration(1+i%4)*time.Hour, 0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := s.Submit("head", "u", nodes, time.Hour, 0); err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < candidates; i++ {
+		size, wall := free+1, time.Hour
+		if i%2 == 1 {
+			size, wall = 1, 10*time.Hour
+		}
+		if _, err := s.Submit("cand", "u", size, wall, 0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if got := len(s.Running()); got != running {
+		tb.Fatalf("%d jobs running, want %d", got, running)
+	}
+	if got := s.QueueLen(); got != candidates+1 {
+		tb.Fatalf("queue length %d, want %d", got, candidates+1)
+	}
+	return s
+}
+
+// TestScheduleAllocs: a warm scheduling pass over a blocked head, with a
+// queue where no candidate can backfill, allocates nothing; neither does a
+// warm RunningInto.
+func TestScheduleAllocs(t *testing.T) {
+	s := blockedQueue(t, 64, 4, 6, 20)
+	s.schedule()
+	if n := testing.AllocsPerRun(100, s.schedule); n != 0 {
+		t.Errorf("blocked schedule pass: %v allocs, want 0", n)
+	}
+	if s.QueueLen() != 21 {
+		t.Fatalf("a blocked pass started a job: queue length %d", s.QueueLen())
+	}
+	buf := s.RunningInto(nil)
+	if n := testing.AllocsPerRun(100, func() { buf = s.RunningInto(buf[:0]) }); n != 0 {
+		t.Errorf("warm RunningInto: %v allocs, want 0", n)
+	}
+}
+
+// BenchmarkScheduleBlockedHead times a scheduling pass at stress10k's size:
+// 10,240 nodes, 200 running jobs, and 500 pending jobs behind a blocked
+// head, none of which can backfill.
+func BenchmarkScheduleBlockedHead(b *testing.B) {
+	s := blockedQueue(b, 10240, 240, 200, 499)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.schedule()
 	}
 }
