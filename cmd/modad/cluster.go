@@ -155,7 +155,7 @@ func (d *daemon) runWorker() error {
 		ID:        id,
 		Heartbeat: d.heartbeat,
 		Stats: func() (int, uint64, int) {
-			return db.NumSeries(), db.Appended(), coord.Metrics().Rounds
+			return db.NumSeries(), db.Appended(), rt.Ctl.Rounds()
 		},
 		Logf: logf,
 	})

@@ -111,11 +111,18 @@ func TestClusterProcessFailover(t *testing.T) {
 	})
 }
 
-// buildModad compiles the daemon once into the test's temp dir.
+// buildModad compiles the daemon once into the test's temp dir, with the
+// race detector when the test binary has it, so startProc can fail the test
+// on a race in a goroutine only the daemon runs (journaling, the snapshot
+// timer, the drive loop, a worker's heartbeat).
 func buildModad(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "modad")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
+	args := []string{"build", "-o", bin}
+	if raceEnabled {
+		args = append(args, "-race")
+	}
+	cmd := exec.Command("go", append(args, ".")...)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -123,7 +130,8 @@ func buildModad(t *testing.T) string {
 }
 
 // startProc launches one daemon process with stdout+stderr teed to
-// <logDir>/<name>.log and registers teardown.
+// <logDir>/<name>.log and registers teardown, which fails the test if the
+// log holds a race detector report.
 func startProc(t *testing.T, logDir, name, bin string, args ...string) *exec.Cmd {
 	t.Helper()
 	logf, err := os.Create(filepath.Join(logDir, name+".log"))
@@ -148,6 +156,9 @@ func startProc(t *testing.T, logDir, name, bin string, args ...string) *exec.Cmd
 			<-done
 		}
 		logf.Close()
+		if data, err := os.ReadFile(logf.Name()); err == nil && strings.Contains(string(data), "WARNING: DATA RACE") {
+			t.Errorf("%s: data race in the daemon; see %s", name, logf.Name())
+		}
 	})
 	return cmd
 }

@@ -37,11 +37,6 @@ type Envelope struct {
 	Time    time.Duration `json:"time"`
 	Source  string        `json:"source,omitempty"`
 	Payload interface{}   `json:"payload,omitempty"`
-	// Deadline, when positive, is the virtual time at which the envelope's
-	// content stops being actionable (a stale telemetry point, a superseded
-	// round summary). The bus drops already-expired envelopes at publish
-	// time; see deadline.go.
-	Deadline time.Duration `json:"deadline,omitempty"`
 }
 
 // Handler consumes envelopes published to a subscribed topic.
@@ -80,12 +75,11 @@ type Bus struct {
 
 	published atomic.Uint64
 	delivered atomic.Uint64
-	expired   atomic.Uint64
 
-	// journal, when set, observes every envelope accepted for delivery
-	// (expired drops excluded) before its handlers run. It is the WAL hook:
-	// the daemon records published envelopes as an audit trail. Swapped
-	// atomically so the publish hot path reads one pointer.
+	// journal, when set, observes every published envelope before its
+	// handlers run. It is the WAL hook: the daemon records published
+	// envelopes as an audit trail. Swapped atomically so the publish hot
+	// path reads one pointer.
 	journal atomic.Pointer[func(Envelope)]
 }
 
@@ -291,15 +285,9 @@ func (b *Bus) appendHandlersLocked(dst []Handler, topic string) []Handler {
 }
 
 // Publish delivers env to all matching subscribers in subscription order.
-// An envelope already past its deadline at its own publish time is dropped
-// (counted by ExpiredDropped), not delivered.
 func (b *Bus) Publish(env Envelope) {
 	if env.Topic == "" {
 		panic("bus: Publish with empty topic")
-	}
-	if env.Expired(env.Time) {
-		b.expired.Add(1)
-		return
 	}
 	b.mu.RLock()
 	matched := b.appendHandlersLocked(nil, env.Topic)
@@ -335,14 +323,9 @@ func (b *Bus) PublishBatch(envs []Envelope) {
 		}
 	}
 	p := planScratch.Get().(*batchPlan)
-	total, dropped := 0, 0
+	total := 0
 	b.mu.RLock()
 	for i := range envs {
-		if envs[i].Expired(envs[i].Time) {
-			dropped++
-			p.spans = append(p.spans, span{})
-			continue
-		}
 		sp, ok := p.byTopic[envs[i].Topic]
 		if !ok {
 			sp.lo = len(p.handlers)
@@ -357,14 +340,11 @@ func (b *Bus) PublishBatch(envs []Envelope) {
 
 	if j := b.journal.Load(); j != nil {
 		for i := range envs {
-			if !envs[i].Expired(envs[i].Time) {
-				(*j)(envs[i])
-			}
+			(*j)(envs[i])
 		}
 	}
-	b.published.Add(uint64(len(envs) - dropped))
+	b.published.Add(uint64(len(envs)))
 	b.delivered.Add(uint64(total))
-	b.expired.Add(uint64(dropped))
 	for i, env := range envs {
 		for _, h := range p.handlers[p.spans[i].lo:p.spans[i].hi] {
 			h(env)
@@ -399,11 +379,11 @@ func (p *batchPlan) reset() {
 }
 
 // Journal registers fn as the bus's journal hook: it observes every
-// envelope accepted for delivery (expired drops excluded), before the
-// envelope's handlers run and in publish order per publisher. The daemon
-// uses it to record traffic into the write-ahead log as an audit trail;
-// journaled envelopes are never re-published on recovery. Passing nil
-// removes the hook. fn must be safe for concurrent use.
+// published envelope, before the envelope's handlers run and in publish
+// order per publisher. The daemon uses it to record traffic into the
+// write-ahead log as an audit trail; journaled envelopes are never
+// re-published on recovery. Passing nil removes the hook. fn must be safe
+// for concurrent use.
 func (b *Bus) Journal(fn func(Envelope)) {
 	if fn == nil {
 		b.journal.Store(nil)
@@ -416,10 +396,6 @@ func (b *Bus) Journal(fn func(Envelope)) {
 func (b *Bus) Stats() (published, delivered uint64) {
 	return b.published.Load(), b.delivered.Load()
 }
-
-// ExpiredDropped reports how many envelopes were dropped at publish time
-// because their deadline had already passed.
-func (b *Bus) ExpiredDropped() uint64 { return b.expired.Load() }
 
 // Encode marshals env to a single-line JSON wire form terminated by '\n'.
 func Encode(env Envelope) ([]byte, error) {

@@ -109,6 +109,19 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeIgnoresRetiredFields checks that Decode ignores fields an
+// Envelope does not have, such as the "deadline" that older journals and
+// peers may carry, so their lines stay readable.
+func TestDecodeIgnoresRetiredFields(t *testing.T) {
+	got, err := Decode([]byte(`{"topic":"t","time":60000000000,"deadline":120000000000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Topic != "t" || got.Time != time.Minute {
+		t.Errorf("decoded %+v", got)
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode([]byte("{not json")); err == nil {
 		t.Error("expected decode error")

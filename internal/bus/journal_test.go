@@ -7,7 +7,7 @@ import (
 
 // TestJournalHookObservesPublishes checks the journal hook sees every
 // envelope accepted for delivery — including envelopes with zero
-// subscribers — in publish order, and never sees an expired drop.
+// subscribers — in publish order.
 func TestJournalHookObservesPublishes(t *testing.T) {
 	b := New()
 	var seen []string
@@ -18,10 +18,8 @@ func TestJournalHookObservesPublishes(t *testing.T) {
 
 	b.Publish(Envelope{Topic: "loop.power.plan", Time: time.Second})
 	b.Publish(Envelope{Topic: "orphan.topic", Time: time.Second}) // no subscriber, still journaled
-	b.Publish(Envelope{Topic: "loop.dead", Time: 10 * time.Second, Deadline: 5 * time.Second})
 	b.PublishBatch([]Envelope{
 		{Topic: "loop.a", Time: time.Second},
-		{Topic: "loop.expired", Time: 10 * time.Second, Deadline: time.Second},
 		{Topic: "loop.b", Time: time.Second},
 	})
 

@@ -22,6 +22,11 @@ const maxLineBytes = 1024 * 1024
 // client only (counted, never blocking the publisher).
 const outboxDepth = 256
 
+// writeTimeout bounds how long a broadcast may block on one client.
+const writeTimeout = 2 * time.Second
+
+func deadline() time.Time { return time.Now().Add(writeTimeout) }
+
 // wireConn is one accepted client connection: its socket, the bounded
 // outbox its writer goroutine drains, and its dropped-frame counter.
 type wireConn struct {

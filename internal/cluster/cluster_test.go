@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -95,7 +94,6 @@ func newTestWorker(t *testing.T, addr, id string, opts AgentOptions) *testWorker
 	env := &control.Env{
 		Knowledge: knowledge.NewBase(),
 		Clock:     sim.VirtualClock{Engine: sim.NewEngine(1)},
-		Rng:       rand.New(rand.NewSource(1)),
 		Bus:       w.b,
 	}
 	w.ctl = control.NewService(reg, env, fleet.New(1), time.Minute)

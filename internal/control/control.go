@@ -16,8 +16,12 @@
 //     drain, remove, set-mode, set-guard, pending), served by a Service.
 //   - An operator approval surface: human-in-the-loop actions land in a
 //     pending-approval queue published on control.v1.pending and are
-//     settled by control.v1.approve/deny envelopes — or by the simulated
-//     HumanModel as a fallback driver when no operator is connected.
+//     settled by control.v1.approve/deny envelopes. Without an operator,
+//     only the spec's human.contingency_after settles one (it executes
+//     once that long has passed); an action with no contingency stays
+//     pending. The human block's availability, median_latency and
+//     latency_cv are accepted for control.v1 compatibility and are not
+//     used.
 //
 // Compatibility: the control.v1 wire surface is additive-only — fields and
 // ops may be added, never renamed, removed, or re-typed. Breaking changes

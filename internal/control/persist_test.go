@@ -2,7 +2,6 @@ package control_test
 
 import (
 	"encoding/json"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -21,7 +20,7 @@ func persistService(t testing.TB) (*control.Service, *bus.Bus, *script) {
 	reg.MustRegister(scriptFactory("script", s))
 	engine := sim.NewEngine(1)
 	b := bus.New()
-	env := &control.Env{Clock: sim.VirtualClock{Engine: engine}, Rng: rand.New(rand.NewSource(1)), Bus: b}
+	env := &control.Env{Clock: sim.VirtualClock{Engine: engine}, Bus: b}
 	svc := control.NewService(reg, env, fleet.New(1), time.Minute).Attach(b, "test")
 	t.Cleanup(svc.Close)
 	return svc, b, s

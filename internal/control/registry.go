@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -41,8 +40,9 @@ const (
 
 // Env is the deployment environment a registry spawns loops into: the
 // telemetry query surface, the managed substrates, and the cross-cutting
-// services (knowledge, clock, rng, bus) wired onto every spawned
-// loop. Fields may be nil; factories declare what they require.
+// services (knowledge, clock, bus). Only the bus is wired onto every
+// spawned loop; the rest reach a loop through the factories that require
+// them. Fields may be nil; factories declare what they require.
 type Env struct {
 	Querier   telemetry.Querier
 	Plant     *facility.Plant
@@ -52,10 +52,9 @@ type Env struct {
 	FS        *pfs.FS
 	Knowledge *knowledge.Base
 
-	// Clock and Rng drive deferred human-in-the-loop executions and any
-	// case that needs the time (schedcase's prediction resolution).
+	// Clock serves any case that needs the time (schedcase's prediction
+	// resolution).
 	Clock sim.Clock
-	Rng   *rand.Rand
 
 	// Bus, when set, is attached to every spawned loop.
 	Bus *bus.Bus
@@ -286,22 +285,11 @@ func (r *Registry) Spawn(env *Env, spec LoopSpec) (*Spawned, error) {
 			built[i].Loop.Name = spec.Name + "/" + built[i].Loop.Name
 		}
 	}
-	human := core.DefaultHumanModel()
-	if spec.Human != nil {
-		human = spec.Human.Model()
-	}
 	for i := range built {
 		l := built[i].Loop
 		l.Mode = mode
-		l.Human = human
 		if l.Bus == nil {
 			l.Bus = env.Bus
-		}
-		if l.Clock == nil {
-			l.Clock = env.Clock
-		}
-		if l.Rng == nil {
-			l.Rng = env.Rng
 		}
 		if built[i].EveryMul < 1 {
 			built[i].EveryMul = 1

@@ -2,7 +2,6 @@ package control_test
 
 import (
 	"encoding/json"
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -46,8 +45,8 @@ func testEnv(t testing.TB, seed int64) (*control.Env, *sim.Engine, *telemetry.Pi
 	env := &control.Env{
 		Querier: db, Plant: plant, Scheduler: scheduler, Apps: runtime,
 		Cluster: cl, FS: fs, Knowledge: knowledge.NewBase(),
-		Clock: sim.VirtualClock{Engine: engine}, Rng: rand.New(rand.NewSource(seed)),
-		Bus: bus.New(),
+		Clock: sim.VirtualClock{Engine: engine},
+		Bus:   bus.New(),
 	}
 	return env, engine, pipe
 }
@@ -127,7 +126,7 @@ func TestSpawnConfigOverridesAndNormalization(t *testing.T) {
 			t.Errorf("overrides not applied: %+v", cfg)
 		}
 	}
-	if l.Bus != env.Bus || l.Clock == nil || l.Rng != env.Rng {
+	if l.Bus != env.Bus {
 		t.Error("spawned loop not wired to the environment")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"autoloop/internal/bus"
@@ -39,6 +40,10 @@ type Service struct {
 	byLoop  map[string]*managedGroup // every member loop name -> its group
 	now     time.Duration
 
+	// rounds is the coordinator's round count as of the last Tick, kept
+	// atomically so goroutines other than the tick goroutine can read it.
+	rounds atomic.Int64
+
 	// qmu guards the approval queue and the verdict inbox. Lock order:
 	// mu before qmu, never the reverse.
 	qmu      sync.Mutex
@@ -71,7 +76,7 @@ type pendingEntry struct {
 	d    core.DeferredAction
 	info PendingInfo
 	// contingencyAt, when positive, executes the action at that virtual
-	// time (the loop's ContingencyAfter policy).
+	// time (its group spec's contingency_after).
 	contingencyAt time.Duration
 }
 
@@ -201,6 +206,7 @@ func (s *Service) Tick(now time.Duration) {
 	resolved := s.settleQueue(now)
 	s.view.resolve()
 	s.coord.Tick(now)
+	s.rounds.Store(int64(s.coord.Metrics().Rounds))
 	s.view.end()
 	s.pruneStopped()
 	s.mu.Unlock()
@@ -208,6 +214,11 @@ func (s *Service) Tick(now time.Duration) {
 		s.publish(TopicResolved, now, r)
 	}
 }
+
+// Rounds reports how many fleet rounds have run, as of the last completed
+// Tick. Unlike Coordinator().Metrics(), which belongs to the tick
+// goroutine, it is safe to call from any goroutine (a worker's heartbeat).
+func (s *Service) Rounds() int { return int(s.rounds.Load()) }
 
 // pruneStopped forgets managed groups whose every loop has stopped (the
 // coordinator has already dropped them from its membership).
@@ -302,13 +313,14 @@ func (s *Service) dropPending(seq uint64) {
 }
 
 // Defer implements core.ApprovalSink: a human-in-the-loop action lands in
-// the pending queue, its timeout policy is fixed from the loop's HumanModel,
-// and the queue entry is announced on control.v1.pending.
+// the pending queue, its timeout is fixed from its group's contingency_after,
+// and the queue entry is announced on control.v1.pending. The managed loops
+// tick only inside Tick, so the caller holds mu.
 func (s *Service) Defer(d core.DeferredAction) {
 	now := d.Decided
 	e := &pendingEntry{d: d}
-	if after := d.Loop.Human.ContingencyAfter; after > 0 {
-		e.contingencyAt = now + after
+	if h := s.byLoop[d.Loop.Name].spec.Human; h != nil && h.ContingencyAfter > 0 {
+		e.contingencyAt = now + h.ContingencyAfter.D()
 	}
 	s.qmu.Lock()
 	s.seq++

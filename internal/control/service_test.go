@@ -2,7 +2,6 @@ package control_test
 
 import (
 	"bufio"
-	"math/rand"
 	"net"
 	"strings"
 	"testing"
@@ -57,7 +56,7 @@ func scriptService(t testing.TB) (*control.Service, *bus.Bus, *script) {
 	reg.MustRegister(scriptFactory("script", s))
 	engine := sim.NewEngine(1)
 	b := bus.New()
-	env := &control.Env{Clock: sim.VirtualClock{Engine: engine}, Rng: rand.New(rand.NewSource(1)), Bus: b}
+	env := &control.Env{Clock: sim.VirtualClock{Engine: engine}, Bus: b}
 	svc := control.NewService(reg, env, fleet.New(1), time.Minute).Attach(b, "test")
 	t.Cleanup(svc.Close)
 	return svc, b, s
@@ -342,6 +341,92 @@ func TestApprovalContingencyTimeout(t *testing.T) {
 		t.Fatalf("resolutions = %+v, want a contingency execution", *resolutions)
 	}
 	_ = b
+}
+
+// TestHumanInTheLoopWaitsForOperator checks that a spawned loop's actions
+// wait for an operator however the spec's human block describes the
+// approver: with availability 1, a one-minute median latency and no
+// contingency, the first action is still pending after 60 rounds, get
+// reports the human block as spawned, and an approve executes the action.
+func TestHumanInTheLoopWaitsForOperator(t *testing.T) {
+	spec, err := control.ParseSpec([]byte(`{"case":"script","mode":"human-in-the-loop",
+		"human":{"availability":1,"median_latency":"1m","latency_cv":0.5}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := control.HumanSpec{Availability: 1, MedianLatency: control.Duration(time.Minute), LatencyCV: 0.5}
+	if spec.Human == nil || *spec.Human != want {
+		t.Fatalf("parsed human = %+v, want %+v", spec.Human, want)
+	}
+	svc, b, s, pendings, resolutions := scriptServiceWithHuman(t, spec.Human)
+	for round := 1; round <= 60; round++ {
+		svc.Tick(time.Duration(round) * time.Minute)
+	}
+	if len(s.executed) != 0 || len(*resolutions) != 0 {
+		t.Fatalf("executed %d, resolutions %+v: nothing may settle without an operator", len(s.executed), *resolutions)
+	}
+	r := call(t, b, control.Request{ID: "p", Op: control.OpPending})
+	if !r.OK || len(r.Pending) != 60 || r.Pending[0].Seq != 1 || r.Pending[0].ContingencyAt != 0 {
+		t.Fatalf("pending op = %+v", r)
+	}
+	if len(*pendings) != 60 {
+		t.Fatalf("pending announcements = %d, want 60", len(*pendings))
+	}
+
+	r = call(t, b, control.Request{ID: "g", Op: control.OpGet, Loop: "script"})
+	if !r.OK || r.Spec == nil || r.Spec.Human == nil || *r.Spec.Human != want {
+		t.Fatalf("get = %+v, want human %+v", r, want)
+	}
+
+	if _, err := bus.Call(b,
+		bus.Envelope{Topic: control.TopicApprove, Payload: control.Verdict{ID: "v", Seq: 1, Loop: "script"}},
+		control.TopicReply, nil, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	svc.Tick(61 * time.Minute)
+	if len(s.executed) != 1 {
+		t.Fatalf("executed %d after approval, want 1", len(s.executed))
+	}
+	if len(*resolutions) != 1 || (*resolutions)[0].Seq != 1 || (*resolutions)[0].Outcome != control.OutcomeApproved || !(*resolutions)[0].Executed {
+		t.Fatalf("resolutions = %+v", *resolutions)
+	}
+}
+
+// TestRoundsReadableWhileTicking reads the round count from another
+// goroutine while a service ticks, as a worker's heartbeat does. The
+// service has no bus, whose atomic counters would otherwise order the two
+// goroutines and hide a racy read from the race detector.
+func TestRoundsReadableWhileTicking(t *testing.T) {
+	reg := control.NewRegistry()
+	reg.MustRegister(scriptFactory("script", &script{}))
+	svc := control.NewService(reg, &control.Env{}, fleet.New(1), time.Minute)
+	if _, err := svc.Spawn(control.LoopSpec{Case: "script"}); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= rounds; i++ {
+			svc.Tick(time.Duration(i) * time.Minute)
+		}
+	}()
+	last := 0
+	for ticking := true; ticking; {
+		select {
+		case <-done:
+			ticking = false
+		default:
+		}
+		n := svc.Rounds()
+		if n < last || n > rounds {
+			t.Fatalf("Rounds went %d -> %d", last, n)
+		}
+		last = n
+	}
+	if got := svc.Rounds(); got != rounds || got != svc.Coordinator().Metrics().Rounds {
+		t.Fatalf("Rounds = %d, coordinator %d, want %d", got, svc.Coordinator().Metrics().Rounds, rounds)
+	}
 }
 
 // scriptServiceWithHuman is approvalSetup with an explicit HumanSpec.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"autoloop/internal/core"
-	"autoloop/internal/sim"
 )
 
 // Duration is a time.Duration that decodes from either a Go duration string
@@ -80,39 +79,27 @@ type LoopSpec struct {
 	// default. Under a coordinator it is rounded to a whole multiple of
 	// the coordinator's base round period.
 	Period Duration `json:"period,omitempty"`
-	// Human tunes the approval policy for human-in-the-loop operation;
-	// nil keeps the paper's default model (15m median response, 80%
-	// availability, no contingency).
+	// Human carries the approval policy for human-in-the-loop operation.
+	// Only its ContingencyAfter acts; nil means no contingency.
 	Human *HumanSpec `json:"human,omitempty"`
 }
 
-// HumanSpec is the declarative form of core.HumanModel: the approver's
-// response-latency distribution, availability, and the contingency window
-// after which a deferred action executes anyway.
+// HumanSpec is a spec's approval policy. A Service queues every
+// human-in-the-loop action for an operator; ContingencyAfter is the only
+// field that settles one without an operator. Availability, MedianLatency
+// and LatencyCV are accepted and reported back for control.v1
+// compatibility (specs are decoded strictly and the wire is additive-only)
+// and are not used.
 type HumanSpec struct {
-	// Availability is the probability the approver answers at all.
+	// Availability is accepted and reported back; not used.
 	Availability float64 `json:"availability"`
-	// MedianLatency is the median approval response time.
+	// MedianLatency is accepted and reported back; not used.
 	MedianLatency Duration `json:"median_latency"`
-	// LatencyCV is the latency distribution's coefficient of variation
-	// (default 0.8).
+	// LatencyCV is accepted and reported back; not used.
 	LatencyCV float64 `json:"latency_cv,omitempty"`
-	// ContingencyAfter, when positive, executes the action anyway once
-	// the approval surface has been silent this long.
+	// ContingencyAfter, when positive, executes a pending action anyway
+	// once no operator has settled it for this long.
 	ContingencyAfter Duration `json:"contingency_after,omitempty"`
-}
-
-// Model converts the spec to the core human model.
-func (h *HumanSpec) Model() core.HumanModel {
-	cv := h.LatencyCV
-	if cv <= 0 {
-		cv = 0.8
-	}
-	return core.HumanModel{
-		Latency:          sim.LogNormal{MeanV: h.MedianLatency.D(), CV: cv},
-		Availability:     h.Availability,
-		ContingencyAfter: h.ContingencyAfter.D(),
-	}
 }
 
 // Validate checks the statically checkable parts of the spec.

@@ -51,15 +51,6 @@ type HumanModel struct {
 	ContingencyAfter time.Duration
 }
 
-// DefaultHumanModel reflects a paged operator: 15 minutes median response,
-// available 80% of the time.
-func DefaultHumanModel() HumanModel {
-	return HumanModel{
-		Latency:      sim.LogNormal{MeanV: 15 * time.Minute, CV: 0.8},
-		Availability: 0.8,
-	}
-}
-
 // Metrics counts loop activity.
 type Metrics struct {
 	Ticks             int
@@ -98,7 +89,9 @@ type Loop struct {
 	// Guards veto actions in order; first error wins.
 	Guards []Guardrail
 
-	Mode  Mode
+	Mode Mode
+	// Human simulates the approver of a human-in-the-loop loop that has no
+	// Approvals sink (the experiments' in-loop approver).
 	Human HumanModel
 
 	// Bus, when set, receives the loop's account of itself on
@@ -110,15 +103,15 @@ type Loop struct {
 	// approval resolutions publish when they happen.
 	Bus *bus.Bus
 
-	// Clock schedules deferred executions (required for HumanInTheLoop).
+	// Clock schedules the Human model's deferred executions and Rng drives
+	// its draws; both are required for HumanInTheLoop without Approvals.
 	Clock sim.Clock
-	// Rng drives the human model (required for HumanInTheLoop).
-	Rng *rand.Rand
+	Rng   *rand.Rand
 
 	// Approvals, when set, receives human-in-the-loop actions instead of
-	// the simulated HumanModel: dispatch enqueues a DeferredAction and the
-	// sink settles it later via Resolve. When nil, the HumanModel drives
-	// approvals directly (the simulation fallback).
+	// the simulated Human: dispatch enqueues a DeferredAction and the sink
+	// settles it later via Resolve; Human, Clock and Rng are then unused.
+	// A control.Service sets it on every loop it spawns.
 	Approvals ApprovalSink
 
 	// state is the LifecycleState (atomic so control planes may inspect and
@@ -410,8 +403,7 @@ func (l *Loop) execute(decidedAt, now time.Duration, action Action) ActionResult
 
 // deferToHuman routes the action to the approval surface: an attached
 // ApprovalSink (the control plane's pending queue) when present, otherwise
-// the simulated HumanModel — the fallback driver that keeps fixed-seed
-// experiments reproducible.
+// the simulated Human, which the fixed-seed experiments use.
 func (l *Loop) deferToHuman(now time.Duration, action Action) {
 	if l.Approvals != nil {
 		l.metrics.DeferredActions++

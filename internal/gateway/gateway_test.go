@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -71,7 +70,7 @@ func newTestControl(t testing.TB, b *bus.Bus) *control.Service {
 		},
 	})
 	engine := sim.NewEngine(1)
-	env := &control.Env{Clock: sim.VirtualClock{Engine: engine}, Rng: rand.New(rand.NewSource(1)), Bus: b}
+	env := &control.Env{Clock: sim.VirtualClock{Engine: engine}, Bus: b}
 	svc := control.NewService(reg, env, fleet.New(1), time.Minute).Attach(b, "test")
 	t.Cleanup(svc.Close)
 	return svc

@@ -44,7 +44,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		published, delivered := bu.Stats()
 		row("bus_published_total", published)
 		row("bus_delivered_total", delivered)
-		row("bus_expired_dropped_total", bu.ExpiredDropped())
 	}
 	if p := g.opts.Pipeline; p != nil {
 		samples, points, errs := p.Stats()

@@ -201,7 +201,6 @@ func AssembleOn(engine *sim.Engine, db *tsdb.DB, spec *Spec, reg *control.Regist
 		FS:        rt.FS,
 		Knowledge: rt.Knowledge,
 		Clock:     sim.VirtualClock{Engine: rt.Engine},
-		Rng:       rand.New(rand.NewSource(spec.Seed + 7)),
 		Bus:       rt.Bus,
 	}
 	coord := fleet.New(0)

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -83,7 +82,6 @@ func newRecoveryDeployment(t *testing.T) *recoveryDeployment {
 	env := &control.Env{
 		Knowledge: d.kb,
 		Clock:     sim.VirtualClock{Engine: sim.NewEngine(1)},
-		Rng:       rand.New(rand.NewSource(1)),
 		Bus:       d.b,
 	}
 	d.ctl = control.NewService(reg, env, fleet.New(1), time.Minute).Attach(d.b, "test")
