@@ -132,7 +132,9 @@ func decodeDaemonSnapshot(payload []byte) (daemonSnapshot, error) {
 // decision events, fleet round summaries, and control.v1 requests and
 // resolutions. Telemetry topics are excluded — every accepted point is
 // already journaled by the TSDB, so recording the fan-out envelopes would
-// double the log for no recovery value.
+// double the log for no recovery value. It is the journal hook's topic
+// predicate, so the bus applies it and the telemetry pipeline builds no
+// envelope for the journal.
 func journaledTopic(topic string) bool {
 	return strings.HasPrefix(topic, "loop.") ||
 		strings.HasPrefix(topic, "fleet.") ||
@@ -369,8 +371,8 @@ func (d *daemon) drive(step func(wall time.Duration)) {
 func (d *daemon) journalBus(b *bus.Bus, w *wal.WAL) {
 	var lastJournalErr atomic.Int64 // unix nanos of the last logged failure
 	var journalHalted atomic.Bool
-	b.Journal(func(env bus.Envelope) {
-		if journalHalted.Load() || !journaledTopic(env.Topic) {
+	b.Journal(journaledTopic, func(env bus.Envelope) {
+		if journalHalted.Load() {
 			return
 		}
 		line, err := bus.Encode(env)

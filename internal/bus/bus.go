@@ -76,11 +76,18 @@ type Bus struct {
 	published atomic.Uint64
 	delivered atomic.Uint64
 
-	// journal, when set, observes every published envelope before its
-	// handlers run. It is the WAL hook: the daemon records published
-	// envelopes as an audit trail. Swapped atomically so the publish hot
-	// path reads one pointer.
-	journal atomic.Pointer[func(Envelope)]
+	// journal, when set, observes every published envelope its topic
+	// predicate selects, before the envelope's handlers run. It is the WAL
+	// hook: the daemon records published envelopes as an audit trail.
+	// Swapped atomically so the publish hot path reads one pointer.
+	journal atomic.Pointer[journalHook]
+}
+
+// journalHook is a Journal registration: the hook and the topics it
+// records.
+type journalHook struct {
+	topics func(topic string) bool
+	fn     func(Envelope)
 }
 
 // New returns an empty bus.
@@ -217,19 +224,16 @@ func matches(pattern, topic string) bool {
 // gateway's SSE replay filter.
 func MatchTopic(pattern, topic string) bool { return matches(pattern, topic) }
 
-// appendHandlersLocked appends the handlers matching topic to dst in
-// subscription-id order and returns the extended slice. Callers must hold at
-// least the read lock; the appended handlers stay valid after it is
-// released.
-func (b *Bus) appendHandlersLocked(dst []Handler, topic string) []Handler {
-	// Gather the (individually id-sorted) source lists that can match.
-	var store [6][]*subscription
-	lists := store[:0]
-	if ss := b.exact[topic]; len(ss) > 0 {
-		lists = append(lists, ss)
+// visitLocked calls yield with each id-sorted subscription list that
+// matches topic — its exact list, the bare-"*" list, the wild lists along
+// its segment path in the trie, and each matching loose pattern — until
+// yield returns false. Callers must hold at least the read lock.
+func (b *Bus) visitLocked(topic string, yield func([]*subscription) bool) {
+	if ss := b.exact[topic]; len(ss) > 0 && !yield(ss) {
+		return
 	}
-	if len(b.root.wild) > 0 {
-		lists = append(lists, b.root.wild)
+	if len(b.root.wild) > 0 && !yield(b.root.wild) {
+		return
 	}
 	// Walk the segment trie: a wild list at depth d matches topics whose
 	// first d segments reach its node and that continue past a "." there —
@@ -245,15 +249,29 @@ func (b *Bus) appendHandlersLocked(dst []Handler, topic string) []Handler {
 			break
 		}
 		rest = rest[i+1:]
-		if len(n.wild) > 0 {
-			lists = append(lists, n.wild)
+		if len(n.wild) > 0 && !yield(n.wild) {
+			return
 		}
 	}
-	for _, s := range b.loose {
-		if matches(s.pattern, topic) {
-			lists = append(lists, []*subscription{s})
+	for i, s := range b.loose {
+		if matches(s.pattern, topic) && !yield(b.loose[i:i+1]) {
+			return
 		}
 	}
+}
+
+// appendHandlersLocked appends the handlers matching topic to dst in
+// subscription-id order and returns the extended slice. Callers must hold at
+// least the read lock; the appended handlers stay valid after it is
+// released.
+func (b *Bus) appendHandlersLocked(dst []Handler, topic string) []Handler {
+	// Gather the (individually id-sorted) source lists that can match.
+	var store [6][]*subscription
+	lists := store[:0]
+	b.visitLocked(topic, func(l []*subscription) bool {
+		lists = append(lists, l)
+		return true
+	})
 	total := 0
 	for _, l := range lists {
 		total += len(l)
@@ -293,8 +311,8 @@ func (b *Bus) Publish(env Envelope) {
 	matched := b.appendHandlersLocked(nil, env.Topic)
 	b.mu.RUnlock()
 
-	if j := b.journal.Load(); j != nil {
-		(*j)(env)
+	if j := b.journal.Load(); j != nil && j.topics(env.Topic) {
+		j.fn(env)
 	}
 	b.published.Add(1)
 	b.delivered.Add(uint64(len(matched)))
@@ -340,7 +358,9 @@ func (b *Bus) PublishBatch(envs []Envelope) {
 
 	if j := b.journal.Load(); j != nil {
 		for i := range envs {
-			(*j)(envs[i])
+			if j.topics(envs[i].Topic) {
+				j.fn(envs[i])
+			}
 		}
 	}
 	b.published.Add(uint64(len(envs)))
@@ -379,17 +399,39 @@ func (p *batchPlan) reset() {
 }
 
 // Journal registers fn as the bus's journal hook: it observes every
-// published envelope, before the envelope's handlers run and in publish
-// order per publisher. The daemon uses it to record traffic into the
-// write-ahead log as an audit trail; journaled envelopes are never
-// re-published on recovery. Passing nil removes the hook. fn must be safe
-// for concurrent use.
-func (b *Bus) Journal(fn func(Envelope)) {
+// published envelope whose topic satisfies topics, before the envelope's
+// handlers run and in publish order per publisher. The bus applies topics
+// itself, so HasReceiver counts the hook only for the topics it records
+// and a publisher skips building the rest. The daemon uses it to record
+// traffic into the write-ahead log as an audit trail; journaled envelopes
+// are never re-published on recovery. Passing a nil fn removes the hook.
+// topics and fn must be safe for concurrent use.
+func (b *Bus) Journal(topics func(topic string) bool, fn func(Envelope)) {
 	if fn == nil {
 		b.journal.Store(nil)
 		return
 	}
-	b.journal.Store(&fn)
+	b.journal.Store(&journalHook{topics: topics, fn: fn})
+}
+
+// HasReceiver reports whether a publish on topic would reach any handler or
+// the journal hook. It walks the same index a publish resolves its handlers
+// from, stops at the first match and allocates nothing, so a publisher can
+// afford to ask before it builds an envelope and skip the envelopes nobody
+// receives. The answer holds until the next Subscribe, cancel or Journal
+// call.
+func (b *Bus) HasReceiver(topic string) bool {
+	if j := b.journal.Load(); j != nil && j.topics(topic) {
+		return true
+	}
+	found := false
+	b.mu.RLock()
+	b.visitLocked(topic, func([]*subscription) bool {
+		found = true
+		return false
+	})
+	b.mu.RUnlock()
+	return found
 }
 
 // Stats reports how many envelopes were published and delivered.

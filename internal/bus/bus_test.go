@@ -178,8 +178,7 @@ func TestWireServerClient(t *testing.T) {
 	}
 	defer cli.Close()
 
-	// Give the server a moment to register the connection.
-	time.Sleep(50 * time.Millisecond)
+	waitUntil(t, "connection registered", func() bool { return srv.NumClients() == 1 })
 
 	// Server -> client push.
 	serverBus.Publish(Envelope{Topic: "export.metric", Time: time.Second, Payload: 42.0})

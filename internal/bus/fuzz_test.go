@@ -56,5 +56,15 @@ func FuzzTopicMatch(f *testing.F) {
 				t.Fatalf("topic %q patterns %q: delivery order %v, reference order %v", topic, patterns, got, want)
 			}
 		}
+		// HasReceiver walks the same index and stops at the first match: on
+		// a bus holding any one of the patterns it answers as the reference
+		// matcher does.
+		for _, p := range patterns {
+			one := New()
+			one.Subscribe(p, func(Envelope) {})
+			if got := one.HasReceiver(topic); got != matches(p, topic) {
+				t.Fatalf("topic %q pattern %q: HasReceiver = %v, reference says %v", topic, p, got, !got)
+			}
+		}
 	})
 }

@@ -1,18 +1,40 @@
 package bus
 
 import (
+	"fmt"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
 )
 
+// privateLoopback returns a loopback IP no other test listens on, so that
+// a port this test frees stays free. A port freed on 127.0.0.1 can be taken
+// by any process's next 127.0.0.1:0 listener — another package's tests, run
+// alongside — and a redial would then land on that stranger. Linux routes
+// all of 127.0.0.0/8 to the loopback device; elsewhere only 127.0.0.1 may
+// exist, and the test falls back to it.
+func privateLoopback(t *testing.T) string {
+	pid := os.Getpid()
+	ip := fmt.Sprintf("127.%d.%d.%d", 1+pid%250, pid/250%250, 1+pid/62500%250)
+	ln, err := net.Listen("tcp", ip+":0")
+	if err != nil {
+		t.Logf("no private loopback address (%v); sharing 127.0.0.1", err)
+		return "127.0.0.1"
+	}
+	ln.Close()
+	return ip
+}
+
 // TestReconnectorSurvivesServerRestart drops the server out from under a
 // Reconnector and verifies the link heals on the same address, with the
-// down/up transitions reported in order.
+// down/up transitions reported in order. The server listens on a loopback
+// IP of its own, so nothing but the restarted server can answer a redial
+// during the outage.
 func TestReconnectorSurvivesServerRestart(t *testing.T) {
 	serverBus := New()
-	srv, err := NewServer("127.0.0.1:0", "*", serverBus)
+	srv, err := NewServer(privateLoopback(t)+":0", "*", serverBus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,18 +72,16 @@ func TestReconnectorSurvivesServerRestart(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	linked := func() bool {
+	// The reconnector installs the healed client before it reports the
+	// state: wait for both.
+	waitUntil(t, "the reconnector to heal the link", func() bool {
 		rc.mu.Lock()
-		defer rc.mu.Unlock()
-		return rc.client != nil
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !linked() {
-		if time.Now().After(deadline) {
-			t.Fatal("reconnector never healed the link")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		linked := rc.client != nil
+		rc.mu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
+		return linked && len(states) >= 3 && states[len(states)-1]
+	})
 
 	dials, failures, drops := rc.Stats()
 	if drops != 1 {

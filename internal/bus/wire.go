@@ -42,6 +42,13 @@ type wireConn struct {
 // cmd/modad; a production deployment would substitute its site transport
 // behind the same Envelope format.
 //
+// The server subscribes its export pattern only while a client is
+// connected: the first accepted client subscribes it before that
+// connection's read loop starts, so the reply to a client's first line
+// reaches it, and the last client to leave cancels it. An idle server is no
+// audience on the bus — publishers skip the envelopes only it would have
+// received, and nothing is encoded.
+//
 // Fan-out never blocks the publisher: broadcast only performs non-blocking
 // sends into per-connection outboxes, and each connection's writer goroutine
 // does the (deadline-bounded) socket writes. A slow or wedged client
@@ -50,11 +57,12 @@ type wireConn struct {
 type Server struct {
 	ln      net.Listener
 	bus     *Bus
-	cancel  func()
-	mu      sync.Mutex
-	conns   map[net.Conn]*wireConn
-	closed  bool
 	pattern string
+
+	mu     sync.Mutex
+	conns  map[net.Conn]*wireConn
+	cancel func() // the export subscription; nil while no client is connected
+	closed bool
 
 	dropped  atomic.Uint64
 	readErrs atomic.Uint64
@@ -62,14 +70,13 @@ type Server struct {
 }
 
 // NewServer starts serving bus traffic on addr (e.g. "127.0.0.1:0").
-// Envelopes matching exportPattern are pushed to clients.
+// Envelopes matching exportPattern are pushed to connected clients.
 func NewServer(addr, exportPattern string, b *Bus) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("bus: listen %s: %w", addr, err)
 	}
 	s := &Server{ln: ln, bus: b, conns: make(map[net.Conn]*wireConn), pattern: exportPattern}
-	s.cancel = b.Subscribe(exportPattern, s.broadcast)
 	go s.acceptLoop()
 	return s, nil
 }
@@ -93,7 +100,9 @@ func (s *Server) DroppedFrames() uint64 { return s.dropped.Load() }
 // disconnect.
 func (s *Server) ReadErrors() uint64 { return s.readErrs.Load() }
 
-// Close stops the server and disconnects all clients.
+// Close stops the server and disconnects all clients. The listener closes
+// first: a client that redials the moment its connection drops is refused,
+// instead of landing on a listener about to close and losing that link too.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -105,12 +114,13 @@ func (s *Server) Close() error {
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
+	s.unexportLocked()
 	s.mu.Unlock()
-	s.cancel()
+	err := s.ln.Close()
 	for _, c := range conns {
 		c.Close() // unblocks the readLoop, which removes the connection
 	}
-	return s.ln.Close()
+	return err
 }
 
 func (s *Server) acceptLoop() {
@@ -126,6 +136,9 @@ func (s *Server) acceptLoop() {
 			conn.Close()
 			return
 		}
+		if s.cancel == nil {
+			s.cancel = s.bus.Subscribe(s.pattern, s.broadcast)
+		}
 		s.conns[conn] = wc
 		s.mu.Unlock()
 		go s.writeLoop(wc)
@@ -133,10 +146,24 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// unexportLocked cancels the export subscription, if there is one. It is
+// called with mu held, so no accept can subscribe a second one meanwhile:
+// the bus never calls a handler under its own lock, so broadcast waiting on
+// mu cannot block the cancel.
+func (s *Server) unexportLocked() {
+	if s.cancel != nil {
+		s.cancel()
+		s.cancel = nil
+	}
+}
+
 func (s *Server) readLoop(wc *wireConn) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, wc.c)
+		if len(s.conns) == 0 {
+			s.unexportLocked()
+		}
 		s.mu.Unlock()
 		// broadcast sends only to registered connections under mu, so after
 		// the delete nothing can write to the outbox and closing it stops

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -216,4 +217,63 @@ func TestMatchTopic(t *testing.T) {
 			t.Errorf("MatchTopic(%q, %q) = %v, want %v", tc.pattern, tc.topic, got, tc.want)
 		}
 	}
+}
+
+// TestServerSubscribesOnlyWhileClientsConnected: an idle server holds no
+// bus subscription, so its export envelopes reach no handler and none is
+// encoded; the first client subscribes it before its first line is read, so
+// the reply published while that line is handled reaches the client; the
+// last client to leave, or Close, cancels the subscription again.
+func TestServerSubscribesOnlyWhileClientsConnected(t *testing.T) {
+	b := New()
+	b.Subscribe("req.ping", func(env Envelope) {
+		b.Publish(Envelope{Topic: "export.pong", Payload: env.Payload})
+	})
+	srv, err := NewServer("127.0.0.1:0", "export.*", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	idle := func(when string) {
+		t.Helper()
+		if b.HasReceiver("export.pong") {
+			t.Fatalf("%s: the server holds its export subscription", when)
+		}
+		_, d0 := b.Stats()
+		b.Publish(Envelope{Topic: "export.idle"})
+		if _, d1 := b.Stats(); d1 != d0 {
+			t.Fatalf("%s: an export envelope reached %d handlers, want none (nothing to encode)", when, d1-d0)
+		}
+	}
+	// ping dials, sends a request as its first line at once, whether or not
+	// the server has accepted the connection yet, and reads the reply.
+	ping := func(n int) net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fmt.Fprintf(conn, `{"topic":"req.ping","payload":%d}`+"\n", n); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		line, err := bufio.NewReader(conn).ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("client %d: no reply to its first line: %v", n, err)
+		}
+		if env, err := Decode(line); err != nil || env.Topic != "export.pong" || env.Payload != float64(n) {
+			t.Fatalf("client %d: reply %q (%v), want export.pong carrying %d", n, line, err, n)
+		}
+		return conn
+	}
+	idle("before any client")
+	for n := 1; n <= 2; n++ {
+		ping(n).Close()
+		waitUntil(t, "the last client's departure", func() bool { return srv.NumClients() == 0 })
+		idle(fmt.Sprintf("after client %d left", n))
+	}
+	conn := ping(3)
+	defer conn.Close()
+	srv.Close()
+	idle("after Close")
 }

@@ -1,6 +1,7 @@
 package telemetry_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -58,8 +59,10 @@ func samplingRig(t *testing.T, b *bus.Bus) (pipe *telemetry.Pipeline, round func
 // gate: every collector refills its own point buffer, the gather buffer is
 // reused, and every point carries its series ref into a store whose
 // retained windows have stopped growing, so a warm round allocates nothing.
-// With a bus attached, a round allocates at most the one boxed WirePoint
-// per point its envelopes carry: the batch's dispatch plan is reused.
+// A bus with no telemetry receiver adds nothing either: no envelope is
+// built. With a telemetry subscriber, a round allocates at most the one
+// boxed WirePoint per point its envelopes carry: the batch's dispatch plan
+// is reused.
 func TestSamplingRoundAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -80,22 +83,43 @@ func TestSamplingRoundAllocatesNothing(t *testing.T) {
 		}
 	})
 	t.Run("bus", func(t *testing.T) {
-		b := bus.New()
-		delivered := 0
-		b.Subscribe("telemetry.*", func(bus.Envelope) { delivered++ })
-		b.Subscribe(telemetry.TopicPrefix+"node.temp.celsius", func(bus.Envelope) { delivered++ })
-		pipe, round := samplingRig(t, b)
-		_, p0, _ := pipe.Stats()
-		delivered = 0
-		allocs := testing.AllocsPerRun(50, round)
-		_, p1, _ := pipe.Stats()
-		perRound := float64(p1-p0) / 51
-		if want := perRound + 16; float64(delivered)/51 != want {
-			t.Fatalf("%.1f deliveries per round, want %.1f", float64(delivered)/51, want)
-		}
-		if allocs > perRound {
-			t.Errorf("a warm published round allocates %.1f times for %.1f points; want at most one boxed WirePoint per point", allocs, perRound)
-		}
-		t.Logf("%.1f allocations for %.1f points per round", allocs, perRound)
+		t.Run("no-receiver", func(t *testing.T) {
+			// A daemon's bus with no client: a loop-event subscriber and a
+			// journal hook that records loop topics only.
+			b := bus.New()
+			b.Subscribe("loop.*", func(bus.Envelope) { t.Error("a telemetry envelope reached loop.*") })
+			b.Journal(func(topic string) bool { return strings.HasPrefix(topic, "loop.") },
+				func(bus.Envelope) { t.Error("a telemetry envelope reached the journal") })
+			pipe, round := samplingRig(t, b)
+			allocs := testing.AllocsPerRun(50, round)
+			if _, points, _ := pipe.Stats(); points == 0 {
+				t.Fatal("no points sampled")
+			}
+			if pub, _ := b.Stats(); pub != 0 {
+				t.Errorf("%d envelopes published with no telemetry receiver, want 0", pub)
+			}
+			if allocs != 0 {
+				t.Errorf("a warm round with no telemetry receiver allocates %.1f times, want 0", allocs)
+			}
+		})
+		t.Run("telemetry-subscriber", func(t *testing.T) {
+			b := bus.New()
+			delivered := 0
+			b.Subscribe("telemetry.*", func(bus.Envelope) { delivered++ })
+			b.Subscribe(telemetry.TopicPrefix+"node.temp.celsius", func(bus.Envelope) { delivered++ })
+			pipe, round := samplingRig(t, b)
+			_, p0, _ := pipe.Stats()
+			delivered = 0
+			allocs := testing.AllocsPerRun(50, round)
+			_, p1, _ := pipe.Stats()
+			perRound := float64(p1-p0) / 51
+			if want := perRound + 16; float64(delivered)/51 != want {
+				t.Fatalf("%.1f deliveries per round, want %.1f", float64(delivered)/51, want)
+			}
+			if allocs > perRound {
+				t.Errorf("a warm published round allocates %.1f times for %.1f points; want at most one boxed WirePoint per point", allocs, perRound)
+			}
+			t.Logf("%.1f allocations for %.1f points per round", allocs, perRound)
+		})
 	})
 }

@@ -35,11 +35,14 @@ type WirePoint struct {
 // to the storage sink in a single pass, and (optionally) publishes the batch
 // on the bus — one PublishBatch per sample instead of one envelope per
 // point, which removes the per-point lock and dispatch overhead from every
-// experiment's inner loop. Gather and envelope buffers are reused across
-// samples, as are the stock collectors' point buffers and the bus's batch
-// dispatch plan, so steady-state sampling allocates nothing but the samples
-// the store keeps, plus one boxed WirePoint per point once a bus is
-// attached.
+// experiment's inner loop. The fan-out costs only what its audience
+// receives: each round asks the bus once per distinct metric whether its
+// topic reaches a handler or the journal, and builds envelopes only for
+// the points whose topic does. Gather and envelope buffers are reused
+// across samples, as are the stock collectors' point buffers and the bus's
+// batch dispatch plan, so steady-state sampling allocates nothing but the
+// samples the store keeps, plus one boxed WirePoint per point that has a
+// receiver.
 //
 // Pipeline is not safe for concurrent Sample calls; under the simulator all
 // sampling is single-threaded on the event engine.
@@ -52,9 +55,10 @@ type Pipeline struct {
 
 	pts  []Point
 	envs []bus.Envelope
-	// topics memoizes TopicPrefix+name per metric name: a few dozen strings
-	// for the life of the pipeline instead of one allocation per point.
-	topics map[string]string
+	// topics memoizes each metric's route: TopicPrefix+name — a few dozen
+	// strings for the life of the pipeline instead of one allocation per
+	// point — and the bus's answer for it this round.
+	topics map[string]*route
 
 	samples uint64
 	points  uint64
@@ -66,6 +70,14 @@ type Pipeline struct {
 // fleet.Coordinator.
 type Ticker interface {
 	Tick(now time.Duration)
+}
+
+// route is a metric's bus topic and whether it reached a receiver in the
+// sample numbered asked.
+type route struct {
+	topic  string
+	asked  uint64
+	routed bool
 }
 
 // driven is one Ticker with its sampling divisor and phase counter.
@@ -86,11 +98,16 @@ func NewPipeline(reg *Registry, sink Sink) *Pipeline {
 
 // PublishTo additionally fans every sampled batch out on b, one envelope per
 // point on TopicPrefix+name, published as a single batch. source tags the
-// envelopes' Source field. Returns p for chaining.
+// envelopes' Source field. Only points whose topic has a receiver on b — a
+// handler or the journal hook, per bus.HasReceiver — become envelopes, so
+// every receiver sees exactly what publishing every point would show it. A
+// subscription that completes before a round receives all of that round's
+// points; one that completes while a round is being sampled may receive
+// part of it. Returns p for chaining.
 func (p *Pipeline) PublishTo(b *bus.Bus, source string) *Pipeline {
 	p.bus = b
 	p.source = source
-	p.topics = make(map[string]string)
+	p.topics = make(map[string]*route)
 	return p
 }
 
@@ -125,17 +142,23 @@ func (p *Pipeline) Sample(now time.Duration) int {
 	if p.bus != nil && len(p.pts) > 0 {
 		p.envs = p.envs[:0]
 		for _, pt := range p.pts {
-			topic, ok := p.topics[pt.Name]
-			if !ok {
-				topic = TopicPrefix + pt.Name
-				p.topics[pt.Name] = topic
+			r := p.topics[pt.Name]
+			if r == nil {
+				r = &route{topic: TopicPrefix + pt.Name}
+				p.topics[pt.Name] = r
 			}
-			p.envs = append(p.envs, bus.Envelope{
-				Topic: topic, Time: now, Source: p.source,
-				Payload: WirePoint{Name: pt.Name, Labels: pt.Labels, Value: pt.Value},
-			})
+			if r.asked != p.samples {
+				r.asked = p.samples
+				r.routed = p.bus.HasReceiver(r.topic)
+			}
+			if r.routed {
+				p.envs = append(p.envs, bus.Envelope{
+					Topic: r.topic, Time: now, Source: p.source,
+					Payload: WirePoint{Name: pt.Name, Labels: pt.Labels, Value: pt.Value},
+				})
+			}
 		}
-		p.bus.PublishBatch(p.envs)
+		p.bus.PublishBatch(p.envs) // a no-op when no topic has a receiver
 	}
 	for i := range p.drives {
 		d := &p.drives[i]

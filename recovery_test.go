@@ -107,7 +107,7 @@ func (d *recoveryDeployment) spawn(t *testing.T) {
 func (d *recoveryDeployment) attach(w *wal.WAL) {
 	d.db.Journal(w)
 	d.kb.Journal(w)
-	d.b.Journal(func(env bus.Envelope) {
+	d.b.Journal(func(string) bool { return true }, func(env bus.Envelope) {
 		if line, err := bus.Encode(env); err == nil {
 			w.Append(wal.KindBusEnvelope, line)
 		}
