@@ -30,8 +30,10 @@ import (
 )
 
 // Envelope is the unit of exchange on the bus. Payload is JSON-marshalable;
-// in-process subscribers receive the original value, wire subscribers receive
-// the decoded JSON form.
+// in-process subscribers receive the original value. A payload that crossed
+// the wire stays a json.RawMessage holding the sender's JSON until a
+// receiver decodes it into its own type with DecodePayload, so it is parsed
+// once, and an integer survives exactly rather than through a float64.
 type Envelope struct {
 	Topic   string        `json:"topic"`
 	Time    time.Duration `json:"time"`
@@ -307,8 +309,10 @@ func (b *Bus) Publish(env Envelope) {
 	if env.Topic == "" {
 		panic("bus: Publish with empty topic")
 	}
+	// A publish that reaches a few handlers collects them on the stack.
+	var store [4]Handler
 	b.mu.RLock()
-	matched := b.appendHandlersLocked(nil, env.Topic)
+	matched := b.appendHandlersLocked(store[:0], env.Topic)
 	b.mu.RUnlock()
 
 	if j := b.journal.Load(); j != nil && j.topics(env.Topic) {
@@ -448,14 +452,28 @@ func Encode(env Envelope) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// Decode unmarshals one wire line produced by Encode.
+// wireEnvelope is an Envelope as Decode reads it: the payload stays raw.
+type wireEnvelope struct {
+	Topic   string          `json:"topic"`
+	Time    time.Duration   `json:"time"`
+	Source  string          `json:"source,omitempty"`
+	Payload json.RawMessage `json:"payload,omitempty"`
+}
+
+// Decode unmarshals one wire line produced by Encode. A present, non-null
+// payload becomes a json.RawMessage copied out of line, so the caller may
+// reuse line; no generic value tree is built.
 func Decode(line []byte) (Envelope, error) {
-	var env Envelope
-	if err := json.Unmarshal(line, &env); err != nil {
+	var w wireEnvelope
+	if err := json.Unmarshal(line, &w); err != nil {
 		return Envelope{}, fmt.Errorf("bus: decode: %w", err)
 	}
-	if env.Topic == "" {
+	if w.Topic == "" {
 		return Envelope{}, fmt.Errorf("bus: decode: missing topic")
+	}
+	env := Envelope{Topic: w.Topic, Time: w.Time, Source: w.Source}
+	if w.Payload != nil && string(w.Payload) != "null" {
+		env.Payload = w.Payload
 	}
 	return env, nil
 }

@@ -103,9 +103,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got.Topic != "t" || got.Time != 3*time.Second || got.Source != "s" {
 		t.Errorf("round trip = %+v", got)
 	}
-	payload, ok := got.Payload.(map[string]interface{})
-	if !ok || payload["x"] != 1.5 {
-		t.Errorf("payload = %v", got.Payload)
+	var payload map[string]interface{}
+	if err := DecodePayload(got, &payload); err != nil || len(payload) != 1 || payload["x"] != 1.5 {
+		t.Errorf("payload = %v (%v)", payload, err)
 	}
 }
 
@@ -184,8 +184,9 @@ func TestWireServerClient(t *testing.T) {
 	serverBus.Publish(Envelope{Topic: "export.metric", Time: time.Second, Payload: 42.0})
 	select {
 	case e := <-received:
-		if e.Topic != "export.metric" || e.Payload != 42.0 {
-			t.Errorf("got %+v", e)
+		var v float64
+		if err := DecodePayload(e, &v); err != nil || e.Topic != "export.metric" || v != 42.0 {
+			t.Errorf("got %+v carrying %v (%v)", e, v, err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("timed out waiting for server push")
@@ -202,8 +203,9 @@ func TestWireServerClient(t *testing.T) {
 	clientBus.Publish(Envelope{Topic: "up.cmd", Payload: "extend"})
 	select {
 	case e := <-up:
-		if e.Payload != "extend" {
-			t.Errorf("got %+v", e)
+		var v string
+		if err := DecodePayload(e, &v); err != nil || v != "extend" {
+			t.Errorf("got %+v carrying %q (%v)", e, v, err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("timed out waiting for client upload")

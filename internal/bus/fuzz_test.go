@@ -1,6 +1,9 @@
 package bus
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -65,6 +68,73 @@ func FuzzTopicMatch(f *testing.F) {
 			if got := one.HasReceiver(topic); got != matches(p, topic) {
 				t.Fatalf("topic %q pattern %q: HasReceiver = %v, reference says %v", topic, p, got, !got)
 			}
+		}
+	})
+}
+
+// FuzzEnvelopeCodec checks every line Decode accepts: re-encoding keeps the
+// topic, time and source, carries the payload as the original compacted
+// JSON, and DecodePayload into an interface value gives exactly the generic
+// view a plain json.Unmarshal of the line gives.
+func FuzzEnvelopeCodec(f *testing.F) {
+	f.Add([]byte(`{"topic":"t","time":3000000000,"source":"s","payload":{"x":1.5}}`))
+	f.Add([]byte(`{"topic":"t","payload":null}`))
+	f.Add([]byte(`{"topic":"t","payload": { "b" : [1, 2.5e3, -0, true, null] , "a":"<&> "} }`))
+	f.Add([]byte(`{"topic":"t","payload":{"d":9007199254740993,"u":9223372036854788153}}`))
+	f.Add([]byte(`{"topic":"t","time":60000000000,"deadline":1,"Payload":"late key"}`))
+	f.Add([]byte(`{"topic":"t","payload":1e400}`))
+	f.Add([]byte("{\"topic\":\"t\\ud800\",\"source\":\"\xff\",\"payload\":\"\xfe\u00e9\"}")) // invalid UTF-8 and a lone surrogate
+	f.Add([]byte(`{"topic":"cluster.fan.reply","time":90000000000,"source":"w1","payload":{"worker":"w1","id":"q1",` +
+		`"query":{"id":"q1","series":[{"metric":"node.temp","labels":{"node":"n1"},"samples":[{"t_ms":60000,"v":41.5}]}]}}}`))
+
+	f.Fuzz(func(t *testing.T, line []byte) {
+		env, err := Decode(line)
+		if err != nil {
+			return
+		}
+		data, err := Encode(env)
+		if err != nil {
+			t.Fatalf("Encode of a decoded line: %v", err)
+		}
+		back, err := Decode(data[:len(data)-1])
+		if err != nil {
+			t.Fatalf("re-decode %q: %v", data, err)
+		}
+		if back.Topic != env.Topic || back.Time != env.Time || back.Source != env.Source {
+			t.Fatalf("round trip %+v -> %+v", env, back)
+		}
+
+		var orig struct {
+			Payload json.RawMessage `json:"payload"`
+		}
+		if err := json.Unmarshal(line, &orig); err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		if orig.Payload != nil && string(orig.Payload) != "null" {
+			var compact, esc bytes.Buffer
+			if err := json.Compact(&compact, orig.Payload); err != nil {
+				t.Fatal(err)
+			}
+			json.HTMLEscape(&esc, compact.Bytes())
+			want = esc.Bytes()
+		}
+		raw, _ := back.Payload.(json.RawMessage)
+		if !bytes.Equal(raw, want) {
+			t.Fatalf("payload re-encoded as %q, want %q", raw, want)
+		}
+
+		var old struct {
+			Payload interface{} `json:"payload"`
+		}
+		oldErr := json.Unmarshal(line, &old)
+		var v interface{}
+		newErr := DecodePayload(env, &v)
+		if (oldErr != nil) != (newErr != nil) {
+			t.Fatalf("generic decode error %v, DecodePayload error %v", oldErr, newErr)
+		}
+		if oldErr == nil && !reflect.DeepEqual(v, old.Payload) {
+			t.Fatalf("DecodePayload gives %#v, the generic view is %#v", v, old.Payload)
 		}
 	})
 }

@@ -39,14 +39,19 @@ func Call(b *Bus, req Envelope, respTopic string, match func(Envelope) bool, tim
 	}
 }
 
-// DecodePayload re-decodes an envelope payload into out. Payloads published
-// in-process keep their original Go type while payloads that crossed the
-// wire arrive as generic JSON values; a marshal/unmarshal round trip gives
-// services one uniform way to read either.
+// DecodePayload decodes an envelope payload into out, giving services one
+// uniform way to read either kind. A payload that crossed the wire is still
+// the sender's JSON (a json.RawMessage) and is unmarshaled into out
+// directly. A payload published in-process keeps its original Go type and
+// takes a marshal/unmarshal round trip, so out is a deep copy that the
+// publisher's later writes do not reach.
 func DecodePayload(env Envelope, out interface{}) error {
-	data, err := json.Marshal(env.Payload)
-	if err != nil {
-		return fmt.Errorf("bus: payload of %s does not marshal: %w", env.Topic, err)
+	data, ok := env.Payload.(json.RawMessage)
+	if !ok {
+		var err error
+		if data, err = json.Marshal(env.Payload); err != nil {
+			return fmt.Errorf("bus: payload of %s does not marshal: %w", env.Topic, err)
+		}
 	}
 	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("bus: payload of %s: %w", env.Topic, err)

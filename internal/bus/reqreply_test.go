@@ -57,7 +57,7 @@ func TestDecodePayloadRoundTrips(t *testing.T) {
 	if got.N != 3 || got.Name != "x" {
 		t.Fatalf("got %+v", got)
 	}
-	// Off the wire: generic JSON map.
+	// Off the wire: the sender's JSON, decoded straight into out.
 	env, err := Decode([]byte(`{"topic":"t","payload":{"name":"y","n":7}}`))
 	if err != nil {
 		t.Fatal(err)

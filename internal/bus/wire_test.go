@@ -261,7 +261,12 @@ func TestServerSubscribesOnlyWhileClientsConnected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("client %d: no reply to its first line: %v", n, err)
 		}
-		if env, err := Decode(line); err != nil || env.Topic != "export.pong" || env.Payload != float64(n) {
+		env, err := Decode(line)
+		var got float64
+		if err == nil {
+			err = DecodePayload(env, &got)
+		}
+		if err != nil || env.Topic != "export.pong" || got != float64(n) {
 			t.Fatalf("client %d: reply %q (%v), want export.pong carrying %d", n, line, err, n)
 		}
 		return conn
