@@ -129,16 +129,16 @@ func (d *daemon) runWorker() error {
 	db, coord := rt.DB, rt.Ctl.Coordinator()
 	logf := func(format string, args ...any) { fmt.Fprintf(d.stdout, "modad: "+format+"\n", args...) }
 
-	// The bridge link is maintained by a Reconnector: a dropped link is
-	// redialed under capped exponential backoff with full jitter (a fleet of
-	// workers redialing a restarted coordinator spreads out instead of
-	// arriving in lockstep), capped at one dial per 15s while the
-	// coordinator stays dead. Link transitions feed the agent's degraded
-	// mode: while the coordinator is unreachable the loops keep ticking
-	// under local fail-open arbitration, and on rejoin the agent re-Hellos
-	// and backfills its buffered digests.
+	// The bridge client redials a dropped link under full-jitter backoff
+	// (a restarted coordinator's workers spread out instead of arriving in
+	// lockstep), at most once per 15s while the coordinator stays dead,
+	// and drops (counts) exported frames rather than block a round while
+	// the link is down. Link transitions feed the agent's degraded mode:
+	// while the coordinator is unreachable the loops keep ticking under
+	// local fail-open arbitration, and on rejoin the agent re-Hellos and
+	// backfills its buffered digests.
 	var agentRef atomic.Pointer[cluster.Agent]
-	rc, err := bus.NewReconnector(d.join, cluster.WorkerExportPattern, rt.Bus, bus.ReconnectOptions{
+	rc, err := bus.DialWith(d.join, cluster.WorkerExportPattern, rt.Bus, bus.ReconnectOptions{
 		OnState: func(up bool) {
 			if a := agentRef.Load(); a != nil {
 				a.SetLinkState(up)
@@ -171,9 +171,9 @@ func (d *daemon) runWorker() error {
 	agent.Close()
 	cm := coord.Metrics()
 	am := agent.Metrics()
-	dials, failures, drops := rc.Stats()
-	fmt.Fprintf(d.stdout, "modad: worker %s done; %d series, %d samples stored; fleet ran %d rounds (%d actions, %d arbitrated, %d remote-denied); link: %d dials (%d failed, %d drops), %d degraded spells (%d rounds, %d digests backfilled)\n",
+	dials, failures, drops, dropped := rc.Stats()
+	fmt.Fprintf(d.stdout, "modad: worker %s done; %d series, %d samples stored; fleet ran %d rounds (%d actions, %d arbitrated, %d remote-denied); link: %d dials (%d failed, %d drops, %d frames dropped), %d degraded spells (%d rounds, %d digests backfilled)\n",
 		id, db.NumSeries(), db.Appended(), cm.Rounds, cm.Planned, cm.Arbitrated, cm.Remote,
-		dials, failures, drops, am.DegradedEntries, am.DegradedRounds, am.DigestsBackfilled)
+		dials, failures, drops, dropped, am.DegradedEntries, am.DegradedRounds, am.DigestsBackfilled)
 	return nil
 }

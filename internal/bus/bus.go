@@ -15,8 +15,9 @@
 // regardless of how many subscriptions exist. Stats are atomic counters, so
 // the whole dispatch path takes a single read-lock.
 //
-// A Reconnector keeps a bridged Client alive across outages, redialing on
-// one capped, full-jitter backoff schedule (reconnect.go).
+// Both ends of the TCP bridge (wire.go) run one link type per connection,
+// and a Client redials its Server across outages on one capped,
+// full-jitter backoff schedule.
 package bus
 
 import (

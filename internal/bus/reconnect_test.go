@@ -27,12 +27,12 @@ func privateLoopback(t *testing.T) string {
 	return ip
 }
 
-// TestReconnectorSurvivesServerRestart drops the server out from under a
-// Reconnector and verifies the link heals on the same address, with the
+// TestClientSurvivesServerRestart drops the server out from under a
+// Client and verifies the link heals on the same address, with the
 // down/up transitions reported in order. The server listens on a loopback
 // IP of its own, so nothing but the restarted server can answer a redial
 // during the outage.
-func TestReconnectorSurvivesServerRestart(t *testing.T) {
+func TestClientSurvivesServerRestart(t *testing.T) {
 	serverBus := New()
 	srv, err := NewServer(privateLoopback(t)+":0", "*", serverBus)
 	if err != nil {
@@ -43,7 +43,7 @@ func TestReconnectorSurvivesServerRestart(t *testing.T) {
 	var mu sync.Mutex
 	var states []bool
 	clientBus := New()
-	rc, err := NewReconnector(addr, "*", clientBus, ReconnectOptions{
+	cli, err := DialWith(addr, "*", clientBus, ReconnectOptions{
 		OnState: func(up bool) {
 			mu.Lock()
 			states = append(states, up)
@@ -54,7 +54,7 @@ func TestReconnectorSurvivesServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rc.Close()
+	defer cli.Close()
 
 	srv.Close() // the outage: every conn dies, the port closes
 
@@ -72,18 +72,18 @@ func TestReconnectorSurvivesServerRestart(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	// The reconnector installs the healed client before it reports the
-	// state: wait for both.
-	waitUntil(t, "the reconnector to heal the link", func() bool {
-		rc.mu.Lock()
-		linked := rc.client != nil
-		rc.mu.Unlock()
+	// The client installs the healed link before it reports the state:
+	// wait for both.
+	waitUntil(t, "the client to heal the link", func() bool {
+		cli.mu.Lock()
+		linked := cli.link != nil
+		cli.mu.Unlock()
 		mu.Lock()
 		defer mu.Unlock()
 		return linked && len(states) >= 3 && states[len(states)-1]
 	})
 
-	dials, failures, drops := rc.Stats()
+	dials, failures, drops, _ := cli.Stats()
 	if drops != 1 {
 		t.Fatalf("drops = %d, want 1", drops)
 	}
@@ -97,10 +97,10 @@ func TestReconnectorSurvivesServerRestart(t *testing.T) {
 	}
 }
 
-// TestReconnectorBackoffCapAndGrowth checks the redial schedule's full-jitter
+// TestRedialBackoffCapAndGrowth checks the redial schedule's full-jitter
 // window: it doubles from backoffBase per failed attempt, then holds at
 // backoffCap, and every draw lies inside it.
-func TestReconnectorBackoffCapAndGrowth(t *testing.T) {
+func TestRedialBackoffCapAndGrowth(t *testing.T) {
 	for _, c := range []struct {
 		attempt int
 		ceilMS  time.Duration

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -16,23 +17,87 @@ import (
 // the connection.
 const maxLineBytes = 1024 * 1024
 
-// outboxDepth is the per-connection bounded outbox between the bus dispatch
-// path and each client's writer goroutine. When a client stops draining its
-// TCP stream the outbox fills and further envelopes are dropped for that
-// client only (counted, never blocking the publisher).
+// outboxDepth bounds each link's outbox. When a peer stops draining its
+// TCP stream the outbox fills and further frames are dropped for that link
+// only (counted, never blocking the publisher).
 const outboxDepth = 256
 
-// writeTimeout bounds how long a broadcast may block on one client.
+// writeTimeout bounds one socket write, and a closing link's whole flush.
 const writeTimeout = 2 * time.Second
 
 func deadline() time.Time { return time.Now().Add(writeTimeout) }
 
-// wireConn is one accepted client connection: its socket, the bounded
-// outbox its writer goroutine drains, and its dropped-frame counter.
-type wireConn struct {
-	c       net.Conn
+// link is one TCP connection of the bridge, whichever end dialed it. Its
+// read loop decodes each line and republishes it on the local bus; its one
+// writer goroutine drains a bounded outbox onto the socket, each write under
+// a deadline, so nothing that queues a frame ever waits on the socket. The
+// owner (a Server or a Client) forgets the link under its lock before
+// closing it, and sends only under that lock.
+type link struct {
+	conn    net.Conn
 	out     chan []byte
-	dropped atomic.Uint64
+	closing atomic.Bool
+}
+
+// newLink wraps conn and starts its writer goroutine; the owner runs read.
+func newLink(conn net.Conn) *link {
+	l := &link{conn: conn, out: make(chan []byte, outboxDepth)}
+	go l.write()
+	return l
+}
+
+// send queues one encoded frame without blocking and reports whether it
+// was queued; a full outbox refuses it.
+func (l *link) send(data []byte) bool {
+	select {
+	case l.out <- data:
+		return true
+	default:
+		return false
+	}
+}
+
+// close ends the outbox: the writer writes what is already queued, all of
+// it under one deadline, and then hangs up, which ends the read loop.
+func (l *link) close() {
+	if !l.closing.Swap(true) {
+		_ = l.conn.SetWriteDeadline(deadline())
+		close(l.out)
+	}
+}
+
+// write drains the outbox onto the socket. The first failed write hangs
+// up, which ends the read loop, and the owner forgets the link.
+func (l *link) write() {
+	defer l.conn.Close()
+	for data := range l.out {
+		if !l.closing.Load() {
+			_ = l.conn.SetWriteDeadline(deadline())
+		}
+		if _, err := l.conn.Write(data); err != nil {
+			return
+		}
+	}
+}
+
+// read republishes each decoded line on b until the connection ends, and
+// returns why it ended: nil for a clean hang-up or a close from this side,
+// else the transport or framing error (e.g. bufio.ErrTooLong for a line over
+// maxLineBytes). Malformed lines are skipped.
+func (l *link) read(b *Bus) error {
+	sc := bufio.NewScanner(l.conn)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	for sc.Scan() {
+		env, err := Decode(sc.Bytes())
+		if err != nil {
+			continue
+		}
+		b.Publish(env)
+	}
+	if err := sc.Err(); err != nil && !errors.Is(err, net.ErrClosed) {
+		return fmt.Errorf("bus: read %s: %w", l.conn.RemoteAddr(), err)
+	}
+	return nil
 }
 
 // Server bridges a Bus onto a TCP listener: every envelope published on the
@@ -49,20 +114,17 @@ type wireConn struct {
 // audience on the bus — publishers skip the envelopes only it would have
 // received, and nothing is encoded.
 //
-// Fan-out never blocks the publisher: broadcast only performs non-blocking
-// sends into per-connection outboxes, and each connection's writer goroutine
-// does the (deadline-bounded) socket writes. A slow or wedged client
-// therefore costs dropped frames on its own connection — visible through
-// DroppedFrames — instead of stalling every Publish on the bus.
+// Fan-out never blocks the publisher: a slow or wedged client costs
+// dropped frames on its own link — visible through DroppedFrames — instead
+// of stalling every Publish on the bus.
 type Server struct {
 	ln      net.Listener
 	bus     *Bus
 	pattern string
 
 	mu     sync.Mutex
-	conns  map[net.Conn]*wireConn
-	cancel func() // the export subscription; nil while no client is connected
-	closed bool
+	links  map[*link]struct{} // nil once closed
+	cancel func()             // the export subscription; nil while no client is connected
 
 	dropped  atomic.Uint64
 	readErrs atomic.Uint64
@@ -76,7 +138,7 @@ func NewServer(addr, exportPattern string, b *Bus) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bus: listen %s: %w", addr, err)
 	}
-	s := &Server{ln: ln, bus: b, conns: make(map[net.Conn]*wireConn), pattern: exportPattern}
+	s := &Server{ln: ln, bus: b, links: make(map[*link]struct{}), pattern: exportPattern}
 	go s.acceptLoop()
 	return s, nil
 }
@@ -88,7 +150,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 func (s *Server) NumClients() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.conns)
+	return len(s.links)
 }
 
 // DroppedFrames reports how many outbound frames were dropped across all
@@ -100,25 +162,23 @@ func (s *Server) DroppedFrames() uint64 { return s.dropped.Load() }
 // disconnect.
 func (s *Server) ReadErrors() uint64 { return s.readErrs.Load() }
 
-// Close stops the server and disconnects all clients. The listener closes
-// first: a client that redials the moment its connection drops is refused,
-// instead of landing on a listener about to close and losing that link too.
+// Close stops the server and disconnects all clients, each after its
+// already queued frames are written. The listener closes first: a client
+// that redials the moment its connection drops is refused, instead of
+// landing on a listener about to close and losing that link too.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
+	links := s.links
+	if links == nil {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
+	s.links = nil
 	s.unexportLocked()
 	s.mu.Unlock()
 	err := s.ln.Close()
-	for _, c := range conns {
-		c.Close() // unblocks the readLoop, which removes the connection
+	for l := range links {
+		l.close()
 	}
 	return err
 }
@@ -129,20 +189,19 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		wc := &wireConn{c: conn, out: make(chan []byte, outboxDepth)}
+		l := newLink(conn)
 		s.mu.Lock()
-		if s.closed {
+		if s.links == nil {
 			s.mu.Unlock()
-			conn.Close()
+			l.close()
 			return
 		}
 		if s.cancel == nil {
 			s.cancel = s.bus.Subscribe(s.pattern, s.broadcast)
 		}
-		s.conns[conn] = wc
+		s.links[l] = struct{}{}
 		s.mu.Unlock()
-		go s.writeLoop(wc)
-		go s.readLoop(wc)
+		go s.serve(l)
 	}
 }
 
@@ -157,109 +216,143 @@ func (s *Server) unexportLocked() {
 	}
 }
 
-func (s *Server) readLoop(wc *wireConn) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, wc.c)
-		if len(s.conns) == 0 {
-			s.unexportLocked()
-		}
-		s.mu.Unlock()
-		// broadcast sends only to registered connections under mu, so after
-		// the delete nothing can write to the outbox and closing it stops
-		// the writer goroutine.
-		close(wc.out)
-		wc.c.Close()
-	}()
-	sc := bufio.NewScanner(wc.c)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	for sc.Scan() {
-		env, err := Decode(sc.Bytes())
-		if err != nil {
-			continue // tolerate malformed lines from clients
-		}
-		s.bus.Publish(env)
+// serve runs one client's read loop, then forgets and closes its link; a
+// read error is counted and logged, rate-limited.
+func (s *Server) serve(l *link) {
+	err := l.read(s.bus)
+	s.mu.Lock()
+	delete(s.links, l)
+	if len(s.links) == 0 {
+		s.unexportLocked()
 	}
-	// A nil error is a clean EOF; net.ErrClosed is our own shutdown. Anything
-	// else — notably bufio.ErrTooLong for an overlong line — used to vanish
-	// as if the peer hung up; count it and log rate-limited.
-	if err := sc.Err(); err != nil && !errors.Is(err, net.ErrClosed) {
+	s.mu.Unlock()
+	l.close()
+	if err != nil {
 		s.readErrs.Add(1)
 		if now := time.Now().UnixNano(); now-s.lastLog.Load() >= int64(time.Second) {
 			s.lastLog.Store(now)
-			log.Printf("bus: read %s: %v", wc.c.RemoteAddr(), err)
+			log.Print(err)
 		}
 	}
 }
 
-// writeLoop drains one connection's outbox onto its socket. Writes are
-// deadline-bounded; on the first failure the connection is closed (the
-// readLoop then removes it) and the remaining frames are discarded.
-func (s *Server) writeLoop(wc *wireConn) {
-	dead := false
-	for data := range wc.out {
-		if dead {
-			continue // keep draining until readLoop closes the outbox
-		}
-		_ = wc.c.SetWriteDeadline(deadline())
-		if _, err := wc.c.Write(data); err != nil {
-			wc.c.Close()
-			dead = true
-		}
-	}
-}
-
-// broadcast fans one envelope into every connection's outbox. It never
-// blocks: a full outbox (a client not draining its stream) costs that
-// client one dropped frame.
+// broadcast encodes one envelope once and queues the frame on every link.
+// It never blocks: a full outbox (a client not draining its stream) costs
+// that client one dropped frame.
 func (s *Server) broadcast(env Envelope) {
 	data, err := Encode(env)
 	if err != nil {
 		return
 	}
 	s.mu.Lock()
-	for _, wc := range s.conns {
-		select {
-		case wc.out <- data:
-		default:
-			wc.dropped.Add(1)
+	for l := range s.links {
+		if !l.send(data) {
 			s.dropped.Add(1)
 		}
 	}
 	s.mu.Unlock()
 }
 
-// Client connects a local Bus to a remote Server: lines received from the
-// server are republished locally, and locally published envelopes matching
-// exportPattern are sent to the server.
-type Client struct {
-	conn   net.Conn
-	bus    *Bus
-	cancel func()
-	done   chan struct{}
-	mu     sync.Mutex
-	closed bool
-	err    error
+// The redial schedule: first retry within 50ms, ceiling 15s — fast enough
+// that a worker rejoins promptly after a blip, slow enough that a dead
+// coordinator is probed at most once per 15s.
+const (
+	backoffBase = 50 * time.Millisecond
+	backoffCap  = 15 * time.Second
+)
+
+// backoff is capped exponential backoff with full jitter: after the
+// attempt'th consecutive failed dial of one outage (counting from 0) it
+// draws a delay uniformly from [0, min(backoffCap, backoffBase<<attempt)).
+// Full jitter desynchronizes a fleet of reconnecting workers — after a
+// coordinator restart the redial storm spreads across the whole window
+// instead of arriving in lockstep waves.
+func backoff(attempt int) time.Duration {
+	ceil := backoffCap
+	if attempt < 30 && backoffBase<<attempt < backoffCap {
+		ceil = backoffBase << attempt
+	}
+	return time.Duration(rand.Int63n(int64(ceil)))
 }
 
-// Dial connects to a Server at addr and bridges it with b.
+// ReconnectOptions tunes a Client; the zero value is ready to use.
+type ReconnectOptions struct {
+	// OnState, when non-nil, is called with true after each successful
+	// (re)connect and false when an established link drops — the hook a
+	// worker uses to enter and leave degraded mode. After the first dial it
+	// is called from the client's goroutine; keep it brief.
+	OnState func(up bool)
+	// Logf, when non-nil, receives one line per dropped link, with the
+	// reason, and one per re-established link.
+	Logf func(format string, args ...any)
+}
+
+// Client connects a local Bus to a remote Server and keeps it connected
+// until Close: lines received from the server are republished locally, and
+// locally published envelopes matching the export pattern are queued on the
+// current link. While the link is down those envelopes are dropped
+// (counted), so a publisher never waits on the network. A dropped link is
+// redialed at once and then under backoff until a dial lands; a fleet of
+// workers redialing a restarted coordinator spreads over the jitter window
+// instead of arriving in lockstep.
+type Client struct {
+	addr   string
+	bus    *Bus
+	opts   ReconnectOptions
+	cancel func() // the export subscription, held for the client's life
+
+	mu     sync.Mutex
+	link   *link // nil while the link is down
+	closed bool
+	stop   chan struct{}
+	done   chan struct{}
+
+	dials    atomic.Uint64 // dial attempts, successful or not
+	failures atomic.Uint64 // failed dial attempts
+	drops    atomic.Uint64 // established links that died
+	dropped  atomic.Uint64 // exported frames dropped: link down or outbox full
+}
+
+// Dial connects to a Server at addr and bridges it with b, redialing
+// whenever the link drops until Close.
 func Dial(addr, exportPattern string, b *Bus) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("bus: dial %s: %w", addr, err)
+	return DialWith(addr, exportPattern, b, ReconnectOptions{})
+}
+
+// DialWith is Dial with options. It dials addr immediately — returning the
+// first error so callers keep their fail-fast startup — and then maintains
+// the link until Close.
+func DialWith(addr, exportPattern string, b *Bus, opts ReconnectOptions) (*Client, error) {
+	if opts.OnState == nil {
+		opts.OnState = func(bool) {}
 	}
-	c := &Client{conn: conn, bus: b, done: make(chan struct{})}
+	if opts.Logf == nil {
+		opts.Logf = func(string, ...any) {}
+	}
+	c := &Client{addr: addr, bus: b, opts: opts, stop: make(chan struct{}), done: make(chan struct{})}
+	conn, err := c.dial()
+	if err != nil {
+		return nil, err
+	}
+	c.link = newLink(conn)
+	c.opts.OnState(true)
 	c.cancel = b.Subscribe(exportPattern, c.send)
-	go c.readLoop()
+	go c.run(c.link)
 	return c, nil
 }
 
-// Done returns a channel closed when the client's read loop ends — the
-// connection died (check Err for why) or Close was called. Reconnectors
-// select on it instead of polling Err.
+// Done returns a channel closed once Close has stopped the client: its
+// last link is flushed and closed, and it dials no more.
 func (c *Client) Done() <-chan struct{} { return c.done }
 
-// Close disconnects the client.
+// Stats reports dial attempts, failed attempts, dropped links, and
+// exported frames dropped while the link was down or its outbox full.
+func (c *Client) Stats() (dials, failures, drops, droppedFrames uint64) {
+	return c.dials.Load(), c.failures.Load(), c.drops.Load(), c.dropped.Load()
+}
+
+// Close stops redialing and closes the live link, if any, after writing
+// the frames already queued on it; it returns once the client has stopped.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -267,50 +360,90 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
+	l := c.link
+	c.link = nil
 	c.mu.Unlock()
 	c.cancel()
-	return c.conn.Close()
+	close(c.stop)
+	if l != nil {
+		l.close()
+	}
+	<-c.done
+	return nil
 }
 
-// Err reports why the read loop ended, if it ended on a transport or
-// framing error (e.g. a server line over the scanner limit). It is nil
-// while the connection is healthy and after a clean close.
-func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
+// send queues one exported envelope on the current link; with no link, or
+// a full outbox, the frame is dropped.
 func (c *Client) send(env Envelope) {
 	data, err := Encode(env)
 	if err != nil {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return
+	if c.link == nil || !c.link.send(data) {
+		c.dropped.Add(1)
 	}
-	_ = c.conn.SetWriteDeadline(deadline())
-	_, _ = c.conn.Write(data)
+	c.mu.Unlock()
 }
 
-func (c *Client) readLoop() {
-	defer close(c.done)
-	sc := bufio.NewScanner(c.conn)
-	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
-	for sc.Scan() {
-		env, err := Decode(sc.Bytes())
-		if err != nil {
-			continue
-		}
-		c.bus.Publish(env)
+func (c *Client) dial() (net.Conn, error) {
+	c.dials.Add(1)
+	conn, err := net.Dial("tcp", c.addr)
+	if err != nil {
+		c.failures.Add(1)
+		return nil, fmt.Errorf("bus: dial %s: %w", c.addr, err)
 	}
-	if err := sc.Err(); err != nil && !errors.Is(err, net.ErrClosed) {
+	return conn, nil
+}
+
+// run serves each link until it ends, then redials, until Close.
+func (c *Client) run(l *link) {
+	defer close(c.done)
+	for l != nil {
+		err := l.read(c.bus)
 		c.mu.Lock()
-		if !c.closed {
-			c.err = fmt.Errorf("bus: read %s: %w", c.conn.RemoteAddr(), err)
-		}
+		c.link = nil // l, unless Close already forgot it
+		closed := c.closed
 		c.mu.Unlock()
+		l.close()
+		if closed {
+			return
+		}
+		c.drops.Add(1)
+		if err != nil {
+			c.opts.Logf("bus: link to %s dropped: %v", c.addr, err)
+		} else {
+			c.opts.Logf("bus: link to %s closed", c.addr)
+		}
+		c.opts.OnState(false)
+		l = c.redial()
+	}
+}
+
+// redial dials, and after each failure sleeps a backoff draw, until a dial
+// lands or Close wins. The attempt count starts over with every outage.
+func (c *Client) redial() *link {
+	for attempt := 0; ; attempt++ {
+		if conn, err := c.dial(); err == nil {
+			c.mu.Lock()
+			if c.closed {
+				c.mu.Unlock()
+				conn.Close()
+				return nil
+			}
+			l := newLink(conn)
+			c.link = l
+			c.mu.Unlock()
+			c.opts.Logf("bus: link to %s re-established after %d attempts", c.addr, attempt+1)
+			c.opts.OnState(true)
+			return l
+		}
+		t := time.NewTimer(backoff(attempt))
+		select {
+		case <-c.stop:
+			t.Stop()
+			return nil
+		case <-t.C:
+		}
 	}
 }

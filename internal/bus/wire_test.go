@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -152,8 +153,9 @@ func TestServerSurfacesOverlongLine(t *testing.T) {
 	waitUntil(t, "read error counted", func() bool { return srv.ReadErrors() == 1 })
 }
 
-// TestClientSurfacesOverlongLine: an overlong server line surfaces through
-// Client.Err as bufio.ErrTooLong instead of a silent disconnect.
+// TestClientSurfacesOverlongLine: an overlong server line drops the link
+// with bufio.ErrTooLong as the reason Logf reports, instead of a silent
+// disconnect, and counts as one dropped link.
 func TestClientSurfacesOverlongLine(t *testing.T) {
 	b := New()
 	srv, err := NewServer("127.0.0.1:0", "export.*", b)
@@ -162,7 +164,19 @@ func TestClientSurfacesOverlongLine(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cli, err := Dial(srv.Addr(), "up.*", New())
+	reasons := make(chan error, 16)
+	cli, err := DialWith(srv.Addr(), "up.*", New(), ReconnectOptions{
+		Logf: func(format string, args ...any) {
+			for _, a := range args {
+				if err, ok := a.(error); ok {
+					select {
+					case reasons <- err:
+					default:
+					}
+				}
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,14 +185,21 @@ func TestClientSurfacesOverlongLine(t *testing.T) {
 
 	// An envelope whose encoded line exceeds the client's scanner limit.
 	b.Publish(Envelope{Topic: "export.huge", Payload: strings.Repeat("x", maxLineBytes+1024)})
-	waitUntil(t, "client error surfaced", func() bool { return cli.Err() != nil })
-	if !errors.Is(cli.Err(), bufio.ErrTooLong) {
-		t.Fatalf("Err() = %v, want bufio.ErrTooLong", cli.Err())
+	select {
+	case err := <-reasons:
+		if !errors.Is(err, bufio.ErrTooLong) {
+			t.Fatalf("logged reason %v, want bufio.ErrTooLong", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the dropped link's reason")
+	}
+	if _, _, drops, _ := cli.Stats(); drops != 1 {
+		t.Fatalf("drops = %d, want 1", drops)
 	}
 }
 
-// TestCleanCloseLeavesNoError: closing the client (or the server closing the
-// connection) must not report a transport error.
+// TestCleanCloseLeavesNoError: closing the client must count no dropped
+// link or frame, and leave no read error on the server.
 func TestCleanCloseLeavesNoError(t *testing.T) {
 	srv, err := NewServer("127.0.0.1:0", "export.*", New())
 	if err != nil {
@@ -193,12 +214,218 @@ func TestCleanCloseLeavesNoError(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if err := cli.Err(); err != nil {
-		t.Fatalf("Err() after clean close = %v", err)
+	if _, _, drops, dropped := cli.Stats(); drops != 0 || dropped != 0 {
+		t.Fatalf("after clean close: %d dropped links, %d dropped frames", drops, dropped)
 	}
 	if n := srv.ReadErrors(); n != 0 {
 		t.Fatalf("server ReadErrors after clean close = %d", n)
 	}
+}
+
+// TestWedgedServerDoesNotStallClientPublish is the client-side twin of
+// TestStalledClientDoesNotStallPublish: a server that accepts and never
+// reads must cost the client dropped frames, not publish latency. A client
+// that wrote on the publisher's goroutine waited out the write deadline on
+// every publish once the socket buffer was full.
+func TestWedgedServerDoesNotStallClientPublish(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			accepted <- conn
+		}
+	}()
+	b := New()
+	cli, err := Dial(ln.Addr().String(), "export.*", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		// Unwedge every link before Close flushes it: closing the listener
+		// resets a redialed link it never accepted.
+		ln.Close()
+		(<-accepted).Close()
+		cli.Close()
+	}()
+
+	env := Envelope{Topic: "export.big", Payload: strings.Repeat("x", 64*1024)}
+	limit := time.Second
+	if raceEnabled {
+		// The race detector slows the encoding itself several times over;
+		// allow for what encoding the same frames costs here.
+		start := time.Now()
+		for i := 0; i < 1000; i++ {
+			_, _ = Encode(env)
+		}
+		limit += time.Since(start)
+	}
+	took := make(chan time.Duration, 1)
+	go func() {
+		start := time.Now()
+		for i := 0; i < 1000; i++ {
+			b.Publish(env)
+		}
+		took <- time.Since(start)
+	}()
+	select {
+	case d := <-took:
+		if d > limit {
+			t.Fatalf("1000 publishes to a wedged server took %v (limit %v); the client is blocking the bus", d, limit)
+		}
+	case <-time.After(limit + 4*time.Second):
+		t.Fatal("1000 publishes to a wedged server still running; the client is blocking the bus")
+	}
+	if _, _, _, dropped := cli.Stats(); dropped == 0 {
+		t.Fatal("expected dropped frames toward the wedged server")
+	}
+}
+
+// readLines reads newline-terminated frames from conn until EOF and sends
+// how many arrived.
+func readLines(conn net.Conn, n chan<- int) {
+	sc := bufio.NewScanner(conn)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
+	lines := 0
+	for sc.Scan() {
+		lines++
+	}
+	n <- lines
+}
+
+// The close-flush tests queue flushFrames frames of flushBytes each: under
+// outboxDepth, so none is dropped, and more bytes than the loopback socket
+// buffers hold, so most are still queued when Close runs. The peer starts
+// reading only once Close has begun.
+const (
+	flushFrames = 200
+	flushBytes  = 64 * 1024
+)
+
+func awaitLines(t *testing.T, n <-chan int) {
+	t.Helper()
+	select {
+	case got := <-n:
+		if got != flushFrames {
+			t.Fatalf("peer read %d frames before the hang-up, want %d", got, flushFrames)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("peer still connected 5s after Close")
+	}
+}
+
+// TestClientCloseFlushesQueuedFrames: frames published just before
+// Client.Close reach a server that is reading, before the hang-up.
+func TestClientCloseFlushesQueuedFrames(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	start, n := make(chan struct{}), make(chan int, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			defer conn.Close()
+			<-start
+			readLines(conn, n)
+		}
+	}()
+	b := New()
+	cli, err := Dial(ln.Addr().String(), "export.*", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := Envelope{Topic: "export.flush", Payload: strings.Repeat("x", flushBytes)}
+	for i := 0; i < flushFrames; i++ {
+		b.Publish(env)
+	}
+	// Close waits for its flush, which waits for the peer: run it aside
+	// and let the peer read once it has begun.
+	closed := make(chan struct{})
+	go func() { cli.Close(); close(closed) }()
+	waitUntil(t, "Close to begin", func() bool {
+		cli.mu.Lock()
+		defer cli.mu.Unlock()
+		return cli.closed
+	})
+	close(start)
+	awaitLines(t, n)
+	<-closed
+}
+
+// TestServerCloseFlushesQueuedFrames: frames broadcast just before
+// Server.Close reach a client that is reading, before the hang-up.
+func TestServerCloseFlushesQueuedFrames(t *testing.T) {
+	b := New()
+	srv, err := NewServer("127.0.0.1:0", "export.*", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	waitUntil(t, "connection registered", func() bool { return srv.NumClients() == 1 })
+	env := Envelope{Topic: "export.flush", Payload: strings.Repeat("x", flushBytes)}
+	for i := 0; i < flushFrames; i++ {
+		b.Publish(env)
+	}
+	srv.Close()
+	n := make(chan int, 1)
+	go readLines(conn, n)
+	awaitLines(t, n)
+}
+
+// TestClosedBridgeLeavesNoGoroutines: once both ends of a bridge have
+// closed — clients before the server, and a client left redialing a closed
+// server — every link's reader and writer goroutine has exited.
+func TestClosedBridgeLeavesNoGoroutines(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	sb := New()
+	srv, err := NewServer("127.0.0.1:0", "down.*", sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan struct{}, 64)
+	sb.Subscribe("up.*", func(Envelope) { got <- struct{}{} })
+	var buses []*Bus
+	var clients []*Client
+	for i := 0; i < 3; i++ {
+		cb := New()
+		cb.Subscribe("down.*", func(Envelope) { got <- struct{}{} })
+		cli, err := Dial(srv.Addr(), "up.*", cb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buses, clients = append(buses, cb), append(clients, cli)
+	}
+	waitUntil(t, "three clients registered", func() bool { return srv.NumClients() == 3 })
+	// One frame each way on every link: server to all three, each client
+	// to the server.
+	sb.Publish(Envelope{Topic: "down.ping"})
+	for _, cb := range buses {
+		cb.Publish(Envelope{Topic: "up.ping"})
+	}
+	for i := 0; i < 6; i++ {
+		select {
+		case <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of 6 frames crossed the bridge", i)
+		}
+	}
+	clients[0].Close()
+	clients[1].Close()
+	srv.Close()
+	waitUntil(t, "the last client's link to drop", func() bool {
+		_, _, drops, _ := clients[2].Stats()
+		return drops == 1
+	})
+	clients[2].Close()
+	waitUntil(t, "goroutines back to baseline", func() bool { return runtime.NumGoroutine() <= baseline })
 }
 
 // TestMatchTopic pins the exported matcher to the subscription semantics.

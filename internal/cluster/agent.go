@@ -183,7 +183,7 @@ func (a *Agent) Metrics() AgentMetrics {
 }
 
 // SetLinkState feeds the agent explicit link-state transitions — the hook a
-// bus.Reconnector's OnState calls. Down enters degraded mode immediately
+// redialing bus.Client's OnState calls. Down enters degraded mode immediately
 // (no need to burn DegradeAfter arbitration timeouts first); up exits it,
 // re-delivering buffered digests and re-announcing membership.
 func (a *Agent) SetLinkState(up bool) {
