@@ -37,7 +37,16 @@ type link struct {
 	conn    net.Conn
 	out     chan []byte
 	closing atomic.Bool
+	// werr is the failed write the writer hung up on, if one did.
+	werr atomic.Pointer[writeError]
 }
+
+// writeError is why a link's writer hung up: read returns it, so the owner
+// can name the cause (a peer that stopped reading fails a write at the
+// deadline) and tell it from a read error.
+type writeError struct{ error }
+
+func (e writeError) Unwrap() error { return e.error }
 
 // newLink wraps conn and starts its writer goroutine; the owner runs read.
 func newLink(conn net.Conn) *link {
@@ -66,8 +75,9 @@ func (l *link) close() {
 	}
 }
 
-// write drains the outbox onto the socket. The first failed write hangs
-// up, which ends the read loop, and the owner forgets the link.
+// write drains the outbox onto the socket. The first failed write is
+// recorded and hangs up, which ends the read loop, and the owner forgets
+// the link.
 func (l *link) write() {
 	defer l.conn.Close()
 	for data := range l.out {
@@ -75,6 +85,7 @@ func (l *link) write() {
 			_ = l.conn.SetWriteDeadline(deadline())
 		}
 		if _, err := l.conn.Write(data); err != nil {
+			l.werr.Store(&writeError{fmt.Errorf("bus: write %s: %w", l.conn.RemoteAddr(), err)})
 			return
 		}
 	}
@@ -82,7 +93,8 @@ func (l *link) write() {
 
 // read republishes each decoded line on b until the connection ends, and
 // returns why it ended: nil for a clean hang-up or a close from this side,
-// else the transport or framing error (e.g. bufio.ErrTooLong for a line over
+// a writeError when the writer hung up on a failed write, else the
+// transport or framing error (e.g. bufio.ErrTooLong for a line over
 // maxLineBytes). Malformed lines are skipped.
 func (l *link) read(b *Bus) error {
 	sc := bufio.NewScanner(l.conn)
@@ -96,6 +108,9 @@ func (l *link) read(b *Bus) error {
 	}
 	if err := sc.Err(); err != nil && !errors.Is(err, net.ErrClosed) {
 		return fmt.Errorf("bus: read %s: %w", l.conn.RemoteAddr(), err)
+	}
+	if werr := l.werr.Load(); werr != nil {
+		return *werr
 	}
 	return nil
 }
@@ -159,7 +174,7 @@ func (s *Server) DroppedFrames() uint64 { return s.dropped.Load() }
 
 // ReadErrors reports how many client read loops ended with a transport or
 // framing error (e.g. a line over the scanner limit) rather than a clean
-// disconnect.
+// disconnect. A link that hung up on a failed write is not counted.
 func (s *Server) ReadErrors() uint64 { return s.readErrs.Load() }
 
 // Close stops the server and disconnects all clients, each after its
@@ -217,7 +232,8 @@ func (s *Server) unexportLocked() {
 }
 
 // serve runs one client's read loop, then forgets and closes its link; a
-// read error is counted and logged, rate-limited.
+// read error is counted and logged, rate-limited. A hang-up on a failed
+// write is neither: it is how a wedged or vanished client leaves.
 func (s *Server) serve(l *link) {
 	err := l.read(s.bus)
 	s.mu.Lock()
@@ -227,7 +243,7 @@ func (s *Server) serve(l *link) {
 	}
 	s.mu.Unlock()
 	l.close()
-	if err != nil {
+	if _, wrote := err.(writeError); err != nil && !wrote {
 		s.readErrs.Add(1)
 		if now := time.Now().UnixNano(); now-s.lastLog.Load() >= int64(time.Second) {
 			s.lastLog.Store(now)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -508,4 +509,89 @@ func TestServerSubscribesOnlyWhileClientsConnected(t *testing.T) {
 	defer conn.Close()
 	srv.Close()
 	idle("after Close")
+}
+
+// TestWedgedPeerDropNamesWriteTimeout: a link whose peer accepts and never
+// reads hangs up once a write misses its deadline, and says so. On the
+// client the dropped link's Logf reason is that write's timeout; on the
+// server the hang-up is not counted as a read error.
+func TestWedgedPeerDropNamesWriteTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { // accepts every dial, reads nothing
+		var conns []net.Conn
+		defer func() {
+			for _, c := range conns {
+				c.Close()
+			}
+		}()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns = append(conns, conn)
+		}
+	}()
+	reasons := make(chan error, 16)
+	b := New()
+	cli, err := DialWith(ln.Addr().String(), "export.*", b, ReconnectOptions{
+		Logf: func(format string, args ...any) {
+			for _, a := range args {
+				if err, ok := a.(error); ok {
+					select {
+					case reasons <- err:
+					default:
+					}
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		env := Envelope{Topic: "export.big", Payload: strings.Repeat("x", 64*1024)}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				b.Publish(env)
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	select {
+	case err := <-reasons:
+		if _, wrote := err.(writeError); !wrote || !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("logged reason %v, want the write deadline", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for the dropped link's reason")
+	}
+
+	srvBus := New()
+	srv, err := NewServer("127.0.0.1:0", "export.*", srvBus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	wedged, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wedged.Close()
+	waitUntil(t, "connection registered", func() bool { return srv.NumClients() == 1 })
+	saturate(t, srvBus, srv)
+	waitUntil(t, "the wedged client dropped", func() bool { return srv.NumClients() == 0 })
+	if n := srv.ReadErrors(); n != 0 {
+		t.Fatalf("ReadErrors = %d after a write timeout, want 0", n)
+	}
 }

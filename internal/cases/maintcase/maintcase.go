@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"autoloop/internal/app"
+	"autoloop/internal/control"
 	"autoloop/internal/core"
 	"autoloop/internal/sched"
 	"autoloop/internal/telemetry"
@@ -46,17 +47,13 @@ type Controller struct {
 	// window, so one window triggers one response per job.
 	handled map[int]bool
 
-	// running, ptsBuf and rates are Monitor and Analyze scratch reused
-	// across ticks: the loop drops each observation after Analyze.
+	// window is the round's reading of the next window within LeadTime,
+	// shared by every maintenance loop of a Service with the same LeadTime;
+	// observed is the tick's, from observe to analyze.
+	window   *control.Reading
+	observed *upcoming
+	// running is Analyze scratch reused across ticks.
 	running []*sched.Job
-	ptsBuf  []telemetry.Point
-	rates   []jobRate
-	// visit is the progress-window visitor, bound once; it folds one
-	// window into matches, n and rate.
-	visit   telemetry.SeriesVisitor
-	matches int
-	n       int
-	rate    float64
 
 	// Preserved counts jobs saved ahead of maintenance (experiment metric).
 	Preserved int
@@ -67,9 +64,10 @@ func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runti
 	if db == nil || sch == nil || apps == nil {
 		panic("maintcase: nil dependency")
 	}
-	c := &Controller{cfg: cfg, db: db, sch: sch, apps: apps, handled: make(map[int]bool)}
-	c.visit = c.foldProgress
-	return c
+	return &Controller{
+		cfg: cfg, db: db, sch: sch, apps: apps, handled: make(map[int]bool),
+		window: control.NewReading(db, upcomingKey{sch: sch, apps: apps, lead: cfg.LeadTime}),
+	}
 }
 
 // jobRate is one observed job's progress rate.
@@ -88,68 +86,93 @@ func (c *Controller) Loop() *core.Loop {
 	)
 }
 
-// observe reports the next maintenance window and per-job progress rates.
-// A job's progress is read under its instance's label set; a job with no
-// instance has no progress to read.
-func (c *Controller) observe(now time.Duration) (core.Observation, error) {
-	obs := core.Observation{Time: now}
-	start, ok := c.sch.NextMaintenance(now)
+// upcomingKey names the upcoming-window reading over one scheduler and
+// application runtime for one lead time, which bounds both the window and
+// the progress history read.
+type upcomingKey struct {
+	sch  *sched.Scheduler
+	apps *app.Runtime
+	lead time.Duration
+}
+
+// New implements control.ReadingKey.
+func (k upcomingKey) New() control.ReadingValue {
+	u := &upcoming{key: k}
+	u.visit = u.foldProgress
+	return u
+}
+
+// upcoming is the next maintenance window, when it opens within the lead
+// time, and the progress rate of every running job with an instance and a
+// progress window to read; start is zero when no window is that close.
+// matches, n and rate fold one job's progress window through visit, which
+// is bound once.
+type upcoming struct {
+	key     upcomingKey
+	start   time.Duration
+	rates   []jobRate
+	running []*sched.Job
+	visit   telemetry.SeriesVisitor
+	matches int
+	n       int
+	rate    float64
+}
+
+// Read implements control.ReadingValue. A job's progress is read under its
+// instance's label set; a job with no instance has no progress to read. The
+// window start is taken as float seconds give it back, which can be a
+// nanosecond short of a sub-second start; the decisions and their Details
+// are pinned to that value.
+func (u *upcoming) Read(q telemetry.Querier, now time.Duration) {
+	k := u.key
+	u.start, u.rates = 0, u.rates[:0]
+	start, ok := k.sch.NextMaintenance(now)
 	if !ok {
-		return obs, nil
+		return
 	}
-	pts := append(c.ptsBuf[:0], telemetry.Point{
-		Name: "maint.next.start", Time: now, Value: start.Seconds(),
-	})
-	c.running = c.sch.RunningInto(c.running[:0])
-	for _, j := range c.running {
-		inst, ok := c.apps.Instance(j.ID)
+	start = time.Duration(start.Seconds() * float64(time.Second))
+	if start == 0 || start-now > k.lead {
+		return // no window close enough to act on
+	}
+	u.start = start
+	u.running = k.sch.RunningInto(u.running[:0])
+	for _, j := range u.running {
+		inst, ok := k.apps.Instance(j.ID)
 		if !ok {
 			continue
 		}
 		// Rate needs only the window's endpoints, so the progress series is
 		// reduced during the visit instead of being copied out of the store.
-		c.matches, c.n, c.rate = 0, 0, 0
-		c.db.QueryVisit("app.progress", inst.Labels(), now-c.cfg.LeadTime, now, c.visit)
-		if c.matches == 1 && c.n >= 2 {
-			pts = append(pts, telemetry.Point{
-				Name: "app.progress.rate", Labels: inst.Labels(), Time: now, Value: c.rate,
-			})
+		u.matches, u.n, u.rate = 0, 0, 0
+		q.QueryVisit("app.progress", inst.Labels(), now-k.lead, now, u.visit)
+		if u.matches == 1 && u.n >= 2 {
+			u.rates = append(u.rates, jobRate{id: j.ID, rate: u.rate})
 		}
 	}
-	c.ptsBuf = pts
-	obs.Points = pts
-	return obs, nil
 }
 
-// foldProgress is the visitor observe reads each job's progress window
+// foldProgress is the visitor Read folds each job's progress window
 // through.
-func (c *Controller) foldProgress(_ telemetry.Labels, samples []telemetry.Sample) {
-	c.matches++
-	c.n = len(samples)
-	c.rate = tsdb.Rate(telemetry.Series{Samples: samples})
+func (u *upcoming) foldProgress(_ telemetry.Labels, samples []telemetry.Sample) {
+	u.matches++
+	u.n = len(samples)
+	u.rate = tsdb.Rate(telemetry.Series{Samples: samples})
+}
+
+// observe takes the round's upcoming-window reading; the observation
+// carries it outside Points.
+func (c *Controller) observe(now time.Duration) (core.Observation, error) {
+	c.observed = c.window.Get(now).(*upcoming)
+	return core.Observation{Time: now}, nil
 }
 
 // analyze flags running jobs that will not finish before the window.
-func (c *Controller) analyze(now time.Duration, obs core.Observation) (core.Symptoms, error) {
+func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
 	sym := core.Symptoms{Time: now}
-	var maintStart time.Duration
-	for _, p := range obs.Points {
-		if p.Name == "maint.next.start" {
-			maintStart = time.Duration(p.Value * float64(time.Second))
-		}
-	}
-	if maintStart == 0 || maintStart-now > c.cfg.LeadTime {
+	maintStart, rates := c.observed.start, c.observed.rates
+	if maintStart == 0 {
 		return sym, nil // no window close enough to act on
 	}
-	rates := c.rates[:0]
-	for _, p := range obs.Points {
-		if p.Name == "app.progress.rate" {
-			if id, err := strconv.Atoi(p.Labels["job"]); err == nil {
-				rates = append(rates, jobRate{id: id, rate: p.Value})
-			}
-		}
-	}
-	c.rates = rates
 	c.running = c.sch.RunningInto(c.running[:0])
 	for _, j := range c.running {
 		if c.handled[j.ID] {

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"autoloop/internal/app"
+	"autoloop/internal/control"
 	"autoloop/internal/core"
 	"autoloop/internal/hw"
 	"autoloop/internal/sched"
@@ -67,21 +68,18 @@ type Detection struct {
 // Controller wires the misconfiguration MAPE loop.
 type Controller struct {
 	cfg  Config
-	db   telemetry.Querier
-	sch  *sched.Scheduler
 	apps *app.Runtime
-	cl   *hw.Cluster
 
 	// streaks counts, per job, the consecutive ticks each kind was
 	// classified (index kind-1).
 	streaks map[int][3]int
 	flagged map[int]app.Misconfig
 
-	// running, ptsBuf and jobs are Monitor and Analyze scratch reused across
-	// ticks: the loop drops each observation after Analyze.
-	running []*sched.Job
-	ptsBuf  []telemetry.Point
-	jobs    []jobObs
+	// fleet is the round's running-job reading, shared by every
+	// misconfiguration loop of a Service; observed is the tick's, from
+	// observe to analyze.
+	fleet    *control.Reading
+	observed *jobsReading
 
 	// Detections lists confirmed findings in order (experiment metric).
 	Detections []Detection
@@ -101,9 +99,10 @@ func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runti
 		cfg.Consecutive = 1
 	}
 	return &Controller{
-		cfg: cfg, db: db, sch: sch, apps: apps, cl: cl,
+		cfg: cfg, apps: apps,
 		streaks: make(map[int][3]int),
 		flagged: make(map[int]app.Misconfig),
+		fleet:   control.NewReading(db, jobsKey{sch: sch, apps: apps, cl: cl}),
 	}
 }
 
@@ -123,100 +122,89 @@ func (c *Controller) Loop() *core.Loop {
 	)
 }
 
-// observe gathers per-job context-switch rates, loader warnings, and
-// per-node utilization of each allocation. A job's application metrics are
-// read through its instance's handles, and every point of a job carries the
-// instance's label set. A running job with no instance has no application
-// telemetry to read; its utilization points carry {job} alone.
-func (c *Controller) observe(now time.Duration) (core.Observation, error) {
-	pts := c.ptsBuf[:0]
-	c.running = c.sch.RunningInto(c.running[:0])
-	for _, j := range c.running {
-		if now-j.Start < c.cfg.WarmupAfterStart {
-			continue
+// runningJob is one running job's telemetry in the jobs reading: its
+// context-switch rate and loader warning, when its instance reports them,
+// and its allocation's utilizations, utils[from:to] of the reading.
+type runningJob struct {
+	id       int
+	start    time.Duration
+	ctx      float64
+	hasCtx   bool
+	libWarn  bool
+	from, to int
+}
+
+// jobsKey names the running-job reading over one scheduler, application
+// runtime and (optional) cluster. It carries no config: the warm-up filter,
+// the thresholds and classify are each loop's own.
+type jobsKey struct {
+	sch  *sched.Scheduler
+	apps *app.Runtime
+	cl   *hw.Cluster
+}
+
+// New implements control.ReadingKey.
+func (k jobsKey) New() control.ReadingValue { return &jobsReading{key: k} }
+
+// jobsReading is every running job with telemetry to read, in running
+// order. running is the read's scratch.
+type jobsReading struct {
+	key     jobsKey
+	jobs    []runningJob
+	utils   []float64
+	running []*sched.Job
+}
+
+// Read implements control.ReadingValue. A job's application metrics are
+// read through its instance's handles; a running job with no instance has
+// no application telemetry to read, only its allocation's utilization. A
+// job with neither is left out.
+func (r *jobsReading) Read(q telemetry.Querier, _ time.Duration) {
+	k := r.key
+	r.jobs, r.utils = r.jobs[:0], r.utils[:0]
+	r.running = k.sch.RunningInto(r.running[:0])
+	for _, j := range r.running {
+		jr := runningJob{id: j.ID, start: j.Start, from: len(r.utils)}
+		hasLib := false
+		if inst, ok := k.apps.Instance(j.ID); ok {
+			jr.ctx, jr.hasCtx = q.LatestValue(inst.Handle("app.ctx_switch_rate"))
+			lib, ok := q.LatestValue(inst.Handle("app.lib_warn"))
+			jr.libWarn, hasLib = lib > 0, ok
 		}
-		var labels telemetry.Labels
-		if inst, ok := c.apps.Instance(j.ID); ok {
-			labels = inst.Labels()
-			if v, ok := c.db.LatestValue(inst.Handle("app.ctx_switch_rate")); ok {
-				pts = append(pts, telemetry.Point{Name: "app.ctx_switch_rate", Labels: labels, Time: now, Value: v})
-			}
-			if v, ok := c.db.LatestValue(inst.Handle("app.lib_warn")); ok {
-				pts = append(pts, telemetry.Point{Name: "app.lib_warn", Labels: labels, Time: now, Value: v})
-			}
-		} else {
-			labels = telemetry.Labels{"job": strconv.Itoa(j.ID)}
-		}
-		if c.cl != nil {
+		if k.cl != nil {
 			for _, n := range j.AssignedNodes {
-				pts = append(pts, telemetry.Point{Name: "node.cpu.util", Labels: labels, Time: now, Value: c.cl.Util(n)})
+				r.utils = append(r.utils, k.cl.Util(n))
 			}
 		}
+		jr.to = len(r.utils)
+		if jr.hasCtx || hasLib || jr.to > jr.from {
+			r.jobs = append(r.jobs, jr)
+		}
 	}
-	c.ptsBuf = pts
-	return core.Observation{Time: now, Points: pts}, nil
 }
 
-// jobObs folds one job's telemetry for a single analysis pass.
-type jobObs struct {
-	// key is the job label of the job's points; id is its parsed form.
-	key     string
-	id      int
-	ctx     float64
-	hasCtx  bool
-	libWarn bool
-	// n counts the allocation's nodes; idle and busy those below IdleUtil
-	// and above BusyUtil.
-	n, idle, busy int
+// observe takes the round's running-job reading; the observation carries
+// it outside Points.
+func (c *Controller) observe(now time.Duration) (core.Observation, error) {
+	c.observed = c.fleet.Get(now).(*jobsReading)
+	return core.Observation{Time: now}, nil
 }
 
-// analyze classifies misconfigurations per job with debouncing, in the
-// order the jobs were observed. Points are folded by their job label, which
-// is parsed only where it changes: a job's points arrive together.
-func (c *Controller) analyze(now time.Duration, obs core.Observation) (core.Symptoms, error) {
+// analyze classifies misconfigurations per job past warm-up, with
+// debouncing, in running order.
+func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
 	sym := core.Symptoms{Time: now}
-	jobs := c.jobs[:0]
-	var jo *jobObs
-	for _, p := range obs.Points {
-		if key := p.Labels["job"]; jo == nil || key != jo.key {
-			id, err := strconv.Atoi(key)
-			if err != nil {
-				jo = nil
-				continue
-			}
-			i := len(jobs) - 1
-			for i >= 0 && jobs[i].id != id {
-				i--
-			}
-			if i < 0 {
-				jobs = append(jobs, jobObs{key: key, id: id})
-				i = len(jobs) - 1
-			}
-			jo = &jobs[i]
-		}
-		switch p.Name {
-		case "app.ctx_switch_rate":
-			jo.ctx, jo.hasCtx = p.Value, true
-		case "app.lib_warn":
-			jo.libWarn = p.Value > 0
-		case "node.cpu.util":
-			jo.n++
-			switch {
-			case p.Value < c.cfg.IdleUtil:
-				jo.idle++
-			case p.Value > c.cfg.BusyUtil:
-				jo.busy++
-			}
-		}
-	}
-	c.jobs = jobs
-	for i := range jobs {
-		jo := &jobs[i]
-		if _, done := c.flagged[jo.id]; done {
+	rd := c.observed
+	for i := range rd.jobs {
+		jr := &rd.jobs[i]
+		if now-jr.start < c.cfg.WarmupAfterStart {
 			continue
 		}
-		kind := c.classify(jo)
-		streak := c.streaks[jo.id]
+		if _, done := c.flagged[jr.id]; done {
+			continue
+		}
+		kind := c.classify(jr, rd.utils[jr.from:jr.to])
+		streak := c.streaks[jr.id]
 		for m := range streak {
 			if app.Misconfig(m+1) == kind {
 				streak[m]++
@@ -224,15 +212,15 @@ func (c *Controller) analyze(now time.Duration, obs core.Observation) (core.Symp
 				streak[m] = 0
 			}
 		}
-		c.streaks[jo.id] = streak
+		c.streaks[jr.id] = streak
 		if kind == app.MisconfigNone || streak[kind-1] < c.cfg.Consecutive {
 			continue
 		}
-		c.flagged[jo.id] = kind
-		c.Detections = append(c.Detections, Detection{JobID: jo.id, Kind: kind, At: now})
+		c.flagged[jr.id] = kind
+		c.Detections = append(c.Detections, Detection{JobID: jr.id, Kind: kind, At: now})
 		sym.Findings = append(sym.Findings, core.Finding{
 			Kind:       "misconfig-" + kind.String(),
-			Subject:    strconv.Itoa(jo.id),
+			Subject:    strconv.Itoa(jr.id),
 			Value:      float64(kind),
 			Confidence: 0.85,
 			Detail:     explain(kind),
@@ -245,14 +233,23 @@ func (c *Controller) analyze(now time.Duration, obs core.Observation) (core.Symp
 // matters: an explicit loader warning is the most specific signal, a
 // context-switch storm next, and the utilization split last (it can be a
 // side effect of the other two).
-func (c *Controller) classify(jo *jobObs) app.Misconfig {
-	if jo.libWarn {
+func (c *Controller) classify(jr *runningJob, utils []float64) app.Misconfig {
+	if jr.libWarn {
 		return app.MisconfigWrongLib
 	}
-	if jo.hasCtx && jo.ctx > c.cfg.CtxSwitchStorm {
+	if jr.hasCtx && jr.ctx > c.cfg.CtxSwitchStorm {
 		return app.MisconfigThreads
 	}
-	if jo.n >= 2 && jo.idle > 0 && jo.busy > 0 && jo.idle+jo.busy == jo.n {
+	idle, busy := 0, 0
+	for _, u := range utils {
+		switch {
+		case u < c.cfg.IdleUtil:
+			idle++
+		case u > c.cfg.BusyUtil:
+			busy++
+		}
+	}
+	if len(utils) >= 2 && idle > 0 && busy > 0 && idle+busy == len(utils) {
 		return app.MisconfigUnderutil
 	}
 	return app.MisconfigNone

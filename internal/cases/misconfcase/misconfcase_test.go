@@ -1,7 +1,6 @@
 package misconfcase
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -197,8 +196,9 @@ func TestLoopEventsOnBus(t *testing.T) {
 // TestObserveAnalyzeAllocs gates a tick's Monitor and Analyze at zero
 // allocations once the controller's buffers are warm: two running jobs past
 // warm-up, each with progress markers on two or more nodes. The reads match
-// on each instance's own label set, the points share it, and the per-job
-// fold, the running-job list and the streaks reuse controller scratch.
+// on each instance's own label set, the reading's job list, utilizations
+// and running-job list reuse its buffers, and the streaks are updated in
+// place.
 func TestObserveAnalyzeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -222,12 +222,20 @@ func TestObserveAnalyzeAllocs(t *testing.T) {
 		}
 	}
 	tick()
-	obs, _ := r.ctl.observe(now)
-	if len(obs.Points) != 2+2+3 { // one context-switch rate per job, one utilization per node
-		t.Fatalf("observed %d points, want 7: %v", len(obs.Points), obs.Points)
+	if _, err := r.ctl.observe(now); err != nil {
+		t.Fatal(err)
 	}
-	if len(r.ctl.jobs) != 2 {
-		t.Fatalf("analyze folded %d jobs, want 2", len(r.ctl.jobs))
+	// One context-switch rate per job, one utilization per node.
+	rd := r.ctl.observed
+	ctx := 0
+	for _, jr := range rd.jobs {
+		if jr.hasCtx {
+			ctx++
+		}
+	}
+	if len(rd.jobs) != 2 || ctx != 2 || len(rd.utils) != 2+3 {
+		t.Fatalf("observed %d jobs, %d context-switch rates and %d utilizations; want 2, 2 and 5: %+v",
+			len(rd.jobs), ctx, len(rd.utils), rd.jobs)
 	}
 	if allocs := testing.AllocsPerRun(100, tick); allocs != 0 {
 		t.Errorf("observe+analyze allocates %.1f times per tick, want 0", allocs)
@@ -237,8 +245,8 @@ func TestObserveAnalyzeAllocs(t *testing.T) {
 // TestJobWithoutInstance pins the observation of a running job the
 // application runtime has no instance for (its scheduler does not start jobs
 // through the runtime): it has no handles, so no application read is made
-// for it, and its allocation's utilization is still observed under {job}
-// and folded into the job by analyze.
+// for it, and its allocation's utilization is still observed under its job
+// id, for analyze to classify.
 func TestJobWithoutInstance(t *testing.T) {
 	r := newRig(t, true)
 	orphans := sched.New(r.e, r.cl.UpNodes(), sched.DefaultExtensionPolicy())
@@ -259,18 +267,17 @@ func TestJobWithoutInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(obs.Points) != 2 {
-		t.Fatalf("observed %v; want two node.cpu.util points", obs.Points)
+	rd := ctl.observed
+	if len(rd.jobs) != 1 || len(rd.utils) != 2 {
+		t.Fatalf("observed %+v with %d utilizations; want one job with 2", rd.jobs, len(rd.utils))
 	}
-	for _, p := range obs.Points {
-		if p.Name != "node.cpu.util" || len(p.Labels) != 1 || p.Labels["job"] != strconv.Itoa(j.ID) {
-			t.Errorf("observed %v; want node.cpu.util{job=%d}", p, j.ID)
-		}
+	if jr := rd.jobs[0]; jr.id != j.ID || jr.to-jr.from != 2 || jr.hasCtx || jr.libWarn {
+		t.Errorf("observed %+v; want job %d with 2 utilizations and no application telemetry", jr, j.ID)
 	}
 	if _, err := ctl.analyze(now, obs); err != nil {
 		t.Fatal(err)
 	}
-	if len(ctl.jobs) != 1 || ctl.jobs[0].id != j.ID || ctl.jobs[0].n != 2 || ctl.jobs[0].hasCtx {
-		t.Errorf("analyze folded %+v; want job %d with 2 nodes and no context-switch rate", ctl.jobs, j.ID)
+	if _, ok := ctl.streaks[j.ID]; !ok {
+		t.Errorf("analyze did not classify job %d", j.ID)
 	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"autoloop/internal/analytics"
 	"autoloop/internal/app"
+	"autoloop/internal/control"
 	"autoloop/internal/core"
 	"autoloop/internal/sched"
 	"autoloop/internal/telemetry"
@@ -47,7 +48,6 @@ func DefaultConfig() Config {
 // Controller wires the OST MAPE loop.
 type Controller struct {
 	cfg  Config
-	db   telemetry.Querier
 	sch  *sched.Scheduler
 	apps *app.Runtime
 
@@ -55,11 +55,12 @@ type Controller struct {
 	// avoided remembers OSTs already being avoided.
 	avoided map[int]bool
 
-	// ptsBuf is the observation buffer reused across ticks: the loop
-	// machinery hands observations to Analyze and drops them, so the
-	// Monitor phase can fill the same backing array every tick.
-	ptsBuf []telemetry.Point
-	// ids/lats are the per-tick fleet scratch for the outlier test.
+	// fleet is the round's per-OST latency reading, shared by every OST
+	// loop of a Service; observed is the tick's, from observe to analyze.
+	fleet    *control.Reading
+	observed *ostLats
+	// ids/lats are the per-tick scratch of the busy OSTs the outlier test
+	// runs on.
 	ids  []int
 	lats []float64
 	// running is the plan phase's running-job scratch, refilled per
@@ -79,8 +80,42 @@ func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runti
 		cfg.Consecutive = 1
 	}
 	return &Controller{
-		cfg: cfg, db: db, sch: sch, apps: apps,
+		cfg: cfg, sch: sch, apps: apps,
 		streak: make(map[int]int), avoided: make(map[int]bool),
+		fleet: control.NewReading(db, ostLatsKey{}),
+	}
+}
+
+// ostLat is one OST's newest write latency.
+type ostLat struct {
+	id  int
+	lat float64
+}
+
+// ostLats is every OST's newest write latency, in label order, with its id
+// parsed. pts is the read's scratch.
+type ostLats struct {
+	osts []ostLat
+	pts  []telemetry.Point
+}
+
+// ostLatsKey names the per-OST latency reading: config-free, so every OST
+// loop shares one; the MinLatMS filter is each loop's own.
+type ostLatsKey struct{}
+
+// New implements control.ReadingKey.
+func (ostLatsKey) New() control.ReadingValue { return new(ostLats) }
+
+// Read implements control.ReadingValue.
+func (o *ostLats) Read(q telemetry.Querier, _ time.Duration) {
+	o.pts = q.LatestInto(o.pts[:0], "pfs.ost.lat_ms", nil)
+	o.osts = o.osts[:0]
+	for _, p := range o.pts {
+		id, err := strconv.Atoi(strings.TrimPrefix(p.Labels["ost"], "ost"))
+		if err != nil {
+			continue
+		}
+		o.osts = append(o.osts, ostLat{id: id, lat: p.Value})
 	}
 }
 
@@ -105,32 +140,24 @@ func (c *Controller) Loop() *core.Loop {
 	)
 }
 
-// observe reads the latest per-OST write latency through the zero-copy
-// fill-buffer surface: LatestInto appends into the controller's reused
-// buffer instead of materializing (and label-cloning) a fresh point slice
-// every tick.
+// observe takes the round's per-OST latency reading; the observation
+// carries it outside Points.
 func (c *Controller) observe(now time.Duration) (core.Observation, error) {
-	obs := core.Observation{Time: now}
-	c.ptsBuf = c.db.LatestInto(c.ptsBuf[:0], "pfs.ost.lat_ms", nil)
-	obs.Points = c.ptsBuf
-	return obs, nil
+	c.observed = c.fleet.Get(now).(*ostLats)
+	return core.Observation{Time: now}, nil
 }
 
 // analyze runs the fleet outlier test on busy OSTs.
-func (c *Controller) analyze(now time.Duration, obs core.Observation) (core.Symptoms, error) {
+func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
 	sym := core.Symptoms{Time: now}
 	ids := c.ids[:0]
 	lats := c.lats[:0]
-	for _, p := range obs.Points {
-		if p.Name != "pfs.ost.lat_ms" || p.Value < c.cfg.MinLatMS {
+	for _, o := range c.observed.osts {
+		if o.lat < c.cfg.MinLatMS {
 			continue
 		}
-		id, err := strconv.Atoi(strings.TrimPrefix(p.Labels["ost"], "ost"))
-		if err != nil {
-			continue
-		}
-		ids = append(ids, id)
-		lats = append(lats, p.Value)
+		ids = append(ids, o.id)
+		lats = append(lats, o.lat)
 	}
 	c.ids, c.lats = ids, lats
 	outliers := map[int]bool{}

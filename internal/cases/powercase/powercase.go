@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"autoloop/internal/control"
 	"autoloop/internal/core"
 	"autoloop/internal/facility"
 	"autoloop/internal/telemetry"
@@ -48,12 +49,12 @@ func DefaultConfig() Config {
 // Controller wires the power/energy MAPE loop.
 type Controller struct {
 	cfg   Config
-	db    telemetry.Querier
 	plant *facility.Plant
 
-	// ptsBuf is the observation buffer reused across ticks (the loop drops
-	// observations after Analyze, so the backing array is safe to recycle).
-	ptsBuf []telemetry.Point
+	// fleet is the round's thermal reading, shared by every power loop of a
+	// Service; observed is the tick's, from observe to analyze.
+	fleet    *control.Reading
+	observed *thermal
 
 	// Raises and Lowers count setpoint movements (experiment metrics).
 	Raises int
@@ -65,7 +66,34 @@ func New(cfg Config, db telemetry.Querier, plant *facility.Plant) *Controller {
 	if db == nil || plant == nil {
 		panic("powercase: nil dependency")
 	}
-	return &Controller{cfg: cfg, db: db, plant: plant}
+	return &Controller{cfg: cfg, plant: plant, fleet: control.NewReading(db, thermalKey{})}
+}
+
+// thermal is the fleet's thermal state: the hottest node's temperature and
+// how many nodes report one. pts is the read's scratch.
+type thermal struct {
+	hottest float64
+	nodes   int
+	pts     []telemetry.Point
+}
+
+// thermalKey names the thermal reading: config-free, so every power loop
+// shares one.
+type thermalKey struct{}
+
+// New implements control.ReadingKey.
+func (thermalKey) New() control.ReadingValue { return new(thermal) }
+
+// Read implements control.ReadingValue: every node's newest temperature,
+// folded.
+func (t *thermal) Read(q telemetry.Querier, _ time.Duration) {
+	t.pts = q.LatestInto(t.pts[:0], "node.temp.celsius", nil)
+	t.hottest, t.nodes = -1, len(t.pts)
+	for _, p := range t.pts {
+		if p.Value > t.hottest {
+			t.hottest = p.Value
+		}
+	}
 }
 
 // Loop assembles the core loop. Callers typically add a ConfidenceGate;
@@ -79,34 +107,21 @@ func (c *Controller) Loop() *core.Loop {
 	)
 }
 
-// observe reads every node's newest temperature through the zero-copy
-// fill-buffer surface, reusing one point buffer across ticks. The plant
-// state plan needs is read from the plant itself.
+// observe takes the round's thermal reading; the observation carries it
+// outside Points. The plant state plan needs is read from the plant itself.
 func (c *Controller) observe(now time.Duration) (core.Observation, error) {
-	obs := core.Observation{Time: now}
-	c.ptsBuf = c.db.LatestInto(c.ptsBuf[:0], "node.temp.celsius", nil)
-	obs.Points = c.ptsBuf
-	return obs, nil
+	c.observed = c.fleet.Get(now).(*thermal)
+	return core.Observation{Time: now}, nil
 }
 
 // analyze classifies the thermal state: hot (must cool), headroom (may
 // save energy), or neutral.
-func (c *Controller) analyze(now time.Duration, obs core.Observation) (core.Symptoms, error) {
+func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
 	sym := core.Symptoms{Time: now}
-	hottest := -1.0
-	nodes := 0
-	for _, p := range obs.Points {
-		if p.Name != "node.temp.celsius" {
-			continue
-		}
-		nodes++
-		if p.Value > hottest {
-			hottest = p.Value
-		}
-	}
-	if nodes == 0 {
+	if c.observed.nodes == 0 {
 		return sym, nil
 	}
+	hottest := c.observed.hottest
 	switch {
 	case hottest > c.cfg.TempLimitC-c.cfg.HeadroomC/2:
 		sym.Findings = append(sym.Findings, core.Finding{

@@ -16,9 +16,11 @@ import (
 // TestSharedInstanceHandles runs misconfiguration and maintenance loops on a
 // two-worker fleet, so their plan phases read the job instances' shared
 // handles concurrently, while jobs keep starting (each start creates series
-// and invalidates every handle of those metrics). The loops must detect
-// what a one-worker fleet detects, with the same counters. Run ten times
-// under -race in CI, it guards the memo hand-off between plan workers.
+// and invalidates every handle of those metrics). The loops compute their
+// round readings privately, so every loop reads the handles itself. The
+// loops must detect what a one-worker fleet detects, with the same
+// counters. Run ten times under -race in CI, it guards the memo hand-off
+// between plan workers.
 func TestSharedInstanceHandles(t *testing.T) {
 	run := func(workers int) []string {
 		env, engine, pipe := testEnv(t, 9)
@@ -41,6 +43,7 @@ func TestSharedInstanceHandles(t *testing.T) {
 		}
 		coord := fleet.New(workers)
 		svc := control.NewService(cases.NewRegistry(), env, coord, time.Minute)
+		control.ReadPrivately(svc)
 		for i := 0; i < 4; i++ {
 			for _, c := range []string{"misconfig", "maintenance"} {
 				spec := control.LoopSpec{Case: c, Name: fmt.Sprintf("%s-%d", c, i), Period: control.Duration(time.Minute)}

@@ -116,9 +116,11 @@ type CaseFactory struct {
 	Requires []Capability
 	// Inputs lists the metrics the case's loops read, every tick, as the
 	// newest point of every series (LatestInto, or LatestValue through a
-	// handle, with an empty matcher). A Service resolves each distinct declared metric once per
-	// control round and serves those reads from that resolution; every
-	// other read goes to the store.
+	// handle, with an empty matcher). Under a Service each declared metric
+	// is a round reading keyed by its name: the round's first such read
+	// walks the store, and every other loop's read in that round is served
+	// from it. Every other read goes to the store. The list also records
+	// what the case reads, for replay.
 	Inputs []string
 	// Defaults returns a pointer to a fresh config struct carrying the
 	// case's default values; spec.Config is unmarshaled over it.
@@ -129,6 +131,8 @@ type CaseFactory struct {
 	Period Duration
 	// Build constructs the case's loops from the merged config. The first
 	// loop is the case's primary (the one named by spec.Name overrides).
+	// Loops declare their round readings here, over env.Querier
+	// (NewReading), so a warm read allocates nothing.
 	Build func(env *Env, cfg interface{}) ([]BuiltLoop, error)
 }
 

@@ -28,7 +28,7 @@ import (
 type Service struct {
 	reg    *Registry
 	env    *Env
-	view   *roundView // the Querier spawned loops read through
+	view   *roundView // the Querier spawned loops read through, and their round memo
 	coord  *fleet.Coordinator
 	source string
 	base   time.Duration
@@ -139,8 +139,9 @@ func (s *Service) publish(topic string, now time.Duration, payload interface{}) 
 
 // Spawn instantiates spec, wires the loops into the approval surface, and
 // registers them with the coordinator. It is the programmatic form of the
-// spawn op. The loops read telemetry through the service's round view, and
-// the case's declared Inputs are resolved from the next round on.
+// spawn op. The loops read telemetry through the service's round view, which
+// shares their round readings, the case's declared Inputs among them, with
+// every other loop that declares the same key from the next round on.
 func (s *Service) Spawn(spec LoopSpec) (*Spawned, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -197,14 +198,14 @@ func (s *Service) spawnLocked(spec LoopSpec) (*Spawned, error) {
 
 // Tick runs one control round at virtual time now: queued verdicts and
 // expired approval timeouts are applied, stale pending actions are swept,
-// the declared inputs are read once into the round view, and the fleet
-// coordinator ticks. It implements telemetry.Ticker so the monitoring
-// cadence can drive the control plane.
+// a round of the view opens, and the fleet coordinator ticks; the loops'
+// readings are computed as they are first read. It implements
+// telemetry.Ticker so the monitoring cadence can drive the control plane.
 func (s *Service) Tick(now time.Duration) {
 	s.mu.Lock()
 	s.now = now
 	resolved := s.settleQueue(now)
-	s.view.resolve()
+	s.view.begin()
 	s.coord.Tick(now)
 	s.rounds.Store(int64(s.coord.Metrics().Rounds))
 	s.view.end()

@@ -3,6 +3,7 @@ package control_test
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,12 +60,30 @@ func (q *countingQuerier) take() map[readKey]int {
 
 // probe records, per tick, what its loop read through the Querier it was
 // built with next to what the store held, for one declared metric, one
-// matcher read, and one undeclared metric.
+// matcher read, one undeclared metric and one round reading. computed counts
+// the reading's computations.
 type probe struct {
-	store telemetry.Querier
-	mu    sync.Mutex
-	ticks int
-	bad   []string
+	store    telemetry.Querier
+	mu       sync.Mutex
+	ticks    int
+	bad      []string
+	computed atomic.Int64
+}
+
+// probeKey names the probe's round reading: the declared metric's newest
+// points, as the reading computes them.
+type probeKey struct{ p *probe }
+
+func (k probeKey) New() control.ReadingValue { return &probeReading{p: k.p} }
+
+type probeReading struct {
+	p   *probe
+	pts []telemetry.Point
+}
+
+func (r *probeReading) Read(q telemetry.Querier, _ time.Duration) {
+	r.p.computed.Add(1)
+	r.pts = q.LatestInto(r.pts[:0], probeDeclared, nil)
 }
 
 const (
@@ -80,6 +99,7 @@ func (p *probe) factory() control.CaseFactory {
 		Inputs:   []string{probeDeclared},
 		Build: func(env *control.Env, _ interface{}) ([]control.BuiltLoop, error) {
 			q := env.Querier
+			reading := control.NewReading(q, probeKey{p})
 			var got, want []telemetry.Point
 			declared := &telemetry.Handle{Name: probeDeclared}
 			n000 := &telemetry.Handle{Name: "node.temp.celsius", Matcher: telemetry.Labels{"node": "n000"}}
@@ -91,6 +111,7 @@ func (p *probe) factory() control.CaseFactory {
 					matched, _ := q.LatestValue(n000)
 					var pue []telemetry.Point
 					pue = q.LatestInto(pue, probeUndeclared, nil)
+					shared := reading.Get(now).(*probeReading).pts
 					p.mu.Lock()
 					defer p.mu.Unlock()
 					p.ticks++
@@ -101,6 +122,8 @@ func (p *probe) factory() control.CaseFactory {
 						p.bad = append(p.bad, "declared LatestValue differs from the store")
 					case matched == 0 || len(pue) == 0:
 						p.bad = append(p.bad, "pass-through read came back empty")
+					case !reflect.DeepEqual(shared, want):
+						p.bad = append(p.bad, "round reading differs from the store")
 					}
 					return core.Observation{Time: now}, nil
 				}),
@@ -119,11 +142,13 @@ func (p *probe) factory() control.CaseFactory {
 	}
 }
 
-// TestRoundViewOneReadPerDeclaredInput is the round view's contract: however
-// many loops declare a metric, the store sees one read of it per round; reads
-// with a matcher and reads of undeclared metrics still reach the store; and a
-// loop spawned between rounds reads its declared input, fresh, on its first
-// round.
+// TestRoundViewOneReadPerDeclaredInput is the round memo's contract,
+// counted at the store: however many loops read a declared metric or a
+// round reading in a round, the store sees one walk of it and the reading
+// one computation; in a round where no loop reads it, none; reads with a
+// matcher and reads of undeclared metrics still reach the store; a loop
+// spawned between rounds reads fresh on its first round; and outside a
+// round every read goes to the store.
 func TestRoundViewOneReadPerDeclaredInput(t *testing.T) {
 	env, engine, pipe := testEnv(t, 11)
 	db := env.Querier
@@ -135,62 +160,78 @@ func TestRoundViewOneReadPerDeclaredInput(t *testing.T) {
 	p := &probe{store: db}
 	reg.MustRegister(p.factory())
 	svc := control.NewService(reg, env, fleet.New(2), time.Minute)
+	// Three power loops tick every other round, three OST loops every
+	// round.
 	const loops = 3
 	for i := 0; i < loops; i++ {
-		for _, c := range []string{powercase.CaseName, ostcase.CaseName} {
-			if _, err := svc.Spawn(control.LoopSpec{Case: c, Name: c + "-" + string(rune('a'+i))}); err != nil {
+		name := string(rune('a' + i))
+		for _, spec := range []control.LoopSpec{
+			{Case: powercase.CaseName, Name: "power-" + name, Period: control.Duration(2 * time.Minute)},
+			{Case: ostcase.CaseName, Name: "ost-" + name, Period: control.Duration(time.Minute)},
+		} {
+			if _, err := svc.Spawn(spec); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 
 	now := time.Duration(0)
-	round := func() {
+	round := func() map[readKey]int {
 		now += time.Minute
 		engine.RunUntil(now)
 		pipe.Sample(now)
 		svc.Tick(now)
+		return store.take()
 	}
 	const k = 4
+	temps := 0
 	for i := 0; i < k; i++ {
-		round()
+		got := round()
+		n := got[readKey{"LatestInto", "node.temp.celsius", false}]
+		delete(got, readKey{"LatestInto", "node.temp.celsius", false})
+		if n > 1 {
+			t.Fatalf("round %d walked node.temp.celsius %d times for %d power loops; want at most once", i, n, loops)
+		}
+		temps += n
+		want := map[readKey]int{{"LatestInto", "pfs.ost.lat_ms", false}: 1}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d store reads of %d ost loops = %v, want %v", i, loops, got, want)
+		}
 	}
-	got := store.take()
-	want := map[readKey]int{
-		{"LatestInto", "node.temp.celsius", false}: k,
-		{"LatestInto", "pfs.ost.lat_ms", false}:    k,
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("store reads over %d rounds of %d power + %d ost loops = %v, want %v", k, loops, loops, got, want)
+	if temps != k/2 {
+		t.Fatalf("%d rounds walked node.temp.celsius %d times; want %d, one per round a power loop ticks", k, temps, k/2)
 	}
 
-	// Two probes spawned between rounds: their declared input is resolved
-	// from the very next round, once for both.
+	// Two probes spawned between rounds: their declared input and their
+	// round reading resolve from the very next round, once for both.
 	for _, name := range []string{"probe-a", "probe-b"} {
 		if _, err := svc.Spawn(control.LoopSpec{Case: "probe", Name: name}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	got := make(map[readKey]int)
 	for i := 0; i < k; i++ {
-		round()
+		for key, n := range round() {
+			got[key] += n
+		}
 	}
-	got = store.take()
-	want = map[readKey]int{
-		{"LatestInto", "node.temp.celsius", false}: k,
+	want := map[readKey]int{
+		{"LatestInto", "node.temp.celsius", false}: k / 2,
 		{"LatestInto", "pfs.ost.lat_ms", false}:    k,
-		{"LatestInto", probeDeclared, false}:       k,
+		{"LatestInto", probeDeclared, false}:       k,     // the probes' reads and their reading share it
 		{"LatestValue", "node.temp.celsius", true}: 2 * k, // a matcher read reaches the store
 		{"LatestInto", probeUndeclared, false}:     2 * k, // so does an undeclared metric
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("store reads over %d rounds with two probes = %v, want %v", k, got, want)
 	}
-	if p.ticks != 2*k || len(p.bad) > 0 {
-		t.Fatalf("probes ticked %d times (want %d); mismatches: %v", p.ticks, 2*k, p.bad)
+	if c := p.computed.Load(); p.ticks != 2*k || c != k || len(p.bad) > 0 {
+		t.Fatalf("probes ticked %d times (want %d), their reading was computed %d times (want %d); mismatches: %v",
+			p.ticks, 2*k, c, k, p.bad)
 	}
 
-	// Outside a round the view reads the store: a loop ticked on its own
-	// never sees a past round's resolution.
+	// Outside a round the view reads the store and the reading computes on
+	// its own: a loop ticked on its own never sees a past round's value.
 	for _, l := range svc.Coordinator().Loops() {
 		if l.Name == "probe-a" {
 			now += time.Minute
@@ -199,7 +240,8 @@ func TestRoundViewOneReadPerDeclaredInput(t *testing.T) {
 			l.Tick(now)
 		}
 	}
-	if got := store.take()[readKey{"LatestInto", probeDeclared, false}]; got != 1 || len(p.bad) > 0 {
-		t.Fatalf("a tick outside a round made %d store reads of %s (want 1); mismatches: %v", got, probeDeclared, p.bad)
+	if got := store.take()[readKey{"LatestInto", probeDeclared, false}]; got != 2 || p.computed.Load() != k+1 || len(p.bad) > 0 {
+		t.Fatalf("a tick outside a round made %d store reads of %s (want 2: its own and its reading's); mismatches: %v",
+			got, probeDeclared, p.bad)
 	}
 }

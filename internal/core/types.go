@@ -21,7 +21,9 @@ import (
 )
 
 // Observation is the Monitor phase's output: the sensor readings relevant to
-// this loop at one instant.
+// this loop at one instant. A case whose Monitor takes a shared round
+// reading (control.Reading) carries it outside Points, from its Monitor to
+// its Analyze, and leaves Points empty.
 type Observation struct {
 	Time   time.Duration
 	Points []telemetry.Point
