@@ -453,10 +453,10 @@ func (d *daemon) runSingle() error {
 			}
 		}
 		replayed, err := replayWAL(w, snap.Seq+1, func(rec wal.Record) error {
-			switch rec.Kind {
-			case wal.KindTSDBAppend:
-				return db.ApplyWAL(rec.Payload)
-			case wal.KindKnowledgeOp:
+			if ok, err := db.ApplyWAL(rec.Kind, rec.Payload); ok {
+				return err
+			}
+			if rec.Kind == wal.KindKnowledgeOp {
 				return kb.ApplyWAL(rec.Seq, rec.Payload)
 			}
 			return nil // bus envelopes are an audit trail, never re-published

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"autoloop/internal/telemetry"
+	"autoloop/internal/wal"
 )
 
 // countingJournal is a Journaler that keeps nothing but the payload size, so
@@ -83,7 +84,8 @@ func TestAppendBatchFirstErrorAttemptsAll(t *testing.T) {
 // TestAppendBatchChunks pins the chunked batch path: a journaled batch of
 // 3×batchChunk+7 points with a rejected point in the second chunk and one
 // in the last yields one record per chunk which, concatenated, decode to
-// exactly the accepted points in batch order; the error returned is the
+// exactly the accepted points in batch order, each series defined once,
+// with its first point, under the next id; the error returned is the
 // earlier rejection's; and replaying the records rebuilds the store.
 func TestAppendBatchChunks(t *testing.T) {
 	const n = 3*batchChunk + 7
@@ -110,17 +112,33 @@ func TestAppendBatchChunks(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "non-finite") {
 		t.Fatalf("AppendBatch error = %v, want the NaN rejection at index %d", err, nanAt)
 	}
-	if got, want := len(j.payloads), (n+batchChunk-1)/batchChunk; got != want {
+	if got, want := len(j.records), (n+batchChunk-1)/batchChunk; got != want {
 		t.Fatalf("%d journal records, want %d", got, want)
 	}
 	i := 0
-	for r, rec := range j.payloads {
-		for len(rec) > 0 {
-			var got telemetry.Point
-			var derr error
-			if got, rec, derr = decodePointEnc(rec); derr != nil {
-				t.Fatalf("record %d: %v", r, derr)
+	var defs []telemetry.Point // by journal id
+	for r, rec := range j.records {
+		if rec.Kind != wal.KindTSDBPoints {
+			t.Fatalf("record %d is of kind %#x", r, rec.Kind)
+		}
+		d := decoder{buf: rec.Payload}
+		var at time.Duration
+		for len(d.buf) > 0 {
+			e := d.entry(at)
+			if d.err != nil {
+				t.Fatalf("record %d: %v", r, d.err)
 			}
+			at = e.time
+			if e.def {
+				if e.id != uint64(len(defs)) {
+					t.Fatalf("record %d defines id %d, want the next id %d", r, e.id, len(defs))
+				}
+				defs = append(defs, telemetry.Point{Name: e.name, Labels: e.labels})
+			} else if e.id >= uint64(len(defs)) {
+				t.Fatalf("record %d uses id %d before its definition", r, e.id)
+			}
+			got := defs[e.id]
+			got.Time, got.Value = e.time, e.value
 			if i == nanAt || i == emptyAt {
 				i++ // rejected points never reach the journal
 			}
@@ -137,15 +155,14 @@ func TestAppendBatchChunks(t *testing.T) {
 	if i != n {
 		t.Fatalf("journal holds points up to batch index %d, want all %d", i, n)
 	}
+	if len(defs) != 96 {
+		t.Fatalf("journal defines %d series, want 96", len(defs))
+	}
 	replayed := New(0)
 	if err := replayed.AddRollup(rule); err != nil {
 		t.Fatal(err)
 	}
-	for r, rec := range j.payloads {
-		if err := replayed.ApplyWAL(rec); err != nil {
-			t.Fatalf("ApplyWAL record %d: %v", r, err)
-		}
-	}
+	j.replay(t, replayed)
 	if a, b := dumpDB(t, db), dumpDB(t, replayed); string(a) != string(b) {
 		t.Fatalf("replayed chunks diverge:\n live: %s\n walr: %s", a, b)
 	}
@@ -154,7 +171,7 @@ func TestAppendBatchChunks(t *testing.T) {
 // TestAppendBatchWarmRefAllocs gates the batch hot path the collectors'
 // refs open: once every Ref of a round is resolved and the sample windows
 // have reached their retained size, a round allocates nothing — journaled
-// (the encoder copies the interned label bytes) or not.
+// (a defined series' entry is its id, a time delta and the value) or not.
 func TestAppendBatchWarmRefAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gate skipped under the race detector")

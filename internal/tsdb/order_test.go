@@ -103,11 +103,7 @@ func TestFamilyOrder(t *testing.T) {
 		}
 	}
 	viaWAL := newStore()
-	for i, rec := range journal.payloads {
-		if err := viaWAL.ApplyWAL(rec); err != nil {
-			t.Fatalf("ApplyWAL record %d: %v", i, err)
-		}
-	}
+	journal.replay(t, viaWAL)
 	snap, err := viaBatch.Snapshot()
 	if err != nil {
 		t.Fatal(err)

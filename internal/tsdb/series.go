@@ -22,9 +22,10 @@ type labelSet struct {
 	labels telemetry.Labels
 	// key is labels.Key(), computed once: the order of a family's series.
 	key string
-	// enc is the label part of a point's journal encoding (appendLabelsEnc),
-	// so a journaled append copies bytes instead of iterating the map.
-	enc string
+	// db is the interning store. A series' owner is its label set's: a
+	// series memoized in a telemetry.Ref is only honoured by the DB that
+	// left it there.
+	db *DB
 	// next is the following label set of equal label hash in DB.labelSets.
 	next *labelSet
 }
@@ -58,12 +59,15 @@ func (l *sampleLog) truncateBefore(cutoff time.Duration) {
 }
 
 // memSeries stores one (name, labels) identity's samples in time order.
+// A store holds one per series, tens of thousands of them, so its size is
+// pinned to the 96-byte allocation class (TestMemSeriesSize): the owning DB
+// is reached through the label set, which leaves room for the journal id.
 type memSeries struct {
 	name string
 	*labelSet
-	// db is the owning store, fixed at creation: a series memoized in a
-	// telemetry.Ref is only honoured by the DB that left it there.
-	db *DB
+	// jid is the series' journal id plus one, 0 until its first journaled
+	// point (DB.byID holds the inverse).
+	jid uint32
 	sampleLog
 	// rollups holds the continuous-rollup states attached to this series,
 	// one per registered rule matching the series' metric name.
@@ -161,7 +165,7 @@ func (db *DB) create(p *telemetry.Point, h uint64, rules []RollupRule) *memSerie
 		fam = &family{postings: make(map[labelPair][]*memSeries)}
 		db.byName[p.Name] = fam
 	}
-	s := &memSeries{name: p.Name, labelSet: db.intern(p.Labels), db: db}
+	s := &memSeries{name: p.Name, labelSet: db.intern(p.Labels)}
 	fam.series = insertByKey(fam.series, s)
 	fam.gen++
 	s.nextHash, db.byHash[h] = db.byHash[h], s
@@ -189,7 +193,7 @@ func (db *DB) intern(labels telemetry.Labels) *labelSet {
 			return ls
 		}
 	}
-	ls := &labelSet{key: labels.Key(), enc: string(appendLabelsEnc(nil, labels)), next: db.labelSets[h]}
+	ls := &labelSet{key: labels.Key(), db: db, next: db.labelSets[h]}
 	if len(labels) > 0 {
 		ls.labels = labels.Clone()
 	}

@@ -22,11 +22,12 @@ import (
 //
 // The format is binary and reuses the journal's codec (journal.go): uvarint
 // lengths and counts, varint times, 8-byte little-endian IEEE-754 values,
-// and each series' interned label encoding copied as is:
+// and each series' label encoding (appendLabelsEnc):
 //
 //	snapMagic, uvarint appended, uvarint series count, then per series in
 //	sorted metric name, then the family's label-key order:
-//	    uvarint len(name), name, label encoding, samples,
+//	    uvarint len(name), name, label encoding, uvarint journal id + 1
+//	    (0: none), samples,
 //	    uvarint rollup count, then per rollup:
 //	        varint step, uvarint agg, varint retention, varint open bucket,
 //	        uvarint value count, the open bucket's values, samples
@@ -35,22 +36,33 @@ import (
 //	    then every value.
 //
 // appendLabelsEnc sorts label keys, so the bytes are deterministic for a
-// given logical state. Before this format the store wrote one JSON document
-// (dbSnap's field tags); decodeSnapshot still reads it.
+// given logical state. The journal ids are what lets the WAL tail a snapshot
+// is paired with name its series by id: the records that defined them may
+// be compacted away. The store wrote two earlier forms, which
+// decodeSnapshot still reads: the same layout without the id under
+// snapMagicV2 (ids are then assigned afresh as series are journaled), and
+// before it one JSON document (dbSnap's field tags).
 //
 // Index placement is NOT serialized: the identity hash is seeded per process
 // and the indexes are rebuilt on restore. That is invisible to callers —
 // create files each restored series at its label key's place, the order
 // every read walks.
 
-// snapMagic opens every binary snapshot. No JSON document starts with its
-// first byte, so it also tells the two forms apart.
-const snapMagic = "\xfftsdbv2\x00"
+// snapMagic opens every binary snapshot Snapshot writes, and snapMagicV2 the
+// form before journal ids. No JSON document starts with their first byte, so
+// it also tells the binary forms from the JSON one.
+const (
+	snapMagic   = "\xfftsdbv3\x00"
+	snapMagicV2 = "\xfftsdbv2\x00"
+)
 
 // seriesSnap is one series' decoded state.
 type seriesSnap struct {
-	Name    string             `json:"name"`
-	Labels  telemetry.Labels   `json:"labels,omitempty"`
+	Name   string           `json:"name"`
+	Labels telemetry.Labels `json:"labels,omitempty"`
+	// JID is the journal id plus one, 0 for none: memSeries.jid. Only the
+	// current binary form carries it.
+	JID     uint64             `json:"-"`
 	Samples []telemetry.Sample `json:"samples,omitempty"`
 	Rollups []rollupSnap       `json:"rollups,omitempty"`
 }
@@ -94,7 +106,10 @@ func (db *DB) Snapshot() ([]byte, error) {
 	for _, name := range names {
 		for _, s := range db.byName[name].series {
 			n++
-			size += 2*binary.MaxVarintLen64 + len(name) + len(s.enc) + samplesEncSize(s.live())
+			size += 3*binary.MaxVarintLen64 + len(name) + samplesEncSize(s.live())
+			for k, v := range s.labels {
+				size += 2*binary.MaxVarintLen64 + len(k) + len(v)
+			}
 			for _, sr := range s.rollups {
 				size += 5*binary.MaxVarintLen64 + 8*len(sr.values) + samplesEncSize(sr.live())
 			}
@@ -108,7 +123,8 @@ func (db *DB) Snapshot() ([]byte, error) {
 		for _, s := range db.byName[name].series {
 			buf = binary.AppendUvarint(buf, uint64(len(name)))
 			buf = append(buf, name...)
-			buf = append(buf, s.enc...)
+			buf = appendLabelsEnc(buf, s.labels)
+			buf = binary.AppendUvarint(buf, uint64(s.jid))
 			buf = appendSamplesEnc(buf, s.live())
 			buf = binary.AppendUvarint(buf, uint64(len(s.rollups)))
 			for _, sr := range s.rollups {
@@ -163,11 +179,13 @@ func samplesEncSize(samples []telemetry.Sample) int {
 }
 
 // RestoreSnapshot rebuilds the database from a Snapshot payload, in the
-// binary form or the JSON form the store wrote before it. It must be called
-// on a freshly created DB — after the application has registered its rollup
-// rules and before any appends, replay, or Journal attach. A payload that
-// fails to decode or validate (decodeSnapshot) is an error and leaves the
-// store untouched. Rollup states recorded in the snapshot are restored
+// current binary form or either form the store wrote before it. A series
+// keeps the journal id the snapshot records, so the WAL tail replays onto
+// it and the store goes on giving out ids after the largest. It must be
+// called on a freshly created DB — after the application has registered
+// its rollup rules and before any appends, replay, or Journal attach. A
+// payload that fails to decode or validate (decodeSnapshot) is an error
+// and leaves the store untouched. Rollup states recorded in the snapshot are restored
 // verbatim; a registered rule the snapshot does not know (added since the
 // snapshot was taken) is backfilled from the restored raw samples, exactly
 // as AddRollup would.
@@ -178,6 +196,10 @@ func (db *DB) RestoreSnapshot(data []byte) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	if len(db.byID) > 0 {
+		return fmt.Errorf("tsdb: restore snapshot: the store already gives out journal ids")
+	}
+	byID := make([]*memSeries, snap.ids())
 	for si := range snap.Series {
 		ss := &snap.Series[si]
 		p := telemetry.Point{Name: ss.Name, Labels: ss.Labels}
@@ -188,6 +210,10 @@ func (db *DB) RestoreSnapshot(data []byte) error {
 		// Create without attaching rules: rollup states come from the
 		// snapshot, not from fresh (empty) rule instances.
 		s := db.create(&p, h, nil)
+		if ss.JID > 0 {
+			s.jid = uint32(ss.JID)
+			byID[ss.JID-1] = s
+		}
 		s.samples = ss.Samples
 		for _, rs := range ss.Rollups {
 			s.rollups = append(s.rollups, &seriesRollup{
@@ -204,20 +230,21 @@ func (db *DB) RestoreSnapshot(data []byte) error {
 			}
 		}
 	}
+	db.byID = byID
 	db.appended += snap.Appended
 	return nil
 }
 
-// decodeSnapshot is the one way in for a snapshot payload: the binary form
-// after snapMagic, anything else the JSON document of the store before it.
+// decodeSnapshot is the one way in for a snapshot payload: a binary form
+// after its magic, anything else the JSON document of the store before them.
 // Either is validated, so content that would break the store's invariants —
 // a checksum only proves the bytes are the ones written — is an error here,
 // not a panic or a misordered read later.
 func decodeSnapshot(data []byte) (dbSnap, error) {
 	var snap dbSnap
 	var err error
-	if body, ok := bytes.CutPrefix(data, []byte(snapMagic)); ok {
-		snap, err = decodeSnapshotBinary(body)
+	if body, ids, ok := binarySnapshot(data); ok {
+		snap, err = decodeSnapshotBinary(body, ids)
 	} else {
 		err = json.Unmarshal(data, &snap)
 	}
@@ -230,20 +257,39 @@ func decodeSnapshot(data []byte) (dbSnap, error) {
 	return snap, nil
 }
 
-// decodeSnapshotBinary decodes the binary form after its magic. Every count
-// is checked against the bytes left (decoder.count), so the decode
-// allocates in proportion to its input whatever counts the input claims.
-func decodeSnapshotBinary(buf []byte) (dbSnap, error) {
+// binarySnapshot strips a binary snapshot's magic, reporting whether its
+// series carry journal ids (snapMagic) or not (snapMagicV2); ok is false
+// for any other payload.
+func binarySnapshot(data []byte) (body []byte, ids, ok bool) {
+	if body, ok = bytes.CutPrefix(data, []byte(snapMagic)); ok {
+		return body, true, true
+	}
+	body, ok = bytes.CutPrefix(data, []byte(snapMagicV2))
+	return body, false, ok
+}
+
+// decodeSnapshotBinary decodes a binary form after its magic; ids says
+// whether each series carries its journal id. Every count is checked
+// against the bytes left (decoder.count), so the decode allocates in
+// proportion to its input whatever counts the input claims.
+func decodeSnapshotBinary(buf []byte, ids bool) (dbSnap, error) {
 	d := decoder{buf: buf}
 	snap := dbSnap{Appended: d.uvarint()}
-	// A series is at least a name length and three counts.
-	if n := d.count(4); n > 0 {
+	// A series is at least a name length and three counts, and its id.
+	minSize := 4
+	if ids {
+		minSize++
+	}
+	if n := d.count(minSize); n > 0 {
 		snap.Series = make([]seriesSnap, n)
 	}
 	for i := 0; i < len(snap.Series) && d.err == nil; i++ {
 		ss := &snap.Series[i]
 		ss.Name = d.str()
 		ss.Labels = d.labels()
+		if ids {
+			ss.JID = d.uvarint()
+		}
 		ss.Samples = d.samples()
 		// A rollup is at least six one-byte fields.
 		if n := d.count(6); n > 0 {
@@ -291,19 +337,39 @@ func (d *decoder) samples() []telemetry.Sample {
 	return out
 }
 
+// ids counts the series that carry a journal id.
+func (snap *dbSnap) ids() int {
+	n := 0
+	for i := range snap.Series {
+		if snap.Series[i].JID > 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // validate rejects a decoded snapshot the store's invariants do not hold
-// for: a series without a name or listed twice, a rollup with a step <= 0
-// (the next append would divide by it), an unknown aggregation or a rule
-// repeated within its series, a non-finite open-bucket value, and a sample
-// list that is not strictly ascending in time or holds a non-finite value
-// (reads binary-search the times; JSON cannot carry NaN, the binary form
-// can).
+// for: a series without a name or listed twice, journal ids that repeat or
+// leave a gap (a store gives its ids out densely from 0), a rollup with a
+// step <= 0 (the next append would divide by it), an unknown aggregation or
+// a rule repeated within its series, a non-finite open-bucket value, and a
+// sample list that is not strictly ascending in time or holds a non-finite
+// value (reads binary-search the times; JSON cannot carry NaN, the binary
+// form can).
 func (snap *dbSnap) validate() error {
 	seen := make(map[[2]string]bool, len(snap.Series))
+	ids := snap.ids()
+	idSeen := make([]bool, ids)
 	for i := range snap.Series {
 		ss := &snap.Series[i]
 		if ss.Name == "" {
 			return fmt.Errorf("series %d has no name", i)
+		}
+		if ss.JID > 0 {
+			if ss.JID > uint64(ids) || idSeen[ss.JID-1] {
+				return fmt.Errorf("%s%s: journal id %d repeated or out of range", ss.Name, ss.Labels, ss.JID-1)
+			}
+			idSeen[ss.JID-1] = true
 		}
 		// Keyed like DB.intern: one label key is one series.
 		id := [2]string{ss.Name, ss.Labels.Key()}

@@ -16,7 +16,7 @@ import (
 // samples, encoded as given, so a test can write what Snapshot never would.
 func binarySnap(samples []telemetry.Sample) []byte {
 	b := append([]byte(snapMagic), 0, 1) // appended 0, one series
-	b = append(b, 1, 'm', 0)             // name "m", no labels
+	b = append(b, 1, 'm', 0, 0)          // name "m", no labels, no journal id
 	b = appendSamplesEnc(b, samples)
 	return append(b, 0) // no rollups
 }
@@ -58,6 +58,9 @@ func TestRestoreSnapshotRejectsInvalid(t *testing.T) {
 		{"binary wrapped delta", binarySnap([]telemetry.Sample{{Time: 5 * time.Second, Value: 1}, {Time: time.Second, Value: 2}})},
 		{"binary trailing byte", append(valid[:len(valid):len(valid)], 0)},
 		{"binary huge series count", append([]byte(snapMagic), 0, 0xff, 0xff, 0xff, 0xff, 0x0f)},
+		{"binary journal id gap", append([]byte(snapMagic), 0, 1, 1, 'm', 0, 2, 0, 0)},
+		{"binary repeated journal id", append([]byte(snapMagic), 0, 2, 1, 'm', 0, 1, 0, 0, 1, 'n', 0, 1, 0, 0)},
+		{"binary journal id past 32 bits", append([]byte(snapMagic), 0, 1, 1, 'm', 0, 0x81, 0x80, 0x80, 0x80, 0x10, 0, 0)},
 	}
 	for cut := len(snapMagic); cut < len(valid); cut++ {
 		cases = append(cases, struct {
@@ -105,8 +108,8 @@ func parentSnapshotTSDB(tb testing.TB) []byte {
 }
 
 // FuzzSnapshotRestore feeds RestoreSnapshot arbitrary bytes, seeded with the
-// parent-format JSON payload and a binary snapshot of a small store with a
-// rollup. Properties: neither the restore nor one append to every restored
+// parent-format JSON payload, a binary snapshot of a small store with a
+// rollup, and one of a journaled store, whose series carry journal ids. Properties: neither the restore nor one append to every restored
 // series afterwards panics; a rejected payload leaves the store empty; the
 // binary decode allocates at most a fixed multiple of its input, whatever
 // counts the input claims; and an accepted payload round-trips — Snapshot,
@@ -127,11 +130,24 @@ func FuzzSnapshotRestore(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(bin)
+	// The same store journaled: its series carry journal ids.
+	journaled := New(0)
+	journaled.Journal(&recordingJournal{})
+	if err := journaled.AppendBatch(small.Latest("node.temp.celsius", nil)); err != nil {
+		f.Fatal(err)
+	}
+	if err := journaled.Append(jpt("node.power.watts", "n01", 0, 1)); err != nil {
+		f.Fatal(err)
+	}
+	if bin, err = journaled.Snapshot(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bin)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if body, ok := bytes.CutPrefix(data, []byte(snapMagic)); ok {
+		if body, ids, ok := binarySnapshot(data); ok {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			decodeSnapshotBinary(body)
+			decodeSnapshotBinary(body, ids)
 			runtime.ReadMemStats(&after)
 			// A one-label map is a few hundred bytes from six input bytes;
 			// a corrupt count would be gigabytes.

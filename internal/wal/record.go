@@ -34,9 +34,16 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // daemon's subsystems share one log, so their kind bytes are registered here
 // to keep the namespace collision-free. New subsystems claim a new constant.
 const (
-	// KindTSDBAppend carries one or more binary-encoded telemetry points
-	// accepted by the tsdb (see tsdb's journal encoding).
+	// KindTSDBAppend carries one or more binary-encoded telemetry points,
+	// each with its metric name and label encoding. The tsdb no longer
+	// writes it but still replays it, so a log written before
+	// KindTSDBPoints recovers.
 	KindTSDBAppend uint8 = 0x10
+	// KindTSDBPoints carries one or more telemetry points accepted by the
+	// tsdb, each naming its series by a journal-local id; a series'
+	// definition (name and labels) rides on its first point (see tsdb's
+	// journal encoding).
+	KindTSDBPoints uint8 = 0x11
 	// KindBusEnvelope carries one JSON-encoded bus envelope (topic, time,
 	// source, payload, deadline) recorded by the bus journal hook.
 	KindBusEnvelope uint8 = 0x20

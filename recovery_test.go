@@ -315,12 +315,13 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("replay: %v", err)
 		}
-		switch rec.Kind {
-		case wal.KindTSDBAppend:
-			err = rec2.db.ApplyWAL(rec.Payload)
-		case wal.KindKnowledgeOp:
+		var handled bool
+		handled, err = rec2.db.ApplyWAL(rec.Kind, rec.Payload)
+		switch {
+		case handled:
+		case rec.Kind == wal.KindKnowledgeOp:
 			err = rec2.kb.ApplyWAL(rec.Seq, rec.Payload)
-		case wal.KindBusEnvelope:
+		case rec.Kind == wal.KindBusEnvelope:
 			// Audit trail: must decode, never re-publishes.
 			if _, derr := bus.Decode(rec.Payload); derr != nil {
 				t.Fatalf("journaled envelope seq %d does not decode: %v", rec.Seq, derr)
