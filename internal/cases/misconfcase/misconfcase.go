@@ -68,10 +68,13 @@ type Detection struct {
 // Controller wires the misconfiguration MAPE loop.
 type Controller struct {
 	cfg  Config
+	sch  *sched.Scheduler
 	apps *app.Runtime
 
-	// streaks counts, per job, the consecutive ticks each kind was
-	// classified (index kind-1).
+	// streaks counts, per warm job not yet flagged, the consecutive ticks
+	// each kind was classified (index kind-1). flagged holds each flagged
+	// job's finding. A job leaves both once the scheduler reports it
+	// terminal (forget), so they stay bounded by the running set.
 	streaks map[int][3]int
 	flagged map[int]app.Misconfig
 
@@ -99,17 +102,22 @@ func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runti
 		cfg.Consecutive = 1
 	}
 	return &Controller{
-		cfg: cfg, apps: apps,
+		cfg: cfg, sch: sch, apps: apps,
 		streaks: make(map[int][3]int),
 		flagged: make(map[int]app.Misconfig),
 		fleet:   control.NewReading(db, jobsKey{sch: sch, apps: apps, cl: cl}),
 	}
 }
 
-// Flagged returns the confirmed misconfiguration for a job, if any.
+// Flagged returns the confirmed misconfiguration for a job, if any, whether
+// or not the job is still running: a job is detected at most once.
 func (c *Controller) Flagged(jobID int) (app.Misconfig, bool) {
-	m, ok := c.flagged[jobID]
-	return m, ok
+	for _, d := range c.Detections {
+		if d.JobID == jobID {
+			return d.Kind, true
+		}
+	}
+	return app.MisconfigNone, false
 }
 
 // Loop assembles the core loop.
@@ -195,11 +203,13 @@ func (c *Controller) observe(now time.Duration) (core.Observation, error) {
 func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
 	sym := core.Symptoms{Time: now}
 	rd := c.observed
+	warm := 0
 	for i := range rd.jobs {
 		jr := &rd.jobs[i]
 		if now-jr.start < c.cfg.WarmupAfterStart {
 			continue
 		}
+		warm++
 		if _, done := c.flagged[jr.id]; done {
 			continue
 		}
@@ -212,10 +222,12 @@ func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Sympto
 				streak[m] = 0
 			}
 		}
-		c.streaks[jr.id] = streak
 		if kind == app.MisconfigNone || streak[kind-1] < c.cfg.Consecutive {
+			c.streaks[jr.id] = streak
 			continue
 		}
+		// A flagged job is never classified again: its streak is done.
+		delete(c.streaks, jr.id)
 		c.flagged[jr.id] = kind
 		c.Detections = append(c.Detections, Detection{JobID: jr.id, Kind: kind, At: now})
 		sym.Findings = append(sym.Findings, core.Finding{
@@ -226,7 +238,35 @@ func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Sympto
 			Detail:     explain(kind),
 		})
 	}
+	// Every warm job of the round now holds exactly one entry, so more
+	// entries than warm jobs means some job has left the round since it
+	// was classified: only then is there anything to forget.
+	if len(c.streaks)+len(c.flagged) > warm {
+		c.forget()
+	}
 	return sym, nil
+}
+
+// forget drops the entries of jobs the scheduler reports terminal. A job
+// missing from a round is not forgotten for that alone: Requeue returns a
+// running job to the queue, and it runs again under the same ID.
+func (c *Controller) forget() {
+	for id := range c.streaks {
+		if c.ended(id) {
+			delete(c.streaks, id)
+		}
+	}
+	for id := range c.flagged {
+		if c.ended(id) {
+			delete(c.flagged, id)
+		}
+	}
+}
+
+// ended reports whether the scheduler reports the job terminal.
+func (c *Controller) ended(id int) bool {
+	j, ok := c.sch.Job(id)
+	return !ok || j.State.Terminal()
 }
 
 // classify applies the detection rules to one job's observation. Rule order

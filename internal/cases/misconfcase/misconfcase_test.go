@@ -281,3 +281,97 @@ func TestJobWithoutInstance(t *testing.T) {
 		t.Errorf("analyze did not classify job %d", j.ID)
 	}
 }
+
+// TestStateBoundedByRunningSet runs many short jobs, a third of them
+// misconfigured, through a small cluster and checks after every tick that
+// the controller keeps state only for jobs the scheduler has not ended (or
+// that ended at or after the tick), so a long-running daemon's per-job maps stay
+// bounded by the running set. Jobs that finished are still reported by
+// Flagged.
+func TestStateBoundedByRunningSet(t *testing.T) {
+	r := newRig(t, false)
+	r.rt.RegisterSpec("short", app.Spec{Name: "short", TotalIters: 12, IterTime: sim.Constant{V: 30 * time.Second}})
+	r.rt.RegisterSpec("short-bad", app.Spec{Name: "short-bad", TotalIters: 12, IterTime: sim.Constant{V: 30 * time.Second}, Misconfig: app.MisconfigThreads})
+	var bad []*sched.Job
+	for i := range 60 {
+		name := "short"
+		if i%3 == 0 {
+			name = "short-bad"
+		}
+		j, err := r.s.Submit(name, "u", 1+i%2, time.Hour, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "short-bad" {
+			bad = append(bad, j)
+		}
+	}
+	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+	most := 0
+	for tick := time.Minute; tick <= 3*time.Hour; tick += time.Minute {
+		r.e.RunUntil(tick + time.Second)
+		for id := range r.ctl.streaks {
+			if j, _ := r.s.Job(id); j.State.Terminal() && j.End < tick {
+				t.Fatalf("at %v: streak kept for job %d, %v at %v", tick, id, j.State, j.End)
+			}
+		}
+		for id := range r.ctl.flagged {
+			if j, _ := r.s.Job(id); j.State.Terminal() && j.End < tick {
+				t.Fatalf("at %v: flag kept for job %d, %v at %v", tick, id, j.State, j.End)
+			}
+			if _, ok := r.ctl.streaks[id]; ok {
+				t.Fatalf("at %v: flagged job %d still has a streak", tick, id)
+			}
+		}
+		most = max(most, len(r.ctl.streaks)+len(r.ctl.flagged))
+	}
+	if st := r.s.Stats(); st.Completed != 60 {
+		t.Fatalf("%d of 60 jobs completed", st.Completed)
+	}
+	if len(r.ctl.streaks)+len(r.ctl.flagged) != 0 || most == 0 || most > len(r.cl.Nodes()) {
+		t.Errorf("the controller ends with %d streaks and %d flags and peaked at %d entries; want none, and a peak within the %d nodes",
+			len(r.ctl.streaks), len(r.ctl.flagged), most, len(r.cl.Nodes()))
+	}
+	for _, j := range bad {
+		if kind, ok := r.ctl.Flagged(j.ID); !ok || kind != app.MisconfigThreads {
+			t.Errorf("finished job %d: Flagged = %v, %v", j.ID, kind, ok)
+		}
+	}
+	if len(r.ctl.Detections) != len(bad) {
+		t.Errorf("Detections = %d, want %d", len(r.ctl.Detections), len(bad))
+	}
+}
+
+// TestRequeuedFlaggedJobKeepsItsFlag checks that a job missing from rounds
+// because it was requeued keeps its flag: when it runs again under the same
+// ID, unfixed, it is not detected a second time. A whole-cluster job queued
+// before the requeue takes the nodes it frees, so it waits pending for
+// several ticks.
+func TestRequeuedFlaggedJobKeepsItsFlag(t *testing.T) {
+	r := newRig(t, false)
+	j := r.launch(t, "bad-threads", app.MisconfigThreads, 1)
+	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+	r.e.RunUntil(29 * time.Minute)
+	r.rt.RegisterSpec("wide", app.Spec{Name: "wide", TotalIters: 10, IterTime: sim.Constant{V: 30 * time.Second}})
+	if _, err := r.s.Submit("wide", "u", len(r.cl.Nodes()), time.Hour, 0); err != nil {
+		t.Fatal(err)
+	}
+	r.e.RunUntil(30 * time.Minute)
+	if len(r.ctl.Detections) != 1 {
+		t.Fatalf("Detections = %d before the requeue, want 1", len(r.ctl.Detections))
+	}
+	if err := r.s.Requeue(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	r.e.RunUntil(33 * time.Minute)
+	if j.State != sched.JobPending {
+		t.Fatalf("requeued job is %v three ticks later, want pending", j.State)
+	}
+	r.e.RunUntil(time.Hour)
+	if j.State != sched.JobRunning || j.Requeues != 1 {
+		t.Fatalf("job %v after %d requeues; want running again after 1", j.State, j.Requeues)
+	}
+	if len(r.ctl.Detections) != 1 {
+		t.Errorf("Detections = %d after the requeued job ran again, want 1", len(r.ctl.Detections))
+	}
+}

@@ -436,7 +436,7 @@ func (c *Controller) NoteJobEnd(j *sched.Job) {
 		}
 		delete(c.pending, j.ID)
 	}
-	if j.State == sched.JobCompleted || j.State == sched.JobKilledWalltime || j.State == sched.JobKilledMaint {
+	if j.State.Terminal() {
 		c.kb.AddRun(knowledge.RunRecord{
 			App:       j.Name,
 			User:      j.User,

@@ -36,6 +36,12 @@ func (s JobState) String() string {
 	return "unknown"
 }
 
+// Terminal reports whether a job in this state has ended for good: completed
+// or killed. A pending or requeued job may still run.
+func (s JobState) Terminal() bool {
+	return s == JobCompleted || s == JobKilledWalltime || s == JobKilledMaint
+}
+
 // KillReason explains why the scheduler terminated a job.
 type KillReason int
 

@@ -175,10 +175,10 @@ func TestConcurrentBatchWriterReaders(t *testing.T) {
 		}
 		var total uint64
 		for _, s := range snap.Series {
-			if !ordered(s.Samples) {
+			if !ordered(s.Samples.all()) {
 				t.Errorf("Snapshot: %s%s out of order", s.Name, s.Labels)
 			}
-			total += uint64(len(s.Samples))
+			total += uint64(s.Samples.len())
 		}
 		// One hold of the lock: the counter and the samples are one cut.
 		if total != snap.Appended {

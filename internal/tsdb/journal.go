@@ -307,7 +307,7 @@ func (db *DB) applyPointsLocked(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		if n := len(s.samples); n > 0 && e.time < s.samples[n-1].Time {
+		if last := s.last(); last != nil && e.time < last.Time {
 			continue // already reflected by the snapshot
 		}
 		p := telemetry.Point{Name: s.name, Labels: s.labels, Time: e.time, Value: e.value}
@@ -367,7 +367,7 @@ func (db *DB) applyNamedLocked(payload []byte) error {
 		}
 		s := db.lookup(identityOf(&p), &p)
 		if s != nil {
-			if n := len(s.samples); n > 0 && p.Time < s.samples[n-1].Time {
+			if last := s.last(); last != nil && p.Time < last.Time {
 				continue // already reflected by the snapshot
 			}
 		}

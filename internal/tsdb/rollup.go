@@ -69,7 +69,7 @@ func (sr *seriesRollup) observe(t time.Duration, v float64, overwrite bool) {
 // retention.
 func (sr *seriesRollup) flush() {
 	end := time.Duration(sr.bucket+1) * sr.rule.Step
-	sr.samples = append(sr.samples, telemetry.Sample{Time: end, Value: sr.rule.Agg.apply(sr.values)})
+	sr.push(telemetry.Sample{Time: end, Value: sr.rule.Agg.apply(sr.values)})
 	sr.values = sr.values[:0]
 	if sr.rule.Retention > 0 {
 		sr.truncateBefore(end - sr.rule.Retention)
@@ -81,12 +81,10 @@ func (sr *seriesRollup) flush() {
 // convention the downsample reference uses for a trailing partial bucket.
 // The result is freshly allocated.
 func (sr *seriesRollup) window(from, to time.Duration) []telemetry.Sample {
-	live := sr.live()
-	lo, hi := rangeBounds(live, from, to)
+	lo, hi := sr.bounds(from, to)
 	var out []telemetry.Sample
 	if lo < hi {
-		out = make([]telemetry.Sample, hi-lo, hi-lo+1)
-		copy(out, live[lo:hi])
+		out = sr.appendTo(make([]telemetry.Sample, 0, hi-lo+1), lo, hi)
 	}
 	if len(sr.values) > 0 {
 		if end := time.Duration(sr.bucket+1) * sr.rule.Step; end >= from && end <= to {
@@ -147,7 +145,8 @@ func (s *memSeries) backfillRollup(rule RollupRule) {
 		}
 	}
 	sr := newSeriesRollup(rule)
-	for _, smp := range s.live() {
+	for i := range s.len() {
+		smp := s.at(i)
 		sr.observe(smp.Time, smp.Value, false)
 	}
 	s.rollups = append(s.rollups, sr)

@@ -30,38 +30,119 @@ type labelSet struct {
 	next *labelSet
 }
 
+// chunkSize is how many samples one chunk of a sampleLog holds: 32 16-byte
+// samples are 512 bytes, exactly one of the allocator's size classes.
+const chunkSize = 32
+
+// chunk is one fixed block of a sampleLog's samples.
+type chunk [chunkSize]telemetry.Sample
+
 // sampleLog is a retained, time-ordered sample list — a raw series' samples
-// or a rollup's flushed buckets. Retention drops samples by advancing head;
-// the dead prefix is compacted only once it outgrows the live part, so
-// expiry is O(1) amortized instead of copying the whole window on every
-// append.
+// or a rollup's flushed buckets — kept as a list of fixed chunks. An append
+// writes into the tail chunk and takes a new chunk only when the tail is
+// full, so growing a series never copies a sample and the store allocates
+// what it keeps, not the ~2x a doubling slice throws away. Retention advances
+// head and, once the first chunk is wholly expired, drops it from the list:
+// no sample is copied to compact either. A dropped chunk is parked in the
+// chunk list's spare capacity, chunks[len:cap], and push refills it before it
+// allocates, so a series under retention stops allocating once warm.
+//
+// The live samples are positions head .. head+n-1 of the chunks laid end to
+// end: position p is chunks[p/chunkSize][p%chunkSize], head < chunkSize
+// while any sample is live, and len(chunks) is the number of chunks those
+// positions touch.
 type sampleLog struct {
-	samples []telemetry.Sample
-	head    int // index of the first live sample
+	chunks []*chunk
+	head   uint32 // position of the first live sample in chunks[0]
+	n      uint32 // live sample count
 }
 
-// live returns the retained samples.
-func (l *sampleLog) live() []telemetry.Sample { return l.samples[l.head:] }
+// len returns the live sample count.
+func (l *sampleLog) len() int { return int(l.n) }
 
-// truncateBefore drops samples strictly older than cutoff.
+// at returns the i-th live sample, 0 the oldest.
+func (l *sampleLog) at(i int) *telemetry.Sample {
+	p := int(l.head) + i
+	return &l.chunks[p/chunkSize][p%chunkSize]
+}
+
+// last returns the newest live sample, or nil when there is none.
+func (l *sampleLog) last() *telemetry.Sample {
+	if l.n == 0 {
+		return nil
+	}
+	return l.at(int(l.n) - 1)
+}
+
+// run returns the live samples from index i up to hi (exclusive) or the end
+// of i's chunk, whichever comes first: walking [lo, hi) run by run visits
+// each chunk's part of it as one slice.
+func (l *sampleLog) run(i, hi int) []telemetry.Sample {
+	p := int(l.head) + i
+	off := p % chunkSize
+	return l.chunks[p/chunkSize][off:min(chunkSize, off+hi-i)]
+}
+
+// appendTo appends the live samples [lo, hi) to dst.
+func (l *sampleLog) appendTo(dst []telemetry.Sample, lo, hi int) []telemetry.Sample {
+	for lo < hi {
+		r := l.run(lo, hi)
+		dst = append(dst, r...)
+		lo += len(r)
+	}
+	return dst
+}
+
+// push appends a sample after the newest, refilling a parked chunk or
+// allocating one when the tail chunk is full.
+func (l *sampleLog) push(smp telemetry.Sample) {
+	p := int(l.head) + int(l.n)
+	if c := len(l.chunks); p == c*chunkSize {
+		if spare := l.chunks[:cap(l.chunks)]; c < len(spare) && spare[c] != nil {
+			l.chunks = spare[:c+1]
+		} else {
+			l.chunks = append(l.chunks, new(chunk))
+		}
+	}
+	l.chunks[p/chunkSize][p%chunkSize] = smp
+	l.n++
+}
+
+// truncateBefore drops samples strictly older than cutoff from a non-empty
+// log, parking the chunks that leaves empty.
 func (l *sampleLog) truncateBefore(cutoff time.Duration) {
-	live := l.live()
-	i := sort.Search(len(live), func(i int) bool { return live[i].Time >= cutoff })
-	if i == 0 {
+	if l.at(0).Time >= cutoff {
 		return
 	}
-	l.head += i
-	if l.head > len(l.samples)-l.head {
-		n := copy(l.samples, l.samples[l.head:])
-		l.samples = l.samples[:n]
-		l.head = 0
+	i := sort.Search(l.len(), func(i int) bool { return l.at(i).Time >= cutoff })
+	p := int(l.head) + i
+	l.n -= uint32(i)
+	if k := p / chunkSize; k > 0 {
+		// Rotate the k expired chunks behind the live ones, which moves
+		// them into the spare capacity when the list is cut.
+		c := l.chunks
+		slices.Reverse(c[:k])
+		slices.Reverse(c[k:])
+		slices.Reverse(c)
+		l.chunks = c[:len(c)-k]
 	}
+	l.head = uint32(p % chunkSize)
 }
 
-// memSeries stores one (name, labels) identity's samples in time order.
-// A store holds one per series, tens of thousands of them, so its size is
-// pinned to the 96-byte allocation class (TestMemSeriesSize): the owning DB
-// is reached through the label set, which leaves room for the journal id.
+// bounds binary-searches the live samples for [from, to], returning the
+// half-open index range of those inside it.
+func (l *sampleLog) bounds(from, to time.Duration) (lo, hi int) {
+	n := l.len()
+	lo = sort.Search(n, func(i int) bool { return l.at(i).Time >= from })
+	hi = lo + sort.Search(n-lo, func(i int) bool { return l.at(lo+i).Time > to })
+	return lo, hi
+}
+
+// memSeries stores one (name, labels) identity's samples in time order, in
+// its sampleLog's chunks. A store holds one per series, tens of thousands of
+// them, so its size is pinned to the 96-byte allocation class
+// (TestMemSeriesSize): the owning DB is reached through the label set, which
+// leaves room for the journal id.
 type memSeries struct {
 	name string
 	*labelSet
@@ -74,14 +155,6 @@ type memSeries struct {
 	rollups []*seriesRollup
 	// nextHash is the following series of equal identity hash in DB.byHash.
 	nextHash *memSeries
-}
-
-// rangeBounds binary-searches the live window for [from, to], returning the
-// half-open sample index range.
-func rangeBounds(live []telemetry.Sample, from, to time.Duration) (lo, hi int) {
-	lo = sort.Search(len(live), func(i int) bool { return live[i].Time >= from })
-	hi = sort.Search(len(live), func(i int) bool { return live[i].Time > to })
-	return lo, hi
 }
 
 // lookup resolves a point to its existing series via the identity hash,

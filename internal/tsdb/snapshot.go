@@ -62,20 +62,20 @@ type seriesSnap struct {
 	Labels telemetry.Labels `json:"labels,omitempty"`
 	// JID is the journal id plus one, 0 for none: memSeries.jid. Only the
 	// current binary form carries it.
-	JID     uint64             `json:"-"`
-	Samples []telemetry.Sample `json:"samples,omitempty"`
-	Rollups []rollupSnap       `json:"rollups,omitempty"`
+	JID     uint64       `json:"-"`
+	Samples sampleLog    `json:"samples,omitempty"`
+	Rollups []rollupSnap `json:"rollups,omitempty"`
 }
 
 // rollupSnap is one seriesRollup's decoded state, keyed by the rule's
 // identity (metric is the owning series' name).
 type rollupSnap struct {
-	Step      time.Duration      `json:"step"`
-	Agg       Agg                `json:"agg"`
-	Retention time.Duration      `json:"retention,omitempty"`
-	Bucket    int64              `json:"bucket"`
-	Values    []float64          `json:"values,omitempty"`
-	Samples   []telemetry.Sample `json:"samples,omitempty"`
+	Step      time.Duration `json:"step"`
+	Agg       Agg           `json:"agg"`
+	Retention time.Duration `json:"retention,omitempty"`
+	Bucket    int64         `json:"bucket"`
+	Values    []float64     `json:"values,omitempty"`
+	Samples   sampleLog     `json:"samples,omitempty"`
 }
 
 // dbSnap is the whole database's decoded state.
@@ -86,12 +86,12 @@ type dbSnap struct {
 
 // Snapshot serializes the database: every series' live samples and complete
 // rollup states, plus the appended counter. It encodes straight from the
-// store's slices into one buffer sized up front, under one hold of the read
-// lock — between two chunks of a batch when taken under live ingestion. The
-// lock is held for the encode because copying the state out first, to
-// encode after releasing it, would cost about as much as the encode itself
-// plus a second copy of every sample; readers run meanwhile, only the
-// appender waits. The WAL position a caller pairs the snapshot with is read
+// store's chunks into one buffer sized up front, under one hold of the read
+// lock — between two of a batch's lock holds when taken under live
+// ingestion. The lock is held for the encode because copying the state out
+// first, to encode after releasing it, would cost about as much as the
+// encode itself plus a second copy of every sample; readers run meanwhile,
+// only the appender waits. The WAL position a caller pairs the snapshot with is read
 // separately, so the log tail it replays may overlap the snapshot, which
 // recovery's skip-behind-tail replay is designed for.
 //
@@ -106,12 +106,12 @@ func (db *DB) Snapshot() ([]byte, error) {
 	for _, name := range names {
 		for _, s := range db.byName[name].series {
 			n++
-			size += 3*binary.MaxVarintLen64 + len(name) + samplesEncSize(s.live())
+			size += 3*binary.MaxVarintLen64 + len(name) + samplesEncSize(&s.sampleLog)
 			for k, v := range s.labels {
 				size += 2*binary.MaxVarintLen64 + len(k) + len(v)
 			}
 			for _, sr := range s.rollups {
-				size += 5*binary.MaxVarintLen64 + 8*len(sr.values) + samplesEncSize(sr.live())
+				size += 5*binary.MaxVarintLen64 + 8*len(sr.values) + samplesEncSize(&sr.sampleLog)
 			}
 		}
 	}
@@ -125,10 +125,10 @@ func (db *DB) Snapshot() ([]byte, error) {
 			buf = append(buf, name...)
 			buf = appendLabelsEnc(buf, s.labels)
 			buf = binary.AppendUvarint(buf, uint64(s.jid))
-			buf = appendSamplesEnc(buf, s.live())
+			buf = appendSamplesEnc(buf, &s.sampleLog)
 			buf = binary.AppendUvarint(buf, uint64(len(s.rollups)))
 			for _, sr := range s.rollups {
-				if err := checkSamples(sr.live()); err != nil {
+				if err := checkSamples(&sr.sampleLog); err != nil {
 					return nil, fmt.Errorf("tsdb: snapshot: %s%s rollup %v: %w", name, s.labels, sr.rule, err)
 				}
 				buf = binary.AppendVarint(buf, int64(sr.rule.Step))
@@ -139,41 +139,50 @@ func (db *DB) Snapshot() ([]byte, error) {
 				for _, v := range sr.values {
 					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 				}
-				buf = appendSamplesEnc(buf, sr.live())
+				buf = appendSamplesEnc(buf, &sr.sampleLog)
 			}
 		}
 	}
 	return buf, nil
 }
 
-// appendSamplesEnc appends a time-ordered sample list: uvarint count, then
-// the first time as a varint, each later time as its uvarint delta from the
-// one before, then the values.
-func appendSamplesEnc(buf []byte, samples []telemetry.Sample) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(samples)))
-	if len(samples) == 0 {
+// appendSamplesEnc appends a log's samples, walking its chunks: uvarint
+// count, then the first time as a varint, each later time as its uvarint
+// delta from the one before, then the values.
+func appendSamplesEnc(buf []byte, l *sampleLog) []byte {
+	n := l.len()
+	buf = binary.AppendUvarint(buf, uint64(n))
+	if n == 0 {
 		return buf
 	}
-	prev := samples[0].Time
+	prev := l.at(0).Time
 	buf = binary.AppendVarint(buf, int64(prev))
-	for _, smp := range samples[1:] {
-		buf = binary.AppendUvarint(buf, uint64(smp.Time-prev))
-		prev = smp.Time
+	for i := 1; i < n; {
+		r := l.run(i, n)
+		for _, smp := range r {
+			buf = binary.AppendUvarint(buf, uint64(smp.Time-prev))
+			prev = smp.Time
+		}
+		i += len(r)
 	}
-	for _, smp := range samples {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(smp.Value))
+	for i := 0; i < n; {
+		r := l.run(i, n)
+		for _, smp := range r {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(smp.Value))
+		}
+		i += len(r)
 	}
 	return buf
 }
 
-// samplesEncSize bounds appendSamplesEnc's output for an ascending list: no
+// samplesEncSize bounds appendSamplesEnc's output for an ascending log: no
 // delta exceeds the span from the first time to the last.
-func samplesEncSize(samples []telemetry.Sample) int {
-	n := len(samples)
+func samplesEncSize(l *sampleLog) int {
+	n := l.len()
 	if n == 0 {
 		return 1
 	}
-	span := uint64(samples[n-1].Time - samples[0].Time)
+	span := uint64(l.last().Time - l.at(0).Time)
 	deltaLen := (bits.Len64(span|1) + 6) / 7 // uvarint length of span
 	return 2*binary.MaxVarintLen64 + (n-1)*deltaLen + 8*n
 }
@@ -214,13 +223,13 @@ func (db *DB) RestoreSnapshot(data []byte) error {
 			s.jid = uint32(ss.JID)
 			byID[ss.JID-1] = s
 		}
-		s.samples = ss.Samples
+		s.sampleLog = ss.Samples
 		for _, rs := range ss.Rollups {
 			s.rollups = append(s.rollups, &seriesRollup{
 				rule:      RollupRule{Metric: ss.Name, Step: rs.Step, Agg: rs.Agg, Retention: rs.Retention},
 				bucket:    rs.Bucket,
 				values:    rs.Values,
-				sampleLog: sampleLog{samples: rs.Samples},
+				sampleLog: rs.Samples,
 			})
 		}
 		// Backfill registered rules the snapshot predates.
@@ -316,25 +325,55 @@ func decodeSnapshotBinary(buf []byte, ids bool) (dbSnap, error) {
 	return snap, d.err
 }
 
-// samples reads appendSamplesEnc's format. Times add up with wrap-around;
-// validate rejects a list a wrapped or zero delta left unordered.
-func (d *decoder) samples() []telemetry.Sample {
+// samples reads appendSamplesEnc's format straight into a log's chunks.
+// Times add up with wrap-around; validate rejects a log a wrapped or zero
+// delta left unordered.
+func (d *decoder) samples() sampleLog {
+	var l sampleLog
 	n := d.count(9) // a sample is at least one time byte and its value
 	if n == 0 {
-		return nil
+		return l
 	}
-	out := make([]telemetry.Sample, n)
+	// The chunks share one allocation: a log never lets go of a chunk, live
+	// or parked, so none can keep the others alive past their use.
+	block := make([]chunk, (n+chunkSize-1)/chunkSize)
+	l.chunks = make([]*chunk, len(block))
+	for i := range block {
+		l.chunks[i] = &block[i]
+	}
+	l.n = uint32(n)
 	t := d.varint()
-	for i := range out {
-		if i > 0 {
-			t += int64(d.uvarint())
+	for i := 0; i < n; {
+		r := l.run(i, n)
+		for j := range r {
+			if i+j > 0 {
+				t += int64(d.uvarint())
+			}
+			r[j].Time = time.Duration(t)
 		}
-		out[i].Time = time.Duration(t)
+		i += len(r)
 	}
-	for i := range out {
-		out[i].Value = d.float()
+	for i := 0; i < n; {
+		r := l.run(i, n)
+		for j := range r {
+			r[j].Value = d.float()
+		}
+		i += len(r)
 	}
-	return out
+	return l
+}
+
+// UnmarshalJSON reads a sample list of the JSON snapshot form into the log.
+func (l *sampleLog) UnmarshalJSON(b []byte) error {
+	var samples []telemetry.Sample
+	if err := json.Unmarshal(b, &samples); err != nil {
+		return err
+	}
+	*l = sampleLog{}
+	for _, smp := range samples {
+		l.push(smp)
+	}
+	return nil
 }
 
 // ids counts the series that carry a journal id.
@@ -377,7 +416,7 @@ func (snap *dbSnap) validate() error {
 			return fmt.Errorf("duplicate series %s%s", ss.Name, ss.Labels)
 		}
 		seen[id] = true
-		if err := checkSamples(ss.Samples); err != nil {
+		if err := checkSamples(&ss.Samples); err != nil {
 			return fmt.Errorf("%s%s: %w", ss.Name, ss.Labels, err)
 		}
 		for j, rs := range ss.Rollups {
@@ -398,7 +437,7 @@ func (snap *dbSnap) validate() error {
 					return fmt.Errorf("%s%s: rollup %v: non-finite open-bucket value", ss.Name, ss.Labels, rule)
 				}
 			}
-			if err := checkSamples(rs.Samples); err != nil {
+			if err := checkSamples(&rs.Samples); err != nil {
 				return fmt.Errorf("%s%s: rollup %v: %w", ss.Name, ss.Labels, rule, err)
 			}
 		}
@@ -406,16 +445,23 @@ func (snap *dbSnap) validate() error {
 	return nil
 }
 
-// checkSamples reports a sample list that is not strictly ascending in time
-// or holds a non-finite value.
-func checkSamples(samples []telemetry.Sample) error {
-	for i, smp := range samples {
-		if math.IsNaN(smp.Value) || math.IsInf(smp.Value, 0) {
-			return fmt.Errorf("non-finite value at %v", smp.Time)
+// checkSamples reports a log whose samples are not strictly ascending in
+// time or hold a non-finite value.
+func checkSamples(l *sampleLog) error {
+	n := l.len()
+	var prev time.Duration
+	for i := 0; i < n; {
+		r := l.run(i, n)
+		for j, smp := range r {
+			if math.IsNaN(smp.Value) || math.IsInf(smp.Value, 0) {
+				return fmt.Errorf("non-finite value at %v", smp.Time)
+			}
+			if i+j > 0 && smp.Time <= prev {
+				return fmt.Errorf("sample times not ascending: %v after %v", smp.Time, prev)
+			}
+			prev = smp.Time
 		}
-		if i > 0 && smp.Time <= samples[i-1].Time {
-			return fmt.Errorf("sample times not ascending: %v after %v", smp.Time, samples[i-1].Time)
-		}
+		i += len(r)
 	}
 	return nil
 }

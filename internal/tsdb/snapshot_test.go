@@ -17,7 +17,7 @@ import (
 func binarySnap(samples []telemetry.Sample) []byte {
 	b := append([]byte(snapMagic), 0, 1) // appended 0, one series
 	b = append(b, 1, 'm', 0, 0)          // name "m", no labels, no journal id
-	b = appendSamplesEnc(b, samples)
+	b = appendSamplesEnc(b, logOf(samples))
 	return append(b, 0) // no rollups
 }
 
@@ -38,6 +38,13 @@ func TestRestoreSnapshotRejectsInvalid(t *testing.T) {
 		}
 		return b
 	}()
+	// A repeated time on a chunk's first slot: the order check must span
+	// the chunk boundary.
+	straddle := make([]telemetry.Sample, chunkSize+1)
+	for i := range straddle {
+		straddle[i] = telemetry.Sample{Time: time.Duration(i) * time.Second, Value: 1}
+	}
+	straddle[chunkSize].Time = straddle[chunkSize-1].Time
 	cases := []struct {
 		name    string
 		payload []byte
@@ -56,6 +63,7 @@ func TestRestoreSnapshotRejectsInvalid(t *testing.T) {
 		{"binary +Inf", binarySnap([]telemetry.Sample{{Time: time.Second, Value: math.Inf(1)}})},
 		{"binary zero delta", binarySnap([]telemetry.Sample{{Time: time.Second, Value: 1}, {Time: time.Second, Value: 2}})},
 		{"binary wrapped delta", binarySnap([]telemetry.Sample{{Time: 5 * time.Second, Value: 1}, {Time: time.Second, Value: 2}})},
+		{"binary zero delta across a chunk boundary", binarySnap(straddle)},
 		{"binary trailing byte", append(valid[:len(valid):len(valid)], 0)},
 		{"binary huge series count", append([]byte(snapMagic), 0, 0xff, 0xff, 0xff, 0xff, 0x0f)},
 		{"binary journal id gap", append([]byte(snapMagic), 0, 1, 1, 'm', 0, 2, 0, 0)},
@@ -179,8 +187,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 		}
 		for _, ss := range snap.Series {
 			p := telemetry.Point{Name: ss.Name, Labels: ss.Labels, Value: 1}
-			if n := len(ss.Samples); n > 0 {
-				p.Time = ss.Samples[n-1].Time + 1
+			if last := ss.Samples.last(); last != nil {
+				p.Time = last.Time + 1
 			}
 			// An error (a time that wrapped, a series restored behind
 			// it) is fine; a panic is not.

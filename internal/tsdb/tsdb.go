@@ -22,6 +22,18 @@
 // the matcher walk. A read takes the lock once; AppendBatch takes it once
 // per batchChunk points, so readers interleave with a large sampling round
 // instead of waiting it out.
+//
+// A series keeps its samples, and a rollup its flushed buckets, in fixed
+// 32-sample chunks (sampleLog): an append writes into the tail chunk and
+// allocates only when that chunk is full, so no sample is ever copied to
+// grow a series and the store allocates what it keeps, where one slice
+// grown by doubling would allocate about twice that. Retention drops whole
+// expired chunks and parks them for the series' next appends, so a series
+// under retention stops allocating once warm. Reads walk the chunks: Query,
+// WindowInto and Snapshot copy chunk by chunk, and QueryVisit hands a window
+// inside one chunk over without a copy and assembles one spanning chunks in
+// a pooled scratch buffer.
+//
 // Concurrent appenders to one DB serialize: every deployment shape has one
 // appender per DB (the telemetry pipeline's sampling round) and scales
 // ingest out by process, each cluster worker owning its own DB. Registered
@@ -142,20 +154,19 @@ func (db *DB) appendLocked(s *memSeries, p *telemetry.Point) (*memSeries, error)
 			p.Ref.SetMemo(s)
 		}
 	}
-	if n := len(s.samples); n > 0 {
-		last := s.samples[n-1].Time
-		if p.Time < last {
-			return nil, fmt.Errorf("tsdb: out-of-order append for %s%s: %v < %v", p.Name, p.Labels, p.Time, last)
+	if last := s.last(); last != nil {
+		if p.Time < last.Time {
+			return nil, fmt.Errorf("tsdb: out-of-order append for %s%s: %v < %v", p.Name, p.Labels, p.Time, last.Time)
 		}
-		if p.Time == last {
-			s.samples[n-1].Value = p.Value
+		if p.Time == last.Time {
+			last.Value = p.Value
 			for _, sr := range s.rollups {
 				sr.observe(p.Time, p.Value, true)
 			}
 			return s, nil
 		}
 	}
-	s.samples = append(s.samples, telemetry.Sample{Time: p.Time, Value: p.Value})
+	s.push(telemetry.Sample{Time: p.Time, Value: p.Value})
 	for _, sr := range s.rollups {
 		sr.observe(p.Time, p.Value, false)
 	}
@@ -287,14 +298,11 @@ func (db *DB) collectSeries(name string, matcher telemetry.Labels, fn func(*memS
 // share no storage with the database.
 func (db *DB) Query(name string, matcher telemetry.Labels, from, to time.Duration) []telemetry.Series {
 	return db.collectSeries(name, matcher, func(s *memSeries) ([]telemetry.Sample, bool) {
-		live := s.live()
-		lo, hi := rangeBounds(live, from, to)
+		lo, hi := s.bounds(from, to)
 		if lo >= hi {
 			return nil, false
 		}
-		cp := make([]telemetry.Sample, hi-lo)
-		copy(cp, live[lo:hi])
-		return cp, true
+		return s.appendTo(make([]telemetry.Sample, 0, hi-lo), lo, hi), true
 	})
 }
 
@@ -339,8 +347,8 @@ func (db *DB) LatestValue(h *telemetry.Handle) (float64, bool) {
 		}
 	}
 	for i := len(m.series) - 1; i >= 0; i-- {
-		if live := m.series[i].live(); len(live) > 0 {
-			return live[len(live)-1].Value, true
+		if last := m.series[i].last(); last != nil {
+			return last.Value, true
 		}
 	}
 	return 0, false
