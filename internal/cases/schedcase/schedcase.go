@@ -141,7 +141,6 @@ func (c *Controller) Loop() *core.Loop {
 		core.ExecutorFunc(c.execute),
 	)
 	l.K = c.kb
-	l.Clock = c.clock
 	l.Assess = core.AssessorFunc(c.assess)
 	return l
 }

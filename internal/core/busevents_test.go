@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -164,20 +163,19 @@ func phaseLoop(failing string) *Loop {
 // what each step publishes, in order: the bus stream is the loop's whole
 // account of itself.
 func TestLoopDecisionTrailEvents(t *testing.T) {
-	humanIn := func(human HumanModel) func(*Loop) {
-		return func(l *Loop) {
-			l.Mode = HumanInTheLoop
-			l.Human = human
-			l.Clock = sim.VirtualClock{Engine: sim.NewEngine(1)}
-			l.Rng = rand.New(rand.NewSource(1))
-		}
-	}
 	withSink := func(l *Loop) *sinkRecorder {
 		sink := &sinkRecorder{}
 		l.Mode = HumanInTheLoop
 		l.Approvals = sink
 		return sink
 	}
+	approveOn := func(engine *sim.Engine, after time.Duration) func(*Loop) {
+		return func(l *Loop) {
+			l.Mode = HumanInTheLoop
+			l.Approvals = approveAfter{engine, after}
+		}
+	}
+	human, contingency := sim.NewEngine(1), sim.NewEngine(1)
 	cases := []struct {
 		name    string
 		failing string
@@ -199,18 +197,27 @@ func TestLoopDecisionTrailEvents(t *testing.T) {
 		}, want: [][]string{{"finding", "plan", "arbitrated: lost n1 to power-cap/cap"}}},
 		{name: "defer to sink", setup: func(l *Loop) { withSink(l) },
 			want: [][]string{{"finding", "plan", "defer: queued for operator approval"}}},
-		{name: "defer to simulated human",
-			setup: humanIn(HumanModel{Latency: sim.Constant{V: 10 * time.Minute}, Availability: 1}),
-			after: func(l *Loop) { l.Clock.(sim.VirtualClock).Engine.Run() },
-			want:  [][]string{{"finding", "plan", "defer: awaiting approval, eta 10m0s"}, {"execute"}}},
-		{name: "defer to contingency",
-			setup: humanIn(HumanModel{Availability: 0, ContingencyAfter: time.Hour}),
-			after: func(l *Loop) { l.Clock.(sim.VirtualClock).Engine.Run() },
-			want:  [][]string{{"finding", "plan", "defer: human absent, contingency in 1h0m0s"}, {"execute"}}},
-		{name: "drop without clock", setup: func(l *Loop) { l.Mode = HumanInTheLoop },
-			want: [][]string{{"finding", "plan", "drop: no clock for human approval"}}},
-		{name: "drop absent human", setup: humanIn(HumanModel{Availability: 0}),
-			want: [][]string{{"finding", "plan", "drop: human absent, no contingency"}}},
+		// A simulated human approves later, from a timer on virtual time.
+		{name: "defer to simulated human", setup: approveOn(human, 10*time.Minute),
+			after: func(*Loop) { human.Run() },
+			want:  [][]string{{"finding", "plan", "defer: queued for operator approval"}, {"execute"}}},
+		// A contingency approves long after the decision: the rounds ticked
+		// meanwhile do not make a deferral stale, only the lifecycle does.
+		{name: "defer to contingency", setup: approveOn(contingency, time.Hour),
+			after: func(l *Loop) {
+				l.Tick(2 * time.Minute)
+				contingency.Run()
+			},
+			want: [][]string{{"finding", "plan", "defer: queued for operator approval"},
+				{"finding", "plan", "defer: queued for operator approval", "execute", "execute"}}},
+		// An absent human with no contingency: the approver refuses inside
+		// Defer, so the action is dropped within the tick that planned it.
+		{name: "drop absent human", setup: func(l *Loop) {
+			l.Mode = HumanInTheLoop
+			l.Approvals = approverFunc(func(d DeferredAction) { d.Resolve(d.Decided, false, "human absent, no contingency") })
+		}, want: [][]string{{"finding", "plan", "defer: queued for operator approval", "deny: human absent, no contingency"}}},
+		{name: "drop without sink", setup: func(l *Loop) { l.Mode = HumanInTheLoop },
+			want: [][]string{{"finding", "plan", "drop: no approval sink"}}},
 		{name: "approve", setup: func(l *Loop) { withSink(l) },
 			after: func(l *Loop) { l.Approvals.(*sinkRecorder).got[0].Resolve(2*time.Minute, true, "") },
 			want:  [][]string{{"finding", "plan", "defer: queued for operator approval"}, {"execute"}}},

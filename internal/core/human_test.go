@@ -1,55 +1,78 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"autoloop/internal/sim"
 )
 
-// humanLoop builds a test loop on a virtual clock, ready for
-// human-in-the-loop dispatch.
-func humanLoop(t *testing.T, mode Mode, human HumanModel) (*Loop, *recorder, *sim.Engine) {
-	t.Helper()
+// sinkRecorder captures deferred actions routed to an ApprovalSink.
+type sinkRecorder struct{ got []DeferredAction }
+
+func (s *sinkRecorder) Defer(d DeferredAction) { s.got = append(s.got, d) }
+
+// approveAfter is an approval sink that approves each action after a
+// fixed delay on an engine's virtual clock, as a simulated human or a
+// contingency timer would.
+type approveAfter struct {
+	engine *sim.Engine
+	after  time.Duration
+}
+
+func (a approveAfter) Defer(d DeferredAction) {
+	a.engine.At(d.Decided+a.after, func() { d.Resolve(a.engine.Now(), true, "") })
+}
+
+// approverFunc adapts a function to ApprovalSink.
+type approverFunc func(DeferredAction)
+
+func (f approverFunc) Defer(d DeferredAction) { f(d) }
+
+// timedApprovalLoop builds a human-in-the-loop test loop on a virtual
+// clock whose actions are approved after the given delay.
+func timedApprovalLoop(after time.Duration) (*Loop, *recorder, *sim.Engine) {
 	engine := sim.NewEngine(1)
 	l, rec := newTestLoop(0.9)
-	l.Mode = mode
-	l.Human = human
-	l.Clock = sim.VirtualClock{Engine: engine}
-	l.Rng = rand.New(rand.NewSource(1))
+	l.Mode = HumanInTheLoop
+	l.Approvals = approveAfter{engine, after}
 	return l, rec, engine
 }
 
+// checkStale asserts that the one deferred action went stale: counted,
+// and never handed to the executor.
+func checkStale(t *testing.T, l *Loop, rec *recorder) {
+	t.Helper()
+	if len(rec.executed) != 0 {
+		t.Fatal("stale deferred action reached the executor")
+	}
+	if m := l.Metrics(); m.StaleDeferred != 1 || m.ExecutedActions != 0 {
+		t.Errorf("metrics = %+v, want 1 stale, 0 executed", m)
+	}
+}
+
 func TestPauseInvalidatesDeferredAction(t *testing.T) {
-	l, rec, engine := humanLoop(t, HumanInTheLoop, HumanModel{
-		Latency: sim.Constant{V: 10 * time.Minute}, Availability: 1,
-	})
+	l, rec, engine := timedApprovalLoop(10 * time.Minute)
 	engine.At(time.Minute, func() { l.Tick(engine.Now()) })
 	engine.At(5*time.Minute, func() {
 		if err := l.Pause(); err != nil {
 			t.Errorf("Pause: %v", err)
 		}
 	})
-	// Resume before the approval callback fires: the generation moved on,
-	// so the pre-pause action is stale and must NOT execute even though the
-	// loop is running again.
+	// Resume before the approval arrives: the generation moved on, so the
+	// pre-pause action is stale and must not execute even though the loop
+	// is running again.
 	engine.At(7*time.Minute, func() {
 		if err := l.Resume(); err != nil {
 			t.Errorf("Resume: %v", err)
 		}
 	})
 	engine.RunUntil(time.Hour)
-	if len(rec.executed) != 0 {
-		t.Fatal("stale deferred action executed after pause/resume")
-	}
+	checkStale(t, l, rec)
 }
 
 func TestDrainInvalidatesContingency(t *testing.T) {
-	l, rec, engine := humanLoop(t, HumanInTheLoop, HumanModel{
-		Latency: sim.Constant{V: time.Minute}, Availability: 0,
-		ContingencyAfter: 30 * time.Minute,
-	})
+	l, rec, engine := timedApprovalLoop(30 * time.Minute)
 	engine.At(time.Minute, func() { l.Tick(engine.Now()) })
 	engine.At(5*time.Minute, func() {
 		if err := l.Drain(); err != nil {
@@ -57,24 +80,24 @@ func TestDrainInvalidatesContingency(t *testing.T) {
 		}
 	})
 	engine.RunUntil(2 * time.Hour)
-	if len(rec.executed) != 0 {
-		t.Fatal("drained loop fired its contingency action")
-	}
+	checkStale(t, l, rec)
 }
 
-// sinkRecorder captures deferred actions routed to an ApprovalSink.
-type sinkRecorder struct{ got []DeferredAction }
-
-func (s *sinkRecorder) Defer(d DeferredAction) { s.got = append(s.got, d) }
-
-func TestApprovalSinkReceivesInsteadOfHumanModel(t *testing.T) {
-	l, rec, engine := humanLoop(t, HumanInTheLoop, HumanModel{
-		Latency: sim.Constant{V: time.Minute}, Availability: 1,
-	})
+// approvalLoop builds a human-in-the-loop test loop whose actions go to a
+// recording sink.
+func approvalLoop() (*Loop, *recorder, *sinkRecorder) {
+	l, rec := newTestLoop(0.9)
+	l.Mode = HumanInTheLoop
 	sink := &sinkRecorder{}
 	l.Approvals = sink
-	engine.At(time.Minute, func() { l.Tick(engine.Now()) })
-	engine.RunUntil(time.Hour)
+	return l, rec, sink
+}
+
+// The sink receives the action, and it executes only when the sink
+// approves it, with decision latency from the deferral.
+func TestApprovalSinkReceivesInsteadOfHumanModel(t *testing.T) {
+	l, rec, sink := approvalLoop()
+	l.Tick(time.Minute)
 	if len(rec.executed) != 0 {
 		t.Fatal("sink-routed action executed without a verdict")
 	}
@@ -102,12 +125,9 @@ func TestApprovalSinkReceivesInsteadOfHumanModel(t *testing.T) {
 }
 
 func TestApprovalSinkDenyAndStale(t *testing.T) {
-	l, rec, engine := humanLoop(t, HumanInTheLoop, HumanModel{})
-	sink := &sinkRecorder{}
-	l.Approvals = sink
-	engine.At(time.Minute, func() { l.Tick(engine.Now()) })
-	engine.At(2*time.Minute, func() { l.Tick(engine.Now()) })
-	engine.RunUntil(10 * time.Minute)
+	l, rec, sink := approvalLoop()
+	l.Tick(time.Minute)
+	l.Tick(2 * time.Minute)
 	if len(sink.got) != 2 {
 		t.Fatalf("sink received %d actions, want 2", len(sink.got))
 	}

@@ -13,8 +13,8 @@ import (
 //
 // A loop ticks only while created (auto-starts on its first tick) or
 // running. Pausing or draining bumps the loop's lifecycle generation, which
-// invalidates deferred human-approval callbacks scheduled before the
-// transition — a paused or drained loop cannot fire stale actions.
+// invalidates human-in-the-loop actions deferred before the transition —
+// a paused or drained loop cannot fire stale actions.
 type LifecycleState int32
 
 // Lifecycle states. The zero value is StateCreated so NewLoop needs no
@@ -158,13 +158,6 @@ func (l *Loop) FinishDrain() {
 // Stop is idempotent and valid from every state.
 func (l *Loop) Stop() error { return l.transition(StateStopped, true) }
 
-// deferredValid reports whether a deferred human-approval action captured at
-// generation gen may still execute: the loop must be tickable and no
-// pause/drain/stop may have intervened.
-func (l *Loop) deferredValid(gen uint64) bool {
-	return l.gen.Load() == gen && l.State().Tickable()
-}
-
 // DeferredAction is one human-in-the-loop action awaiting an approval
 // verdict, as handed to an ApprovalSink. Decided is the virtual time the
 // plan chose the action (the decision-latency epoch); Gen is the loop's
@@ -177,8 +170,11 @@ type DeferredAction struct {
 	Gen     uint64
 }
 
-// Stale reports whether the deferred action can no longer execute.
-func (d DeferredAction) Stale() bool { return !d.Loop.deferredValid(d.Gen) }
+// Stale reports whether the deferred action can no longer execute: a
+// pause, drain or stop intervened, or the loop is not tickable.
+func (d DeferredAction) Stale() bool {
+	return d.Loop.gen.Load() != d.Gen || !d.Loop.State().Tickable()
+}
 
 // Resolve settles a deferred action at virtual time now: approve executes it
 // through the loop's Executor (decision latency accounted from Decided),
@@ -207,9 +203,10 @@ func (d DeferredAction) Resolve(now time.Duration, approve bool, reason string) 
 	return true
 }
 
-// ApprovalSink receives human-in-the-loop actions instead of the loop's
-// simulated HumanModel. A control plane implements it with a pending-approval
-// queue surfaced to real operators; the sink (not the loop) owns timeout and
+// ApprovalSink receives every human-in-the-loop action; it is the only way
+// one is settled. A control plane implements it with a pending-approval
+// queue surfaced to real operators, and the experiments with a seeded
+// simulated approver; the sink (not the loop) owns latency, timeout and
 // contingency policy, and settles each action via DeferredAction.Resolve.
 type ApprovalSink interface {
 	Defer(d DeferredAction)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -38,19 +37,6 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
-// HumanModel models the human approver for human-in-the-loop mode: a
-// response-latency distribution and an availability probability. An absent
-// human (with probability 1-Availability) never answers, and the action is
-// dropped — unless the loop has a contingency (§IV: "execution of
-// contingency plans for when the humans are absent").
-type HumanModel struct {
-	Latency      sim.Dist
-	Availability float64
-	// ContingencyAfter, when positive, executes the action anyway once the
-	// human has been silent this long.
-	ContingencyAfter time.Duration
-}
-
 // Metrics counts loop activity.
 type Metrics struct {
 	Ticks             int
@@ -61,14 +47,14 @@ type Metrics struct {
 	VetoedActions     int
 	ArbitratedActions int // lost a cross-loop conflict to a fleet arbiter
 	DeferredActions   int // human-in-the-loop: waiting for approval
-	DroppedActions    int // human absent, no contingency
+	DroppedActions    int // human-in-the-loop with no ApprovalSink to ask
 	DeniedActions     int // human-in-the-loop: operator denied the action
 	StaleDeferred     int // deferred action invalidated by pause/drain/stop
 	Errors            int
 
 	// DecisionLatency accumulates time from symptom to execution (nonzero
-	// only for deferred human-in-the-loop executions); divide by
-	// ExecutedActions for the mean.
+	// only for human-in-the-loop actions an ApprovalSink approved later);
+	// divide by ExecutedActions for the mean.
 	DecisionLatency time.Duration
 }
 
@@ -90,28 +76,21 @@ type Loop struct {
 	Guards []Guardrail
 
 	Mode Mode
-	// Human simulates the approver of a human-in-the-loop loop that has no
-	// Approvals sink (the experiments' in-loop approver).
-	Human HumanModel
 
 	// Bus, when set, receives the loop's account of itself on
 	// "loop.<name>.<kind>": finding, plan, arbitrated, veto, execute,
 	// defer, drop, deny, stale and error. arbitrated, veto, defer, drop,
-	// deny and stale carry an ActionResult whose Detail is the reason; a
-	// failed Execute is an execute event with Detail set; error carries a
-	// PhaseError. A tick publishes as one batch; deferred executions and
-	// approval resolutions publish when they happen.
+	// deny and stale carry an ActionResult whose Detail is the reason; drop
+	// means a human-in-the-loop action found no Approvals sink; a failed
+	// Execute is an execute event with Detail set; error carries a
+	// PhaseError. A tick publishes as one batch; approval resolutions
+	// publish when they happen.
 	Bus *bus.Bus
 
-	// Clock schedules the Human model's deferred executions and Rng drives
-	// its draws; both are required for HumanInTheLoop without Approvals.
-	Clock sim.Clock
-	Rng   *rand.Rand
-
-	// Approvals, when set, receives human-in-the-loop actions instead of
-	// the simulated Human: dispatch enqueues a DeferredAction and the sink
-	// settles it later via Resolve; Human, Clock and Rng are then unused.
-	// A control.Service sets it on every loop it spawns.
+	// Approvals receives every human-in-the-loop action: dispatch hands it
+	// a DeferredAction and the sink settles it, now or later, via Resolve.
+	// Without one such an action is dropped. A control.Service sets it on
+	// every loop it spawns.
 	Approvals ApprovalSink
 
 	// state is the LifecycleState (atomic so control planes may inspect and
@@ -401,50 +380,18 @@ func (l *Loop) execute(decidedAt, now time.Duration, action Action) ActionResult
 	return res
 }
 
-// deferToHuman routes the action to the approval surface: an attached
-// ApprovalSink (the control plane's pending queue) when present, otherwise
-// the simulated Human, which the fixed-seed experiments use.
+// deferToHuman hands the action to the loop's ApprovalSink, which settles
+// it through DeferredAction.Resolve. With no sink there is no one to
+// approve it, so it is dropped: nothing executes without an approver.
 func (l *Loop) deferToHuman(now time.Duration, action Action) {
-	if l.Approvals != nil {
-		l.metrics.DeferredActions++
-		l.emitResult(now, evDefer, action, "queued for operator approval")
-		l.Approvals.Defer(DeferredAction{Loop: l, Decided: now, Action: action, Gen: l.gen.Load()})
-		return
-	}
-	if l.Clock == nil || l.Rng == nil {
-		// Without a clock there is no way to wait: treat the human as absent.
+	if l.Approvals == nil {
 		l.metrics.DroppedActions++
-		l.emitResult(now, evDrop, action, "no clock for human approval")
+		l.emitResult(now, evDrop, action, "no approval sink")
 		return
 	}
 	l.metrics.DeferredActions++
-	gen := l.gen.Load()
-	available := l.Rng.Float64() < l.Human.Availability
-	if !available {
-		if l.Human.ContingencyAfter > 0 {
-			l.emitResult(now, evDefer, action, fmt.Sprintf("human absent, contingency in %v", l.Human.ContingencyAfter))
-			l.Clock.AfterFunc(l.Human.ContingencyAfter, l.executeLater(gen, now, action))
-			return
-		}
-		l.metrics.DroppedActions++
-		l.emitResult(now, evDrop, action, "human absent, no contingency")
-		return
-	}
-	delay := l.Human.Latency.Sample(l.Rng)
-	l.emitResult(now, evDefer, action, fmt.Sprintf("awaiting approval, eta %v", delay))
-	l.Clock.AfterFunc(delay, l.executeLater(gen, now, action))
-}
-
-// executeLater returns the callback that fires a deferred action outside
-// any tick, unless a lifecycle transition made it stale, and publishes its
-// execute event at once.
-func (l *Loop) executeLater(gen uint64, decidedAt time.Duration, action Action) func() {
-	return func() {
-		if l.deferredValid(gen) {
-			l.execute(decidedAt, l.Clock.Now(), action)
-			l.flush()
-		}
-	}
+	l.emitResult(now, evDefer, action, "queued for operator approval")
+	l.Approvals.Defer(DeferredAction{Loop: l, Decided: now, Action: action, Gen: l.gen.Load()})
 }
 
 // RunEvery schedules the loop to tick on clock every period until stop

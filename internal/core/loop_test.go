@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -221,70 +220,12 @@ func TestHumanOnTheLoopNotifies(t *testing.T) {
 	}
 }
 
-func TestHumanInTheLoopDefersExecution(t *testing.T) {
-	e := sim.NewEngine(1)
-	l, rec := newTestLoop(1)
-	l.Mode = HumanInTheLoop
-	l.Clock = sim.VirtualClock{Engine: e}
-	l.Rng = rand.New(rand.NewSource(1))
-	l.Human = HumanModel{Latency: sim.Constant{V: 10 * time.Minute}, Availability: 1}
-	e.At(time.Second, func() { l.Tick(e.Now()) })
-	e.RunUntil(time.Minute)
-	if len(rec.executed) != 0 {
-		t.Fatal("executed before human approval")
-	}
-	if l.Metrics().DeferredActions != 1 {
-		t.Errorf("deferred = %d", l.Metrics().DeferredActions)
-	}
-	e.Run()
-	if len(rec.executed) != 1 {
-		t.Fatal("never executed after approval latency")
-	}
-	if got := l.Metrics().DecisionLatency; got != 10*time.Minute {
-		t.Errorf("decision latency = %v, want 10m", got)
-	}
-}
-
-func TestHumanInTheLoopAbsentDrops(t *testing.T) {
-	e := sim.NewEngine(1)
-	l, rec := newTestLoop(1)
-	l.Mode = HumanInTheLoop
-	l.Clock = sim.VirtualClock{Engine: e}
-	l.Rng = rand.New(rand.NewSource(1))
-	l.Human = HumanModel{Latency: sim.Constant{V: time.Minute}, Availability: 0}
-	e.At(time.Second, func() { l.Tick(e.Now()) })
-	e.Run()
-	if len(rec.executed) != 0 {
-		t.Error("absent human should drop the action")
-	}
-	if l.Metrics().DroppedActions != 1 {
-		t.Errorf("dropped = %d", l.Metrics().DroppedActions)
-	}
-}
-
-func TestHumanInTheLoopContingency(t *testing.T) {
-	e := sim.NewEngine(1)
-	l, rec := newTestLoop(1)
-	l.Mode = HumanInTheLoop
-	l.Clock = sim.VirtualClock{Engine: e}
-	l.Rng = rand.New(rand.NewSource(1))
-	l.Human = HumanModel{Latency: sim.Constant{V: time.Minute}, Availability: 0, ContingencyAfter: 30 * time.Minute}
-	e.At(time.Second, func() { l.Tick(e.Now()) })
-	e.Run()
-	if len(rec.executed) != 1 {
-		t.Error("contingency should execute after timeout")
-	}
-	if got := l.Metrics().DecisionLatency; got != 30*time.Minute {
-		t.Errorf("latency = %v, want 30m", got)
-	}
-}
-
-func TestHumanInTheLoopWithoutClockDrops(t *testing.T) {
+func TestHumanInTheLoopWithoutSinkDrops(t *testing.T) {
 	l, rec := newTestLoop(1)
 	l.Mode = HumanInTheLoop
 	l.Tick(time.Second)
-	if len(rec.executed) != 0 || l.Metrics().DroppedActions != 1 {
-		t.Error("in-the-loop without clock must drop")
+	if m := l.Metrics(); len(rec.executed) != 0 || m.DroppedActions != 1 || m.DeferredActions != 0 {
+		t.Errorf("in-the-loop without an approval sink must drop: executed=%d metrics=%+v", len(rec.executed), m)
 	}
 }
 

@@ -97,22 +97,23 @@ func runA3(opt Options) *Result {
 		Columns: []string{"mode", "completed-all", "killed", "executed", "dropped",
 			"mean-decision-latency", "notifications"},
 	}
-	human := core.HumanModel{
+	human := simApprover{
 		Latency:      sim.LogNormal{MeanV: 25 * time.Minute, CV: 0.8},
 		Availability: 0.7,
 	}
+	contingency := human
+	contingency.ContingencyAfter = time.Hour
 	type variant struct {
 		name   string
 		mode   core.Mode
-		human  core.HumanModel
+		human  simApprover
 		notify bool
 	}
 	variants := []variant{
-		{"autonomous", core.Autonomous, core.HumanModel{}, false},
-		{"human-on-the-loop", core.HumanOnTheLoop, core.HumanModel{}, true},
+		{"autonomous", core.Autonomous, simApprover{}, false},
+		{"human-on-the-loop", core.HumanOnTheLoop, simApprover{}, true},
 		{"human-in-the-loop", core.HumanInTheLoop, human, false},
-		{"in-the-loop+contingency", core.HumanInTheLoop,
-			core.HumanModel{Latency: human.Latency, Availability: human.Availability, ContingencyAfter: time.Hour}, false},
+		{"in-the-loop+contingency", core.HumanInTheLoop, contingency, false},
 	}
 	for _, v := range variants {
 		sc := defaultScenario(opt)
@@ -128,12 +129,12 @@ func runA3(opt Options) *Result {
 			fmt.Sprintf("%d/%d", out.CompletedAll, out.Submitted),
 			out.KilledWall,
 			out.Loop.ExecutedActions,
-			out.Loop.DroppedActions,
+			out.Loop.DeniedActions,
 			out.MeanDecisionLatency.Truncate(time.Second).String(),
 			notifications,
 		)
 	}
-	res.AddNote("human model: log-normal 25m median response, 70%% availability; contingency executes after 1h of silence")
+	res.AddNote("human model: log-normal response with a 25m mean (19.5m median), 70%% availability; contingency executes after 1h of silence")
 	res.AddNote("dropped actions are extension requests that never executed because the approver was absent")
 	return res
 }

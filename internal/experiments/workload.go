@@ -35,7 +35,7 @@ type schedScenario struct {
 	LoopEnabled bool
 	LoopConfig  schedcase.Config
 	LoopMode    core.Mode
-	Human       core.HumanModel
+	Human       simApprover // approves a HumanInTheLoop loop's actions
 	// ConfidenceGate adds a confidence guardrail at this threshold (>0).
 	ConfidenceGate float64
 	Policy         sched.ExtensionPolicy
@@ -181,6 +181,33 @@ func expectedRuntime(s app.Spec) time.Duration {
 	return time.Duration(total)
 }
 
+// simApprover is the simulated operator of a human-in-the-loop loop, an
+// approval sink on virtual time. For each deferred action it draws whether
+// the human is available and, if so, how long they take to approve it. An
+// absent human never answers: the action is approved after
+// ContingencyAfter (§IV: "execution of contingency plans for when the
+// humans are absent"), or denied at once when there is no contingency.
+type simApprover struct {
+	Latency          sim.Dist
+	Availability     float64
+	ContingencyAfter time.Duration
+
+	clock sim.Clock
+	rng   *rand.Rand
+}
+
+// Defer implements core.ApprovalSink.
+func (a *simApprover) Defer(d core.DeferredAction) {
+	after := a.ContingencyAfter
+	if a.rng.Float64() < a.Availability {
+		after = a.Latency.Sample(a.rng)
+	} else if after <= 0 {
+		d.Resolve(d.Decided, false, "human absent, no contingency")
+		return
+	}
+	a.clock.AfterFunc(after, func() { d.Resolve(a.clock.Now(), true, "") })
+}
+
 // runSchedScenario executes the scenario and collects the outcome.
 func runSchedScenario(sc schedScenario) schedOutcome {
 	engine := sim.NewEngine(sc.Seed)
@@ -210,8 +237,9 @@ func runSchedScenario(sc schedScenario) schedOutcome {
 		ctl = schedcase.New(sc.LoopConfig, db, scheduler, runtime, kb, sim.VirtualClock{Engine: engine})
 		loop = ctl.Loop()
 		loop.Mode = sc.LoopMode
-		loop.Human = sc.Human
-		loop.Rng = rand.New(rand.NewSource(sc.Seed + 7))
+		human := sc.Human
+		human.clock, human.rng = sim.VirtualClock{Engine: engine}, rand.New(rand.NewSource(sc.Seed+7))
+		loop.Approvals = &human
 		if sc.ConfidenceGate > 0 {
 			loop.Guards = append(loop.Guards, core.ConfidenceGate{Min: sc.ConfidenceGate})
 		}
