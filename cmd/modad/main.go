@@ -129,8 +129,9 @@ func decodeDaemonSnapshot(payload []byte) (daemonSnapshot, error) {
 }
 
 // journaledTopic selects the bus traffic worth journaling: every loop's
-// decision events, fleet round summaries, and control.v1 requests and
-// resolutions. Telemetry topics are excluded — every accepted point is
+// decision events, fleet round summaries, control.v1 requests and
+// resolutions, and the knowledge base's writes — the only record of K
+// between snapshots. Telemetry topics are excluded — every accepted point is
 // already journaled by the TSDB, so recording the fan-out envelopes would
 // double the log for no recovery value. It is the journal hook's topic
 // predicate, so the bus applies it and the telemetry pipeline builds no
@@ -138,7 +139,8 @@ func decodeDaemonSnapshot(payload []byte) (daemonSnapshot, error) {
 func journaledTopic(topic string) bool {
 	return strings.HasPrefix(topic, "loop.") ||
 		strings.HasPrefix(topic, "fleet.") ||
-		strings.HasPrefix(topic, "control.v1.")
+		strings.HasPrefix(topic, "control.v1.") ||
+		strings.HasPrefix(topic, "knowledge.")
 }
 
 func main() {
@@ -360,14 +362,16 @@ func (d *daemon) drive(step func(wall time.Duration)) {
 }
 
 // journalBus records the loop/fleet/control traffic on b as an audit trail
-// in w. It is best-effort, with a shed-then-halt policy on storage faults:
+// in w, and the knowledge base's writes as K's record between snapshots
+// (recovery folds them back; the rest is never re-published). It is
+// best-effort, with a shed-then-halt policy on storage faults:
 // a retryable fault (a full disk, a short write, a backlogged group commit
 // — wal.Retryable) sheds the envelope and keeps going, since the WAL
 // retries its buffered tail on the next append; a fatal fault (a failed
 // fsync: the kernel may have dropped dirty pages and will not say so twice)
-// halts journaling for good — logging one line, not a corrupt trail. Loop
-// state and telemetry journaling are unaffected; their appends surface
-// errors on their own paths.
+// halts journaling for good — logging one line, not a corrupt trail; the
+// next snapshot is then K's only durable state. Telemetry journaling is
+// unaffected; its appends surface errors on their own path.
 func (d *daemon) journalBus(b *bus.Bus, w *wal.WAL) {
 	var lastJournalErr atomic.Int64 // unix nanos of the last logged failure
 	var journalHalted atomic.Bool
@@ -456,10 +460,8 @@ func (d *daemon) runSingle() error {
 			if ok, err := db.ApplyWAL(rec.Kind, rec.Payload); ok {
 				return err
 			}
-			if rec.Kind == wal.KindKnowledgeOp {
-				return kb.ApplyWAL(rec.Seq, rec.Payload)
-			}
-			return nil // bus envelopes are an audit trail, never re-published
+			_, err := kb.ApplyWAL(rec) // other envelopes are an audit trail, never re-published
+			return err
 		})
 		if err != nil {
 			return err
@@ -469,7 +471,6 @@ func (d *daemon) runSingle() error {
 				d.walDir, snap.Seq, replayed, db.NumSeries(), db.Appended())
 		}
 		db.Journal(w)
-		kb.Journal(w)
 		d.journalBus(rt.Bus, w)
 	}
 
@@ -551,9 +552,6 @@ func (d *daemon) runSingle() error {
 	}
 	ctl.Tick(engine.Now() + time.Minute) // one settling round completes the drains
 	if w != nil {
-		if err := kb.JournalErr(); err != nil {
-			fmt.Fprintln(d.stderr, "modad: journal:", err)
-		}
 		if err := w.Close(); err != nil {
 			fmt.Fprintln(d.stderr, "modad: wal close:", err)
 		}

@@ -168,7 +168,7 @@ func TestKnowledgeCorrectionImprovesSecondRun(t *testing.T) {
 	if r.kb.Correction("decel") == 1.0 {
 		t.Error("no correction learned from first run")
 	}
-	if len(r.kb.RunsFor("decel")) != 1 {
+	if _, ok := r.kb.TypicalRuntime("decel"); !ok {
 		t.Error("run record missing")
 	}
 }

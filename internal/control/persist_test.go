@@ -7,6 +7,7 @@ import (
 
 	"autoloop/internal/bus"
 	"autoloop/internal/control"
+	"autoloop/internal/core"
 	"autoloop/internal/fleet"
 	"autoloop/internal/sim"
 )
@@ -186,5 +187,53 @@ func TestControlRestoreIgnoresRetiredPendingFields(t *testing.T) {
 	svc2.Tick(3 * time.Minute)
 	if len(s2.executed) != 1 {
 		t.Fatalf("executed = %d after approving the restored entry, want 1", len(s2.executed))
+	}
+}
+
+// TestRestoreUnnamedHierarchicalGroup restores a group spawned without a
+// name whose case builds a primary and a child: the snapshot's normalized
+// spec names the primary, and re-spawning it must rebuild the child under
+// its own name, not namespaced under the primary's.
+func TestRestoreUnnamedHierarchicalGroup(t *testing.T) {
+	service := func() *control.Service {
+		reg := control.NewRegistry()
+		reg.MustRegister(control.CaseFactory{
+			Name: "hier", Doc: "test: a parent and one child", Defaults: func() interface{} { return &struct{}{} },
+			Build: func(*control.Env, interface{}) ([]control.BuiltLoop, error) {
+				var out []control.BuiltLoop
+				for _, name := range []string{"hier-parent", "hier-child"} {
+					out = append(out, control.BuiltLoop{Loop: core.NewLoop(name,
+						core.MonitorFunc(func(now time.Duration) (core.Observation, error) { return core.Observation{Time: now}, nil }),
+						core.AnalyzerFunc(func(now time.Duration, _ core.Observation) (core.Symptoms, error) {
+							return core.Symptoms{Time: now}, nil
+						}),
+						core.PlannerFunc(func(now time.Duration, _ core.Symptoms) (core.Plan, error) { return core.Plan{Time: now}, nil }),
+						core.ExecutorFunc(func(_ time.Duration, a core.Action) (core.ActionResult, error) {
+							return core.ActionResult{Action: a}, nil
+						}),
+					)})
+				}
+				return out, nil
+			},
+		})
+		env := &control.Env{Clock: sim.VirtualClock{Engine: sim.NewEngine(1)}, Bus: bus.New()}
+		svc := control.NewService(reg, env, fleet.New(1), time.Minute)
+		t.Cleanup(svc.Close)
+		return svc
+	}
+	svc1 := service()
+	if _, err := svc1.Spawn(control.LoopSpec{Case: "hier"}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := svc1.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc2 := service()
+	if err := svc2.Restore(snap); err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if again, err := svc2.Snapshot(); err != nil || string(again) != string(snap) {
+		t.Fatalf("restored snapshot (err=%v) diverges:\n before: %s\n after:  %s", err, snap, again)
 	}
 }

@@ -280,10 +280,13 @@ func (r *Registry) Spawn(env *Env, spec LoopSpec) (*Spawned, error) {
 	if spec.Mode != "" {
 		mode, _ = core.ParseMode(spec.Mode) // validated above
 	}
-	if spec.Name != "" {
+	if spec.Name != "" && spec.Name != built[0].Loop.Name {
 		// The primary takes the override; secondary loops (a hierarchical
 		// case's children) are namespaced under it so one case can be
-		// spawned twice without name collisions.
+		// spawned twice without name collisions. A name equal to the
+		// primary's own is no override: the normalized spec of an unnamed
+		// spawn carries it, and re-spawning that spec on restore must
+		// rebuild the same loop names.
 		built[0].Loop.Name = spec.Name
 		for i := 1; i < len(built); i++ {
 			built[i].Loop.Name = spec.Name + "/" + built[i].Loop.Name

@@ -233,7 +233,7 @@ func fleetScript(t *testing.T, workers int) string {
 	var sb strings.Builder
 	sb.WriteString(strings.Join(events, "\n"))
 	fmt.Fprintf(&sb, "\nmetrics=%+v\n", c.Metrics())
-	fmt.Fprintf(&sb, "plans=%d\n", len(kb.Plans()))
+	fmt.Fprintf(&sb, "plans=%d\n", kb.Assess("").Plans)
 	return sb.String()
 }
 

@@ -261,9 +261,9 @@ func appendFrame(buf []byte, id uint64, topic string, data []byte) []byte {
 }
 
 // defaultStreamTopics is what /v1/stream serves when no topics parameter is
-// given: every loop's decision events, fleet round summaries, and the
-// control plane's pending/resolved approval traffic.
-const defaultStreamTopics = "loop.*,fleet.*,control.v1.*"
+// given: every loop's decision events, fleet round summaries, the control
+// plane's pending/resolved approval traffic, and the knowledge base's writes.
+const defaultStreamTopics = "loop.*,fleet.*,control.v1.*,knowledge.*"
 
 // streamHeartbeat keeps idle SSE connections alive through proxies.
 const streamHeartbeat = 30 * time.Second

@@ -53,9 +53,7 @@ func TestBaseConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			app := apps[r%len(apps)]
 			for i := 0; i < rounds; i++ {
-				_ = b.RunsFor(app)
 				_, _ = b.TypicalRuntime(app)
-				_ = b.Plans()
 				_ = b.Assess("")
 				_ = b.Correction(app)
 				_, _ = b.Fact(app + ".cap")
@@ -73,7 +71,7 @@ func TestBaseConcurrentAccess(t *testing.T) {
 	if got := len(b.runs); got != writers*rounds {
 		t.Errorf("runs = %d, want %d", got, writers*rounds)
 	}
-	if got := len(b.Plans()); got != writers*rounds {
+	if got := b.Assess("").Plans; got != writers*rounds {
 		t.Errorf("plans = %d, want %d", got, writers*rounds)
 	}
 	eff := b.Assess("")

@@ -4,27 +4,25 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"autoloop/internal/bus"
 	"autoloop/internal/wal"
 )
 
-// Write-ahead journaling. Every mutating operation on the Base — AddRun,
-// RecordPlan, ResolvePlan, ResolveCorrection, SetFact — is serialized as one
-// JSON walOp and emitted as a wal.KindKnowledgeOp record while the base's
-// write lock is held, so the log order equals the apply order (RecordPlan's
-// returned index, for instance, is implied by that order). Recovery loads
-// the newest snapshot (Save/Load) and replays the WAL tail through ApplyWAL;
-// the base tracks the WAL sequence of its last journaled op and snapshots
-// carry it, so records the snapshot already reflects are skipped exactly —
-// re-applying an AddRun is not idempotent, a duplicate run record would
-// shift every median and similarity query.
+// Durability rides the bus. Every mutation — AddRun, RecordPlan,
+// ResolvePlan, ResolveCorrection, SetFact — is published as one walOp on
+// topicLearn while the base's write lock is held, so the publish order
+// equals the apply order (RecordPlan's returned index, for instance, is
+// implied by that order). A daemon's bus journal records the topic like any
+// other, operators stream it, and recovery folds the journaled envelopes
+// back through ApplyWAL.
 
-// Journaler is the sink mutations are logged to; *wal.WAL satisfies it.
-type Journaler interface {
-	Append(kind uint8, payload []byte) (uint64, error)
-}
+// topicLearn carries every knowledge write. The base owns it rather than a
+// loop's trail because some writes happen outside any loop tick (a case's
+// spawn-time SetFact), and such a write cannot wait in a loop's batch.
+const topicLearn = "knowledge.learn"
 
-// walOp is the JSON journal form of one mutation. Op selects the variant;
-// only that variant's fields are populated.
+// walOp is the JSON form of one mutation. Op selects the variant; only that
+// variant's fields are populated.
 type walOp struct {
 	Op        string      `json:"op"` // "run" | "plan" | "resolve_plan" | "resolve_corr" | "fact"
 	Run       *RunRecord  `json:"run,omitempty"`
@@ -38,66 +36,58 @@ type walOp struct {
 	Value     float64     `json:"value,omitempty"`
 }
 
-// Journal attaches the write-ahead journal. Call it before the base is
-// shared with loop goroutines and after any Load/ApplyWAL recovery.
-func (b *Base) Journal(j Journaler) {
+// PublishTo publishes every later mutation on b's "knowledge.learn" topic.
+// An envelope is built only while the topic has a receiver. Receivers run
+// under the base's write lock, so they must not call back into the base.
+func (b *Base) PublishTo(bb *bus.Bus) {
 	b.mu.Lock()
-	b.journal = j
+	b.bus = bb
 	b.mu.Unlock()
 }
 
-// JournalErr returns the first error the journal reported, if any. Journal
-// failures do not block the in-memory mutation (the loops keep running on a
-// full disk), but they make the next snapshot the only durable state, so the
-// daemon surfaces this error on shutdown.
-func (b *Base) JournalErr() error {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.jerr
-}
-
-// journalLocked emits one op. Callers hold the write lock, which orders the
-// emitted records exactly like the mutations they describe.
-func (b *Base) journalLocked(op *walOp) {
-	if b.journal == nil {
-		return
-	}
-	data, err := json.Marshal(op)
-	if err == nil {
-		var seq uint64
-		if seq, err = b.journal.Append(wal.KindKnowledgeOp, data); err == nil {
-			b.walSeq = seq
-		}
-	}
-	if err != nil && b.jerr == nil {
-		b.jerr = err
+// publishLocked emits one op. Callers hold the write lock, which orders the
+// envelopes exactly like the mutations they describe.
+func (b *Base) publishLocked(op *walOp) {
+	if b.bus != nil && b.bus.HasReceiver(topicLearn) {
+		b.bus.Publish(bus.Envelope{Topic: topicLearn, Source: "knowledge", Payload: op})
 	}
 }
 
-// ApplyWAL applies one wal.KindKnowledgeOp record during recovery. seq is
-// the record's WAL sequence: records at or below the sequence the restored
-// snapshot covers (carried inside the snapshot itself) are skipped, so
-// replaying a tail that overlaps the snapshot is exact, never double-
-// applied. It must run before Journal is attached.
-func (b *Base) ApplyWAL(seq uint64, payload []byte) error {
+// ApplyWAL folds one WAL record into the base during recovery, reporting
+// whether the record was the base's: a wal.KindBusEnvelope on
+// "knowledge.learn", or a wal.KindKnowledgeOp written before knowledge
+// writes rode the bus. Any other envelope is the audit trail's and is never
+// re-published. A wal.KindKnowledgeOp at or below the sequence its
+// snapshot carried is skipped, being already reflected there. A record of
+// the base's that does not decode or apply is an error, never skipped.
+func (b *Base) ApplyWAL(rec wal.Record) (bool, error) {
 	var op walOp
-	if err := json.Unmarshal(payload, &op); err != nil {
-		return fmt.Errorf("knowledge: journal decode: %w", err)
+	switch rec.Kind {
+	case wal.KindBusEnvelope:
+		env, err := bus.Decode(rec.Payload)
+		if err != nil || env.Topic != topicLearn {
+			return false, nil
+		}
+		if err := bus.DecodePayload(env, &op); err != nil {
+			return true, fmt.Errorf("knowledge: learn decode: %w", err)
+		}
+	case wal.KindKnowledgeOp:
+		if err := json.Unmarshal(rec.Payload, &op); err != nil {
+			return true, fmt.Errorf("knowledge: journal decode: %w", err)
+		}
+	default:
+		return false, nil
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if seq <= b.walSeq {
-		return nil // already reflected by the snapshot this replay tails
+	if rec.Kind == wal.KindKnowledgeOp && rec.Seq <= b.legacySeq {
+		return true, nil
 	}
-	if err := b.applyOpLocked(&op); err != nil {
-		return err
-	}
-	b.walSeq = seq
-	return nil
+	return true, b.applyOpLocked(&op)
 }
 
 // applyOpLocked replays one decoded op under the write lock, without
-// re-journaling.
+// re-publishing it.
 func (b *Base) applyOpLocked(op *walOp) error {
 	switch op.Op {
 	case "run":

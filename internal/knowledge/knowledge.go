@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"autoloop/internal/analytics"
+	"autoloop/internal/bus"
 )
 
 // RunRecord captures one completed (or killed) application run.
@@ -59,6 +60,15 @@ type Effectiveness struct {
 }
 
 // Base is the in-memory knowledge base. It is safe for concurrent use.
+//
+// Recovery loads a snapshot (Load) and folds the WAL tail after the
+// sequence the snapshot covers (ApplyWAL). A "knowledge.learn" record needs
+// no per-record skip, though AddRun, RecordPlan, ResolvePlan and
+// ResolveCorrection are not idempotent: a daemon snapshots on its engine
+// goroutine, which is the only goroutine those writes run on, so none can
+// land between the snapshot's w.LastSeq() and its Save. The one write that
+// can run elsewhere and overlap that window is an HTTP spawn's SetFact, and
+// re-applying a SetFact in log order is a no-op.
 type Base struct {
 	mu    sync.RWMutex
 	runs  []RunRecord
@@ -73,13 +83,11 @@ type Base struct {
 	// facts is a small typed blackboard for loop-specific knowledge.
 	facts map[string]float64
 
-	// journal, when non-nil, receives every mutation as a WAL record (see
-	// journal.go); walSeq is the sequence of the last journaled or replayed
-	// op, carried in snapshots so tail replay skips covered records. jerr is
-	// the sticky first journal failure.
-	journal Journaler
-	walSeq  uint64
-	jerr    error
+	// bus, when non-nil, receives every mutation (see journal.go).
+	// legacySeq is the WAL sequence of the last wal.KindKnowledgeOp a
+	// loaded snapshot reflects: ApplyWAL skips those at or below it.
+	bus       *bus.Bus
+	legacySeq uint64
 }
 
 // NewBase returns an empty knowledge base.
@@ -96,20 +104,7 @@ func (b *Base) AddRun(r RunRecord) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.runs = append(b.runs, r)
-	b.journalLocked(&walOp{Op: "run", Run: &r})
-}
-
-// RunsFor returns the run records of one application (copy).
-func (b *Base) RunsFor(app string) []RunRecord {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var out []RunRecord
-	for _, r := range b.runs {
-		if r.App == app {
-			out = append(out, r)
-		}
-	}
-	return out
+	b.publishLocked(&walOp{Op: "run", Run: &r})
 }
 
 // TypicalRuntime estimates an application's runtime from completed history:
@@ -136,7 +131,7 @@ func (b *Base) RecordPlan(p PlanRecord) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.plans = append(b.plans, p)
-	b.journalLocked(&walOp{Op: "plan", Plan: &p})
+	b.publishLocked(&walOp{Op: "plan", Plan: &p})
 	return len(b.plans) - 1
 }
 
@@ -150,15 +145,8 @@ func (b *Base) ResolvePlan(idx int, actual float64, honored bool) error {
 	b.plans[idx].Actual = actual
 	b.plans[idx].Honored = honored
 	b.plans[idx].Resolved = true
-	b.journalLocked(&walOp{Op: "resolve_plan", Idx: idx, Actual: actual, Honored: honored})
+	b.publishLocked(&walOp{Op: "resolve_plan", Idx: idx, Actual: actual, Honored: honored})
 	return nil
-}
-
-// Plans returns all plan records (copy).
-func (b *Base) Plans() []PlanRecord {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return append([]PlanRecord(nil), b.plans...)
 }
 
 // Assess summarizes the effectiveness of a loop's resolved plans ("" matches
@@ -232,7 +220,7 @@ func (b *Base) ResolveCorrection(app string, predicted, actual float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.resolveCorrectionLocked(app, predicted, actual)
-	b.journalLocked(&walOp{Op: "resolve_corr", App: app, Predicted: predicted, Actual: actual})
+	b.publishLocked(&walOp{Op: "resolve_corr", App: app, Predicted: predicted, Actual: actual})
 }
 
 // resolveCorrectionLocked is the correction update shared by the live path
@@ -264,7 +252,7 @@ func (b *Base) SetFact(key string, v float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.facts[key] = v
-	b.journalLocked(&walOp{Op: "fact", Key: key, Value: v})
+	b.publishLocked(&walOp{Op: "fact", Key: key, Value: v})
 }
 
 // Fact retrieves a named scalar fact.
@@ -282,8 +270,9 @@ type snapshot struct {
 	Corr  map[string]float64 `json:"corrections"`
 	CorrN map[string]int     `json:"correction_counts"`
 	Facts map[string]float64 `json:"facts"`
-	// WalSeq is the WAL sequence of the last journaled op this snapshot
-	// reflects; ApplyWAL skips records at or below it during tail replay.
+	// WalSeq is read, never written: the sequence of the last
+	// wal.KindKnowledgeOp a snapshot written before knowledge writes rode
+	// the bus reflects.
 	WalSeq uint64 `json:"wal_seq,omitempty"`
 }
 
@@ -295,12 +284,11 @@ type snapshot struct {
 func (b *Base) Save(w io.Writer) error {
 	b.mu.RLock()
 	snap := snapshot{
-		Runs:   append([]RunRecord(nil), b.runs...),
-		Plans:  append([]PlanRecord(nil), b.plans...),
-		Corr:   make(map[string]float64, len(b.corr)),
-		CorrN:  make(map[string]int, len(b.corrN)),
-		Facts:  make(map[string]float64, len(b.facts)),
-		WalSeq: b.walSeq,
+		Runs:  append([]RunRecord(nil), b.runs...),
+		Plans: append([]PlanRecord(nil), b.plans...),
+		Corr:  make(map[string]float64, len(b.corr)),
+		CorrN: make(map[string]int, len(b.corrN)),
+		Facts: make(map[string]float64, len(b.facts)),
 	}
 	for i, r := range snap.Runs {
 		if r.Signature != nil {
@@ -348,6 +336,6 @@ func (b *Base) Load(r io.Reader) error {
 	if b.facts == nil {
 		b.facts = make(map[string]float64)
 	}
-	b.walSeq = snap.WalSeq
+	b.legacySeq = snap.WalSeq
 	return nil
 }

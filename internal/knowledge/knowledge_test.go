@@ -26,19 +26,6 @@ func TestTypicalRuntimeMedian(t *testing.T) {
 	}
 }
 
-func TestRunsFor(t *testing.T) {
-	b := NewBase()
-	b.AddRun(RunRecord{App: "a"})
-	b.AddRun(RunRecord{App: "b"})
-	b.AddRun(RunRecord{App: "a"})
-	if got := len(b.RunsFor("a")); got != 2 {
-		t.Errorf("RunsFor(a) = %d", got)
-	}
-	if got := len(b.runs); got != 3 {
-		t.Errorf("runs = %d", got)
-	}
-}
-
 func TestPlanRecordingAndAssess(t *testing.T) {
 	b := NewBase()
 	i1 := b.RecordPlan(PlanRecord{Loop: "sched", Action: "extend", Predicted: 100})
@@ -150,7 +137,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if len(b2.runs) != 1 || b2.runs[0].App != "a" {
 		t.Error("runs lost in round trip")
 	}
-	if len(b2.Plans()) != 1 || !b2.Plans()[0].Resolved {
+	if len(b2.plans) != 1 || !b2.plans[0].Resolved {
 		t.Error("plans lost in round trip")
 	}
 	if math.Abs(b2.Correction("a")-b.Correction("a")) > 1e-12 {
@@ -175,14 +162,4 @@ func TestLoadEmptyMapsInitialized(t *testing.T) {
 	}
 	b.SetFact("x", 1)              // must not panic on nil map
 	b.ResolveCorrection("a", 1, 2) // must not panic on nil map
-}
-
-func TestRunsReturnsCopy(t *testing.T) {
-	b := NewBase()
-	b.AddRun(RunRecord{App: "a"})
-	runs := b.RunsFor("a")
-	runs[0].App = "mutated"
-	if b.runs[0].App != "a" {
-		t.Error("RunsFor leaked internal storage")
-	}
 }

@@ -180,6 +180,7 @@ func AssembleOn(engine *sim.Engine, db *tsdb.DB, spec *Spec, reg *control.Regist
 	rt.Apps = app.NewRuntime(rt.Engine, rt.DB, rt.FS, rt.Cluster)
 	rt.Apps.Serve(rt.Scheduler)
 	rt.Knowledge = knowledge.NewBase()
+	rt.Knowledge.PublishTo(rt.Bus)
 
 	// Telemetry plane: every substrate collector into the TSDB.
 	treg := telemetry.NewRegistry()

@@ -48,6 +48,9 @@ const (
 	// source, payload, deadline) recorded by the bus journal hook.
 	KindBusEnvelope uint8 = 0x20
 	// KindKnowledgeOp carries one JSON-encoded knowledge.Base mutation.
+	// The knowledge base no longer writes it — its writes ride the bus
+	// journal as "knowledge.learn" envelopes — but still replays it, so a
+	// log written before that recovers.
 	KindKnowledgeOp uint8 = 0x30
 	// KindClusterEvent carries one JSON-encoded cluster placement-ledger
 	// event (spec added/removed, assignment, ack, lease expiry) recorded by

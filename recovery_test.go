@@ -72,6 +72,7 @@ type recoveryDeployment struct {
 func newRecoveryDeployment(t *testing.T) *recoveryDeployment {
 	t.Helper()
 	d := &recoveryDeployment{b: bus.New(), db: tsdb.New(time.Hour), kb: knowledge.NewBase()}
+	d.kb.PublishTo(d.b)
 	if err := d.db.AddRollup(tsdb.RollupRule{
 		Metric: "rig.temp", Step: time.Minute, Agg: tsdb.AggMean, Retention: 24 * time.Hour,
 	}); err != nil {
@@ -103,10 +104,10 @@ func (d *recoveryDeployment) spawn(t *testing.T) {
 	}
 }
 
-// attach wires the deployment's journals to w, as modad does on startup.
+// attach wires the deployment's journals to w, as modad does on startup:
+// the bus journal records the knowledge base's writes with the rest.
 func (d *recoveryDeployment) attach(w *wal.WAL) {
 	d.db.Journal(w)
-	d.kb.Journal(w)
 	d.b.Journal(func(string) bool { return true }, func(env bus.Envelope) {
 		if line, err := bus.Encode(env); err == nil {
 			w.Append(wal.KindBusEnvelope, line)
@@ -306,7 +307,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 		t.Fatalf("Replay: %v", err)
 	}
 	defer r.Close()
-	busRecords := 0
+	busRecords, learnRecords := 0, 0
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
@@ -317,10 +318,14 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 		}
 		var handled bool
 		handled, err = rec2.db.ApplyWAL(rec.Kind, rec.Payload)
+		if !handled {
+			handled, err = rec2.kb.ApplyWAL(rec)
+			if handled {
+				learnRecords++
+			}
+		}
 		switch {
 		case handled:
-		case rec.Kind == wal.KindKnowledgeOp:
-			err = rec2.kb.ApplyWAL(rec.Seq, rec.Payload)
 		case rec.Kind == wal.KindBusEnvelope:
 			// Audit trail: must decode, never re-publishes.
 			if _, derr := bus.Decode(rec.Payload); derr != nil {
@@ -336,6 +341,9 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	}
 	if busRecords == 0 {
 		t.Fatal("no bus envelopes journaled — hook never fired")
+	}
+	if learnRecords == 0 {
+		t.Fatal("no knowledge.learn envelopes in the tail — K was not journaled")
 	}
 
 	// The journaled layers are byte-identical to the never-killed run.

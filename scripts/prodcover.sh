@@ -12,16 +12,22 @@
 #   - the four bench workloads, 3 s each, traced;
 #   - modad experiment run all -quick;
 #   - modad scenario run on the small, midsize and stress10k presets;
-#   - a durable single-process modad with -wal-dir and -http (a query and a
-#     /metrics scrape while it runs), then a restart that recovers it;
-#   - a coordinator with two workers over loopback.
+#   - a durable single-process modad running a power and an ioqos group
+#     with -wal-dir and -http (a query and a /metrics scrape while it
+#     runs), killed with SIGKILL before any snapshot; a restart that folds
+#     the whole log, the knowledge base's learn envelopes among it, and
+#     snapshots; and a restart from that snapshot;
+#   - a coordinator with two workers over loopback, the second started
+#     once the first holds every group, so the rebalance revokes from it.
 #
 # Usage: scripts/prodcover.sh [workdir]
 # Run from the repository root. workdir (default: a new temporary directory)
 # keeps the binaries, the raw profiles, every process log, func.txt (the
 # whole per-function table) and zero.txt (the list printed on stdout).
-# Report-only: the exit status is 0 whatever the list holds, and non-zero
-# only when a build or a run fails.
+# The exit status is 1 when zero.txt names a function that
+# scripts/prodcover_zero.txt, the checked-in list (one "file name" line per
+# function, no line numbers), does not; a function that leaves the list is
+# only reported. It is non-zero too when a build or a run fails.
 set -euo pipefail
 
 work="${1:-$(mktemp -d)}"
@@ -74,22 +80,28 @@ for preset in small midsize stress10k; do
 	"$modad" scenario run "$work/$preset.json" >"$logs/scenario-$preset.log" 2>&1
 done
 
-echo "prodcover: durable single process, then its recovery" >&2
+echo "prodcover: durable single process, killed, then two restarts" >&2
 rm -rf "$work/wal"
-"$modad" -addr 127.0.0.1:0 -http 127.0.0.1:0 -wal-dir "$work/wal" -snapshot-every 5m \
-	-speed 240 -duration 6s >"$logs/single.log" 2>&1 &
+echo '[{"case":"power","period":"1m"},{"case":"ioqos"}]' >"$work/specs.json"
+"$modad" -addr 127.0.0.1:0 -http 127.0.0.1:0 -wal-dir "$work/wal" -specs "$work/specs.json" \
+	-snapshot-every 1h -speed 240 -duration 0 >"$logs/single.log" 2>&1 &
 single=$!
 gw="$(addr_from "$logs/single.log" 's|.*http gateway on http://\([^ ]*\) .*|\1|p')"
 sleep 2
 scrape "http://$gw/v1/query?metric=facility.pue&latest=true"
 scrape "http://$gw/metrics"
-wait "$single"
-"$modad" -addr 127.0.0.1:0 -wal-dir "$work/wal" -speed 240 -duration 2s >"$logs/recover.log" 2>&1
-grep -q 'recovered from' "$logs/recover.log" || echo "prodcover: the restart did not recover" >&2
+sleep 4
+kill -9 "$single"
+wait "$single" || true
+for life in recover restore; do
+	"$modad" -addr 127.0.0.1:0 -wal-dir "$work/wal" -specs "$work/specs.json" -snapshot-every 5m \
+		-speed 240 -duration 2s >"$logs/$life.log" 2>&1
+	grep -q 'recovered from' "$logs/$life.log" || echo "prodcover: the $life restart did not recover" >&2
+done
 
 echo "prodcover: coordinator and two workers" >&2
 "$modad" -role=coordinator -cluster-addr 127.0.0.1:0 -addr 127.0.0.1:0 -http 127.0.0.1:0 \
-	-lease 2s -lease-grace 2s -speed 120 -duration 12s >"$logs/coordinator.log" 2>&1 &
+	-lease 2s -lease-grace 2s -speed 120 -duration 14s >"$logs/coordinator.log" 2>&1 &
 coord=$!
 join="$(addr_from "$logs/coordinator.log" 's|.*, cluster on \([^ ]*\) .*|\1|p')"
 cgw="$(addr_from "$logs/coordinator.log" 's|.*http gateway on http://\([^ ]*\) .*|\1|p')"
@@ -98,6 +110,17 @@ for w in w1 w2; do
 	"$modad" -role=worker -node "$w" -join "$join" -heartbeat 500ms -speed 120 \
 		-duration 8s >"$logs/worker-$w.log" 2>&1 &
 	workers+=($!)
+	# Whether a join finds the groups placed decides whether the rebalance
+	# revokes any, so w2 joins only once w1 holds them all.
+	if [ "$w" = w1 ]; then
+		placed=""
+		for _ in $(seq 100); do
+			placed="$(curl -fsS "http://$cgw/metrics" | awk '$1 == "cluster_specs" { n = $2 } $1 == "cluster_specs_placed" { p = $2 } END { if (n > 0 && p == n) print "yes" }')"
+			[ -n "$placed" ] && break
+			sleep 0.1
+		done
+		[ -n "$placed" ] || echo "prodcover: w1 never held every group" >&2
+	fi
 done
 sleep 5
 scrape "http://$cgw/v1/query?metric=node.cpu.util&latest=1"
@@ -110,3 +133,18 @@ grep -v '/internal/chaos/' "$work/func.txt" | awk '$NF == "0.0%"' >"$work/zero.t
 total="$(grep -vc '/internal/chaos/\|^total' "$work/func.txt" || true)"
 echo "prodcover: $(wc -l <"$work/zero.txt") of $total functions outside chaos are at 0.0%; table in $work/func.txt" >&2
 cat "$work/zero.txt"
+
+# The gate: compare by file and name, since line numbers move with edits.
+list="$(dirname "$0")/prodcover_zero.txt"
+awk '{ sub(/:[0-9]+:$/, "", $1); print $1, $2 }' "$work/zero.txt" | sort >"$work/zero.list"
+added="$(sort "$list" | comm -13 - "$work/zero.list")"
+gone="$(sort "$list" | comm -23 - "$work/zero.list")"
+if [ -n "$gone" ]; then
+	echo "prodcover: now reached, drop from $list:" >&2
+	echo "$gone" >&2
+fi
+if [ -n "$added" ]; then
+	echo "prodcover: no production run reaches these any more; give each a run that does, or delete it:" >&2
+	echo "$added" >&2
+	exit 1
+fi
