@@ -16,6 +16,7 @@ package ioqoscase
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"autoloop/internal/control"
@@ -59,8 +60,26 @@ func DefaultConfig(tenants []Tenant, capacityMBps float64) Config {
 	}
 }
 
-// factKey names a tenant's allocation setpoint on the Knowledge blackboard.
-func factKey(tenant string) string { return "ioqos.alloc_mbps." + tenant }
+// tenantNames is what the controller writes and says about one tenant,
+// built once in New: its allocation setpoint's key on the Knowledge
+// blackboard, and the campaign's reasons for moving that allocation.
+type tenantNames struct {
+	key               string
+	throttle, recover *core.Reason
+}
+
+func newTenantNames(tenant string) tenantNames {
+	reason := func(verb string) *core.Reason {
+		return core.NewReason(verb + " best-effort tenant " + strings.ReplaceAll(tenant, "%", "%%") + ": %.1f -> %.1f MB/s")
+	}
+	return tenantNames{key: "ioqos.alloc_mbps." + tenant, throttle: reason("throttle"), recover: reason("recover")}
+}
+
+// The loops' tenant-independent reasons, rendered only when read.
+var (
+	divergenceReason = core.NewReason("bucket %.1f MB/s vs setpoint %.1f MB/s")
+	violationReason  = core.NewReason("latency %.1fms exceeds objective %.1fms")
+)
 
 // Controller wires the hierarchical QoS loops.
 type Controller struct {
@@ -68,6 +87,8 @@ type Controller struct {
 	db  telemetry.Querier
 	fs  *pfs.FS
 	kb  *knowledge.Base
+
+	names map[string]tenantNames
 
 	// alloc mirrors the blackboard for quick reads.
 	alloc map[string]float64
@@ -91,7 +112,11 @@ func New(cfg Config, db telemetry.Querier, fs *pfs.FS, kb *knowledge.Base) *Cont
 	}
 	c := &Controller{
 		cfg: cfg, db: db, fs: fs, kb: kb,
+		names: make(map[string]tenantNames, len(cfg.Tenants)),
 		alloc: make(map[string]float64), violAlloc: make(map[string]float64),
+	}
+	for _, t := range cfg.Tenants {
+		c.names[t.Name] = newTenantNames(t.Name)
 	}
 	var wsum float64
 	for _, t := range cfg.Tenants {
@@ -112,7 +137,7 @@ func (c *Controller) setAlloc(tenant string, mbps float64) {
 		mbps = c.cfg.CapacityMBps
 	}
 	c.alloc[tenant] = mbps
-	c.kb.SetFact(factKey(tenant), mbps)
+	c.kb.SetFact(c.names[tenant].key, mbps)
 }
 
 // builtLoops assembles the hierarchy flat, the one form every caller runs:
@@ -138,7 +163,7 @@ func (c *Controller) builtLoops(parentEvery int) []control.BuiltLoop {
 // after Analyze).
 func (c *Controller) childLoop(t Tenant) *core.Loop {
 	name := "ioqos-child-" + t.Name
-	key := factKey(t.Name)
+	key := c.names[t.Name].key
 	labels := telemetry.Labels{"tenant": t.Name}
 	pts := [2]telemetry.Point{
 		{Name: "ioqos.setpoint", Labels: labels},
@@ -177,7 +202,7 @@ func (c *Controller) childLoop(t Tenant) *core.Loop {
 		if current < 0 || math.Abs(current-setpoint) > 0.01*setpoint {
 			sym.Findings = append(sym.Findings, core.Finding{
 				Kind: "qos-divergence", Subject: t.Name, Value: setpoint, Confidence: 1,
-				Detail: fmt.Sprintf("bucket %.1f MB/s vs setpoint %.1f MB/s", current, setpoint),
+				Detail: divergenceReason.With(current, setpoint),
 			})
 		}
 		return sym, nil
@@ -252,14 +277,14 @@ func (c *Controller) parentLoop() *core.Loop {
 				c.Violations++
 				findings = append(findings, core.Finding{
 					Kind: "latency-violation", Subject: t.Name, Value: observed, Confidence: 0.9,
-					Detail: fmt.Sprintf("latency %.1fms exceeds objective %.1fms", observed, t.TargetLatMS),
+					Detail: violationReason.With(observed, t.TargetLatMS),
 				})
 			}
 		}
 		if !anyViolation {
 			findings = append(findings, core.Finding{
 				Kind: "headroom", Subject: "*", Value: 1, Confidence: 0.9,
-				Detail: "all latency objectives met",
+				Detail: core.Text("all latency objectives met"),
 			})
 		}
 		return core.Symptoms{Time: now, Findings: findings}, nil
@@ -299,13 +324,13 @@ func (c *Controller) parentLoop() *core.Loop {
 			if math.Abs(next-cur) < 0.01*cur {
 				continue
 			}
-			verb := "throttle"
+			reason := c.names[t.Name].throttle
 			if next > cur {
-				verb = "recover"
+				reason = c.names[t.Name].recover
 			}
 			plan.Actions = append(plan.Actions, core.Action{
 				Kind: "set-allocation", Subject: t.Name, Amount: next, Confidence: 0.9,
-				Explanation: fmt.Sprintf("%s best-effort tenant %s: %.1f -> %.1f MB/s", verb, t.Name, cur, next),
+				Explanation: reason.With(cur, next),
 			})
 		}
 		return plan, nil

@@ -1,9 +1,11 @@
 package ioqoscase
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"autoloop/internal/core"
 	"autoloop/internal/fleet"
 	"autoloop/internal/knowledge"
 	"autoloop/internal/pfs"
@@ -91,7 +93,7 @@ func TestInitialAllocationsByPriority(t *testing.T) {
 	if d != 1500 || b != 500 {
 		t.Errorf("allocations = %v/%v, want 1500/500 (3:1 priority over 2000)", d, b)
 	}
-	if v, ok := r.kb.Fact(factKey("deadline")); !ok || v != 1500 {
+	if v, ok := r.kb.Fact("ioqos.alloc_mbps.deadline"); !ok || v != 1500 {
 		t.Errorf("blackboard fact = %v, %v", v, ok)
 	}
 }
@@ -195,4 +197,47 @@ func TestNoTenantsPanics(t *testing.T) {
 	}()
 	e := sim.NewEngine(1)
 	New(DefaultConfig(nil, 100), tsdb.New(0), pfs.New(e, pfs.DefaultConfig()), knowledge.NewBase())
+}
+
+// TestDecisionDetailAllocs: a warm campaign Analyze+Plan allocates only the
+// actions slice (the analyzer reuses its findings buffer); the findings'
+// details and the set-allocation explanation are data, rendered to the
+// text the fmt format gives only when read.
+func TestDecisionDetailAllocs(t *testing.T) {
+	r := newRig(t)
+	l := r.ctl.parentLoop()
+	latency := func(ms float64) core.Observation {
+		return core.Observation{Points: []telemetry.Point{
+			{Name: "pfs.tenant.lat_ms", Labels: telemetry.Labels{"tenant": "deadline"}, Value: ms},
+		}}
+	}
+	cur := r.ctl.alloc["batch"]
+	for _, tc := range []struct {
+		obs               core.Observation
+		detail, explained string
+	}{
+		{latency(120), "all latency objectives met",
+			fmt.Sprintf("recover best-effort tenant batch: %.1f -> %.1f MB/s", cur, cur*1.15)},
+		{latency(900.25), fmt.Sprintf("latency %.1fms exceeds objective %.1fms", 900.25, 500.0),
+			fmt.Sprintf("throttle best-effort tenant batch: %.1f -> %.1f MB/s", cur, cur*0.6)},
+	} {
+		sym, _ := l.A.Analyze(time.Minute, tc.obs)
+		plan, _ := l.P.Plan(time.Minute, sym)
+		if len(sym.Findings) != 1 || len(plan.Actions) != 1 {
+			t.Fatalf("%d findings, %d actions; want 1 and 1", len(sym.Findings), len(plan.Actions))
+		}
+		if got := sym.Findings[0].Detail.String(); got != tc.detail {
+			t.Errorf("detail %q, want %q", got, tc.detail)
+		}
+		if got := plan.Actions[0].Explanation.String(); got != tc.explained {
+			t.Errorf("explanation %q, want %q", got, tc.explained)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			sym, _ := l.A.Analyze(time.Minute, tc.obs)
+			_, _ = l.P.Plan(time.Minute, sym)
+		})
+		if allocs > 1 {
+			t.Errorf("%v allocations per Analyze+Plan, want 1 (the actions slice)", allocs)
+		}
+	}
 }

@@ -166,6 +166,10 @@ func (c *Controller) observe(now time.Duration) (core.Observation, error) {
 	return core.Observation{Time: now}, nil
 }
 
+// hitsReason explains a job-hits-maintenance finding; it is rendered only
+// when the finding is read.
+var hitsReason = core.NewReason("estimated completion %v vs maintenance at %v")
+
 // analyze flags running jobs that will not finish before the window.
 func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
 	sym := core.Symptoms{Time: now}
@@ -187,8 +191,7 @@ func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Sympto
 			Subject:    strconv.Itoa(j.ID),
 			Value:      (maintStart - now).Seconds(),
 			Confidence: 0.9,
-			Detail: fmt.Sprintf("estimated completion %v vs maintenance at %v",
-				finishBy.Truncate(time.Second), maintStart),
+			Detail:     hitsReason.With(float64(finishBy.Truncate(time.Second)), float64(maintStart)),
 		})
 	}
 	return sym, nil
@@ -249,7 +252,7 @@ func (c *Controller) execute(now time.Duration, a core.Action) (core.ActionResul
 	}
 	inst, ok := c.apps.Instance(id)
 	if !ok {
-		return core.ActionResult{Action: a, Detail: "no instance"}, nil
+		return core.ActionResult{Action: a, Detail: core.Text("no instance")}, nil
 	}
 	c.handled[id] = true
 	err = inst.RequestCheckpoint(func() {
@@ -258,7 +261,7 @@ func (c *Controller) execute(now time.Duration, a core.Action) (core.ActionResul
 		}
 	})
 	if err != nil {
-		return core.ActionResult{Action: a, Detail: err.Error()}, nil
+		return core.ActionResult{Action: a, Detail: core.Text(err.Error())}, nil
 	}
-	return core.ActionResult{Action: a, Honored: true, Detail: "checkpoint+requeue scheduled"}, nil
+	return core.ActionResult{Action: a, Honored: true, Detail: core.Text("checkpoint+requeue scheduled")}, nil
 }

@@ -235,7 +235,7 @@ func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Sympto
 			Subject:    strconv.Itoa(jr.id),
 			Value:      float64(kind),
 			Confidence: 0.85,
-			Detail:     explain(kind),
+			Detail:     core.Text(explain(kind)),
 		})
 	}
 	// Every warm job of the round now holds exactly one entry, so more
@@ -339,16 +339,16 @@ func (c *Controller) execute(now time.Duration, a core.Action) (core.ActionResul
 	case "fix-misconfig":
 		inst, ok := c.apps.Instance(id)
 		if !ok {
-			return core.ActionResult{Action: a, Detail: "no instance"}, nil
+			return core.ActionResult{Action: a, Detail: core.Text("no instance")}, nil
 		}
 		if err := inst.FixMisconfig(); err != nil {
-			return core.ActionResult{Action: a, Detail: err.Error()}, nil
+			return core.ActionResult{Action: a, Detail: core.Text(err.Error())}, nil
 		}
 		c.Fixes++
-		return core.ActionResult{Action: a, Honored: true, Detail: "corrected on the fly"}, nil
+		return core.ActionResult{Action: a, Honored: true, Detail: core.Text("corrected on the fly")}, nil
 	case "notify-user":
 		c.Notifications++
-		return core.ActionResult{Action: a, Honored: true, Detail: "user notified: " + a.Explanation}, nil
+		return core.ActionResult{Action: a, Honored: true, Detail: core.Text("user notified: " + a.Explanation.String())}, nil
 	default:
 		return core.ActionResult{}, fmt.Errorf("misconfcase: unknown action %q", a.Kind)
 	}

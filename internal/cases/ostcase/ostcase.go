@@ -66,6 +66,9 @@ type Controller struct {
 	// running is the plan phase's running-job scratch, refilled per
 	// finding.
 	running []*sched.Job
+	// subjects holds each OST's finding subject, "ost%02d", formatted the
+	// first time the OST is flagged.
+	subjects map[int]string
 
 	// Responses counts reopen actions taken (experiment metric).
 	Responses int
@@ -81,7 +84,7 @@ func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runti
 	}
 	return &Controller{
 		cfg: cfg, sch: sch, apps: apps,
-		streak: make(map[int]int), avoided: make(map[int]bool),
+		streak: make(map[int]int), avoided: make(map[int]bool), subjects: make(map[int]string),
 		fleet: control.NewReading(db, ostLatsKey{}),
 	}
 }
@@ -147,6 +150,23 @@ func (c *Controller) observe(now time.Duration) (core.Observation, error) {
 	return core.Observation{Time: now}, nil
 }
 
+// The case's reasons, rendered only when read. The explanation repeats the
+// finding's subject and detail, so it takes the finding's arguments too.
+var (
+	degradedReason = core.NewReason("write latency %.1fms is a %d-tick high outlier across %d busy OSTs")
+	reopenReason   = core.NewReason("job %d stripes over degraded ost%02d: write latency %.1fms is a %d-tick high outlier across %d busy OSTs")
+)
+
+// subject returns OST id's finding subject.
+func (c *Controller) subject(id int) string {
+	s, ok := c.subjects[id]
+	if !ok {
+		s = fmt.Sprintf("ost%02d", id)
+		c.subjects[id] = s
+	}
+	return s
+}
+
 // analyze runs the fleet outlier test on busy OSTs.
 func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
 	sym := core.Symptoms{Time: now}
@@ -175,11 +195,10 @@ func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Sympto
 		if c.streak[id] >= c.cfg.Consecutive && !c.avoided[id] {
 			sym.Findings = append(sym.Findings, core.Finding{
 				Kind:       "ost-degraded",
-				Subject:    fmt.Sprintf("ost%02d", id),
+				Subject:    c.subject(id),
 				Value:      lats[i],
 				Confidence: 0.9,
-				Detail: fmt.Sprintf("write latency %.1fms is a %d-tick high outlier across %d busy OSTs",
-					lats[i], c.streak[id], len(ids)),
+				Detail:     degradedReason.With(lats[i], float64(c.streak[id]), float64(len(ids))),
 			})
 		}
 	}
@@ -187,7 +206,8 @@ func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Sympto
 }
 
 // plan targets every running application whose file layout includes the
-// degraded OST.
+// degraded OST. It runs in the tick analyze ran in, so c.streak and c.ids
+// still hold the streak and busy count the finding's detail was given.
 func (c *Controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, error) {
 	plan := core.Plan{Time: now}
 	for _, f := range sym.Findings {
@@ -215,11 +235,12 @@ func (c *Controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, erro
 				continue
 			}
 			plan.Actions = append(plan.Actions, core.Action{
-				Kind:        "reopen-avoiding",
-				Subject:     strconv.Itoa(j.ID),
-				Amount:      float64(ostID),
-				Confidence:  f.Confidence,
-				Explanation: fmt.Sprintf("job %d stripes over degraded %s: %s", j.ID, f.Subject, f.Detail),
+				Kind:       "reopen-avoiding",
+				Subject:    strconv.Itoa(j.ID),
+				Amount:     float64(ostID),
+				Confidence: f.Confidence,
+				Explanation: reopenReason.With(float64(j.ID), float64(ostID), f.Value,
+					float64(c.streak[ostID]), float64(len(c.ids))),
 			})
 		}
 		// Mark the OST handled even when no job currently stripes over it,
@@ -240,11 +261,11 @@ func (c *Controller) execute(now time.Duration, a core.Action) (core.ActionResul
 	}
 	inst, ok := c.apps.Instance(id)
 	if !ok {
-		return core.ActionResult{Action: a, Detail: "no instance"}, nil
+		return core.ActionResult{Action: a, Detail: core.Text("no instance")}, nil
 	}
 	if err := inst.ReopenAvoiding(int(a.Amount)); err != nil {
-		return core.ActionResult{Action: a, Detail: err.Error()}, nil
+		return core.ActionResult{Action: a, Detail: core.Text(err.Error())}, nil
 	}
 	c.Responses++
-	return core.ActionResult{Action: a, Honored: true, Granted: a.Amount, Detail: "file reopened on healthy OSTs"}, nil
+	return core.ActionResult{Action: a, Honored: true, Granted: a.Amount, Detail: core.Text("file reopened on healthy OSTs")}, nil
 }

@@ -114,6 +114,12 @@ func (c *Controller) observe(now time.Duration) (core.Observation, error) {
 	return core.Observation{Time: now}, nil
 }
 
+// The analyzer's reasons, rendered only when a finding is read.
+var (
+	pressureReason = core.NewReason("hottest node %.1f°C within half-headroom of the %.0f°C limit")
+	headroomReason = core.NewReason("hottest node %.1f°C leaves %.1f°C beyond required headroom")
+)
+
 // analyze classifies the thermal state: hot (must cool), headroom (may
 // save energy), or neutral.
 func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
@@ -126,7 +132,7 @@ func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Sympto
 	case hottest > c.cfg.TempLimitC-c.cfg.HeadroomC/2:
 		sym.Findings = append(sym.Findings, core.Finding{
 			Kind: "thermal-pressure", Subject: "plant", Value: hottest, Confidence: 1,
-			Detail: fmt.Sprintf("hottest node %.1f°C within half-headroom of the %.0f°C limit", hottest, c.cfg.TempLimitC),
+			Detail: pressureReason.With(hottest, c.cfg.TempLimitC),
 		})
 	case hottest < c.cfg.TempLimitC-c.cfg.HeadroomC:
 		// Confidence scales with how much headroom is left beyond the
@@ -139,7 +145,7 @@ func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Sympto
 		}
 		sym.Findings = append(sym.Findings, core.Finding{
 			Kind: "thermal-headroom", Subject: "plant", Value: hottest, Confidence: conf,
-			Detail: fmt.Sprintf("hottest node %.1f°C leaves %.1f°C beyond required headroom", hottest, margin),
+			Detail: headroomReason.With(hottest, margin),
 		})
 	}
 	return sym, nil

@@ -1,6 +1,7 @@
 package powercase
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -140,4 +141,38 @@ func TestNilDependencyPanics(t *testing.T) {
 		}
 	}()
 	New(DefaultConfig(), nil, nil)
+}
+
+// TestDecisionDetailAllocs: a warm Analyze+Plan allocates only the findings
+// and actions slices; the finding's detail and the action's explanation are
+// data, rendered to the text the fmt format gives only when read.
+func TestDecisionDetailAllocs(t *testing.T) {
+	r := newRig(t)
+	for _, tc := range []struct {
+		hottest float64
+		want    string
+	}{
+		{84, fmt.Sprintf("hottest node %.1f°C within half-headroom of the %.0f°C limit", 84.0, r.ctl.cfg.TempLimitC)},
+		{60.25, fmt.Sprintf("hottest node %.1f°C leaves %.1f°C beyond required headroom", 60.25, 12.75)},
+	} {
+		r.ctl.observed = &thermal{nodes: 8, hottest: tc.hottest}
+		sym, _ := r.ctl.analyze(time.Minute, core.Observation{})
+		plan, _ := r.ctl.plan(time.Minute, sym)
+		if len(sym.Findings) != 1 || len(plan.Actions) != 1 {
+			t.Fatalf("hottest %v: %d findings, %d actions; want 1 and 1", tc.hottest, len(sym.Findings), len(plan.Actions))
+		}
+		if got := sym.Findings[0].Detail.String(); got != tc.want {
+			t.Errorf("detail %q, want %q", got, tc.want)
+		}
+		if got := plan.Actions[0].Explanation.String(); got != tc.want {
+			t.Errorf("explanation %q, want %q", got, tc.want)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			sym, _ := r.ctl.analyze(time.Minute, core.Observation{})
+			_, _ = r.ctl.plan(time.Minute, sym)
+		})
+		if allocs > 2 {
+			t.Errorf("hottest %v: %v allocations per Analyze+Plan, want 2 (the findings and actions slices)", tc.hottest, allocs)
+		}
+	}
 }

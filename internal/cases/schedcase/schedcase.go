@@ -177,6 +177,12 @@ func (c *Controller) appendMarkers(labels telemetry.Labels, samples []telemetry.
 	}
 }
 
+// The case's reasons, rendered only when a finding or action is read.
+var (
+	shortReason     = core.NewReason("projected %v remaining (rate %.3f/s, n=%d) vs %v allocation left")
+	exhaustedReason = core.NewReason("extensions exhausted (%d used, %v total); checkpoint to preserve work")
+)
+
 // analyze is the Analyze phase: update per-job estimators and flag jobs whose
 // projected completion exceeds the remaining allocation.
 func (c *Controller) analyze(now time.Duration, obs core.Observation) (core.Symptoms, error) {
@@ -224,8 +230,8 @@ func (c *Controller) analyze(now time.Duration, obs core.Observation) (core.Symp
 			Subject:    strconv.Itoa(j.ID),
 			Value:      shortfall.Seconds(),
 			Confidence: c.confidence(j, ttc),
-			Detail: fmt.Sprintf("projected %v remaining (rate %.3f/s, n=%d) vs %v allocation left",
-				basis.Truncate(time.Second), ttc.Rate, ttc.N, remaining.Truncate(time.Second)),
+			Detail: shortReason.With(float64(basis.Truncate(time.Second)), ttc.Rate, float64(ttc.N),
+				float64(remaining.Truncate(time.Second))),
 		})
 	}
 	return sym, nil
@@ -334,8 +340,7 @@ func (c *Controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, erro
 			if c.cfg.CheckpointFallback {
 				plan.Actions = append(plan.Actions, core.Action{
 					Kind: "checkpoint", Subject: f.Subject, Confidence: f.Confidence,
-					Explanation: fmt.Sprintf("extensions exhausted (%d used, %v total); checkpoint to preserve work",
-						j.Extensions, j.ExtensionTotal),
+					Explanation: exhaustedReason.With(float64(j.Extensions), float64(j.ExtensionTotal)),
 				})
 			}
 			continue
@@ -363,7 +368,7 @@ func (c *Controller) execute(now time.Duration, a core.Action) (core.ActionResul
 			Action:  a,
 			Honored: res.Granted > 0,
 			Granted: res.Granted.Seconds(),
-			Detail:  res.Reason,
+			Detail:  core.Text(res.Reason),
 		}, nil
 	case "checkpoint":
 		inst, ok := c.apps.Instance(id)
@@ -371,9 +376,9 @@ func (c *Controller) execute(now time.Duration, a core.Action) (core.ActionResul
 			return core.ActionResult{}, fmt.Errorf("schedcase: no instance for job %d", id)
 		}
 		if err := inst.RequestCheckpoint(nil); err != nil {
-			return core.ActionResult{Action: a, Detail: err.Error()}, nil
+			return core.ActionResult{Action: a, Detail: core.Text(err.Error())}, nil
 		}
-		return core.ActionResult{Action: a, Honored: true, Detail: "checkpoint requested"}, nil
+		return core.ActionResult{Action: a, Honored: true, Detail: core.Text("checkpoint requested")}, nil
 	default:
 		return core.ActionResult{}, fmt.Errorf("schedcase: unknown action %q", a.Kind)
 	}

@@ -208,6 +208,6 @@ func (s *Service) Restore(data []byte) error {
 func coreAction(a WireAction) core.Action {
 	return core.Action{
 		Kind: a.Kind, Subject: a.Subject, Amount: a.Amount,
-		Confidence: a.Confidence, Explanation: a.Explanation,
+		Confidence: a.Confidence, Explanation: core.Text(a.Explanation),
 	}
 }

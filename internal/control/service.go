@@ -206,10 +206,13 @@ func (s *Service) Tick(now time.Duration) {
 	s.now = now
 	resolved := s.settleQueue(now)
 	s.view.begin()
+	members := s.coord.Len()
 	s.coord.Tick(now)
 	s.rounds.Store(int64(s.coord.Metrics().Rounds))
 	s.view.end()
-	s.pruneStopped()
+	if s.coord.Len() != members { // the round pruned stopped loops
+		s.pruneStopped()
+	}
 	s.mu.Unlock()
 	for _, r := range resolved {
 		s.publish(TopicResolved, now, r)
@@ -222,7 +225,9 @@ func (s *Service) Tick(now time.Duration) {
 func (s *Service) Rounds() int { return int(s.rounds.Load()) }
 
 // pruneStopped forgets managed groups whose every loop has stopped (the
-// coordinator has already dropped them from its membership).
+// coordinator has already dropped them from its membership). Tick runs it
+// only after a round pruned the coordinator; a remove op forgets its group
+// itself.
 func (s *Service) pruneStopped() {
 	for name, g := range s.managed {
 		alive := false

@@ -90,7 +90,7 @@ type WireAction struct {
 func wireAction(a core.Action) WireAction {
 	return WireAction{
 		Kind: a.Kind, Subject: a.Subject, Amount: a.Amount,
-		Confidence: a.Confidence, Explanation: a.Explanation,
+		Confidence: a.Confidence, Explanation: a.Explanation.String(),
 	}
 }
 

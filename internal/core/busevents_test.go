@@ -105,8 +105,8 @@ func attachTrail(l *Loop) *trail {
 		line := strings.TrimPrefix(e.Topic, prefix)
 		switch p := e.Payload.(type) {
 		case ActionResult:
-			if p.Detail != "" {
-				line += ": " + p.Detail
+			if p.Detail.String() != "" {
+				line += ": " + p.Detail.String()
 			}
 		case PhaseError:
 			line += ": " + p.Phase + ": " + p.Err

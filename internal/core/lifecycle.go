@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 )
 
@@ -103,6 +104,9 @@ func (l *Loop) transition(to LifecycleState, bumpGen bool) error {
 			if bumpGen {
 				l.gen.Add(1)
 			}
+			if w := l.watch.Load(); w != nil && (to == StateDraining || to == StateStopped) {
+				w.Add(1)
+			}
 			return nil
 		}
 	}
@@ -122,6 +126,11 @@ func validTransition(from, to LifecycleState) bool {
 	}
 	return false
 }
+
+// Watch has the loop count each of its drains and stops on n (nil: on
+// nothing), so an owner of many loops — a fleet coordinator — learns that
+// one may need pruning without walking them all.
+func (l *Loop) Watch(n *atomic.Uint64) { l.watch.Store(n) }
 
 // Start moves a created loop to running. Ticking a created loop starts it
 // implicitly, so Start is only needed when the state must read "running"

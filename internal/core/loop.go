@@ -98,6 +98,8 @@ type Loop struct {
 	// pause/drain/stop transitions to invalidate stale deferred actions.
 	state atomic.Int32
 	gen   atomic.Uint64
+	// watch, when set, counts the loop's drains and stops (see Watch).
+	watch atomic.Pointer[atomic.Uint64]
 
 	metrics Metrics
 
@@ -175,7 +177,7 @@ func (l *Loop) topic(kind eventKind) string {
 // emitResult buffers an event carrying the action and the reason it did not
 // (or not yet) execute.
 func (l *Loop) emitResult(now time.Duration, kind eventKind, action Action, reason string) {
-	emit(l, now, kind, ActionResult{Action: action, Detail: reason})
+	emit(l, now, kind, ActionResult{Action: action, Detail: Text(reason)})
 }
 
 // flush publishes the buffered envelopes as one batch. The batch is
@@ -367,7 +369,7 @@ func (l *Loop) execute(decidedAt, now time.Duration, action Action) ActionResult
 	res, err := l.E.Execute(now, action)
 	if err != nil {
 		l.metrics.Errors++
-		failed := ActionResult{Action: action, Detail: err.Error()}
+		failed := ActionResult{Action: action, Detail: Text(err.Error())}
 		emit(l, now, evExecute, failed)
 		return failed
 	}

@@ -40,7 +40,7 @@ func planPerFinding(conf float64) Planner {
 		var p Plan
 		p.Time = now
 		for _, f := range sym.Findings {
-			p.Actions = append(p.Actions, Action{Kind: "lower", Subject: f.Subject, Amount: 1, Confidence: conf, Explanation: "test"})
+			p.Actions = append(p.Actions, Action{Kind: "lower", Subject: f.Subject, Amount: 1, Confidence: conf, Explanation: Text("test")})
 		}
 		return p, nil
 	})

@@ -39,8 +39,10 @@ type Finding struct {
 	Value float64
 	// Confidence in [0,1] expresses the analyzer's belief in the finding.
 	Confidence float64
-	// Detail is a human-readable explanation, published with the finding.
-	Detail string
+	// Detail explains the finding to humans, published with it. It is
+	// data, rendered to text only when read: build it with Reason.With or
+	// Text, never with fmt.Sprintf.
+	Detail Detail
 }
 
 // Symptoms is the Analyze phase's output.
@@ -63,8 +65,9 @@ type Action struct {
 	// may gate on it.
 	Confidence float64
 	// Explanation justifies the action to humans on the loop (§IV:
-	// "sending them notifications and explanation about decisions").
-	Explanation string
+	// "sending them notifications and explanation about decisions"),
+	// rendered to text only when read; often the finding's Detail.
+	Explanation Detail
 }
 
 // Plan is the Plan phase's output.
@@ -81,8 +84,9 @@ type ActionResult struct {
 	Honored bool
 	// Granted is the magnitude actually granted (may be less than requested).
 	Granted float64
-	// Detail explains denials and partial grants.
-	Detail string
+	// Detail explains denials and partial grants, or why the action did
+	// not (yet) execute: a guardrail's veto, a lost arbitration, a deferral.
+	Detail Detail
 }
 
 // PhaseError is the payload of a loop's "error" event: the Monitor,

@@ -11,6 +11,12 @@ import (
 	"autoloop/internal/tsdb"
 )
 
+// The C1 loops' reasons, rendered only when a decision is read.
+var (
+	nearLimitReason = core.NewReason("hottest node %.1f°C near the %.0f°C limit")
+	overspendReason = core.NewReason("setpoint %.1f°C below the 27°C economic ceiling")
+)
+
 // c1Loops builds the two deliberately contradictory facility loops of the
 // scenario: a thermal guard that lowers the supply setpoint whenever the
 // fleet runs hot (safety), and a naive energy saver that raises it whenever
@@ -32,7 +38,7 @@ func c1Loops(db *tsdb.DB, plant *facility.Plant, tempLimit float64, moved *int) 
 			if hottest > tempLimit-8 {
 				sym.Findings = append(sym.Findings, core.Finding{
 					Kind: "thermal-pressure", Subject: "plant", Value: hottest, Confidence: 1,
-					Detail: fmt.Sprintf("hottest node %.1f°C near the %.0f°C limit", hottest, tempLimit),
+					Detail: nearLimitReason.With(hottest, tempLimit),
 				})
 			}
 			return sym, nil
@@ -61,7 +67,7 @@ func c1Loops(db *tsdb.DB, plant *facility.Plant, tempLimit float64, moved *int) 
 			if sp := plant.SupplySetpointC(); sp < 27 {
 				sym.Findings = append(sym.Findings, core.Finding{
 					Kind: "cooling-overspend", Subject: "plant", Value: sp, Confidence: 1,
-					Detail: fmt.Sprintf("setpoint %.1f°C below the 27°C economic ceiling", sp),
+					Detail: overspendReason.With(sp),
 				})
 			}
 			return sym, nil

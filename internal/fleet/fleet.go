@@ -87,6 +87,11 @@ type Coordinator struct {
 
 	members []member
 	names   map[string]bool
+	// stops counts the members' drains and stops (each member Watches it);
+	// pruned is its value when the round last pruned, so a round prunes
+	// only when a member has drained or stopped since.
+	stops   atomic.Uint64
+	pruned  uint64
 	plans   []*core.PlannedTick // reused across rounds
 	arb     arbiter             // arbitration scratch, reused across rounds
 	metrics Metrics
@@ -159,6 +164,10 @@ func (c *Coordinator) AddEvery(l *core.Loop, priority, every int) {
 	}
 	c.names[l.Name] = true
 	c.members = append(c.members, member{loop: l, priority: priority, every: every})
+	l.Watch(&c.stops)
+	if s := l.State(); s == core.StateDraining || s == core.StateStopped {
+		c.stops.Add(1)
+	}
 }
 
 // Remove unregisters the named loop mid-run and reports whether it was a
@@ -195,7 +204,10 @@ func (c *Coordinator) Metrics() Metrics { return c.metrics }
 // halves, round barrier, arbitration, then serial execute halves in
 // registration order.
 func (c *Coordinator) Tick(now time.Duration) {
-	c.pruneStopped()
+	if stops := c.stops.Load(); stops != c.pruned {
+		c.pruned = stops
+		c.pruneStopped()
+	}
 	n := len(c.members)
 	if n == 0 {
 		return
@@ -282,7 +294,8 @@ func (c *Coordinator) arbitrateExternal(now time.Duration, plans []*core.Planned
 
 // pruneStopped honors the lifecycle at the round boundary: draining members
 // complete their drain (no round is in flight here) and stopped members are
-// unregistered, so a drained loop leaves the fleet within one round.
+// unregistered, so a drained loop leaves the fleet within one round. Tick
+// runs it only after a member drained or stopped.
 func (c *Coordinator) pruneStopped() {
 	keep := c.members[:0]
 	for i := range c.members {

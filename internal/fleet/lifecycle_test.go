@@ -73,6 +73,34 @@ func TestDrainedLoopLeavesFleetWithinOneRound(t *testing.T) {
 	c.Add(newStaticLoop("a", core.Action{Kind: "k", Subject: "s"}).loop, 0)
 }
 
+// TestStoppedLoopLeavesFleetWithinOneRound: a round prunes only after a
+// member drained or stopped, so a stop from outside any control op, and a
+// loop that joins already stopped, must still count.
+func TestStoppedLoopLeavesFleetWithinOneRound(t *testing.T) {
+	a := newStaticLoop("a", core.Action{Kind: "k", Subject: "s"})
+	b := newStaticLoop("b", core.Action{Kind: "k", Subject: "t"})
+	c := New(1)
+	c.Add(a.loop, 0)
+	c.Add(b.loop, 0)
+	c.Tick(time.Minute)
+	if err := a.loop.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	c.Tick(2 * time.Minute)
+	if c.Len() != 1 || len(a.executed) != 1 {
+		t.Errorf("Len = %d, a executed %d rounds after its stop; want 1 and 1", c.Len(), len(a.executed))
+	}
+	late := newStaticLoop("late", core.Action{Kind: "k", Subject: "u"})
+	if err := late.loop.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	c.Add(late.loop, 0)
+	c.Tick(3 * time.Minute)
+	if c.Len() != 1 || len(late.executed) != 0 {
+		t.Errorf("Len = %d, late executed %d rounds; want the stopped joiner pruned unrun", c.Len(), len(late.executed))
+	}
+}
+
 func TestPausedLoopSkipsRoundsButStays(t *testing.T) {
 	a := newStaticLoop("a", core.Action{Kind: "k", Subject: "s"})
 	c := New(1)

@@ -61,21 +61,12 @@ func InjectorKinds() []string {
 	return kinds
 }
 
-// window is one injection's ground truth: the interval it was active, the
-// domain it should surface in, and whether it is a phantom.
-type window struct {
-	kind    string
-	domain  string
-	phantom bool
-	at, end time.Duration
-	detail  string
-}
-
-// arm schedules one injection on the engine and records its ground-truth
-// window.
+// arm schedules one injection on the engine and hands its ground-truth
+// window (the interval it is active, the domain it should surface in, and
+// whether it is a phantom) to the scorer.
 func (rt *Runtime) arm(inj Injection) error {
 	at := rt.start + inj.At.D()
-	var w *window
+	var w InjectionOutcome
 	var err error
 	switch inj.Kind {
 	case KindThermalCascade:
@@ -94,10 +85,10 @@ func (rt *Runtime) arm(inj Injection) error {
 	if err != nil {
 		return err
 	}
-	w.kind = inj.Kind
-	w.domain = injectorDomains[inj.Kind]
-	w.phantom = injectorPhantom[inj.Kind]
-	rt.windows = append(rt.windows, w)
+	w.Kind = inj.Kind
+	w.Domain = injectorDomains[inj.Kind]
+	w.Phantom = injectorPhantom[inj.Kind]
+	rt.scorer.outcomes = append(rt.scorer.outcomes, w)
 	return nil
 }
 
@@ -126,7 +117,7 @@ func sevOr(s, def float64) float64 {
 // armThermalCascade fails cooling on a seed node, then spreads the fault
 // through its rack-mates at the cascade interval. Every victim is restored
 // at the window's end.
-func (rt *Runtime) armThermalCascade(inj Injection, at time.Duration) (*window, error) {
+func (rt *Runtime) armThermalCascade(inj Injection, at time.Duration) (InjectionOutcome, error) {
 	dur := durOr(inj.Duration.D(), 30*time.Minute)
 	spread := durOr(inj.Spread.D(), 5*time.Minute)
 	// The default severity multiplies thermal resistance enough that even a
@@ -141,7 +132,7 @@ func (rt *Runtime) armThermalCascade(inj Injection, at time.Duration) (*window, 
 	}
 	sn, ok := rt.Cluster.Node(seed)
 	if !ok {
-		return nil, fmt.Errorf("scenario: thermal-cascade: unknown node %q", seed)
+		return InjectionOutcome{}, fmt.Errorf("scenario: thermal-cascade: unknown node %q", seed)
 	}
 	// Victims: the seed first, then its rack-mates in ID order.
 	victims := []string{sn.ID}
@@ -173,16 +164,16 @@ func (rt *Runtime) armThermalCascade(inj Injection, at time.Duration) (*window, 
 			_ = rt.Cluster.SetThermalFault(id, 1)
 		}
 	})
-	return &window{
-		at: at, end: at + dur,
-		detail: fmt.Sprintf("%d nodes from %s", len(armed), seed),
+	return InjectionOutcome{
+		At: at, End: at + dur,
+		Detail: fmt.Sprintf("%d nodes from %s", len(armed), seed),
 	}, nil
 }
 
 // armCongestionStorm registers and submits a burst of write-heavy jobs under
 // one aggressor tenant. Their walltime equals the storm window, so the
 // scheduler reclaims the nodes when it closes.
-func (rt *Runtime) armCongestionStorm(inj Injection, at time.Duration) (*window, error) {
+func (rt *Runtime) armCongestionStorm(inj Injection, at time.Duration) (InjectionOutcome, error) {
 	dur := durOr(inj.Duration.D(), 20*time.Minute)
 	count := countOr(inj.Count, 8)
 	sizeMB := sevOr(inj.Severity, 256)
@@ -209,15 +200,15 @@ func (rt *Runtime) armCongestionStorm(inj Injection, at time.Duration) (*window,
 			_, _ = rt.Scheduler.Submit(name, tenant, 1, dur, 0)
 		})
 	}
-	return &window{
-		at: at, end: at + dur,
-		detail: fmt.Sprintf("%d writers, tenant %s, %gMB/iter", count, tenant, sizeMB),
+	return InjectionOutcome{
+		At: at, End: at + dur,
+		Detail: fmt.Sprintf("%d writers, tenant %s, %gMB/iter", count, tenant, sizeMB),
 	}, nil
 }
 
 // armDiskFailures degrades a run of adjacent OSTs to a fraction of their
 // bandwidth, then restores them at the window's end.
-func (rt *Runtime) armDiskFailures(inj Injection, at time.Duration) (*window, error) {
+func (rt *Runtime) armDiskFailures(inj Injection, at time.Duration) (InjectionOutcome, error) {
 	dur := durOr(inj.Duration.D(), 20*time.Minute)
 	count := countOr(inj.Count, 2)
 	health := inj.Severity
@@ -246,16 +237,16 @@ func (rt *Runtime) armDiskFailures(inj Injection, at time.Duration) (*window, er
 			_ = rt.FS.SetOSTHealth(id, 1)
 		}
 	})
-	return &window{
-		at: at, end: at + dur,
-		detail: fmt.Sprintf("%d OSTs from ost%02d at health %.2f", count, first, health),
+	return InjectionOutcome{
+		At: at, End: at + dur,
+		Detail: fmt.Sprintf("%d OSTs from ost%02d at health %.2f", count, first, health),
 	}, nil
 }
 
 // armMisconfigSweep submits a wave of misconfigured jobs spaced across the
 // window, alternating thread oversubscription with wrong-library pickups —
 // the two kinds the Misconfiguration case detects from live telemetry.
-func (rt *Runtime) armMisconfigSweep(inj Injection, at time.Duration) (*window, error) {
+func (rt *Runtime) armMisconfigSweep(inj Injection, at time.Duration) (InjectionOutcome, error) {
 	dur := durOr(inj.Duration.D(), 20*time.Minute)
 	count := countOr(inj.Count, 6)
 	gap := dur / time.Duration(count)
@@ -277,16 +268,16 @@ func (rt *Runtime) armMisconfigSweep(inj Injection, at time.Duration) (*window, 
 			_, _ = rt.Scheduler.Submit(name, "sweep", 1, dur, 0)
 		})
 	}
-	return &window{
-		at: at, end: at + dur,
-		detail: fmt.Sprintf("%d misconfigured jobs", count),
+	return InjectionOutcome{
+		At: at, End: at + dur,
+		Detail: fmt.Sprintf("%d misconfigured jobs", count),
 	}, nil
 }
 
 // armSensorFlap toggles a multiplicative temperature-sensor bias on a few
 // nodes — a phantom fault: the physical state is healthy, only the readings
 // lie, so every attributed finding is a false positive.
-func (rt *Runtime) armSensorFlap(inj Injection, at time.Duration) (*window, error) {
+func (rt *Runtime) armSensorFlap(inj Injection, at time.Duration) (InjectionOutcome, error) {
 	dur := durOr(inj.Duration.D(), 20*time.Minute)
 	flap := durOr(inj.Flap.D(), 2*time.Minute)
 	severity := sevOr(inj.Severity, 1.6)
@@ -299,7 +290,7 @@ func (rt *Runtime) armSensorFlap(inj Injection, at time.Duration) (*window, erro
 	var victims []string
 	if inj.Node != "" {
 		if _, ok := rt.Cluster.Node(inj.Node); !ok {
-			return nil, fmt.Errorf("scenario: sensor-flap: unknown node %q", inj.Node)
+			return InjectionOutcome{}, fmt.Errorf("scenario: sensor-flap: unknown node %q", inj.Node)
 		}
 		victims = append(victims, inj.Node)
 	}
@@ -335,9 +326,9 @@ func (rt *Runtime) armSensorFlap(inj Injection, at time.Duration) (*window, erro
 		}
 		return true
 	})
-	return &window{
-		at: at, end: end,
-		detail: fmt.Sprintf("%d sensors biased ×%.2g every %v", len(victims), severity, flap),
+	return InjectionOutcome{
+		At: at, End: end,
+		Detail: fmt.Sprintf("%d sensors biased ×%.2g every %v", len(victims), severity, flap),
 	}, nil
 }
 

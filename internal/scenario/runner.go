@@ -83,7 +83,6 @@ type Runtime struct {
 	start   time.Duration // engine time at assembly; the schedule is relative to it
 	horizon time.Duration
 	sample  time.Duration
-	windows []*window
 	scorer  *scorer
 	injRng  *rand.Rand
 	ran     bool
@@ -208,7 +207,7 @@ func AssembleOn(engine *sim.Engine, db *tsdb.DB, spec *Spec, reg *control.Regist
 	rt.Ctl = control.NewService(reg, env, coord, round)
 
 	// The scorer subscribes before any loop is spawned, so no event is lost.
-	rt.scorer = newScorer(rt.Bus)
+	rt.scorer = newScorer(rt.Bus, spec.Score.Grace.D())
 	for i := range spec.Loops {
 		ls := &spec.Loops[i]
 		sp, err := rt.Ctl.Spawn(ls.LoopSpec)

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -17,50 +18,83 @@ type binding struct {
 	actions  map[string]bool // nil counts every action kind
 }
 
-// loopEvent is one observed lifecycle event relevant to scoring.
-type loopEvent struct {
-	t       time.Duration
-	loop    string
-	kind    string // finding or action kind
-	execute bool   // false: finding
-}
-
-// scorer records the fleet's findings and honored executions off the bus.
-// The bus dispatch under the simulator is effectively single-threaded (the
-// fleet coordinator replays buffered loop events serially on the tick
-// goroutine), so no locking is needed.
+// scorer folds the fleet's findings and honored executions off the bus into
+// the run's Scores and one InjectionOutcome per armed window, as each event
+// arrives, so a run keeps no event history. Every window is armed in
+// AssembleOn before the engine runs, so each event meets every window it can
+// fall in. The bus dispatch under the simulator is effectively
+// single-threaded (the fleet coordinator replays buffered loop events
+// serially on the tick goroutine), so no locking is needed.
 type scorer struct {
+	grace    time.Duration // how long past its end a window still attributes
 	bindings map[string]*binding
-	events   []loopEvent
+	outcomes []InjectionOutcome // one per armed window, in arm order
+	scores   Scores             // the event counts; score adds the window totals
 }
 
-func newScorer(b *bus.Bus) *scorer {
-	s := &scorer{bindings: make(map[string]*binding)}
+func newScorer(b *bus.Bus, grace time.Duration) *scorer {
+	if grace <= 0 {
+		grace = 10 * time.Minute
+	}
+	s := &scorer{grace: grace, bindings: make(map[string]*binding)}
 	b.Subscribe("loop.*", func(env bus.Envelope) {
-		var ev loopEvent
 		switch env.Topic[strings.LastIndexByte(env.Topic, '.')+1:] {
 		case "finding":
-			f, ok := env.Payload.(core.Finding)
-			if !ok {
-				return
+			if f, ok := env.Payload.(core.Finding); ok {
+				s.fold(env.Source, env.Time, f.Kind, false)
 			}
-			ev = loopEvent{t: env.Time, loop: env.Source, kind: f.Kind}
 		case "execute":
-			r, ok := env.Payload.(core.ActionResult)
-			if !ok || !r.Honored {
-				return
+			if r, ok := env.Payload.(core.ActionResult); ok && r.Honored {
+				s.fold(env.Source, env.Time, r.Action.Kind, true)
 			}
-			ev = loopEvent{t: env.Time, loop: env.Source, kind: r.Action.Kind, execute: true}
-		default:
-			return
-		}
-		// Only scored loops are recorded: an unscored deployment (a daemon's
-		// fleet, loops spawned later over the wire) keeps no event history.
-		if bound := s.bindings[ev.loop]; bound != nil && bound.domain != "" {
-			s.events = append(s.events, ev)
 		}
 	})
 	return s
+}
+
+// fold scores one finding (execute false) or honored execution of kind by
+// loop at t. Only scored loops count: an unscored deployment (a daemon's
+// fleet, loops spawned later over the wire) leaves no trace.
+func (s *scorer) fold(loop string, t time.Duration, kind string, execute bool) {
+	b := s.bindings[loop]
+	if b == nil || b.domain == "" {
+		return
+	}
+	counted := b.findings
+	if execute {
+		counted = b.actions
+	}
+	if counted != nil && !counted[kind] {
+		return
+	}
+	covered := false // by a real window of the loop's domain
+	for i := range s.outcomes {
+		w := &s.outcomes[i]
+		if w.Domain != b.domain || t < w.At || t > w.End+s.grace {
+			continue
+		}
+		covered = covered || !w.Phantom
+		switch {
+		case !execute && !w.Detected:
+			w.Detected, w.DetectLat, w.By = true, t-w.At, loop
+		case execute && w.Detected && !w.Responded:
+			// A response only counts once the fault was detected: events
+			// arrive in time order, so routine in-window actions fired
+			// before the first matching finding never claim the MTTR.
+			w.Responded, w.MTTR = true, t-w.At
+		}
+	}
+	if execute {
+		s.scores.Actions++
+		if covered {
+			s.scores.AttributedActions++
+		}
+	} else {
+		s.scores.Findings++
+		if !covered {
+			s.scores.FalseFindings++
+		}
+	}
 }
 
 // bind registers one spawned loop's attribution policy.
@@ -140,107 +174,40 @@ type Report struct {
 	Scores     Scores
 }
 
-// score folds the recorded events over the ground-truth windows.
-func (rt *Runtime) score() *Report {
-	grace := rt.spec.Score.Grace.D()
-	if grace <= 0 {
-		grace = 10 * time.Minute
-	}
-	s := rt.scorer
-
-	// covered reports whether a real window of the event's domain covers t.
-	covered := func(domain string, t time.Duration) bool {
-		for _, w := range rt.windows {
-			if !w.phantom && w.domain == domain && t >= w.at && t <= w.end+grace {
-				return true
-			}
+// totals returns the run's scores and windows so far: the folded event
+// counts plus each real window's detection and response.
+func (s *scorer) totals() (Scores, []InjectionOutcome) {
+	sc := s.scores
+	var mttrSum time.Duration
+	for _, out := range s.outcomes {
+		if out.Phantom {
+			continue
 		}
-		return false
+		sc.Windows++
+		if out.Detected {
+			sc.Detected++
+		}
+		if out.Responded {
+			sc.Responded++
+			mttrSum += out.MTTR
+		}
 	}
+	if sc.Responded > 0 {
+		sc.MeanMTTR = mttrSum / time.Duration(sc.Responded)
+	}
+	return sc, slices.Clone(s.outcomes)
+}
 
+// score reports the run.
+func (rt *Runtime) score() *Report {
 	rep := &Report{
 		Name:    rt.spec.Name,
 		Seed:    rt.spec.Seed,
 		Horizon: rt.horizon,
 		Nodes:   rt.spec.Facility.Nodes,
 	}
-	samples, points, _ := rt.Pipe.Stats()
-	rep.Samples, rep.Points = samples, points
-
-	// Global rates over scored events.
-	for _, ev := range s.events {
-		b := s.bindings[ev.loop] // recorded events are all bound
-		if ev.execute {
-			if b.actions != nil && !b.actions[ev.kind] {
-				continue
-			}
-			rep.Scores.Actions++
-			if covered(b.domain, ev.t) {
-				rep.Scores.AttributedActions++
-			}
-		} else {
-			if b.findings != nil && !b.findings[ev.kind] {
-				continue
-			}
-			rep.Scores.Findings++
-			if !covered(b.domain, ev.t) {
-				rep.Scores.FalseFindings++
-			}
-		}
-	}
-
-	// Per-injection outcomes: first matching finding and execution.
-	var mttrSum time.Duration
-	for _, w := range rt.windows {
-		out := InjectionOutcome{
-			Kind: w.kind, Domain: w.domain, Phantom: w.phantom,
-			At: w.at, End: w.end, Detail: w.detail,
-		}
-		for _, ev := range s.events {
-			b := s.bindings[ev.loop]
-			if b.domain != w.domain {
-				continue
-			}
-			if ev.t < w.at || ev.t > w.end+grace {
-				continue
-			}
-			if ev.execute {
-				if b.actions != nil && !b.actions[ev.kind] {
-					continue
-				}
-				// A response only counts once the fault was detected: events
-				// arrive in time order, so routine in-window actions fired
-				// before the first matching finding never claim the MTTR.
-				if out.Detected && !out.Responded {
-					out.Responded = true
-					out.MTTR = ev.t - w.at
-				}
-			} else {
-				if b.findings != nil && !b.findings[ev.kind] {
-					continue
-				}
-				if !out.Detected {
-					out.Detected = true
-					out.DetectLat = ev.t - w.at
-					out.By = ev.loop
-				}
-			}
-		}
-		if !w.phantom {
-			rep.Scores.Windows++
-			if out.Detected {
-				rep.Scores.Detected++
-			}
-			if out.Responded {
-				rep.Scores.Responded++
-				mttrSum += out.MTTR
-			}
-		}
-		rep.Injections = append(rep.Injections, out)
-	}
-	if rep.Scores.Responded > 0 {
-		rep.Scores.MeanMTTR = mttrSum / time.Duration(rep.Scores.Responded)
-	}
+	rep.Scores, rep.Injections = rt.scorer.totals()
+	rep.Samples, rep.Points, _ = rt.Pipe.Stats()
 	return rep
 }
 
