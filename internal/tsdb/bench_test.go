@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -243,4 +244,82 @@ func BenchmarkWindowQuery(b *testing.B) {
 			b.Fatalf("visited %d samples, want %d", total, 16*512)
 		}
 	})
+}
+
+// firstSightRound is stress10k's first sampling round: 10,240 nodes, 64 to
+// a rack, each reporting the five node.* metrics under one node+rack label
+// map, one Ref per series, in the collector's node-major order.
+func firstSightRound() []telemetry.Point {
+	const nodes = 10240
+	names := []string{"node.cpu.util", "node.power.watts", "node.temp.celsius", "node.mem.used_gb", "node.cores.used"}
+	refs := make([]telemetry.Ref, nodes*len(names))
+	pts := make([]telemetry.Point, 0, len(refs))
+	for n := 0; n < nodes; n++ {
+		labels := telemetry.Labels{"node": fmt.Sprintf("n%03d", n), "rack": fmt.Sprintf("r%02d", n/64)}
+		for m, name := range names {
+			pts = append(pts, telemetry.Point{Name: name, Labels: labels, Value: float64(n), Ref: &refs[n*len(names)+m]})
+		}
+	}
+	return pts
+}
+
+// BenchmarkFirstSight measures the cost of meeting a series: stress10k's
+// first round appended to a fresh DB, per series created. Its "first matcher
+// read" row is one family's first label-matcher read after that round,
+// which builds the family's posting lists over its 10,240 series.
+func BenchmarkFirstSight(b *testing.B) {
+	pts := firstSightRound()
+	b.Run("round", func(b *testing.B) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := New(0).AppendBatch(pts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		series := float64(b.N * len(pts))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/series, "ns/series")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/series, "B/series")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/series, "allocs/series")
+	})
+	b.Run("first matcher read", func(b *testing.B) {
+		matcher := telemetry.Labels{"rack": "r03"}
+		var buf []telemetry.Point
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			db := New(0)
+			if err := db.AppendBatch(pts); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if buf = db.LatestInto(buf[:0], "node.temp.celsius", matcher); len(buf) != 64 {
+				b.Fatalf("matched %d series, want 64", len(buf))
+			}
+		}
+	})
+}
+
+// TestFirstSightAllocs gates what meeting a series allocates: stress10k's
+// first round into a fresh DB, per series created. A series costs its
+// memSeries and its first chunk; its node's five series share one interned
+// label set (the set, its map and its key), and the family and hash indexes
+// grow by doubling. No posting list is built, as no matcher reads the round.
+// The bound is the measured 4.41, rounded up; building every family's posting
+// lists on first sight cost 5.53.
+func TestFirstSightAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate skipped under the race detector")
+	}
+	pts := firstSightRound()
+	allocs := testing.AllocsPerRun(1, func() {
+		if err := New(0).AppendBatch(pts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perSeries := allocs / float64(len(pts)); perSeries > 4.5 {
+		t.Fatalf("first sight allocates %.2f/series, want <= 4.5", perSeries)
+	}
 }

@@ -337,7 +337,7 @@ func (db *DB) bindLocked(e *pointsEntry) (*memSeries, error) {
 		return nil, fmt.Errorf("tsdb: decode: series id %d defined before id %d", e.id, n)
 	}
 	p := telemetry.Point{Name: e.name, Labels: e.labels}
-	h := identityOf(&p)
+	h, lh := identityOf(&p)
 	s := db.lookup(h, &p)
 	switch {
 	case e.id < n:
@@ -346,7 +346,7 @@ func (db *DB) bindLocked(e *pointsEntry) (*memSeries, error) {
 		}
 		return s, nil
 	case s == nil:
-		s = db.create(&p, h, db.rules)
+		s = db.create(&p, h, lh, db.rules)
 	case s.jid != 0:
 		return nil, fmt.Errorf("tsdb: decode: %s%s defined as id %d, already id %d", e.name, e.labels, e.id, s.jid-1)
 	}
@@ -365,7 +365,8 @@ func (db *DB) applyNamedLocked(payload []byte) error {
 		if d.err != nil {
 			return d.err
 		}
-		s := db.lookup(identityOf(&p), &p)
+		h, _ := identityOf(&p)
+		s := db.lookup(h, &p)
 		if s != nil {
 			if last := s.last(); last != nil && p.Time < last.Time {
 				continue // already reflected by the snapshot

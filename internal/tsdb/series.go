@@ -4,6 +4,7 @@ import (
 	"hash/maphash"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"autoloop/internal/telemetry"
@@ -183,13 +184,18 @@ func labelsEqual(a, b telemetry.Labels) bool {
 }
 
 // family is one metric's series index. series and every posting list are
-// kept in labelSet.key order — the order every read promises — by create, so
-// no read ever sorts.
+// kept in labelSet.key order — the order every read promises — by create and
+// index, so no read ever sorts.
 type family struct {
 	series []*memSeries
-	// postings maps k=v -> the family's series carrying that label. Posting
-	// lists only grow.
+	// postings maps k=v -> the family's series carrying that label. It is
+	// built on the first matcher read, then maintained by create; nil until
+	// then, so a family no matcher reads never indexes its series.
 	postings map[labelPair][]*memSeries
+	// indexed builds postings once, under the read lock of the first
+	// matcher read. create holds the write lock, so it never runs beside
+	// the build and sees postings either nil or complete.
+	indexed sync.Once
 	// gen counts the series created in the family. Series are never
 	// deleted, so a creation is the only event that can change which
 	// series a handle's matcher selects: a handle memo resolved at one gen
@@ -197,17 +203,34 @@ type family struct {
 	gen uint64
 }
 
+// index builds the posting lists in one pass over the key-ordered series,
+// so each list comes out in key order by appends alone.
+func (fam *family) index() {
+	fam.postings = make(map[labelPair][]*memSeries)
+	for _, s := range fam.series {
+		for k, v := range s.labels {
+			pair := labelPair{k, v}
+			fam.postings[pair] = append(fam.postings[pair], s)
+		}
+	}
+}
+
 // candidates returns, in label-key order, the shortest indexed list holding
 // every series that can match (name, matcher): the metric's family, or the
 // shortest of the matcher's posting lists within it (empty when the index
-// proves nothing matches). Callers must hold at least the read lock and
-// verify each candidate with s.labels.Matches.
+// proves nothing matches). An empty matcher reads the family without its
+// index; the first non-empty one builds it. Callers must hold at least the
+// read lock and verify each candidate with s.labels.Matches.
 func (db *DB) candidates(name string, matcher telemetry.Labels) []*memSeries {
 	fam := db.byName[name]
 	if fam == nil {
 		return nil
 	}
 	list := fam.series
+	if len(matcher) == 0 {
+		return list
+	}
+	fam.indexed.Do(fam.index)
 	for k, v := range matcher {
 		if pl := fam.postings[labelPair{k, v}]; len(pl) < len(list) {
 			list = pl
@@ -228,23 +251,26 @@ func insertByKey(list []*memSeries, s *memSeries) []*memSeries {
 }
 
 // create inserts a new series for p's identity, registering it in the hash
-// map and at its key's place in its metric's family and posting lists,
-// interning its label set, and attaching the given rollup rules that match
-// its metric. Callers must hold the write lock and must have checked lookup
-// first.
-func (db *DB) create(p *telemetry.Point, h uint64, rules []RollupRule) *memSeries {
+// map and at its key's place in its metric's family and, once the family is
+// indexed, its posting lists, interning its label set, and attaching the
+// given rollup rules that match its metric. h and lh are p's identity and
+// label hashes (identityOf). Callers must hold the write lock and must have
+// checked lookup first.
+func (db *DB) create(p *telemetry.Point, h, lh uint64, rules []RollupRule) *memSeries {
 	fam := db.byName[p.Name]
 	if fam == nil {
-		fam = &family{postings: make(map[labelPair][]*memSeries)}
+		fam = &family{}
 		db.byName[p.Name] = fam
 	}
-	s := &memSeries{name: p.Name, labelSet: db.intern(p.Labels)}
+	s := &memSeries{name: p.Name, labelSet: db.intern(p.Labels, lh)}
 	fam.series = insertByKey(fam.series, s)
 	fam.gen++
 	s.nextHash, db.byHash[h] = db.byHash[h], s
-	for k, v := range s.labels {
-		pair := labelPair{k, v}
-		fam.postings[pair] = insertByKey(fam.postings[pair], s)
+	if fam.postings != nil {
+		for k, v := range s.labels {
+			pair := labelPair{k, v}
+			fam.postings[pair] = insertByKey(fam.postings[pair], s)
+		}
 	}
 	for i := range rules {
 		if rules[i].Metric == p.Name {
@@ -257,10 +283,10 @@ func (db *DB) create(p *telemetry.Point, h uint64, rules []RollupRule) *memSerie
 // intern returns the canonical form of a new series' label set, shared with
 // every other series of this DB carrying an equal one. It finds an interned
 // set by label hash and labelsEqual, so only a set seen for the first time
-// builds its key. The empty set's canonical map is nil, whichever of nil and
-// Labels{} its first series arrived with. Callers must hold the write lock.
-func (db *DB) intern(labels telemetry.Labels) *labelSet {
-	h := labelHash(labels)
+// builds its key. h is labelHash(labels). The empty set's canonical map is
+// nil, whichever of nil and Labels{} its first series arrived with. Callers
+// must hold the write lock.
+func (db *DB) intern(labels telemetry.Labels, h uint64) *labelSet {
 	for ls := db.labelSets[h]; ls != nil; ls = ls.next {
 		if labelsEqual(ls.labels, labels) {
 			return ls
@@ -283,9 +309,11 @@ var hashSeed = maphash.MakeSeed()
 // accelerated string hash. The label part is an order-independent
 // (XOR-combined) mix so the map's iteration order never matters and no
 // canonical key string has to be allocated; collisions are harmless because
-// lookups verify name and labels.
-func identityOf(p *telemetry.Point) uint64 {
-	return mix(maphash.String(hashSeed, p.Name) ^ labelHash(p.Labels))
+// lookups verify name and labels. It returns the label hash too, so creating
+// the series interns its label set without hashing the labels again.
+func identityOf(p *telemetry.Point) (h, lh uint64) {
+	lh = labelHash(p.Labels)
+	return mix(maphash.String(hashSeed, p.Name) ^ lh), lh
 }
 
 // labelHash is the label part of identityOf: the XOR of every pair's hash,

@@ -212,13 +212,13 @@ func (db *DB) RestoreSnapshot(data []byte) error {
 	for si := range snap.Series {
 		ss := &snap.Series[si]
 		p := telemetry.Point{Name: ss.Name, Labels: ss.Labels}
-		h := identityOf(&p)
+		h, lh := identityOf(&p)
 		if db.lookup(h, &p) != nil {
 			return fmt.Errorf("tsdb: restore snapshot: series %s%s already in the store", ss.Name, ss.Labels)
 		}
 		// Create without attaching rules: rollup states come from the
 		// snapshot, not from fresh (empty) rule instances.
-		s := db.create(&p, h, nil)
+		s := db.create(&p, h, lh, nil)
 		if ss.JID > 0 {
 			s.jid = uint32(ss.JID)
 			byID[ss.JID-1] = s

@@ -10,9 +10,11 @@
 //
 // Internally the store is one set of indexes behind one RWMutex: a name ->
 // family map, each family holding its metric's series — and, per label pair,
-// the posting list of those carrying it — in label-key order, so a matcher
-// query walks the shortest posting list instead of every series of the
-// metric and every read visits in the order it promises without sorting;
+// the posting list of those carrying it, built on the first matcher read,
+// then maintained — in label-key order, so a matcher query walks the
+// shortest posting list instead of every series of the metric, a family no
+// matcher reads indexes nothing, and every read visits in the order it
+// promises without sorting;
 // and an identity-hash map the append path resolves a point through without
 // building its label key. A series takes its place in that order once, when
 // it is created; range bounds inside a series are binary-searched. A
@@ -146,9 +148,9 @@ func (db *DB) appendLocked(s *memSeries, p *telemetry.Point) (*memSeries, error)
 		return nil, fmt.Errorf("tsdb: append non-finite value %v for %s%s", p.Value, p.Name, p.Labels)
 	}
 	if s == nil {
-		h := identityOf(p)
+		h, lh := identityOf(p)
 		if s = db.lookup(h, p); s == nil {
-			s = db.create(p, h, db.rules)
+			s = db.create(p, h, lh, db.rules)
 		}
 		if p.Ref != nil {
 			p.Ref.SetMemo(s)
