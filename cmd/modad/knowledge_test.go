@@ -123,6 +123,32 @@ func TestRecoverParentKnowledge(t *testing.T) {
 	}
 }
 
+// TestRestoreKeepsKnowledgeSetpoints restarts modad on a copy of the
+// fixture for less than one round: re-spawning the restored ioqos group
+// must keep the setpoints K recovered, not write the fair shares over them,
+// so the final snapshot's K equals the recovered one.
+func TestRestoreKeepsKnowledgeSetpoints(t *testing.T) {
+	fixture := func() string {
+		dir := t.TempDir() // wal.Open truncates in place
+		if err := os.CopyFS(dir, os.DirFS("testdata/parent_kb_wal")); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	want, dir := recoverKnowledge(t, fixture(), 0), fixture()
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-addr=127.0.0.1:0", "-wal-dir=" + dir, "-speed=1", "-duration=600ms"}, &out, &errOut); code != 0 {
+		t.Fatalf("modad exit %d: %s%s", code, out.String(), errOut.String())
+	}
+	got, _ := snapshotKnowledge(t, dir)
+	if v, _ := got.Fact("ioqos.alloc_mbps.batch"); v == 500 {
+		t.Errorf("the restore wrote batch's fair share, 500 MB/s, over K")
+	}
+	if g, w := saved(t, got), saved(t, want); g != w {
+		t.Fatalf("K after the restore diverges from the recovered K:\n got: %s\nwant: %s", g, w)
+	}
+}
+
 // TestDaemonJournalsKnowledgeOnTheBus runs a durable daemon with an ioqos
 // group, whose parent loop rewrites its setpoints on the blackboard, then
 // scans the log: knowledge writes are knowledge.learn envelopes and no

@@ -56,7 +56,7 @@ func main() {
 	loop.Bus = bus.New()
 	var trail []string
 	loop.Bus.Subscribe("loop."+loop.Name+".execute", func(e bus.Envelope) {
-		res := e.Payload.(core.ActionResult)
+		res := e.Payload.(*core.ActionResult)
 		trail = append(trail, fmt.Sprintf("[%v] %s(%s) honored=%v granted=%.4g: %s",
 			e.Time, res.Action.Kind, res.Action.Subject, res.Honored, res.Granted, res.Action.Explanation))
 	})

@@ -145,12 +145,8 @@ func TestFourLoopsCoexist(t *testing.T) {
 	if ostCtl.Responses == 0 {
 		t.Error("OST loop never responded to the degraded OST")
 	}
-	if inst, ok := w.runtime.Instance(writerJob.ID); ok && inst.File() != nil {
-		for _, o := range inst.File().OSTs() {
-			if o == 2 {
-				t.Error("writer still striped over degraded OST 2")
-			}
-		}
+	if inst, ok := w.runtime.Instance(writerJob.ID); ok && inst.File() != nil && inst.File().StripesOver(2) {
+		t.Error("writer still striped over degraded OST 2")
 	}
 	// 3. The misconfigured job must be detected and fixed.
 	if kind, ok := misCtl.Flagged(stormJob.ID); !ok || kind != app.MisconfigThreads {

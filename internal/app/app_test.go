@@ -309,10 +309,8 @@ func TestReopenAvoiding(t *testing.T) {
 	if err := inst.ReopenAvoiding(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range inst.File().OSTs() {
-		if o == 0 || o == 1 {
-			t.Errorf("layout %v includes avoided OST", inst.File().OSTs())
-		}
+	if f := inst.File(); f.StripesOver(0) || f.StripesOver(1) {
+		t.Error("layout includes an avoided OST")
 	}
 }
 

@@ -81,6 +81,13 @@ var (
 	violationReason  = core.NewReason("latency %.1fms exceeds objective %.1fms")
 )
 
+// headroom is the campaign's findings when every objective is met. It is
+// never written, so every such tick returns it and allocates nothing.
+var headroom = []core.Finding{{
+	Kind: "headroom", Subject: "*", Value: 1, Confidence: 0.9,
+	Detail: core.Text("all latency objectives met"),
+}}
+
 // Controller wires the hierarchical QoS loops.
 type Controller struct {
 	cfg Config
@@ -102,7 +109,8 @@ type Controller struct {
 	Violations int
 }
 
-// New builds the controller and seeds fair-share allocations.
+// New builds the controller and seeds each tenant's allocation: the one K
+// already holds, as after a restore, or else its fair share.
 func New(cfg Config, db telemetry.Querier, fs *pfs.FS, kb *knowledge.Base) *Controller {
 	if db == nil || fs == nil || kb == nil {
 		panic("ioqoscase: nil dependency")
@@ -123,6 +131,10 @@ func New(cfg Config, db telemetry.Querier, fs *pfs.FS, kb *knowledge.Base) *Cont
 		wsum += math.Max(t.Priority, 0.01)
 	}
 	for _, t := range cfg.Tenants {
+		if held, ok := kb.Fact(c.names[t.Name].key); ok {
+			c.alloc[t.Name] = held
+			continue
+		}
 		share := cfg.CapacityMBps * math.Max(t.Priority, 0.01) / wsum
 		c.setAlloc(t.Name, share)
 	}
@@ -239,12 +251,12 @@ func (c *Controller) parentLoop() *core.Loop {
 	// The monitor fills one buffer, reused across ticks, through the
 	// zero-copy LatestInto surface (the loop drops observations after
 	// Analyze, so the backing array is safe to recycle). The analyzer folds
-	// latencies into lat, one slot per tenant, and builds its findings in
-	// one reused buffer (the loop drops symptoms after Plan).
+	// latencies into lat, one slot per tenant, and returns a new findings
+	// slice on each tick with a violation: the loop publishes pointers into
+	// it.
 	var ptsBuf []telemetry.Point
 	lat := make([]float64, len(c.cfg.Tenants))
 	seen := make([]bool, len(c.cfg.Tenants))
-	var findings []core.Finding
 	monitor := core.MonitorFunc(func(now time.Duration) (core.Observation, error) {
 		obs := core.Observation{Time: now}
 		ptsBuf = c.db.LatestInto(ptsBuf[:0], "pfs.tenant.lat_ms", nil)
@@ -253,7 +265,7 @@ func (c *Controller) parentLoop() *core.Loop {
 		return obs, nil
 	})
 	analyzer := core.AnalyzerFunc(func(now time.Duration, obs core.Observation) (core.Symptoms, error) {
-		findings = findings[:0]
+		var findings []core.Finding
 		clear(seen)
 		for _, p := range obs.Points {
 			if p.Name != "pfs.tenant.lat_ms" {
@@ -266,14 +278,12 @@ func (c *Controller) parentLoop() *core.Loop {
 				}
 			}
 		}
-		anyViolation := false
 		for i, t := range c.cfg.Tenants {
 			if t.TargetLatMS <= 0 || !seen[i] {
 				continue
 			}
 			observed := lat[i]
 			if observed > t.TargetLatMS {
-				anyViolation = true
 				c.Violations++
 				findings = append(findings, core.Finding{
 					Kind: "latency-violation", Subject: t.Name, Value: observed, Confidence: 0.9,
@@ -281,11 +291,8 @@ func (c *Controller) parentLoop() *core.Loop {
 				})
 			}
 		}
-		if !anyViolation {
-			findings = append(findings, core.Finding{
-				Kind: "headroom", Subject: "*", Value: 1, Confidence: 0.9,
-				Detail: core.Text("all latency objectives met"),
-			})
+		if len(findings) == 0 {
+			findings = headroom
 		}
 		return core.Symptoms{Time: now, Findings: findings}, nil
 	})

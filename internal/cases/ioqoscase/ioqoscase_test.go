@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"autoloop/internal/bus"
 	"autoloop/internal/core"
 	"autoloop/internal/fleet"
 	"autoloop/internal/knowledge"
@@ -200,9 +201,11 @@ func TestNoTenantsPanics(t *testing.T) {
 }
 
 // TestDecisionDetailAllocs: a warm campaign Analyze+Plan allocates only the
-// actions slice (the analyzer reuses its findings buffer); the findings'
-// details and the set-allocation explanation are data, rendered to the
-// text the fmt format gives only when read.
+// findings and actions slices, new each tick because the loop publishes
+// pointers into them; the findings' details and the set-allocation
+// explanation are data, rendered to the text the fmt format gives only when
+// read. A whole campaign tick on a bus with a receiver adds only the
+// outcome's Results slice: its events point at the tick's own values.
 func TestDecisionDetailAllocs(t *testing.T) {
 	r := newRig(t)
 	l := r.ctl.parentLoop()
@@ -236,8 +239,30 @@ func TestDecisionDetailAllocs(t *testing.T) {
 			sym, _ := l.A.Analyze(time.Minute, tc.obs)
 			_, _ = l.P.Plan(time.Minute, sym)
 		})
-		if allocs > 1 {
-			t.Errorf("%v allocations per Analyze+Plan, want 1 (the actions slice)", allocs)
+		if allocs > 2 {
+			t.Errorf("%v allocations per Analyze+Plan, want 2 (the findings and actions slices)", allocs)
 		}
+	}
+
+	// Alternate a violation and headroom, so every tick moves batch's
+	// allocation and executes one set-allocation.
+	ticks, observed := 0, [2]core.Observation{latency(120), latency(920)}
+	l.M = core.MonitorFunc(func(now time.Duration) (core.Observation, error) {
+		ticks++
+		return observed[ticks%2], nil
+	})
+	l.Bus = bus.New()
+	events := 0
+	l.Bus.Subscribe("loop.*", func(bus.Envelope) { events++ })
+	for range 4 {
+		l.Tick(time.Minute)
+	}
+	executed := l.Metrics().ExecutedActions
+	allocs := testing.AllocsPerRun(100, func() { l.Tick(time.Minute) })
+	if got := l.Metrics().ExecutedActions - executed; got != 101 || events != 3*105 {
+		t.Fatalf("%d executed, %d events over 105 ticks; want 101 and 315", got, events)
+	}
+	if allocs > 3 {
+		t.Errorf("%v allocations per tick with a receiver, want 3 (findings, actions, results)", allocs)
 	}
 }

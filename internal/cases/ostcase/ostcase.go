@@ -60,9 +60,10 @@ type Controller struct {
 	fleet    *control.Reading
 	observed *ostLats
 	// ids/lats are the per-tick scratch of the busy OSTs the outlier test
-	// runs on.
-	ids  []int
-	lats []float64
+	// runs on, and outliers the set of those it flags.
+	ids      []int
+	lats     []float64
+	outliers map[int]bool
 	// running is the plan phase's running-job scratch, refilled per
 	// finding.
 	running []*sched.Job
@@ -85,7 +86,7 @@ func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runti
 	return &Controller{
 		cfg: cfg, sch: sch, apps: apps,
 		streak: make(map[int]int), avoided: make(map[int]bool), subjects: make(map[int]string),
-		fleet: control.NewReading(db, ostLatsKey{}),
+		outliers: make(map[int]bool), fleet: control.NewReading(db, ostLatsKey{}),
 	}
 }
 
@@ -180,12 +181,12 @@ func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Sympto
 		lats = append(lats, o.lat)
 	}
 	c.ids, c.lats = ids, lats
-	outliers := map[int]bool{}
+	clear(c.outliers)
 	for _, idx := range analytics.MADOutliers(lats, c.cfg.Threshold, 1) {
-		outliers[ids[idx]] = true
+		c.outliers[ids[idx]] = true
 	}
 	for _, id := range ids {
-		if outliers[id] {
+		if c.outliers[id] {
 			c.streak[id]++
 		} else {
 			c.streak[id] = 0
@@ -224,14 +225,7 @@ func (c *Controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, erro
 			if !ok || inst.File() == nil {
 				continue
 			}
-			uses := false
-			for _, o := range inst.File().OSTs() {
-				if o == ostID {
-					uses = true
-					break
-				}
-			}
-			if !uses {
+			if !inst.File().StripesOver(ostID) {
 				continue
 			}
 			plan.Actions = append(plan.Actions, core.Action{

@@ -73,10 +73,8 @@ func TestDetectsAndAvoidsDegradedOST(t *testing.T) {
 		t.Fatalf("Responses = %d, want 1", r.ctl.Responses)
 	}
 	inst, _ := r.rt.Instance(j.ID)
-	for _, o := range inst.File().OSTs() {
-		if o == 3 {
-			t.Error("layout still includes degraded OST 3")
-		}
+	if inst.File().StripesOver(3) {
+		t.Error("layout still includes degraded OST 3")
 	}
 	got := r.ctl.Avoided()
 	if len(got) != 1 || got[0] != 3 {
@@ -120,11 +118,8 @@ func TestJobNotUsingDegradedOSTUntouched(t *testing.T) {
 	r := newRig(t, 8)
 	j := r.ioApp(t, "narrow", 2) // stripes over OSTs 0-1 (round robin from 0)
 	inst, _ := r.rt.Instance(j.ID)
-	layout := inst.File().OSTs()
-	for _, o := range layout {
-		if o == 5 {
-			t.Skip("layout unexpectedly includes OST 5")
-		}
+	if inst.File().StripesOver(5) {
+		t.Skip("layout unexpectedly includes OST 5")
 	}
 	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
 	r.e.RunUntil(10 * time.Minute)

@@ -50,7 +50,7 @@ func TestLoopPublishesLifecycleEvents(t *testing.T) {
 	if len(payloads) != 1 {
 		t.Fatalf("execute events = %d, want 1", len(payloads))
 	}
-	res, ok := payloads[0].(ActionResult)
+	res, ok := payloads[0].(*ActionResult)
 	if !ok || !res.Honored || res.Action.Kind != "cool" {
 		t.Errorf("execute payload = %#v", payloads[0])
 	}
@@ -104,11 +104,11 @@ func attachTrail(l *Loop) *trail {
 	l.Bus.Subscribe(prefix+"*", func(e bus.Envelope) {
 		line := strings.TrimPrefix(e.Topic, prefix)
 		switch p := e.Payload.(type) {
-		case ActionResult:
+		case *ActionResult:
 			if p.Detail.String() != "" {
 				line += ": " + p.Detail.String()
 			}
-		case PhaseError:
+		case *PhaseError:
 			line += ": " + p.Phase + ": " + p.Err
 		}
 		tr.lines = append(tr.lines, line)
@@ -256,5 +256,51 @@ func TestLoopDecisionTrailEvents(t *testing.T) {
 				t.Errorf("published %q, want %q", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestTickPublishAllocs: a tick's events point at the values its phases
+// returned, so a tick with k findings, k actions and k executes on a bus
+// with a receiver allocates only the outcome's one Results slice beyond its
+// phases, which here allocate nothing.
+func TestTickPublishAllocs(t *testing.T) {
+	const k = 3
+	findings, actions := make([]Finding, k), make([]Action, k)
+	for i := range k {
+		findings[i] = Finding{Kind: "hot", Subject: fmt.Sprintf("n%d", i), Value: 90}
+		actions[i] = Action{Kind: "cool", Subject: findings[i].Subject, Amount: 1}
+	}
+	l := NewLoop("evt",
+		MonitorFunc(func(now time.Duration) (Observation, error) { return Observation{Time: now}, nil }),
+		AnalyzerFunc(func(now time.Duration, obs Observation) (Symptoms, error) {
+			return Symptoms{Time: now, Findings: findings}, nil
+		}),
+		PlannerFunc(func(now time.Duration, sym Symptoms) (Plan, error) {
+			return Plan{Time: now, Actions: actions}, nil
+		}),
+		ExecutorFunc(func(now time.Duration, a Action) (ActionResult, error) {
+			return ActionResult{Action: a, Honored: true, Granted: a.Amount}, nil
+		}),
+	)
+	l.Bus = bus.New()
+	var got []any
+	l.Bus.Subscribe("loop.evt.*", func(e bus.Envelope) { got = append(got, e.Payload) })
+	var results []ActionResult
+	l.Assess = AssessorFunc(func(now time.Duration, p Plan, o Outcome) { results = o.Results })
+	l.Tick(time.Minute)
+	if len(got) != 3*k {
+		t.Fatalf("%d events, want %d", len(got), 3*k)
+	}
+	for i := range k {
+		if got[i] != any(&findings[i]) || got[k+2*i] != any(&actions[i]) || got[k+2*i+1] != any(&results[i]) {
+			t.Errorf("action %d: events carry %p %p %p, want the tick's own finding, action and result", i, got[i], got[k+2*i], got[k+2*i+1])
+		}
+	}
+	got = got[:0]
+	if allocs := testing.AllocsPerRun(100, func() {
+		l.Tick(time.Minute)
+		got = got[:0]
+	}); allocs != 1 {
+		t.Errorf("%v allocations per tick, want 1 (the Results slice)", allocs)
 	}
 }

@@ -208,7 +208,7 @@ func (d DeferredAction) Resolve(now time.Duration, approve bool, reason string) 
 		l.emitResult(now, evDeny, d.Action, reason)
 		return false
 	}
-	l.execute(d.Decided, now, d.Action)
+	l.execute(d.Decided, now, d.Action, new(ActionResult))
 	return true
 }
 

@@ -79,11 +79,15 @@ type Loop struct {
 
 	// Bus, when set, receives the loop's account of itself on
 	// "loop.<name>.<kind>": finding, plan, arbitrated, veto, execute,
-	// defer, drop, deny, stale and error. arbitrated, veto, defer, drop,
-	// deny and stale carry an ActionResult whose Detail is the reason; drop
-	// means a human-in-the-loop action found no Approvals sink; a failed
-	// Execute is an execute event with Detail set; error carries a
-	// PhaseError. A tick publishes as one batch; approval resolutions
+	// defer, drop, deny, stale and error. A finding carries a *Finding and
+	// a plan a *Action, each pointing into the slice its phase returned;
+	// execute carries a *ActionResult, pointing into the tick's
+	// Outcome.Results; arbitrated, veto, defer, drop, deny and stale carry
+	// a *ActionResult whose Detail is the reason; drop means a
+	// human-in-the-loop action found no Approvals sink; a failed Execute is
+	// an execute event with Detail set; error carries a *PhaseError. A
+	// payload is never written again once published, so a receiver may keep
+	// the pointer. A tick publishes as one batch; approval resolutions
 	// publish when they happen.
 	Bus *bus.Bus
 
@@ -153,9 +157,10 @@ func NewLoop(name string, m Monitor, a Analyzer, p Planner, e Executor) *Loop {
 func (l *Loop) Metrics() Metrics { return l.metrics }
 
 // emit buffers one lifecycle envelope for l's attached bus; flush
-// publishes it. It is generic so the payload is boxed only when a bus is
-// attached: a loop without one publishes, and allocates, nothing.
-func emit[P any](l *Loop, now time.Duration, kind eventKind, payload P) {
+// publishes it. The payload is a pointer to a value the tick already
+// holds, so buffering it allocates nothing; a loop without a bus
+// publishes nothing.
+func emit[P any](l *Loop, now time.Duration, kind eventKind, payload *P) {
 	if l.Bus == nil {
 		return
 	}
@@ -175,9 +180,12 @@ func (l *Loop) topic(kind eventKind) string {
 }
 
 // emitResult buffers an event carrying the action and the reason it did not
-// (or not yet) execute.
+// (or not yet) execute. The result is built only when a bus is attached,
+// so a loop without one allocates nothing here.
 func (l *Loop) emitResult(now time.Duration, kind eventKind, action Action, reason string) {
-	emit(l, now, kind, ActionResult{Action: action, Detail: Text(reason)})
+	if l.Bus != nil {
+		emit(l, now, kind, &ActionResult{Action: action, Detail: Text(reason)})
+	}
 }
 
 // flush publishes the buffered envelopes as one batch. The batch is
@@ -287,8 +295,8 @@ func (l *Loop) PlanTick(now time.Duration) *PlannedTick {
 		return pt.fail("analyze", err)
 	}
 	l.metrics.Findings += len(sym.Findings)
-	for _, f := range sym.Findings {
-		emit(l, now, evFinding, f)
+	for i := range sym.Findings {
+		emit(l, now, evFinding, &sym.Findings[i])
 	}
 	plan, err := l.P.Plan(now, sym)
 	if err != nil {
@@ -304,7 +312,9 @@ func (l *Loop) PlanTick(now time.Duration) *PlannedTick {
 func (pt *PlannedTick) fail(phase string, err error) *PlannedTick {
 	l := pt.loop
 	l.metrics.Errors++
-	emit(l, pt.now, evError, PhaseError{Phase: phase, Err: err.Error()})
+	if l.Bus != nil {
+		emit(l, pt.now, evError, &PhaseError{Phase: phase, Err: err.Error()})
+	}
 	pt.failed = true
 	return pt
 }
@@ -328,58 +338,62 @@ func (l *Loop) ExecutePlanned(pt *PlannedTick) {
 	}
 	now := pt.now
 	outcome := Outcome{Time: now}
-	for i, action := range pt.plan.Actions {
-		emit(l, now, evPlan, action)
+	actions := pt.plan.Actions
+	for i := range actions {
+		emit(l, now, evPlan, &actions[i])
 		if pt.Arbitrated(i) {
 			l.metrics.ArbitratedActions++
-			l.emitResult(now, evArbitrated, action, pt.lost[i])
+			l.emitResult(now, evArbitrated, actions[i], pt.lost[i])
 			continue
 		}
-		if res, executed := l.dispatch(now, action); executed {
-			outcome.Results = append(outcome.Results, res)
-		}
+		l.dispatch(now, actions[i], &outcome, len(actions))
 	}
 	if l.Assess != nil {
 		l.Assess.Assess(now, pt.plan, outcome)
 	}
 }
 
-// dispatch applies guardrails and the operating mode to one action,
-// returning the result if the action executed synchronously. A
+// dispatch applies guardrails and the operating mode to one of a plan's
+// planned actions, appending its result to out if it executes at once. A
 // human-on-the-loop action executes at once; its execute event, carrying the
-// planner's Explanation, is the human's notification.
-func (l *Loop) dispatch(now time.Duration, action Action) (ActionResult, bool) {
+// planner's Explanation, is the human's notification. out.Results is made
+// on the first execution with room for every planned action, so it never
+// moves and the execute events may point into it.
+func (l *Loop) dispatch(now time.Duration, action Action, out *Outcome, planned int) {
 	if err := admit(l.Guards, now, l.Name, action); err != nil {
 		l.metrics.VetoedActions++
 		l.emitResult(now, evVeto, action, err.Error())
-		return ActionResult{}, false
+		return
 	}
 	switch l.Mode {
 	case Autonomous, HumanOnTheLoop:
-		return l.execute(now, now, action), true
+		if out.Results == nil {
+			out.Results = make([]ActionResult, 0, planned)
+		}
+		out.Results = append(out.Results, ActionResult{})
+		l.execute(now, now, action, &out.Results[len(out.Results)-1])
 	case HumanInTheLoop:
 		l.deferToHuman(now, action)
 	}
-	return ActionResult{}, false
 }
 
-// execute runs the action against the managed system. decidedAt is when the
+// execute runs the action against the managed system, writing its result
+// to res, which its execute event then points at. decidedAt is when the
 // plan chose the action, for decision-latency accounting.
-func (l *Loop) execute(decidedAt, now time.Duration, action Action) ActionResult {
-	res, err := l.E.Execute(now, action)
+func (l *Loop) execute(decidedAt, now time.Duration, action Action, res *ActionResult) {
+	r, err := l.E.Execute(now, action)
 	if err != nil {
 		l.metrics.Errors++
-		failed := ActionResult{Action: action, Detail: Text(err.Error())}
-		emit(l, now, evExecute, failed)
-		return failed
+		r = ActionResult{Action: action, Detail: Text(err.Error())}
+	} else {
+		l.metrics.ExecutedActions++
+		l.metrics.DecisionLatency += now - decidedAt
+		if r.Honored {
+			l.metrics.HonoredActions++
+		}
 	}
-	l.metrics.ExecutedActions++
-	l.metrics.DecisionLatency += now - decidedAt
-	if res.Honored {
-		l.metrics.HonoredActions++
-	}
+	*res = r
 	emit(l, now, evExecute, res)
-	return res
 }
 
 // deferToHuman hands the action to the loop's ApprovalSink, which settles

@@ -208,7 +208,7 @@ func TestHumanOnTheLoopNotifies(t *testing.T) {
 	l.Bus = bus.New()
 	var notices []string
 	l.Bus.Subscribe("loop.test.execute", func(e bus.Envelope) {
-		res := e.Payload.(ActionResult)
+		res := e.Payload.(*ActionResult)
 		notices = append(notices, fmt.Sprintf("%s:%s", res.Action.Kind, res.Action.Explanation))
 	})
 	l.Tick(time.Second)

@@ -113,7 +113,9 @@ type MonitorFunc func(now time.Duration) (Observation, error)
 // Observe implements Monitor.
 func (f MonitorFunc) Observe(now time.Duration) (Observation, error) { return f(now) }
 
-// Analyzer turns observations into symptoms.
+// Analyzer turns observations into symptoms. The loop publishes pointers
+// into the returned Findings, which a receiver may keep: an Analyzer never
+// writes to a Findings slice once it has returned it.
 type Analyzer interface {
 	Analyze(now time.Duration, obs Observation) (Symptoms, error)
 }
@@ -126,7 +128,9 @@ func (f AnalyzerFunc) Analyze(now time.Duration, obs Observation) (Symptoms, err
 	return f(now, obs)
 }
 
-// Planner turns symptoms into a plan.
+// Planner turns symptoms into a plan. The loop publishes pointers into the
+// returned Actions, which a receiver may keep: a Planner never writes to an
+// Actions slice once it has returned it.
 type Planner interface {
 	Plan(now time.Duration, sym Symptoms) (Plan, error)
 }
@@ -152,7 +156,8 @@ func (f ExecutorFunc) Execute(now time.Duration, action Action) (ActionResult, e
 
 // Assessor closes the loop: it feeds plan outcomes back into Knowledge
 // ("Assess the Knowledge about the success of the Plan and refine the
-// Knowledge through subsequent Monitoring").
+// Knowledge through subsequent Monitoring"). The plan's actions and the
+// outcome's results are published events: an Assessor only reads them.
 type Assessor interface {
 	Assess(now time.Duration, plan Plan, outcome Outcome)
 }

@@ -45,7 +45,7 @@ func newApproverRig(human simApprover) *approverRig {
 	r.loop.Bus = bus.New()
 	r.loop.Bus.Subscribe("loop.hitl.*", func(e bus.Envelope) {
 		line := strings.TrimPrefix(e.Topic, "loop.hitl.")
-		if res, ok := e.Payload.(core.ActionResult); ok && res.Detail.String() != "" {
+		if res, ok := e.Payload.(*core.ActionResult); ok && res.Detail.String() != "" {
 			line += ": " + res.Detail.String()
 		}
 		r.events = append(r.events, fmt.Sprintf("%v %s", e.Time, line))

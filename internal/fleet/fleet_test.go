@@ -46,7 +46,7 @@ func TestPriorityArbitration(t *testing.T) {
 	boost.loop.Bus = bus.New()
 	var reasons []string
 	boost.loop.Bus.Subscribe("loop.sched-boost.arbitrated", func(e bus.Envelope) {
-		reasons = append(reasons, e.Payload.(core.ActionResult).Detail.String())
+		reasons = append(reasons, e.Payload.(*core.ActionResult).Detail.String())
 	})
 
 	c := New(4)

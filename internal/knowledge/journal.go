@@ -45,12 +45,14 @@ func (b *Base) PublishTo(bb *bus.Bus) {
 	b.mu.Unlock()
 }
 
+// heardLocked reports whether topicLearn has a receiver. A mutation builds
+// its op only then, so a base nobody listens to allocates nothing per write.
+func (b *Base) heardLocked() bool { return b.bus != nil && b.bus.HasReceiver(topicLearn) }
+
 // publishLocked emits one op. Callers hold the write lock, which orders the
 // envelopes exactly like the mutations they describe.
 func (b *Base) publishLocked(op *walOp) {
-	if b.bus != nil && b.bus.HasReceiver(topicLearn) {
-		b.bus.Publish(bus.Envelope{Topic: topicLearn, Source: "knowledge", Payload: op})
-	}
+	b.bus.Publish(bus.Envelope{Topic: topicLearn, Source: "knowledge", Payload: op})
 }
 
 // ApplyWAL folds one WAL record into the base during recovery, reporting

@@ -143,6 +143,48 @@ func TestLearnPublishesOnlyToReceivers(t *testing.T) {
 	}
 }
 
+// TestMutationWithoutReceiverAllocs: with no bus, and with a bus that has
+// no receiver on the topic, a mutation builds no op, so one that grows no
+// map or slice allocates nothing.
+func TestMutationWithoutReceiverAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bus  *bus.Bus
+	}{{"no bus", nil}, {"no receiver", bus.New()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			kb := NewBase()
+			if tc.bus != nil {
+				kb.PublishTo(tc.bus)
+				tc.bus.Subscribe("loop.*", func(bus.Envelope) {})
+			}
+			mutate(kb)
+			kb.runs = append(make([]RunRecord, 0, 256), kb.runs...)
+			kb.plans = append(make([]PlanRecord, 0, 256), kb.plans...)
+			run := RunRecord{App: "lammps", Runtime: time.Hour, Completed: true}
+			plan := PlanRecord{Loop: "sched", Action: "boost", Predicted: 10}
+			for _, m := range []struct {
+				name string
+				fn   func()
+			}{
+				{"SetFact", func() { kb.SetFact("cluster.power.budget", 41000) }},
+				{"AddRun", func() { kb.AddRun(run) }},
+				{"RecordPlan", func() { kb.RecordPlan(plan) }},
+				{"ResolvePlan", func() { _ = kb.ResolvePlan(0, 11, true) }},
+				{"ResolveCorrection", func() { kb.ResolveCorrection("lammps", 10, 11) }},
+			} {
+				if allocs := testing.AllocsPerRun(100, m.fn); allocs != 0 {
+					t.Errorf("%s: %v allocations per mutation, want 0", m.name, allocs)
+				}
+			}
+			if tc.bus != nil {
+				if published, _ := tc.bus.Stats(); published != 0 {
+					t.Errorf("published %d envelopes with no receiver", published)
+				}
+			}
+		})
+	}
+}
+
 // legacyWriter reproduces the parent's knowledge journal: each op applied in
 // place and appended as a wal.KindKnowledgeOp record.
 type legacyWriter struct {

@@ -104,7 +104,10 @@ func (b *Base) AddRun(r RunRecord) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.runs = append(b.runs, r)
-	b.publishLocked(&walOp{Op: "run", Run: &r})
+	if b.heardLocked() {
+		run := r
+		b.publishLocked(&walOp{Op: "run", Run: &run})
+	}
 }
 
 // TypicalRuntime estimates an application's runtime from completed history:
@@ -131,7 +134,10 @@ func (b *Base) RecordPlan(p PlanRecord) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.plans = append(b.plans, p)
-	b.publishLocked(&walOp{Op: "plan", Plan: &p})
+	if b.heardLocked() {
+		plan := p
+		b.publishLocked(&walOp{Op: "plan", Plan: &plan})
+	}
 	return len(b.plans) - 1
 }
 
@@ -145,7 +151,9 @@ func (b *Base) ResolvePlan(idx int, actual float64, honored bool) error {
 	b.plans[idx].Actual = actual
 	b.plans[idx].Honored = honored
 	b.plans[idx].Resolved = true
-	b.publishLocked(&walOp{Op: "resolve_plan", Idx: idx, Actual: actual, Honored: honored})
+	if b.heardLocked() {
+		b.publishLocked(&walOp{Op: "resolve_plan", Idx: idx, Actual: actual, Honored: honored})
+	}
 	return nil
 }
 
@@ -220,7 +228,9 @@ func (b *Base) ResolveCorrection(app string, predicted, actual float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.resolveCorrectionLocked(app, predicted, actual)
-	b.publishLocked(&walOp{Op: "resolve_corr", App: app, Predicted: predicted, Actual: actual})
+	if b.heardLocked() {
+		b.publishLocked(&walOp{Op: "resolve_corr", App: app, Predicted: predicted, Actual: actual})
+	}
 }
 
 // resolveCorrectionLocked is the correction update shared by the live path
@@ -252,7 +262,9 @@ func (b *Base) SetFact(key string, v float64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.facts[key] = v
-	b.publishLocked(&walOp{Op: "fact", Key: key, Value: v})
+	if b.heardLocked() {
+		b.publishLocked(&walOp{Op: "fact", Key: key, Value: v})
+	}
 }
 
 // Fact retrieves a named scalar fact.

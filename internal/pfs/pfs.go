@@ -17,6 +17,7 @@ package pfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -59,8 +60,8 @@ type File struct {
 	closed bool
 }
 
-// OSTs returns the stripe layout (OST indices) of the file.
-func (f *File) OSTs() []int { return append([]int(nil), f.osts...) }
+// StripesOver reports whether the file's layout includes OST ost.
+func (f *File) StripesOver(ost int) bool { return slices.Contains(f.osts, ost) }
 
 // bucket is a GCRA-style token bucket: tokens may go negative, which
 // naturally serializes queued requests behind the deficit.

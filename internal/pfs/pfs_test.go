@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -43,7 +44,7 @@ func TestStripingSplitsLoad(t *testing.T) {
 	if lat != 250*time.Millisecond {
 		t.Errorf("latency = %v, want 250ms", lat)
 	}
-	for _, id := range f.OSTs() {
+	for _, id := range f.osts {
 		if got := fs.osts[id].windowBytesMB; got != 25 {
 			t.Errorf("OST %d bytes = %v, want 25", id, got)
 		}
@@ -103,31 +104,44 @@ func TestOpenAvoidsOSTs(t *testing.T) {
 	avoid := map[int]bool{1: true, 3: true}
 	for i := 0; i < 5; i++ {
 		f := fs.Open("a", 2, avoid)
-		for _, id := range f.OSTs() {
+		for _, id := range f.osts {
 			if avoid[id] {
-				t.Fatalf("layout %v includes avoided OST %d", f.OSTs(), id)
+				t.Fatalf("layout %v includes avoided OST %d", f.osts, id)
 			}
 		}
+	}
+}
+
+func TestStripesOver(t *testing.T) {
+	_, fs := newFS(4, 2)
+	f := fs.Open("a", 2, map[int]bool{0: true})
+	for id := range 4 {
+		if got, want := f.StripesOver(id), slices.Contains(f.osts, id); got != want {
+			t.Errorf("StripesOver(%d) = %v, layout %v", id, got, f.osts)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.StripesOver(3) }); allocs != 0 {
+		t.Errorf("StripesOver allocates %v, want 0", allocs)
 	}
 }
 
 func TestOpenAvoidAllIgnored(t *testing.T) {
 	_, fs := newFS(2, 2)
 	f := fs.Open("a", 2, map[int]bool{0: true, 1: true})
-	if len(f.OSTs()) != 2 {
-		t.Errorf("layout = %v, want all OSTs when avoid covers everything", f.OSTs())
+	if len(f.osts) != 2 {
+		t.Errorf("layout = %v, want all OSTs when avoid covers everything", f.osts)
 	}
 }
 
 func TestOpenStripeCountClamped(t *testing.T) {
 	_, fs := newFS(4, 2)
 	f := fs.Open("a", 100, nil)
-	if len(f.OSTs()) != 4 {
-		t.Errorf("stripe count = %d, want clamped 4", len(f.OSTs()))
+	if len(f.osts) != 4 {
+		t.Errorf("stripe count = %d, want clamped 4", len(f.osts))
 	}
 	f2 := fs.Open("a", 0, nil)
-	if len(f2.OSTs()) != 2 {
-		t.Errorf("default stripe count = %d, want 2", len(f2.OSTs()))
+	if len(f2.osts) != 2 {
+		t.Errorf("default stripe count = %d, want 2", len(f2.osts))
 	}
 }
 
@@ -312,7 +326,7 @@ func TestRoundRobinSpreadsLayouts(t *testing.T) {
 	_, fs := newFS(8, 2)
 	used := map[int]bool{}
 	for i := 0; i < 4; i++ {
-		for _, id := range fs.Open("a", 2, nil).OSTs() {
+		for _, id := range fs.Open("a", 2, nil).osts {
 			used[id] = true
 		}
 	}

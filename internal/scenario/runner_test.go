@@ -232,7 +232,7 @@ func TestDaemonSetpointReachesAmbient(t *testing.T) {
 	}
 	lowered := 0
 	rt.Bus.Subscribe("loop.power-case.execute", func(env bus.Envelope) {
-		if r, ok := env.Payload.(core.ActionResult); ok && r.Honored && r.Action.Kind == "lower-setpoint" {
+		if r, ok := env.Payload.(*core.ActionResult); ok && r.Honored && r.Action.Kind == "lower-setpoint" {
 			lowered++
 		}
 	})

@@ -40,11 +40,11 @@ func newScorer(b *bus.Bus, grace time.Duration) *scorer {
 	b.Subscribe("loop.*", func(env bus.Envelope) {
 		switch env.Topic[strings.LastIndexByte(env.Topic, '.')+1:] {
 		case "finding":
-			if f, ok := env.Payload.(core.Finding); ok {
+			if f, ok := env.Payload.(*core.Finding); ok {
 				s.fold(env.Source, env.Time, f.Kind, false)
 			}
 		case "execute":
-			if r, ok := env.Payload.(core.ActionResult); ok && r.Honored {
+			if r, ok := env.Payload.(*core.ActionResult); ok && r.Honored {
 				s.fold(env.Source, env.Time, r.Action.Kind, true)
 			}
 		}

@@ -24,11 +24,11 @@ func recordEvents(b *bus.Bus) *[]loopEvent {
 	b.Subscribe("loop.*", func(env bus.Envelope) {
 		switch env.Topic[strings.LastIndexByte(env.Topic, '.')+1:] {
 		case "finding":
-			if f, ok := env.Payload.(core.Finding); ok {
+			if f, ok := env.Payload.(*core.Finding); ok {
 				events = append(events, loopEvent{t: env.Time, loop: env.Source, kind: f.Kind})
 			}
 		case "execute":
-			if r, ok := env.Payload.(core.ActionResult); ok && r.Honored {
+			if r, ok := env.Payload.(*core.ActionResult); ok && r.Honored {
 				events = append(events, loopEvent{t: env.Time, loop: env.Source, kind: r.Action.Kind, execute: true})
 			}
 		}
@@ -157,11 +157,11 @@ func TestOnlineScoreEdges(t *testing.T) {
 	windows := append([]InjectionOutcome(nil), s.outcomes...)
 
 	finding := func(loop string, at time.Duration, kind string) {
-		b.Publish(bus.Envelope{Topic: "loop." + loop + ".finding", Time: at, Source: loop, Payload: core.Finding{Kind: kind}})
+		b.Publish(bus.Envelope{Topic: "loop." + loop + ".finding", Time: at, Source: loop, Payload: &core.Finding{Kind: kind}})
 	}
 	execute := func(loop string, at time.Duration, kind string, honored bool) {
 		b.Publish(bus.Envelope{Topic: "loop." + loop + ".execute", Time: at, Source: loop,
-			Payload: core.ActionResult{Action: core.Action{Kind: kind}, Honored: honored}})
+			Payload: &core.ActionResult{Action: core.Action{Kind: kind}, Honored: honored}})
 	}
 	execute("hw", minute(11), "cool", true)           // before the first finding: no MTTR
 	execute("hw", minute(11), "cool", false)          // not honored: ignored
