@@ -12,6 +12,7 @@ import (
 	"autoloop/internal/cases"
 	"autoloop/internal/cluster"
 	"autoloop/internal/gateway"
+	"autoloop/internal/scenario"
 	"autoloop/internal/wal"
 )
 
@@ -46,7 +47,7 @@ func (d *daemon) runCoordinator() error {
 
 	recovered := 0
 	if w != nil {
-		recovered, err = replayWAL(w, 1, func(rec wal.Record) error {
+		recovered, err = w.Fold(1, func(rec wal.Record) error {
 			if rec.Kind != wal.KindClusterEvent {
 				return nil
 			}
@@ -120,7 +121,7 @@ func (d *daemon) runWorker() error {
 		host, _ := os.Hostname()
 		id = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	rt, svc, err := boot(id, 0, nil)
+	rt, svc, err := boot(id, &scenario.Durable{}, nil)
 	if err != nil {
 		return err
 	}

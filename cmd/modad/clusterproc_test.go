@@ -191,13 +191,20 @@ type wireEnvelope struct {
 // controlRequest performs one control.v1 request over a fresh TCP
 // connection and returns the matching reply.
 func controlRequest(addr string, req control.Request) (control.Reply, error) {
+	return wireControl(addr, control.TopicRequest, req.ID, req)
+}
+
+// wireControl publishes one control.v1 envelope (a request, or a verdict
+// on TopicApprove or TopicDeny) over a fresh TCP connection and returns
+// the reply carrying id.
+func wireControl(addr, topic, id string, payload any) (control.Reply, error) {
 	var rep control.Reply
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		return rep, err
 	}
 	defer conn.Close()
-	line, err := json.Marshal(map[string]interface{}{"topic": control.TopicRequest, "payload": req})
+	line, err := json.Marshal(map[string]interface{}{"topic": topic, "payload": payload})
 	if err != nil {
 		return rep, err
 	}
@@ -215,14 +222,14 @@ func controlRequest(addr string, req control.Request) (control.Reply, error) {
 		if err := json.Unmarshal(env.Payload, &rep); err != nil {
 			return rep, err
 		}
-		if rep.ID == req.ID {
+		if rep.ID == id {
 			return rep, nil
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return rep, err
 	}
-	return rep, fmt.Errorf("connection closed before a reply to %q", req.ID)
+	return rep, fmt.Errorf("connection closed before a reply to %q", id)
 }
 
 // waitClusterState polls members+list until check passes or the deadline

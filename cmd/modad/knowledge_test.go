@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"autoloop/internal/knowledge"
+	"autoloop/internal/scenario"
 	"autoloop/internal/wal"
 )
 
@@ -30,19 +31,15 @@ import (
 // and returns it with the sequence the snapshot covers.
 func snapshotKnowledge(t *testing.T, dir string) (*knowledge.Base, uint64) {
 	t.Helper()
-	payload, seq, ok, err := wal.LatestSnapshot(dir, "modad")
+	snap, ok, err := scenario.LatestSnapshot(dir)
 	if err != nil || !ok {
 		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
-	}
-	snap, err := decodeDaemonSnapshot(payload)
-	if err != nil {
-		t.Fatal(err)
 	}
 	kb := knowledge.NewBase()
 	if err := kb.Load(bytes.NewReader(snap.Knowledge)); err != nil {
 		t.Fatal(err)
 	}
-	return kb, seq
+	return kb, snap.Seq
 }
 
 // recoverKnowledge restores the knowledge base modad would from a copy of
@@ -59,7 +56,7 @@ func recoverKnowledge(t *testing.T, dir string, from uint64) *knowledge.Base {
 	if from == 0 {
 		from = seq + 1
 	}
-	if _, err := replayWAL(w, from, func(rec wal.Record) error {
+	if _, err := w.Fold(from, func(rec wal.Record) error {
 		_, err := kb.ApplyWAL(rec)
 		return err
 	}); err != nil {

@@ -12,7 +12,7 @@
 //	      [-http 127.0.0.1:7676] [-http-read-token t1,t2] [-http-op-token t3]
 //
 // The facility the daemon simulates is the scenario.Daemon preset, built by
-// scenario.AssembleOn exactly as a scenario run builds its own; -specs
+// scenario.Durable.Recover exactly as a scenario run builds its own; -specs
 // replaces the preset's loop fleet (power + ost) and nothing else.
 //
 // Two batch subcommands print deterministic tables on virtual time and
@@ -41,25 +41,24 @@
 // counters on /metrics. Bearer tokens split read-only from operator access;
 // with no tokens the gateway is open, like the TCP bridge.
 //
-// With -wal-dir the daemon is durable: TSDB appends, knowledge-base
-// mutations, and the loop/fleet/control bus traffic are journaled to a
-// write-ahead log, and the whole daemon state is snapshotted periodically.
-// A restart on the same directory restores the newest snapshot, replays the
-// WAL tail, re-spawns the fleet in its recorded lifecycle states (pending
-// approvals included), and resumes the virtual clock where it stood.
-// SIGINT/SIGTERM shuts down gracefully: final snapshot, drain, fsync.
+// With -wal-dir the daemon is durable (scenario.Durable): TSDB appends,
+// knowledge-base writes, every applied control op and the loop/fleet bus
+// traffic are journaled to a write-ahead log, an acknowledged control op is
+// synced before its reply, and the whole daemon state is snapshotted
+// periodically. A restart on the same directory restores the newest
+// snapshot, folds the log tail into the store, K and the control plane
+// (operator ops and pending approvals included), and resumes the virtual
+// clock at the newest time the log holds. SIGINT/SIGTERM shuts down
+// gracefully: final snapshot, drain, fsync.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -69,7 +68,6 @@ import (
 	"autoloop/internal/control"
 	"autoloop/internal/gateway"
 	"autoloop/internal/scenario"
-	"autoloop/internal/sim"
 	"autoloop/internal/tsdb"
 	"autoloop/internal/wal"
 )
@@ -84,63 +82,6 @@ type daemon struct {
 	role, join, clusterAddr, node          string
 	leaseTTL, leaseGrace, heartbeat        time.Duration
 	stdout, stderr                         io.Writer
-}
-
-// daemonSnapshot is the combined snapshot payload stored under the "modad"
-// snapshot name: the WAL sequence it covers, the virtual time it was taken
-// at, and each subsystem's own serialized state.
-type daemonSnapshot struct {
-	Seq       uint64          `json:"seq"`
-	Now       time.Duration   `json:"now"`
-	Knowledge json.RawMessage `json:"knowledge"`
-	Control   json.RawMessage `json:"control"`
-	// TSDB is the store's binary snapshot. It follows the JSON header as raw
-	// bytes (see encode); only a payload from before the store's snapshot
-	// went binary carries it as this member, a JSON document itself.
-	TSDB json.RawMessage `json:"tsdb,omitempty"`
-}
-
-// encode lays the snapshot out as its compact JSON header (every field but
-// TSDB), a newline, then the TSDB bytes as they are: embedding binary in
-// the JSON would mean escaping it.
-func (s daemonSnapshot) encode() ([]byte, error) {
-	body := s.TSDB
-	s.TSDB = nil
-	hdr, err := json.Marshal(&s)
-	if err != nil {
-		return nil, err
-	}
-	return append(append(hdr, '\n'), body...), nil
-}
-
-// decodeDaemonSnapshot reads encode's layout, and the single JSON document
-// with the store's snapshot as its "tsdb" member that came before it: that
-// payload has no newline, since json.Marshal never writes a raw one.
-func decodeDaemonSnapshot(payload []byte) (daemonSnapshot, error) {
-	var snap daemonSnapshot
-	hdr, body, split := bytes.Cut(payload, []byte{'\n'})
-	if err := json.Unmarshal(hdr, &snap); err != nil {
-		return snap, fmt.Errorf("decode snapshot: %w", err)
-	}
-	if split {
-		snap.TSDB = body
-	}
-	return snap, nil
-}
-
-// journaledTopic selects the bus traffic worth journaling: every loop's
-// decision events, fleet round summaries, control.v1 requests and
-// resolutions, and the knowledge base's writes — the only record of K
-// between snapshots. Telemetry topics are excluded — every accepted point is
-// already journaled by the TSDB, so recording the fan-out envelopes would
-// double the log for no recovery value. It is the journal hook's topic
-// predicate, so the bus applies it and the telemetry pipeline builds no
-// envelope for the journal.
-func journaledTopic(topic string) bool {
-	return strings.HasPrefix(topic, "loop.") ||
-		strings.HasPrefix(topic, "fleet.") ||
-		strings.HasPrefix(topic, "control.v1.") ||
-		strings.HasPrefix(topic, "knowledge.")
 }
 
 func main() {
@@ -246,38 +187,12 @@ func openWAL(dir, fsync string) (*wal.WAL, error) {
 	return wal.Open(dir, wal.Options{Sync: pol})
 }
 
-// replayWAL feeds every record from seq from on to apply and returns how
-// many it applied. Mid-log damage and apply failures abort the replay.
-func replayWAL(w *wal.WAL, from uint64, apply func(wal.Record) error) (int, error) {
-	r, err := w.Replay(from)
-	if err != nil {
-		return 0, err
-	}
-	defer r.Close()
-	n := 0
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, fmt.Errorf("wal replay: %w", err)
-		}
-		if err := apply(rec); err != nil {
-			return n, fmt.Errorf("wal replay seq %d: %w", rec.Seq, err)
-		}
-		n++
-	}
-}
-
-// boot assembles the daemon preset, deploying fleet, on an engine whose
-// clock starts at now and a store with the daemon's retention and rollups,
-// then attaches the bus adapters, all tagged with id: per-point telemetry
-// fan-out, fleet round summaries, control.v1, and the "tsdb.query" service.
-func boot(id string, now time.Duration, fleet []scenario.Loop) (*scenario.Runtime, *tsdb.Service, error) {
-	engine := sim.NewEngine(1)
-	engine.RunUntil(now) // nothing scheduled yet: jumps the clock
-
+// boot assembles the daemon preset, deploying fleet, over dur's log (see
+// scenario.Durable.Recover) on a store with the daemon's retention and
+// rollups, then attaches the bus adapters, all tagged with id: per-point
+// telemetry fan-out, fleet round summaries, control.v1, and the
+// "tsdb.query" service.
+func boot(id string, dur *scenario.Durable, fleet []scenario.Loop) (*scenario.Runtime, *tsdb.Service, error) {
 	// Continuous rollups: coarse aggregates are maintained at append time
 	// and stay queryable for a day, long past the 2h raw retention. Rules
 	// are registered before any restore so recovered series re-attach them.
@@ -294,7 +209,7 @@ func boot(id string, now time.Duration, fleet []scenario.Loop) (*scenario.Runtim
 
 	doc := scenario.Daemon(1)
 	doc.Loops = fleet
-	rt, err := scenario.AssembleOn(engine, db, doc, cases.NewRegistry())
+	rt, err := dur.Recover(db, doc, cases.NewRegistry())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -361,44 +276,6 @@ func (d *daemon) drive(step func(wall time.Duration)) {
 	}
 }
 
-// journalBus records the loop/fleet/control traffic on b as an audit trail
-// in w, and the knowledge base's writes as K's record between snapshots
-// (recovery folds them back; the rest is never re-published). It is
-// best-effort, with a shed-then-halt policy on storage faults:
-// a retryable fault (a full disk, a short write, a backlogged group commit
-// — wal.Retryable) sheds the envelope and keeps going, since the WAL
-// retries its buffered tail on the next append; a fatal fault (a failed
-// fsync: the kernel may have dropped dirty pages and will not say so twice)
-// halts journaling for good — logging one line, not a corrupt trail; the
-// next snapshot is then K's only durable state. Telemetry journaling is
-// unaffected; its appends surface errors on their own path.
-func (d *daemon) journalBus(b *bus.Bus, w *wal.WAL) {
-	var lastJournalErr atomic.Int64 // unix nanos of the last logged failure
-	var journalHalted atomic.Bool
-	b.Journal(journaledTopic, func(env bus.Envelope) {
-		if journalHalted.Load() {
-			return
-		}
-		line, err := bus.Encode(env)
-		if err == nil {
-			_, err = w.Append(wal.KindBusEnvelope, line)
-		}
-		if err != nil {
-			if !wal.Retryable(err) {
-				journalHalted.Store(true)
-				fmt.Fprintf(d.stderr, "modad: bus journal halted on fatal WAL fault: %v\n", err)
-				return
-			}
-			// Rate-limited to 1/s: a broken audit trail must surface
-			// while the daemon runs, not via the sticky error at Close.
-			if now := time.Now().UnixNano(); now-lastJournalErr.Load() >= int64(time.Second) {
-				lastJournalErr.Store(now)
-				fmt.Fprintf(d.stderr, "modad: bus journal shed %s: %v\n", env.Topic, err)
-			}
-		}
-	})
-}
-
 // runSingle is the whole daemon in one process: the assembled facility, the
 // TCP bridge, the optional HTTP gateway, and — with -wal-dir — journaling,
 // periodic snapshots and crash recovery.
@@ -408,112 +285,34 @@ func (d *daemon) runSingle() error {
 		return err
 	}
 
-	// Durability, part 1: open the log and read the newest valid snapshot
-	// BEFORE the simulation is built, because the virtual clock must resume
-	// from the snapshot's time — every subsystem schedules against it. A
-	// recovered control plane re-spawns its fleet from the snapshot; a fresh
-	// one deploys the configured specs.
+	// Durability: the log is opened before the simulation is built, because
+	// the virtual clock resumes where the log ends and every subsystem
+	// schedules against it. A recovered control plane re-spawns its own
+	// fleet; a fresh one deploys the configured specs.
 	w, err := openWAL(d.walDir, d.fsyncMode)
 	if err != nil {
 		return err
 	}
-	var snap daemonSnapshot
-	restored := false
 	if w != nil {
 		defer w.Close()
-		payload, _, ok, err := wal.LatestSnapshot(d.walDir, "modad")
-		if err != nil {
-			return err
-		}
-		if ok {
-			if snap, err = decodeDaemonSnapshot(payload); err != nil {
-				return err
-			}
-			restored, fleet = true, nil
-		}
 	}
-
-	rt, svc, err := boot("modad", snap.Now, fleet)
+	dur := &scenario.Durable{WAL: w, Dir: d.walDir, Logf: func(format string, args ...any) {
+		fmt.Fprintf(d.stderr, "modad: "+format+"\n", args...)
+	}}
+	rt, svc, err := boot("modad", dur, fleet)
 	if err != nil {
 		return err
 	}
 	defer svc.Close()
-	engine, db, kb, ctl := rt.Engine, rt.DB, rt.Knowledge, rt.Ctl
+	engine, db, ctl := rt.Engine, rt.DB, rt.Ctl
 	defer ctl.Close()
-
-	// Durability, part 2: restore each subsystem from the snapshot, replay
-	// the WAL tail on top, and only then attach the journals — replayed
-	// records must never be re-journaled.
-	if w != nil {
-		if restored {
-			if err := db.RestoreSnapshot(snap.TSDB); err != nil {
-				return err
-			}
-			if err := kb.Load(bytes.NewReader(snap.Knowledge)); err != nil {
-				return err
-			}
-			if err := ctl.Restore(snap.Control); err != nil {
-				return err
-			}
-		}
-		replayed, err := replayWAL(w, snap.Seq+1, func(rec wal.Record) error {
-			if ok, err := db.ApplyWAL(rec.Kind, rec.Payload); ok {
-				return err
-			}
-			_, err := kb.ApplyWAL(rec) // other envelopes are an audit trail, never re-published
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		if restored || replayed > 0 {
-			fmt.Fprintf(d.stdout, "modad: recovered from %s: snapshot @ seq %d + %d replayed records (%d series, %d samples)\n",
-				d.walDir, snap.Seq, replayed, db.NumSeries(), db.Appended())
-		}
-		db.Journal(w)
-		d.journalBus(rt.Bus, w)
-	}
-
-	// snapshot writes one combined snapshot covering everything the log
-	// holds up to now, then compacts the segments it supersedes. Sync comes
-	// first: a snapshot must never claim to cover records that are still
-	// sitting in the group-commit buffer.
-	snapshot := func() error {
-		if w == nil {
-			return nil
-		}
-		if err := w.Sync(); err != nil {
-			return err
-		}
-		seq := w.LastSeq()
-		tsnap, err := db.Snapshot()
-		if err != nil {
-			return err
-		}
-		var kbuf bytes.Buffer
-		if err := kb.Save(&kbuf); err != nil {
-			return err
-		}
-		csnap, err := ctl.Snapshot()
-		if err != nil {
-			return err
-		}
-		payload, err := daemonSnapshot{
-			Seq: seq, Now: engine.Now(),
-			TSDB: tsnap, Knowledge: kbuf.Bytes(), Control: csnap,
-		}.encode()
-		if err != nil {
-			return err
-		}
-		if err := wal.WriteSnapshot(d.walDir, "modad", seq, payload); err != nil {
-			return err
-		}
-		_, err = w.Compact(seq + 1)
-		return err
+	if dur.Restored || dur.Replayed > 0 {
+		fmt.Fprintf(d.stdout, "modad: recovered from %s: snapshot @ seq %d + %d replayed records (%d series, %d samples)\n",
+			d.walDir, dur.Seq, dur.Replayed, db.NumSeries(), db.Appended())
 	}
 	if w != nil && d.snapEvery > 0 {
 		engine.Every(engine.Now()+d.snapEvery, d.snapEvery, func() bool {
-			if err := snapshot(); err != nil {
+			if err := dur.Checkpoint(); err != nil {
 				fmt.Fprintln(d.stderr, "modad: snapshot:", err)
 			}
 			return true
@@ -539,12 +338,13 @@ func (d *daemon) runSingle() error {
 	d.drive(d.advance(rt))
 
 	// Shutdown: snapshot FIRST, while the fleet still holds its live
-	// lifecycle states — a restart with the same -wal-dir resumes exactly
-	// here. Then drain the loops so no plan is cut mid-action, and finally
-	// flush and fsync the log.
-	if err := snapshot(); err != nil {
+	// lifecycle states, and journal nothing after it — a restart with the
+	// same -wal-dir resumes exactly here. Then drain the loops so no plan
+	// is cut mid-action, and finally flush and fsync the log.
+	if err := dur.Checkpoint(); err != nil {
 		fmt.Fprintln(d.stderr, "modad: final snapshot:", err)
 	}
+	rt.Bus.Journal(nil, nil)
 	for _, ls := range ctl.Handle(control.Request{Op: control.OpList}).Loops {
 		if ls.Name == ls.Group && (ls.State == "created" || ls.State == "running") {
 			ctl.Handle(control.Request{Op: control.OpDrain, Loop: ls.Name})

@@ -17,7 +17,7 @@ import (
 	"time"
 
 	"autoloop/internal/control"
-	"autoloop/internal/wal"
+	"autoloop/internal/scenario"
 )
 
 var (
@@ -123,15 +123,12 @@ func TestSingleProcessKill9Recovery(t *testing.T) {
 // latestDaemonSnapshot decodes the newest valid snapshot under dir. While
 // the daemon is alive a read can race its keep-2 pruning, so an error is
 // returned for the poller to retry, not failed on.
-func latestDaemonSnapshot(dir string) (daemonSnapshot, error) {
-	payload, _, ok, err := wal.LatestSnapshot(dir, "modad")
-	if err != nil {
-		return daemonSnapshot{}, err
+func latestDaemonSnapshot(dir string) (scenario.Snapshot, error) {
+	snap, ok, err := scenario.LatestSnapshot(dir)
+	if err == nil && !ok {
+		err = fmt.Errorf("no snapshot in %s", dir)
 	}
-	if !ok {
-		return daemonSnapshot{}, fmt.Errorf("no snapshot in %s", dir)
-	}
-	return decodeDaemonSnapshot(payload)
+	return snap, err
 }
 
 // waitFor polls check until it passes or the timeout lapses, failing with

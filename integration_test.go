@@ -149,8 +149,12 @@ func TestFourLoopsCoexist(t *testing.T) {
 		t.Error("writer still striped over degraded OST 2")
 	}
 	// 3. The misconfigured job must be detected and fixed.
-	if kind, ok := misCtl.Flagged(stormJob.ID); !ok || kind != app.MisconfigThreads {
-		t.Errorf("misconfig flag = %v, %v", kind, ok)
+	stormFlagged := false
+	for _, d := range misCtl.Detections {
+		stormFlagged = stormFlagged || d.JobID == stormJob.ID && d.Kind == app.MisconfigThreads
+	}
+	if !stormFlagged {
+		t.Errorf("misconfig detections = %+v, want job %d as %v", misCtl.Detections, stormJob.ID, app.MisconfigThreads)
 	}
 	if misCtl.Fixes == 0 {
 		t.Error("misconfiguration never fixed")

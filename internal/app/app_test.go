@@ -80,11 +80,12 @@ func TestProgressMarkersEmitted(t *testing.T) {
 		t.Fatalf("got %d progress series", len(ss))
 	}
 	// markers at start (0) + every 2 iterations = 6 samples.
-	if got := ss[0].Len(); got != 6 {
+	markers := ss[0].Samples
+	if got := len(markers); got != 6 {
 		t.Errorf("got %d markers, want 6", got)
 	}
-	if last, _ := ss[0].Last(); last.Value != 10 {
-		t.Errorf("final marker = %v, want 10", last.Value)
+	if n := len(markers); n == 0 || markers[n-1].Value != 10 {
+		t.Errorf("final marker of %v, want 10", markers)
 	}
 	total, ok := r.db.LatestValue(&telemetry.Handle{Name: "app.progress_total", Matcher: label})
 	if !ok || total != 10 {
@@ -123,7 +124,7 @@ func TestIOPhases(t *testing.T) {
 	}
 	// One I/O phase at iteration 5 (not at 10, the final iteration).
 	ss := r.db.Query("app.io.lat_ms", nil, 0, 3*time.Hour)
-	if len(ss) != 1 || ss[0].Len() != 1 {
+	if len(ss) != 1 || len(ss[0].Samples) != 1 {
 		t.Fatalf("io.lat_ms series = %+v", ss)
 	}
 	// 200MB over 2 stripes at 100MB/s = 1s per stripe chunk.

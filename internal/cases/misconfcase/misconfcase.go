@@ -109,17 +109,6 @@ func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runti
 	}
 }
 
-// Flagged returns the confirmed misconfiguration for a job, if any, whether
-// or not the job is still running: a job is detected at most once.
-func (c *Controller) Flagged(jobID int) (app.Misconfig, bool) {
-	for _, d := range c.Detections {
-		if d.JobID == jobID {
-			return d.Kind, true
-		}
-	}
-	return app.MisconfigNone, false
-}
-
 // Loop assembles the core loop.
 func (c *Controller) Loop() *core.Loop {
 	return core.NewLoop("misconfig-case",

@@ -57,9 +57,8 @@ func TestDetectsThreadsAndFixes(t *testing.T) {
 	j := r.launch(t, "bad-threads", app.MisconfigThreads, 1)
 	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
 	r.e.RunUntil(30 * time.Minute)
-	kind, ok := r.ctl.Flagged(j.ID)
-	if !ok || kind != app.MisconfigThreads {
-		t.Fatalf("Flagged = %v, %v", kind, ok)
+	if d := r.ctl.Detections; len(d) != 1 || d[0].JobID != j.ID || d[0].Kind != app.MisconfigThreads {
+		t.Fatalf("Detections = %+v, want job %d as %v", d, j.ID, app.MisconfigThreads)
 	}
 	if r.ctl.Fixes != 1 {
 		t.Errorf("Fixes = %d", r.ctl.Fixes)
@@ -78,9 +77,8 @@ func TestDetectsWrongLib(t *testing.T) {
 	j := r.launch(t, "bad-lib", app.MisconfigWrongLib, 1)
 	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
 	r.e.RunUntil(30 * time.Minute)
-	kind, ok := r.ctl.Flagged(j.ID)
-	if !ok || kind != app.MisconfigWrongLib {
-		t.Fatalf("Flagged = %v, %v", kind, ok)
+	if d := r.ctl.Detections; len(d) != 1 || d[0].JobID != j.ID || d[0].Kind != app.MisconfigWrongLib {
+		t.Fatalf("Detections = %+v, want job %d as %v", d, j.ID, app.MisconfigWrongLib)
 	}
 	if r.ctl.Fixes != 1 {
 		t.Errorf("Fixes = %d", r.ctl.Fixes)
@@ -92,9 +90,8 @@ func TestDetectsUnderutilAndNotifies(t *testing.T) {
 	j := r.launch(t, "bad-alloc", app.MisconfigUnderutil, 4)
 	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
 	r.e.RunUntil(30 * time.Minute)
-	kind, ok := r.ctl.Flagged(j.ID)
-	if !ok || kind != app.MisconfigUnderutil {
-		t.Fatalf("Flagged = %v, %v", kind, ok)
+	if d := r.ctl.Detections; len(d) != 1 || d[0].JobID != j.ID || d[0].Kind != app.MisconfigUnderutil {
+		t.Fatalf("Detections = %+v, want job %d as %v", d, j.ID, app.MisconfigUnderutil)
 	}
 	// Underutilization cannot be fixed: even with FixOnTheFly, notify.
 	if r.ctl.Fixes != 0 {
@@ -107,12 +104,9 @@ func TestDetectsUnderutilAndNotifies(t *testing.T) {
 
 func TestCleanJobNotFlagged(t *testing.T) {
 	r := newRig(t, true)
-	j := r.launch(t, "clean", app.MisconfigNone, 2)
+	r.launch(t, "clean", app.MisconfigNone, 2)
 	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
 	r.e.RunUntil(time.Hour)
-	if _, ok := r.ctl.Flagged(j.ID); ok {
-		t.Error("false positive on clean job")
-	}
 	if len(r.ctl.Detections) != 0 {
 		t.Errorf("Detections = %d", len(r.ctl.Detections))
 	}
@@ -286,8 +280,8 @@ func TestJobWithoutInstance(t *testing.T) {
 // misconfigured, through a small cluster and checks after every tick that
 // the controller keeps state only for jobs the scheduler has not ended (or
 // that ended at or after the tick), so a long-running daemon's per-job maps stay
-// bounded by the running set. Jobs that finished are still reported by
-// Flagged.
+// bounded by the running set. Jobs that finished are still among the
+// Detections.
 func TestStateBoundedByRunningSet(t *testing.T) {
 	r := newRig(t, false)
 	r.rt.RegisterSpec("short", app.Spec{Name: "short", TotalIters: 12, IterTime: sim.Constant{V: 30 * time.Second}})
@@ -332,9 +326,13 @@ func TestStateBoundedByRunningSet(t *testing.T) {
 		t.Errorf("the controller ends with %d streaks and %d flags and peaked at %d entries; want none, and a peak within the %d nodes",
 			len(r.ctl.streaks), len(r.ctl.flagged), most, len(r.cl.Nodes()))
 	}
+	flagged := map[int]app.Misconfig{}
+	for _, d := range r.ctl.Detections {
+		flagged[d.JobID] = d.Kind
+	}
 	for _, j := range bad {
-		if kind, ok := r.ctl.Flagged(j.ID); !ok || kind != app.MisconfigThreads {
-			t.Errorf("finished job %d: Flagged = %v, %v", j.ID, kind, ok)
+		if kind, ok := flagged[j.ID]; !ok || kind != app.MisconfigThreads {
+			t.Errorf("finished job %d: detected %v, %v", j.ID, kind, ok)
 		}
 	}
 	if len(r.ctl.Detections) != len(bad) {

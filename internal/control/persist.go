@@ -5,22 +5,24 @@ import (
 	"fmt"
 	"sort"
 
+	"autoloop/internal/bus"
 	"autoloop/internal/core"
+	"autoloop/internal/wal"
 )
 
-// Control-plane persistence. The service's durable state is snapshot-only
-// (no per-op journal): group specs, applied guards, per-loop lifecycle
-// states and modes, and the pending-approval queue are all small and change
-// at human cadence, so the daemon serializes them with each periodic
-// snapshot and recovery re-spawns the fleet from the registry.
+// Control-plane persistence: a snapshot plus the ops applied since. The
+// durable state (group specs, applied guards, per-loop lifecycle states and
+// modes, the pending-approval queue) is small and changes at human cadence:
+// each daemon snapshot serializes all of it and Restore re-spawns the fleet
+// from the registry, and between snapshots the journal holds every applied
+// op (TopicApplied), pending announcement and resolution, which ApplyWAL
+// folds back through the paths that made them.
 //
-// Pending approvals restore LIVE, not as tombstones: a WireAction is pure
-// data, so each queue entry is rebuilt as a core.DeferredAction pointing at
-// the re-spawned loop, captured at that loop's post-restore lifecycle
-// generation. An approval granted after recovery therefore executes through
-// the re-spawned loop's Executor exactly as it would have before the crash;
-// entries whose loop was restored paused or draining settle as stale, the
-// same verdict the lifecycle rules would have reached without the restart.
+// Pending approvals restore LIVE: each entry is rebuilt as a
+// core.DeferredAction on the re-spawned loop at its current generation, so
+// an approval after recovery executes through that loop's Executor, and an
+// entry whose loop came back paused or draining settles as stale, as the
+// lifecycle rules would have ruled without the restart.
 
 // LoopSnap is one member loop's serialized lifecycle.
 type LoopSnap struct {
@@ -38,30 +40,27 @@ type GroupSnap struct {
 	Loops  []LoopSnap  `json:"loops"`
 }
 
-// PendingSnap is one queued approval, including its timeout policy so a
-// contingency deadline survives the restart.
-type PendingSnap struct {
-	Seq           uint64     `json:"seq"`
-	Loop          string     `json:"loop"`
-	Decided       Duration   `json:"decided"`
-	Action        WireAction `json:"action"`
-	ContingencyAt Duration   `json:"contingency_at,omitempty"`
-}
-
 // ServiceSnap is the whole control plane's serialized state.
 type ServiceSnap struct {
-	Now     Duration      `json:"now"`
-	Seq     uint64        `json:"seq"`
-	Groups  []GroupSnap   `json:"groups,omitempty"`
-	Pending []PendingSnap `json:"pending,omitempty"`
+	Now    Duration    `json:"now"`
+	Seq    uint64      `json:"seq"`
+	Groups []GroupSnap `json:"groups,omitempty"`
+	// Pending is the queue, each entry with its timeout policy so a
+	// contingency deadline survives the restart.
+	Pending []PendingInfo `json:"pending,omitempty"`
 }
 
 // Snapshot serializes the control plane: every managed group (sorted by
 // group name, so the bytes are deterministic) and the pending-approval
-// queue in queue order.
-func (s *Service) Snapshot() ([]byte, error) {
+// queue in queue order. cut, when not nil, runs under the service's lock
+// first, so no op is applied between it and the state serialized: a
+// journaling daemon reads its log's position there.
+func (s *Service) Snapshot(cut func()) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if cut != nil {
+		cut()
+	}
 	snap := ServiceSnap{Now: Duration(s.now)}
 	names := make([]string, 0, len(s.managed))
 	for name := range s.managed {
@@ -79,14 +78,9 @@ func (s *Service) Snapshot() ([]byte, error) {
 	s.qmu.Lock()
 	snap.Seq = s.seq
 	for _, seq := range s.order {
-		e := s.pending[seq]
-		if e == nil {
-			continue
+		if e := s.pending[seq]; e != nil {
+			snap.Pending = append(snap.Pending, e.info)
 		}
-		snap.Pending = append(snap.Pending, PendingSnap{
-			Seq: e.seq, Loop: e.d.Loop.Name, Decided: Duration(e.d.Decided),
-			Action: wireAction(e.d.Action), ContingencyAt: Duration(e.contingencyAt),
-		})
 	}
 	s.qmu.Unlock()
 	return json.Marshal(&snap)
@@ -109,30 +103,19 @@ func (s *Service) Restore(data []byte) error {
 		return fmt.Errorf("control: restore into a service that already manages %d groups", len(s.managed))
 	}
 	s.now = snap.Now.D()
+	s.qmu.Lock()
+	s.seq = snap.Seq
+	s.qmu.Unlock()
 	for _, gs := range snap.Groups {
-		sp, err := s.spawnLocked(gs.Spec)
+		g, err := s.applyLocked(&Request{Op: OpSpawn, Spec: &gs.Spec})
+		for i := 0; err == nil && i < len(gs.Guards); i++ {
+			_, err = s.applyLocked(&Request{Op: OpSetGuard, Loop: g.loops[0].Name, Guard: &gs.Guards[i]})
+		}
 		if err != nil {
 			return fmt.Errorf("control: restore group %q: %w", gs.Spec.Name, err)
 		}
-		g := s.byLoop[sp.Loop().Name]
-		for _, guardSpec := range gs.Guards {
-			for _, l := range g.loops {
-				guard, err := buildGuard(guardSpec)
-				if err != nil {
-					return fmt.Errorf("control: restore group %q: %w", gs.Spec.Name, err)
-				}
-				l.Guards = append(l.Guards, guard)
-			}
-			g.guards = append(g.guards, guardSpec)
-		}
 		for _, ls := range gs.Loops {
-			var loop *core.Loop
-			for _, l := range g.loops {
-				if l.Name == ls.Name {
-					loop = l
-					break
-				}
-			}
+			loop := g.member(ls.Name)
 			if loop == nil {
 				return fmt.Errorf("control: restore: group %q has no loop %q", gs.Spec.Name, ls.Name)
 			}
@@ -144,63 +127,98 @@ func (s *Service) Restore(data []byte) error {
 				loop.Mode = mode
 			}
 			state, err := core.ParseLifecycleState(ls.State)
-			if err != nil {
-				return fmt.Errorf("control: restore loop %q: %w", ls.Name, err)
-			}
-			switch state {
-			case core.StateCreated:
-				// The spawn left it created.
-			case core.StateRunning:
-				err = loop.Start()
-			case core.StatePaused:
-				err = loop.Pause()
-			case core.StateDraining:
-				err = loop.Drain()
-			case core.StateStopped:
-				err = loop.Stop()
+			if err == nil {
+				err = moveTo(loop, state)
 			}
 			if err != nil {
-				return fmt.Errorf("control: restore loop %q to %s: %w", ls.Name, state, err)
+				return fmt.Errorf("control: restore loop %q to %s: %w", ls.Name, ls.State, err)
 			}
 		}
 	}
+	for _, p := range snap.Pending {
+		if err := s.addPendingLocked(p); err != nil {
+			return fmt.Errorf("control: restore: %w", err)
+		}
+	}
+	return nil
+}
 
+// ApplyWAL folds one journaled record into the service, after Restore and
+// before anything else drives it: an applied op (TopicApplied) through
+// Handle's path, a pending announcement into the queue as Restore rebuilds
+// one, a resolution out of it. A folded verdict is queued again, and the
+// next round applies it unless a folded resolution settled its entry.
+// Other records are not the service's (false).
+func (s *Service) ApplyWAL(rec wal.Record) (bool, error) {
+	if rec.Kind != wal.KindBusEnvelope {
+		return false, nil
+	}
+	env, err := bus.Decode(rec.Payload)
+	if err != nil {
+		return false, nil
+	}
+	var a Applied
+	var p PendingInfo
+	var r Resolution
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch env.Topic {
+	case TopicApplied:
+		if err = bus.DecodePayload(env, &a); err == nil {
+			if a.Verdict != nil {
+				s.queueVerdict(a.Op == OpApprove, *a.Verdict)
+			} else {
+				_, err = s.applyLocked(&a.Request)
+			}
+		}
+	case TopicPending:
+		if err = bus.DecodePayload(env, &p); err == nil {
+			err = s.addPendingLocked(p)
+		}
+	case TopicResolved:
+		if err = bus.DecodePayload(env, &r); err == nil {
+			s.dropPending(r.Seq)
+		}
+	default:
+		return false, nil
+	}
+	if err != nil {
+		return true, fmt.Errorf("control: fold %s seq %d: %w", env.Topic, rec.Seq, err)
+	}
+	s.now = env.Time
+	return true, nil
+}
+
+// member returns the group's loop called name, or nil.
+func (g *managedGroup) member(name string) *core.Loop {
+	for _, l := range g.loops {
+		if l.Name == name {
+			return l
+		}
+	}
+	return nil
+}
+
+// addPendingLocked queues one recorded pending action, a snapshot's or a
+// journaled announcement, as a live entry of its loop, captured at the
+// loop's current generation: an approval after recovery executes, and a
+// loop recovered paused or draining settles it as stale. Caller holds mu.
+func (s *Service) addPendingLocked(p PendingInfo) error {
+	var loop *core.Loop
+	if g := s.byLoop[p.Loop]; g != nil {
+		loop = g.member(p.Loop)
+	}
+	if loop == nil {
+		return fmt.Errorf("pending action %d names unknown loop %q", p.Seq, p.Loop)
+	}
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
-	s.seq = snap.Seq
-	for _, ps := range snap.Pending {
-		g := s.byLoop[ps.Loop]
-		if g == nil {
-			return fmt.Errorf("control: restore: pending action %d names unknown loop %q", ps.Seq, ps.Loop)
-		}
-		var loop *core.Loop
-		for _, l := range g.loops {
-			if l.Name == ps.Loop {
-				loop = l
-				break
-			}
-		}
-		if loop == nil {
-			return fmt.Errorf("control: restore: pending action %d names unknown loop %q", ps.Seq, ps.Loop)
-		}
-		e := &pendingEntry{
-			seq: ps.Seq,
-			d: core.DeferredAction{
-				Loop: loop, Decided: ps.Decided.D(), Action: coreAction(ps.Action),
-				// Captured at the re-spawned loop's current generation: an
-				// approval after recovery executes; if the loop was restored
-				// paused or draining, the entry settles as stale instead.
-				Gen: loop.Generation(),
-			},
-			contingencyAt: ps.ContingencyAt.D(),
-		}
-		e.info = PendingInfo{
-			Seq: e.seq, Loop: ps.Loop, Decided: ps.Decided,
-			Action: ps.Action, ContingencyAt: ps.ContingencyAt,
-		}
-		s.pending[e.seq] = e
-		s.order = append(s.order, e.seq)
+	s.pending[p.Seq] = &pendingEntry{
+		seq: p.Seq, info: p, contingencyAt: p.ContingencyAt.D(),
+		d: core.DeferredAction{Loop: loop, Decided: p.Decided.D(), Action: coreAction(p.Action), Gen: loop.Generation()},
 	}
+	s.order = append(s.order, p.Seq)
+	s.seq = max(s.seq, p.Seq)
 	return nil
 }
 

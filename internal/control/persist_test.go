@@ -58,7 +58,7 @@ func TestControlSnapshotRestore(t *testing.T) {
 		t.Fatalf("pause beta: %+v", r)
 	}
 
-	snap, err := svc1.Snapshot()
+	snap, err := svc1.Snapshot(nil)
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -68,7 +68,7 @@ func TestControlSnapshotRestore(t *testing.T) {
 	if err := svc2.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	again, err := svc2.Snapshot()
+	again, err := svc2.Snapshot(nil)
 	if err != nil {
 		t.Fatalf("re-Snapshot: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestControlRestorePendingStaleOnPausedLoop(t *testing.T) {
 	if r := call(t, b1, control.Request{ID: "2", Op: control.OpPause, Loop: "alpha"}); !r.OK {
 		t.Fatalf("pause: %+v", r)
 	}
-	snap, err := svc1.Snapshot()
+	snap, err := svc1.Snapshot(nil)
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestControlRestoreIgnoresRetiredPendingFields(t *testing.T) {
 		t.Fatalf("spawn: %+v", r)
 	}
 	svc1.Tick(1 * time.Minute)
-	snap, err := svc1.Snapshot()
+	snap, err := svc1.Snapshot(nil)
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestControlRestoreIgnoresRetiredPendingFields(t *testing.T) {
 	if err := svc2.Restore(old); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if again, err := svc2.Snapshot(); err != nil || string(again) != string(snap) {
+	if again, err := svc2.Snapshot(nil); err != nil || string(again) != string(snap) {
 		t.Fatalf("re-Snapshot = %s, %v; want %s", again, err, snap)
 	}
 	seq := uint64(pending["seq"].(float64))
@@ -225,7 +225,7 @@ func TestRestoreUnnamedHierarchicalGroup(t *testing.T) {
 	if _, err := svc1.Spawn(control.LoopSpec{Case: "hier"}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := svc1.Snapshot()
+	snap, err := svc1.Snapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestRestoreUnnamedHierarchicalGroup(t *testing.T) {
 	if err := svc2.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if again, err := svc2.Snapshot(); err != nil || string(again) != string(snap) {
+	if again, err := svc2.Snapshot(nil); err != nil || string(again) != string(snap) {
 		t.Fatalf("restored snapshot (err=%v) diverges:\n before: %s\n after:  %s", err, snap, again)
 	}
 }

@@ -193,8 +193,8 @@ func (r *Registry) Lookup(name string) (CaseFactory, bool) {
 	return f, ok
 }
 
-// Names returns the registered case names, sorted.
-func (r *Registry) Names() []string {
+// names returns the registered case names, sorted.
+func (r *Registry) names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]string, 0, len(r.factories))
@@ -209,7 +209,7 @@ func (r *Registry) Names() []string {
 // reply, whichever endpoint answers it.
 func (r *Registry) CaseInfos() []CaseInfo {
 	var out []CaseInfo
-	for _, name := range r.Names() {
+	for _, name := range r.names() {
 		f, _ := r.Lookup(name)
 		reqs := make([]string, 0, len(f.Requires))
 		for _, c := range f.Requires {
@@ -250,7 +250,7 @@ func (r *Registry) Spawn(env *Env, spec LoopSpec) (*Spawned, error) {
 	}
 	f, ok := r.Lookup(spec.Case)
 	if !ok {
-		return nil, fmt.Errorf("control: unknown case %q (have %v)", spec.Case, r.Names())
+		return nil, fmt.Errorf("control: unknown case %q (have %v)", spec.Case, r.names())
 	}
 	if missing := env.Missing(f.Requires); len(missing) > 0 {
 		return nil, fmt.Errorf("control: case %q requires missing capabilities %v", spec.Case, missing)

@@ -59,7 +59,11 @@ func TestAllSixCasesSpawnFromJSONSpecs(t *testing.T) {
 	env, engine, pipe := testEnv(t, 1)
 	reg := cases.NewRegistry()
 	want := []string{"ioqos", "maintenance", "misconfig", "ost", "power", "scheduler"}
-	if got := strings.Join(reg.Names(), " "); got != strings.Join(want, " ") {
+	var names []string
+	for _, info := range reg.CaseInfos() {
+		names = append(names, info.Case)
+	}
+	if got := strings.Join(names, " "); got != strings.Join(want, " ") {
 		t.Fatalf("registry names = %q", got)
 	}
 	coord := fleet.New(1)

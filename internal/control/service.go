@@ -20,11 +20,12 @@ import (
 // Threading: the Service is the coordinator's driver — attach it to the
 // telemetry pipeline (pipe.Drive(svc, n)) or call Tick from the simulation
 // thread. Wire requests may arrive on any goroutine (the TCP bridge's read
-// loops); ops that touch loop or fleet state synchronize with Tick through
-// the service mutex, and approval verdicts are queued and applied at the
-// next round so action execution always happens on the tick goroutine.
-// Subscribers of control.v1 topics must not publish new control requests
-// synchronously from their handlers.
+// loops); ops that touch loop or fleet state, verdicts included,
+// synchronize with Tick through the service mutex, and approval verdicts
+// are queued and applied at the next round so action execution always
+// happens on the tick goroutine. Pending announcements and applied ops are
+// published under that mutex, so subscribers of control.v1 topics must not
+// call back into the service synchronously from their handlers.
 type Service struct {
 	reg    *Registry
 	env    *Env
@@ -361,6 +362,8 @@ func (s *Service) Verdict(approve bool, v Verdict) Reply {
 	if approve {
 		op = OpApprove
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	e := s.lookupPending(v.Seq)
 	if e == nil {
 		return Reply{ID: v.ID, Op: op, OK: false, Error: fmt.Sprintf("no pending action %d", v.Seq)}
@@ -369,12 +372,18 @@ func (s *Service) Verdict(approve bool, v Verdict) Reply {
 		return Reply{ID: v.ID, Op: op, OK: false, Error: fmt.Sprintf(
 			"pending action %d belongs to loop %q, not %q", v.Seq, e.d.Loop.Name, v.Loop)}
 	}
-	s.qmu.Lock()
-	s.verdicts = append(s.verdicts, queuedVerdict{seq: v.Seq, approve: approve, reason: v.Reason})
-	s.qmu.Unlock()
+	s.queueVerdict(approve, v)
+	s.journalLocked(Applied{Request: Request{Op: op}, Verdict: &v})
 	return Reply{ID: v.ID, Op: op, OK: true, Resolution: &Resolution{
 		Seq: v.Seq, Loop: e.d.Loop.Name, Outcome: OutcomeQueued,
 	}}
+}
+
+// queueVerdict queues one verdict for the next round to apply.
+func (s *Service) queueVerdict(approve bool, v Verdict) {
+	s.qmu.Lock()
+	s.verdicts = append(s.verdicts, queuedVerdict{seq: v.Seq, approve: approve, reason: v.Reason})
+	s.qmu.Unlock()
 }
 
 // OpApprove and OpDeny name the verdict pseudo-ops used in acks.
@@ -441,99 +450,19 @@ func (s *Service) Handle(req Request) Reply {
 	case OpCases:
 		r.Cases = s.reg.CaseInfos()
 		r.OK = true
-	case OpSpawn:
-		if req.Spec == nil {
-			return fail("spawn without spec")
-		}
+	case OpSpawn, OpRemove, OpPause, OpResume, OpDrain, OpSetMode, OpSetGuard:
 		s.mu.Lock()
-		sp, err := s.spawnLocked(*req.Spec)
+		g, err := s.applyLocked(&req)
 		if err != nil {
 			s.mu.Unlock()
 			return fail("%v", err)
 		}
-		g := s.byLoop[sp.Loop().Name]
-		st := s.statusLocked(g, sp.Loop())
-		s.mu.Unlock()
-		r.Loop = &st
-		spec := sp.Spec
-		r.Spec = &spec
-		r.OK = true
-	case OpPause, OpResume, OpDrain, OpRemove:
-		s.mu.Lock()
-		g := s.byLoop[req.Loop]
-		if g == nil {
-			s.mu.Unlock()
-			return fail("unknown loop %q", req.Loop)
+		spec := g.spec
+		if req.Op == OpSpawn {
+			req.Spec = &spec
+			r.Spec = &spec
 		}
-		var err error
-		for _, l := range g.loops {
-			switch req.Op {
-			case OpPause:
-				err = l.Pause()
-			case OpResume:
-				err = l.Resume()
-			case OpDrain:
-				err = l.Drain()
-			case OpRemove:
-				_ = l.Stop()
-				s.coord.Remove(l.Name)
-			}
-			if err != nil {
-				break
-			}
-		}
-		if req.Op == OpRemove {
-			delete(s.managed, g.loops[0].Name)
-			for _, l := range g.loops {
-				delete(s.byLoop, l.Name)
-			}
-		}
-		st := s.statusLocked(g, g.loops[0])
-		s.mu.Unlock()
-		if err != nil {
-			return fail("%v", err)
-		}
-		r.Loop = &st
-		r.OK = true
-	case OpSetMode:
-		mode, err := core.ParseMode(req.Mode)
-		if err != nil {
-			return fail("%v", err)
-		}
-		s.mu.Lock()
-		g := s.byLoop[req.Loop]
-		if g == nil {
-			s.mu.Unlock()
-			return fail("unknown loop %q", req.Loop)
-		}
-		for _, l := range g.loops {
-			l.Mode = mode
-		}
-		g.spec.Mode = mode.String()
-		st := s.statusLocked(g, g.loops[0])
-		s.mu.Unlock()
-		r.Loop = &st
-		r.OK = true
-	case OpSetGuard:
-		if req.Guard == nil {
-			return fail("set-guard without guard")
-		}
-		make1 := func() (core.Guardrail, error) { return buildGuard(*req.Guard) }
-		s.mu.Lock()
-		g := s.byLoop[req.Loop]
-		if g == nil {
-			s.mu.Unlock()
-			return fail("unknown loop %q", req.Loop)
-		}
-		for _, l := range g.loops {
-			guard, err := make1() // one stateful guard instance per loop
-			if err != nil {
-				s.mu.Unlock()
-				return fail("%v", err)
-			}
-			l.Guards = append(l.Guards, guard)
-		}
-		g.guards = append(g.guards, *req.Guard)
+		s.journalLocked(Applied{Request: req})
 		st := s.statusLocked(g, g.loops[0])
 		s.mu.Unlock()
 		r.Loop = &st
@@ -556,6 +485,95 @@ func (s *Service) Handle(req Request) Reply {
 		return fail("unknown op %q", req.Op)
 	}
 	return r
+}
+
+// applyLocked applies one state-changing request (spawn, remove, pause,
+// resume, drain, set-mode, set-guard) and returns its group: Handle, Restore
+// and ApplyWAL all change the managed set through it. Caller holds mu.
+func (s *Service) applyLocked(req *Request) (*managedGroup, error) {
+	if req.Op == OpSpawn {
+		if req.Spec == nil {
+			return nil, fmt.Errorf("spawn without spec")
+		}
+		sp, err := s.spawnLocked(*req.Spec)
+		if err != nil {
+			return nil, err
+		}
+		return s.byLoop[sp.Loop().Name], nil
+	}
+	g := s.byLoop[req.Loop]
+	if g == nil {
+		return nil, fmt.Errorf("unknown loop %q", req.Loop)
+	}
+	var mode core.Mode
+	switch {
+	case req.Op == OpSetMode:
+		var err error
+		if mode, err = core.ParseMode(req.Mode); err != nil {
+			return nil, err
+		}
+	case req.Op == OpSetGuard && req.Guard == nil:
+		return nil, fmt.Errorf("set-guard without guard")
+	}
+	for _, l := range g.loops {
+		var err error
+		switch req.Op {
+		case OpSetMode:
+			l.Mode = mode
+		case OpSetGuard:
+			var guard core.Guardrail // one stateful guard instance per loop
+			if guard, err = buildGuard(*req.Guard); err == nil {
+				l.Guards = append(l.Guards, guard)
+			}
+		case OpRemove:
+			_ = l.Stop()
+			s.coord.Remove(l.Name)
+			delete(s.byLoop, l.Name)
+		case OpResume:
+			err = l.Resume()
+		case OpPause:
+			err = moveTo(l, core.StatePaused)
+		case OpDrain:
+			err = moveTo(l, core.StateDraining)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	switch req.Op {
+	case OpSetMode:
+		g.spec.Mode = mode.String()
+	case OpSetGuard:
+		g.guards = append(g.guards, *req.Guard)
+	case OpRemove:
+		delete(s.managed, g.loops[0].Name)
+	}
+	return g, nil
+}
+
+// moveTo drives l to state: Restore drives each re-spawned loop to the state
+// its snapshot recorded, and the pause and drain ops drive a group's loops.
+func moveTo(l *core.Loop, state core.LifecycleState) error {
+	switch state {
+	case core.StateRunning:
+		return l.Start()
+	case core.StatePaused:
+		return l.Pause()
+	case core.StateDraining:
+		return l.Drain()
+	case core.StateStopped:
+		return l.Stop()
+	}
+	return nil // created: where a spawn leaves it
+}
+
+// journalLocked publishes one applied op on TopicApplied when anything
+// receives it. Caller holds mu, so the op is published in the order it was
+// applied relative to every round and every other op.
+func (s *Service) journalLocked(a Applied) {
+	if s.bus != nil && s.bus.HasReceiver(TopicApplied) {
+		s.publish(TopicApplied, s.now, a)
+	}
 }
 
 // buildGuard constructs one guardrail from its wire spec.

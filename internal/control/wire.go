@@ -30,6 +30,10 @@ const (
 	// TopicResolved reports the final fate of each pending action
 	// (Resolution payload): approved, denied, contingency, dropped, stale.
 	TopicResolved = "control.v1.resolved"
+	// TopicApplied records each state-changing op the service applied
+	// (Applied payload), whichever surface it came through, for a journal
+	// to fold back on recovery (Service.ApplyWAL).
+	TopicApplied = "control.v1.applied"
 )
 
 // Request ops.
@@ -60,6 +64,14 @@ type Request struct {
 	Spec  *LoopSpec  `json:"spec,omitempty"`
 	Mode  string     `json:"mode,omitempty"`
 	Guard *GuardSpec `json:"guard,omitempty"`
+}
+
+// Applied is the payload of TopicApplied: the request of a spawn, remove,
+// pause, resume, drain, set-mode or set-guard, or an approve or deny (Op)
+// and its Verdict.
+type Applied struct {
+	Request
+	Verdict *Verdict `json:"verdict,omitempty"`
 }
 
 // GuardSpec declares one guardrail appended by the set-guard op.

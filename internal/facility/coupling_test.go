@@ -27,7 +27,7 @@ func TestAmbientCouplingHeatsNodes(t *testing.T) {
 	col := cl.Collector()
 	settle := func() float64 {
 		for i := 0; i < 40; i++ {
-			e.RunFor(30 * time.Second)
+			e.RunUntil(e.Now() + 30*time.Second)
 			col.Collect(e.Now())
 		}
 		var temp float64

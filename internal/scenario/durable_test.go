@@ -1,4 +1,4 @@
-package main
+package scenario
 
 import (
 	"bytes"
@@ -16,11 +16,11 @@ import (
 // one JSON document, the store's JSON snapshot embedded as its "tsdb"
 // member: the store must restore from what the decode hands back.
 func TestDecodeDaemonSnapshotParentLayout(t *testing.T) {
-	payload, seq, ok, err := wal.LatestSnapshot("../../internal/tsdb/testdata/parent_wal", "modad")
+	payload, seq, ok, err := wal.LatestSnapshot("../tsdb/testdata/parent_wal", "modad")
 	if err != nil || !ok {
 		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
 	}
-	snap, err := decodeDaemonSnapshot(payload)
+	snap, err := decodeSnapshot(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestDaemonSnapshotRoundTrip(t *testing.T) {
 	if !bytes.Contains(ts, []byte{'\n'}) {
 		t.Fatal("no newline inside the TSDB snapshot")
 	}
-	want := daemonSnapshot{
+	want := Snapshot{
 		Seq: 42, Now: 90 * time.Minute,
 		Knowledge: json.RawMessage(`{"runs":[]}`), Control: json.RawMessage(`{"groups":[]}`),
 		TSDB: ts,
@@ -67,7 +67,7 @@ func TestDaemonSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeDaemonSnapshot(payload)
+	got, err := decodeSnapshot(payload)
 	if err != nil {
 		t.Fatal(err)
 	}

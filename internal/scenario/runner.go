@@ -92,15 +92,15 @@ type Runtime struct {
 // through reg (the CaseFactory path — the same registry the control plane
 // uses). The returned runtime is armed but not yet run.
 func Assemble(spec *Spec, reg *control.Registry) (*Runtime, error) {
-	return AssembleOn(sim.NewEngine(spec.Seed), tsdb.New(0), spec, reg)
+	return assemble(sim.NewEngine(spec.Seed), tsdb.New(0), knowledge.NewBase(), spec, reg)
 }
 
-// AssembleOn is Assemble over an engine and a store the caller owns: a
-// daemon resuming from a snapshot hands in an engine whose clock already
-// stands at the snapshot's time and a store with its retention and rollup
-// rules set. The sampling cadence, maintenance calendar, workload and fault
-// schedule are all laid out relative to engine.Now().
-func AssembleOn(engine *sim.Engine, db *tsdb.DB, spec *Spec, reg *control.Registry) (*Runtime, error) {
+// assemble is Assemble over an engine, a store and a knowledge base the
+// caller owns: Durable.Recover hands in an engine whose clock already
+// stands where the recovered log ends, and a store and K it has restored.
+// The sampling cadence, maintenance calendar, workload and fault schedule
+// are all laid out relative to engine.Now().
+func assemble(engine *sim.Engine, db *tsdb.DB, kb *knowledge.Base, spec *Spec, reg *control.Registry) (*Runtime, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ func AssembleOn(engine *sim.Engine, db *tsdb.DB, spec *Spec, reg *control.Regist
 	rt.Scheduler = sched.New(rt.Engine, rt.Cluster.UpNodes(), policy)
 	rt.Apps = app.NewRuntime(rt.Engine, rt.DB, rt.FS, rt.Cluster)
 	rt.Apps.Serve(rt.Scheduler)
-	rt.Knowledge = knowledge.NewBase()
+	rt.Knowledge = kb
 	rt.Knowledge.PublishTo(rt.Bus)
 
 	// Telemetry plane: every substrate collector into the TSDB.

@@ -108,20 +108,51 @@ func TestLoopStreamByteIdentical(t *testing.T) {
 	}
 }
 
-// TestLoopEventsOutliveTheirTick keeps every loop.* payload of the
-// fleet-dense-shaped run, with its JSON taken at delivery, to the end of
-// the run: a loop publishes pointers to its tick's own findings, actions
-// and results, so a phase that reused a slice it had returned would rewrite
-// a kept payload. Each payload must be such a pointer and still encode to
-// its bytes at delivery, both when a second goroutine re-reads it during
-// the run and at the end. Under the race detector that re-read also catches
-// a rewrite with the same bytes. Every stock case must publish a finding
-// and a plan with their reasons, so every case's phases are held to this.
+// TestLoopEventsOutliveTheirTick keeps every loop.* payload of a run, with
+// its JSON taken at delivery, to the end of the run: a loop publishes
+// pointers to its tick's own findings, actions and results, so a phase that
+// reused a slice it had returned would rewrite a kept payload. Each payload
+// must be such a pointer and still encode to its bytes at delivery, both
+// when a second goroutine re-reads it during the run and at the end. Under
+// the race detector that re-read also catches a rewrite with the same
+// bytes. Every stock case must publish a finding and a plan with their
+// reasons, so every case's phases are held to this. Two documents run: the
+// fleet-dense-shaped one, and ioqos-violation.json, whose tight objective
+// drives an ioqos group past it, so its violation findings and throttling
+// set-allocations are held to this too (every ioqos tick of the first finds
+// headroom).
 func TestLoopEventsOutliveTheirTick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a scenario end to end")
 	}
-	spec := streamRuns(t)[1].spec
+	data, err := os.ReadFile("testdata/ioqos-violation.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	violating, err := scenario.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		spec   *scenario.Spec
+		events int // 0: not pinned
+	}{{"fleet-dense-shaped", streamRuns(t)[1].spec, 7984}, {"ioqos-violation", violating, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			seen := keepLoopEvents(t, tc.spec, tc.events)
+			if tc.name == "ioqos-violation" && (seen["latency-violation"] == 0 || seen["throttle"] == 0) {
+				t.Errorf("ioqos-violation published %d latency-violation findings and %d throttling set-allocations, want some of each",
+					seen["latency-violation"], seen["throttle"])
+			}
+		})
+	}
+}
+
+// keepLoopEvents runs spec, keeping its loop events as
+// TestLoopEventsOutliveTheirTick describes, and returns how many findings
+// of each kind it saw, with the throttling set-allocations under
+// "throttle".
+func keepLoopEvents(t *testing.T, spec *scenario.Spec, want int) map[string]int {
 	rt, err := scenario.Assemble(spec, cases.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +181,7 @@ func TestLoopEventsOutliveTheirTick(t *testing.T) {
 		rereadChanged <- changed
 	}()
 	explained := map[string]int{} // case -> 1 for a finding's reason, 2 for a plan's, 3 for both
+	seen := map[string]int{}
 	rt.Bus.Subscribe("loop.*", func(env bus.Envelope) {
 		data, err := json.Marshal(env.Payload)
 		if err != nil {
@@ -159,10 +191,14 @@ func TestLoopEventsOutliveTheirTick(t *testing.T) {
 		group, _, _ := strings.Cut(env.Source, "/")
 		switch p := env.Payload.(type) {
 		case *core.Finding:
+			seen[p.Kind]++
 			if p.Detail.String() != "" {
 				explained[caseOf[group]] |= 1
 			}
 		case *core.Action:
+			if p.Kind == "set-allocation" && strings.HasPrefix(p.Explanation.String(), "throttle") {
+				seen["throttle"]++
+			}
 			if p.Explanation.String() != "" {
 				explained[caseOf[group]] |= 2
 			}
@@ -183,8 +219,8 @@ func TestLoopEventsOutliveTheirTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 7984 {
-		t.Errorf("%d loop events, want the golden's 7984", len(events))
+	if want > 0 && len(events) != want {
+		t.Errorf("%d loop events, want the golden's %d", len(events), want)
 	}
 	for _, c := range caseOf {
 		if explained[c] != 3 {
@@ -206,4 +242,5 @@ func TestLoopEventsOutliveTheirTick(t *testing.T) {
 	if changed > 0 {
 		t.Errorf("%d of %d kept payloads changed after delivery", changed, len(events))
 	}
+	return seen
 }

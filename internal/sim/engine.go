@@ -143,6 +143,3 @@ func (e *Engine) RunUntil(deadline time.Duration) {
 		e.now = deadline
 	}
 }
-
-// RunFor runs the simulation for d beyond the current time, like RunUntil.
-func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + d) }

@@ -189,26 +189,6 @@ type Series struct {
 	Samples []Sample
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.Samples) }
-
-// Values returns the sample values as a slice, for feeding analytics.
-func (s *Series) Values() []float64 {
-	vs := make([]float64, len(s.Samples))
-	for i, smp := range s.Samples {
-		vs[i] = smp.Value
-	}
-	return vs
-}
-
-// Last returns the most recent sample and whether one exists.
-func (s *Series) Last() (Sample, bool) {
-	if len(s.Samples) == 0 {
-		return Sample{}, false
-	}
-	return s.Samples[len(s.Samples)-1], true
-}
-
 // Collector is implemented by every monitored substrate component. Collect
 // reports the component's current sensor readings at virtual time now. The
 // returned slice belongs to the collector, which may refill it on its next

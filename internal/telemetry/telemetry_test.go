@@ -75,25 +75,6 @@ func TestLabelsKeyMatchesProperty(t *testing.T) {
 	}
 }
 
-func TestSeriesHelpers(t *testing.T) {
-	s := &Series{Name: "m", Samples: []Sample{{1, 1.0}, {2, 2.0}, {3, 3.0}}}
-	if s.Len() != 3 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	vs := s.Values()
-	if len(vs) != 3 || vs[2] != 3.0 {
-		t.Errorf("Values = %v", vs)
-	}
-	last, ok := s.Last()
-	if !ok || last.Value != 3.0 {
-		t.Errorf("Last = %v, %v", last, ok)
-	}
-	empty := &Series{}
-	if _, ok := empty.Last(); ok {
-		t.Error("empty series Last should report false")
-	}
-}
-
 func TestRegistryGather(t *testing.T) {
 	r := NewRegistry()
 	r.Register(CollectorFunc(func(now time.Duration) []Point {

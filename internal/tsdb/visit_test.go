@@ -66,7 +66,9 @@ func TestWindowIntoMatchesQuery(t *testing.T) {
 		var want []float64
 		ss := db.Query(name, matcher, from, to)
 		for _, s := range ss {
-			want = append(want, s.Values()...)
+			for _, smp := range s.Samples {
+				want = append(want, smp.Value)
+			}
 		}
 		got := db.WindowInto(nil, name, matcher, from, to)
 		if fmt.Sprint(got) != fmt.Sprint(want) {

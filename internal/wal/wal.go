@@ -15,6 +15,7 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -647,6 +648,29 @@ func (w *WAL) Replay(from uint64) (*Reader, error) {
 	w.mu.Unlock()
 	w.syncMu.Unlock()
 	return newReader(w.fs, w.dir, segs, from), nil
+}
+
+// Fold feeds every record with sequence >= from to apply, in log order (a
+// Payload lasts only the call), and returns how many it fed. Mid-log damage
+// and an apply failure stop it.
+func (w *WAL) Fold(from uint64, apply func(Record) error) (int, error) {
+	r, err := w.Replay(from)
+	if err != nil {
+		return 0, err
+	}
+	defer r.Close()
+	for n := 0; ; n++ {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return n, nil
+		}
+		if err != nil {
+			return n, fmt.Errorf("wal replay: %w", err)
+		}
+		if err := apply(rec); err != nil {
+			return n, fmt.Errorf("wal replay seq %d: %w", rec.Seq, err)
+		}
+	}
 }
 
 // Compact removes whole segments every record of which has sequence < keep

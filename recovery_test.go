@@ -2,28 +2,27 @@
 // base + control plane) journaling through one WAL is hard-stopped
 // mid-segment — journal abandoned without Close and a torn half-frame
 // smashed onto the live segment, exactly what kill -9 mid-write leaves
-// behind — and then recovered into fresh components. The journaled layers
-// (TSDB, knowledge) must come back byte-identical to a control run that was
-// never killed; the snapshot-only control plane must come back exactly as
-// of its last snapshot and re-derive the identical end state when driven
-// through the missed rounds.
+// behind — and then recovered into fresh components by the daemon's own
+// routine, scenario.Durable. The journaled layers (TSDB, knowledge) must
+// come back byte-identical to a control run that was never killed, and the
+// control plane must come back as that run's stood at the kill point.
 package autoloop_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"autoloop/internal/bus"
 	"autoloop/internal/control"
 	"autoloop/internal/core"
-	"autoloop/internal/fleet"
 	"autoloop/internal/knowledge"
+	"autoloop/internal/scenario"
 	"autoloop/internal/sim"
 	"autoloop/internal/telemetry"
 	"autoloop/internal/tsdb"
@@ -60,8 +59,10 @@ func recoveryCase(executed *[]core.Action) control.CaseFactory {
 }
 
 // recoveryDeployment is the stateful slice of a daemon: everything modad
-// journals and snapshots.
+// journals and snapshots, assembled and recovered by scenario.Durable.
 type recoveryDeployment struct {
+	dur      *scenario.Durable
+	engine   *sim.Engine
 	b        *bus.Bus
 	db       *tsdb.DB
 	kb       *knowledge.Base
@@ -69,50 +70,40 @@ type recoveryDeployment struct {
 	executed []core.Action
 }
 
-func newRecoveryDeployment(t *testing.T) *recoveryDeployment {
+// newRecoveryDeployment recovers a deployment from w, which keeps its log
+// and snapshots in dir. A log with no snapshot deploys the fleet: one
+// human-in-the-loop loop that accumulates pending approvals, one autonomous
+// loop that executes.
+func newRecoveryDeployment(t *testing.T, dir string, w *wal.WAL) *recoveryDeployment {
 	t.Helper()
-	d := &recoveryDeployment{b: bus.New(), db: tsdb.New(time.Hour), kb: knowledge.NewBase()}
-	d.kb.PublishTo(d.b)
-	if err := d.db.AddRollup(tsdb.RollupRule{
+	d := &recoveryDeployment{dur: &scenario.Durable{WAL: w, Dir: dir, Logf: t.Logf}}
+	db := tsdb.New(time.Hour)
+	if err := db.AddRollup(tsdb.RollupRule{
 		Metric: "rig.temp", Step: time.Minute, Agg: tsdb.AggMean, Retention: 24 * time.Hour,
 	}); err != nil {
 		t.Fatalf("AddRollup: %v", err)
 	}
 	reg := control.NewRegistry()
 	reg.MustRegister(recoveryCase(&d.executed))
-	env := &control.Env{
-		Knowledge: d.kb,
-		Clock:     sim.VirtualClock{Engine: sim.NewEngine(1)},
-		Bus:       d.b,
+	rt, err := d.dur.Recover(db, recoveryDoc(
+		control.LoopSpec{Case: "script", Name: "gatekeeper", Mode: "human-in-the-loop"},
+		control.LoopSpec{Case: "script", Name: "sweeper"},
+	), reg)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
 	}
-	d.ctl = control.NewService(reg, env, fleet.New(1), time.Minute).Attach(d.b, "test")
+	d.engine, d.b, d.db, d.kb = rt.Engine, rt.Bus, rt.DB, rt.Knowledge
+	d.ctl = rt.Ctl.Attach(rt.Bus, "test")
 	t.Cleanup(d.ctl.Close)
 	return d
 }
 
-// spawn deploys the fleet: one human-in-the-loop loop that accumulates
-// pending approvals, one autonomous loop that executes.
-func (d *recoveryDeployment) spawn(t *testing.T) {
-	t.Helper()
-	for _, spec := range []control.LoopSpec{
-		{Case: "script", Name: "gatekeeper", Mode: "human-in-the-loop"},
-		{Case: "script", Name: "sweeper"},
-	} {
-		if _, err := d.ctl.Spawn(spec); err != nil {
-			t.Fatalf("spawn %s: %v", spec.Name, err)
-		}
+// recoveryDoc is a one-node facility deploying loops.
+func recoveryDoc(loops ...control.LoopSpec) *scenario.Spec {
+	return &scenario.Spec{
+		Name: "recovery", Seed: 1, Horizon: control.Duration(24 * time.Hour),
+		Facility: scenario.Facility{Nodes: 1}, Loops: scenario.Unscored(loops...),
 	}
-}
-
-// attach wires the deployment's journals to w, as modad does on startup:
-// the bus journal records the knowledge base's writes with the rest.
-func (d *recoveryDeployment) attach(w *wal.WAL) {
-	d.db.Journal(w)
-	d.b.Journal(func(string) bool { return true }, func(env bus.Envelope) {
-		if line, err := bus.Encode(env); err == nil {
-			w.Append(wal.KindBusEnvelope, line)
-		}
-	})
 }
 
 // step applies one deterministic workload beat: telemetry appends (batch and
@@ -146,49 +137,6 @@ func (d *recoveryDeployment) step(t *testing.T, i int) {
 	d.ctl.Tick(at)
 }
 
-// deploySnap mirrors modad's combined snapshot payload: a compact JSON
-// header, a newline, then the store's binary snapshot as raw bytes.
-type deploySnap struct {
-	Seq       uint64          `json:"seq"`
-	Knowledge json.RawMessage `json:"knowledge"`
-	Control   json.RawMessage `json:"control"`
-	TSDB      []byte          `json:"-"`
-}
-
-// checkpoint writes one combined snapshot covering the whole log and
-// compacts the superseded segments.
-func checkpoint(t *testing.T, dir string, w *wal.WAL, d *recoveryDeployment) *deploySnap {
-	t.Helper()
-	if err := w.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	snap := &deploySnap{Seq: w.LastSeq()}
-	var err error
-	if snap.TSDB, err = d.db.Snapshot(); err != nil {
-		t.Fatalf("tsdb snapshot: %v", err)
-	}
-	var kbuf bytes.Buffer
-	if err := d.kb.Save(&kbuf); err != nil {
-		t.Fatalf("kb save: %v", err)
-	}
-	snap.Knowledge = kbuf.Bytes()
-	if snap.Control, err = d.ctl.Snapshot(); err != nil {
-		t.Fatalf("ctl snapshot: %v", err)
-	}
-	hdr, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatalf("marshal snapshot: %v", err)
-	}
-	payload := append(append(hdr, '\n'), snap.TSDB...)
-	if err := wal.WriteSnapshot(dir, "deploy", snap.Seq, payload); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	if _, err := w.Compact(snap.Seq + 1); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	return snap
-}
-
 // dumpJournaled serializes the journaled layers (TSDB + knowledge) to
 // deterministic bytes.
 func dumpJournaled(t *testing.T, d *recoveryDeployment) string {
@@ -206,25 +154,30 @@ func dumpJournaled(t *testing.T, d *recoveryDeployment) string {
 
 func dumpControl(t *testing.T, d *recoveryDeployment) string {
 	t.Helper()
-	cs, err := d.ctl.Snapshot()
+	cs, err := d.ctl.Snapshot(nil)
 	if err != nil {
 		t.Fatalf("dump ctl: %v", err)
 	}
 	return string(cs)
 }
 
+// openWAL opens a log in dir that syncs every append.
+func openWAL(t *testing.T, dir string, segment int64) *wal.WAL {
+	t.Helper()
+	w, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways, SegmentBytes: segment})
+	if err != nil {
+		t.Fatalf("open wal: %v", err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
 func TestCrashRecoveryByteIdentical(t *testing.T) {
 	const total, mid = 9, 5
 
 	// Control run: the same workload, journaled, never killed.
-	ctrl := newRecoveryDeployment(t)
-	ctrl.spawn(t)
-	wc, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncAlways})
-	if err != nil {
-		t.Fatalf("open control wal: %v", err)
-	}
-	defer wc.Close()
-	ctrl.attach(wc)
+	ctrlDir := t.TempDir()
+	ctrl := newRecoveryDeployment(t, ctrlDir, openWAL(t, ctrlDir, 0))
 	for i := 0; i < total; i++ {
 		ctrl.step(t, i)
 	}
@@ -236,17 +189,18 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	// frame (a header promising a 64-byte body, delivering 3) lands on the
 	// live segment, as a crash mid-write would leave it.
 	dir := t.TempDir()
-	w, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways, SegmentBytes: 4096})
-	if err != nil {
-		t.Fatalf("open crash wal: %v", err)
-	}
-	crash := newRecoveryDeployment(t)
-	crash.spawn(t)
-	crash.attach(w)
+	w := openWAL(t, dir, 4096)
+	crash := newRecoveryDeployment(t, dir, w)
 	for i := 0; i < mid; i++ {
 		crash.step(t, i)
 	}
-	snapAtMid := checkpoint(t, dir, w, crash)
+	if err := crash.dur.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	snapAtMid, ok, err := scenario.LatestSnapshot(dir)
+	if err != nil || !ok {
+		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
+	}
 	for i := mid; i < total; i++ {
 		crash.step(t, i)
 	}
@@ -271,73 +225,29 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	f.Close()
 
 	// Recover into fresh components.
-	w2, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer w2.Close()
+	w2 := openWAL(t, dir, 0)
 	if w2.Metrics().Truncated == 0 {
 		t.Fatal("torn tail not detected on reopen")
 	}
-	payload, seq, ok, err := wal.LatestSnapshot(dir, "deploy")
-	if err != nil || !ok {
-		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
-	}
-	if seq != snapAtMid.Seq {
-		t.Fatalf("snapshot seq = %d, want %d", seq, snapAtMid.Seq)
-	}
-	var snap deploySnap
-	hdr, ts, _ := bytes.Cut(payload, []byte{'\n'})
-	if err := json.Unmarshal(hdr, &snap); err != nil {
-		t.Fatalf("decode snapshot: %v", err)
-	}
-	snap.TSDB = ts
-	rec2 := newRecoveryDeployment(t)
-	if err := rec2.db.RestoreSnapshot(snap.TSDB); err != nil {
-		t.Fatalf("RestoreSnapshot: %v", err)
-	}
-	if err := rec2.kb.Load(bytes.NewReader(snap.Knowledge)); err != nil {
-		t.Fatalf("kb load: %v", err)
-	}
-	if err := rec2.ctl.Restore(snap.Control); err != nil {
-		t.Fatalf("ctl restore: %v", err)
-	}
-	r, err := w2.Replay(seq + 1)
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	defer r.Close()
 	busRecords, learnRecords := 0, 0
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("replay: %v", err)
-		}
-		var handled bool
-		handled, err = rec2.db.ApplyWAL(rec.Kind, rec.Payload)
-		if !handled {
-			handled, err = rec2.kb.ApplyWAL(rec)
-			if handled {
-				learnRecords++
+	if _, err := w2.Fold(snapAtMid.Seq+1, func(rec wal.Record) error {
+		switch rec.Kind {
+		case wal.KindTSDBPoints:
+		case wal.KindBusEnvelope:
+			env, err := bus.Decode(rec.Payload)
+			if err != nil {
+				return fmt.Errorf("journaled envelope does not decode: %w", err)
 			}
-		}
-		switch {
-		case handled:
-		case rec.Kind == wal.KindBusEnvelope:
-			// Audit trail: must decode, never re-publishes.
-			if _, derr := bus.Decode(rec.Payload); derr != nil {
-				t.Fatalf("journaled envelope seq %d does not decode: %v", rec.Seq, derr)
+			if env.Topic == "knowledge.learn" {
+				learnRecords++
 			}
 			busRecords++
 		default:
-			t.Fatalf("unknown record kind 0x%02x at seq %d", rec.Kind, rec.Seq)
+			return fmt.Errorf("unknown record kind 0x%02x", rec.Kind)
 		}
-		if err != nil {
-			t.Fatalf("apply seq %d: %v", rec.Seq, err)
-		}
+		return nil
+	}); err != nil {
+		t.Fatalf("scan tail: %v", err)
 	}
 	if busRecords == 0 {
 		t.Fatal("no bus envelopes journaled — hook never fired")
@@ -345,23 +255,23 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	if learnRecords == 0 {
 		t.Fatal("no knowledge.learn envelopes in the tail — K was not journaled")
 	}
+	rec2 := newRecoveryDeployment(t, dir, w2)
+	if !rec2.dur.Restored || rec2.dur.Seq != snapAtMid.Seq {
+		t.Fatalf("recovered from snapshot %v @ seq %d, want the one @ %d", rec2.dur.Restored, rec2.dur.Seq, snapAtMid.Seq)
+	}
+	if now := rec2.engine.Now(); now != total*time.Minute {
+		t.Fatalf("clock resumed at %v, want the tail's newest time %v", now, total*time.Minute)
+	}
 
 	// The journaled layers are byte-identical to the never-killed run.
 	if got := dumpJournaled(t, rec2); got != wantJournaled {
 		t.Fatalf("journaled state diverges after recovery:\n got: %.2000s\nwant: %.2000s", got, wantJournaled)
 	}
 
-	// The snapshot-only control plane restores exactly as of the checkpoint
-	// and, driven through the missed rounds, re-derives the identical end
-	// state — including the pending-approval queue.
-	if got := dumpControl(t, rec2); got != string(snapAtMid.Control) {
-		t.Fatalf("control plane diverges from checkpoint:\n got: %s\nwant: %s", got, snapAtMid.Control)
-	}
-	for i := mid; i < total; i++ {
-		rec2.ctl.Tick(time.Duration(i+1) * time.Minute)
-	}
+	// The control plane recovers to the kill point, pending-approval queue
+	// included, not to its snapshot: its tail folds too.
 	if got := dumpControl(t, rec2); got != wantControl {
-		t.Fatalf("control plane diverges after re-driving missed rounds:\n got: %s\nwant: %s", got, wantControl)
+		t.Fatalf("control plane diverges from the never-killed run at the kill point:\n got: %s\nwant: %s", got, wantControl)
 	}
 
 	// The recovered pending queue is live: approve the oldest entry and the
@@ -376,5 +286,75 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	rec2.ctl.Tick((total + 1) * time.Minute)
 	if len(rec2.executed) != before+2 { // approved action + sweeper's autonomous tick
 		t.Fatalf("executed %d -> %d after approval, want +2", before, len(rec2.executed))
+	}
+}
+
+// TestRecoveredVerdictsApplyOnce kills a deployment, before any snapshot,
+// with one approval applied and executed and another acknowledged but not
+// yet applied, one sent over each surface: the recovered queue holds the
+// second and not the first, and the next rounds execute the second once
+// and the first never again.
+func TestRecoveredVerdictsApplyOnce(t *testing.T) {
+	dir := t.TempDir()
+	d := newRecoveryDeployment(t, dir, openWAL(t, dir, 0))
+	for i := 0; i < 3; i++ {
+		d.step(t, i) // the gatekeeper defers pending actions 1, 2 and 3
+	}
+	if r := d.ctl.Verdict(true, control.Verdict{Seq: 1}); !r.OK {
+		t.Fatalf("approve 1: %+v", r)
+	}
+	d.step(t, 3) // applies the approval: action 1 executes, 4 is deferred
+	d.b.Publish(bus.Envelope{Topic: control.TopicApprove, Payload: control.Verdict{ID: "v", Seq: 2}})
+	want := d.ctl.Handle(control.Request{Op: control.OpPending}).Pending
+	if len(want) != 3 || want[0].Seq != 2 {
+		t.Fatalf("pending before the kill = %+v, want 2, 3 and 4", want)
+	}
+
+	rec := newRecoveryDeployment(t, dir, openWAL(t, dir, 0))
+	if got := rec.ctl.Handle(control.Request{Op: control.OpPending}).Pending; !reflect.DeepEqual(got, want) {
+		t.Fatalf("pending after recovery = %+v, want %+v", got, want)
+	}
+	rec.ctl.Tick(5 * time.Minute)
+	if len(rec.executed) != 2 { // approved action 2 + sweeper
+		t.Fatalf("first recovered round executed %d actions, want 2", len(rec.executed))
+	}
+	rec.ctl.Tick(6 * time.Minute)
+	if len(rec.executed) != 3 { // sweeper only
+		t.Fatalf("second recovered round executed %d actions in all, want 3", len(rec.executed))
+	}
+	for _, p := range rec.ctl.Handle(control.Request{Op: control.OpPending}).Pending {
+		if p.Seq <= 2 {
+			t.Fatalf("action %d pending after its approval applied", p.Seq)
+		}
+	}
+}
+
+// TestRecoverSkipsRecordsOfAbsentLoops restarts a log with no snapshot on a
+// fleet without the loop its control records name, as a changed -specs
+// does: recovery reports and skips the gatekeeper's pending action and
+// pause, and deploys the fleet it was given.
+func TestRecoverSkipsRecordsOfAbsentLoops(t *testing.T) {
+	dir := t.TempDir()
+	d := newRecoveryDeployment(t, dir, openWAL(t, dir, 0))
+	d.step(t, 0) // the gatekeeper defers action 1
+	if r := d.ctl.Handle(control.Request{Op: control.OpPause, Loop: "gatekeeper"}); !r.OK {
+		t.Fatalf("pause: %+v", r)
+	}
+	var skipped []string
+	dur := &scenario.Durable{WAL: openWAL(t, dir, 0), Dir: dir, Logf: func(format string, args ...any) {
+		skipped = append(skipped, fmt.Sprintf(format, args...))
+	}}
+	var executed []core.Action
+	reg := control.NewRegistry()
+	reg.MustRegister(recoveryCase(&executed))
+	rt, err := dur.Recover(tsdb.New(time.Hour), recoveryDoc(control.LoopSpec{Case: "script", Name: "sweeper"}), reg)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if list := rt.Ctl.Handle(control.Request{Op: control.OpList}).Loops; len(list) != 1 || list[0].Name != "sweeper" {
+		t.Fatalf("recovered fleet %+v, want the sweeper alone", list)
+	}
+	if len(skipped) != 2 || !strings.Contains(skipped[0], "control.v1.pending") || !strings.Contains(skipped[1], "control.v1.applied") {
+		t.Fatalf("skipped %q, want the pending action and the pause", skipped)
 	}
 }

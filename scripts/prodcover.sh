@@ -14,11 +14,17 @@
 #   - modad scenario run on the small, midsize and stress10k presets;
 #   - a durable single-process modad running a power and an ioqos group
 #     with -wal-dir and -http (a query and a /metrics scrape while it
-#     runs), killed with SIGKILL before any snapshot; a restart that folds
-#     the whole log, the knowledge base's learn envelopes among it, and
-#     snapshots; and a restart from that snapshot;
-#   - a coordinator with two workers over loopback, the second started
-#     once the first holds every group, so the rebalance revokes from it.
+#     runs, and through /v1/control a set-mode that puts the power loop in
+#     human-in-the-loop mode, a spawn of a second power loop in that mode,
+#     an approval of the first action queued, and the second loop's
+#     pause), killed with SIGKILL before any snapshot, so nothing that
+#     process alone ran is counted; a restart that folds the whole log,
+#     the knowledge base's learn envelopes and the control plane's ops and
+#     approvals among it, lists the fleet to check the ops came back, lists
+#     the cases, and snapshots; and a restart from that snapshot;
+#   - a coordinator with -wal-dir and two workers over loopback, the second
+#     started once the first holds every group, so the rebalance revokes
+#     from it; then a coordinator restart that folds its ledger.
 #
 # Usage: scripts/prodcover.sh [workdir]
 # Run from the repository root. workdir (default: a new temporary directory)
@@ -68,6 +74,13 @@ scrape() {
 	fi
 }
 
+# control GATEWAY OP BODY sends one /v1/control op and prints the reply.
+control() {
+	if command -v curl >/dev/null; then
+		curl -sS -X POST -d "$3" "http://$1/v1/control/$2" || echo "prodcover: control $2 failed" >&2
+	fi
+}
+
 echo "prodcover: bench, four workloads (3 s each, traced)" >&2
 (cd "$work" && ./bench --seconds 3 --trace 1 --out "$work/bench.json") >"$logs/bench.log" 2>&1
 
@@ -87,20 +100,37 @@ echo '[{"case":"power","period":"1m"},{"case":"ioqos"}]' >"$work/specs.json"
 	-snapshot-every 1h -speed 240 -duration 0 >"$logs/single.log" 2>&1 &
 single=$!
 gw="$(addr_from "$logs/single.log" 's|.*http gateway on http://\([^ ]*\) .*|\1|p')"
-sleep 2
+control "$gw" set-mode '{"loop":"power-case","mode":"human-in-the-loop"}' >/dev/null
+control "$gw" spawn '{"spec":{"case":"power","name":"gate","mode":"human-in-the-loop","period":"1m"}}' >/dev/null
+sleep 2 # power-case queues approvals, which the journal records
 scrape "http://$gw/v1/query?metric=facility.pue&latest=true"
 scrape "http://$gw/metrics"
-sleep 4
+seq="$(control "$gw" pending '' | grep -o '"seq":[0-9]*' | head -n 1 | cut -d: -f2 || true)"
+[ -n "$seq" ] && control "$gw" approve "{\"seq\":$seq}" >/dev/null || echo "prodcover: no action pending approval" >&2
+control "$gw" pause '{"loop":"gate"}' >/dev/null
+sleep 2
 kill -9 "$single"
 wait "$single" || true
 for life in recover restore; do
-	"$modad" -addr 127.0.0.1:0 -wal-dir "$work/wal" -specs "$work/specs.json" -snapshot-every 5m \
-		-speed 240 -duration 2s >"$logs/$life.log" 2>&1
+	"$modad" -addr 127.0.0.1:0 -http 127.0.0.1:0 -wal-dir "$work/wal" -specs "$work/specs.json" \
+		-snapshot-every 5m -speed 240 -duration 3s >"$logs/$life.log" 2>&1 &
+	pid=$!
+	if [ "$life" = recover ] && command -v curl >/dev/null; then
+		rgw="$(addr_from "$logs/$life.log" 's|.*http gateway on http://\([^ ]*\) .*|\1|p')"
+		list="$(control "$rgw" list '')"
+		control "$rgw" cases '' >/dev/null
+		for want in '"name":"gate","case":"power","group":"gate","state":"paused","mode":"human-in-the-loop"' \
+			'"name":"power-case","case":"power","group":"power-case","state":"[a-z]*","mode":"human-in-the-loop"'; do
+			grep -q "$want" <<<"$list" || echo "prodcover: the recover restart lost an acknowledged op: no $want in $list" >&2
+		done
+	fi
+	wait "$pid"
 	grep -q 'recovered from' "$logs/$life.log" || echo "prodcover: the $life restart did not recover" >&2
 done
 
 echo "prodcover: coordinator and two workers" >&2
-"$modad" -role=coordinator -cluster-addr 127.0.0.1:0 -addr 127.0.0.1:0 -http 127.0.0.1:0 \
+rm -rf "$work/cwal"
+"$modad" -role=coordinator -cluster-addr 127.0.0.1:0 -addr 127.0.0.1:0 -http 127.0.0.1:0 -wal-dir "$work/cwal" \
 	-lease 2s -lease-grace 2s -speed 120 -duration 14s >"$logs/coordinator.log" 2>&1 &
 coord=$!
 join="$(addr_from "$logs/coordinator.log" 's|.*, cluster on \([^ ]*\) .*|\1|p')"
@@ -126,6 +156,9 @@ sleep 5
 scrape "http://$cgw/v1/query?metric=node.cpu.util&latest=1"
 scrape "http://$cgw/metrics"
 wait "${workers[@]}" "$coord"
+"$modad" -role=coordinator -cluster-addr 127.0.0.1:0 -addr 127.0.0.1:0 -wal-dir "$work/cwal" \
+	-duration 1s >"$logs/coordinator-restart.log" 2>&1
+grep -q 'coordinator recovered' "$logs/coordinator-restart.log" || echo "prodcover: the coordinator restart did not recover" >&2
 
 unset GOCOVERDIR
 go tool covdata func -i="$cov" >"$work/func.txt"
