@@ -358,3 +358,49 @@ func TestRecoverSkipsRecordsOfAbsentLoops(t *testing.T) {
 		t.Fatalf("skipped %q, want the pending action and the pause", skipped)
 	}
 }
+
+// TestRecoverAfterConcurrentOps applies operator ops from another
+// goroutine while the deployment ticks and checkpoints, as HTTP handlers
+// do against the daemon's engine goroutine, then recovers the abandoned
+// log: the control plane must come back exactly as it stood. An op that
+// landed between a checkpoint's log position and its control state would
+// fold twice (a duplicate guard, a spawn of a loop already there).
+func TestRecoverAfterConcurrentOps(t *testing.T) {
+	dir := t.TempDir()
+	d := newRecoveryDeployment(t, dir, openWAL(t, dir, 0))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 40; i++ {
+			name := fmt.Sprintf("op-%d", i)
+			for _, req := range []control.Request{
+				{Op: control.OpSetGuard, Loop: "sweeper", Guard: &control.GuardSpec{Kind: "confidence"}},
+				{Op: control.OpSpawn, Spec: &control.LoopSpec{Case: "script", Name: name}},
+				{Op: control.OpPause, Loop: name},
+				{Op: control.OpRemove, Loop: name},
+			} {
+				if r := d.ctl.Handle(req); !r.OK {
+					t.Errorf("%s: %+v", req.Op, r)
+				}
+			}
+		}
+	}()
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+		default:
+			d.step(t, i)
+			if i%3 == 0 {
+				if err := d.dur.Checkpoint(); err != nil {
+					t.Fatalf("Checkpoint: %v", err)
+				}
+			}
+			continue
+		}
+		break
+	}
+	want := dumpControl(t, d)
+	if got := dumpControl(t, newRecoveryDeployment(t, dir, openWAL(t, dir, 0))); got != want {
+		t.Fatalf("recovered control plane diverges:\n got: %.3000s\nwant: %.3000s", got, want)
+	}
+}
