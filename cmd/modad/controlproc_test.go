@@ -201,11 +201,14 @@ func TestAcknowledgedOpsSurviveKill9(t *testing.T) {
 	}
 }
 
-// TestRestartWithoutSnapshot spawns extra-power and pauses it, then
-// SIGKILLs modad before any snapshot. The restart deploys the configured
-// fleet, folds the two ops on top of it, and resumes sampling past every
-// replayed sample: extra-power is listed once and paused, and no sampling
-// round fails to ingest.
+// TestRestartWithoutSnapshot spawns extra-power and pauses it, lets rounds
+// run, then SIGKILLs modad before any snapshot. A restart at speed 1, killed
+// before its first round, must list what the killed life listed: the
+// configured fleet deployed and running, as the loops' journaled events
+// say they were, and extra-power once and paused. It must journal nothing
+// either, so the next restart replays the same records. That one resumes
+// sampling past every replayed sample, and no sampling round fails to
+// ingest.
 func TestRestartWithoutSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-binary test skipped in -short mode")
@@ -248,8 +251,25 @@ func TestRestartWithoutSnapshot(t *testing.T) {
 		}
 		return nil
 	})
+	before := stateOf(t, first)
 	first.kill(t)
+	replayed := func(l *life) string {
+		data, _ := os.ReadFile(l.log)
+		m := recoveredRe.FindSubmatch(data)
+		if m == nil {
+			t.Fatalf("no recovery line; log:\n%s", data)
+		}
+		return string(m[2])
+	}
+	idle := startLife(t, bin, logDir, "restart-idle", walDir, 1)
+	if after := stateOf(t, idle); !reflect.DeepEqual(after, before) {
+		t.Errorf("list changed in the kill:\n before %+v\n after  %+v", before, after)
+	}
+	idle.kill(t)
 	second := startLife(t, bin, logDir, "restart-2", walDir, 600)
+	if a, b := replayed(idle), replayed(second); a != b {
+		t.Errorf("the idle restart journaled: it replayed %s records, the next one %s", a, b)
+	}
 	resumed := latest(second) // the log's newest sample
 	waitFor(t, 30*time.Second, func() error {
 		if at := latest(second); at < resumed+5*time.Minute {

@@ -7,10 +7,12 @@ package autoloop_test
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
 	"autoloop/internal/app"
+	"autoloop/internal/bus"
 	"autoloop/internal/cases"
 	"autoloop/internal/cases/maintcase"
 	"autoloop/internal/cases/misconfcase"
@@ -18,6 +20,7 @@ import (
 	"autoloop/internal/cases/powercase"
 	"autoloop/internal/cases/schedcase"
 	"autoloop/internal/control"
+	"autoloop/internal/core"
 	"autoloop/internal/facility"
 	"autoloop/internal/hw"
 	"autoloop/internal/knowledge"
@@ -38,11 +41,13 @@ type world struct {
 	scheduler *sched.Scheduler
 	runtime   *app.Runtime
 	kb        *knowledge.Base
+	ctl       *control.Service
+	bus       *bus.Bus
 }
 
 // newWorld assembles the daemon preset's facility bare — no background
 // workload, no fleet — through the one full-stack assembler; each test
-// attaches its own loops and jobs.
+// spawns its own loops on the control service and submits its own jobs.
 func newWorld(t *testing.T, seed int64) *world {
 	t.Helper()
 	doc := scenario.Daemon(seed)
@@ -54,8 +59,40 @@ func newWorld(t *testing.T, seed int64) *world {
 	}
 	return &world{
 		engine: rt.Engine, db: rt.DB, cl: rt.Cluster, plant: rt.Plant, fs: rt.FS,
-		scheduler: rt.Scheduler, runtime: rt.Apps, kb: rt.Knowledge,
+		scheduler: rt.Scheduler, runtime: rt.Apps, kb: rt.Knowledge, ctl: rt.Ctl, bus: rt.Bus,
 	}
+}
+
+// spawn deploys a stock case on the world's control service at period and
+// returns its loop.
+func (w *world) spawn(t *testing.T, caseName string, period time.Duration) *core.Loop {
+	t.Helper()
+	sp, err := w.ctl.Spawn(control.LoopSpec{Case: caseName, Period: control.Duration(period)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp.Loop()
+}
+
+// trail is what one loop published: its findings and its honored actions
+// by kind.
+type trail struct {
+	findings []core.Finding
+	acted    map[string]int
+}
+
+// follow records l's trail from the world's bus.
+func (w *world) follow(l *core.Loop) *trail {
+	tr := &trail{acted: map[string]int{}}
+	w.bus.Subscribe("loop."+l.Name+".finding", func(env bus.Envelope) {
+		tr.findings = append(tr.findings, *env.Payload.(*core.Finding))
+	})
+	w.bus.Subscribe("loop."+l.Name+".execute", func(env bus.Envelope) {
+		if res := env.Payload.(*core.ActionResult); res.Honored {
+			tr.acted[res.Action.Kind]++
+		}
+	})
+	return tr
 }
 
 // TestFourLoopsCoexist runs the Scheduler, OST, Misconfiguration, and Power
@@ -72,14 +109,9 @@ func TestFourLoopsCoexist(t *testing.T) {
 	schedLoop := schedCtl.Loop()
 	schedLoop.RunEvery(clock, 5*time.Minute, stop)
 
-	ostCtl := ostcase.New(ostcase.DefaultConfig(), w.db, w.scheduler, w.runtime)
-	ostCtl.Loop().RunEvery(clock, time.Minute, stop)
-
-	misCtl := misconfcase.New(misconfcase.DefaultConfig(), w.db, w.scheduler, w.runtime, w.cl)
-	misCtl.Loop().RunEvery(clock, time.Minute, stop)
-
-	powCtl := powercase.New(powercase.DefaultConfig(), w.db, w.plant)
-	powCtl.Loop().RunEvery(clock, 10*time.Minute, stop)
+	ostLoop := w.spawn(t, ostcase.CaseName, time.Minute)
+	misconf := w.follow(w.spawn(t, misconfcase.CaseName, time.Minute))
+	power := w.follow(w.spawn(t, powercase.CaseName, 10*time.Minute))
 
 	// Workload: an underestimated job (Scheduler loop's problem), an
 	// I/O-heavy writer (OST loop's problem once an OST degrades), a
@@ -142,7 +174,7 @@ func TestFourLoopsCoexist(t *testing.T) {
 		t.Error("underestimated job completed without extension?")
 	}
 	// 2. The writer must have been steered off the degraded OST.
-	if ostCtl.Responses == 0 {
+	if ostLoop.Metrics().HonoredActions == 0 {
 		t.Error("OST loop never responded to the degraded OST")
 	}
 	if inst, ok := w.runtime.Instance(writerJob.ID); ok && inst.File() != nil && inst.File().StripesOver(2) {
@@ -150,17 +182,17 @@ func TestFourLoopsCoexist(t *testing.T) {
 	}
 	// 3. The misconfigured job must be detected and fixed.
 	stormFlagged := false
-	for _, d := range misCtl.Detections {
-		stormFlagged = stormFlagged || d.JobID == stormJob.ID && d.Kind == app.MisconfigThreads
+	for _, f := range misconf.findings {
+		stormFlagged = stormFlagged || f.Subject == strconv.Itoa(stormJob.ID) && app.Misconfig(f.Value) == app.MisconfigThreads
 	}
 	if !stormFlagged {
-		t.Errorf("misconfig detections = %+v, want job %d as %v", misCtl.Detections, stormJob.ID, app.MisconfigThreads)
+		t.Errorf("misconfig findings = %+v, want job %d as %v", misconf.findings, stormJob.ID, app.MisconfigThreads)
 	}
-	if misCtl.Fixes == 0 {
+	if misconf.acted["fix-misconfig"] == 0 {
 		t.Error("misconfiguration never fixed")
 	}
 	// 4. The power loop must have acted without breaching the limit.
-	if powCtl.Raises == 0 {
+	if power.acted["raise-setpoint"] == 0 {
 		t.Error("power loop never optimized")
 	}
 	for _, p := range w.db.Latest("node.temp.celsius", nil) {
@@ -189,8 +221,7 @@ func TestMaintenanceAndSchedulerLoopsCompose(t *testing.T) {
 
 	schedCtl := schedcase.New(schedcase.DefaultConfig(), w.db, w.scheduler, w.runtime, w.kb, clock)
 	schedCtl.Loop().RunEvery(clock, 5*time.Minute, stop)
-	maintCtl := maintcase.New(maintcase.DefaultConfig(), w.db, w.scheduler, w.runtime)
-	maintCtl.Loop().RunEvery(clock, 5*time.Minute, stop)
+	w.spawn(t, maintcase.CaseName, 5*time.Minute)
 
 	// 5h of real work, 3h requested, maintenance announced at t=1h for 4..6h.
 	w.runtime.RegisterSpec("both", app.Spec{
@@ -228,7 +259,8 @@ func TestMaintenanceAndSchedulerLoopsCompose(t *testing.T) {
 	if inst.Iter() != 300 {
 		t.Errorf("iterations = %d, want 300 (work preserved across maintenance)", inst.Iter())
 	}
-	if maintCtl.Preserved == 0 {
+	// Only the maintenance loop requeues: a requeue is a job it preserved.
+	if w.scheduler.Stats().Requeued == 0 {
 		t.Error("maintenance loop preserved nothing")
 	}
 }

@@ -13,22 +13,13 @@ import (
 	"autoloop/internal/control"
 )
 
-// Factories returns the six case factories in documentation order.
-func Factories() []control.CaseFactory {
-	return []control.CaseFactory{
-		schedcase.Factory(),
-		maintcase.Factory(),
-		ioqoscase.Factory(),
-		ostcase.Factory(),
-		misconfcase.Factory(),
-		powercase.Factory(),
-	}
-}
-
 // NewRegistry returns a control registry with every use case registered.
 func NewRegistry() *control.Registry {
 	r := control.NewRegistry()
-	for _, f := range Factories() {
+	for _, f := range []control.CaseFactory{
+		schedcase.Factory(), maintcase.Factory(), ioqoscase.Factory(),
+		ostcase.Factory(), misconfcase.Factory(), powercase.Factory(),
+	} {
 		r.MustRegister(f)
 	}
 	return r

@@ -50,7 +50,7 @@ func Factory() control.CaseFactory {
 			if len(fc.Tenants) == 0 {
 				return nil, fmt.Errorf("ioqoscase: config needs at least one tenant")
 			}
-			return New(fc.Config, env.Querier, env.FS, env.Knowledge).builtLoops(fc.ParentEvery), nil
+			return newController(fc.Config, env.Querier, env.FS, env.Knowledge).builtLoops(fc.ParentEvery), nil
 		},
 	}
 }

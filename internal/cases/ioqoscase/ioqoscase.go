@@ -61,8 +61,9 @@ func DefaultConfig(tenants []Tenant, capacityMBps float64) Config {
 }
 
 // tenantNames is what the controller writes and says about one tenant,
-// built once in New: its allocation setpoint's key on the Knowledge
-// blackboard, and the campaign's reasons for moving that allocation.
+// built once in newController: its allocation setpoint's key on the
+// Knowledge blackboard, and the campaign's reasons for moving that
+// allocation.
 type tenantNames struct {
 	key               string
 	throttle, recover *core.Reason
@@ -88,8 +89,8 @@ var headroom = []core.Finding{{
 	Detail: core.Text("all latency objectives met"),
 }}
 
-// Controller wires the hierarchical QoS loops.
-type Controller struct {
+// controller wires the hierarchical QoS loops.
+type controller struct {
 	cfg Config
 	db  telemetry.Querier
 	fs  *pfs.FS
@@ -103,22 +104,16 @@ type Controller struct {
 	// when a latency violation last occurred — Knowledge that caps recovery
 	// probing below the level that caused trouble.
 	violAlloc map[string]float64
-
-	// Violations counts parent-observed latency violations (experiment
-	// metric).
-	Violations int
 }
 
-// New builds the controller and seeds each tenant's allocation: the one K
-// already holds, as after a restore, or else its fair share.
-func New(cfg Config, db telemetry.Querier, fs *pfs.FS, kb *knowledge.Base) *Controller {
-	if db == nil || fs == nil || kb == nil {
-		panic("ioqoscase: nil dependency")
-	}
+// newController builds the controller and seeds each tenant's allocation:
+// the one K already holds, as after a restore, or else its fair share.
+// Spawn has checked that db, fs and kb are present.
+func newController(cfg Config, db telemetry.Querier, fs *pfs.FS, kb *knowledge.Base) *controller {
 	if len(cfg.Tenants) == 0 {
 		panic("ioqoscase: no tenants")
 	}
-	c := &Controller{
+	c := &controller{
 		cfg: cfg, db: db, fs: fs, kb: kb,
 		names: make(map[string]tenantNames, len(cfg.Tenants)),
 		alloc: make(map[string]float64), violAlloc: make(map[string]float64),
@@ -141,7 +136,7 @@ func New(cfg Config, db telemetry.Querier, fs *pfs.FS, kb *knowledge.Base) *Cont
 	return c
 }
 
-func (c *Controller) setAlloc(tenant string, mbps float64) {
+func (c *controller) setAlloc(tenant string, mbps float64) {
 	if mbps < c.cfg.MinShareMBps {
 		mbps = c.cfg.MinShareMBps
 	}
@@ -159,7 +154,7 @@ func (c *Controller) setAlloc(tenant string, mbps float64) {
 // Registered in this order on a fleet coordinator, the children plan against
 // the setpoints in force at the start of the round and the parent's
 // reallocation reaches them on the next one.
-func (c *Controller) builtLoops(parentEvery int) []control.BuiltLoop {
+func (c *controller) builtLoops(parentEvery int) []control.BuiltLoop {
 	out := []control.BuiltLoop{{Loop: c.parentLoop(), EveryMul: parentEvery}}
 	for _, t := range c.cfg.Tenants {
 		out = append(out, control.BuiltLoop{Loop: c.childLoop(t)})
@@ -173,7 +168,7 @@ func (c *Controller) builtLoops(parentEvery int) []control.BuiltLoop {
 // The tenant's label set and fact key are built once, and the monitor fills
 // one two-point buffer, reused across ticks (the loop drops observations
 // after Analyze).
-func (c *Controller) childLoop(t Tenant) *core.Loop {
+func (c *controller) childLoop(t Tenant) *core.Loop {
 	name := "ioqos-child-" + t.Name
 	key := c.names[t.Name].key
 	labels := telemetry.Labels{"tenant": t.Name}
@@ -247,7 +242,7 @@ func (c *Controller) childLoop(t Tenant) *core.Loop {
 // parentLoop is the slow campaign loop: it watches per-tenant latency
 // against objectives and reallocates bandwidth — throttling best-effort
 // offenders when a deadline tenant suffers, and regrowing them when healthy.
-func (c *Controller) parentLoop() *core.Loop {
+func (c *controller) parentLoop() *core.Loop {
 	// The monitor fills one buffer, reused across ticks, through the
 	// zero-copy LatestInto surface (the loop drops observations after
 	// Analyze, so the backing array is safe to recycle). The analyzer folds
@@ -284,7 +279,6 @@ func (c *Controller) parentLoop() *core.Loop {
 			}
 			observed := lat[i]
 			if observed > t.TargetLatMS {
-				c.Violations++
 				findings = append(findings, core.Finding{
 					Kind: "latency-violation", Subject: t.Name, Value: observed, Confidence: 0.9,
 					Detail: violationReason.With(observed, t.TargetLatMS),

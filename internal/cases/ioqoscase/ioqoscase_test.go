@@ -2,10 +2,12 @@ package ioqoscase
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"autoloop/internal/bus"
+	"autoloop/internal/control"
 	"autoloop/internal/core"
 	"autoloop/internal/fleet"
 	"autoloop/internal/knowledge"
@@ -20,7 +22,11 @@ type rig struct {
 	db  *tsdb.DB
 	fs  *pfs.FS
 	kb  *knowledge.Base
-	ctl *Controller
+	ctl *controller
+	// bus carries the loops' trail once run; violations counts the
+	// campaign's latency-violation findings on it.
+	bus        *bus.Bus
+	violations int
 }
 
 func tenants() []Tenant {
@@ -40,13 +46,19 @@ func newRig(t *testing.T) *rig {
 	db := tsdb.New(0)
 	fs := pfs.New(e, pfs.Config{OSTs: 4, OSTBandwidthMBps: 100, DefaultStripeCount: 2})
 	kb := knowledge.NewBase()
-	ctl := New(DefaultConfig(tenants(), 2000), db, fs, kb)
+	ctl := newController(DefaultConfig(tenants(), 2000), db, fs, kb)
 	pipe := telemetry.NewPipeline(telemetry.NewRegistryOf(fs.Collector()), db)
 	e.Every(10*time.Second, 10*time.Second, func() bool {
 		pipe.Sample(e.Now())
 		return true
 	})
-	return &rig{e: e, db: db, fs: fs, kb: kb, ctl: ctl}
+	r := &rig{e: e, db: db, fs: fs, kb: kb, ctl: ctl, bus: bus.New()}
+	r.bus.Subscribe("loop.ioqos-campaign.finding", func(env bus.Envelope) {
+		if env.Payload.(*core.Finding).Kind == "latency-violation" {
+			r.violations++
+		}
+	})
+	return r
 }
 
 // run registers the case's loops on a fleet coordinator the way the control
@@ -54,6 +66,7 @@ func newRig(t *testing.T) *rig {
 func (r *rig) run(parentEvery int) {
 	coord := fleet.New(0)
 	for _, bl := range r.ctl.builtLoops(parentEvery) {
+		bl.Loop.Bus = r.bus
 		coord.AddEvery(bl.Loop, FleetPriority, bl.EveryMul)
 	}
 	coord.RunEvery(sim.VirtualClock{Engine: r.e}, 10*time.Second, nil)
@@ -116,7 +129,7 @@ func TestParentThrottlesBestEffortUnderViolation(t *testing.T) {
 	r.interferer(0)
 	r.victim(&lats)
 	r.e.RunUntil(30 * time.Minute)
-	if r.ctl.Violations == 0 {
+	if r.violations == 0 {
 		t.Fatal("no violations observed; interference model broken")
 	}
 	if got := r.ctl.alloc["batch"]; got >= 500 {
@@ -181,13 +194,16 @@ func TestAdaptiveBeatsStaticTailLatency(t *testing.T) {
 	}
 }
 
-func TestNilDependencyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	New(DefaultConfig(tenants(), 100), nil, nil, nil)
+// TestSpawnNamesMissingSubstrate: the case has no nil guard of its own;
+// Spawn's capability check names what the environment lacks before Build
+// runs.
+func TestSpawnNamesMissingSubstrate(t *testing.T) {
+	reg := control.NewRegistry()
+	reg.MustRegister(Factory())
+	_, err := reg.Spawn(&control.Env{Querier: tsdb.New(0)}, control.LoopSpec{Case: CaseName})
+	if err == nil || !strings.Contains(err.Error(), "[pfs knowledge]") {
+		t.Fatalf("spawn without a filesystem and knowledge: %v, want an error naming both", err)
+	}
 }
 
 func TestNoTenantsPanics(t *testing.T) {
@@ -197,7 +213,7 @@ func TestNoTenantsPanics(t *testing.T) {
 		}
 	}()
 	e := sim.NewEngine(1)
-	New(DefaultConfig(nil, 100), tsdb.New(0), pfs.New(e, pfs.DefaultConfig()), knowledge.NewBase())
+	newController(DefaultConfig(nil, 100), tsdb.New(0), pfs.New(e, pfs.DefaultConfig()), knowledge.NewBase())
 }
 
 // TestDecisionDetailAllocs: a warm campaign Analyze+Plan allocates only the

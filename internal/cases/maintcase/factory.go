@@ -26,8 +26,7 @@ func Factory() control.CaseFactory {
 		Priority: FleetPriority,
 		Period:   control.Duration(5 * time.Minute),
 		Build: func(env *control.Env, cfg interface{}) ([]control.BuiltLoop, error) {
-			c := New(*cfg.(*Config), env.Querier, env.Scheduler, env.Apps)
-			return []control.BuiltLoop{{Loop: c.Loop()}}, nil
+			return []control.BuiltLoop{{Loop: newController(*cfg.(*Config), env.Querier, env.Scheduler, env.Apps).loop()}}, nil
 		},
 	}
 }

@@ -36,8 +36,8 @@ func DefaultConfig() Config {
 	return Config{LeadTime: 30 * time.Minute, SafetyMargin: 5 * time.Minute}
 }
 
-// Controller wires the maintenance MAPE loop.
-type Controller struct {
+// controller wires the maintenance MAPE loop.
+type controller struct {
 	cfg  Config
 	db   telemetry.Querier
 	sch  *sched.Scheduler
@@ -54,17 +54,12 @@ type Controller struct {
 	observed *upcoming
 	// running is Analyze scratch reused across ticks.
 	running []*sched.Job
-
-	// Preserved counts jobs saved ahead of maintenance (experiment metric).
-	Preserved int
 }
 
-// New builds the controller.
-func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runtime) *Controller {
-	if db == nil || sch == nil || apps == nil {
-		panic("maintcase: nil dependency")
-	}
-	return &Controller{
+// newController builds the controller; Spawn has checked that db, sch and
+// apps are present.
+func newController(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runtime) *controller {
+	return &controller{
 		cfg: cfg, db: db, sch: sch, apps: apps, handled: make(map[int]bool),
 		window: control.NewReading(db, upcomingKey{sch: sch, apps: apps, lead: cfg.LeadTime}),
 	}
@@ -76,8 +71,8 @@ type jobRate struct {
 	rate float64
 }
 
-// Loop assembles the core loop.
-func (c *Controller) Loop() *core.Loop {
+// loop assembles the core loop.
+func (c *controller) loop() *core.Loop {
 	return core.NewLoop("maintenance-case",
 		core.MonitorFunc(c.observe),
 		core.AnalyzerFunc(c.analyze),
@@ -161,7 +156,7 @@ func (u *upcoming) foldProgress(_ telemetry.Labels, samples []telemetry.Sample) 
 
 // observe takes the round's upcoming-window reading; the observation
 // carries it outside Points.
-func (c *Controller) observe(now time.Duration) (core.Observation, error) {
+func (c *controller) observe(now time.Duration) (core.Observation, error) {
 	c.observed = c.window.Get(now).(*upcoming)
 	return core.Observation{Time: now}, nil
 }
@@ -171,7 +166,7 @@ func (c *Controller) observe(now time.Duration) (core.Observation, error) {
 var hitsReason = core.NewReason("estimated completion %v vs maintenance at %v")
 
 // analyze flags running jobs that will not finish before the window.
-func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
+func (c *controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
 	sym := core.Symptoms{Time: now}
 	maintStart, rates := c.observed.start, c.observed.rates
 	if maintStart == 0 {
@@ -210,7 +205,7 @@ func rateOf(rates []jobRate, id int) float64 {
 
 // estimateEnd projects a job's completion: progress-rate based when markers
 // exist, otherwise pessimistically its deadline.
-func (c *Controller) estimateEnd(now time.Duration, j *sched.Job, rate float64) time.Duration {
+func (c *controller) estimateEnd(now time.Duration, j *sched.Job, rate float64) time.Duration {
 	inst, ok := c.apps.Instance(j.ID)
 	if !ok || rate <= 0 {
 		return j.Deadline
@@ -224,7 +219,7 @@ func (c *Controller) estimateEnd(now time.Duration, j *sched.Job, rate float64) 
 }
 
 // plan orders checkpoint-then-requeue for each endangered job.
-func (c *Controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, error) {
+func (c *controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, error) {
 	plan := core.Plan{Time: now}
 	for _, f := range sym.Findings {
 		if f.Kind != "job-hits-maintenance" {
@@ -242,7 +237,7 @@ func (c *Controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, erro
 
 // execute checkpoints the application and requeues the job once the
 // checkpoint is durable.
-func (c *Controller) execute(now time.Duration, a core.Action) (core.ActionResult, error) {
+func (c *controller) execute(now time.Duration, a core.Action) (core.ActionResult, error) {
 	if a.Kind != "checkpoint-requeue" {
 		return core.ActionResult{}, fmt.Errorf("maintcase: unknown action %q", a.Kind)
 	}
@@ -255,11 +250,8 @@ func (c *Controller) execute(now time.Duration, a core.Action) (core.ActionResul
 		return core.ActionResult{Action: a, Detail: core.Text("no instance")}, nil
 	}
 	c.handled[id] = true
-	err = inst.RequestCheckpoint(func() {
-		if err := c.sch.Requeue(id); err == nil {
-			c.Preserved++
-		}
-	})
+	// A job that ends while it checkpoints has nothing left to requeue.
+	err = inst.RequestCheckpoint(func() { _ = c.sch.Requeue(id) })
 	if err != nil {
 		return core.ActionResult{Action: a, Detail: core.Text(err.Error())}, nil
 	}

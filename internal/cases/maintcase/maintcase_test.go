@@ -14,11 +14,12 @@ import (
 )
 
 type rig struct {
-	e   *sim.Engine
-	db  *tsdb.DB
-	s   *sched.Scheduler
-	rt  *app.Runtime
-	ctl *Controller
+	e    *sim.Engine
+	db   *tsdb.DB
+	s    *sched.Scheduler
+	rt   *app.Runtime
+	ctl  *controller
+	loop *core.Loop
 }
 
 func newRig(t *testing.T) *rig {
@@ -28,12 +29,12 @@ func newRig(t *testing.T) *rig {
 	s := sched.New(e, []string{"n00", "n01"}, sched.DefaultExtensionPolicy())
 	rt := app.NewRuntime(e, db, nil, nil)
 	rt.Serve(s)
-	ctl := New(DefaultConfig(), db, s, rt)
-	return &rig{e: e, db: db, s: s, rt: rt, ctl: ctl}
+	ctl := newController(DefaultConfig(), db, s, rt)
+	return &rig{e: e, db: db, s: s, rt: rt, ctl: ctl, loop: ctl.loop()}
 }
 
 func (r *rig) run(period time.Duration) {
-	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, period, nil)
+	r.loop.RunEvery(sim.VirtualClock{Engine: r.e}, period, nil)
 }
 
 func TestCheckpointsAndRequeuesEndangeredJob(t *testing.T) {
@@ -60,8 +61,8 @@ func TestCheckpointsAndRequeuesEndangeredJob(t *testing.T) {
 	if j.State == sched.JobKilledMaint {
 		t.Fatal("job was killed by maintenance despite the loop")
 	}
-	if r.ctl.Preserved != 1 {
-		t.Errorf("Preserved = %d", r.ctl.Preserved)
+	if n := r.s.Stats().Requeued; n != 1 {
+		t.Errorf("Requeued = %d", n)
 	}
 	inst, _ := r.rt.Instance(j.ID)
 	ckpt := inst.CheckpointIter()
@@ -99,8 +100,8 @@ func TestShortJobLeftAlone(t *testing.T) {
 	if j.Requeues != 0 {
 		t.Errorf("short job was needlessly requeued %d times", j.Requeues)
 	}
-	if r.ctl.Preserved != 0 {
-		t.Errorf("Preserved = %d", r.ctl.Preserved)
+	if n := r.s.Stats().Requeued; n != 0 {
+		t.Errorf("Requeued = %d", n)
 	}
 }
 
@@ -110,11 +111,10 @@ func TestNoMaintenanceNoFindings(t *testing.T) {
 	if _, err := r.s.Submit("x", "u", 1, 24*time.Hour, 0); err != nil {
 		t.Fatal(err)
 	}
-	loop := r.ctl.Loop()
-	loop.RunEvery(sim.VirtualClock{Engine: r.e}, 10*time.Minute, nil)
+	r.run(10 * time.Minute)
 	r.e.RunUntil(time.Hour)
-	if loop.Metrics().Findings != 0 {
-		t.Errorf("findings without maintenance: %d", loop.Metrics().Findings)
+	if n := r.loop.Metrics().Findings; n != 0 {
+		t.Errorf("findings without maintenance: %d", n)
 	}
 }
 
@@ -193,9 +193,8 @@ func TestLoopEventsOnBus(t *testing.T) {
 	b.Subscribe("loop.*", func(e bus.Envelope) {
 		counts[e.Topic[strings.LastIndexByte(e.Topic, '.')+1:]]++
 	})
-	loop := r.ctl.Loop()
-	loop.Bus = b
-	loop.RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, nil)
+	r.loop.Bus = b
+	r.run(5 * time.Minute)
 	r.e.RunUntil(2 * time.Hour)
 	if counts["finding"] == 0 || counts["plan"] == 0 || counts["execute"] == 0 {
 		t.Errorf("loop events = %v; want finding, plan, and execute envelopes", counts)

@@ -25,8 +25,8 @@ func Factory() control.CaseFactory {
 		Priority: FleetPriority,
 		Period:   control.Duration(time.Minute),
 		Build: func(env *control.Env, cfg interface{}) ([]control.BuiltLoop, error) {
-			c := New(*cfg.(*Config), env.Querier, env.Scheduler, env.Apps, env.Cluster)
-			return []control.BuiltLoop{{Loop: c.Loop()}}, nil
+			c := newController(*cfg.(*Config), env.Querier, env.Scheduler, env.Apps, env.Cluster)
+			return []control.BuiltLoop{{Loop: c.loop()}}, nil
 		},
 	}
 }

@@ -57,16 +57,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Detection records one confirmed misconfiguration finding (experiment
-// ground-truth comparison).
-type Detection struct {
-	JobID int
-	Kind  app.Misconfig
-	At    time.Duration
-}
-
-// Controller wires the misconfiguration MAPE loop.
-type Controller struct {
+// controller wires the misconfiguration MAPE loop.
+type controller struct {
 	cfg  Config
 	sch  *sched.Scheduler
 	apps *app.Runtime
@@ -83,25 +75,16 @@ type Controller struct {
 	// observe to analyze.
 	fleet    *control.Reading
 	observed *jobsReading
-
-	// Detections lists confirmed findings in order (experiment metric).
-	Detections []Detection
-	// Notifications counts user notifications sent.
-	Notifications int
-	// Fixes counts on-the-fly corrections applied.
-	Fixes int
 }
 
-// New builds the controller. cl may be nil when node telemetry is
-// unavailable (underutilization detection is then disabled).
-func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runtime, cl *hw.Cluster) *Controller {
-	if db == nil || sch == nil || apps == nil {
-		panic("misconfcase: nil dependency")
-	}
+// newController builds the controller; Spawn has checked that db, sch and
+// apps are present. cl may be nil when node telemetry is unavailable
+// (underutilization detection is then disabled).
+func newController(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runtime, cl *hw.Cluster) *controller {
 	if cfg.Consecutive < 1 {
 		cfg.Consecutive = 1
 	}
-	return &Controller{
+	return &controller{
 		cfg: cfg, sch: sch, apps: apps,
 		streaks: make(map[int][3]int),
 		flagged: make(map[int]app.Misconfig),
@@ -109,8 +92,8 @@ func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runti
 	}
 }
 
-// Loop assembles the core loop.
-func (c *Controller) Loop() *core.Loop {
+// loop assembles the core loop.
+func (c *controller) loop() *core.Loop {
 	return core.NewLoop("misconfig-case",
 		core.MonitorFunc(c.observe),
 		core.AnalyzerFunc(c.analyze),
@@ -182,14 +165,14 @@ func (r *jobsReading) Read(q telemetry.Querier, _ time.Duration) {
 
 // observe takes the round's running-job reading; the observation carries
 // it outside Points.
-func (c *Controller) observe(now time.Duration) (core.Observation, error) {
+func (c *controller) observe(now time.Duration) (core.Observation, error) {
 	c.observed = c.fleet.Get(now).(*jobsReading)
 	return core.Observation{Time: now}, nil
 }
 
 // analyze classifies misconfigurations per job past warm-up, with
 // debouncing, in running order.
-func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
+func (c *controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
 	sym := core.Symptoms{Time: now}
 	rd := c.observed
 	warm := 0
@@ -218,7 +201,6 @@ func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Sympto
 		// A flagged job is never classified again: its streak is done.
 		delete(c.streaks, jr.id)
 		c.flagged[jr.id] = kind
-		c.Detections = append(c.Detections, Detection{JobID: jr.id, Kind: kind, At: now})
 		sym.Findings = append(sym.Findings, core.Finding{
 			Kind:       "misconfig-" + kind.String(),
 			Subject:    strconv.Itoa(jr.id),
@@ -239,7 +221,7 @@ func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Sympto
 // forget drops the entries of jobs the scheduler reports terminal. A job
 // missing from a round is not forgotten for that alone: Requeue returns a
 // running job to the queue, and it runs again under the same ID.
-func (c *Controller) forget() {
+func (c *controller) forget() {
 	for id := range c.streaks {
 		if c.ended(id) {
 			delete(c.streaks, id)
@@ -253,7 +235,7 @@ func (c *Controller) forget() {
 }
 
 // ended reports whether the scheduler reports the job terminal.
-func (c *Controller) ended(id int) bool {
+func (c *controller) ended(id int) bool {
 	j, ok := c.sch.Job(id)
 	return !ok || j.State.Terminal()
 }
@@ -262,7 +244,7 @@ func (c *Controller) ended(id int) bool {
 // matters: an explicit loader warning is the most specific signal, a
 // context-switch storm next, and the utilization split last (it can be a
 // side effect of the other two).
-func (c *Controller) classify(jr *runningJob, utils []float64) app.Misconfig {
+func (c *controller) classify(jr *runningJob, utils []float64) app.Misconfig {
 	if jr.libWarn {
 		return app.MisconfigWrongLib
 	}
@@ -298,7 +280,7 @@ func explain(kind app.Misconfig) string {
 }
 
 // plan maps each finding to fix-on-the-fly or notify-user per policy.
-func (c *Controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, error) {
+func (c *controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, error) {
 	plan := core.Plan{Time: now}
 	for _, f := range sym.Findings {
 		kind := app.Misconfig(int(f.Value))
@@ -319,7 +301,7 @@ func (c *Controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, erro
 }
 
 // execute applies the fix or records the notification.
-func (c *Controller) execute(now time.Duration, a core.Action) (core.ActionResult, error) {
+func (c *controller) execute(now time.Duration, a core.Action) (core.ActionResult, error) {
 	id, err := strconv.Atoi(a.Subject)
 	if err != nil {
 		return core.ActionResult{}, fmt.Errorf("misconfcase: bad subject %q", a.Subject)
@@ -333,10 +315,8 @@ func (c *Controller) execute(now time.Duration, a core.Action) (core.ActionResul
 		if err := inst.FixMisconfig(); err != nil {
 			return core.ActionResult{Action: a, Detail: core.Text(err.Error())}, nil
 		}
-		c.Fixes++
 		return core.ActionResult{Action: a, Honored: true, Detail: core.Text("corrected on the fly")}, nil
 	case "notify-user":
-		c.Notifications++
 		return core.ActionResult{Action: a, Honored: true, Detail: core.Text("user notified: " + a.Explanation.String())}, nil
 	default:
 		return core.ActionResult{}, fmt.Errorf("misconfcase: unknown action %q", a.Kind)

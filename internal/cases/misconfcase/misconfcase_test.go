@@ -1,6 +1,7 @@
 package misconfcase
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,12 +16,25 @@ import (
 )
 
 type rig struct {
-	e   *sim.Engine
-	db  *tsdb.DB
-	cl  *hw.Cluster
-	s   *sched.Scheduler
-	rt  *app.Runtime
-	ctl *Controller
+	e    *sim.Engine
+	db   *tsdb.DB
+	cl   *hw.Cluster
+	s    *sched.Scheduler
+	rt   *app.Runtime
+	ctl  *controller
+	loop *core.Loop
+
+	// detections and acted are read from the loop's trail: its findings,
+	// in order, and its honored actions by kind.
+	detections []detection
+	acted      map[string]int
+}
+
+// detection is one published finding: the job, its kind and when.
+type detection struct {
+	jobID int
+	kind  app.Misconfig
+	at    time.Duration
 }
 
 func newRig(t *testing.T, fix bool) *rig {
@@ -36,7 +50,24 @@ func newRig(t *testing.T, fix bool) *rig {
 	rt.Serve(s)
 	cfg := DefaultConfig()
 	cfg.FixOnTheFly = fix
-	return &rig{e: e, db: db, cl: cl, s: s, rt: rt, ctl: New(cfg, db, s, rt, cl)}
+	r := &rig{e: e, db: db, cl: cl, s: s, rt: rt, ctl: newController(cfg, db, s, rt, cl), acted: map[string]int{}}
+	r.loop = r.ctl.loop()
+	r.loop.Bus = bus.New()
+	r.loop.Bus.Subscribe("loop.misconfig-case.finding", func(env bus.Envelope) {
+		f := env.Payload.(*core.Finding)
+		id, _ := strconv.Atoi(f.Subject)
+		r.detections = append(r.detections, detection{jobID: id, kind: app.Misconfig(f.Value), at: env.Time})
+	})
+	r.loop.Bus.Subscribe("loop.misconfig-case.execute", func(env bus.Envelope) {
+		if res := env.Payload.(*core.ActionResult); res.Honored {
+			r.acted[res.Action.Kind]++
+		}
+	})
+	return r
+}
+
+func (r *rig) run(period time.Duration) {
+	r.loop.RunEvery(sim.VirtualClock{Engine: r.e}, period, nil)
 }
 
 func (r *rig) launch(t *testing.T, name string, m app.Misconfig, nodes int) *sched.Job {
@@ -55,73 +86,70 @@ func (r *rig) launch(t *testing.T, name string, m app.Misconfig, nodes int) *sch
 func TestDetectsThreadsAndFixes(t *testing.T) {
 	r := newRig(t, true)
 	j := r.launch(t, "bad-threads", app.MisconfigThreads, 1)
-	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+	r.run(time.Minute)
 	r.e.RunUntil(30 * time.Minute)
-	if d := r.ctl.Detections; len(d) != 1 || d[0].JobID != j.ID || d[0].Kind != app.MisconfigThreads {
-		t.Fatalf("Detections = %+v, want job %d as %v", d, j.ID, app.MisconfigThreads)
+	if d := r.detections; len(d) != 1 || d[0].jobID != j.ID || d[0].kind != app.MisconfigThreads {
+		t.Fatalf("detections = %+v, want job %d as %v", d, j.ID, app.MisconfigThreads)
 	}
-	if r.ctl.Fixes != 1 {
-		t.Errorf("Fixes = %d", r.ctl.Fixes)
+	if n := r.acted["fix-misconfig"]; n != 1 {
+		t.Errorf("fixes = %d", n)
 	}
 	inst, _ := r.rt.Instance(j.ID)
 	if !inst.Fixed() {
 		t.Error("instance not actually fixed")
-	}
-	if len(r.ctl.Detections) != 1 {
-		t.Errorf("Detections = %d", len(r.ctl.Detections))
 	}
 }
 
 func TestDetectsWrongLib(t *testing.T) {
 	r := newRig(t, true)
 	j := r.launch(t, "bad-lib", app.MisconfigWrongLib, 1)
-	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+	r.run(time.Minute)
 	r.e.RunUntil(30 * time.Minute)
-	if d := r.ctl.Detections; len(d) != 1 || d[0].JobID != j.ID || d[0].Kind != app.MisconfigWrongLib {
-		t.Fatalf("Detections = %+v, want job %d as %v", d, j.ID, app.MisconfigWrongLib)
+	if d := r.detections; len(d) != 1 || d[0].jobID != j.ID || d[0].kind != app.MisconfigWrongLib {
+		t.Fatalf("detections = %+v, want job %d as %v", d, j.ID, app.MisconfigWrongLib)
 	}
-	if r.ctl.Fixes != 1 {
-		t.Errorf("Fixes = %d", r.ctl.Fixes)
+	if n := r.acted["fix-misconfig"]; n != 1 {
+		t.Errorf("fixes = %d", n)
 	}
 }
 
 func TestDetectsUnderutilAndNotifies(t *testing.T) {
 	r := newRig(t, true)
 	j := r.launch(t, "bad-alloc", app.MisconfigUnderutil, 4)
-	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+	r.run(time.Minute)
 	r.e.RunUntil(30 * time.Minute)
-	if d := r.ctl.Detections; len(d) != 1 || d[0].JobID != j.ID || d[0].Kind != app.MisconfigUnderutil {
-		t.Fatalf("Detections = %+v, want job %d as %v", d, j.ID, app.MisconfigUnderutil)
+	if d := r.detections; len(d) != 1 || d[0].jobID != j.ID || d[0].kind != app.MisconfigUnderutil {
+		t.Fatalf("detections = %+v, want job %d as %v", d, j.ID, app.MisconfigUnderutil)
 	}
 	// Underutilization cannot be fixed: even with FixOnTheFly, notify.
-	if r.ctl.Fixes != 0 {
-		t.Errorf("Fixes = %d, want 0", r.ctl.Fixes)
+	if n := r.acted["fix-misconfig"]; n != 0 {
+		t.Errorf("fixes = %d, want 0", n)
 	}
-	if r.ctl.Notifications != 1 {
-		t.Errorf("Notifications = %d", r.ctl.Notifications)
+	if n := r.acted["notify-user"]; n != 1 {
+		t.Errorf("notifications = %d", n)
 	}
 }
 
 func TestCleanJobNotFlagged(t *testing.T) {
 	r := newRig(t, true)
 	r.launch(t, "clean", app.MisconfigNone, 2)
-	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+	r.run(time.Minute)
 	r.e.RunUntil(time.Hour)
-	if len(r.ctl.Detections) != 0 {
-		t.Errorf("Detections = %d", len(r.ctl.Detections))
+	if len(r.detections) != 0 {
+		t.Errorf("detections = %+v", r.detections)
 	}
 }
 
 func TestNotifyOnlyPolicy(t *testing.T) {
 	r := newRig(t, false)
 	j := r.launch(t, "bad-threads", app.MisconfigThreads, 1)
-	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+	r.run(time.Minute)
 	r.e.RunUntil(30 * time.Minute)
-	if r.ctl.Fixes != 0 {
-		t.Errorf("Fixes = %d under notify-only", r.ctl.Fixes)
+	if n := r.acted["fix-misconfig"]; n != 0 {
+		t.Errorf("fixes = %d under notify-only", n)
 	}
-	if r.ctl.Notifications != 1 {
-		t.Errorf("Notifications = %d", r.ctl.Notifications)
+	if n := r.acted["notify-user"]; n != 1 {
+		t.Errorf("notifications = %d", n)
 	}
 	inst, _ := r.rt.Instance(j.ID)
 	if inst.Fixed() {
@@ -132,10 +160,9 @@ func TestNotifyOnlyPolicy(t *testing.T) {
 func TestWarmupSuppressesEarlyDetection(t *testing.T) {
 	r := newRig(t, true)
 	r.launch(t, "bad-threads", app.MisconfigThreads, 1)
-	loop := r.ctl.Loop()
-	loop.RunEvery(sim.VirtualClock{Engine: r.e}, 30*time.Second, nil)
+	r.run(30 * time.Second)
 	r.e.RunUntil(90 * time.Second) // inside the 2-minute warmup
-	if len(r.ctl.Detections) != 0 {
+	if len(r.detections) != 0 {
 		t.Error("detected during warmup")
 	}
 }
@@ -144,7 +171,7 @@ func TestFixedJobRunsFasterThanUnfixed(t *testing.T) {
 	run := func(fix bool) time.Duration {
 		r := newRig(t, fix)
 		j := r.launch(t, "bad-threads", app.MisconfigThreads, 1)
-		r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+		r.run(time.Minute)
 		r.e.RunUntil(6 * time.Hour)
 		if j.State != sched.JobCompleted {
 			t.Fatalf("state = %v (fix=%v)", j.State, fix)
@@ -173,14 +200,11 @@ func TestExecuteErrors(t *testing.T) {
 func TestLoopEventsOnBus(t *testing.T) {
 	r := newRig(t, true)
 	r.launch(t, "bad-threads", app.MisconfigThreads, 1)
-	b := bus.New()
 	counts := map[string]int{}
-	b.Subscribe("loop.*", func(e bus.Envelope) {
+	r.loop.Bus.Subscribe("loop.*", func(e bus.Envelope) {
 		counts[e.Topic[strings.LastIndexByte(e.Topic, '.')+1:]]++
 	})
-	loop := r.ctl.Loop()
-	loop.Bus = b
-	loop.RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+	r.run(time.Minute)
 	r.e.RunUntil(30 * time.Minute)
 	if counts["finding"] == 0 || counts["plan"] == 0 || counts["execute"] == 0 {
 		t.Errorf("loop events = %v; want finding, plan, and execute envelopes", counts)
@@ -244,7 +268,7 @@ func TestObserveAnalyzeAllocs(t *testing.T) {
 func TestJobWithoutInstance(t *testing.T) {
 	r := newRig(t, true)
 	orphans := sched.New(r.e, r.cl.UpNodes(), sched.DefaultExtensionPolicy())
-	ctl := New(DefaultConfig(), r.db, orphans, r.rt, r.cl)
+	ctl := newController(DefaultConfig(), r.db, orphans, r.rt, r.cl)
 	j, err := orphans.Submit("orphan", "u", 2, 6*time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +305,7 @@ func TestJobWithoutInstance(t *testing.T) {
 // the controller keeps state only for jobs the scheduler has not ended (or
 // that ended at or after the tick), so a long-running daemon's per-job maps stay
 // bounded by the running set. Jobs that finished are still among the
-// Detections.
+// published detections.
 func TestStateBoundedByRunningSet(t *testing.T) {
 	r := newRig(t, false)
 	r.rt.RegisterSpec("short", app.Spec{Name: "short", TotalIters: 12, IterTime: sim.Constant{V: 30 * time.Second}})
@@ -300,7 +324,7 @@ func TestStateBoundedByRunningSet(t *testing.T) {
 			bad = append(bad, j)
 		}
 	}
-	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+	r.run(time.Minute)
 	most := 0
 	for tick := time.Minute; tick <= 3*time.Hour; tick += time.Minute {
 		r.e.RunUntil(tick + time.Second)
@@ -327,16 +351,16 @@ func TestStateBoundedByRunningSet(t *testing.T) {
 			len(r.ctl.streaks), len(r.ctl.flagged), most, len(r.cl.Nodes()))
 	}
 	flagged := map[int]app.Misconfig{}
-	for _, d := range r.ctl.Detections {
-		flagged[d.JobID] = d.Kind
+	for _, d := range r.detections {
+		flagged[d.jobID] = d.kind
 	}
 	for _, j := range bad {
 		if kind, ok := flagged[j.ID]; !ok || kind != app.MisconfigThreads {
 			t.Errorf("finished job %d: detected %v, %v", j.ID, kind, ok)
 		}
 	}
-	if len(r.ctl.Detections) != len(bad) {
-		t.Errorf("Detections = %d, want %d", len(r.ctl.Detections), len(bad))
+	if len(r.detections) != len(bad) {
+		t.Errorf("detections = %d, want %d", len(r.detections), len(bad))
 	}
 }
 
@@ -348,15 +372,15 @@ func TestStateBoundedByRunningSet(t *testing.T) {
 func TestRequeuedFlaggedJobKeepsItsFlag(t *testing.T) {
 	r := newRig(t, false)
 	j := r.launch(t, "bad-threads", app.MisconfigThreads, 1)
-	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+	r.run(time.Minute)
 	r.e.RunUntil(29 * time.Minute)
 	r.rt.RegisterSpec("wide", app.Spec{Name: "wide", TotalIters: 10, IterTime: sim.Constant{V: 30 * time.Second}})
 	if _, err := r.s.Submit("wide", "u", len(r.cl.Nodes()), time.Hour, 0); err != nil {
 		t.Fatal(err)
 	}
 	r.e.RunUntil(30 * time.Minute)
-	if len(r.ctl.Detections) != 1 {
-		t.Fatalf("Detections = %d before the requeue, want 1", len(r.ctl.Detections))
+	if len(r.detections) != 1 {
+		t.Fatalf("detections = %d before the requeue, want 1", len(r.detections))
 	}
 	if err := r.s.Requeue(j.ID); err != nil {
 		t.Fatal(err)
@@ -369,7 +393,7 @@ func TestRequeuedFlaggedJobKeepsItsFlag(t *testing.T) {
 	if j.State != sched.JobRunning || j.Requeues != 1 {
 		t.Fatalf("job %v after %d requeues; want running again after 1", j.State, j.Requeues)
 	}
-	if len(r.ctl.Detections) != 1 {
-		t.Errorf("Detections = %d after the requeued job ran again, want 1", len(r.ctl.Detections))
+	if len(r.detections) != 1 {
+		t.Errorf("detections = %d after the requeued job ran again, want 1", len(r.detections))
 	}
 }

@@ -15,22 +15,21 @@ func TestDetectsAndAvoidsUnderFleetCoordinator(t *testing.T) {
 	r := newRig(t, 8)
 	r.ioApp(t, "writer", 8)
 	coord := fleet.New(0)
-	coord.Add(r.ctl.Loop(), FleetPriority)
+	coord.Add(r.loop, FleetPriority)
 	coord.RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
 
 	r.e.RunUntil(20 * time.Minute)
-	if r.ctl.Responses != 0 {
-		t.Fatalf("false positive: %d responses during healthy phase", r.ctl.Responses)
+	if n := r.reopens(); n != 0 {
+		t.Fatalf("false positive: %d responses during healthy phase", n)
 	}
 	if err := r.fs.SetOSTHealth(3, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	r.e.RunUntil(60 * time.Minute)
-	if r.ctl.Responses != 1 {
-		t.Fatalf("Responses = %d, want 1", r.ctl.Responses)
+	if n := r.reopens(); n != 1 {
+		t.Fatalf("reopens = %d, want 1", n)
 	}
-	avoided := r.ctl.Avoided()
-	if len(avoided) != 1 || avoided[0] != 3 {
-		t.Fatalf("Avoided = %v, want [3]", avoided)
+	if len(r.ctl.avoided) != 1 || !r.ctl.avoided[3] {
+		t.Fatalf("avoided = %v, want OST 3", r.ctl.avoided)
 	}
 }

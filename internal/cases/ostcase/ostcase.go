@@ -45,8 +45,8 @@ func DefaultConfig() Config {
 	return Config{Threshold: 4, MinLatMS: 0.5, Consecutive: 2}
 }
 
-// Controller wires the OST MAPE loop.
-type Controller struct {
+// controller wires the OST MAPE loop.
+type controller struct {
 	cfg  Config
 	sch  *sched.Scheduler
 	apps *app.Runtime
@@ -70,20 +70,15 @@ type Controller struct {
 	// subjects holds each OST's finding subject, "ost%02d", formatted the
 	// first time the OST is flagged.
 	subjects map[int]string
-
-	// Responses counts reopen actions taken (experiment metric).
-	Responses int
 }
 
-// New builds the controller.
-func New(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runtime) *Controller {
-	if db == nil || sch == nil || apps == nil {
-		panic("ostcase: nil dependency")
-	}
+// newController builds the controller; Spawn has checked that db, sch and
+// apps are present.
+func newController(cfg Config, db telemetry.Querier, sch *sched.Scheduler, apps *app.Runtime) *controller {
 	if cfg.Consecutive < 1 {
 		cfg.Consecutive = 1
 	}
-	return &Controller{
+	return &controller{
 		cfg: cfg, sch: sch, apps: apps,
 		streak: make(map[int]int), avoided: make(map[int]bool), subjects: make(map[int]string),
 		outliers: make(map[int]bool), fleet: control.NewReading(db, ostLatsKey{}),
@@ -123,19 +118,8 @@ func (o *ostLats) Read(q telemetry.Querier, _ time.Duration) {
 	}
 }
 
-// Avoided returns the set of OSTs currently avoided.
-func (c *Controller) Avoided() []int {
-	var out []int
-	for id, on := range c.avoided {
-		if on {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Loop assembles the core loop.
-func (c *Controller) Loop() *core.Loop {
+// loop assembles the core loop.
+func (c *controller) loop() *core.Loop {
 	return core.NewLoop("ost-case",
 		core.MonitorFunc(c.observe),
 		core.AnalyzerFunc(c.analyze),
@@ -146,7 +130,7 @@ func (c *Controller) Loop() *core.Loop {
 
 // observe takes the round's per-OST latency reading; the observation
 // carries it outside Points.
-func (c *Controller) observe(now time.Duration) (core.Observation, error) {
+func (c *controller) observe(now time.Duration) (core.Observation, error) {
 	c.observed = c.fleet.Get(now).(*ostLats)
 	return core.Observation{Time: now}, nil
 }
@@ -159,7 +143,7 @@ var (
 )
 
 // subject returns OST id's finding subject.
-func (c *Controller) subject(id int) string {
+func (c *controller) subject(id int) string {
 	s, ok := c.subjects[id]
 	if !ok {
 		s = fmt.Sprintf("ost%02d", id)
@@ -169,7 +153,7 @@ func (c *Controller) subject(id int) string {
 }
 
 // analyze runs the fleet outlier test on busy OSTs.
-func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
+func (c *controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
 	sym := core.Symptoms{Time: now}
 	ids := c.ids[:0]
 	lats := c.lats[:0]
@@ -209,7 +193,7 @@ func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Sympto
 // plan targets every running application whose file layout includes the
 // degraded OST. It runs in the tick analyze ran in, so c.streak and c.ids
 // still hold the streak and busy count the finding's detail was given.
-func (c *Controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, error) {
+func (c *controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, error) {
 	plan := core.Plan{Time: now}
 	for _, f := range sym.Findings {
 		if f.Kind != "ost-degraded" {
@@ -245,7 +229,7 @@ func (c *Controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, erro
 }
 
 // execute drives the application's close/reopen hook.
-func (c *Controller) execute(now time.Duration, a core.Action) (core.ActionResult, error) {
+func (c *controller) execute(now time.Duration, a core.Action) (core.ActionResult, error) {
 	if a.Kind != "reopen-avoiding" {
 		return core.ActionResult{}, fmt.Errorf("ostcase: unknown action %q", a.Kind)
 	}
@@ -260,6 +244,5 @@ func (c *Controller) execute(now time.Duration, a core.Action) (core.ActionResul
 	if err := inst.ReopenAvoiding(int(a.Amount)); err != nil {
 		return core.ActionResult{Action: a, Detail: core.Text(err.Error())}, nil
 	}
-	c.Responses++
 	return core.ActionResult{Action: a, Honored: true, Granted: a.Amount, Detail: core.Text("file reopened on healthy OSTs")}, nil
 }

@@ -14,12 +14,13 @@ import (
 )
 
 type rig struct {
-	e   *sim.Engine
-	db  *tsdb.DB
-	fs  *pfs.FS
-	s   *sched.Scheduler
-	rt  *app.Runtime
-	ctl *Controller
+	e    *sim.Engine
+	db   *tsdb.DB
+	fs   *pfs.FS
+	s    *sched.Scheduler
+	rt   *app.Runtime
+	ctl  *controller
+	loop *core.Loop
 }
 
 func newRig(t *testing.T, osts int) *rig {
@@ -36,8 +37,12 @@ func newRig(t *testing.T, osts int) *rig {
 		pipe.Sample(e.Now())
 		return true
 	})
-	return &rig{e: e, db: db, fs: fs, s: s, rt: rt, ctl: New(DefaultConfig(), db, s, rt)}
+	ctl := newController(DefaultConfig(), db, s, rt)
+	return &rig{e: e, db: db, fs: fs, s: s, rt: rt, ctl: ctl, loop: ctl.loop()}
 }
+
+// reopens counts the files the loop reopened: its honored actions.
+func (r *rig) reopens() int { return r.loop.Metrics().HonoredActions }
 
 // ioApp registers and submits an I/O heavy app.
 func (r *rig) ioApp(t *testing.T, name string, stripes int) *sched.Job {
@@ -56,29 +61,27 @@ func (r *rig) ioApp(t *testing.T, name string, stripes int) *sched.Job {
 func TestDetectsAndAvoidsDegradedOST(t *testing.T) {
 	r := newRig(t, 8)
 	j := r.ioApp(t, "writer", 8) // stripes over every OST
-	loop := r.ctl.Loop()
-	loop.RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+	r.loop.RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
 
 	// Healthy warmup.
 	r.e.RunUntil(20 * time.Minute)
-	if r.ctl.Responses != 0 {
-		t.Fatalf("false positive: %d responses during healthy phase", r.ctl.Responses)
+	if n := r.reopens(); n != 0 {
+		t.Fatalf("false positive: %d responses during healthy phase", n)
 	}
 	// Degrade OST 3 by 10x.
 	if err := r.fs.SetOSTHealth(3, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	r.e.RunUntil(60 * time.Minute)
-	if r.ctl.Responses != 1 {
-		t.Fatalf("Responses = %d, want 1", r.ctl.Responses)
+	if n := r.reopens(); n != 1 {
+		t.Fatalf("reopens = %d, want 1", n)
 	}
 	inst, _ := r.rt.Instance(j.ID)
 	if inst.File().StripesOver(3) {
 		t.Error("layout still includes degraded OST 3")
 	}
-	got := r.ctl.Avoided()
-	if len(got) != 1 || got[0] != 3 {
-		t.Errorf("Avoided = %v", got)
+	if len(r.ctl.avoided) != 1 || !r.ctl.avoided[3] {
+		t.Errorf("avoided = %v, want OST 3", r.ctl.avoided)
 	}
 }
 
@@ -87,7 +90,7 @@ func TestIOTimeRecoversAfterAvoidance(t *testing.T) {
 		r := newRig(t, 8)
 		j := r.ioApp(t, "writer", 8)
 		if withLoop {
-			r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+			r.loop.RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
 		}
 		r.e.At(10*time.Minute, func() { _ = r.fs.SetOSTHealth(3, 0.05) })
 		r.e.RunUntil(12 * time.Hour)
@@ -106,11 +109,10 @@ func TestIOTimeRecoversAfterAvoidance(t *testing.T) {
 func TestHealthyFleetNoFindings(t *testing.T) {
 	r := newRig(t, 8)
 	r.ioApp(t, "writer", 8)
-	loop := r.ctl.Loop()
-	loop.RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+	r.loop.RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
 	r.e.RunUntil(time.Hour)
-	if loop.Metrics().Findings != 0 {
-		t.Errorf("findings on healthy fleet: %d", loop.Metrics().Findings)
+	if n := r.loop.Metrics().Findings; n != 0 {
+		t.Errorf("findings on healthy fleet: %d", n)
 	}
 }
 
@@ -121,12 +123,12 @@ func TestJobNotUsingDegradedOSTUntouched(t *testing.T) {
 	if inst.File().StripesOver(5) {
 		t.Skip("layout unexpectedly includes OST 5")
 	}
-	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
+	r.loop.RunEvery(sim.VirtualClock{Engine: r.e}, time.Minute, nil)
 	r.e.RunUntil(10 * time.Minute)
 	_ = r.fs.SetOSTHealth(5, 0.05)
 	r.e.RunUntil(2 * time.Hour)
-	if r.ctl.Responses != 0 {
-		t.Errorf("responded for a job not touching the degraded OST (%d)", r.ctl.Responses)
+	if n := r.reopens(); n != 0 {
+		t.Errorf("responded for a job not touching the degraded OST (%d)", n)
 	}
 }
 

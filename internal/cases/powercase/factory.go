@@ -22,8 +22,7 @@ func Factory() control.CaseFactory {
 		Priority: FleetPriority,
 		Period:   control.Duration(time.Minute),
 		Build: func(env *control.Env, cfg interface{}) ([]control.BuiltLoop, error) {
-			c := New(*cfg.(*Config), env.Querier, env.Plant)
-			return []control.BuiltLoop{{Loop: c.Loop()}}, nil
+			return []control.BuiltLoop{{Loop: newController(*cfg.(*Config), env.Querier, env.Plant).loop()}}, nil
 		},
 	}
 }

@@ -21,13 +21,13 @@ func TestLoopUnderFleetCoordinator(t *testing.T) {
 		stop := func() bool { return r.e.Now() > 6*time.Hour }
 		if underFleet {
 			coord := fleet.New(0)
-			coord.Add(r.ctl.Loop(), FleetPriority)
+			coord.Add(r.loop, FleetPriority)
 			coord.RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, stop)
 		} else {
-			r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, stop)
+			r.loop.RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, stop)
 		}
 		r.e.RunUntil(6 * time.Hour)
-		return r.ctl.Raises, r.ctl.Lowers, r.plant.SupplySetpointC()
+		return r.moves["raise-setpoint"], r.moves["lower-setpoint"], r.plant.SupplySetpointC()
 	}
 	dr, dl, dsp := run(false)
 	fr, fl, fsp := run(true)
@@ -63,18 +63,16 @@ func TestLosesPlantToHigherPriorityLoop(t *testing.T) {
 			return core.ActionResult{Action: a, Honored: true}, nil
 		}),
 	)
-	loop := r.ctl.Loop()
 	coord := fleet.New(0)
 	coord.Add(rival, FleetPriority+10)
-	coord.Add(loop, FleetPriority)
+	coord.Add(r.loop, FleetPriority)
 	coord.RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, func() bool { return r.e.Now() > 2*time.Hour })
 	r.e.RunUntil(2 * time.Hour)
 
-	if r.ctl.Raises != 0 || r.ctl.Lowers != 0 {
-		t.Errorf("case actuated the plant (%d raises, %d lowers) despite losing every round",
-			r.ctl.Raises, r.ctl.Lowers)
+	if len(r.moves) != 0 {
+		t.Errorf("case actuated the plant (%v) despite losing every round", r.moves)
 	}
-	if m := loop.Metrics(); m.ArbitratedActions == 0 || m.PlannedActions != m.ArbitratedActions {
+	if m := r.loop.Metrics(); m.ArbitratedActions == 0 || m.PlannedActions != m.ArbitratedActions {
 		t.Errorf("metrics = %+v, want every planned action arbitrated", m)
 	}
 }

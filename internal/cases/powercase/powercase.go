@@ -46,8 +46,8 @@ func DefaultConfig() Config {
 	return Config{TempLimitC: 85, HeadroomC: 12, StepC: 1, MaxSetpointC: 28}
 }
 
-// Controller wires the power/energy MAPE loop.
-type Controller struct {
+// controller wires the power/energy MAPE loop.
+type controller struct {
 	cfg   Config
 	plant *facility.Plant
 
@@ -55,18 +55,12 @@ type Controller struct {
 	// Service; observed is the tick's, from observe to analyze.
 	fleet    *control.Reading
 	observed *thermal
-
-	// Raises and Lowers count setpoint movements (experiment metrics).
-	Raises int
-	Lowers int
 }
 
-// New builds the controller.
-func New(cfg Config, db telemetry.Querier, plant *facility.Plant) *Controller {
-	if db == nil || plant == nil {
-		panic("powercase: nil dependency")
-	}
-	return &Controller{cfg: cfg, plant: plant, fleet: control.NewReading(db, thermalKey{})}
+// newController builds the controller; Spawn has checked that db and plant
+// are present.
+func newController(cfg Config, db telemetry.Querier, plant *facility.Plant) *controller {
+	return &controller{cfg: cfg, plant: plant, fleet: control.NewReading(db, thermalKey{})}
 }
 
 // thermal is the fleet's thermal state: the hottest node's temperature and
@@ -96,9 +90,9 @@ func (t *thermal) Read(q telemetry.Querier, _ time.Duration) {
 	}
 }
 
-// Loop assembles the core loop. Callers typically add a ConfidenceGate;
+// loop assembles the core loop. Callers typically add a ConfidenceGate;
 // the experiments run it both gated and ungated.
-func (c *Controller) Loop() *core.Loop {
+func (c *controller) loop() *core.Loop {
 	return core.NewLoop("power-case",
 		core.MonitorFunc(c.observe),
 		core.AnalyzerFunc(c.analyze),
@@ -109,7 +103,7 @@ func (c *Controller) Loop() *core.Loop {
 
 // observe takes the round's thermal reading; the observation carries it
 // outside Points. The plant state plan needs is read from the plant itself.
-func (c *Controller) observe(now time.Duration) (core.Observation, error) {
+func (c *controller) observe(now time.Duration) (core.Observation, error) {
 	c.observed = c.fleet.Get(now).(*thermal)
 	return core.Observation{Time: now}, nil
 }
@@ -122,7 +116,7 @@ var (
 
 // analyze classifies the thermal state: hot (must cool), headroom (may
 // save energy), or neutral.
-func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
+func (c *controller) analyze(now time.Duration, _ core.Observation) (core.Symptoms, error) {
 	sym := core.Symptoms{Time: now}
 	if c.observed.nodes == 0 {
 		return sym, nil
@@ -152,7 +146,7 @@ func (c *Controller) analyze(now time.Duration, _ core.Observation) (core.Sympto
 }
 
 // plan maps the thermal state to a setpoint movement.
-func (c *Controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, error) {
+func (c *controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, error) {
 	plan := core.Plan{Time: now}
 	for _, f := range sym.Findings {
 		switch f.Kind {
@@ -177,7 +171,7 @@ func (c *Controller) plan(now time.Duration, sym core.Symptoms) (core.Plan, erro
 }
 
 // execute moves the plant's supply-air setpoint actuator.
-func (c *Controller) execute(now time.Duration, a core.Action) (core.ActionResult, error) {
+func (c *controller) execute(now time.Duration, a core.Action) (core.ActionResult, error) {
 	cur := c.plant.SupplySetpointC()
 	switch a.Kind {
 	case "raise-setpoint":
@@ -186,11 +180,9 @@ func (c *Controller) execute(now time.Duration, a core.Action) (core.ActionResul
 			next = c.cfg.MaxSetpointC
 		}
 		c.plant.SetSupplySetpointC(next)
-		c.Raises++
 		return core.ActionResult{Action: a, Honored: true, Granted: c.plant.SupplySetpointC() - cur}, nil
 	case "lower-setpoint":
 		c.plant.SetSupplySetpointC(cur - a.Amount)
-		c.Lowers++
 		return core.ActionResult{Action: a, Honored: true, Granted: cur - c.plant.SupplySetpointC()}, nil
 	default:
 		return core.ActionResult{}, fmt.Errorf("powercase: unknown action %q", a.Kind)

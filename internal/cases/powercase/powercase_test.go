@@ -2,9 +2,12 @@ package powercase
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"autoloop/internal/bus"
+	"autoloop/internal/control"
 	"autoloop/internal/core"
 	"autoloop/internal/facility"
 	"autoloop/internal/hw"
@@ -18,7 +21,11 @@ type rig struct {
 	db    *tsdb.DB
 	cl    *hw.Cluster
 	plant *facility.Plant
-	ctl   *Controller
+	ctl   *controller
+	// loop is the case's one loop; moves counts its honored setpoint
+	// movements by action kind, read from its execute events.
+	loop  *core.Loop
+	moves map[string]int
 }
 
 func newRig(t *testing.T) *rig {
@@ -39,14 +46,22 @@ func newRig(t *testing.T) *rig {
 		pipe.Sample(e.Now())
 		return e.Now() < 12*time.Hour
 	})
-	return &rig{e: e, db: db, cl: cl, plant: plant, ctl: New(DefaultConfig(), db, plant)}
+	r := &rig{e: e, db: db, cl: cl, plant: plant, ctl: newController(DefaultConfig(), db, plant), moves: map[string]int{}}
+	r.loop = r.ctl.loop()
+	r.loop.Bus = bus.New()
+	r.loop.Bus.Subscribe("loop.power-case.execute", func(env bus.Envelope) {
+		if res := env.Payload.(*core.ActionResult); res.Honored {
+			r.moves[res.Action.Kind]++
+		}
+	})
+	return r
 }
 
 func TestRaisesSetpointWithHeadroom(t *testing.T) {
 	r := newRig(t)
 	// Idle cluster: nodes sit near ambient, enormous headroom.
 	start := r.plant.SupplySetpointC()
-	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, func() bool { return r.e.Now() > 6*time.Hour })
+	r.loop.RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, func() bool { return r.e.Now() > 6*time.Hour })
 	r.e.RunUntil(6 * time.Hour)
 	if got := r.plant.SupplySetpointC(); got <= start {
 		t.Errorf("setpoint = %v, want raised above %v", got, start)
@@ -54,21 +69,21 @@ func TestRaisesSetpointWithHeadroom(t *testing.T) {
 	if got := r.plant.SupplySetpointC(); got > r.ctl.cfg.MaxSetpointC {
 		t.Errorf("setpoint %v exceeded ceiling %v", got, r.ctl.cfg.MaxSetpointC)
 	}
-	if r.ctl.Raises == 0 || r.ctl.Lowers != 0 {
-		t.Errorf("raises=%d lowers=%d", r.ctl.Raises, r.ctl.Lowers)
+	if r.moves["raise-setpoint"] == 0 || r.moves["lower-setpoint"] != 0 {
+		t.Errorf("moves = %v, want raises only", r.moves)
 	}
 }
 
 func TestStopsAtCeiling(t *testing.T) {
 	r := newRig(t)
-	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, func() bool { return r.e.Now() > 10*time.Hour })
+	r.loop.RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, func() bool { return r.e.Now() > 10*time.Hour })
 	r.e.RunUntil(10 * time.Hour)
 	if got := r.plant.SupplySetpointC(); got != r.ctl.cfg.MaxSetpointC {
 		t.Errorf("setpoint = %v, want pinned at ceiling %v", got, r.ctl.cfg.MaxSetpointC)
 	}
-	raises := r.ctl.Raises
+	raises := r.moves["raise-setpoint"]
 	r.e.RunUntil(11 * time.Hour)
-	if r.ctl.Raises != raises {
+	if r.moves["raise-setpoint"] != raises {
 		t.Error("kept raising past the ceiling")
 	}
 }
@@ -80,9 +95,9 @@ func TestLowersUnderThermalPressure(t *testing.T) {
 		r.cl.SetUtil(n, 1.0)
 	}
 	_ = r.cl.SetThermalFault("n000", 8)
-	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, func() bool { return r.e.Now() > 4*time.Hour })
+	r.loop.RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, func() bool { return r.e.Now() > 4*time.Hour })
 	r.e.RunUntil(4 * time.Hour)
-	if r.ctl.Lowers == 0 {
+	if r.moves["lower-setpoint"] == 0 {
 		t.Error("never lowered despite a node near the limit")
 	}
 	if got := r.plant.SupplySetpointC(); got >= facility.DefaultConfig().SupplySetC {
@@ -98,13 +113,12 @@ func TestConfidenceGateBlocksMarginalRaises(t *testing.T) {
 		for _, n := range r.cl.UpNodes() {
 			r.cl.SetUtil(n, 0.95)
 		}
-		loop := r.ctl.Loop()
 		if gate > 0 {
-			loop.Guards = []core.Guardrail{core.ConfidenceGate{Min: gate}}
+			r.loop.Guards = []core.Guardrail{core.ConfidenceGate{Min: gate}}
 		}
-		loop.RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, func() bool { return r.e.Now() > 4*time.Hour })
+		r.loop.RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, func() bool { return r.e.Now() > 4*time.Hour })
 		r.e.RunUntil(4 * time.Hour)
-		return r.ctl.Raises
+		return r.moves["raise-setpoint"]
 	}
 	ungated := run(0)
 	gated := run(0.95)
@@ -119,7 +133,7 @@ func TestRaisingSetpointSavesCoolingEnergy(t *testing.T) {
 		r.cl.SetUtil(n, 0.5)
 	}
 	before := r.plant.CoolingPowerW(r.e.Now())
-	r.ctl.Loop().RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, func() bool { return r.e.Now() > 6*time.Hour })
+	r.loop.RunEvery(sim.VirtualClock{Engine: r.e}, 5*time.Minute, func() bool { return r.e.Now() > 6*time.Hour })
 	r.e.RunUntil(6 * time.Hour)
 	after := r.plant.CoolingPowerW(r.e.Now())
 	if after >= before {
@@ -134,13 +148,16 @@ func TestExecuteUnknownAction(t *testing.T) {
 	}
 }
 
-func TestNilDependencyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	New(DefaultConfig(), nil, nil)
+// TestSpawnNamesMissingSubstrate: the case has no nil guard of its own;
+// Spawn's capability check names what the environment lacks before Build
+// runs.
+func TestSpawnNamesMissingSubstrate(t *testing.T) {
+	reg := control.NewRegistry()
+	reg.MustRegister(Factory())
+	_, err := reg.Spawn(&control.Env{Querier: tsdb.New(0)}, control.LoopSpec{Case: CaseName})
+	if err == nil || !strings.Contains(err.Error(), "[plant]") {
+		t.Fatalf("spawn without a plant: %v, want an error naming it", err)
+	}
 }
 
 // TestDecisionDetailAllocs: a warm Analyze+Plan allocates only the findings

@@ -147,8 +147,10 @@ func (s *Service) Restore(data []byte) error {
 // before anything else drives it: an applied op (TopicApplied) through
 // Handle's path, a pending announcement into the queue as Restore rebuilds
 // one, a resolution out of it. A folded verdict is queued again, and the
-// next round applies it unless a folded resolution settled its entry.
-// Other records are not the service's (false).
+// next round applies it unless a folded resolution settled its entry. The
+// loops a round started (TopicStarted) start again if they are still
+// created, so a loop that ran before a crash is not listed as new. Other
+// records are not the service's (false).
 func (s *Service) ApplyWAL(rec wal.Record) (bool, error) {
 	if rec.Kind != wal.KindBusEnvelope {
 		return false, nil
@@ -178,6 +180,15 @@ func (s *Service) ApplyWAL(rec wal.Record) (bool, error) {
 	case TopicResolved:
 		if err = bus.DecodePayload(env, &r); err == nil {
 			s.dropPending(r.Seq)
+		}
+	case TopicStarted:
+		var names []string
+		if err = bus.DecodePayload(env, &names); err == nil {
+			for _, name := range names {
+				if g := s.byLoop[name]; g != nil && g.member(name).State() == core.StateCreated {
+					_ = g.member(name).Start() // created → running is always a valid move
+				}
+			}
 		}
 	default:
 		return false, nil

@@ -2,6 +2,7 @@ package control_test
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"autoloop/internal/core"
 	"autoloop/internal/fleet"
 	"autoloop/internal/sim"
+	"autoloop/internal/wal"
 )
 
 // persistService builds a service around a fresh script recorder, registry,
@@ -235,5 +237,58 @@ func TestRestoreUnnamedHierarchicalGroup(t *testing.T) {
 	}
 	if again, err := svc2.Snapshot(nil); err != nil || string(again) != string(snap) {
 		t.Fatalf("restored snapshot (err=%v) diverges:\n before: %s\n after:  %s", err, snap, again)
+	}
+}
+
+// TestStartedLoopsFoldRunning journals a service's control records, spawns
+// two loops, runs one round, then spawns a third. Folding the journal into
+// a fresh service lists the two that ran as running and the third as
+// created: a loop's first round is journaled once, whether or not its tick
+// published anything.
+func TestStartedLoopsFoldRunning(t *testing.T) {
+	svc1, b1, _ := persistService(t)
+	var journal []wal.Record
+	b1.Journal(func(topic string) bool { return strings.HasPrefix(topic, "control.v1.") }, func(env bus.Envelope) {
+		line, err := bus.Encode(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal = append(journal, wal.Record{Kind: wal.KindBusEnvelope, Seq: uint64(len(journal) + 1), Payload: line})
+	})
+	for _, name := range []string{"alpha", "beta"} {
+		if r := call(t, b1, control.Request{Op: control.OpSpawn, Spec: &control.LoopSpec{Case: "script", Name: name}}); !r.OK {
+			t.Fatalf("spawn %s: %+v", name, r)
+		}
+	}
+	svc1.Tick(time.Minute)
+	svc1.Tick(2 * time.Minute)
+	if r := call(t, b1, control.Request{Op: control.OpSpawn, Spec: &control.LoopSpec{Case: "script", Name: "gamma"}}); !r.OK {
+		t.Fatalf("spawn gamma: %+v", r)
+	}
+	started := 0
+	for _, rec := range journal {
+		if env, _ := bus.Decode(rec.Payload); env.Topic == control.TopicStarted {
+			started++
+		}
+	}
+	if started != 1 {
+		t.Fatalf("%d started records over two rounds, want 1", started)
+	}
+
+	svc2, b2, _ := persistService(t)
+	for _, rec := range journal {
+		if _, err := svc2.ApplyWAL(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]string{"alpha": "running", "beta": "running", "gamma": "created"}
+	r := call(t, b2, control.Request{Op: control.OpList})
+	if !r.OK || len(r.Loops) != len(want) {
+		t.Fatalf("list after the fold: %+v", r)
+	}
+	for _, ls := range r.Loops {
+		if ls.State != want[ls.Name] {
+			t.Errorf("%s folded %s, want %s", ls.Name, ls.State, want[ls.Name])
+		}
 	}
 }

@@ -240,7 +240,8 @@ func (s *Spawned) Loop() *core.Loop { return s.Loops[0].Loop }
 // Spawn instantiates spec against env: it resolves the case factory,
 // validates capabilities, merges the spec's config overrides onto the
 // factory defaults (unknown fields rejected), builds the loops, and wires
-// mode, bus, clock, and rng onto each.
+// the mode and env's bus onto each. It is the one way a stock case's loops
+// are built.
 func (r *Registry) Spawn(env *Env, spec LoopSpec) (*Spawned, error) {
 	if env == nil {
 		return nil, fmt.Errorf("control: Spawn with nil env")

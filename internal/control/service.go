@@ -2,6 +2,7 @@ package control
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,6 +41,9 @@ type Service struct {
 	managed map[string]*managedGroup // keyed by group (primary loop) name
 	byLoop  map[string]*managedGroup // every member loop name -> its group
 	now     time.Duration
+	// created holds the spawned loops not yet seen to leave StateCreated;
+	// Tick publishes the ones its round started (TopicStarted).
+	created []*core.Loop
 
 	// rounds is the coordinator's round count as of the last Tick, kept
 	// atomically so goroutines other than the tick goroutine can read it.
@@ -188,6 +192,7 @@ func (s *Service) spawnLocked(spec LoopSpec) (*Spawned, error) {
 		g.loops = append(g.loops, bl.Loop)
 		s.coord.AddEvery(bl.Loop, sp.Priority, every*bl.EveryMul)
 		s.byLoop[bl.Loop.Name] = g
+		s.created = append(s.created, bl.Loop)
 	}
 	s.managed[g.loops[0].Name] = g
 	if s.env.Querier != nil {
@@ -200,12 +205,14 @@ func (s *Service) spawnLocked(spec LoopSpec) (*Spawned, error) {
 // Tick runs one control round at virtual time now: queued verdicts and
 // expired approval timeouts are applied, stale pending actions are swept,
 // a round of the view opens, and the fleet coordinator ticks; the loops'
-// readings are computed as they are first read. It implements
-// telemetry.Ticker so the monitoring cadence can drive the control plane.
+// readings are computed as they are first read, and the loops the round
+// started are journaled. It implements telemetry.Ticker so the monitoring
+// cadence can drive the control plane.
 func (s *Service) Tick(now time.Duration) {
 	s.mu.Lock()
 	s.now = now
 	resolved := s.settleQueue(now)
+	s.created = slices.DeleteFunc(s.created, started) // restored, paused or removed since
 	s.view.begin()
 	members := s.coord.Len()
 	s.coord.Tick(now)
@@ -214,11 +221,26 @@ func (s *Service) Tick(now time.Duration) {
 	if s.coord.Len() != members { // the round pruned stopped loops
 		s.pruneStopped()
 	}
+	// The loops the round started are published under mu, as an applied
+	// op is, so the record precedes every later op.
+	var first []string
+	for _, l := range s.created {
+		if started(l) {
+			first = append(first, l.Name)
+		}
+	}
+	s.created = slices.DeleteFunc(s.created, started)
+	if first != nil && s.bus != nil && s.bus.HasReceiver(TopicStarted) {
+		s.publish(TopicStarted, now, first)
+	}
 	s.mu.Unlock()
 	for _, r := range resolved {
 		s.publish(TopicResolved, now, r)
 	}
 }
+
+// started reports whether l has left StateCreated.
+func started(l *core.Loop) bool { return l.State() != core.StateCreated }
 
 // Rounds reports how many fleet rounds have run, as of the last completed
 // Tick. Unlike Coordinator().Metrics(), which belongs to the tick

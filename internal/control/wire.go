@@ -34,6 +34,10 @@ const (
 	// (Applied payload), whichever surface it came through, for a journal
 	// to fold back on recovery (Service.ApplyWAL).
 	TopicApplied = "control.v1.applied"
+	// TopicStarted lists the loops a round ticked for the first time (a
+	// []string of loop names), so recovery restores them as running, not
+	// created, even if their ticks published nothing.
+	TopicStarted = "control.v1.started"
 )
 
 // Request ops.

@@ -22,7 +22,7 @@ var (
 // fleet runs hot (safety), and a naive energy saver that raises it whenever
 // it is below its ceiling (economy). Both act on the same subject, "plant",
 // so any round in which both plan is a cross-loop conflict.
-func c1Loops(db *tsdb.DB, plant *facility.Plant, tempLimit float64, moved *int) (guard, saver *core.Loop) {
+func c1Loops(db *tsdb.DB, plant *facility.Plant, tempLimit float64) (guard, saver *core.Loop) {
 	guard = core.NewLoop("thermal-guard",
 		core.MonitorFunc(func(now time.Duration) (core.Observation, error) {
 			return core.Observation{Time: now, Points: db.Latest("node.temp.celsius", nil)}, nil
@@ -54,7 +54,6 @@ func c1Loops(db *tsdb.DB, plant *facility.Plant, tempLimit float64, moved *int) 
 		}),
 		core.ExecutorFunc(func(now time.Duration, a core.Action) (core.ActionResult, error) {
 			plant.SetSupplySetpointC(plant.SupplySetpointC() - a.Amount)
-			*moved++
 			return core.ActionResult{Action: a, Honored: true, Granted: a.Amount}, nil
 		}),
 	)
@@ -83,7 +82,6 @@ func c1Loops(db *tsdb.DB, plant *facility.Plant, tempLimit float64, moved *int) 
 		}),
 		core.ExecutorFunc(func(now time.Duration, a core.Action) (core.ActionResult, error) {
 			plant.SetSupplySetpointC(plant.SupplySetpointC() + a.Amount)
-			*moved++
 			return core.ActionResult{Action: a, Honored: true, Granted: a.Amount}, nil
 		}),
 	)
@@ -114,8 +112,7 @@ func runC1(opt Options) *Result {
 	for _, arbitrated := range []bool{false, true} {
 		w := newPlantWorld(opt, horizon, tempLimit)
 		b := bus.New()
-		moved := 0
-		guard, saver := c1Loops(w.db, w.plant, tempLimit, &moved)
+		guard, saver := c1Loops(w.db, w.plant, tempLimit)
 		guard.Bus = b
 		saver.Bus = b
 
@@ -145,6 +142,8 @@ func runC1(opt Options) *Result {
 			conflicts = fmt.Sprintf("%d", m.Conflicts)
 			lost = fmt.Sprintf("%d (%d on bus)", saver.Metrics().ArbitratedActions, arbitratedLost)
 		}
+		// Every execute moves the setpoint.
+		moved := guard.Metrics().HonoredActions + saver.Metrics().HonoredActions
 		res.AddRow(mode, moved, conflicts, lost, w.breaches,
 			fmt.Sprintf("%.1f°C", w.plant.SupplySetpointC()),
 			fmt.Sprintf("%.1f°C", w.hottest))

@@ -10,6 +10,10 @@ import (
 	"fmt"
 	"strings"
 
+	"autoloop/internal/bus"
+	"autoloop/internal/cases"
+	"autoloop/internal/control"
+	"autoloop/internal/core"
 	"autoloop/internal/scenario"
 )
 
@@ -177,4 +181,28 @@ func pct(num, den float64) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%.1f%%", 100*num/den)
+}
+
+// spawn builds a stock case's loops the way every deployment does: through
+// the case registry, which checks the case's required substrates and merges
+// spec.Config over its defaults. The loops publish their trail on a bus of
+// their own.
+func spawn(env *control.Env, spec control.LoopSpec) *control.Spawned {
+	env.Bus = bus.New()
+	sp, err := cases.NewRegistry().Spawn(env, spec)
+	if err != nil {
+		panic(err)
+	}
+	return sp
+}
+
+// honored counts l's honored actions by kind, read from its execute events.
+func honored(l *core.Loop) map[string]int {
+	n := map[string]int{}
+	l.Bus.Subscribe("loop."+l.Name+".execute", func(env bus.Envelope) {
+		if res := env.Payload.(*core.ActionResult); res.Honored {
+			n[res.Action.Kind]++
+		}
+	})
+	return n
 }

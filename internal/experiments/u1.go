@@ -6,6 +6,7 @@ import (
 
 	"autoloop/internal/app"
 	"autoloop/internal/cases/maintcase"
+	"autoloop/internal/control"
 	"autoloop/internal/sched"
 	"autoloop/internal/sim"
 	"autoloop/internal/tsdb"
@@ -35,11 +36,11 @@ func runU1(opt Options) *Result {
 		scheduler := sched.New(engine, nodes, sched.DefaultExtensionPolicy())
 		runtime := app.NewRuntime(engine, db, nil, nil)
 		runtime.Serve(scheduler)
-		var ctl *maintcase.Controller
 		if withLoop {
-			ctl = maintcase.New(maintcase.DefaultConfig(), db, scheduler, runtime)
+			sp := spawn(&control.Env{Querier: db, Scheduler: scheduler, Apps: runtime},
+				control.LoopSpec{Case: maintcase.CaseName})
 			done := false
-			ctl.Loop().RunEvery(sim.VirtualClock{Engine: engine}, 5*time.Minute, func() bool { return done })
+			sp.Loop().RunEvery(sim.VirtualClock{Engine: engine}, 5*time.Minute, func() bool { return done })
 			engine.At(9*time.Hour, func() { done = true })
 		}
 		// The window is ANNOUNCED one hour in, after the fleet is already
@@ -102,15 +103,13 @@ func runU1(opt Options) *Result {
 		if completed > 0 {
 			meanCompl = fmt.Sprintf("%.1f", (completionSum / time.Duration(completed)).Hours())
 		}
-		preserved := 0
-		if ctl != nil {
-			preserved = ctl.Preserved
-		}
 		mode := "no-loop"
 		if withLoop {
 			mode = "autonomy-loop"
 		}
-		res.AddRow(mode, st.KilledMaint, preserved, fmt.Sprintf("%d/%d", completed, jobs),
+		// A job is preserved when the loop's checkpoint lets the scheduler
+		// requeue it; nothing else requeues here.
+		res.AddRow(mode, st.KilledMaint, st.Requeued, fmt.Sprintf("%d/%d", completed, jobs),
 			fmt.Sprintf("%.1f", st.NodeSecondsWasted/3600), meanCompl)
 	}
 	res.AddNote("lost-node-h counts occupancy of maintenance-killed jobs (work redone from scratch in the baseline)")

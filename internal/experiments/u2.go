@@ -50,23 +50,17 @@ func runU2(opt Options) *Result {
 			pipe.Sample(engine.Now())
 			return engine.Now() < horizon
 		})
-		tenants := []ioqoscase.Tenant{
-			{Name: "deadline", Priority: 3, TargetLatMS: 500},
-			{Name: "batch", Priority: 1},
-		}
 		switch {
 		case rg.adaptive:
 			// The loops modad spawns for the ioqos case, registered on a
-			// fleet the way the control plane registers them.
-			built, err := ioqoscase.Factory().Build(
-				&control.Env{Querier: db, FS: fs, Knowledge: kb},
-				&ioqoscase.FactoryConfig{Config: ioqoscase.DefaultConfig(tenants, 2000), ParentEvery: 3})
-			if err != nil {
-				panic(err)
-			}
+			// fleet the way the control plane registers them. The factory's
+			// default tenants are this experiment's: "deadline" (priority
+			// 3, a 500 ms objective) and best-effort "batch" (priority 1),
+			// sharing 2000 MB/s of allocations, reallocated every 3rd round.
+			sp := spawn(&control.Env{Querier: db, FS: fs, Knowledge: kb}, control.LoopSpec{Case: ioqoscase.CaseName})
 			coord := fleet.New(0)
-			for _, bl := range built {
-				coord.AddEvery(bl.Loop, ioqoscase.FleetPriority, bl.EveryMul)
+			for _, bl := range sp.Loops {
+				coord.AddEvery(bl.Loop, sp.Priority, bl.EveryMul)
 			}
 			coord.RunEvery(sim.VirtualClock{Engine: engine}, 10*time.Second, func() bool { return engine.Now() >= horizon })
 		case !rg.noQoS:

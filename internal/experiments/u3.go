@@ -5,7 +5,10 @@ import (
 	"time"
 
 	"autoloop/internal/app"
+	"autoloop/internal/bus"
 	"autoloop/internal/cases/ostcase"
+	"autoloop/internal/control"
+	"autoloop/internal/core"
 	"autoloop/internal/fleet"
 	"autoloop/internal/pfs"
 	"autoloop/internal/sched"
@@ -47,11 +50,20 @@ func runU3(opt Options) *Result {
 			pipe.Sample(engine.Now())
 			return scheduler.QueueLen() > 0 || len(scheduler.Running()) > 0
 		})
-		var ctl *ostcase.Controller
+		// firstReopen is the time of the loop's first honored execute event:
+		// its response to the degradation.
+		var loop *core.Loop
+		firstReopen := time.Duration(-1)
 		if withLoop {
-			ctl = ostcase.New(ostcase.DefaultConfig(), db, scheduler, runtime)
+			sp := spawn(&control.Env{Querier: db, Scheduler: scheduler, Apps: runtime}, control.LoopSpec{Case: ostcase.CaseName})
+			loop = sp.Loop()
+			loop.Bus.Subscribe("loop."+loop.Name+".execute", func(env bus.Envelope) {
+				if firstReopen < 0 && env.Payload.(*core.ActionResult).Honored {
+					firstReopen = env.Time
+				}
+			})
 			coord := fleet.New(0)
-			coord.Add(ctl.Loop(), ostcase.FleetPriority)
+			coord.Add(loop, sp.Priority)
 			coord.RunEvery(sim.VirtualClock{Engine: engine}, time.Minute,
 				func() bool { return len(scheduler.Running()) == 0 && scheduler.QueueLen() == 0 })
 		}
@@ -83,9 +95,9 @@ func runU3(opt Options) *Result {
 		reopens := 0
 		if withLoop {
 			mode = "autonomy-loop"
-			reopens = ctl.Responses
-			if len(ctl.Avoided()) > 0 {
-				responseAt = "< 3m after onset"
+			reopens = loop.Metrics().HonoredActions
+			if firstReopen >= 0 {
+				responseAt = (firstReopen - degradeAt).String() + " after onset"
 			}
 		}
 		res.AddRow(mode, responseAt,

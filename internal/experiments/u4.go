@@ -3,10 +3,14 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"autoloop/internal/app"
+	"autoloop/internal/bus"
 	"autoloop/internal/cases/misconfcase"
+	"autoloop/internal/control"
+	"autoloop/internal/core"
 	"autoloop/internal/hw"
 	"autoloop/internal/sched"
 	"autoloop/internal/sim"
@@ -37,9 +41,16 @@ func runU4(opt Options) *Result {
 	scheduler := sched.New(engine, cl.UpNodes(), sched.DefaultExtensionPolicy())
 	runtime := app.NewRuntime(engine, db, nil, cl)
 	runtime.Serve(scheduler)
-	ctl := misconfcase.New(misconfcase.DefaultConfig(), db, scheduler, runtime, cl)
+	loop := spawn(&control.Env{Querier: db, Scheduler: scheduler, Apps: runtime, Cluster: cl},
+		control.LoopSpec{Case: misconfcase.CaseName}).Loop()
+	// The loop's trail: a detection is a finding event, whose subject is
+	// the job and whose value the misconfiguration kind; fixes and
+	// notifications are its honored actions.
+	var detections []bus.Envelope
+	loop.Bus.Subscribe("loop."+loop.Name+".finding", func(env bus.Envelope) { detections = append(detections, env) })
+	acted := honored(loop)
 	done := false
-	ctl.Loop().RunEvery(sim.VirtualClock{Engine: engine}, time.Minute, func() bool { return done })
+	loop.RunEvery(sim.VirtualClock{Engine: engine}, time.Minute, func() bool { return done })
 
 	rng := rand.New(rand.NewSource(opt.Seed))
 	truth := map[int]app.Misconfig{} // job ID -> injected kind
@@ -93,15 +104,17 @@ func runU4(opt Options) *Result {
 		app.MisconfigUnderutil: {},
 		app.MisconfigWrongLib:  {},
 	}
-	for _, d := range ctl.Detections {
-		want := truth[d.JobID]
-		sc := scores[d.Kind]
+	for _, env := range detections {
+		f := env.Payload.(*core.Finding)
+		id, _ := strconv.Atoi(f.Subject)
+		kind := app.Misconfig(f.Value)
+		sc := scores[kind]
 		if sc == nil {
 			continue
 		}
-		if d.Kind == want {
+		if kind == truth[id] {
 			sc.detected++
-			sc.ttds = append(sc.ttds, (d.At - starts[d.JobID]).Minutes())
+			sc.ttds = append(sc.ttds, (env.Time - starts[id]).Minutes())
 		} else {
 			sc.falsePos++
 		}
@@ -125,7 +138,7 @@ func runU4(opt Options) *Result {
 		falseTotal += s.falsePos
 	}
 	res.AddRow("clean", injected[app.MisconfigNone], "-", "-", falseTotal, "-", "-")
-	res.AddNote("%d fixes applied on the fly, %d user notifications", ctl.Fixes, ctl.Notifications)
+	res.AddNote("%d fixes applied on the fly, %d user notifications", acted["fix-misconfig"], acted["notify-user"])
 	res.AddNote("false-pos counts detections whose classified kind differs from the injected ground truth")
 	return res
 }

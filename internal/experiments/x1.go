@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"autoloop/internal/cases/powercase"
+	"autoloop/internal/control"
 	"autoloop/internal/core"
 	"autoloop/internal/facility"
 	"autoloop/internal/fleet"
@@ -105,11 +106,15 @@ func runX1(opt Options) *Result {
 	var staticKWh float64
 	for _, v := range variants {
 		w := newPlantWorld(opt, horizon, tempLimit)
-		cfg := powercase.DefaultConfig()
-		cfg.TempLimitC = tempLimit
-		ctl := powercase.New(cfg, w.db, w.plant)
+		// moves counts the loop's honored setpoint movements by kind.
+		moves := map[string]int{}
 		if v.enabled {
-			loop := ctl.Loop()
+			sp := spawn(&control.Env{Querier: w.db, Plant: w.plant}, control.LoopSpec{
+				Case:   powercase.CaseName,
+				Config: []byte(fmt.Sprintf(`{"TempLimitC": %g}`, tempLimit)),
+			})
+			loop := sp.Loop()
+			moves = honored(loop)
 			if v.gate > 0 {
 				loop.Guards = []core.Guardrail{core.ConfidenceGate{Min: v.gate}}
 			}
@@ -117,7 +122,7 @@ func runX1(opt Options) *Result {
 			// results (the coordinator's round is deterministic), and the
 			// scenario is ready to take more facility-domain loops.
 			coord := fleet.New(0)
-			coord.Add(loop, powercase.FleetPriority)
+			coord.Add(loop, sp.Priority)
 			coord.RunEvery(sim.VirtualClock{Engine: w.engine}, 5*time.Minute,
 				func() bool { return w.engine.Now() >= horizon })
 		}
@@ -137,7 +142,7 @@ func runX1(opt Options) *Result {
 			saved,
 			fmt.Sprintf("%.1f°C", w.hottest),
 			w.breaches,
-			fmt.Sprintf("%d/%d", ctl.Raises, ctl.Lowers),
+			fmt.Sprintf("%d/%d", moves["raise-setpoint"], moves["lower-setpoint"]),
 		)
 	}
 	res.AddNote("diurnal load ramps 50%% -> 95%% of the fleet over %v; limit %.0f°C", horizon, tempLimit)

@@ -21,10 +21,14 @@
 #     process alone ran is counted; a restart that folds the whole log,
 #     the knowledge base's learn envelopes and the control plane's ops and
 #     approvals among it, lists the fleet to check the ops came back, lists
-#     the cases, and snapshots; and a restart from that snapshot;
+#     the cases, approves one pending action (this life exits cleanly, so
+#     the approval is counted), and snapshots; and a restart from that
+#     snapshot;
 #   - a coordinator with -wal-dir and two workers over loopback, the second
 #     started once the first holds every group, so the rebalance revokes
-#     from it; then a coordinator restart that folds its ledger.
+#     from it; list, get, pause and resume through the coordinator's
+#     gateway, and a query as a POST; then a coordinator restart that
+#     folds its ledger.
 #
 # Usage: scripts/prodcover.sh [workdir]
 # Run from the repository root. workdir (default: a new temporary directory)
@@ -81,6 +85,19 @@ control() {
 	fi
 }
 
+# control_ok GATEWAY OP BODY sends one op and reports a reply that is not ok.
+control_ok() {
+	local reply
+	reply="$(control "$@")"
+	grep -q '"ok":true' <<<"$reply" || echo "prodcover: control $2 $3 not ok: $reply" >&2
+}
+
+# first_pending GATEWAY prints the sequence number of the first pending
+# action, or nothing.
+first_pending() {
+	control "$1" pending '' | grep -o '"seq":[0-9]*' | head -n 1 | cut -d: -f2 || true
+}
+
 echo "prodcover: bench, four workloads (3 s each, traced)" >&2
 (cd "$work" && ./bench --seconds 3 --trace 1 --out "$work/bench.json") >"$logs/bench.log" 2>&1
 
@@ -105,7 +122,7 @@ control "$gw" spawn '{"spec":{"case":"power","name":"gate","mode":"human-in-the-
 sleep 2 # power-case queues approvals, which the journal records
 scrape "http://$gw/v1/query?metric=facility.pue&latest=true"
 scrape "http://$gw/metrics"
-seq="$(control "$gw" pending '' | grep -o '"seq":[0-9]*' | head -n 1 | cut -d: -f2 || true)"
+seq="$(first_pending "$gw")"
 [ -n "$seq" ] && control "$gw" approve "{\"seq\":$seq}" >/dev/null || echo "prodcover: no action pending approval" >&2
 control "$gw" pause '{"loop":"gate"}' >/dev/null
 sleep 2
@@ -119,6 +136,8 @@ for life in recover restore; do
 		rgw="$(addr_from "$logs/$life.log" 's|.*http gateway on http://\([^ ]*\) .*|\1|p')"
 		list="$(control "$rgw" list '')"
 		control "$rgw" cases '' >/dev/null
+		seq="$(first_pending "$rgw")"
+		[ -n "$seq" ] && control_ok "$rgw" approve "{\"seq\":$seq}" || echo "prodcover: nothing pending in the recover restart" >&2
 		for want in '"name":"gate","case":"power","group":"gate","state":"paused","mode":"human-in-the-loop"' \
 			'"name":"power-case","case":"power","group":"power-case","state":"[a-z]*","mode":"human-in-the-loop"'; do
 			grep -q "$want" <<<"$list" || echo "prodcover: the recover restart lost an acknowledged op: no $want in $list" >&2
@@ -155,6 +174,14 @@ done
 sleep 5
 scrape "http://$cgw/v1/query?metric=node.cpu.util&latest=1"
 scrape "http://$cgw/metrics"
+if command -v curl >/dev/null; then
+	control_ok "$cgw" list ''
+	for op in get pause resume; do
+		control_ok "$cgw" "$op" '{"loop":"power-case"}'
+	done
+	curl -fsS -o /dev/null -X POST -d '{"metric":"node.cpu.util","latest":true}' "http://$cgw/v1/query" ||
+		echo "prodcover: POST /v1/query to the coordinator failed" >&2
+fi
 wait "${workers[@]}" "$coord"
 "$modad" -role=coordinator -cluster-addr 127.0.0.1:0 -addr 127.0.0.1:0 -wal-dir "$work/cwal" \
 	-duration 1s >"$logs/coordinator-restart.log" 2>&1
